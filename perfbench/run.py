@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The gc2gnn benchmark.
 
-    python3 perfbench/run.py --workload large-forward --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload large-forward --seed 1 --seconds 20 --trace 0
     python3 perfbench/run.py --seed 1            # every workload, each in its own process
 
 One workload runs per process as a closed loop: one client, one op at a time,
@@ -14,6 +14,7 @@ divided by the machine's measured slowness (see `Reference`). The last line of s
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib.util
 import json
@@ -116,12 +117,20 @@ class Reference:
     seed-to-seed spread of every timing about threefold, to 2-4% for
     throughput, more than the other mixes tried. They are timed with the
     calling thread's clock, so threads the program leaves running cannot
-    slow them.
+    slow them. A reading allocates nothing: its arrays are made once, so
+    neither page faults nor the heap state the program leaves behind enter
+    it, and it leaves the program's heap as it found it.
     """
 
     # Typical CPU seconds of each kernel between ops on the defining machine.
-    NOMINAL_S = (0.0030, 0.0172)
+    NOMINAL_S = (0.0030, 0.0143)
     EVERY_S = 0.3  # op CPU seconds between two measurements
+    # The program's CPU time moves more with the machine's state than the
+    # kernels' do: over 20 to 40 runs of each workload, times divided by the
+    # plain slowness still rose with the run's mean slowness (log-log slope
+    # 0.1 to 0.8 on every workload). Dividing by slowness ** 1.3 takes part
+    # of that out.
+    EXPONENT = 1.3
 
     def __init__(self):
         import numpy as np
@@ -130,6 +139,8 @@ class Reference:
         self._np = np
         self._table = rng.random((1 << 19, 4))
         self._index = rng.integers(0, 1 << 19, size=1 << 15)
+        self._gathered = np.empty((len(self._index), 4))
+        self._out = np.zeros_like(self._table)
 
     def _once(self) -> float:
         np = self._np
@@ -138,8 +149,9 @@ class Reference:
         for i in range(30_000):
             acc += i * i
         middle = time.thread_time()
-        out = np.zeros_like(self._table)
-        np.add.at(out, self._index, self._table[self._index])
+        self._out.fill(0.0)
+        np.take(self._table, self._index, axis=0, out=self._gathered)
+        np.add.at(self._out, self._index, self._gathered)
         end = time.thread_time()
         interp, memory = self.NOMINAL_S
         return ((middle - start) / interp + (end - middle) / memory) / 2
@@ -151,9 +163,10 @@ class Reference:
 
     @staticmethod
     def slowness(before: list[float], after: list[float]) -> float:
-        """The slowness over an interval: the median of the readings on both
-        sides, which resists one disturbed reading."""
-        return statistics.median(before + after)
+        """What to divide a CPU time over an interval by: the median of the
+        readings on both sides, which resists one disturbed reading, to the
+        power `EXPONENT`."""
+        return statistics.median(before + after) ** Reference.EXPONENT
 
 
 # --------------------------------------------------------------------------
@@ -195,17 +208,28 @@ def run_op(execute, check, op, tally: Tally) -> float:
     return spent
 
 
-def set_up(workload, seed: int, tally: Tally, reference: Reference):
+def repeat_seed(seed: int, repeat: int) -> int:
+    """The input seed of one set-up, so that no set-up feeds the program
+    inputs an earlier one in the same process already did."""
+    import numpy as np
+
+    return int(np.random.SeedSequence([seed, repeat]).generate_state(1)[0])
+
+
+def set_up(workload, seed: int, tally: Tally, reference: Reference, tracer=None):
     """Set-up as timed by `setup_s`: inputs, program-side preparation and one
-    checked warm-up op, in CPU seconds divided by the machine's slowness
-    around it. Returns (state, seconds)."""
+    warm-up op, in CPU seconds divided by the machine's slowness around it.
+    The checks' reference values and the warm-up's check are neither timed
+    nor traced. Returns (state, seconds)."""
     gc.collect()
     before = reference.measure()
     start = time.process_time()
     state = workload.setup(seed, OUT_DIR)
-    run_op(lambda op: workload.execute(state, op), lambda op, out: workload.check(state, op, out),
-           workload.warmup(state), tally)
     spent = time.process_time() - start
+    with tracer.paused() if tracer is not None else contextlib.nullcontext():
+        workload.references(state)
+    spent += run_op(lambda op: workload.execute(state, op), lambda op, out: workload.check(state, op, out),
+                    workload.warmup(state), tally)
     return state, spent / reference.slowness(before, reference.measure())
 
 
@@ -213,10 +237,12 @@ def timed_ops(workload, state, seconds: float) -> list:
     """The fixed op list of the timed phase: whole passes, as many as take
     about ``seconds`` CPU seconds at the reference cost of a pass, and at
     least enough for a tail percentile with ten ops beyond it."""
-    one_pass = state.ops
     passes = max(round(seconds / workload.pass_ref_cpu_s),
-                 math.ceil((TAIL_MIN_BEYOND + 1) / len(one_pass)), 1)
-    return one_pass * passes
+                 math.ceil((TAIL_MIN_BEYOND + 1) / len(state.ops)), 1)
+    ops = list(state.ops)
+    for _ in range(passes - 1):
+        ops += workload.another_pass(state)
+    return ops
 
 
 def run_phase(workload, state, ops, tally: Tally, reference: Reference, on_op=None):
@@ -264,8 +290,9 @@ def run_workload(workload, seed: int, seconds: float) -> dict:
     tally = Tally()
     reference = Reference()
     setup_times = []
-    for _ in range(workload.setup_repeats):
-        state, spent = set_up(workload, seed, tally, reference)
+    for repeat in range(workload.setup_repeats):
+        state = None  # so that peak_rss_mb never holds two set-ups
+        state, spent = set_up(workload, repeat_seed(seed, repeat), tally, reference)
         setup_times.append(spent)
     ops = timed_ops(workload, state, seconds)
     gc.collect()
@@ -283,22 +310,22 @@ def run_workload(workload, seed: int, seconds: float) -> dict:
 
 
 def run_traced(workload, seed: int) -> dict:
-    """One untraced pass, then set-up and the same pass traced; per-layer
-    metrics cover the traced set-up and pass."""
+    """Set-up and one untraced pass, then a second set-up and its pass
+    traced, on inputs of their own; per-layer metrics cover the traced
+    set-up and pass."""
     from tracing import COMPUTED, Tracer
 
     name = workload.name
     tally = Tally()
     reference = Reference()
-    state, _ = set_up(workload, seed, tally, reference)
-    one_pass = state.ops
-    untraced = sum(run_phase(workload, state, one_pass, tally, reference)[0])
-    del state
+    state, _ = set_up(workload, repeat_seed(seed, 0), tally, reference)
+    untraced = sum(run_phase(workload, state, state.ops, tally, reference)[0])
+    state = None
     tracer = Tracer()
     tracer.install()
     try:
-        state, _ = set_up(workload, seed, tally, reference)
-        traced = sum(run_phase(workload, state, one_pass, tally, reference,
+        state, _ = set_up(workload, repeat_seed(seed, 1), tally, reference, tracer)
+        traced = sum(run_phase(workload, state, state.ops, tally, reference,
                                on_op=lambda i: setattr(tracer, "op", i))[0])
     finally:
         tracer.uninstall()
@@ -308,7 +335,7 @@ def run_traced(workload, seed: int) -> dict:
     tracer.write_jsonl(path, {"workload": name, "seed": seed, "clock": "process CPU ns",
                               "machine": machine_info(), "metrics": metrics, "computed": list(COMPUTED),
                               "missing": sorted(tracer.missing | tracer.broken)})
-    print(f"{name} seed={seed}: traced {len(one_pass)} ops; {len(tracer.spans)} spans in {path.relative_to(ROOT)}")
+    print(f"{name} seed={seed}: traced {len(state.ops)} ops; {len(tracer.spans)} spans in {path.relative_to(ROOT)}")
     for key, entry in metrics.items():
         value = "missing" if entry["value"] is None else f"{entry['value']:.6g}"
         note = "  (computed)" if key in COMPUTED else ""
@@ -340,7 +367,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", default="all", help="a workload name, or all (the default)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0, help="CPU seconds of timed ops to aim for")
+    parser.add_argument("--seconds", type=float, default=20.0, help="CPU seconds of timed ops to aim for")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seed < 0 or args.seconds <= 0:

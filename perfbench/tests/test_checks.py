@@ -9,6 +9,7 @@ in `fail_ratio`) instead of crashing the run or passing silently.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -40,10 +41,32 @@ def find(state, label):
     return next(op for op in state.ops if op.label == label)
 
 
+def prepared(workload, seed, workdir):
+    """A workload's state with the checks' reference values filled in."""
+    state = workload.setup(seed, workdir)
+    workload.references(state)
+    return state
+
+
+class SmallLargeForward(wl.LargeForward):
+    N = 3000
+
+
+class SmallCorpus(wl.CheckExactCorpus):
+    SIZES = (20,)
+    RANDOM_FORMULAS = 2
+    GRAPHS_PER_OP = 2
+
+
+class ShallowFormula(wl.DeepFormula):
+    LEVELS = (8, 12)
+    N = 30
+
+
 @pytest.fixture(scope="module")
 def large(tmp_path_factory):
-    workload = wl.LargeForward(n=3000)
-    return workload, workload.setup(5, tmp_path_factory.mktemp("large"))
+    workload = SmallLargeForward()
+    return workload, prepared(workload, 5, tmp_path_factory.mktemp("large"))
 
 
 def test_oracle_check_catches_one_wrong_vertex(large):
@@ -79,7 +102,7 @@ def test_certified_bound_check(large):
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
     workload = wl.TreeSweep()
-    return workload, workload.setup(0, tmp_path_factory.mktemp("sweep"))
+    return workload, prepared(workload, 0, tmp_path_factory.mktemp("sweep"))
 
 
 def golden_result(state, label):
@@ -99,25 +122,23 @@ def test_golden_csv_bytes_check(sweep):
         assert tally.failed == 1 and "golden" in tally.reasons[0]
 
 
-def test_oracle_root_gap_check(sweep, tmp_path):
+def test_oracle_root_gap_check(sweep):
     workload, state = sweep
     # A golden file and an output that agree byte for byte but put a wrong
     # exact value in a sigma-star row: only the oracle comparison catches it.
     wrong = state.golden["separation-step-arctan"].decode("ascii").replace(
         "separation,q1,sigma-star,1,5,27,6,1.0,", "separation,q1,sigma-star,1,5,27,6,0.0,")
     assert wrong.encode("ascii") != state.golden["separation-step-arctan"]
-    for label, _ in wl.SWEEPS:
-        (tmp_path / f"{label}.csv").write_bytes(state.golden[label])
-    (tmp_path / "separation-step-arctan.csv").write_text(wrong, encoding="ascii")
-    corrupt_state = wl.TreeSweep(k_values=range(2, 65), golden_dir=tmp_path).setup(0, tmp_path)
+    corrupt_state = dataclasses.replace(
+        state, golden={**state.golden, "separation-step-arctan": wrong.encode("ascii")})
     reason = workload.check(corrupt_state, find(corrupt_state, "separation-step-arctan"), wl.CliResult(0, wrong))
     assert reason is not None and "oracle root gap" in reason
 
 
 def test_exit_code_check(tmp_path):
-    workload = wl.CheckExactCorpus(sizes=(20,), random_formulas=2, graphs_per_op=2)
-    state = workload.setup(11, tmp_path)
-    for op in state.ops:
+    workload = SmallCorpus()
+    state = prepared(workload, 11, tmp_path)
+    for op in [*state.ops, workload.warmup(state)]:
         tally = run_corrupted(workload, state, op, lambda out: wl.CliResult(1, out.stdout))
         assert (tally.attempted, tally.failed) == (2, 1)
         assert tally.reasons == [f"{op.label}: exit code 1"]
@@ -126,9 +147,9 @@ def test_exit_code_check(tmp_path):
 
 
 def test_deep_formula_ops_pass_and_can_fail(tmp_path):
-    workload = wl.DeepFormula(levels=(8, 12), n=30)
-    state = workload.setup(2, tmp_path)
-    for op in state.ops:
+    workload = ShallowFormula()
+    state = prepared(workload, 2, tmp_path)
+    for op in [*state.ops, workload.warmup(state), *workload.another_pass(state)]:
         tally = run_corrupted(workload, state, op, lambda out: wl.CliResult(2, ""))
         assert (tally.attempted, tally.failed) == (2, 1)
 
@@ -155,6 +176,21 @@ def test_inputs_depend_only_on_seed(tmp_path):
 
     assert inputs(wl.CheckExactCorpus, 4) == inputs(wl.CheckExactCorpus, 4)
     assert inputs(wl.CheckExactCorpus, 4) != inputs(wl.CheckExactCorpus, 5)
+    assert bench.repeat_seed(4, 0) == bench.repeat_seed(4, 0)
+    assert len({bench.repeat_seed(4, r) for r in range(15)} | {bench.repeat_seed(5, 0)}) == 16
+
+
+def test_no_timed_op_repeats_an_input(tmp_path):
+    for cls in (wl.CheckExactCorpus, wl.DeepFormula):
+        workload = cls()
+        state = workload.setup(7, tmp_path)
+        ops = bench.timed_ops(workload, state, 3 * workload.pass_ref_cpu_s)
+        args = [op.args for op in [workload.warmup(state), *ops]]
+        assert len(ops) >= len(state.ops) and len(set(args)) == len(args)
+    deep = wl.DeepFormula()
+    state = deep.setup(7, tmp_path)
+    levels = [op.label for op in bench.timed_ops(deep, state, 3 * deep.pass_ref_cpu_s)]
+    assert levels == [op.label for op in state.ops] * 3
     rng = np.random.default_rng(0)
     for target in (2, 3, 4, 5, 6):
         text = wl.random_formula_text(rng, 3, target)
@@ -178,6 +214,19 @@ def test_missing_target_is_reported_not_fatal(monkeypatch):
     assert metrics["engine.forward_s"]["value"] == 0.0
 
 
+def test_paused_tracer_records_nothing():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.paused():
+            formulas.parse(wl.Q1_TEXT, 1)
+        assert tracer.spans == []
+        formulas.parse(wl.Q1_TEXT, 1)
+    finally:
+        tracer.uninstall()
+    assert "formulas.parse" in [span[0] for span in tracer.spans]
+
+
 def test_metric_names_match_benchmark_json():
     spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
     per_layer = list(tracing.Tracer().metrics()) + ["trace.overhead_ratio"]
@@ -189,13 +238,16 @@ def test_metric_names_match_benchmark_json():
 
 
 def test_corrupted_op_counts_through_the_timed_loop(tmp_path):
-    class Corrupting(wl.DeepFormula):
+    class Corrupting(ShallowFormula):
+        LEVELS = (6, 9, 12)
+        N = 20
+
         def execute(self, state, op):
             out = super().execute(state, op)
             return wl.CliResult(1, out.stdout) if op is state.ops[0] else out
 
-    workload = Corrupting(levels=(6, 9, 12), n=20)
-    state = workload.setup(3, tmp_path)
+    workload = Corrupting()
+    state = prepared(workload, 3, tmp_path)
     tally = bench.Tally()
     times, slowness = bench.run_phase(workload, state, state.ops * 2, tally, bench.Reference())
     assert len(times) == 6 and all(t > 0 for t in times) and len(slowness) >= 2

@@ -15,6 +15,7 @@ and spec nonzeros at the call boundary, not counted inside the program.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib
 import json
@@ -75,9 +76,9 @@ class Tracer:
     """Spans and counts for one traced run; `install` wraps, `uninstall`
     restores, `metrics` and `write_jsonl` report."""
 
-    def __init__(self, targets=TARGETS):
-        self.targets = tuple(targets)
+    def __init__(self):
         self.op = "setup"
+        self._paused = False
         self.spans: list = []
         self._stack: list = []  # [span index, CPU ns spent in child spans]
         self._depth = defaultdict(int)
@@ -149,6 +150,8 @@ class Tracer:
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
+            if self._paused:
+                return fn(*args, **kwargs)
             index = len(spans)
             parent = stack[-1][0] if stack else None
             spans.append(None)
@@ -181,7 +184,7 @@ class Tracer:
     def install(self) -> None:
         """Wrap every target that exists; record the others as missing."""
         modules = [m for key, m in list(sys.modules.items()) if key == "gc2gnn" or key.startswith("gc2gnn.")]
-        for target in self.targets:
+        for target in TARGETS:
             try:
                 owner = importlib.import_module(target.module)
             except ImportError:
@@ -212,6 +215,15 @@ class Tracer:
         for owner, attr, original in reversed(self._restore):
             setattr(owner, attr, original)
         self._restore.clear()
+
+    @contextlib.contextmanager
+    def paused(self):
+        """Calls inside record nothing: for the benchmark's own check work."""
+        self._paused = True
+        try:
+            yield
+        finally:
+            self._paused = False
 
     # -- results ----------------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Each workload owns its seeded input generators, the fixed list of ops that
 makes one pass, how an op calls into gc2gnn, and the check its output must
-pass. The program only ever sees the generated inputs or argv.
+pass. The program only ever sees the generated inputs or argv. The values a
+check compares with are computed in `references`, which the benchmark runs
+outside every timing and trace.
 
 Program calls go through module attributes (``engine.forward_outputs``, not a
 name imported at load time) so that the tracer in ``tracing.py`` sees them.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -187,8 +189,9 @@ def write_graph_text(path: Path, n: int, palette: int, colors: np.ndarray, edges
 
 class Workload:
     """One workload: ``setup`` returns a state whose ``ops`` is the fixed list
-    of one pass, ``execute`` runs one op against the program and ``check``
-    returns None for a correct output or the reason it is wrong."""
+    of one pass, ``references`` adds to it what the checks compare with,
+    ``execute`` runs one op against the program and ``check`` returns None
+    for a correct output or the reason it is wrong."""
 
     name = ""
     why = ""
@@ -201,9 +204,16 @@ class Workload:
     def setup(self, seed: int, workdir: Path):
         raise NotImplementedError
 
+    def references(self, state) -> None:
+        """Compute the checks' reference values into ``state``; not timed."""
+
     def warmup(self, state) -> Op:
         """The op set-up runs once, checked."""
         return state.ops[0]
+
+    def another_pass(self, state) -> list[Op]:
+        """The ops of the next timed pass after ``state.ops``."""
+        return state.ops
 
     def execute(self, state, op: Op):
         raise NotImplementedError
@@ -215,6 +225,8 @@ class Workload:
 @dataclass
 class CliState:
     ops: list[Op]
+    warm: Op  # an op of its own, so that no timed op repeats the warm-up's input
+    rng: np.random.Generator
 
 
 class CheckExactCorpus(Workload):
@@ -223,29 +235,37 @@ class CheckExactCorpus(Workload):
            "and graph construction counts; batching shows here, activations do little.")
     pass_ref_cpu_s = 11.4
     setup_repeats = 15
+    SIZES = tuple(range(20, 201, 20))
+    RANDOM_FORMULAS = 20
+    GRAPHS_PER_OP = 20
+    PALETTE = 3
 
-    def __init__(self, sizes=tuple(range(20, 201, 20)), random_formulas=20, graphs_per_op=20, palette=3):
-        self.sizes = tuple(sizes)
-        self.random_formulas = random_formulas
-        self.graphs_per_op = graphs_per_op
-        self.palette = palette
+    def _op(self, rng, label, query, n) -> Op:
+        argv = ("check-exact", *query, "--random-graphs", str(self.GRAPHS_PER_OP),
+                "--n", str(n), "--seed", str(int(rng.integers(0, 2**31))))
+        return Op(label, argv)
+
+    def _pass(self, rng) -> list[Op]:
+        queries = [("--query", "q1"), ("--query", "q2")]
+        depths = [2 + i % 5 for i in range(self.RANDOM_FORMULAS)]
+        queries += [
+            ("--formula", random_formula_text(rng, self.PALETTE, d), "--palette", str(self.PALETTE))
+            for d in depths
+        ]
+        return [self._op(rng, f"query{qi}-n{n}", query, n) for qi, query in enumerate(queries) for n in self.SIZES]
 
     def setup(self, seed, workdir):
         rng = np.random.default_rng(seed)
-        queries = [("--query", "q1"), ("--query", "q2")]
-        depths = [2 + i % 5 for i in range(self.random_formulas)]
-        queries += [
-            ("--formula", random_formula_text(rng, self.palette, d), "--palette", str(self.palette))
-            for d in depths
-        ]
-        ops = []
-        for qi, query in enumerate(queries):
-            for n in self.sizes:
-                graph_seed = int(rng.integers(0, 2**31))
-                argv = ("check-exact", *query, "--random-graphs", str(self.graphs_per_op),
-                        "--n", str(n), "--seed", str(graph_seed))
-                ops.append(Op(f"query{qi}-n{n}", argv))
-        return CliState(ops)
+        ops = self._pass(rng)
+        warm = self._op(rng, "warmup", ("--query", "q1"), self.SIZES[0])
+        return CliState(ops, warm, rng)
+
+    def warmup(self, state):
+        return state.warm
+
+    def another_pass(self, state):
+        # Fresh formulas of the same depths and fresh graphs.
+        return self._pass(state.rng)
 
     def execute(self, state, op):
         return run_cli(op.args)
@@ -260,27 +280,32 @@ class DeepFormula(Workload):
            "formulas/compiler work and the dense d x d combine dominates backend.")
     pass_ref_cpu_s = 6.9
     setup_repeats = 3
+    LEVELS = (60, 80, 100, 120, 140)
+    N = 200
+    PALETTE = 2
 
-    def __init__(self, levels=(60, 80, 100, 120, 140), n=200, palette=2):
-        self.levels = tuple(levels)
-        self.n = n
-        self.palette = palette
+    def _op(self, rng, levels) -> Op:
+        text = chain_formula_text(rng, levels, self.PALETTE)
+        argv = ("check-exact", "--formula", text, "--palette", str(self.PALETTE),
+                "--random-graphs", "1", "--n", str(self.N),
+                "--seed", str(int(rng.integers(0, 2**31))))
+        return Op(f"levels{levels}", argv)
 
     def setup(self, seed, workdir):
         rng = np.random.default_rng(seed)
-        ops = []
-        for levels in self.levels:
-            text = chain_formula_text(rng, levels, self.palette)
-            argv = ("check-exact", "--formula", text, "--palette", str(self.palette),
-                    "--random-graphs", "1", "--n", str(self.n),
-                    "--seed", str(int(rng.integers(0, 2**31))))
-            ops.append(Op(f"levels{levels}", argv))
-        return CliState(ops)
+        ops = [self._op(rng, levels) for levels in self.LEVELS]
+        # A chain of the deepest level allocates the largest arrays, so no
+        # timed op is the first to grow the heap to its size.
+        warm = self._op(rng, self.LEVELS[-1])
+        return CliState(ops, warm, rng)
 
     def warmup(self, state):
-        # The deepest chain allocates the largest arrays, so no timed op is
-        # the first to grow the heap to its size.
-        return state.ops[-1]
+        return state.warm
+
+    def another_pass(self, state):
+        # Fresh chains of the same levels: the same cost, but no formula text
+        # the program has compiled before in this process.
+        return [self._op(state.rng, levels) for levels in self.LEVELS]
 
     def execute(self, state, op):
         return run_cli(op.args)
@@ -292,57 +317,60 @@ class DeepFormula(Workload):
 @dataclass
 class LargeState:
     graph: object
+    parsed: dict
     specs: dict
-    oracle: dict
     ops: list[Op]
+    oracle: dict = field(default_factory=dict)  # filled by `references`
 
 
 class LargeForward(Workload):
     name = "large-forward"
     why = ("One n=1e5 graph of average degree 5: backend aggregation is most of "
            "the time and the (T+1) n d history sets peak memory; call overhead is nil.")
-    pass_ref_cpu_s = 3.5
+    pass_ref_cpu_s = 3.0
     setup_repeats = 3
-
-    def __init__(self, n=100_000, avg_degree=5.0, palette=2):
-        self.n = n
-        self.avg_degree = avg_degree
-        self.palette = palette
+    N = 100_000
+    AVG_DEGREE = 5.0
+    PALETTE = 2
 
     def setup(self, seed, workdir):
         rng = np.random.default_rng(seed)
-        edges = sparse_random_edges(rng, self.n, self.avg_degree)
-        colors = rng.integers(1, self.palette + 1, size=self.n)
-        max_degree = int(np.bincount(edges.ravel(), minlength=self.n).max())
+        edges = sparse_random_edges(rng, self.N, self.AVG_DEGREE)
+        colors = rng.integers(1, self.PALETTE + 1, size=self.N)
+        max_degree = int(np.bincount(edges.ravel(), minlength=self.N).max())
         if max_degree > CERTIFIED_DEGREE:
             raise RuntimeError(f"max degree {max_degree} exceeds the certified {CERTIFIED_DEGREE}")
         path = workdir / f"large-forward-{os.getpid()}.graph"
-        write_graph_text(path, self.n, self.palette, colors, edges)
+        write_graph_text(path, self.N, self.PALETTE, colors, edges)
         try:
             graph, _ = graphs.read_graph(path)
         finally:
             path.unlink()
         graph.edge_src  # build the adjacency in set-up, not in the first op
-        specs, oracle = {}, {}
+        parsed, specs = {}, {}
         for name, text in (("q1", Q1_TEXT), ("q2", Q2_TEXT)):
-            formula = formulas.parse(text, self.palette)
-            specs[name] = compiler.compile_formula(formula, self.palette)
-            oracle[name] = formulas.eval_oracle_all(formula, graph).astype(np.float64)
-        # Five kinds of op, cheapest first, so the median and the tail fall
-        # inside one kind's cluster of CPU times instead of between two.
-        # q1 under crelu is left out: it costs and checks what q1 under
-        # sigma-star does.
+            parsed[name] = formulas.parse(text, self.PALETTE)
+            specs[name] = compiler.compile_formula(parsed[name], self.PALETTE)
+        # Five kinds of op, cheapest first. q2 under sigma-star is left out:
+        # it costs and checks what q2 under crelu does, and with both in,
+        # the median fell near the edge of their shared cluster of CPU
+        # times. Without it the median is q1 under step-arctan and the tail
+        # q2 under crelu, each inside its own kind's cluster.
         ops = [
             Op(f"{q}-{act}", (q, act, m))
             for q, act, m in (
                 ("q1", "sigma-star", 1),
+                ("q1", "crelu", 1),
                 ("q1", "step-arctan", STEP_ARCTAN_M),
                 ("q2", "crelu", 1),
-                ("q2", "sigma-star", 1),
                 ("q2", "step-arctan", STEP_ARCTAN_M),
             )
         ]
-        return LargeState(graph, specs, oracle, ops)
+        return LargeState(graph, parsed, specs, ops)
+
+    def references(self, state):
+        for name, formula in state.parsed.items():
+            state.oracle[name] = formulas.eval_oracle_all(formula, state.graph).astype(np.float64)
 
     def warmup(self, state):
         # The op with the largest arrays, so no timed op is the first to
@@ -378,11 +406,15 @@ SWEEPS = (
 )
 
 
+# The sweeps' --k-range 2:64, for the oracle's root gaps.
+SWEEP_K_VALUES = range(2, 65)
+
+
 @dataclass
 class SweepState:
-    golden: dict
-    root_gap: dict
     ops: list[Op]
+    golden: dict = field(default_factory=dict)  # filled by `references`
+    root_gap: dict = field(default_factory=dict)
 
 
 class TreeSweep(Workload):
@@ -392,23 +424,19 @@ class TreeSweep(Workload):
     pass_ref_cpu_s = 4.7
     setup_repeats = 3
 
-    def __init__(self, k_values=tuple(range(2, 65)), golden_dir=GOLDEN_DIR):
-        self.k_values = tuple(k_values)
-        self.golden_dir = Path(golden_dir)
-
     def setup(self, seed, workdir):
         # The sweep is deterministic: the seed changes nothing here.
-        golden = {label: (self.golden_dir / f"{label}.csv").read_bytes() for label, _ in SWEEPS}
+        return SweepState([Op(label, argv) for label, argv in SWEEPS])
+
+    def references(self, state):
+        state.golden = {label: (GOLDEN_DIR / f"{label}.csv").read_bytes() for label, _ in SWEEPS}
         formula = formulas.parse(Q1_TEXT, 1)
-        root_gap = {}
-        for k in self.k_values:
+        for k in SWEEP_K_VALUES:
             values = []
             for x in (0, 1):
                 tree, root = graphs.make_tree(graphs.TreeParams(x, k, k), "unicolor")
                 values.append(float(formulas.eval_oracle_all(formula, tree)[root]))
-            root_gap[k] = abs(values[1] - values[0])
-        ops = [Op(label, argv) for label, argv in SWEEPS]
-        return SweepState(golden, root_gap, ops)
+            state.root_gap[k] = abs(values[1] - values[0])
 
     def execute(self, state, op):
         return run_cli(op.args)

@@ -28,8 +28,6 @@ __all__ = [
     "ACTIVATION_NAMES",
     "get_activation",
     "get_step_params",
-    "kernel_code",
-    "kernel_params",
     "apply_activation",
     "sigma_star",
     "make_step_arctan",
@@ -77,7 +75,9 @@ class StepLikeParams:
 class Activation:
     """Named scalar map with optional closed-form derivatives.
 
-    ``fn``/``d1``/``d2`` accept scalars or numpy arrays.
+    ``fn``/``d1``/``d2`` accept scalars or numpy arrays.  The registered
+    maps' ``fn`` also takes ``out=``, an array (possibly the input itself)
+    that receives the result and every intermediate step.
     """
 
     name: str
@@ -119,38 +119,61 @@ def _maybe_scalar(out, template):
     return out
 
 
-def sigma_star(x):
-    """Hard threshold at 1/2: 0 below, 1 above, 1/2 at the tie."""
+def _buffer(x, out):
+    """``x`` as float64 and the buffer a base map writes into: ``out`` when
+    given (it may be ``x`` itself), else one new array shaped like ``x``."""
     arr = np.asarray(x, dtype=np.float64)
-    out = np.where(arr > 0.5, 1.0, np.where(arr < 0.5, 0.0, 0.5))
-    return _maybe_scalar(out, x)
+    return arr, (np.empty_like(arr) if out is None else out)
 
 
-def _relu(x):
-    return _maybe_scalar(np.maximum(np.asarray(x, dtype=np.float64), 0.0), x)
+def sigma_star(x, out=None):
+    """Hard threshold at 1/2: 0 below, 1 above, 1/2 at the tie."""
+    arr, buf = _buffer(x, out)
+    above, below = arr > 0.5, arr < 0.5
+    buf.fill(0.5)
+    buf[above] = 1.0
+    buf[below] = 0.0
+    return _maybe_scalar(buf, x)
 
 
-def _crelu(x):
-    return _maybe_scalar(np.minimum(np.maximum(np.asarray(x, dtype=np.float64), 0.0), 1.0), x)
+def _relu(x, out=None):
+    arr, buf = _buffer(x, out)
+    return _maybe_scalar(np.maximum(arr, 0.0, out=buf), x)
 
 
-def _sigmoid(x):
+def _crelu(x, out=None):
+    arr, buf = _buffer(x, out)
+    np.maximum(arr, 0.0, out=buf)
+    return _maybe_scalar(np.minimum(buf, 1.0, out=buf), x)
+
+
+def _sigmoid(x, out=None):
+    arr, buf = _buffer(x, out)
+    np.negative(arr, out=buf)
     with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
-    return _maybe_scalar(out, x)
+        np.exp(buf, out=buf)
+    np.add(1.0, buf, out=buf)
+    return _maybe_scalar(np.divide(1.0, buf, out=buf), x)
 
 
-def _tanh(x):
-    return _maybe_scalar(np.tanh(np.asarray(x, dtype=np.float64)), x)
+def _tanh(x, out=None):
+    arr, buf = _buffer(x, out)
+    return _maybe_scalar(np.tanh(arr, out=buf), x)
 
 
-def _arctan_4pi(x):
-    return _maybe_scalar((4.0 / np.pi) * np.arctan(np.asarray(x, dtype=np.float64)), x)
+def _arctan_4pi(x, out=None):
+    arr, buf = _buffer(x, out)
+    np.arctan(arr, out=buf)
+    return _maybe_scalar(np.multiply(4.0 / np.pi, buf, out=buf), x)
 
 
-def _step_arctan(x):
-    u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-    return _maybe_scalar(0.5 + (2.0 / np.pi) * np.arctan(u), x)
+def _step_arctan(x, out=None):
+    arr, buf = _buffer(x, out)
+    np.multiply(2.0, arr, out=buf)
+    np.subtract(buf, 1.0, out=buf)
+    np.arctan(buf, out=buf)
+    np.multiply(2.0 / np.pi, buf, out=buf)
+    return _maybe_scalar(np.add(0.5, buf, out=buf), x)
 
 
 def _step_arctan_d1(x):
@@ -166,9 +189,12 @@ def _step_arctan_d2(x):
 _TANH_HALF = math.tanh(0.5)
 
 
-def _step_tanh(x):
-    y = np.asarray(x, dtype=np.float64) - 0.5
-    return _maybe_scalar(0.5 + np.tanh(y) / (2.0 * _TANH_HALF), x)
+def _step_tanh(x, out=None):
+    arr, buf = _buffer(x, out)
+    np.subtract(arr, 0.5, out=buf)
+    np.tanh(buf, out=buf)
+    np.divide(buf, 2.0 * _TANH_HALF, out=buf)
+    return _maybe_scalar(np.add(0.5, buf, out=buf), x)
 
 
 def _step_tanh_d1(x):
@@ -241,11 +267,26 @@ def _flat_coeffs() -> tuple[float, float, float]:
     return a, half_alpha, den
 
 
-def _flat_inner(x):
-    a, half_alpha, den = _flat_coeffs()
-    u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-    num = np.tanh(a * u) - half_alpha * np.tanh(2.0 * a * u) + np.tanh(3.0 * a * u)
-    return num / den + 0.5
+def _flat_shoulder(x, out, tanh, den):
+    """``(tanh(a u) - (alpha/2) tanh(2 a u) + tanh(3 a u)) / den + 1/2`` with
+    ``u = 2x - 1``, for a given realization ``tanh(z, out=...)`` of tanh."""
+    a, half_alpha, _ = _flat_coeffs()
+    arr, buf = _buffer(x, out)
+    u = np.multiply(2.0, arr, out=buf)
+    np.subtract(u, 1.0, out=u)
+    num, term = np.empty_like(u), np.empty_like(u)
+    tanh(np.multiply(a, u, out=num), out=num)
+    tanh(np.multiply(2.0 * a, u, out=term), out=term)
+    np.subtract(num, np.multiply(half_alpha, term, out=term), out=num)
+    # the last term reads u for the last time, so it may overwrite it
+    tanh(np.multiply(3.0 * a, u, out=buf), out=buf)
+    np.add(num, buf, out=buf)
+    np.divide(buf, den, out=buf)
+    return np.add(buf, 0.5, out=buf)
+
+
+def _flat_inner(x, out=None):
+    return _flat_shoulder(x, out, np.tanh, _flat_coeffs()[2])
 
 
 def _flat_inner_d1(x):
@@ -267,8 +308,9 @@ def _flat_inner_d2(x):
     return -8.0 * a * a * (st(a * u) - 4.0 * half_alpha * st(2.0 * a * u) + 9.0 * st(3.0 * a * u)) / den
 
 
-def _flat_tanh(x):
-    return _maybe_scalar(_step_tanh(_flat_inner(np.asarray(x, dtype=np.float64))), x)
+def _flat_tanh(x, out=None):
+    buf = _flat_inner(x, out)
+    return _maybe_scalar(_step_tanh(buf, out=buf), x)
 
 
 def _flat_tanh_d1(x):
@@ -282,12 +324,17 @@ def _flat_tanh_d2(x):
     return _maybe_scalar(_step_tanh_d2(t) * d1 * d1 + _step_tanh_d1(t) * _flat_inner_d2(x), x)
 
 
-def _tanh_via_sigmoid(z):
+def _tanh_via_sigmoid(z, out=None):
+    arr, buf = _buffer(z, out)
+    np.multiply(-2.0, arr, out=buf)
     with np.errstate(over="ignore"):
-        return 2.0 / (1.0 + np.exp(-2.0 * np.asarray(z, dtype=np.float64))) - 1.0
+        np.exp(buf, out=buf)
+    np.add(1.0, buf, out=buf)
+    np.divide(2.0, buf, out=buf)
+    return np.subtract(buf, 1.0, out=buf)
 
 
-def _flat_sigmoid(x):
+def _flat_sigmoid(x, out=None):
     """Pointwise the same map as the flat tanh variant, realized with sigmoid
     evaluations only (tanh z == 2*sigmoid(2z) - 1)."""
     a, half_alpha, _ = _flat_coeffs()
@@ -296,15 +343,12 @@ def _flat_sigmoid(x):
         - half_alpha * float(_tanh_via_sigmoid(2.0 * a))
         + float(_tanh_via_sigmoid(3.0 * a))
     )
-    u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-    num = (
-        _tanh_via_sigmoid(a * u)
-        - half_alpha * _tanh_via_sigmoid(2.0 * a * u)
-        + _tanh_via_sigmoid(3.0 * a * u)
-    )
-    t = num / den + 0.5
     t_half = float(_tanh_via_sigmoid(0.5))
-    return _maybe_scalar(0.5 + _tanh_via_sigmoid(t - 0.5) / (2.0 * t_half), x)
+    buf = _flat_shoulder(x, out, _tanh_via_sigmoid, den)
+    np.subtract(buf, 0.5, out=buf)
+    _tanh_via_sigmoid(buf, out=buf)
+    np.divide(buf, 2.0 * t_half, out=buf)
+    return _maybe_scalar(np.add(0.5, buf, out=buf), x)
 
 
 # --------------------------------------------------------------------------
@@ -314,67 +358,43 @@ _STEP_ARCTAN_CERT = StepLikeParams(eta=0.64, eps=0.10, burn_in=0, curvature=1.52
 _STEP_TANH_CERT = StepLikeParams(eta=0.86, eps=0.16, burn_in=0, curvature=0.84)
 _FLAT_CERT = StepLikeParams(eta=0.0, eps=0.20, burn_in=0, curvature=2.2)
 
-_KERNEL_CODES = {
-    "sigma-star": 0,
-    "crelu": 1,
-    "relu": 2,
-    "sigmoid": 3,
-    "tanh": 4,
-    "step-arctan": 5,
-    "step-tanh": 6,
-    "steplike-tanh-eta0": 7,
-    "steplike-sigmoid-eta0": 8,
-    "arctan-4pi": 9,
+# name -> (map, certificate); the order is the order of ACTIVATION_NAMES
+_REGISTRY = {
+    "sigma-star": (Activation("sigma-star", sigma_star), None),
+    "crelu": (Activation("crelu", _crelu), None),
+    "relu": (Activation("relu", _relu), None),
+    "sigmoid": (Activation("sigmoid", _sigmoid), None),
+    "tanh": (Activation("tanh", _tanh), None),
+    "step-arctan": (
+        Activation("step-arctan", _step_arctan, _step_arctan_d1, _step_arctan_d2),
+        _STEP_ARCTAN_CERT,
+    ),
+    "step-tanh": (Activation("step-tanh", _step_tanh, _step_tanh_d1, _step_tanh_d2), _STEP_TANH_CERT),
+    "steplike-tanh-eta0": (
+        Activation("steplike-tanh-eta0", _flat_tanh, _flat_tanh_d1, _flat_tanh_d2),
+        _FLAT_CERT,
+    ),
+    # pointwise identical to the tanh realization, so it shares derivatives
+    "steplike-sigmoid-eta0": (
+        Activation("steplike-sigmoid-eta0", _flat_sigmoid, _flat_tanh_d1, _flat_tanh_d2),
+        _FLAT_CERT,
+    ),
+    "arctan-4pi": (Activation("arctan-4pi", _arctan_4pi), None),
 }
 
-ACTIVATION_NAMES = tuple(_KERNEL_CODES)
+ACTIVATION_NAMES = tuple(_REGISTRY)
 
 
-@lru_cache(maxsize=None)
 def get_activation(name: str) -> Activation:
-    if name == "sigma-star":
-        return Activation("sigma-star", sigma_star)
-    if name == "crelu":
-        return Activation("crelu", _crelu)
-    if name == "relu":
-        return Activation("relu", _relu)
-    if name == "sigmoid":
-        return Activation("sigmoid", _sigmoid)
-    if name == "tanh":
-        return Activation("tanh", _tanh)
-    if name == "step-arctan":
-        return Activation("step-arctan", _step_arctan, _step_arctan_d1, _step_arctan_d2)
-    if name == "step-tanh":
-        return Activation("step-tanh", _step_tanh, _step_tanh_d1, _step_tanh_d2)
-    if name == "steplike-tanh-eta0":
-        return Activation("steplike-tanh-eta0", _flat_tanh, _flat_tanh_d1, _flat_tanh_d2)
-    if name == "steplike-sigmoid-eta0":
-        # pointwise identical to the tanh realization, so it shares derivatives
-        return Activation("steplike-sigmoid-eta0", _flat_sigmoid, _flat_tanh_d1, _flat_tanh_d2)
-    if name == "arctan-4pi":
-        return Activation("arctan-4pi", _arctan_4pi)
-    raise ValueError(f"unknown activation {name!r}")
+    try:
+        return _REGISTRY[name][0]
+    except KeyError:
+        raise ValueError(f"unknown activation {name!r}") from None
 
 
 def get_step_params(name: str) -> StepLikeParams | None:
-    return {
-        "step-arctan": _STEP_ARCTAN_CERT,
-        "step-tanh": _STEP_TANH_CERT,
-        "steplike-tanh-eta0": _FLAT_CERT,
-        "steplike-sigmoid-eta0": _FLAT_CERT,
-    }.get(name)
-
-
-def kernel_code(name: str) -> int:
-    return _KERNEL_CODES[name]
-
-
-def kernel_params(name: str) -> np.ndarray:
-    """Constants the jitted scalar kernel needs for ``name``."""
-    if name in ("steplike-tanh-eta0", "steplike-sigmoid-eta0"):
-        a, half_alpha, den = _flat_coeffs()
-        return np.array([a, half_alpha, den, 1.0 / (2.0 * _TANH_HALF)], dtype=np.float64)
-    return np.empty(0, dtype=np.float64)
+    entry = _REGISTRY.get(name)
+    return entry[1] if entry else None
 
 
 def make_step_arctan() -> tuple[Activation, StepLikeParams]:
@@ -419,21 +439,21 @@ def apply_activation(name: str, m: int, values):
 
     Every named map is iterated ``m`` times, except ``arctan-4pi`` which is
     the sign-amplifying composite ``z -> 1/2 + f^m(z - 1/2)/2`` with
-    ``f = (4/pi) arctan``.
+    ``f = (4/pi) arctan``.  All ``m`` steps run in place in one new array;
+    ``values`` is left unchanged.
     """
     if m < 0:
         raise ValueError("composition depth must be non-negative")
-    arr = np.asarray(values, dtype=np.float64)
-    if name == "arctan-4pi":
-        w = arr - 0.5
-        for _ in range(m):
-            w = (4.0 / np.pi) * np.arctan(w)
-        return _maybe_scalar(0.5 + 0.5 * w, values)
     fn = get_activation(name).fn
-    out = arr
+    out = np.array(values, dtype=np.float64, ndmin=1)
+    if name == "arctan-4pi":
+        np.subtract(out, 0.5, out=out)
     for _ in range(m):
-        out = fn(out)
-    return _maybe_scalar(np.asarray(out), values)
+        fn(out, out=out)
+    if name == "arctan-4pi":
+        np.multiply(0.5, out, out=out)
+        np.add(0.5, out, out=out)
+    return _maybe_scalar(out.reshape(np.shape(values)), values)
 
 
 # --------------------------------------------------------------------------

@@ -1,187 +1,55 @@
-"""Forward-pass kernels: a numba-jitted hot path and a pure-numpy fallback.
+"""Forward pass: a sparse rule-row executor over the spec's dense layers.
 
-Backend selection: the environment variable ``GC2GNN_BACKEND`` may be
-``auto`` (default: numba when importable), ``numba``, or ``numpy``.  Both
-paths accumulate neighbor sums in ascending vertex order, so runs are
-bit-reproducible within a backend; across backends smooth activations may
-differ by a few ulps.
+A compiled layer has one rule row per subformula that fires at that layer
+and an identity carry for every other coordinate; a rule row reads at most
+two coordinates.  Per layer the executor copies the carries, sums neighbour
+values only for the columns that B reads, and computes only the rows that
+fire.  Rows are read from the matrices themselves, so hand-built and parsed
+specs run through the same path.
+
+Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
+order (``np.bincount`` over the (dst, src)-sorted edge list), and the fired
+rows keep the full-width ``einsum`` reduction of the dense update, which
+uses no BLAS and a fixed order.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 from . import activations
 
-_ENV_VAR = "GC2GNN_BACKEND"
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
+def _fired_rows(layer) -> np.ndarray:
+    """Rows other than identity carries (``A[i] = e_i``, ``B[i] = 0``, ``c[i] = 0``)."""
+    carry = (layer.A == np.eye(layer.c.size)).all(axis=1) & ~layer.B.any(axis=1) & (layer.c == 0.0)
+    return np.flatnonzero(~carry)
 
 
-def default_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_VAR} must be auto, numba, or numpy; got {choice!r}")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("GC2GNN_BACKEND=numba but numba is not importable")
-    return choice
+def run_forward(init, graph, layers, name, m, history=True):
+    """Evaluate the layered update rule from the (n, d) features ``init``.
 
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _apply_act_inplace(code, m, buf, p):
-        # dispatch on the activation once per application, not per element
-        size = buf.size
-        flat = buf.reshape(size)
-        if code == 9:  # sign-amplifying arctan composite
-            for s in range(size):
-                w = flat[s] - 0.5
-                for _ in range(m):
-                    w = (4.0 / math.pi) * math.atan(w)
-                flat[s] = 0.5 + 0.5 * w
-            return
-        for _ in range(m):
-            if code == 0:  # hard threshold
-                for s in range(size):
-                    z = flat[s]
-                    flat[s] = 1.0 if z > 0.5 else (0.0 if z < 0.5 else 0.5)
-            elif code == 1:  # clipped relu
-                for s in range(size):
-                    flat[s] = min(max(flat[s], 0.0), 1.0)
-            elif code == 2:  # relu
-                for s in range(size):
-                    flat[s] = max(flat[s], 0.0)
-            elif code == 3:  # sigmoid
-                for s in range(size):
-                    flat[s] = 1.0 / (1.0 + math.exp(-flat[s]))
-            elif code == 4:  # tanh
-                for s in range(size):
-                    flat[s] = math.tanh(flat[s])
-            elif code == 5:  # step-arctan
-                for s in range(size):
-                    flat[s] = 0.5 + (2.0 / math.pi) * math.atan(2.0 * flat[s] - 1.0)
-            elif code == 6:  # step-tanh
-                inv2t = 1.0 / (2.0 * math.tanh(0.5))
-                for s in range(size):
-                    flat[s] = 0.5 + math.tanh(flat[s] - 0.5) * inv2t
-            elif code == 7:  # flat-shoulder tanh
-                a = p[0]
-                half_alpha = p[1]
-                den = p[2]
-                inv2t = p[3]
-                for s in range(size):
-                    u = 2.0 * flat[s] - 1.0
-                    t = (
-                        math.tanh(a * u)
-                        - half_alpha * math.tanh(2.0 * a * u)
-                        + math.tanh(3.0 * a * u)
-                    ) / den + 0.5
-                    flat[s] = 0.5 + math.tanh(t - 0.5) * inv2t
-            elif code == 8:  # flat-shoulder via sigmoid calls only
-                a = p[0]
-                half_alpha = p[1]
-                den = p[2]
-                inv2t = p[3]
-                for s in range(size):
-                    u = 2.0 * flat[s] - 1.0
-                    th1 = 2.0 / (1.0 + math.exp(-2.0 * a * u)) - 1.0
-                    th2 = 2.0 / (1.0 + math.exp(-4.0 * a * u)) - 1.0
-                    th3 = 2.0 / (1.0 + math.exp(-6.0 * a * u)) - 1.0
-                    t = (th1 - half_alpha * th2 + th3) / den + 0.5
-                    inner = 2.0 / (1.0 + math.exp(-2.0 * (t - 0.5))) - 1.0
-                    flat[s] = 0.5 + inner * inv2t
-
-    @njit(cache=True)
-    def _forward_numba(init, indptr, indices, a_all, b_all, c_all, code, m, params):
-        iterations = a_all.shape[0]
-        n, d = init.shape
-        history = np.empty((iterations + 1, n, d))
-        history[0] = init
-        cur = init.copy()
-        agg = np.empty((n, d))
-        for t in range(iterations):
-            a_t = a_all[t]
-            b_t = b_all[t]
-            c_t = c_all[t]
-            for v in range(n):
-                for j in range(d):
-                    agg[v, j] = 0.0
-                for e in range(indptr[v], indptr[v + 1]):
-                    w = indices[e]
-                    for j in range(d):
-                        agg[v, j] += cur[w, j]
-            nxt = np.empty((n, d))
-            for v in range(n):
-                for i in range(d):
-                    zs = 0.0
-                    for j in range(d):
-                        zs += a_t[i, j] * cur[v, j]
-                    za = 0.0
-                    for j in range(d):
-                        za += b_t[i, j] * agg[v, j]
-                    nxt[v, i] = c_t[i] + zs + za
-            _apply_act_inplace(code, m, nxt, params)
-            cur = nxt
-            history[t + 1] = cur
-        return history
-
-
-def _forward_numpy(init, edge_dst, edge_src, a_all, b_all, c_all, name, m):
-    iterations = a_all.shape[0]
-    n, d = init.shape
-    history = np.empty((iterations + 1, n, d))
-    history[0] = init
-    cur = init.copy()
-    for t in range(iterations):
-        agg = np.zeros((n, d))
-        if edge_dst.size:
-            np.add.at(agg, edge_dst, cur[edge_src])
-        # einsum without optimize keeps the reduction order fixed (no BLAS)
-        zs = np.einsum("vj,ij->vi", cur, a_all[t], optimize=False)
-        za = np.einsum("vj,ij->vi", agg, b_all[t], optimize=False)
-        pre = c_all[t] + zs + za
+    Returns the (T+1, n, d) history, or with ``history=False`` a (1, n, d)
+    array holding only the last layer.
+    """
+    cur = np.asarray(init, dtype=np.float64)
+    n, d = cur.shape
+    if history:
+        kept = np.empty((len(layers) + 1, n, d))
+        kept[0] = cur
+    for t, layer in enumerate(layers, start=1):
+        pre = cur.copy()
+        rows = _fired_rows(layer)
+        if rows.size:
+            b_rows = layer.B[rows]
+            agg = np.zeros((n, d))
+            for j in np.flatnonzero(b_rows.any(axis=0)):
+                agg[:, j] = np.bincount(graph.edge_dst, weights=cur[graph.edge_src, j], minlength=n)
+            # einsum without optimize keeps the reduction order fixed (no BLAS)
+            zs = np.einsum("vj,ij->vi", cur, layer.A[rows], optimize=False)
+            za = np.einsum("vj,ij->vi", agg, b_rows, optimize=False)
+            pre[:, rows] = layer.c[rows] + zs + za
         cur = activations.apply_activation(name, m, pre)
-        history[t + 1] = cur
-    return history
-
-
-def run_forward(init, graph, a_all, b_all, c_all, name, m, backend=None):
-    """Evaluate the layered update rule and return the (T+1, n, d) history."""
-    choice = backend or default_backend()
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return _forward_numba(
-            np.ascontiguousarray(init, dtype=np.float64),
-            graph.indptr,
-            graph.indices,
-            np.ascontiguousarray(a_all, dtype=np.float64),
-            np.ascontiguousarray(b_all, dtype=np.float64),
-            np.ascontiguousarray(c_all, dtype=np.float64),
-            activations.kernel_code(name),
-            m,
-            activations.kernel_params(name),
-        )
-    if choice == "numpy":
-        return _forward_numpy(
-            np.asarray(init, dtype=np.float64),
-            graph.edge_dst,
-            graph.edge_src,
-            np.asarray(a_all, dtype=np.float64),
-            np.asarray(b_all, dtype=np.float64),
-            np.asarray(c_all, dtype=np.float64),
-            name,
-            m,
-        )
-    raise ValueError(f"unknown backend {choice!r}")
+        if history:
+            kept[t] = cur
+    return kept if history else cur[np.newaxis]

@@ -35,6 +35,11 @@ from .graphs import random_graph, read_graph
 __all__ = ["main"]
 
 
+class UsageError(Exception):
+    """An argument that fails a check needing the loaded inputs; reported
+    like a parse error (exit code 2)."""
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     """Accept '2:64' (inclusive range) or '2,4,8'."""
     if ":" in text:
@@ -79,8 +84,12 @@ def _cmd_eval(args) -> int:
         if palette < graph.palette:
             palette = graph.palette
         spec = compile_formula(formula, palette)
-    act = ActivationSpec(args.activation, args.m)
-    outputs = [float(v) for v in forward_outputs(spec, graph, act)]
+    if args.vertex is not None and not 0 <= args.vertex < graph.n:
+        raise UsageError(f"--vertex {args.vertex} out of range [0, {graph.n})")
+    # A named map other than the spec's starts from m = 1.
+    name = args.activation or spec.activation.name
+    m = args.m if args.m is not None else (spec.activation.m if name == spec.activation.name else 1)
+    outputs = [float(v) for v in forward_outputs(spec, graph, ActivationSpec(name, m))]
     lines = []
     if args.vertex is not None:
         lines.append(f"{args.vertex} {outputs[args.vertex]!r}")
@@ -212,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_query_args(p)
     p.add_argument("--spec", help="path to a serialized network")
     p.add_argument("--graph", required=True)
-    p.add_argument("--activation", default="sigma-star", choices=ACTIVATION_NAMES)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--vertex", type=int)
+    p.add_argument("--activation", choices=ACTIVATION_NAMES,
+                   help="default: the spec's own (sigma-star when compiling a query)")
+    p.add_argument("--m", type=int, help="default: the spec's m for its own activation, else 1")
+    p.add_argument("--vertex", type=int, help="report one vertex, in [0, n)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_eval)
 
@@ -233,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", dest="m_list", default="4,8,12", help="list or lo:hi")
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")
     p.add_argument("--delta", type=int, help="skip sweep points above this max degree")
-    p.add_argument("--seed", type=int, default=0, help="unused; kept for config parity")
     p.add_argument("--out")
     p.add_argument("--timings", action="store_true", help="record wall time per row")
     p.set_defaults(fn=_cmd_separation)
@@ -243,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activation", default="sigmoid", choices=ACTIVATION_NAMES)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")
-    p.add_argument("--seed", type=int, default=0, help="unused; kept for config parity")
     p.add_argument("--out")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=_cmd_saturation)
@@ -269,8 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

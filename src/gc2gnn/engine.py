@@ -26,7 +26,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Per-iteration, per-vertex embeddings: ``history[t, v]`` after t layers."""
+    """Per-iteration, per-vertex embeddings: ``history[t, v]`` after t layers,
+    or only the last layer (``history`` of length 1) from
+    ``forward(..., history=False)``."""
 
     history: np.ndarray
 
@@ -68,48 +70,35 @@ def initial_features(spec: GnnSpec, graph: LabeledGraph) -> np.ndarray:
     return feats
 
 
-def _stacked_layers(spec: GnnSpec):
-    if spec.iterations == 0:
-        zero = np.zeros((0, spec.d, spec.d))
-        return zero, zero.copy(), np.zeros((0, spec.d))
-    a_all = np.stack([layer.A for layer in spec.layers])
-    b_all = np.stack([layer.B for layer in spec.layers])
-    c_all = np.stack([layer.c for layer in spec.layers])
-    return a_all, b_all, c_all
-
-
 def forward(
     spec: GnnSpec,
     graph: LabeledGraph,
     activation: ActivationSpec | None = None,
-    backend: str | None = None,
+    history: bool = True,
 ) -> EmbeddingTable:
     """Run the compiled network on ``graph``; activation defaults to the
-    spec's own."""
+    spec's own.  With ``history=False`` the table keeps only the last layer,
+    so ``history`` has shape (1, n, d) and ``final`` is unchanged."""
     act = activation or spec.activation
     init = initial_features(spec, graph)
-    a_all, b_all, c_all = _stacked_layers(spec)
-    history = backend_mod.run_forward(
-        init, graph, a_all, b_all, c_all, act.name, act.m, backend=backend
+    return EmbeddingTable(
+        backend_mod.run_forward(init, graph, spec.layers, act.name, act.m, history=history)
     )
-    return EmbeddingTable(history)
 
 
 def forward_outputs(
     spec: GnnSpec,
     graph: LabeledGraph,
     activation: ActivationSpec | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Final value of the output coordinate at every vertex."""
-    return forward(spec, graph, activation, backend).final[:, spec.output_index]
+    return forward(spec, graph, activation, history=False).final[:, spec.output_index]
 
 
 def layer_errors(
     spec_approx: GnnSpec,
     spec_exact: GnnSpec,
     graph: LabeledGraph,
-    backend: str | None = None,
 ) -> LayerErrorReport:
     """Per-iteration worst deviation between two runs of the same layers
     under different activations."""
@@ -120,8 +109,8 @@ def layer_errors(
     for la, le in zip(spec_approx.layers, spec_exact.layers):
         if la != le:
             raise ValueError("spec mismatch: layer matrices differ")
-    approx = forward(spec_approx, graph, backend=backend).history
-    exact = forward(spec_exact, graph, backend=backend).history
+    approx = forward(spec_approx, graph).history
+    exact = forward(spec_exact, graph).history
     eps = np.abs(approx - exact).max(axis=(1, 2)) if graph.n else np.zeros(0)
     return LayerErrorReport(eps)
 
@@ -130,7 +119,6 @@ def expressivity_margin(
     spec: GnnSpec,
     corpus: Iterable[tuple[LabeledGraph, int, bool]],
     activation: ActivationSpec | None = None,
-    backend: str | None = None,
 ) -> float:
     """Smallest distance of the output from the 1/2 decision line, signed so
     that positives must exceed 1/2 and negatives stay below it.
@@ -140,7 +128,7 @@ def expressivity_margin(
     """
     margin = None
     for graph, vertex, expected in corpus:
-        out = forward_outputs(spec, graph, activation, backend)
+        out = forward_outputs(spec, graph, activation)
         if not 0 <= vertex < graph.n:
             raise ValueError(f"vertex {vertex} out of range")
         value = float(out[vertex])

@@ -1,9 +1,20 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gc2gnn import TreeParams, compile_formula, make_tree, parse, read_spec, write_graph
+from gc2gnn import (
+    ActivationSpec,
+    LabeledGraph,
+    TreeParams,
+    compile_formula,
+    forward_outputs,
+    make_tree,
+    parse,
+    read_spec,
+    write_graph,
+)
 from gc2gnn.experiments import (
     BoundViolation,
     ExperimentConfig,
@@ -133,6 +144,37 @@ def test_cli_eval_on_tree(tmp_path):
     result = run_cli("eval", "--query", "q1", "--graph", str(graph_path), "--vertex", "0")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "0 1.0"
+
+
+def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
+    tree, _ = make_tree(TreeParams(1, 3, 4))
+    graph_path, spec_path = tmp_path / "tree.graph", tmp_path / "q1.spec"
+    write_graph(graph_path, tree)
+    result = run_cli("compile", "--query", "q1", "--activation", "step-arctan", "--m", "14",
+                     "--out", str(spec_path))
+    assert result.returncode == 0, result.stderr
+    result = run_cli("eval", "--spec", str(spec_path), "--graph", str(graph_path))
+    assert result.returncode == 0, result.stderr
+    smooth = forward_outputs(compile_formula(q1, 1), tree, ActivationSpec("step-arctan", 14))
+    assert result.stdout == "".join(f"{v} {float(x)!r}\n" for v, x in enumerate(smooth))
+    assert not set(smooth) <= {0.0, 1.0}  # differs from the sigma-star run
+    # another map named on the command line runs at m = 1, not the spec's 14
+    result = run_cli("eval", "--spec", str(spec_path), "--graph", str(graph_path),
+                     "--activation", "sigmoid")
+    assert result.returncode == 0, result.stderr
+    once = forward_outputs(compile_formula(q1, 1), tree, ActivationSpec("sigmoid", 1))
+    assert result.stdout == "".join(f"{v} {float(x)!r}\n" for v, x in enumerate(once))
+
+
+@pytest.mark.parametrize("vertex", ["-1", "99"])
+def test_cli_eval_vertex_out_of_range(tmp_path, vertex):
+    path = LabeledGraph(5, 1, np.ones(5, dtype=np.int64), np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
+    graph_path = tmp_path / "path.graph"
+    write_graph(graph_path, path)
+    result = run_cli("eval", "--query", "q1", "--graph", str(graph_path), "--vertex", vertex)
+    assert result.returncode == 2
+    assert f"--vertex {vertex} out of range [0, 5)" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_check_exact_passes(tmp_path):

@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from gc2gnn import (
+    ACTIVATION_NAMES,
     ActivationSpec,
+    GnnLayer,
+    GnnSpec,
     LabeledGraph,
     TOP,
     TreeParams,
@@ -16,7 +21,6 @@ from gc2gnn import (
     make_tree,
     random_graph,
 )
-from gc2gnn.backend import HAS_NUMBA, default_backend
 from gc2gnn.experiments import tree_pair
 
 
@@ -139,35 +143,6 @@ def test_locality_embeddings_depend_on_t_hop_ball(q1_spec):
         assert np.array_equal(a[:, 0, :], b[:, 0, :])
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree(q1_spec):
-    graph = random_graph(200, 6.0, 1, 42)
-    for act in (
-        ActivationSpec("sigma-star", 1),
-        ActivationSpec("crelu", 1),
-        ActivationSpec("step-arctan", 14),
-        ActivationSpec("steplike-sigmoid-eta0", 3),
-        ActivationSpec("arctan-4pi", 8),
-        ActivationSpec("sigmoid", 1),
-    ):
-        a = forward(q1_spec, graph, act, backend="numba").history
-        b = forward(q1_spec, graph, act, backend="numpy").history
-        if act.name in ("sigma-star", "crelu"):
-            assert np.array_equal(a, b), act.name
-        else:
-            assert np.allclose(a, b, atol=1e-12), act.name
-
-
-def test_backend_selection_env(monkeypatch):
-    monkeypatch.setenv("GC2GNN_BACKEND", "numpy")
-    assert default_backend() == "numpy"
-    monkeypatch.setenv("GC2GNN_BACKEND", "auto")
-    assert default_backend() in ("numba", "numpy")
-    monkeypatch.setenv("GC2GNN_BACKEND", "gpu")
-    with pytest.raises(ValueError, match="GC2GNN_BACKEND"):
-        default_backend()
-
-
 def test_error_decay_in_composition_depth(q1_spec, capsys):
     # measured, not asserted: the paper's bound decays in m, the observed
     # deviation usually does too, but no theorem forces monotonicity
@@ -181,3 +156,151 @@ def test_error_decay_in_composition_depth(q1_spec, capsys):
     print(f"composition-depth decay: final errors {errors[0]:.3g} -> {errors[-1]:.3g}, "
           f"{violations} non-monotone steps")
     assert errors[-1] < errors[0]
+
+
+def dense_integer_spec():
+    """A hand-built spec whose rows all fire, each with up to 2d nonzero
+    integer weights in A and B."""
+    rng = np.random.default_rng(2024)
+    d = 6
+    layers = tuple(
+        GnnLayer(rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, d))
+        for _ in range(3)
+    )
+    return GnnSpec(
+        d=d,
+        iterations=3,
+        output_index=d - 1,
+        layers=layers,
+        activation=ActivationSpec("sigma-star", 1),
+        init_kinds=("C1", "C2", "1", "0", "C1", "0"),
+        palette=2,
+    )
+
+
+# First 16 hex digits of sha256(forward(spec, graph, act).history.tobytes()),
+# per activation at m = 1 and m = 3. Any change to the forward pass that
+# moves one bit of any layer's embeddings changes these. The smooth maps'
+# values come from numpy's float64 ufuncs, so the digests hold for a given
+# numpy build and CPU family.
+HISTORY_SHA256 = {
+    ("q1", "random"): {
+        "sigma-star": ("e73f1cd2f4a24eb2", "e73f1cd2f4a24eb2"),
+        "crelu": ("e73f1cd2f4a24eb2", "e73f1cd2f4a24eb2"),
+        "relu": ("66715bb009853c7b", "66715bb009853c7b"),
+        "sigmoid": ("3e4ee8e681c0ac81", "0d16715094e36fe8"),
+        "tanh": ("ef434d8ccbd092b1", "77eac822620d97eb"),
+        "step-arctan": ("c465ee56b6844488", "463a0f7dabe063f0"),
+        "step-tanh": ("1c5c14c7fd338fd9", "272d7234cdefbcf4"),
+        "steplike-tanh-eta0": ("becd9a26f869fe1d", "47ded8de0fabe66c"),
+        "steplike-sigmoid-eta0": ("b988a070328d8503", "f39de799b9f905b7"),
+        "arctan-4pi": ("398ca2d1e90723c8", "fc68c500c7d3a38d"),
+    },
+    ("q1", "edgeless"): {
+        "sigma-star": ("ffc27c2eb3288396", "ffc27c2eb3288396"),
+        "crelu": ("ffc27c2eb3288396", "ffc27c2eb3288396"),
+        "relu": ("ffc27c2eb3288396", "ffc27c2eb3288396"),
+        "sigmoid": ("df4fda209d6c083b", "ed95a9ff6c48a928"),
+        "tanh": ("3067e6c825e19dfc", "256e3b01bf12b418"),
+        "step-arctan": ("6da0eddc3586c3cf", "d31fa6372167efb9"),
+        "step-tanh": ("fdfe4c3885e41f63", "4acfd811f273d248"),
+        "steplike-tanh-eta0": ("0b0b0cc990c0ece1", "4e4576ad8feecfdf"),
+        "steplike-sigmoid-eta0": ("3a536a748de12208", "149d3be2727ad51d"),
+        "arctan-4pi": ("a3e220810d2885b3", "d6c19b7499e7a038"),
+    },
+    ("q2", "random"): {
+        "sigma-star": ("10f0a346aaa0ca85", "10f0a346aaa0ca85"),
+        "crelu": ("10f0a346aaa0ca85", "10f0a346aaa0ca85"),
+        "relu": ("fbde62a3a898e3a9", "fbde62a3a898e3a9"),
+        "sigmoid": ("86d9ba7dc23fa9c2", "b841cdf29b3f3b3b"),
+        "tanh": ("b39331f0e78cb12e", "097b89c8675d8128"),
+        "step-arctan": ("ed711bd00695576a", "31e3db43268dba08"),
+        "step-tanh": ("84fb40092d0916e3", "02e410c2cb7a77eb"),
+        "steplike-tanh-eta0": ("2715cfe3fc559c66", "11a4d6e8d7fdc0f3"),
+        "steplike-sigmoid-eta0": ("9c40cc5b59604d11", "3e32dd288e3a2bae"),
+        "arctan-4pi": ("2a3b89b04d682f9b", "3d7c4d7fe3e34c8a"),
+    },
+    ("q2", "edgeless"): {
+        "sigma-star": ("6bd082e552643f86", "6bd082e552643f86"),
+        "crelu": ("6bd082e552643f86", "6bd082e552643f86"),
+        "relu": ("6bd082e552643f86", "6bd082e552643f86"),
+        "sigmoid": ("a45c2ac5b623b84b", "add2ee2b50d7e4c2"),
+        "tanh": ("74bb7929275d5fea", "ab8e1e2232354d64"),
+        "step-arctan": ("6a4eb06909595344", "692035151b6a839a"),
+        "step-tanh": ("521c5093830aefdb", "e7b03822061fbe7f"),
+        "steplike-tanh-eta0": ("0e63d4fef8487a29", "1e416c58fadbbf83"),
+        "steplike-sigmoid-eta0": ("9a995865b1456a70", "c566373732b638fc"),
+        "arctan-4pi": ("cd5e808940913530", "e797716bd5c94e85"),
+    },
+    ("compact", "random"): {
+        "sigma-star": ("fac87d44b6b70503", "fac87d44b6b70503"),
+        "crelu": ("fac87d44b6b70503", "fac87d44b6b70503"),
+        "relu": ("5c14c6586b8d2fdc", "5c14c6586b8d2fdc"),
+        "sigmoid": ("fcba033b71cad45b", "2f3b6ee716f9cc83"),
+        "tanh": ("aca5e7ec915319e3", "c14c52cfe9340bad"),
+        "step-arctan": ("4cab2ed8037f4ef3", "8c3b2b5db04020ef"),
+        "step-tanh": ("c493caad9b125330", "441204147f7448cc"),
+        "steplike-tanh-eta0": ("126690959b513f2a", "735e705012430271"),
+        "steplike-sigmoid-eta0": ("d5f2bfa7e71c3494", "2849f203aa328023"),
+        "arctan-4pi": ("f27f3a328088c46d", "4f84aa8bd05cf6a7"),
+    },
+    ("compact", "edgeless"): {
+        "sigma-star": ("f6240af1e2863aa8", "f6240af1e2863aa8"),
+        "crelu": ("f6240af1e2863aa8", "f6240af1e2863aa8"),
+        "relu": ("f6240af1e2863aa8", "f6240af1e2863aa8"),
+        "sigmoid": ("493cbb6e9b9f337a", "5f5cb628a6ae8928"),
+        "tanh": ("9707f3595a95c737", "793a4a5f1a543560"),
+        "step-arctan": ("fa65f7c11cfe561b", "a0d153162fb36778"),
+        "step-tanh": ("d7cce9f4727fc228", "34059f33f2bba464"),
+        "steplike-tanh-eta0": ("ea17f8ea7254f63f", "0dfc0a0549d201c4"),
+        "steplike-sigmoid-eta0": ("af991c2580504275", "b789741533881a55"),
+        "arctan-4pi": ("1e070a3ee353dc9e", "ef742d025d2a9082"),
+    },
+    ("dense", "random"): {
+        "sigma-star": ("b4dfff16b2bdcb41", "b4dfff16b2bdcb41"),
+        "crelu": ("b4dfff16b2bdcb41", "b4dfff16b2bdcb41"),
+        "relu": ("d3c0d09309b99f8e", "d3c0d09309b99f8e"),
+        "sigmoid": ("213ac8832509aa5e", "c919bd56f36c4665"),
+        "tanh": ("d3330dc034abfa88", "6a32eefd3de1b633"),
+        "step-arctan": ("3c03383a72499fde", "bec8e981e1f16ec4"),
+        "step-tanh": ("503888acb5525297", "be666863db5c0c1a"),
+        "steplike-tanh-eta0": ("058b72517ac14aab", "c70bd9b96d814568"),
+        "steplike-sigmoid-eta0": ("7c62cb3533cdfd5e", "0ff8db717a0d4a51"),
+        "arctan-4pi": ("ad813a4432fec7ab", "638ad83f3d21852e"),
+    },
+    ("dense", "edgeless"): {
+        "sigma-star": ("5e1302db03738781", "5e1302db03738781"),
+        "crelu": ("5e1302db03738781", "5e1302db03738781"),
+        "relu": ("ac1c9dcb4a7b2f16", "ac1c9dcb4a7b2f16"),
+        "sigmoid": ("4e15eaa169336802", "ed97a8e2fc66b453"),
+        "tanh": ("3c4cbb5e6988c07d", "d75424aa63c3d013"),
+        "step-arctan": ("2b1dbb520a6d0b40", "eabefc0b8d80d5f9"),
+        "step-tanh": ("bc50da7d4b3c14a7", "f76a2ad1cb974d8a"),
+        "steplike-tanh-eta0": ("e2dfd4c7142c6afb", "756ef08dc33a8eb1"),
+        "steplike-sigmoid-eta0": ("7e1a8b82b1da5d17", "e03f275cc15d4f39"),
+        "arctan-4pi": ("ced88407bc1ac16c", "df5f276a0573b859"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", ACTIVATION_NAMES)
+def test_history_bits_pinned(name, q1_spec, q2_spec):
+    from test_compiler import compact_q1_net
+
+    specs = {"q1": q1_spec, "q2": q2_spec, "compact": compact_q1_net(), "dense": dense_integer_spec()}
+    graphs = {
+        "random": random_graph(60, 4.0, 2, 11),
+        "edgeless": LabeledGraph(7, 2, np.array([1, 2, 1, 2, 2, 1, 1]), np.empty((0, 2), dtype=np.int64)),
+    }
+    got, want = {}, {}
+    for (spec_key, graph_key), table in HISTORY_SHA256.items():
+        spec, graph = specs[spec_key], graphs[graph_key]
+        for m, digest in zip((1, 3), table[name]):
+            act = ActivationSpec(name, m)
+            run = forward(spec, graph, act)
+            key = (spec_key, graph_key, m)
+            got[key] = hashlib.sha256(run.history.tobytes()).hexdigest()[:16]
+            want[key] = digest
+            out = forward_outputs(spec, graph, act)
+            assert np.array_equal(out, run.final[:, spec.output_index]), key
+    assert got == want

@@ -14,10 +14,6 @@ from .activations import (
     get_step_params,
     iterate,
     fixed_point_contraction_check,
-    make_step_arctan,
-    make_step_tanh,
-    make_steplike_sigmoid_eta0,
-    make_steplike_tanh_eta0,
     required_composition_depth,
     sigma_star,
     verify_step_like,

@@ -30,10 +30,6 @@ __all__ = [
     "get_step_params",
     "apply_activation",
     "sigma_star",
-    "make_step_arctan",
-    "make_step_tanh",
-    "make_steplike_tanh_eta0",
-    "make_steplike_sigmoid_eta0",
     "flat_tanh_constants",
     "golden_section_min",
     "iterate",
@@ -99,14 +95,6 @@ class ActivationSpec:
             raise ValueError(f"unknown activation {self.name!r}")
         if self.m < 0:
             raise ValueError("composition depth must be non-negative")
-
-    @property
-    def base(self) -> Activation:
-        return get_activation(self.name)
-
-    @property
-    def step_params(self) -> StepLikeParams | None:
-        return get_step_params(self.name)
 
 
 # --------------------------------------------------------------------------
@@ -395,28 +383,6 @@ def get_activation(name: str) -> Activation:
 def get_step_params(name: str) -> StepLikeParams | None:
     entry = _REGISTRY.get(name)
     return entry[1] if entry else None
-
-
-def make_step_arctan() -> tuple[Activation, StepLikeParams]:
-    return get_activation("step-arctan"), _STEP_ARCTAN_CERT
-
-
-def make_step_tanh() -> tuple[Activation, StepLikeParams]:
-    return get_activation("step-tanh"), _STEP_TANH_CERT
-
-
-def make_steplike_tanh_eta0() -> tuple[Activation, StepLikeParams]:
-    """Flat-shoulder tanh construction; recomputes (a, alpha) and requires
-    them to land in (0.45, 0.46) x (3.14, 3.15)."""
-    a, alpha = flat_tanh_constants()
-    if not (0.45 < a < 0.46 and 3.14 < alpha < 3.15):
-        raise RuntimeError(f"flat-shoulder constants off target: a={a}, alpha={alpha}")
-    return get_activation("steplike-tanh-eta0"), _FLAT_CERT
-
-
-def make_steplike_sigmoid_eta0() -> tuple[Activation, StepLikeParams]:
-    make_steplike_tanh_eta0()
-    return get_activation("steplike-sigmoid-eta0"), _FLAT_CERT
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,14 @@
-"""Forward pass: a sparse rule-row executor over the spec's dense layers.
+"""Forward pass: a sparse rule-row executor over the spec's layers.
 
-A compiled layer has one rule row per subformula that fires at that layer
-and an identity carry for every other coordinate; a rule row reads at most
-two coordinates.  Per layer the executor copies the carries, sums neighbour
-values only for the columns that B reads, and computes only the rows that
-fire.  Rows are read from the matrices themselves, so hand-built and parsed
-specs run through the same path.
+A layer stores one rule row per coordinate it computes (a compiled rule row
+reads at most two coordinates); every other coordinate carries over
+unchanged.  Per layer the executor copies the carries, sums neighbour values
+only for the columns that B reads, and computes only the stored rows.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
-order (``np.bincount`` over the (dst, src)-sorted edge list), and the fired
-rows keep the full-width ``einsum`` reduction of the dense update, which
-uses no BLAS and a fixed order.
+order (``np.bincount`` over the (dst, src)-sorted edge list), and the rule
+rows use the full-width ``einsum`` reduction of the dense update, which uses
+no BLAS and a fixed order.
 """
 
 from __future__ import annotations
@@ -18,12 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import activations
-
-
-def _fired_rows(layer) -> np.ndarray:
-    """Rows other than identity carries (``A[i] = e_i``, ``B[i] = 0``, ``c[i] = 0``)."""
-    carry = (layer.A == np.eye(layer.c.size)).all(axis=1) & ~layer.B.any(axis=1) & (layer.c == 0.0)
-    return np.flatnonzero(~carry)
 
 
 def run_forward(init, graph, layers, name, m, history=True):
@@ -39,16 +31,14 @@ def run_forward(init, graph, layers, name, m, history=True):
         kept[0] = cur
     for t, layer in enumerate(layers, start=1):
         pre = cur.copy()
-        rows = _fired_rows(layer)
-        if rows.size:
-            b_rows = layer.B[rows]
+        if layer.rows.size:
             agg = np.zeros((n, d))
-            for j in np.flatnonzero(b_rows.any(axis=0)):
+            for j in np.flatnonzero(layer.B.any(axis=0)):
                 agg[:, j] = np.bincount(graph.edge_dst, weights=cur[graph.edge_src, j], minlength=n)
             # einsum without optimize keeps the reduction order fixed (no BLAS)
-            zs = np.einsum("vj,ij->vi", cur, layer.A[rows], optimize=False)
-            za = np.einsum("vj,ij->vi", agg, b_rows, optimize=False)
-            pre[:, rows] = layer.c[rows] + zs + za
+            zs = np.einsum("vj,ij->vi", cur, layer.A, optimize=False)
+            za = np.einsum("vj,ij->vi", agg, layer.B, optimize=False)
+            pre[:, layer.rows] = layer.c + zs + za
         cur = activations.apply_activation(name, m, pre)
         if history:
             kept[t] = cur

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .activations import ACTIVATION_NAMES, ActivationSpec, get_step_params
+from .activations import ACTIVATION_NAMES, ActivationSpec
 from .compiler import compile_formula, read_spec, write_spec, spec_to_text
 from .engine import forward, forward_outputs
 from .experiments import (
@@ -33,11 +33,6 @@ from .formulas import eval_oracle_all
 from .graphs import random_graph, read_graph
 
 __all__ = ["main"]
-
-
-class UsageError(Exception):
-    """An argument that fails a check needing the loaded inputs; reported
-    like a parse error (exit code 2)."""
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -85,7 +80,7 @@ def _cmd_eval(args) -> int:
             palette = graph.palette
         spec = compile_formula(formula, palette)
     if args.vertex is not None and not 0 <= args.vertex < graph.n:
-        raise UsageError(f"--vertex {args.vertex} out of range [0, {graph.n})")
+        raise ValueError(f"--vertex {args.vertex} out of range [0, {graph.n})")
     # A named map other than the spec's starts from m = 1.
     name = args.activation or spec.activation.name
     m = args.m if args.m is not None else (spec.activation.m if name == spec.activation.name else 1)
@@ -279,9 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Bad values, malformed files and unreadable paths are usage errors
+    # (exit code 2); the format errors of graphs, specs and formulas are
+    # ValueErrors too.
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 

@@ -3,9 +3,12 @@
 Each distinct subformula owns one embedding coordinate.  Color atoms start
 as their indicator and ``top`` starts at 1, so atoms are correct before the
 first layer; a connective's rule row fires exactly at its dependency level,
-and identity rows carry every other coordinate forward.  Running the result
+and every other coordinate carries forward unchanged.  Running the result
 under the hard threshold (or clipped relu: pre-activations are integers)
 reproduces the brute-force evaluator at every coordinate.
+
+A layer stores only its rule rows; the square matrices with the identity
+carries written out exist only in the text format.
 """
 
 from __future__ import annotations
@@ -36,27 +39,62 @@ class SpecFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GnnLayer:
-    """One iteration's affine data: self term A, aggregate term B, bias c."""
+    """One iteration's rule rows; every other coordinate carries over unchanged.
 
+    Row ``r`` computes coordinate ``rows[r]`` as ``c[r] + A[r] . x + B[r] . agg``
+    from the previous layer's features ``x`` and their neighbour sum ``agg``.
+    ``rows`` is ascending and distinct in ``[0, d)``; ``A`` and ``B`` are
+    ``(k, d)`` and ``c`` is ``(k,)`` for ``k`` rule rows.
+    """
+
+    rows: np.ndarray
     A: np.ndarray
     B: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
+        rows = np.asarray(self.rows)
+        if rows.size == 0:
+            rows = rows.astype(np.int64)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError("rows must be a 1-D integer array")
         a = np.ascontiguousarray(np.asarray(self.A, dtype=np.float64))
         b = np.ascontiguousarray(np.asarray(self.B, dtype=np.float64))
         c = np.ascontiguousarray(np.asarray(self.c, dtype=np.float64))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("A must be square")
-        if b.shape != a.shape or c.shape != (a.shape[0],):
-            raise ValueError("A, B, c shapes disagree")
+        if a.ndim != 2 or a.shape[0] != rows.size or b.shape != a.shape or c.shape != rows.shape:
+            raise ValueError("A, B, c shapes disagree with the rule rows")
+        if rows.size and (rows[0] < 0 or rows[-1] >= a.shape[1] or (np.diff(rows) <= 0).any()):
+            raise ValueError(f"rule rows must be ascending and distinct in [0, {a.shape[1]})")
+        object.__setattr__(self, "rows", rows.astype(np.int64))
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "c", c)
 
+    @property
+    def d(self) -> int:
+        return self.A.shape[1]
+
+    @classmethod
+    def from_dense(cls, A, B, c) -> "GnnLayer":
+        """The layer of the square update ``c + A x + B agg``: its rule rows are
+        all rows except identity carries (``A[i] = e_i``, ``B[i] = 0``, ``c[i] = 0``)."""
+        a, b, c = (np.asarray(x, dtype=np.float64) for x in (A, B, c))
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape or c.shape != (a.shape[0],):
+            raise ValueError("dense layer needs square A and B and one bias per row")
+        carry = (a == np.eye(c.size)).all(axis=1) & ~b.any(axis=1) & (c == 0.0)
+        rows = np.flatnonzero(~carry)
+        return cls(rows, a[rows], b[rows], c[rows])
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The square ``(A, B, c)`` with identity carries written out."""
+        a, b, c = np.eye(self.d), np.zeros((self.d, self.d)), np.zeros(self.d)
+        a[self.rows], b[self.rows], c[self.rows] = self.A, self.B, self.c
+        return a, b, c
+
     def __eq__(self, other):
         return (
             isinstance(other, GnnLayer)
+            and np.array_equal(self.rows, other.rows)
             and np.array_equal(self.A, other.A)
             and np.array_equal(self.B, other.B)
             and np.array_equal(self.c, other.c)
@@ -91,9 +129,8 @@ class GnnSpec:
         for kind in self.init_kinds:
             if kind not in ("0", "1") and not (kind.startswith("C") and kind[1:].isdigit()):
                 raise ValueError(f"bad init kind {kind!r}")
-        for layer in self.layers:
-            if layer.A.shape != (self.d, self.d):
-                raise ValueError("layer dimension disagrees with d")
+        if any(layer.d != self.d for layer in self.layers):
+            raise ValueError("layer dimension disagrees with d")
 
     def __eq__(self, other):
         return (
@@ -150,33 +187,32 @@ def compile_formula(
     d = len(coords)
     iterations = depth(formula)
     assert iterations >= level[formula], "iteration budget below dependency height"
+    levels = tuple(level[g] for g in coords)
+    # coordinates in ascending order per level; atoms sit at level 0 and never fire
+    firing: list[list[int]] = [[] for _ in range(iterations + 1)]
+    for j, lvl in enumerate(levels):
+        firing[lvl].append(j)
 
     layers = []
-    for t in range(1, iterations + 1):
-        a_t = np.zeros((d, d))
-        b_t = np.zeros((d, d))
-        c_t = np.zeros(d)
-        for g, j in pos.items():
-            if level[g] == t:
-                if isinstance(g, Not):
-                    a_t[j, pos[g.child]] = -1.0
-                    c_t[j] = 1.0
-                elif isinstance(g, And):
-                    i1, i2 = pos[g.left], pos[g.right]
-                    if i1 == i2:
-                        a_t[j, i1] = 1.0
-                    else:
-                        a_t[j, i1] = 1.0
-                        a_t[j, i2] = 1.0
-                        c_t[j] = -1.0
-                elif isinstance(g, Diamond):
-                    b_t[j, pos[g.child]] = 1.0
-                    c_t[j] = -(g.threshold - 1.0)
-                else:  # atoms have level 0 and never fire
-                    raise AssertionError("atom scheduled as a rule row")
+    for rows in firing[1:]:
+        a_t = np.zeros((len(rows), d))
+        b_t = np.zeros((len(rows), d))
+        c_t = np.zeros(len(rows))
+        for r, j in enumerate(rows):
+            g = coords[j]
+            if isinstance(g, Not):
+                a_t[r, pos[g.child]] = -1.0
+                c_t[r] = 1.0
+            elif isinstance(g, And):
+                i1, i2 = pos[g.left], pos[g.right]
+                a_t[r, i1] = 1.0
+                if i1 != i2:
+                    a_t[r, i2] = 1.0
+                    c_t[r] = -1.0
             else:
-                a_t[j, j] = 1.0
-        layers.append(GnnLayer(a_t, b_t, c_t))
+                b_t[r, pos[g.child]] = 1.0
+                c_t[r] = -(g.threshold - 1.0)
+        layers.append(GnnLayer(rows, a_t, b_t, c_t))
 
     init_kinds = tuple(
         f"C{g.index}" if isinstance(g, Color) else ("1" if isinstance(g, Top) else "0")
@@ -191,27 +227,21 @@ def compile_formula(
         init_kinds=init_kinds,
         palette=palette,
         coordinate_formulas=tuple(coords),
-        levels=tuple(level[g] for g in coords),
+        levels=levels,
     )
 
 
 def carry_forward_check(spec: GnnSpec) -> bool:
-    """True iff every coordinate is an exact identity row in each layer other
-    than the one where its rule fires.  Requires a compiled spec (levels)."""
+    """True iff each layer's rule rows are exactly the coordinates whose
+    dependency level is that layer, so every other coordinate is carried.
+    Requires a compiled spec (levels)."""
     if spec.levels is None:
         raise ValueError("carry check needs a compiled spec with level data")
-    eye = np.eye(spec.d)
-    for t, layer in enumerate(spec.layers, start=1):
-        for j, lvl in enumerate(spec.levels):
-            if lvl == t:
-                continue
-            if not (
-                np.array_equal(layer.A[j], eye[j])
-                and not layer.B[j].any()
-                and layer.c[j] == 0.0
-            ):
-                return False
-    return True
+    levels = np.asarray(spec.levels)
+    return all(
+        np.array_equal(layer.rows, np.flatnonzero(levels == t))
+        for t, layer in enumerate(spec.layers, start=1)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -219,16 +249,16 @@ def carry_forward_check(spec: GnnSpec) -> bool:
 #
 #   line 1: d iterations output_index activation_name m
 #   line 2: init <d tokens: 0 | 1 | C<i>>
-#   per layer: d rows of A, d rows of B, one row c (decimal integers)
+#   per layer: d rows of A, d rows of B, one row c (decimal integers), the
+#   dense form of ``GnnLayer.dense``
 
 
 def _format_row(row) -> str:
-    out = []
-    for value in np.asarray(row).ravel():
-        if value != round(value):
-            raise ValueError(f"non-integer entry {value!r} cannot be serialized")
-        out.append(str(int(round(value))))
-    return " ".join(out)
+    row = np.asarray(row, dtype=np.float64).ravel()
+    bad = ~np.isfinite(row) | (row != np.round(row))
+    if bad.any():
+        raise ValueError(f"non-integer entry {row[bad][0]!r} cannot be serialized")
+    return " ".join(str(int(value)) for value in row.tolist())
 
 
 def spec_to_text(spec: GnnSpec) -> str:
@@ -238,11 +268,10 @@ def spec_to_text(spec: GnnSpec) -> str:
     ]
     lines.append("init " + " ".join(spec.init_kinds))
     for layer in spec.layers:
-        for i in range(spec.d):
-            lines.append(_format_row(layer.A[i]))
-        for i in range(spec.d):
-            lines.append(_format_row(layer.B[i]))
-        lines.append(_format_row(layer.c))
+        a_t, b_t, c_t = layer.dense()
+        lines.extend(_format_row(row) for row in a_t)
+        lines.extend(_format_row(row) for row in b_t)
+        lines.append(_format_row(c_t))
     return "\n".join(lines) + "\n"
 
 
@@ -289,7 +318,7 @@ def spec_from_text(text: str) -> GnnSpec:
         a_t = parse_rows(chunk[:d], d, d)
         b_t = parse_rows(chunk[d : 2 * d], d, d)
         c_t = parse_rows(chunk[2 * d :], 1, d)[0]
-        layers.append(GnnLayer(a_t, b_t, c_t))
+        layers.append(GnnLayer.from_dense(a_t, b_t, c_t))
     try:
         return GnnSpec(
             d=d,

@@ -36,9 +36,6 @@ class EmbeddingTable:
     def final(self) -> np.ndarray:
         return self.history[-1]
 
-    def at(self, t: int) -> np.ndarray:
-        return self.history[t]
-
 
 @dataclass(frozen=True)
 class LayerErrorReport:

@@ -18,6 +18,10 @@ __all__ = [
 ]
 
 
+# Pairs drawn per call of the generator in ``random_graph``: bounds its memory.
+_PAIR_CHUNK = 1 << 20
+
+
 class GraphFormatError(ValueError):
     """Raised when a graph file cannot be parsed into a valid graph."""
 
@@ -176,11 +180,19 @@ def random_graph(n: int, avg_degree: float, palette: int, seed: int) -> LabeledG
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"invalid edge probability {p} (avg_degree={avg_degree}, n={n})")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    mask = rng.random(iu.size) < p
-    edges = np.stack([iu[mask], ju[mask]], axis=1)
+    # Pairs (i, j), i < j, are numbered row by row, so row i ends before
+    # row_end[i] and pair L of row i has j = L - row_end[i] + n.  The generator
+    # yields the same stream in chunks as in one call, so seeded graphs do not
+    # depend on the chunk size.
+    row_end = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    total = n * (n - 1) // 2
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, total, _PAIR_CHUNK):
+        hit = np.flatnonzero(rng.random(min(_PAIR_CHUNK, total - lo)) < p) + lo
+        i = np.searchsorted(row_end, hit, side="right")
+        parts.append(np.stack([i, hit - row_end[i] + n], axis=1))
     colors = rng.integers(1, palette + 1, size=n)
-    return LabeledGraph(n, palette, colors, edges)
+    return LabeledGraph(n, palette, colors, np.concatenate(parts))
 
 
 def write_graph(path, graph: LabeledGraph, root: int | None = None) -> None:

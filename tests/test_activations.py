@@ -15,10 +15,6 @@ from gc2gnn.activations import (
     golden_section_min,
     iterate,
     fixed_point_contraction_check,
-    make_step_arctan,
-    make_step_tanh,
-    make_steplike_sigmoid_eta0,
-    make_steplike_tanh_eta0,
     plateau_grid,
     required_composition_depth,
     sigma_star,
@@ -40,7 +36,7 @@ def test_sigma_star_branches():
 
 
 def test_step_arctan_values():
-    act, params = make_step_arctan()
+    act, params = get_activation("step-arctan"), get_step_params("step-arctan")
     assert act.fn(0.0) == pytest.approx(0.0, abs=1e-12)
     assert act.fn(1.0) == pytest.approx(1.0, abs=1e-12)
     assert act.fn(0.5) == pytest.approx(0.5, abs=1e-12)
@@ -50,7 +46,7 @@ def test_step_arctan_values():
 
 
 def test_step_tanh_values():
-    act, params = make_step_tanh()
+    act, params = get_activation("step-tanh"), get_step_params("step-tanh")
     assert act.fn(0.0) == pytest.approx(0.0, abs=1e-12)
     assert act.fn(1.0) == pytest.approx(1.0, abs=1e-12)
     assert params == StepLikeParams(0.86, 0.16, 0, 0.84)
@@ -78,15 +74,15 @@ def test_golden_section_rejects_monotone_objective():
 
 
 def test_flat_construction_certificates():
-    act, params = make_steplike_tanh_eta0()
+    act, params = get_activation("steplike-tanh-eta0"), get_step_params("steplike-tanh-eta0")
     assert params == StepLikeParams(0.0, 0.2, 0, 2.2)
     assert act.d1(0.0) == pytest.approx(0.0, abs=1e-10)
     assert act.d1(1.0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_sigmoid_realization_agrees_pointwise():
-    tanh_fn = make_steplike_tanh_eta0()[0].fn
-    sig_fn = make_steplike_sigmoid_eta0()[0].fn
+    tanh_fn = get_activation("steplike-tanh-eta0").fn
+    sig_fn = get_activation("steplike-sigmoid-eta0").fn
     xs = np.linspace(-5.0, 6.0, 10_000)
     assert np.abs(tanh_fn(xs) - sig_fn(xs)).max() <= 1e-12
     assert sig_fn(0.0) == pytest.approx(0.0, abs=1e-12)

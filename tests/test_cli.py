@@ -166,14 +166,31 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
     assert result.stdout == "".join(f"{v} {float(x)!r}\n" for v, x in enumerate(once))
 
 
-@pytest.mark.parametrize("vertex", ["-1", "99"])
-def test_cli_eval_vertex_out_of_range(tmp_path, vertex):
+# Out-of-range values and unreadable inputs end with a usage message and
+# exit code 2, not a traceback.
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        pytest.param(("eval", "--query", "q1", "--graph", "{graph}", "--vertex", "-1"),
+                     "--vertex -1 out of range [0, 5)", id="-1"),
+        pytest.param(("eval", "--query", "q1", "--graph", "{graph}", "--vertex", "99"),
+                     "--vertex 99 out of range [0, 5)", id="99"),
+        pytest.param(("eval", "--query", "q1", "--graph", "{missing}"), "No such file", id="missing-graph"),
+        pytest.param(("separation", "--k-range", "x"), "invalid literal", id="k-range-x"),
+        pytest.param(("separation", "--k-range", "5:2"), "sweeps must be non-empty", id="k-range-5:2"),
+        pytest.param(("compile", "--query", "q1", "--m", "-1"), "composition depth", id="compile-m-1"),
+        pytest.param(("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "0"),
+                     "n must be >= 1", id="check-exact-n0"),
+    ],
+)
+def test_cli_eval_vertex_out_of_range(tmp_path, args, message):
     path = LabeledGraph(5, 1, np.ones(5, dtype=np.int64), np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
     graph_path = tmp_path / "path.graph"
     write_graph(graph_path, path)
-    result = run_cli("eval", "--query", "q1", "--graph", str(graph_path), "--vertex", vertex)
+    paths = {"graph": str(graph_path), "missing": str(tmp_path / "missing.graph")}
+    result = run_cli(*(arg.format(**paths) for arg in args))
     assert result.returncode == 2
-    assert f"--vertex {vertex} out of range [0, 5)" in result.stderr
+    assert message in result.stderr
     assert "Traceback" not in result.stderr
 
 

@@ -3,11 +3,15 @@ import pytest
 
 from gc2gnn import (
     ActivationSpec,
+    And,
     Color,
+    Diamond,
     GnnLayer,
     GnnSpec,
     LabeledGraph,
+    Not,
     TOP,
+    Top,
     TreeParams,
     carry_forward_check,
     compile_formula,
@@ -31,7 +35,7 @@ def compact_q1_net():
     A = np.array([[0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0]], dtype=float)
     B = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
     c = np.array([-1, 1, 0, 1], dtype=float)
-    layer = GnnLayer(A, B, c)
+    layer = GnnLayer.from_dense(A, B, c)
     return GnnSpec(
         d=4,
         iterations=4,
@@ -43,6 +47,22 @@ def compact_q1_net():
     )
 
 
+def chain_formula(levels, palette=2):
+    """``levels`` nested connectives cycling through not, dia>=K and a
+    conjunction with an atom: the shape of the deep-formula benchmark's
+    chains, with ``levels + palette + 1`` coordinates."""
+    atoms = [Color(i) for i in range(1, palette + 1)] + [TOP]
+    f = atoms[0]
+    for i in range(levels):
+        if i % 3 == 0:
+            f = Not(f)
+        elif i % 3 == 1:
+            f = Diamond(1 + (i // 3) % 3, f)
+        else:
+            f = And(f, atoms[(i // 3 + 1) % len(atoms)])
+    return f
+
+
 # -- structure -------------------------------------------------------------------
 
 
@@ -51,10 +71,39 @@ def test_compile_single_color():
     assert spec.d == 1
     assert spec.iterations == 1
     assert spec.output_index == 0
-    assert np.array_equal(spec.layers[0].A, [[1.0]])
-    assert not spec.layers[0].B.any()
-    assert not spec.layers[0].c.any()
+    A, B, c = spec.layers[0].dense()
+    assert np.array_equal(A, [[1.0]])
+    assert not B.any()
+    assert not c.any()
     assert spec.init_kinds == ("C1",)
+
+
+def test_chain_stores_one_rule_row_per_connective():
+    spec = compile_formula(chain_formula(140), 2)
+    atoms = sum(isinstance(g, (Color, Top)) for g in spec.coordinate_formulas)
+    assert (spec.d, spec.iterations, atoms) == (143, 142, 3)
+    assert sum(layer.rows.size for layer in spec.layers) == spec.d - atoms
+    for layer in spec.layers:
+        assert layer.A.shape == layer.B.shape == (layer.rows.size, spec.d)
+        assert GnnLayer.from_dense(*layer.dense()) == layer
+    assert carry_forward_check(spec)
+
+
+@pytest.mark.parametrize(
+    "rows,a_shape,b_shape,fragment",
+    [
+        ([0, 3], (2, 3), (2, 3), "ascending and distinct"),
+        ([-1, 1], (2, 3), (2, 3), "ascending and distinct"),
+        ([1, 1], (2, 3), (2, 3), "ascending and distinct"),
+        ([2, 0], (2, 3), (2, 3), "ascending and distinct"),
+        ([0.0, 1.0], (2, 3), (2, 3), "integer"),
+        ([0, 1], (3, 3), (3, 3), "shapes disagree"),
+        ([0, 1], (2, 3), (2, 2), "shapes disagree"),
+    ],
+)
+def test_gnn_layer_rejects_bad_rows(rows, a_shape, b_shape, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        GnnLayer(np.array(rows), np.zeros(a_shape), np.zeros(b_shape), np.zeros(len(rows)))
 
 
 def test_compile_top_is_iteration_free():
@@ -142,7 +191,8 @@ def test_integer_preactivations_under_threshold(q2_spec):
         prev = history[t]
         agg = np.zeros_like(prev)
         np.add.at(agg, graph.edge_dst, prev[graph.edge_src])
-        pre = layer.c + prev @ layer.A.T + agg @ layer.B.T
+        A, B, c = layer.dense()
+        pre = c + prev @ A.T + agg @ B.T
         assert np.array_equal(pre, np.round(pre))
         assert not (pre == 0.5).any()  # the tie branch is never exercised
 
@@ -170,9 +220,9 @@ def test_carry_forward_check_accepts_compiled(q1_spec, q2_spec):
 
 def test_carry_forward_check_rejects_zeroed_row(q1_spec):
     layers = list(q1_spec.layers)
-    A = layers[2].A.copy()
+    A, B, c = layers[2].dense()
     A[0, 0] = 0.0  # kill the always-true coordinate's carry in layer 3
-    layers[2] = GnnLayer(A, layers[2].B, layers[2].c)
+    layers[2] = GnnLayer.from_dense(A, B, c)
     broken = GnnSpec(
         d=q1_spec.d,
         iterations=q1_spec.iterations,
@@ -196,7 +246,7 @@ def test_carry_forward_check_needs_levels():
 
 
 def test_spec_round_trip(q1_spec, q2_spec):
-    for spec in (q1_spec, q2_spec, compact_q1_net()):
+    for spec in (q1_spec, q2_spec, compact_q1_net(), compile_formula(chain_formula(60), 2)):
         assert spec_from_text(spec_to_text(spec)) == spec
 
 
@@ -210,7 +260,7 @@ def test_spec_text_is_integer_valued(q1_spec):
 
 
 def test_spec_serializer_rejects_fractions():
-    layer = GnnLayer(np.array([[0.5]]), np.zeros((1, 1)), np.zeros(1))
+    layer = GnnLayer.from_dense(np.array([[0.5]]), np.zeros((1, 1)), np.zeros(1))
     spec = GnnSpec(1, 1, 0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
     with pytest.raises(ValueError, match="non-integer"):
         spec_to_text(spec)

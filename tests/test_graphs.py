@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,19 @@ def test_random_graph_deterministic():
     assert a == b
     c = random_graph(200, 5.0, 2, 124)
     assert not (a == c)
+
+
+def test_random_graph_bits_pinned():
+    # 1500 vertices give 1124250 vertex pairs, more than one chunk of draws;
+    # the digests were recorded when all pairs were drawn in one call.
+    g = random_graph(1500, 4.0, 2, 7)
+    assert g.edges.shape == (2924, 2)
+    assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
+        "44792eeb8022c45ed8cdd8d15b1d282c3f9906d250442f43efda124a4ae2b5b0"
+    )
+    assert hashlib.sha256(g.colors.tobytes()).hexdigest() == (
+        "fed53d3da28f8eb7102e47a176a38e574afd90220dcee9f4ed5cea84bb082ab5"
+    )
 
 
 def test_random_graph_single_vertex():

@@ -58,6 +58,7 @@ from .graphs import (
     GraphFormatError,
     LabeledGraph,
     TreeParams,
+    batch_graphs,
     make_tree,
     random_graph,
     read_graph,

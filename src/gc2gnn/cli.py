@@ -16,8 +16,9 @@ import numpy as np
 
 from .activations import ACTIVATION_NAMES, ActivationSpec
 from .compiler import compile_formula, read_spec, write_spec, spec_to_text
-from .engine import forward, forward_outputs
+from .engine import forward_outputs
 from .experiments import (
+    BoundViolation,
     ExperimentConfig,
     check_convergence_rows,
     check_saturation_decay,
@@ -29,8 +30,8 @@ from .experiments import (
     run_separation,
     run_steplike_verify,
 )
-from .formulas import eval_oracle_all
-from .graphs import random_graph, read_graph
+from .formulas import check_palette, eval_oracle_all
+from .graphs import batch_graphs, random_graph, read_graph
 
 __all__ = ["main"]
 
@@ -110,14 +111,24 @@ def _cmd_check_exact(args) -> int:
     if not graphs:
         raise SystemExit("need --graph and/or --random-graphs")
     spec = compile_formula(formula, palette)
+    # The union takes the largest palette, so the file's own is checked here.
+    if args.graph:
+        check_palette(formula, loaded.palette)
+    # One oracle call and one forward per activation over the disjoint union;
+    # vertex offsets split the mismatches per graph.
+    union, offsets = batch_graphs(graph for _, graph in graphs)
+    want = eval_oracle_all(formula, union).astype(np.float64)
+    names = ("sigma-star", "crelu")
+    bad = {}
+    for name in names:
+        got = forward_outputs(spec, union, ActivationSpec(name, 1))
+        bad[name] = np.add.reduceat(got != want, offsets[:-1])
     mismatches = 0
-    for label, graph in graphs:
-        want = eval_oracle_all(formula, graph).astype(np.float64)
-        for name in ("sigma-star", "crelu"):
-            got = forward_outputs(spec, graph, ActivationSpec(name, 1))
-            bad = int((got != want).sum())
-            mismatches += bad
-            status = "ok" if bad == 0 else f"{bad} mismatches"
+    for i, (label, graph) in enumerate(graphs):
+        for name in names:
+            count = int(bad[name][i])
+            mismatches += count
+            status = "ok" if count == 0 else f"{count} mismatches"
             print(f"{label} n={graph.n} {name}: {status}")
     print("exactness:", "PASS" if mismatches == 0 else f"FAIL ({mismatches} mismatches)")
     return 0 if mismatches == 0 else 1
@@ -276,11 +287,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Bad values, malformed files and unreadable paths are usage errors
     # (exit code 2); the format errors of graphs, specs and formulas are
-    # ValueErrors too.
+    # ValueErrors too.  A sweep that breaks its bound is a failed verdict
+    # (exit code 1), reported after its CSV.
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
+    except BoundViolation as exc:
+        print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

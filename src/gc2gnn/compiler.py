@@ -275,6 +275,25 @@ def spec_to_text(spec: GnnSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_block(rows, width) -> np.ndarray:
+    """Rows of ``width`` decimal integers each, as one float array."""
+    try:
+        # one C-level conversion per block; it rejects 1.5, inf and nan
+        block = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+        if block.shape == (len(rows), width):
+            return block.astype(np.float64)
+    except ValueError:
+        pass
+    for row in rows:  # name the first bad row
+        if len(row.split()) != width:
+            raise SpecFormatError(f"expected {width} entries, got {row!r}")
+        try:
+            np.loadtxt([row], dtype=np.int64, comments=None)
+        except ValueError as exc:
+            raise SpecFormatError(f"non-integer entry in {row!r}") from exc
+    raise SpecFormatError("malformed matrix rows")
+
+
 def spec_from_text(text: str) -> GnnSpec:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
@@ -300,25 +319,10 @@ def spec_from_text(text: str) -> GnnSpec:
             f"expected {iterations * per_layer} matrix rows, found {len(body)}"
         )
 
-    def parse_rows(rows, count, width):
-        out = np.empty((count, width))
-        for i, row in enumerate(rows):
-            toks = row.split()
-            if len(toks) != width:
-                raise SpecFormatError(f"expected {width} entries, got {row!r}")
-            try:
-                out[i] = [int(t) for t in toks]
-            except ValueError as exc:
-                raise SpecFormatError(f"non-integer entry in {row!r}") from exc
-        return out
-
     layers = []
     for t in range(iterations):
-        chunk = body[t * per_layer : (t + 1) * per_layer]
-        a_t = parse_rows(chunk[:d], d, d)
-        b_t = parse_rows(chunk[d : 2 * d], d, d)
-        c_t = parse_rows(chunk[2 * d :], 1, d)[0]
-        layers.append(GnnLayer.from_dense(a_t, b_t, c_t))
+        block = _parse_block(body[t * per_layer : (t + 1) * per_layer], d)
+        layers.append(GnnLayer.from_dense(block[:d], block[d : 2 * d], block[2 * d]))
     try:
         return GnnSpec(
             d=d,

@@ -27,7 +27,7 @@ from .activations import (
 from .compiler import GnnSpec, compile_formula
 from .engine import forward_outputs
 from .formulas import Formula, parse
-from .graphs import TreeParams, make_tree
+from .graphs import TreeParams, batch_graphs, make_tree
 
 __all__ = [
     "CSV_HEADER",
@@ -131,11 +131,16 @@ def tree_pair(k: int, coloring: str):
     return (t0, r0), (t1, r1)
 
 
-def _root_gap(spec: GnnSpec, act: ActivationSpec, pair) -> float:
+def _batch_pair(pair):
+    """The pair's disjoint union and the two roots' ids in it."""
     (t0, r0), (t1, r1) = pair
-    out0 = forward_outputs(spec, t0, act)
-    out1 = forward_outputs(spec, t1, act)
-    return abs(float(out1[r1]) - float(out0[r0]))
+    union, offsets = batch_graphs([t0, t1])
+    return union, (r0, int(offsets[1]) + r1)
+
+
+def _root_gap(spec: GnnSpec, act: ActivationSpec, union, roots) -> float:
+    out = forward_outputs(spec, union, act)
+    return abs(float(out[roots[1]]) - float(out[roots[0]]))
 
 
 def run_separation(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -147,17 +152,18 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRow]:
     for k in cfg.k_values:
         pair = tree_pair(k, coloring)
         n = pair[1][0].n
-        delta = max(pair[0][0].max_degree, pair[1][0].max_degree)
+        union, roots = _batch_pair(pair)
+        delta = union.max_degree
         if cfg.delta_cap is not None and delta > cfg.delta_cap:
             continue
         for base_name in ("sigma-star", "crelu"):
             t0 = time.perf_counter()
-            gap = _root_gap(spec, ActivationSpec(base_name, 1), pair)
+            gap = _root_gap(spec, ActivationSpec(base_name, 1), union, roots)
             secs = time.perf_counter() - t0 if cfg.timings else 0.0
             rows.append(ResultRow("separation", label, base_name, 1, k, n, delta, gap, secs))
         for m in cfg.m_values:
             t0 = time.perf_counter()
-            gap = _root_gap(spec, ActivationSpec(cfg.activation, m), pair)
+            gap = _root_gap(spec, ActivationSpec(cfg.activation, m), union, roots)
             secs = time.perf_counter() - t0 if cfg.timings else 0.0
             rows.append(ResultRow("separation", label, cfg.activation, m, k, n, delta, gap, secs))
     return rows
@@ -173,13 +179,14 @@ def run_saturation(cfg: ExperimentConfig) -> list[ResultRow]:
     for k in cfg.k_values:
         pair = tree_pair(k, coloring)
         n = pair[1][0].n
-        delta = max(pair[0][0].max_degree, pair[1][0].max_degree)
+        union, roots = _batch_pair(pair)
+        delta = union.max_degree
         t0 = time.perf_counter()
-        gap = _root_gap(spec, ActivationSpec(cfg.activation, m), pair)
+        gap = _root_gap(spec, ActivationSpec(cfg.activation, m), union, roots)
         secs = time.perf_counter() - t0 if cfg.timings else 0.0
         rows.append(ResultRow("saturation", label, cfg.activation, m, k, n, delta, gap, secs))
         t0 = time.perf_counter()
-        control = _root_gap(spec, ActivationSpec("crelu", 1), pair)
+        control = _root_gap(spec, ActivationSpec("crelu", 1), union, roots)
         secs = time.perf_counter() - t0 if cfg.timings else 0.0
         rows.append(ResultRow("saturation", label, "crelu", 1, k, n, delta, control, secs))
     return rows

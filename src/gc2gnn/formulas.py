@@ -35,6 +35,7 @@ __all__ = [
     "SubformulaList",
     "subformulas",
     "depth",
+    "check_palette",
     "eval_oracle",
     "eval_oracle_all",
     "random_formula",
@@ -238,15 +239,25 @@ def depth(f: Formula) -> int:
     return sum(1 for g in subformulas(f).entries if not isinstance(g, Top))
 
 
+def check_palette(f: Formula, palette: int) -> None:
+    """Raise ValueError, as ``eval_oracle_all`` does, if ``f`` names a color
+    outside a graph palette of ``palette`` colors."""
+    for node in subformulas(f).entries:
+        if isinstance(node, Color):
+            _check_color(node, palette)
+
+
+def _check_color(node: Color, palette: int) -> None:
+    if node.index > palette:
+        raise ValueError(f"color C{node.index} outside the graph palette [1, {palette}]")
+
+
 def eval_oracle_all(f: Formula, graph: LabeledGraph) -> np.ndarray:
     """Truth table of ``f`` at every vertex, by bottom-up evaluation."""
     tables: dict[Formula, np.ndarray] = {}
     for node in subformulas(f).entries:
         if isinstance(node, Color):
-            if node.index > graph.palette:
-                raise ValueError(
-                    f"color C{node.index} outside the graph palette [1, {graph.palette}]"
-                )
+            _check_color(node, graph.palette)
             tables[node] = graph.colors == node.index
         elif isinstance(node, Top):
             tables[node] = np.ones(graph.n, dtype=bool)

@@ -11,6 +11,7 @@ __all__ = [
     "LabeledGraph",
     "TreeParams",
     "GraphFormatError",
+    "batch_graphs",
     "make_tree",
     "random_graph",
     "read_graph",
@@ -32,7 +33,8 @@ class LabeledGraph:
 
     ``edges`` stores each undirected edge once as ``(u, v)`` with ``u < v``,
     lexicographically sorted and deduplicated; ``colors`` takes values in
-    ``[1, palette]``.
+    ``[1, palette]``.  Contiguous int64 input that already has this form is
+    kept, not copied, so callers must not modify it afterwards.
     """
 
     n: int
@@ -50,16 +52,19 @@ class LabeledGraph:
             raise ValueError(f"expected {self.n} colors, got shape {colors.shape}")
         if colors.min() < 1 or colors.max() > self.palette:
             raise ValueError("vertex color out of range [1, palette]")
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.ascontiguousarray(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
         if edges.size:
             u, v = edges[:, 0], edges[:, 1]
             if (u == v).any():
                 raise ValueError("self-loops are not allowed")
             if u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= self.n:
                 raise ValueError("edge endpoint out of range")
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+            # Edges that are already canonical (u < v, strictly ascending
+            # u*n + v) are kept as they are: an O(E) check instead of a sort.
+            if not ((u < v).all() and (np.diff(u * self.n + v) > 0).all()):
+                lo = np.minimum(u, v)
+                hi = np.maximum(u, v)
+                edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "edges", edges)
 
@@ -148,16 +153,14 @@ def make_tree(params: TreeParams, coloring: str = "unicolor") -> tuple[LabeledGr
     """
     x, k, m = params.x, params.k, params.m
     n = 1 + m + x + (m - 1) * k
-    edges = [(0, i) for i in range(1, m + 1)]
-    nxt = m + 1
-    for _ in range(x):
-        edges.append((1, nxt))
-        nxt += 1
-    for i in range(2, m + 1):
-        for _ in range(k):
-            edges.append((i, nxt))
-            nxt += 1
-    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    # Vertex i > 0 hangs under parents[i - 1]; parents never decrease, so
+    # the edges come out canonical and sorted.
+    parents = np.concatenate([
+        np.zeros(m, dtype=np.int64),
+        np.ones(x, dtype=np.int64),
+        np.repeat(np.arange(2, m + 1, dtype=np.int64), k),
+    ])
+    edge_arr = np.stack([parents, np.arange(1, n, dtype=np.int64)], axis=1)
     if coloring == "unicolor":
         graph = LabeledGraph(n, 1, np.ones(n, dtype=np.int64), edge_arr)
     elif coloring == "leaves-blue":
@@ -167,6 +170,33 @@ def make_tree(params: TreeParams, coloring: str = "unicolor") -> tuple[LabeledGr
     else:
         raise ValueError(f"unknown coloring {coloring!r}")
     return graph, 0
+
+
+def batch_graphs(graphs) -> tuple[LabeledGraph, np.ndarray]:
+    """Disjoint union of ``graphs`` and its vertex offsets.
+
+    Graph i's vertex v is vertex ``offsets[i] + v`` of the union, whose
+    palette is the largest of the graphs'.  Message passing and the oracle
+    see only a vertex's component, so every vertex gets the same values in
+    the union as in its own graph; offsetting keeps neighbour lists
+    ascending, so forward passes agree bit for bit.  One graph is returned
+    as it is, with offsets ``[0, n]``.
+    """
+    graphs = list(graphs)
+    if not graphs:
+        raise ValueError("need at least one graph to batch")
+    offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+    np.cumsum([g.n for g in graphs], out=offsets[1:])
+    if len(graphs) == 1:
+        return graphs[0], offsets
+    union = LabeledGraph(
+        int(offsets[-1]),
+        max(g.palette for g in graphs),
+        np.concatenate([g.colors for g in graphs]),
+        # canonical and ascending, so the union skips the sort
+        np.concatenate([g.edges + off for g, off in zip(graphs, offsets)]),
+    )
+    return union, offsets
 
 
 def random_graph(n: int, avg_degree: float, palette: int, seed: int) -> LabeledGraph:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gc2gnn import (
     read_spec,
     write_graph,
 )
+from gc2gnn import cli, experiments
 from gc2gnn.experiments import (
     BoundViolation,
     ExperimentConfig,
@@ -235,3 +237,56 @@ def test_cli_convergence_and_saturation(tmp_path):
     result = run_cli("saturation", "--query", "q1", "--k-range", "2,4,8", "--out", str(out2))
     assert result.returncode == 0, result.stderr
     assert "saturation: gap" in result.stderr
+
+
+def test_cli_check_exact_keeps_file_palette_error(tmp_path):
+    # The union of the file's graph with palette-3 random graphs has palette
+    # 3, but the file's own palette of 2 still fails the formula's C3.
+    graph_path = tmp_path / "two.graph"
+    write_graph(graph_path, LabeledGraph(3, 2, np.array([1, 2, 1]), np.array([[0, 1], [1, 2]])))
+    for extra in ((), ("--random-graphs", "2", "--n", "20")):
+        result = run_cli("check-exact", "--graph", str(graph_path), "--formula", "(C3 and top)",
+                         "--palette", "3", *extra)
+        assert result.returncode == 2, extra
+        assert "color C3 outside the graph palette [1, 2]" in result.stderr
+        assert result.stdout == "" and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        pytest.param(("saturation", "--query", "q1", "--activation", "tanh", "--k-range", "2:40"),
+                     "no saturation decay: gap(k=40)", id="saturation"),
+        pytest.param(("convergence", "--activation", "step-arctan", "--m-range", "14:16"),
+                     "step-arctan at m=14: observed", id="convergence"),
+    ],
+)
+def test_cli_bound_violation_is_a_verdict(argv, fragment, capsys, monkeypatch):
+    # The certificates hold, so the convergence sweep is made to fail by
+    # certifying a bound of zero.
+    monkeypatch.setattr(experiments, "convergence_bound", lambda params, m: 0.0)
+    assert cli.main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(experiments.CSV_HEADER + "\n") and out.count("\n") > 2
+    assert err.count("\n") == 1 and err.startswith(f"gc2gnn {argv[0]}: ")
+    assert fragment in err
+
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize(
+    "label,argv",
+    [
+        ("saturation-sigmoid",
+         ("saturation", "--query", "q1", "--activation", "sigmoid", "--k-range", "2:64")),
+        ("separation-arctan-4pi",
+         ("separation", "--query", "q1", "--activation", "arctan-4pi", "--m", "4,8,12", "--k-range", "2:64")),
+        ("separation-step-arctan",
+         ("separation", "--query", "q1", "--activation", "step-arctan", "--m", "14", "--k-range", "2:64")),
+    ],
+)
+def test_sweep_csv_matches_golden(label, argv, capsys):
+    assert cli.main(list(argv)) == 0
+    out, _ = capsys.readouterr()
+    assert out.encode("ascii") == (GOLDEN_DIR / f"{label}.csv").read_bytes()

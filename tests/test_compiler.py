@@ -282,6 +282,27 @@ def test_spec_parser_rejects_malformed(q1_spec, mutate, fragment):
         spec_from_text("\n".join(mutate(lines)))
 
 
+@pytest.mark.parametrize("token", ["1.5", "x", "inf", "nan", "1e3"])
+@pytest.mark.parametrize("row", [2, 7, -1])  # a row of A, of B, and c
+def test_spec_parser_rejects_non_integer_entries(q1_spec, token, row):
+    lines = spec_to_text(q1_spec).strip().splitlines()
+    toks = lines[row].split()
+    toks[1] = token
+    lines[row] = " ".join(toks)
+    with pytest.raises(SpecFormatError, match="non-integer entry in") as info:
+        spec_from_text("\n".join(lines))
+    assert repr(lines[row]) in str(info.value)
+
+
+@pytest.mark.parametrize("row", [2, 7, -1])
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_spec_parser_checks_row_width(q1_spec, row, change):
+    lines = spec_to_text(q1_spec).strip().splitlines()
+    lines[row] = lines[row].rsplit(" ", 1)[0] if change == "drop" else lines[row] + " 0"
+    with pytest.raises(SpecFormatError, match=f"expected 5 entries, got {lines[row]!r}"):
+        spec_from_text("\n".join(lines))
+
+
 def test_initial_features_layout(q2_spec):
     graph = LabeledGraph(3, 2, np.array([1, 2, 1]), np.array([[0, 1], [1, 2]]))
     feats = initial_features(q2_spec, graph)

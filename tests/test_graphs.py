@@ -7,6 +7,7 @@ from gc2gnn import (
     GraphFormatError,
     LabeledGraph,
     TreeParams,
+    batch_graphs,
     make_tree,
     random_graph,
     read_graph,
@@ -62,6 +63,35 @@ def test_tree_leaf_coloring():
     assert (tree.colors[5:] == 2).all()  # all leaves
     with pytest.raises(ValueError, match="coloring"):
         make_tree(TreeParams(1, 1, 1), coloring="rainbow")
+
+
+def loop_tree_edges(x, k, m):
+    """The tree's edges as the original per-edge Python loop built them."""
+    edges = [(0, i) for i in range(1, m + 1)]
+    nxt = m + 1
+    for _ in range(x):
+        edges.append((1, nxt))
+        nxt += 1
+    for i in range(2, m + 1):
+        for _ in range(k):
+            edges.append((i, nxt))
+            nxt += 1
+    return sorted(set(edges))
+
+
+@pytest.mark.parametrize("x,k,m", [(0, 0, 1), (3, 0, 1), (0, 2, 2), (1, 5, 5), (4, 3, 7), (1, 64, 64)])
+@pytest.mark.parametrize("coloring", ["unicolor", "leaves-blue"])
+def test_tree_matches_loop_construction(x, k, m, coloring):
+    tree, root = make_tree(TreeParams(x, k, m), coloring)
+    n = 1 + m + x + (m - 1) * k
+    assert root == 0 and tree.n == n
+    assert tree.edges.dtype == np.int64 and tree.edges.shape == (n - 1, 2)
+    assert tree.edges.tolist() == [list(e) for e in loop_tree_edges(x, k, m)]
+    want = np.ones(n, dtype=np.int64)
+    if coloring == "leaves-blue":
+        want[m + 1 :] = 2
+    assert np.array_equal(tree.colors, want)
+    assert tree.palette == (1 if coloring == "unicolor" else 2)
 
 
 def test_tree_params_validation():
@@ -137,6 +167,56 @@ def test_graph_canonicalizes_edges():
     g = LabeledGraph(3, 1, np.ones(3, int), np.array([[2, 0], [0, 1], [1, 0]]))
     assert np.array_equal(g.edges, [[0, 1], [0, 2]])
     assert list(g.neighbors(0)) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "edges,want",
+    [
+        ([[0, 1], [0, 1]], [[0, 1]]),  # sorted, with a duplicate
+        ([[0, 2], [0, 1]], [[0, 1], [0, 2]]),  # canonical pairs out of order
+        ([[1, 0], [2, 1]], [[0, 1], [1, 2]]),  # ascending, but u > v
+        ([[1, 2], [0, 2], [2, 0]], [[0, 2], [1, 2]]),
+        ([[0, 1], [0, 2], [1, 2]], [[0, 1], [0, 2], [1, 2]]),  # already canonical
+    ],
+)
+def test_graph_canonical_check(edges, want):
+    g = LabeledGraph(3, 1, np.ones(3, int), np.array(edges))
+    assert g.edges.tolist() == want
+    assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "edges,fragment",
+    [
+        ([[0, 1], [1, 1]], "self-loop"),  # canonical apart from the loop
+        ([[0, 1], [1, 3]], "out of range"),
+        ([[-1, 2]], "out of range"),
+        ([[2, 5], [0, 1]], "out of range"),
+    ],
+)
+def test_graph_rejects_bad_edges(edges, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        LabeledGraph(3, 1, np.ones(3, int), np.array(edges))
+
+
+def test_batch_graphs_layout(triangle, isolated_vertex):
+    tree, _ = make_tree(TreeParams(1, 2, 2), "leaves-blue")
+    union, offsets = batch_graphs([triangle, tree, isolated_vertex])
+    assert offsets.tolist() == [0, 3, 3 + tree.n, 4 + tree.n]
+    assert union.n == 4 + tree.n and union.palette == 2
+    assert np.array_equal(union.colors, np.concatenate([triangle.colors, tree.colors, [1]]))
+    want = np.concatenate([triangle.edges, tree.edges + 3])
+    assert np.array_equal(union.edges, want)
+    for graph, off in zip((triangle, tree, isolated_vertex), offsets):
+        for v in range(graph.n):
+            assert np.array_equal(union.neighbors(off + v), graph.neighbors(v) + off)
+
+
+def test_batch_graphs_single_and_empty(path3):
+    union, offsets = batch_graphs([path3])
+    assert union is path3 and offsets.tolist() == [0, 3]
+    with pytest.raises(ValueError, match="at least one graph"):
+        batch_graphs([])
 
 
 def test_max_degree(triangle):

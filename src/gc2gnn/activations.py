@@ -26,19 +26,21 @@ __all__ = [
     "StepLikeParams",
     "ActivationSpec",
     "ACTIVATION_NAMES",
+    "CERTIFIED_NAMES",
+    "FLAT_NAMES",
+    "EXACT_NAMES",
     "get_activation",
     "get_step_params",
+    "certificate",
     "apply_activation",
     "sigma_star",
     "flat_tanh_constants",
     "golden_section_min",
     "iterate",
     "plateau_grid",
-    "wide_grid",
     "convergence_bound",
     "required_composition_depth",
     "size_closed_forms",
-    "VerifyGrid",
     "CheckResult",
     "StepLikeReport",
     "verify_step_like",
@@ -371,6 +373,13 @@ _REGISTRY = {
 }
 
 ACTIVATION_NAMES = tuple(_REGISTRY)
+# The maps that carry a step-like certificate, and among them the
+# flat-shoulder (eta = 0) ones, the only ones whose composition depth grows
+# like log log of the degree.
+CERTIFIED_NAMES = tuple(name for name, (_, cert) in _REGISTRY.items() if cert is not None)
+FLAT_NAMES = tuple(name for name, (_, cert) in _REGISTRY.items() if cert is _FLAT_CERT)
+# The maps under which a compiled network agrees exactly with the oracle.
+EXACT_NAMES = ("sigma-star", "crelu")
 
 
 def get_activation(name: str) -> Activation:
@@ -385,19 +394,34 @@ def get_step_params(name: str) -> StepLikeParams | None:
     return entry[1] if entry else None
 
 
+def certificate(name: str) -> StepLikeParams:
+    """The step-like certificate of ``name``; ValueError if it carries none."""
+    params = get_step_params(name)
+    if params is None:
+        raise ValueError(f"{name!r} carries no step-like certificate")
+    return params
+
+
 # --------------------------------------------------------------------------
 # iteration and application
 
 
-def iterate(activation, m: int, x):
-    """Apply a scalar map ``m`` times (``m = 0`` is the identity)."""
+def _compose(fn, m: int, out: np.ndarray) -> None:
+    for _ in range(m):
+        fn(out, out=out)
+
+
+def iterate(activation: Activation, m: int, x):
+    """Apply ``activation`` ``m`` times (``m = 0`` is the identity).
+
+    All steps run in place in one float64 copy of ``x``; ``x`` is left
+    unchanged.
+    """
     if m < 0:
         raise ValueError("iteration count must be non-negative")
-    fn = activation.fn if isinstance(activation, Activation) else activation
-    out = np.asarray(x, dtype=np.float64)
-    for _ in range(m):
-        out = fn(out)
-    return _maybe_scalar(np.asarray(out), x)
+    out = np.array(x, dtype=np.float64, ndmin=1)
+    _compose(activation.fn, m, out)
+    return _maybe_scalar(out.reshape(np.shape(x)), x)
 
 
 def apply_activation(name: str, m: int, values):
@@ -405,20 +429,20 @@ def apply_activation(name: str, m: int, values):
 
     Every named map is iterated ``m`` times, except ``arctan-4pi`` which is
     the sign-amplifying composite ``z -> 1/2 + f^m(z - 1/2)/2`` with
-    ``f = (4/pi) arctan``.  All ``m`` steps run in place in one new array;
-    ``values`` is left unchanged.
+    ``f = (4/pi) arctan``.  ``values`` is left unchanged.
     """
     if m < 0:
         raise ValueError("composition depth must be non-negative")
-    fn = get_activation(name).fn
+    activation = get_activation(name)
+    if name != "arctan-4pi":
+        return iterate(activation, m, values)
+    # The shift and its inverse run in the buffer the steps write into, so
+    # the composite allocates one array, as iterate does.
     out = np.array(values, dtype=np.float64, ndmin=1)
-    if name == "arctan-4pi":
-        np.subtract(out, 0.5, out=out)
-    for _ in range(m):
-        fn(out, out=out)
-    if name == "arctan-4pi":
-        np.multiply(0.5, out, out=out)
-        np.add(0.5, out, out=out)
+    np.subtract(out, 0.5, out=out)
+    _compose(activation.fn, m, out)
+    np.multiply(0.5, out, out=out)
+    np.add(0.5, out, out=out)
     return _maybe_scalar(out.reshape(np.shape(values)), values)
 
 
@@ -432,10 +456,6 @@ def plateau_grid(eps: float, points: int = 20001) -> np.ndarray:
     left = np.linspace(-eps, eps, half)
     right = np.linspace(1.0 - eps, 1.0 + eps, points - half)
     return np.concatenate([left, right])
-
-
-def wide_grid(lo: float = -50.0, hi: float = 51.0, points: int = 100_000) -> np.ndarray:
-    return np.linspace(lo, hi, points)
 
 
 def convergence_bound(params: StepLikeParams, m: int) -> float:
@@ -484,14 +504,10 @@ def size_closed_forms(params: StepLikeParams, max_degree: int) -> dict[str, floa
     return out
 
 
-@dataclass(frozen=True)
-class VerifyGrid:
-    """Sampling descriptor for certificate verification."""
-
-    lo: float = -50.0
-    hi: float = 51.0
-    points: int = 100_000
-    collar_points: int = 20_001
+# The samples verify_step_like checks: a wide grid for the one-step
+# contraction and the plateau collar.
+_WIDE_LO, _WIDE_HI, _WIDE_POINTS = -50.0, 51.0, 100_000
+_COLLAR_POINTS = 20_001
 
 
 @dataclass(frozen=True)
@@ -523,27 +539,7 @@ class StepLikeReport:
         return "\n".join([head] + ["  " + c.describe() for c in self.checks])
 
 
-def _derivatives(activation: Activation, h: float = 1e-5):
-    if activation.d1 is not None and activation.d2 is not None:
-        return activation.d1, activation.d2
-    fn = activation.fn
-
-    def d1(x):
-        return (fn(np.asarray(x) + h) - fn(np.asarray(x) - h)) / (2.0 * h)
-
-    def d2(x):
-        x = np.asarray(x)
-        return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
-
-    return d1, d2
-
-
-def verify_step_like(
-    activation: Activation,
-    params: StepLikeParams,
-    grid: VerifyGrid | None = None,
-    tol: float = 1e-9,
-) -> StepLikeReport:
+def verify_step_like(activation: Activation, params: StepLikeParams, tol: float = 1e-9) -> StepLikeReport:
     """Check the step-like conditions against a certificate.
 
     (a) fixes 0 and 1; (b) derivative at 0 and 1 at most eta; (c) the burn-in
@@ -555,9 +551,12 @@ def verify_step_like(
     consumes; a raw second-derivative bound is stronger than the certified
     constants support at the collar edge, so the report carries the curvature
     sup over the once-contracted collar as information only.
+
+    Needs the closed-form ``d1``/``d2``, which every certified map has.
     """
-    grid = grid or VerifyGrid()
-    d1, d2 = _derivatives(activation)
+    d1, d2 = activation.d1, activation.d2
+    if d1 is None or d2 is None:
+        raise ValueError(f"{activation.name!r} has no closed-form derivatives")
     checks = []
 
     fixed_worst = max(abs(float(activation.fn(0.0))), abs(float(activation.fn(1.0)) - 1.0))
@@ -576,7 +575,7 @@ def verify_step_like(
         )
     )
 
-    collar = plateau_grid(params.eps, grid.collar_points)
+    collar = plateau_grid(params.eps, _COLLAR_POINTS)
     target = sigma_star(collar)
     reached = iterate(activation, params.burn_in, collar)
     radius = min(params.eps, (1.0 - params.eta) / params.curvature)
@@ -592,7 +591,7 @@ def verify_step_like(
         )
     )
 
-    wide = wide_grid(grid.lo, grid.hi, grid.points)
+    wide = np.linspace(_WIDE_LO, _WIDE_HI, _WIDE_POINTS)
     outside = wide[(wide <= params.eps) | (wide >= 1.0 - params.eps)]
     points = np.concatenate([np.asarray(iterate(activation, params.burn_in, outside)), reached])
     plateau = np.concatenate([sigma_star(outside), target])
@@ -613,8 +612,8 @@ def verify_step_like(
 
     curv_info = float(np.abs(np.asarray(d2(activation.fn(collar)))).max())
     note = (
-        f"wide grid [{grid.lo}, {grid.hi}] x{grid.points}, "
-        f"collar +-{params.eps} around 0 and 1 x{grid.collar_points}, tol={tol:g}; "
+        f"wide grid [{_WIDE_LO}, {_WIDE_HI}] x{_WIDE_POINTS}, "
+        f"collar +-{params.eps} around 0 and 1 x{_COLLAR_POINTS}, tol={tol:g}; "
         f"curvature sup over the once-contracted collar: {curv_info:.6g}"
     )
     return StepLikeReport(

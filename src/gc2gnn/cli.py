@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .activations import ACTIVATION_NAMES, ActivationSpec
+from .activations import ACTIVATION_NAMES, EXACT_NAMES, FLAT_NAMES, ActivationSpec, flat_tanh_constants
 from .compiler import compile_formula, read_spec, write_spec, spec_to_text
 from .engine import forward_outputs
 from .experiments import (
@@ -53,12 +53,9 @@ def _write_out(path: str | None, content: str) -> None:
 
 
 def _resolve_query(args) -> tuple[str, object, int, str]:
-    if args.query:
-        return load_query(args.query, getattr(args, "palette", None))
-    if args.formula:
-        palette = getattr(args, "palette", None) or 1
-        return load_query(args.formula, palette)
-    raise SystemExit("need --query or --formula")
+    if not (args.query or args.formula):
+        raise ValueError("need --query or --formula")
+    return load_query(args.query or args.formula, args.palette)
 
 
 def _cmd_compile(args) -> int:
@@ -109,7 +106,7 @@ def _cmd_check_exact(args) -> int:
         g = random_graph(args.n, args.avg_degree, palette, args.seed + i)
         graphs.append((f"random:{args.seed + i}", g))
     if not graphs:
-        raise SystemExit("need --graph and/or --random-graphs")
+        raise ValueError("need --graph and/or --random-graphs")
     spec = compile_formula(formula, palette)
     # The union takes the largest palette, so the file's own is checked here.
     if args.graph:
@@ -118,14 +115,13 @@ def _cmd_check_exact(args) -> int:
     # vertex offsets split the mismatches per graph.
     union, offsets = batch_graphs(graph for _, graph in graphs)
     want = eval_oracle_all(formula, union).astype(np.float64)
-    names = ("sigma-star", "crelu")
     bad = {}
-    for name in names:
+    for name in EXACT_NAMES:
         got = forward_outputs(spec, union, ActivationSpec(name, 1))
         bad[name] = np.add.reduceat(got != want, offsets[:-1])
     mismatches = 0
     for i, (label, graph) in enumerate(graphs):
-        for name in names:
+        for name in EXACT_NAMES:
             count = int(bad[name][i])
             mismatches += count
             status = "ok" if count == 0 else f"{count} mismatches"
@@ -142,7 +138,6 @@ def _cmd_separation(args) -> int:
         k_values=_parse_int_list(args.k_range),
         palette=args.palette,
         delta_cap=args.delta,
-        timings=args.timings,
     )
     rows = run_separation(cfg)
     _write_out(args.out, rows_to_csv(rows))
@@ -156,7 +151,6 @@ def _cmd_saturation(args) -> int:
         m_values=(args.m,),
         k_values=_parse_int_list(args.k_range),
         palette=args.palette,
-        timings=args.timings,
     )
     rows = run_saturation(cfg)
     _write_out(args.out, rows_to_csv(rows))
@@ -166,14 +160,12 @@ def _cmd_saturation(args) -> int:
 
 
 def _cmd_steplike_verify(args) -> int:
-    names = args.names or None
-    reports = run_steplike_verify(names, tol=args.tol)
+    reports = run_steplike_verify(args.names, tol=args.tol)
     failed = False
     for report in reports:
         print(report.describe())
-        if report.activation in ("steplike-tanh-eta0", "steplike-sigmoid-eta0"):
-            info = required_m_report(report.activation, 0)
-            a, alpha = info["flat_constants"]
+        if report.activation in FLAT_NAMES:
+            a, alpha = flat_tanh_constants()
             in_range = 0.45 < a < 0.46 and 3.14 < alpha < 3.15
             print(f"  recomputed constants a={a:.12f}, alpha={alpha:.12f} "
                   f"({'in' if in_range else 'OUT OF'} the expected intervals)")
@@ -250,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")
     p.add_argument("--delta", type=int, help="skip sweep points above this max degree")
     p.add_argument("--out")
-    p.add_argument("--timings", action="store_true", help="record wall time per row")
     p.set_defaults(fn=_cmd_separation)
 
     p = sub.add_parser("saturation", help="gap decay of a bounded activation as trees grow")
@@ -259,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")
     p.add_argument("--out")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=_cmd_saturation)
 
     p = sub.add_parser("steplike-verify", help="verify the shipped step-like certificates")

@@ -4,14 +4,17 @@ CSV schema (experiment,query,activation,m,k,n,delta,value,seconds)."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import (
     ACTIVATION_NAMES,
+    CERTIFIED_NAMES,
+    EXACT_NAMES,
+    FLAT_NAMES,
     ActivationSpec,
+    certificate,
     convergence_bound,
     get_activation,
     get_step_params,
@@ -24,7 +27,7 @@ from .activations import (
     flat_tanh_constants,
     StepLikeReport,
 )
-from .compiler import GnnSpec, compile_formula
+from .compiler import compile_formula
 from .engine import forward_outputs
 from .formulas import Formula, parse
 from .graphs import TreeParams, batch_graphs, make_tree
@@ -53,14 +56,6 @@ CSV_HEADER = "experiment,query,activation,m,k,n,delta,value,seconds"
 Q1_TEXT = "not (dia>=1 (not (dia>=2 top)))"
 Q2_TEXT = "(C1 and dia>=1 ((dia>=1 C2) and (dia>=1 C1)))"
 
-_STEP_LIKE_NAMES = (
-    "step-arctan",
-    "step-tanh",
-    "steplike-tanh-eta0",
-    "steplike-sigmoid-eta0",
-)
-
-
 class BoundViolation(AssertionError):
     """A sweep row broke the bound that governs it."""
 
@@ -75,12 +70,13 @@ class ResultRow:
     n: int
     delta: int
     value: float
-    seconds: float = 0.0
 
     def to_csv(self) -> str:
+        # The seconds column is kept for the schema and always reads zero, so
+        # reruns of one configuration give the same bytes.
         return (
             f"{self.experiment},{self.query},{self.activation},{self.m},"
-            f"{self.k},{self.n},{self.delta},{float(self.value)!r},{self.seconds:.6f}"
+            f"{self.k},{self.n},{self.delta},{float(self.value)!r},0.000000"
         )
 
 
@@ -92,7 +88,6 @@ class ExperimentConfig:
     k_values: tuple[int, ...] = tuple(range(2, 65))
     palette: int | None = None
     delta_cap: int | None = None
-    timings: bool = False
 
     def __post_init__(self):
         if not self.m_values or not self.k_values:
@@ -117,7 +112,7 @@ def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Form
         return "q1", parse(Q1_TEXT, 1), 1, "unicolor"
     if name_or_text.lower() == "q2":
         return "q2", parse(Q2_TEXT, 2), 2, "leaves-blue"
-    palette = palette or 1
+    palette = 1 if palette is None else palette
     formula = parse(name_or_text, palette)
     coloring = "unicolor" if palette == 1 else "leaves-blue"
     return name_or_text, formula, palette, coloring
@@ -131,71 +126,45 @@ def tree_pair(k: int, coloring: str):
     return (t0, r0), (t1, r1)
 
 
-def _batch_pair(pair):
-    """The pair's disjoint union and the two roots' ids in it."""
-    (t0, r0), (t1, r1) = pair
-    union, offsets = batch_graphs([t0, t1])
-    return union, (r0, int(offsets[1]) + r1)
-
-
-def _root_gap(spec: GnnSpec, act: ActivationSpec, union, roots) -> float:
-    out = forward_outputs(spec, union, act)
-    return abs(float(out[roots[1]]) - float(out[roots[0]]))
+def _sweep(cfg: ExperimentConfig, experiment: str, runs) -> list[ResultRow]:
+    """For each k, one row per ``(name, m)`` of ``runs``: the gap between the
+    two roots of k's tree pair, both run as one disjoint union."""
+    label, formula, palette, coloring = load_query(cfg.query, cfg.palette)
+    spec = compile_formula(formula, palette)
+    rows: list[ResultRow] = []
+    for k in cfg.k_values:
+        (t0, r0), (t1, r1) = tree_pair(k, coloring)
+        union, offsets = batch_graphs([t0, t1])
+        roots = [r0, int(offsets[1]) + r1]
+        delta = union.max_degree
+        if cfg.delta_cap is not None and delta > cfg.delta_cap:
+            continue
+        for name, m in runs:
+            # Copy out the two roots: the outputs are a view that would keep
+            # the whole last layer alive through the next forward.
+            low, high = forward_outputs(spec, union, ActivationSpec(name, m))[roots]
+            gap = abs(float(high) - float(low))
+            rows.append(ResultRow(experiment, label, name, m, k, t1.n, delta, gap))
+    return rows
 
 
 def run_separation(cfg: ExperimentConfig) -> list[ResultRow]:
     """Gap between the two tree roots per (m, k), for the configured
     activation, with exact-threshold and clipped-relu baselines."""
-    label, formula, palette, coloring = load_query(cfg.query, cfg.palette)
-    spec = compile_formula(formula, palette)
-    rows: list[ResultRow] = []
-    for k in cfg.k_values:
-        pair = tree_pair(k, coloring)
-        n = pair[1][0].n
-        union, roots = _batch_pair(pair)
-        delta = union.max_degree
-        if cfg.delta_cap is not None and delta > cfg.delta_cap:
-            continue
-        for base_name in ("sigma-star", "crelu"):
-            t0 = time.perf_counter()
-            gap = _root_gap(spec, ActivationSpec(base_name, 1), union, roots)
-            secs = time.perf_counter() - t0 if cfg.timings else 0.0
-            rows.append(ResultRow("separation", label, base_name, 1, k, n, delta, gap, secs))
-        for m in cfg.m_values:
-            t0 = time.perf_counter()
-            gap = _root_gap(spec, ActivationSpec(cfg.activation, m), union, roots)
-            secs = time.perf_counter() - t0 if cfg.timings else 0.0
-            rows.append(ResultRow("separation", label, cfg.activation, m, k, n, delta, gap, secs))
-    return rows
+    runs = [(name, 1) for name in EXACT_NAMES] + [(cfg.activation, m) for m in cfg.m_values]
+    return _sweep(cfg, "separation", runs)
 
 
 def run_saturation(cfg: ExperimentConfig) -> list[ResultRow]:
     """Gap decay of a fixed bounded-activation network as the trees grow,
     with the clipped-relu control pinned at its exact value."""
-    label, formula, palette, coloring = load_query(cfg.query, cfg.palette)
-    spec = compile_formula(formula, palette)
-    m = cfg.m_values[0]
-    rows: list[ResultRow] = []
-    for k in cfg.k_values:
-        pair = tree_pair(k, coloring)
-        n = pair[1][0].n
-        union, roots = _batch_pair(pair)
-        delta = union.max_degree
-        t0 = time.perf_counter()
-        gap = _root_gap(spec, ActivationSpec(cfg.activation, m), union, roots)
-        secs = time.perf_counter() - t0 if cfg.timings else 0.0
-        rows.append(ResultRow("saturation", label, cfg.activation, m, k, n, delta, gap, secs))
-        t0 = time.perf_counter()
-        control = _root_gap(spec, ActivationSpec("crelu", 1), union, roots)
-        secs = time.perf_counter() - t0 if cfg.timings else 0.0
-        rows.append(ResultRow("saturation", label, "crelu", 1, k, n, delta, control, secs))
-    return rows
+    return _sweep(cfg, "saturation", [(cfg.activation, cfg.m_values[0]), ("crelu", 1)])
 
 
 def check_saturation_decay(rows) -> tuple[float, float]:
     """Assert the configured activation's gap shrinks from the smallest to
     the largest tree; returns (first gap, last gap)."""
-    swept = [r for r in rows if r.activation not in ("crelu", "sigma-star")]
+    swept = [r for r in rows if r.activation not in EXACT_NAMES]
     if len(swept) < 2:
         raise ValueError("need at least two sweep points")
     first, last = swept[0], swept[-1]
@@ -215,9 +184,7 @@ def run_convergence(
 ) -> list[ResultRow]:
     """Worst observed |sigma^m - threshold| over the plateau collar next to
     the certified bound, one observed row and one bound row per m."""
-    params = get_step_params(name)
-    if params is None:
-        raise ValueError(f"{name!r} carries no step-like certificate")
+    params = certificate(name)
     act = get_activation(name)
     m_lo = params.burn_in if m_lo is None else m_lo
     m_hi = params.burn_in + 20 if m_hi is None else m_hi
@@ -254,20 +221,15 @@ def check_convergence_rows(rows, tol: float = 1e-12) -> None:
 
 
 def run_steplike_verify(names=None, tol: float = 1e-9) -> list[StepLikeReport]:
-    names = tuple(names) if names else _STEP_LIKE_NAMES
     reports = []
-    for name in names:
-        params = get_step_params(name)
-        if params is None:
-            raise ValueError(f"{name!r} carries no step-like certificate")
+    for name in names or CERTIFIED_NAMES:
+        params = certificate(name)
         reports.append(verify_step_like(get_activation(name), params, tol=tol))
     return reports
 
 
 def required_m_report(name: str, max_degree: int) -> dict:
-    params = get_step_params(name)
-    if params is None:
-        raise ValueError(f"{name!r} carries no step-like certificate")
+    params = certificate(name)
     scanned = required_composition_depth(params, max_degree)
     report = {
         "activation": name,
@@ -276,7 +238,6 @@ def required_m_report(name: str, max_degree: int) -> dict:
         "closed_forms": size_closed_forms(params, max_degree),
         "params": params,
     }
-    if name in ("steplike-tanh-eta0", "steplike-sigmoid-eta0"):
-        a, alpha = flat_tanh_constants()
-        report["flat_constants"] = (a, alpha)
+    if name in FLAT_NAMES:
+        report["flat_constants"] = flat_tanh_constants()
     return report

@@ -5,6 +5,9 @@ import pytest
 
 from gc2gnn.activations import (
     ACTIVATION_NAMES,
+    CERTIFIED_NAMES,
+    EXACT_NAMES,
+    FLAT_NAMES,
     ActivationSpec,
     StepLikeParams,
     apply_activation,
@@ -109,6 +112,15 @@ def test_iterate_flat_from_collar_edge():
     assert abs(value - 1.0) <= 0.2 / 128
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_iterate_leaves_input_unchanged(m):
+    x = np.linspace(-1.0, 2.0, 7)
+    before = x.copy()
+    out = iterate(get_activation("steplike-tanh-eta0"), m, x)
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(out, x)
+
+
 def test_apply_activation_arctan_composite():
     # one composition: 1/2 + (2/pi) arctan(z - 1/2)
     z = 1.7
@@ -122,6 +134,9 @@ def test_activation_names_complete():
         "relu", "crelu", "sigma-star", "sigmoid", "tanh", "step-arctan",
         "step-tanh", "steplike-tanh-eta0", "steplike-sigmoid-eta0", "arctan-4pi",
     }
+    assert CERTIFIED_NAMES == CERTIFIED
+    assert FLAT_NAMES == ("steplike-tanh-eta0", "steplike-sigmoid-eta0")
+    assert EXACT_NAMES == ("sigma-star", "crelu")
 
 
 def test_activation_spec_validation():
@@ -144,6 +159,11 @@ def test_no_overflow_on_large_inputs():
 def test_verify_step_like_passes(name):
     report = verify_step_like(get_activation(name), get_step_params(name), tol=1e-9)
     assert report.passed, report.describe()
+
+
+def test_verify_needs_closed_form_derivatives():
+    with pytest.raises(ValueError, match="no closed-form derivatives"):
+        verify_step_like(get_activation("sigmoid"), StepLikeParams(0.5, 0.1, 0, 1.0))
 
 
 def test_verify_rejects_tightened_eta():

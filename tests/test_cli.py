@@ -183,6 +183,11 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
         pytest.param(("compile", "--query", "q1", "--m", "-1"), "composition depth", id="compile-m-1"),
         pytest.param(("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "0"),
                      "n must be >= 1", id="check-exact-n0"),
+        pytest.param(("compile",), "need --query or --formula", id="compile-no-query"),
+        pytest.param(("check-exact", "--query", "q1", "--random-graphs", "0"),
+                     "need --graph and/or --random-graphs", id="check-exact-no-graphs"),
+        pytest.param(("separation", "--formula", "dia>=1 C1", "--palette", "0"),
+                     "palette_size must be >= 1", id="palette-0"),
     ],
 )
 def test_cli_eval_vertex_out_of_range(tmp_path, args, message):
@@ -290,3 +295,19 @@ def test_sweep_csv_matches_golden(label, argv, capsys):
     assert cli.main(list(argv)) == 0
     out, _ = capsys.readouterr()
     assert out.encode("ascii") == (GOLDEN_DIR / f"{label}.csv").read_bytes()
+
+
+TEXT_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "label,argv",
+    [
+        ("steplike-verify", ("steplike-verify",)),
+        ("required-m-steplike-tanh-eta0", ("required-m", "--activation", "steplike-tanh-eta0", "--delta", "64")),
+    ],
+)
+def test_cli_text_matches_golden(label, argv, capsys):
+    assert cli.main(list(argv)) == 0
+    out, _ = capsys.readouterr()
+    assert out.encode("ascii") == (TEXT_GOLDEN_DIR / f"{label}.txt").read_bytes()

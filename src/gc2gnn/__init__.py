@@ -13,7 +13,6 @@ from .activations import (
     get_activation,
     get_step_params,
     iterate,
-    fixed_point_contraction_check,
     required_composition_depth,
     sigma_star,
     verify_step_like,
@@ -29,9 +28,6 @@ from .compiler import (
     write_spec,
 )
 from .engine import (
-    EmbeddingTable,
-    LayerErrorReport,
-    expressivity_margin,
     forward,
     forward_outputs,
     initial_features,

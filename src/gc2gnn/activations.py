@@ -44,8 +44,6 @@ __all__ = [
     "CheckResult",
     "StepLikeReport",
     "verify_step_like",
-    "ContractionReport",
-    "fixed_point_contraction_check",
 ]
 
 
@@ -623,61 +621,3 @@ def verify_step_like(activation: Activation, params: StepLikeParams, tol: float 
         checks=tuple(checks),
         grid_note=note,
     )
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    passed: bool
-    worst_excess: float
-    location: float
-    iterations: int
-
-    def describe(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"contraction {status}: worst observed-minus-bound {self.worst_excess:.6g} "
-            f"at x={self.location:.6g} over n<={self.iterations}"
-        )
-
-
-def fixed_point_contraction_check(
-    fn,
-    x0: float,
-    r: float,
-    eta: float,
-    curvature: float,
-    n_max: int,
-    grid_points: int = 1001,
-    tol: float = 1e-12,
-) -> ContractionReport:
-    """Check the fixed-point contraction bounds on [x0 - r, x0 + r].
-
-    Requires the hypothesis ``curvature * r <= 1 - eta``.  Asserts
-    ``|f^n(x) - x0| <= ((1+eta)/2)^n |x - x0|`` for each n, and additionally
-    the doubly exponential bound when ``eta == 0``.
-    """
-    if curvature * r > 1.0 - eta:
-        raise ValueError(
-            f"hypothesis violated: curvature*r = {curvature * r:.6g} > 1 - eta = {1.0 - eta:.6g}"
-        )
-    fn = fn.fn if isinstance(fn, Activation) else fn
-    xs = np.linspace(x0 - r, x0 + r, grid_points)
-    dist0 = np.abs(xs - x0)
-    cur = xs.copy()
-    worst_excess = -np.inf
-    worst_loc = float(xs[0])
-    ok = True
-    for n in range(n_max + 1):
-        err = np.abs(cur - x0)
-        bound = ((1.0 + eta) / 2.0) ** n * dist0
-        if eta == 0.0:
-            bound = np.minimum(bound, (curvature / 2.0) ** (2.0**n - 1.0) * dist0 ** (2.0**n))
-        excess = err - bound
-        i = int(np.argmax(excess))
-        if excess[i] > worst_excess:
-            worst_excess = float(excess[i])
-            worst_loc = float(xs[i])
-        if excess[i] > tol:
-            ok = False
-        cur = np.asarray(fn(cur))
-    return ContractionReport(ok, worst_excess, worst_loc, n_max)

@@ -18,18 +18,12 @@ import numpy as np
 from . import activations
 
 
-def run_forward(init, graph, layers, name, m, history=True):
-    """Evaluate the layered update rule from the (n, d) features ``init``.
-
-    Returns the (T+1, n, d) history, or with ``history=False`` a (1, n, d)
-    array holding only the last layer.
-    """
+def run_forward(init, graph, layers, name, m):
+    """Evaluate the layered update rule from the (n, d) features ``init`` and
+    return the (n, d) features after the last layer."""
     cur = np.asarray(init, dtype=np.float64)
     n, d = cur.shape
-    if history:
-        kept = np.empty((len(layers) + 1, n, d))
-        kept[0] = cur
-    for t, layer in enumerate(layers, start=1):
+    for layer in layers:
         pre = cur.copy()
         if layer.rows.size:
             agg = np.zeros((n, d))
@@ -40,6 +34,4 @@ def run_forward(init, graph, layers, name, m, history=True):
             za = np.einsum("vj,ij->vi", agg, layer.B, optimize=False)
             pre[:, layer.rows] = layer.c + zs + za
         cur = activations.apply_activation(name, m, pre)
-        if history:
-            kept[t] = cur
-    return kept if history else cur[np.newaxis]
+    return cur

@@ -1,10 +1,7 @@
-"""Forward evaluation of compiled networks, per-layer error tracking against
-the exact threshold run, and the expressivity-margin check."""
+"""Forward evaluation of compiled networks and per-layer error tracking
+against the exact threshold run."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -14,38 +11,11 @@ from .compiler import GnnSpec
 from .graphs import LabeledGraph
 
 __all__ = [
-    "EmbeddingTable",
-    "LayerErrorReport",
     "initial_features",
     "forward",
     "forward_outputs",
     "layer_errors",
-    "expressivity_margin",
 ]
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Per-iteration, per-vertex embeddings: ``history[t, v]`` after t layers,
-    or only the last layer (``history`` of length 1) from
-    ``forward(..., history=False)``."""
-
-    history: np.ndarray
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.history[-1]
-
-
-@dataclass(frozen=True)
-class LayerErrorReport:
-    """Worst per-vertex infinity-norm deviation per iteration; entry 0 is 0."""
-
-    eps: np.ndarray
-
-    @property
-    def final(self) -> float:
-        return float(self.eps[-1])
 
 
 def initial_features(spec: GnnSpec, graph: LabeledGraph) -> np.ndarray:
@@ -71,16 +41,12 @@ def forward(
     spec: GnnSpec,
     graph: LabeledGraph,
     activation: ActivationSpec | None = None,
-    history: bool = True,
-) -> EmbeddingTable:
-    """Run the compiled network on ``graph``; activation defaults to the
-    spec's own.  With ``history=False`` the table keeps only the last layer,
-    so ``history`` has shape (1, n, d) and ``final`` is unchanged."""
+) -> np.ndarray:
+    """Run the compiled network on ``graph`` and return the (n, d) features
+    after the last layer; activation defaults to the spec's own."""
     act = activation or spec.activation
     init = initial_features(spec, graph)
-    return EmbeddingTable(
-        backend_mod.run_forward(init, graph, spec.layers, act.name, act.m, history=history)
-    )
+    return backend_mod.run_forward(init, graph, spec.layers, act.name, act.m)
 
 
 def forward_outputs(
@@ -88,17 +54,21 @@ def forward_outputs(
     graph: LabeledGraph,
     activation: ActivationSpec | None = None,
 ) -> np.ndarray:
-    """Final value of the output coordinate at every vertex."""
-    return forward(spec, graph, activation, history=False).final[:, spec.output_index]
+    """Final value of the output coordinate at every vertex, as an array of
+    its own (not a view that would keep the whole last layer alive)."""
+    return forward(spec, graph, activation)[:, spec.output_index].copy()
 
 
 def layer_errors(
     spec_approx: GnnSpec,
     spec_exact: GnnSpec,
     graph: LabeledGraph,
-) -> LayerErrorReport:
-    """Per-iteration worst deviation between two runs of the same layers
-    under different activations."""
+) -> np.ndarray:
+    """Per-iteration worst per-vertex deviation between two runs of the same
+    layers under different activations, as a (T+1,) array whose entry 0 is 0.
+
+    The two runs advance side by side one layer at a time, so only their
+    current (n, d) features are held."""
     if spec_approx.d != spec_exact.d or spec_approx.iterations != spec_exact.iterations:
         raise ValueError("spec mismatch: dimensions or iteration counts differ")
     if spec_approx.init_kinds != spec_exact.init_kinds:
@@ -106,31 +76,11 @@ def layer_errors(
     for la, le in zip(spec_approx.layers, spec_exact.layers):
         if la != le:
             raise ValueError("spec mismatch: layer matrices differ")
-    approx = forward(spec_approx, graph).history
-    exact = forward(spec_exact, graph).history
-    eps = np.abs(approx - exact).max(axis=(1, 2)) if graph.n else np.zeros(0)
-    return LayerErrorReport(eps)
-
-
-def expressivity_margin(
-    spec: GnnSpec,
-    corpus: Iterable[tuple[LabeledGraph, int, bool]],
-    activation: ActivationSpec | None = None,
-) -> float:
-    """Smallest distance of the output from the 1/2 decision line, signed so
-    that positives must exceed 1/2 and negatives stay below it.
-
-    The network expresses the query over the corpus iff the margin is
-    positive (margin > 1/6 gives the comfortable one-third separation band).
-    """
-    margin = None
-    for graph, vertex, expected in corpus:
-        out = forward_outputs(spec, graph, activation)
-        if not 0 <= vertex < graph.n:
-            raise ValueError(f"vertex {vertex} out of range")
-        value = float(out[vertex])
-        gap = value - 0.5 if expected else 0.5 - value
-        margin = gap if margin is None else min(margin, gap)
-    if margin is None:
-        raise ValueError("empty corpus")
-    return margin
+    approx = exact = initial_features(spec_approx, graph)
+    eps = np.zeros(spec_approx.iterations + 1)
+    a, e = spec_approx.activation, spec_exact.activation
+    for t, layer in enumerate(spec_approx.layers, start=1):
+        approx = backend_mod.run_forward(approx, graph, (layer,), a.name, a.m)
+        exact = backend_mod.run_forward(exact, graph, (layer,), e.name, e.m)
+        eps[t] = np.abs(approx - exact).max()
+    return eps

@@ -140,8 +140,6 @@ def _sweep(cfg: ExperimentConfig, experiment: str, runs) -> list[ResultRow]:
         if cfg.delta_cap is not None and delta > cfg.delta_cap:
             continue
         for name, m in runs:
-            # Copy out the two roots: the outputs are a view that would keep
-            # the whole last layer alive through the next forward.
             low, high = forward_outputs(spec, union, ActivationSpec(name, m))[roots]
             gap = abs(float(high) - float(low))
             rows.append(ResultRow(experiment, label, name, m, k, t1.n, delta, gap))

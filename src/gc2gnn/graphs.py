@@ -119,7 +119,7 @@ class LabeledGraph:
 
     @property
     def max_degree(self) -> int:
-        return int(self.degrees.max()) if self.n else 0
+        return int(self.degrees.max())
 
     def neighbors(self, v: int) -> np.ndarray:
         if not 0 <= v < self.n:

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from gc2gnn import LabeledGraph, TreeParams, compile_formula, make_tree, parse
+from gc2gnn import LabeledGraph, TreeParams, compile_formula, initial_features, make_tree, parse
+from gc2gnn.backend import run_forward
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
+
+
+def forward_history(spec, graph, activation=None):
+    """The (T+1, n, d) stack of every layer's features, entry 0 the initial
+    ones, built from one-layer ``run_forward`` steps."""
+    act = activation or spec.activation
+    feats = [initial_features(spec, graph)]
+    for layer in spec.layers:
+        feats.append(run_forward(feats[-1], graph, (layer,), act.name, act.m))
+    return np.stack(feats)
 
 
 @pytest.fixture(scope="session")

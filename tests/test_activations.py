@@ -17,7 +17,6 @@ from gc2gnn.activations import (
     get_step_params,
     golden_section_min,
     iterate,
-    fixed_point_contraction_check,
     plateau_grid,
     required_composition_depth,
     sigma_star,
@@ -243,25 +242,3 @@ def test_iterate_error_within_bound_for_all_certified():
             assert observed <= convergence_bound(params, m) + 1e-12, (name, m)
             values = act.fn(values)
 
-
-# -- fixed-point contraction -----------------------------------------------------
-
-
-def test_contraction_arctan_at_zero():
-    report = fixed_point_contraction_check(get_activation("step-arctan"), 0.0, 0.1, 0.64, 1.52, 10)
-    assert report.passed, report.describe()
-
-
-def test_contraction_flat_at_one():
-    report = fixed_point_contraction_check(get_activation("steplike-tanh-eta0"), 1.0, 0.2, 0.0, 2.2, 4)
-    assert report.passed, report.describe()
-
-
-def test_contraction_trivial_at_n_zero():
-    report = fixed_point_contraction_check(get_activation("step-tanh"), 0.0, 0.16, 0.86, 0.84, 0)
-    assert report.passed
-
-
-def test_contraction_rejects_bad_hypothesis():
-    with pytest.raises(ValueError, match="hypothesis violated"):
-        fixed_point_contraction_check(get_activation("step-arctan"), 0.0, 0.5, 0.64, 1.52, 3)

@@ -1,0 +1,19 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import gc2gnn
+
+
+def test_public_names_resolve():
+    # every exported name exists, and the package re-exports only public names
+    for info in pkgutil.iter_modules(gc2gnn.__path__):
+        module = importlib.import_module(f"gc2gnn.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"gc2gnn.{info.name}.__all__ names undefined {name}"
+    for node in ast.parse(Path(gc2gnn.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"gc2gnn.{node.module}")
+            for alias in node.names:
+                assert alias.name in module.__all__, f"gc2gnn imports {alias.name} outside {node.module}.__all__"

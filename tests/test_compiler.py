@@ -28,6 +28,8 @@ from gc2gnn import (
 )
 from gc2gnn.compiler import SpecFormatError
 
+from conftest import forward_history
+
 
 def compact_q1_net():
     """The compact hand-built 4-dimensional network for the degree query:
@@ -178,7 +180,7 @@ def test_exactness_random_formulas_both_activations():
 def test_every_coordinate_tracks_its_subformula(q1_spec, q2_spec):
     for spec, palette in ((q1_spec, 1), (q2_spec, 2)):
         graph = random_graph(80, 5.0, palette, 3)
-        final = forward(spec, graph).final
+        final = forward(spec, graph)
         for j, sub in enumerate(spec.coordinate_formulas):
             want = eval_oracle_all(sub, graph).astype(float)
             assert np.array_equal(final[:, j], want), sub
@@ -186,7 +188,7 @@ def test_every_coordinate_tracks_its_subformula(q1_spec, q2_spec):
 
 def test_integer_preactivations_under_threshold(q2_spec):
     graph = random_graph(50, 5.0, 2, 21)
-    history = forward(q2_spec, graph).history
+    history = forward_history(q2_spec, graph)
     for t, layer in enumerate(q2_spec.layers):
         prev = history[t]
         agg = np.zeros_like(prev)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,21 +16,29 @@ from gc2gnn import (
     compile_formula,
     eval_oracle,
     eval_oracle_all,
-    expressivity_margin,
     forward,
     forward_outputs,
     layer_errors,
     make_tree,
+    parse,
     random_formula,
     random_graph,
 )
 from gc2gnn.experiments import tree_pair
 
+from conftest import forward_history
+
 
 def test_forward_triangle_all_true(q1_spec, triangle):
-    table = forward(q1_spec, triangle)
-    assert np.array_equal(table.final[:, q1_spec.output_index], [1, 1, 1])
-    assert table.history.shape == (5, 3, 5)
+    final = forward(q1_spec, triangle)
+    assert final.shape == (3, 5)
+    assert np.array_equal(final[:, q1_spec.output_index], [1, 1, 1])
+    assert forward_history(q1_spec, triangle).shape == (5, 3, 5)
+
+
+def test_forward_outputs_own_their_data(q1_spec, triangle):
+    # a view would keep the whole (n, d) last layer alive with the outputs
+    assert forward_outputs(q1_spec, triangle).base is None
 
 
 def test_forward_crelu_tree(q1_spec):
@@ -40,14 +49,12 @@ def test_forward_crelu_tree(q1_spec):
 
 def test_zero_iteration_spec_returns_init(triangle):
     spec = compile_formula(TOP, 1)
-    table = forward(spec, triangle)
-    assert table.history.shape == (1, 3, 1)
-    assert np.array_equal(table.final, np.ones((3, 1)))
+    assert np.array_equal(forward(spec, triangle), np.ones((3, 1)))
+    assert forward_history(spec, triangle).shape == (1, 3, 1)
 
 
 def test_layer_errors_identical_runs(q1_spec, triangle):
-    report = layer_errors(q1_spec, q1_spec, triangle)
-    assert np.array_equal(report.eps, np.zeros(5))
+    assert np.array_equal(layer_errors(q1_spec, q1_spec, triangle), np.zeros(5))
 
 
 def test_layer_errors_rejects_mismatched_specs(q1_spec, q2_spec, triangle):
@@ -63,8 +70,7 @@ def test_layer_errors_theorem_regime(q1_spec):
     for seed in range(10):
         graph = random_graph(150, 5.0, 1, seed)
         assert graph.max_degree <= 64
-        report = layer_errors(approx, exact, graph)
-        assert report.final < 1 / 132
+        assert layer_errors(approx, exact, graph)[-1] < 1 / 132
 
 
 def test_layer_errors_small_m_fails_visibly(q1_spec):
@@ -73,33 +79,88 @@ def test_layer_errors_small_m_fails_visibly(q1_spec):
     tree, _ = make_tree(TreeParams(1, 40, 40))
     approx = q1_spec.with_activation("step-arctan", 1)
     exact = q1_spec.with_activation("sigma-star", 1)
-    report = layer_errors(approx, exact, tree)
-    assert 0.19 < report.final < 0.21
-    assert report.final > 10 * (1 / (2 * (tree.max_degree + 2)))
-    assert report.eps[0] == 0.0
+    eps = layer_errors(approx, exact, tree)
+    assert 0.19 < eps[-1] < 0.21
+    assert eps[-1] > 10 * (1 / (2 * (tree.max_degree + 2)))
+    assert eps[0] == 0.0
+
+
+def root_margin(q1, spec, roots):
+    """Smallest distance of the root outputs from the 1/2 decision line,
+    signed so that positives must exceed 1/2 and negatives stay below it."""
+    gaps = []
+    for tree, root in roots:
+        value = forward_outputs(spec, tree)[root]
+        gaps.append(value - 0.5 if eval_oracle(q1, tree, root) else 0.5 - value)
+    return min(gaps)
 
 
 def test_margin_exact_run_is_half(q1, q1_spec):
-    corpus = []
-    for params in (TreeParams(0, 4, 4), TreeParams(1, 4, 4)):
-        tree, root = make_tree(params)
-        corpus.append((tree, root, eval_oracle(q1, tree, root)))
-    assert expressivity_margin(q1_spec, corpus) == 0.5
+    roots = [make_tree(params) for params in (TreeParams(0, 4, 4), TreeParams(1, 4, 4))]
+    assert root_margin(q1, q1_spec, roots) == 0.5
 
 
 def test_margin_small_m_fails_to_express(q1, q1_spec):
-    corpus = []
-    for (tree, root) in tree_pair(40, "unicolor"):
-        corpus.append((tree, root, eval_oracle(q1, tree, root)))
-    margin2 = expressivity_margin(q1_spec.with_activation("step-arctan", 2), corpus)
-    assert margin2 <= 0.0
-    margin14 = expressivity_margin(q1_spec.with_activation("step-arctan", 14), corpus)
-    assert margin14 > 0.5 - 1 / 132
+    roots = tree_pair(40, "unicolor")
+    assert root_margin(q1, q1_spec.with_activation("step-arctan", 2), roots) <= 0.0
+    assert root_margin(q1, q1_spec.with_activation("step-arctan", 14), roots) > 0.5 - 1 / 132
 
 
-def test_margin_empty_corpus(q1_spec):
-    with pytest.raises(ValueError, match="empty corpus"):
-        expressivity_margin(q1_spec, [])
+def chain_spec(levels):
+    """A compiled chain of ``levels`` nested `not`, `dia>=K` and `and` over
+    two colors: one layer per level and about one coordinate per level."""
+    text = "C1"
+    for i in range(levels):
+        if i % 3 == 0:
+            text = f"not {text}"
+        elif i % 3 == 1:
+            text = f"dia>={1 + i % 4} {text}"
+        else:
+            text = f"({text} and C{1 + i % 2})" if i % 2 else f"(C2 and {text})"
+    return compile_formula(parse(text, 2), 2)
+
+
+# sha256 of the layer_errors bytes. Any change to either run or to the
+# per-layer reduction that moves one bit of one ε_t changes these.
+LAYER_ERRORS_SHA256 = {
+    "q1": "80c043497387184ba37cb00a0c53fcf07a85b2f4ba29c4a6bda346b8974ddc9b",
+    "chain": "b0f3626400cc69f40defbdd77b64e116c47299dce3a8a07550b57394e9fd4257",
+}
+
+
+def test_layer_errors_bits_pinned(q1_spec):
+    chain = chain_spec(60)
+    cases = {
+        "q1": (q1_spec.with_activation("step-arctan", 3), q1_spec.with_activation("sigma-star", 1),
+               random_graph(150, 5.0, 1, 4)),
+        "chain": (chain.with_activation("step-arctan", 14), chain.with_activation("sigma-star", 1),
+                  random_graph(500, 5.0, 2, 7)),
+    }
+    got = {}
+    for key, (approx, exact, graph) in cases.items():
+        eps = layer_errors(approx, exact, graph)
+        assert eps.shape == (approx.iterations + 1,)
+        got[key] = hashlib.sha256(eps.tobytes()).hexdigest()
+    assert got == LAYER_ERRORS_SHA256
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_layer_errors_memory_stays_per_layer():
+    # layer_errors holds two (n, d) runs, whatever the depth
+    chain = chain_spec(60)
+    approx, exact = chain.with_activation("step-arctan", 14), chain.with_activation("sigma-star", 1)
+    graph = random_graph(500, 5.0, 2, 7)
+    one_run = traced_peak(lambda: forward_outputs(approx, graph))
+    both = traced_peak(lambda: layer_errors(approx, exact, graph))
+    assert both <= 3 * one_run, (both, one_run)
 
 
 def permute_graph(graph, perm):
@@ -116,12 +177,12 @@ def test_permutation_equivariance(q2_spec):
     rng = np.random.default_rng(1)
     perm = rng.permutation(graph.n)
     permuted = permute_graph(graph, perm)
-    base = forward(q2_spec, graph).history
-    moved = forward(q2_spec, permuted).history
+    base = forward_history(q2_spec, graph)
+    moved = forward_history(q2_spec, permuted)
     assert np.array_equal(moved[:, perm, :], base)
     smooth = ActivationSpec("sigmoid", 1)
-    base_s = forward(q2_spec, graph, smooth).history
-    moved_s = forward(q2_spec, permuted, smooth).history
+    base_s = forward_history(q2_spec, graph, smooth)
+    moved_s = forward_history(q2_spec, permuted, smooth)
     assert np.allclose(moved_s[:, perm, :], base_s, atol=1e-9)
 
 
@@ -140,8 +201,8 @@ def test_locality_embeddings_depend_on_t_hop_ball(q1_spec):
     plain = path_graph(12)
     grafted = path_graph(12, extra_leaf_at=6)
     for act in (ActivationSpec("sigma-star", 1), ActivationSpec("sigmoid", 1)):
-        a = forward(q1_spec, plain, act).history
-        b = forward(q1_spec, grafted, act).history
+        a = forward_history(q1_spec, plain, act)
+        b = forward_history(q1_spec, grafted, act)
         assert np.array_equal(a[:, 0, :], b[:, 0, :])
 
 
@@ -153,7 +214,7 @@ def test_error_decay_in_composition_depth(q1_spec, capsys):
     errors = []
     for m in range(0, 17):
         approx = q1_spec.with_activation("step-arctan", m)
-        errors.append(layer_errors(approx, exact, tree).final)
+        errors.append(layer_errors(approx, exact, tree)[-1])
     violations = sum(1 for a, b in zip(errors, errors[1:]) if b > a + 1e-12)
     print(f"composition-depth decay: final errors {errors[0]:.3g} -> {errors[-1]:.3g}, "
           f"{violations} non-monotone steps")
@@ -180,7 +241,7 @@ def dense_integer_spec():
     )
 
 
-# First 16 hex digits of sha256(forward(spec, graph, act).history.tobytes()),
+# First 16 hex digits of sha256(forward_history(spec, graph, act).tobytes()),
 # per activation at m = 1 and m = 3. Any change to the forward pass that
 # moves one bit of any layer's embeddings changes these. The smooth maps'
 # values come from numpy's float64 ufuncs, so the digests hold for a given
@@ -299,12 +360,13 @@ def test_history_bits_pinned(name, q1_spec, q2_spec):
         spec, graph = specs[spec_key], graphs[graph_key]
         for m, digest in zip((1, 3), table[name]):
             act = ActivationSpec(name, m)
-            run = forward(spec, graph, act)
+            history = forward_history(spec, graph, act)
             key = (spec_key, graph_key, m)
-            got[key] = hashlib.sha256(run.history.tobytes()).hexdigest()[:16]
+            got[key] = hashlib.sha256(history.tobytes()).hexdigest()[:16]
             want[key] = digest
+            assert forward(spec, graph, act).tobytes() == history[-1].tobytes(), key
             out = forward_outputs(spec, graph, act)
-            assert np.array_equal(out, run.final[:, spec.output_index]), key
+            assert out.tobytes() == history[-1][:, spec.output_index].tobytes(), key
     assert got == want
 
 
@@ -326,9 +388,9 @@ def test_batched_forward_bits_match_per_graph(name, q1_spec, q2_spec):
     for spec in (q1_spec, q2_spec, wide):
         for m in (1, 3):
             act = ActivationSpec(name, m)
-            batched = forward(spec, union, act).history
+            batched = forward_history(spec, union, act)
             for graph, lo, hi in zip(graphs, offsets[:-1], offsets[1:]):
-                alone = forward(spec, graph, act).history
+                alone = forward_history(spec, graph, act)
                 assert batched[:, lo:hi].tobytes() == alone.tobytes(), (spec.d, m, graph.n)
 
 

@@ -11,7 +11,6 @@ from .activations import (
     convergence_bound,
     flat_tanh_constants,
     get_activation,
-    get_step_params,
     iterate,
     required_composition_depth,
     sigma_star,

@@ -30,7 +30,6 @@ __all__ = [
     "FLAT_NAMES",
     "EXACT_NAMES",
     "get_activation",
-    "get_step_params",
     "certificate",
     "apply_activation",
     "sigma_star",
@@ -69,7 +68,8 @@ class StepLikeParams:
 
 @dataclass(frozen=True)
 class Activation:
-    """Named scalar map with optional closed-form derivatives.
+    """Named scalar map with optional closed-form derivatives and its
+    step-like certificate, if it carries one.
 
     ``fn``/``d1``/``d2`` accept scalars or numpy arrays.  The registered
     maps' ``fn`` also takes ``out=``, an array (possibly the input itself)
@@ -80,6 +80,7 @@ class Activation:
     fn: Callable
     d1: Callable | None = None
     d2: Callable | None = None
+    certificate: StepLikeParams | None = None
 
 
 @dataclass(frozen=True)
@@ -322,16 +323,22 @@ def _tanh_via_sigmoid(z, out=None):
     return np.subtract(buf, 1.0, out=buf)
 
 
-def _flat_sigmoid(x, out=None):
-    """Pointwise the same map as the flat tanh variant, realized with sigmoid
-    evaluations only (tanh z == 2*sigmoid(2z) - 1)."""
+@lru_cache(maxsize=1)
+def _flat_sigmoid_constants() -> tuple[float, float]:
+    # den and tanh(1/2), both through the sigmoid realization of tanh
     a, half_alpha, _ = _flat_coeffs()
     den = 2.0 * (
         float(_tanh_via_sigmoid(a))
         - half_alpha * float(_tanh_via_sigmoid(2.0 * a))
         + float(_tanh_via_sigmoid(3.0 * a))
     )
-    t_half = float(_tanh_via_sigmoid(0.5))
+    return den, float(_tanh_via_sigmoid(0.5))
+
+
+def _flat_sigmoid(x, out=None):
+    """Pointwise the same map as the flat tanh variant, realized with sigmoid
+    evaluations only (tanh z == 2*sigmoid(2z) - 1)."""
+    den, t_half = _flat_sigmoid_constants()
     buf = _flat_shoulder(x, out, _tanh_via_sigmoid, den)
     np.subtract(buf, 0.5, out=buf)
     _tanh_via_sigmoid(buf, out=buf)
@@ -346,55 +353,45 @@ _STEP_ARCTAN_CERT = StepLikeParams(eta=0.64, eps=0.10, burn_in=0, curvature=1.52
 _STEP_TANH_CERT = StepLikeParams(eta=0.86, eps=0.16, burn_in=0, curvature=0.84)
 _FLAT_CERT = StepLikeParams(eta=0.0, eps=0.20, burn_in=0, curvature=2.2)
 
-# name -> (map, certificate); the order is the order of ACTIVATION_NAMES
+# name -> map; the order is the order of ACTIVATION_NAMES
 _REGISTRY = {
-    "sigma-star": (Activation("sigma-star", sigma_star), None),
-    "crelu": (Activation("crelu", _crelu), None),
-    "relu": (Activation("relu", _relu), None),
-    "sigmoid": (Activation("sigmoid", _sigmoid), None),
-    "tanh": (Activation("tanh", _tanh), None),
-    "step-arctan": (
-        Activation("step-arctan", _step_arctan, _step_arctan_d1, _step_arctan_d2),
-        _STEP_ARCTAN_CERT,
-    ),
-    "step-tanh": (Activation("step-tanh", _step_tanh, _step_tanh_d1, _step_tanh_d2), _STEP_TANH_CERT),
-    "steplike-tanh-eta0": (
-        Activation("steplike-tanh-eta0", _flat_tanh, _flat_tanh_d1, _flat_tanh_d2),
-        _FLAT_CERT,
-    ),
-    # pointwise identical to the tanh realization, so it shares derivatives
-    "steplike-sigmoid-eta0": (
-        Activation("steplike-sigmoid-eta0", _flat_sigmoid, _flat_tanh_d1, _flat_tanh_d2),
-        _FLAT_CERT,
-    ),
-    "arctan-4pi": (Activation("arctan-4pi", _arctan_4pi), None),
+    act.name: act
+    for act in (
+        Activation("sigma-star", sigma_star),
+        Activation("crelu", _crelu),
+        Activation("relu", _relu),
+        Activation("sigmoid", _sigmoid),
+        Activation("tanh", _tanh),
+        Activation("step-arctan", _step_arctan, _step_arctan_d1, _step_arctan_d2, _STEP_ARCTAN_CERT),
+        Activation("step-tanh", _step_tanh, _step_tanh_d1, _step_tanh_d2, _STEP_TANH_CERT),
+        Activation("steplike-tanh-eta0", _flat_tanh, _flat_tanh_d1, _flat_tanh_d2, _FLAT_CERT),
+        # pointwise identical to the tanh realization, so it shares derivatives
+        Activation("steplike-sigmoid-eta0", _flat_sigmoid, _flat_tanh_d1, _flat_tanh_d2, _FLAT_CERT),
+        Activation("arctan-4pi", _arctan_4pi),
+    )
 }
 
 ACTIVATION_NAMES = tuple(_REGISTRY)
 # The maps that carry a step-like certificate, and among them the
 # flat-shoulder (eta = 0) ones, the only ones whose composition depth grows
 # like log log of the degree.
-CERTIFIED_NAMES = tuple(name for name, (_, cert) in _REGISTRY.items() if cert is not None)
-FLAT_NAMES = tuple(name for name, (_, cert) in _REGISTRY.items() if cert is _FLAT_CERT)
+CERTIFIED_NAMES = tuple(name for name, act in _REGISTRY.items() if act.certificate is not None)
+FLAT_NAMES = tuple(name for name, act in _REGISTRY.items() if act.certificate is _FLAT_CERT)
 # The maps under which a compiled network agrees exactly with the oracle.
 EXACT_NAMES = ("sigma-star", "crelu")
 
 
 def get_activation(name: str) -> Activation:
     try:
-        return _REGISTRY[name][0]
+        return _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
-def get_step_params(name: str) -> StepLikeParams | None:
-    entry = _REGISTRY.get(name)
-    return entry[1] if entry else None
-
-
 def certificate(name: str) -> StepLikeParams:
-    """The step-like certificate of ``name``; ValueError if it carries none."""
-    params = get_step_params(name)
+    """The step-like certificate of ``name``; ValueError if ``name`` is not
+    a registered map or carries no certificate."""
+    params = get_activation(name).certificate
     if params is None:
         raise ValueError(f"{name!r} carries no step-like certificate")
     return params

@@ -178,6 +178,8 @@ def _cmd_convergence(args) -> int:
     m_lo, m_hi = None, None
     if args.m_range:
         values = _parse_int_list(args.m_range)
+        if not values:
+            raise ValueError(f"empty --m-range {args.m_range!r}")
         m_lo, m_hi = min(values), max(values)
     rows = run_convergence(args.activation, m_lo, m_hi)
     _write_out(args.out, rows_to_csv(rows))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .activations import ActivationSpec, ACTIVATION_NAMES
-from .formulas import And, Color, Diamond, Formula, Not, Top, depth, subformulas
+from .formulas import And, Color, Diamond, Formula, Not, Top, subformulas
 
 __all__ = [
     "GnnLayer",
@@ -103,40 +103,41 @@ class GnnLayer:
 
 @dataclass(frozen=True, eq=False)
 class GnnSpec:
-    """A compiled network: square layers over one coordinate per subformula.
+    """A compiled network: rule-row layers over one coordinate per subformula.
 
     ``init_kinds`` describes the iteration-0 features per coordinate:
-    ``"0"``, ``"1"``, or ``"C<i>"`` (indicator of color i).
+    ``"0"``, ``"1"``, or ``"C<i>"`` (indicator of color i).  The width ``d``
+    is its length and ``iterations`` the number of layers; the layers' rule
+    rows say where each coordinate fires.  Compiled specs also name each
+    coordinate's subformula in ``coordinate_formulas``.
     """
 
-    d: int
-    iterations: int
     output_index: int
     layers: tuple[GnnLayer, ...]
     activation: ActivationSpec
     init_kinds: tuple[str, ...]
-    palette: int | None = field(default=None, compare=False)
     coordinate_formulas: tuple[Formula, ...] | None = field(default=None, compare=False)
-    levels: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.layers) != self.iterations:
-            raise ValueError("layer count must equal the iteration count")
         if not 0 <= self.output_index < self.d:
             raise ValueError("output index out of range")
-        if len(self.init_kinds) != self.d:
-            raise ValueError("need one init kind per coordinate")
         for kind in self.init_kinds:
             if kind not in ("0", "1") and not (kind.startswith("C") and kind[1:].isdigit()):
                 raise ValueError(f"bad init kind {kind!r}")
         if any(layer.d != self.d for layer in self.layers):
             raise ValueError("layer dimension disagrees with d")
 
+    @property
+    def d(self) -> int:
+        return len(self.init_kinds)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.layers)
+
     def __eq__(self, other):
         return (
             isinstance(other, GnnSpec)
-            and self.d == other.d
-            and self.iterations == other.iterations
             and self.output_index == other.output_index
             and self.activation == other.activation
             and self.init_kinds == other.init_kinds
@@ -163,35 +164,32 @@ def compile_formula(
         raise ValueError("palette must be >= 1")
     activation = activation or ActivationSpec("sigma-star", 1)
     subs = subformulas(formula)
+    entries, children = subs.entries, subs.children
 
-    colors = sorted((g for g in subs.entries if isinstance(g, Color)), key=lambda g: g.index)
-    for atom in colors:
-        if atom.index > palette:
-            raise ValueError(f"formula uses color C{atom.index} beyond palette {palette}")
-    tops = [g for g in subs.entries if isinstance(g, Top)]
-    rest = [g for g in subs.entries if not isinstance(g, (Color, Top))]
-    coords: list[Formula] = [*colors, *tops, *rest]
-    pos = {g: i for i, g in enumerate(coords)}
+    # coordinates: color atoms by index, then top, then the rest in entry order
+    colors = sorted(
+        (i for i, g in enumerate(entries) if isinstance(g, Color)), key=lambda i: entries[i].index
+    )
+    for i in colors:
+        if entries[i].index > palette:
+            raise ValueError(f"formula uses color C{entries[i].index} beyond palette {palette}")
+    tops = [i for i, g in enumerate(entries) if isinstance(g, Top)]
+    rest = [i for i, g in enumerate(entries) if not isinstance(g, (Color, Top))]
+    order = [*colors, *tops, *rest]
+    coord = np.argsort(order).tolist()  # entry position -> coordinate
 
-    level: dict[Formula, int] = {}
-    for g in subs.entries:
-        if isinstance(g, (Color, Top)):
-            level[g] = 0
-        elif isinstance(g, Not):
-            level[g] = 1 + level[g.child]
-        elif isinstance(g, Diamond):
-            level[g] = 1 + level[g.child]
-        else:
-            level[g] = 1 + max(level[g.left], level[g.right])
+    # a connective fires one layer after the latest of its children
+    level: list[int] = []
+    for kids in children:
+        level.append(1 + max(level[k] for k in kids) if kids else 0)
 
-    d = len(coords)
-    iterations = depth(formula)
-    assert iterations >= level[formula], "iteration budget below dependency height"
-    levels = tuple(level[g] for g in coords)
+    d = len(order)
+    iterations = len(entries) - len(tops)  # the iteration budget of ``depth``
+    assert iterations >= level[-1], "iteration budget below dependency height"
     # coordinates in ascending order per level; atoms sit at level 0 and never fire
     firing: list[list[int]] = [[] for _ in range(iterations + 1)]
-    for j, lvl in enumerate(levels):
-        firing[lvl].append(j)
+    for j, i in enumerate(order):
+        firing[level[i]].append(j)
 
     layers = []
     for rows in firing[1:]:
@@ -199,47 +197,49 @@ def compile_formula(
         b_t = np.zeros((len(rows), d))
         c_t = np.zeros(len(rows))
         for r, j in enumerate(rows):
-            g = coords[j]
+            i = order[j]
+            g, kids = entries[i], [coord[k] for k in children[i]]
             if isinstance(g, Not):
-                a_t[r, pos[g.child]] = -1.0
+                a_t[r, kids[0]] = -1.0
                 c_t[r] = 1.0
             elif isinstance(g, And):
-                i1, i2 = pos[g.left], pos[g.right]
+                i1, i2 = kids
                 a_t[r, i1] = 1.0
                 if i1 != i2:
                     a_t[r, i2] = 1.0
                     c_t[r] = -1.0
             else:
-                b_t[r, pos[g.child]] = 1.0
+                b_t[r, kids[0]] = 1.0
                 c_t[r] = -(g.threshold - 1.0)
         layers.append(GnnLayer(rows, a_t, b_t, c_t))
 
+    coords = tuple(entries[i] for i in order)
     init_kinds = tuple(
         f"C{g.index}" if isinstance(g, Color) else ("1" if isinstance(g, Top) else "0")
         for g in coords
     )
     return GnnSpec(
-        d=d,
-        iterations=iterations,
-        output_index=pos[formula],
+        output_index=coord[-1],
         layers=tuple(layers),
         activation=activation,
         init_kinds=init_kinds,
-        palette=palette,
-        coordinate_formulas=tuple(coords),
-        levels=levels,
+        coordinate_formulas=coords,
     )
 
 
 def carry_forward_check(spec: GnnSpec) -> bool:
-    """True iff each layer's rule rows are exactly the coordinates whose
-    dependency level is that layer, so every other coordinate is carried.
-    Requires a compiled spec (levels)."""
-    if spec.levels is None:
-        raise ValueError("carry check needs a compiled spec with level data")
-    levels = np.asarray(spec.levels)
+    """True iff every coordinate fires at its dependency level: in at most one
+    layer's rule rows (every other layer carries it), and there exactly one
+    layer after the latest-firing coordinate its row reads, where a coordinate
+    that never fires counts as layer 0.  Only the rule rows are read, so a
+    spec read back from text is checked as a compiled one is."""
+    fired = np.zeros(spec.d, dtype=np.int64)
+    for t, layer in enumerate(spec.layers, start=1):
+        if fired[layer.rows].any():
+            return False
+        fired[layer.rows] = t
     return all(
-        np.array_equal(layer.rows, np.flatnonzero(levels == t))
+        (np.where((layer.A != 0.0) | (layer.B != 0.0), fired, 0).max(axis=1) == t - 1).all()
         for t, layer in enumerate(spec.layers, start=1)
     )
 
@@ -325,8 +325,6 @@ def spec_from_text(text: str) -> GnnSpec:
         layers.append(GnnLayer.from_dense(block[:d], block[d : 2 * d], block[2 * d]))
     try:
         return GnnSpec(
-            d=d,
-            iterations=iterations,
             output_index=output_index,
             layers=tuple(layers),
             activation=ActivationSpec(name, m),

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import (
-    ACTIVATION_NAMES,
     CERTIFIED_NAMES,
     EXACT_NAMES,
     FLAT_NAMES,
@@ -17,7 +16,6 @@ from .activations import (
     certificate,
     convergence_bound,
     get_activation,
-    get_step_params,
     iterate,
     plateau_grid,
     required_composition_depth,
@@ -92,9 +90,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.m_values or not self.k_values:
             raise ValueError("sweeps must be non-empty")
-        if self.activation not in ACTIVATION_NAMES:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        params = get_step_params(self.activation)
+        params = get_activation(self.activation).certificate  # raises for an unknown name
         if params is not None and min(self.m_values) < params.burn_in:
             raise ValueError("composition depths below the activation's burn-in")
 

@@ -3,8 +3,9 @@
 The logic has color atoms ``C1 .. Cl``, the always-true atom ``top``,
 negation, conjunction, and the graded neighborhood quantifier
 ``dia>=K phi`` ("at least K neighbors satisfy phi").  Nodes are frozen
-dataclasses, so structurally equal subformulas compare and hash equal;
-everything downstream relies on that for deduplication.
+dataclasses.  Deduplication happens once, in ``subformulas``: it numbers the
+distinct subformulas by (kind, payload, child positions), so downstream code
+indexes by position and never hashes or compares a whole subtree.
 
 Concrete grammar (whitespace-insensitive)::
 
@@ -15,7 +16,7 @@ Concrete grammar (whitespace-insensitive)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,29 +206,43 @@ def _parse_formula(tokens, i, palette_size, end_pos) -> tuple[Formula, int]:
 @dataclass(frozen=True)
 class SubformulaList:
     """Distinct subformulas in dependency order: children precede parents,
-    the root formula is the last entry."""
+    the root formula is the last entry.  ``children[i]`` holds the positions
+    of ``entries[i]``'s children."""
 
     entries: tuple[Formula, ...]
-    index: dict = field(compare=False)
+    children: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
 def subformulas(f: Formula) -> SubformulaList:
-    order: list[Formula] = []
-    index: dict[Formula, int] = {}
-
-    def visit(node: Formula) -> None:
-        if node in index:
-            return
-        for child in _children(node):
-            visit(child)
-        index[node] = len(order)
-        order.append(node)
-
-    visit(f)
-    return SubformulaList(tuple(order), index)
+    """Number the distinct subformulas of ``f`` by an iterative post-order
+    walk.  A node is keyed by its kind, payload and child positions, so equal
+    subtrees share a position without a whole subtree ever being hashed."""
+    entries: list[Formula] = []
+    children: list[tuple[int, ...]] = []
+    position: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id(node) -> position; revisited objects are skipped
+    stack = [f]
+    while stack:
+        kids = _children(stack[-1])
+        todo = [k for k in reversed(kids) if id(k) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        node = stack.pop()
+        if id(node) in done:
+            continue
+        kid_pos = tuple(done[id(k)] for k in kids)
+        payload = node.index if isinstance(node, Color) else getattr(node, "threshold", None)
+        key = (type(node), payload, kid_pos)
+        if key not in position:
+            position[key] = len(entries)
+            entries.append(node)
+            children.append(kid_pos)
+        done[id(node)] = position[key]
+    return SubformulaList(tuple(entries), tuple(children))
 
 
 def depth(f: Formula) -> int:
@@ -254,26 +269,25 @@ def _check_color(node: Color, palette: int) -> None:
 
 def eval_oracle_all(f: Formula, graph: LabeledGraph) -> np.ndarray:
     """Truth table of ``f`` at every vertex, by bottom-up evaluation."""
-    tables: dict[Formula, np.ndarray] = {}
-    for node in subformulas(f).entries:
+    subs = subformulas(f)
+    tables: list[np.ndarray] = []
+    for node, kids in zip(subs.entries, subs.children):
         if isinstance(node, Color):
             _check_color(node, graph.palette)
-            tables[node] = graph.colors == node.index
+            tables.append(graph.colors == node.index)
         elif isinstance(node, Top):
-            tables[node] = np.ones(graph.n, dtype=bool)
+            tables.append(np.ones(graph.n, dtype=bool))
         elif isinstance(node, Not):
-            tables[node] = ~tables[node.child]
+            tables.append(~tables[kids[0]])
         elif isinstance(node, And):
-            tables[node] = tables[node.left] & tables[node.right]
+            tables.append(tables[kids[0]] & tables[kids[1]])
         elif isinstance(node, Diamond):
-            child = tables[node.child].astype(np.float64)
-            counts = np.bincount(
-                graph.edge_dst, weights=child[graph.edge_src], minlength=graph.n
-            )
-            tables[node] = counts >= node.threshold
+            child = tables[kids[0]].astype(np.float64)
+            counts = np.bincount(graph.edge_dst, weights=child[graph.edge_src], minlength=graph.n)
+            tables.append(counts >= node.threshold)
         else:
             raise TypeError(f"not a formula node: {node!r}")
-    return tables[f]
+    return tables[-1]
 
 
 def eval_oracle(f: Formula, graph: LabeledGraph, v: int) -> bool:

@@ -82,49 +82,33 @@ class LabeledGraph:
         # Directed edge arrays sorted by (dst, src): per-vertex neighbor lists
         # come out in ascending order, which fixes the accumulation order of
         # neighbor sums and keeps forward passes bit-reproducible.
-        if self.edges.size:
-            src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            order = np.lexsort((src, dst))
-            src = np.ascontiguousarray(src[order])
-            dst = np.ascontiguousarray(dst[order])
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        counts = np.bincount(dst, minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, src, dst
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._adjacency[0]
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Neighbor ids, ascending within each vertex's slice of ``indptr``."""
-        return self._adjacency[1]
+        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        order = np.lexsort((src, dst))
+        return src[order], dst[order]
 
     @property
     def edge_src(self) -> np.ndarray:
-        return self._adjacency[1]
+        return self._adjacency[0]
 
     @property
     def edge_dst(self) -> np.ndarray:
-        return self._adjacency[2]
+        return self._adjacency[1]
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return np.bincount(self.edge_dst, minlength=self.n)
 
     @property
     def max_degree(self) -> int:
         return int(self.degrees.max())
 
     def neighbors(self, v: int) -> np.ndarray:
+        """Neighbor ids of ``v``, ascending."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+        lo, hi = np.searchsorted(self.edge_dst, [v, v + 1])
+        return self.edge_src[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -269,7 +253,10 @@ def read_graph(path) -> tuple[LabeledGraph, int | None]:
         if toks[0] == "root":
             if len(toks) != 2 or root is not None:
                 raise GraphFormatError(f"malformed root line {ln!r}")
-            root = int(toks[1])
+            try:
+                root = int(toks[1])
+            except ValueError as exc:
+                raise GraphFormatError(f"malformed root line {ln!r}") from exc
             continue
         if root is not None:
             raise GraphFormatError("edge line after root line")

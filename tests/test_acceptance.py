@@ -24,10 +24,10 @@ from gc2gnn import (
     random_graph,
 )
 from gc2gnn.activations import (
+    certificate,
     convergence_bound,
     flat_tanh_constants,
     get_activation,
-    get_step_params,
     iterate,
     plateau_grid,
     required_composition_depth,
@@ -94,7 +94,7 @@ def test_criterion_2_compact_weights_fixture(q1, q1_spec):
 def test_criterion_3_iterate_rates():
     worst_flat_m3 = None
     for name in CERTIFIED:
-        act, params = get_activation(name), get_step_params(name)
+        act, params = get_activation(name), certificate(name)
         grid = plateau_grid(params.eps, 100_000)
         target = sigma_star(grid)
         values = iterate(act, params.burn_in, grid)
@@ -114,7 +114,7 @@ def test_criterion_3_iterate_rates():
 
 def test_criterion_4_certificates():
     for name in ("step-arctan", "step-tanh", "steplike-tanh-eta0"):
-        report = verify_step_like(get_activation(name), get_step_params(name), tol=1e-9)
+        report = verify_step_like(get_activation(name), certificate(name), tol=1e-9)
         assert report.passed, report.describe()
     a, alpha = flat_tanh_constants()
     assert 0.45 < a < 0.46
@@ -127,7 +127,7 @@ def test_criterion_4_certificates():
 
 def test_criterion_5_end_to_end_depth(q1_spec):
     started = time.perf_counter()
-    params = get_step_params("step-arctan")
+    params = certificate("step-arctan")
     m = required_composition_depth(params, 64)
     assert m == 14
 

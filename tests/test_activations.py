@@ -11,10 +11,10 @@ from gc2gnn.activations import (
     ActivationSpec,
     StepLikeParams,
     apply_activation,
+    certificate,
     convergence_bound,
     flat_tanh_constants,
     get_activation,
-    get_step_params,
     golden_section_min,
     iterate,
     plateau_grid,
@@ -38,7 +38,7 @@ def test_sigma_star_branches():
 
 
 def test_step_arctan_values():
-    act, params = get_activation("step-arctan"), get_step_params("step-arctan")
+    act, params = get_activation("step-arctan"), certificate("step-arctan")
     assert act.fn(0.0) == pytest.approx(0.0, abs=1e-12)
     assert act.fn(1.0) == pytest.approx(1.0, abs=1e-12)
     assert act.fn(0.5) == pytest.approx(0.5, abs=1e-12)
@@ -48,7 +48,7 @@ def test_step_arctan_values():
 
 
 def test_step_tanh_values():
-    act, params = get_activation("step-tanh"), get_step_params("step-tanh")
+    act, params = get_activation("step-tanh"), certificate("step-tanh")
     assert act.fn(0.0) == pytest.approx(0.0, abs=1e-12)
     assert act.fn(1.0) == pytest.approx(1.0, abs=1e-12)
     assert params == StepLikeParams(0.86, 0.16, 0, 0.84)
@@ -76,7 +76,7 @@ def test_golden_section_rejects_monotone_objective():
 
 
 def test_flat_construction_certificates():
-    act, params = get_activation("steplike-tanh-eta0"), get_step_params("steplike-tanh-eta0")
+    act, params = get_activation("steplike-tanh-eta0"), certificate("steplike-tanh-eta0")
     assert params == StepLikeParams(0.0, 0.2, 0, 2.2)
     assert act.d1(0.0) == pytest.approx(0.0, abs=1e-10)
     assert act.d1(1.0) == pytest.approx(0.0, abs=1e-10)
@@ -156,7 +156,7 @@ def test_no_overflow_on_large_inputs():
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_verify_step_like_passes(name):
-    report = verify_step_like(get_activation(name), get_step_params(name), tol=1e-9)
+    report = verify_step_like(get_activation(name), certificate(name), tol=1e-9)
     assert report.passed, report.describe()
 
 
@@ -196,8 +196,8 @@ def test_steplike_params_validation():
 
 
 def test_convergence_bound_values():
-    arctan = get_step_params("step-arctan")
-    flat = get_step_params("steplike-tanh-eta0")
+    arctan = certificate("step-arctan")
+    flat = certificate("steplike-tanh-eta0")
     assert convergence_bound(arctan, 0) == 0.1
     assert convergence_bound(flat, 3) == pytest.approx(0.2 / 128)
     assert convergence_bound(arctan, 14) == pytest.approx(0.1 * 0.82**14)
@@ -206,15 +206,15 @@ def test_convergence_bound_values():
 
 
 def test_required_depth_scan_values():
-    arctan = get_step_params("step-arctan")
-    flat = get_step_params("steplike-tanh-eta0")
+    arctan = certificate("step-arctan")
+    flat = certificate("steplike-tanh-eta0")
     assert required_composition_depth(arctan, 64) == 14
     assert required_composition_depth(flat, 64) == 3
     assert required_composition_depth(flat, 0) == 0
 
 
 def test_required_depth_monotone_and_self_consistent():
-    params = get_step_params("step-arctan")
+    params = certificate("step-arctan")
     previous = 0
     for delta in range(0, 201, 10):
         m = required_composition_depth(params, delta)
@@ -224,7 +224,7 @@ def test_required_depth_monotone_and_self_consistent():
 
 
 def test_size_closed_forms_bracket_the_scan():
-    params = get_step_params("step-arctan")
+    params = certificate("step-arctan")
     forms = size_closed_forms(params, 64)
     # the sign-fixed closed form is an upper bound for the scanned depth
     assert required_composition_depth(params, 64) <= math.ceil(forms["log2(1+eta)"])
@@ -233,7 +233,7 @@ def test_size_closed_forms_bracket_the_scan():
 def test_iterate_error_within_bound_for_all_certified():
     # the geometric/doubly-exponential rate over the collar, m up to burn-in + 20
     for name in CERTIFIED:
-        act, params = get_activation(name), get_step_params(name)
+        act, params = get_activation(name), certificate(name)
         grid = plateau_grid(params.eps, 20_001)
         target = sigma_star(grid)
         values = iterate(act, params.burn_in, grid)

@@ -188,6 +188,11 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      "need --graph and/or --random-graphs", id="check-exact-no-graphs"),
         pytest.param(("separation", "--formula", "dia>=1 C1", "--palette", "0"),
                      "palette_size must be >= 1", id="palette-0"),
+        pytest.param(("convergence", "--activation", "step-arctan", "--m-range", "5:2"),
+                     "empty --m-range '5:2'", id="m-range-5:2"),
+        pytest.param(("steplike-verify", "foo"), "unknown activation 'foo'", id="steplike-verify-foo"),
+        pytest.param(("steplike-verify", "relu"), "'relu' carries no step-like certificate",
+                     id="steplike-verify-relu"),
     ],
 )
 def test_cli_eval_vertex_out_of_range(tmp_path, args, message):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -39,13 +41,10 @@ def compact_q1_net():
     c = np.array([-1, 1, 0, 1], dtype=float)
     layer = GnnLayer.from_dense(A, B, c)
     return GnnSpec(
-        d=4,
-        iterations=4,
         output_index=3,
         layers=(layer,) * 4,
         activation=ActivationSpec("sigma-star", 1),
         init_kinds=("1", "0", "0", "0"),
-        palette=1,
     )
 
 
@@ -89,6 +88,35 @@ def test_chain_stores_one_rule_row_per_connective():
         assert layer.A.shape == layer.B.shape == (layer.rows.size, spec.d)
         assert GnnLayer.from_dense(*layer.dense()) == layer
     assert carry_forward_check(spec)
+
+
+# sha256 of the concatenated spec texts of 400 seeded random formulas and a
+# 60- and a 140-level chain, recorded before subformulas were numbered by
+# position: any change to the coordinate order or the rule rows shows here.
+SPEC_TEXT_SHA256 = "e66f3e80870bf1f64c238ef1d936f2d6327294f5463f6a9b0a7195f8f82e55f1"
+
+
+def test_spec_text_bits_pinned():
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        formula = random_formula(rng, 3, max_depth=8, max_threshold=4)
+        digest.update(spec_to_text(compile_formula(formula, 3)).encode())
+    for levels in (60, 140):
+        digest.update(spec_to_text(compile_formula(chain_formula(levels), 2)).encode())
+    assert digest.hexdigest() == SPEC_TEXT_SHA256
+
+
+def test_deep_nesting_compiles_and_matches_oracle():
+    # 750 nested connectives: deeper than a recursive walk over the formula
+    # could go, but within what parse accepts
+    formula = parse("dia>=1 (C1 and not " * 250 + "top" + ")" * 250, 2)
+    spec = compile_formula(formula, 2)
+    assert carry_forward_check(spec)
+    for seed in range(3):
+        graph = random_graph(40, 3.0, 2, seed)
+        want = eval_oracle_all(formula, graph)
+        assert np.array_equal(forward_outputs(spec, graph), want.astype(np.float64)), seed
 
 
 @pytest.mark.parametrize(
@@ -226,22 +254,22 @@ def test_carry_forward_check_rejects_zeroed_row(q1_spec):
     A[0, 0] = 0.0  # kill the always-true coordinate's carry in layer 3
     layers[2] = GnnLayer.from_dense(A, B, c)
     broken = GnnSpec(
-        d=q1_spec.d,
-        iterations=q1_spec.iterations,
         output_index=q1_spec.output_index,
         layers=tuple(layers),
         activation=q1_spec.activation,
         init_kinds=q1_spec.init_kinds,
-        palette=q1_spec.palette,
         coordinate_formulas=q1_spec.coordinate_formulas,
-        levels=q1_spec.levels,
     )
     assert not carry_forward_check(broken)
 
 
-def test_carry_forward_check_needs_levels():
-    with pytest.raises(ValueError, match="compiled spec"):
-        carry_forward_check(compact_q1_net())
+def test_carry_forward_check_reads_specs_from_text(q2_spec):
+    assert carry_forward_check(spec_from_text(spec_to_text(q2_spec)))
+
+
+def test_carry_forward_check_rejects_rows_firing_every_layer():
+    # the compact net recomputes all four coordinates in each of its layers
+    assert not carry_forward_check(compact_q1_net())
 
 
 # -- serialization ----------------------------------------------------------------
@@ -263,7 +291,7 @@ def test_spec_text_is_integer_valued(q1_spec):
 
 def test_spec_serializer_rejects_fractions():
     layer = GnnLayer.from_dense(np.array([[0.5]]), np.zeros((1, 1)), np.zeros(1))
-    spec = GnnSpec(1, 1, 0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
+    spec = GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
     with pytest.raises(ValueError, match="non-integer"):
         spec_to_text(spec)
 

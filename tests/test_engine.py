@@ -231,13 +231,10 @@ def dense_integer_spec():
         for _ in range(3)
     )
     return GnnSpec(
-        d=d,
-        iterations=3,
         output_index=d - 1,
         layers=layers,
         activation=ActivationSpec("sigma-star", 1),
         init_kinds=("C1", "C2", "1", "0", "C1", "0"),
-        palette=2,
     )
 
 

@@ -139,12 +139,14 @@ def test_subformulas_topologically_sorted(f):
     subs = subformulas(f)
     assert subs.entries[-1] == f
     for j, node in enumerate(subs.entries):
-        for child in (
+        children = (
             (node.child,) if isinstance(node, (Not, Diamond))
             else (node.left, node.right) if isinstance(node, And)
             else ()
-        ):
-            assert subs.index[child] < j
+        )
+        assert len(subs.children[j]) == len(children)
+        for child, k in zip(children, subs.children[j]):
+            assert k < j and subs.entries[k] == child
 
 
 def test_depth_values():

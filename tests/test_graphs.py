@@ -249,21 +249,35 @@ def test_io_round_trip_colored(tmp_path):
     assert back == g
 
 
+def _bad_graph(content, label, message):
+    return pytest.param(content, message, id=f"{content}-{label}")
+
+
+# Every message read_graph raises, pinned in full.
 @pytest.mark.parametrize(
-    "content,fragment",
+    "content,message",
     [
-        ("3 1\n1 1 1\n0 0\n", "self-loop"),
-        ("3 1\n1 1 2\n", "color out of range"),
-        ("3 1\n1 1\n", "expected 3 colors"),
-        ("3 1\n1 1 1\n1 0\n", "must satisfy u < v"),
-        ("3 1\n1 1 1\n0 5\n", "out of range"),
-        ("3 1\n1 1 1\nroot 7\n", "root 7 out of range"),
-        ("junk\n", "file too short"),
-        ("a b\n1\n", "malformed header"),
+        _bad_graph("junk\n", "file too short", "file too short: need a header line and a color line"),
+        _bad_graph("3\n1 1 1\n", "one-token header", "malformed header '3': expected 'n palette'"),
+        _bad_graph("a b\n1\n", "malformed header", "malformed header 'a b'"),
+        _bad_graph("3 1\n1 1\n", "expected 3 colors", "expected 3 colors, found 2"),
+        _bad_graph("3 2\n1 x 1\n", "non-integer color", "non-integer color entry"),
+        _bad_graph("3 1\n1 1 2\n", "color out of range", "color out of range [1, palette]"),
+        _bad_graph("3 1\n1 1 1\nroot x\n", "root x", "malformed root line 'root x'"),
+        _bad_graph("3 1\n1 1 1\nroot\n", "bare root", "malformed root line 'root'"),
+        _bad_graph("3 1\n1 1 1\nroot 0\nroot 1\n", "two roots", "malformed root line 'root 1'"),
+        _bad_graph("3 1\n1 1 1\nroot 0\n0 1\n", "edge after root", "edge line after root line"),
+        _bad_graph("3 1\n1 1 1\n0 1 2\n", "three tokens", "malformed edge line '0 1 2'"),
+        _bad_graph("3 1\n1 1 1\n0 x\n", "non-integer endpoint", "malformed edge line '0 x'"),
+        _bad_graph("3 1\n1 1 1\n0 0\n", "self-loop", "self-loop 0 0"),
+        _bad_graph("3 1\n1 1 1\n1 0\n", "must satisfy u < v", "edge 1 0 must satisfy u < v"),
+        _bad_graph("3 1\n1 1 1\n0 5\n", "out of range", "edge 0 5 out of range for n=3"),
+        _bad_graph("3 1\n1 1 1\nroot 7\n", "root 7 out of range", "root 7 out of range for n=3"),
     ],
 )
-def test_io_rejects_malformed(tmp_path, content, fragment):
+def test_io_rejects_malformed(tmp_path, content, message):
     path = tmp_path / "bad.graph"
     path.write_text(content)
-    with pytest.raises(GraphFormatError, match=fragment):
+    with pytest.raises(GraphFormatError) as info:
         read_graph(path)
+    assert str(info.value) == message

@@ -116,13 +116,16 @@ def _buffer(x, out):
 
 
 def sigma_star(x, out=None):
-    """Hard threshold at 1/2: 0 below, 1 above, 1/2 at the tie."""
+    """Hard threshold at 1/2: 0 below, 1 above, 1/2 at the tie and at NaN.
+
+    Computed as ``((x > 1/2) - (x < 1/2)) / 2 + 1/2`` with no masks: both
+    comparisons are false at NaN, so it maps to 1/2, and the zero it returns
+    is always +0.0 (``-0.5 + 0.5``).
+    """
     arr, buf = _buffer(x, out)
-    above, below = arr > 0.5, arr < 0.5
-    buf.fill(0.5)
-    buf[above] = 1.0
-    buf[below] = 0.0
-    return _maybe_scalar(buf, x)
+    np.subtract(arr > 0.5, arr < 0.5, out=buf, dtype=np.float64)
+    np.multiply(buf, 0.5, out=buf)
+    return _maybe_scalar(np.add(buf, 0.5, out=buf), x)
 
 
 def _relu(x, out=None):
@@ -247,6 +250,7 @@ def flat_tanh_constants() -> tuple[float, float]:
     return golden_section_min(_sharpness_objective, 0.3, 0.6, tol=1e-10)
 
 
+@lru_cache(maxsize=1)
 def _flat_coeffs() -> tuple[float, float, float]:
     # half_alpha is the coefficient that zeroes the inner map's derivative at
     # the fixed points; den normalizes the inner map to fix 0 and 1.
@@ -401,9 +405,28 @@ def certificate(name: str) -> StepLikeParams:
 # iteration and application
 
 
+# Elements of the flat buffer that _compose takes through all m steps before
+# it moves on: 512 KB of float64, which stays in L2 across the steps.
+_BLOCK = 1 << 16
+
+
 def _compose(fn, m: int, out: np.ndarray) -> None:
-    for _ in range(m):
-        fn(out, out=out)
+    """Apply ``fn`` ``m`` times in place to ``out``, a dense array such as
+    ``np.array`` makes, one ``_BLOCK``-element block at a time in memory order.
+
+    Each step is elementwise, so blocking changes no bits: the block size is
+    a power of two, so every block but the last starts at the same alignment
+    as ``out`` and is a whole number of SIMD vectors, and numpy's loops take
+    the same vector and remainder paths for each element as on the whole
+    array.  A map's temporaries are one block in size.
+    """
+    # a view in memory order for C-, F- and axis-permuted dense layouts,
+    # where reshape(-1) would copy all but the first
+    flat = out.ravel(order="K")
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
+        for _ in range(m):
+            fn(block, out=block)
 
 
 def iterate(activation: Activation, m: int, x):

@@ -3,9 +3,11 @@
 The logic has color atoms ``C1 .. Cl``, the always-true atom ``top``,
 negation, conjunction, and the graded neighborhood quantifier
 ``dia>=K phi`` ("at least K neighbors satisfy phi").  Nodes are frozen
-dataclasses.  Deduplication happens once, in ``subformulas``: it numbers the
-distinct subformulas by (kind, payload, child positions), so downstream code
-indexes by position and never hashes or compares a whole subtree.
+dataclasses that compare and hash structurally without recursion, so ``==``
+and ``hash`` work at any depth ``parse`` accepts.  Deduplication happens
+once, in ``subformulas``: it numbers the distinct subformulas by (kind,
+payload, child positions), so downstream code indexes by position and never
+hashes or compares a whole subtree.
 
 Concrete grammar (whitespace-insensitive)::
 
@@ -44,38 +46,63 @@ __all__ = [
 
 
 class Formula:
+    """Base of the node classes.  Equality and hashing are structural but
+    never recurse: each node caches its hash at construction from its
+    children's cached hashes, and ``==`` walks both trees with a stack."""
+
     __slots__ = ()
+
+    def __post_init__(self):
+        key = (_KINDS.index(type(self)), _payload(self), *(c._hash for c in _children(self)))
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash or _payload(a) != _payload(b):
+                return False
+            stack.extend(zip(_children(a), _children(b)))
+        return True
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Color(Formula):
     index: int
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError(f"color index must be >= 1, got {self.index}")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diamond(Formula):
     """At least ``threshold`` neighbors satisfy ``child``."""
 
@@ -85,9 +112,11 @@ class Diamond(Formula):
     def __post_init__(self):
         if self.threshold < 1:
             raise ValueError(f"diamond threshold must be >= 1, got {self.threshold}")
+        super().__post_init__()
 
 
-TOP = Top()
+# The node kinds, in the order whose positions tag a node's hash.
+_KINDS = (Color, Top, Not, And, Diamond)
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
@@ -98,6 +127,15 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, Diamond):
         return (f.child,)
     return ()
+
+
+def _payload(f: Formula) -> int | None:
+    if isinstance(f, Color):
+        return f.index
+    return f.threshold if isinstance(f, Diamond) else None
+
+
+TOP = Top()
 
 
 def to_text(f: Formula) -> str:
@@ -235,8 +273,7 @@ def subformulas(f: Formula) -> SubformulaList:
         if id(node) in done:
             continue
         kid_pos = tuple(done[id(k)] for k in kids)
-        payload = node.index if isinstance(node, Color) else getattr(node, "threshold", None)
-        key = (type(node), payload, kid_pos)
+        key = (type(node), _payload(node), kid_pos)
         if key not in position:
             position[key] = len(entries)
             entries.append(node)

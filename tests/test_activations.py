@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,3 +244,96 @@ def test_iterate_error_within_bound_for_all_certified():
             assert observed <= convergence_bound(params, m) + 1e-12, (name, m)
             values = act.fn(values)
 
+
+
+# -- bits and memory across composition blocks ----------------------------------
+
+# Elements in the pinned input: three whole 2**16-element blocks and a ragged
+# tail, so every boundary between blocks is crossed.
+_MULTI_BLOCK_SIZE = 3 * 2**16 + 7
+# Fixed positions of the special values, some on either side of a boundary.
+_SPECIALS = {
+    0: np.nan, 1: np.inf, 2: -np.inf, 3: 0.0, 4: -0.0, 5: 0.5,
+    2**16 - 1: np.nan, 2**16: -0.0, 2 * 2**16 - 1: 0.5, 2 * 2**16: np.inf,
+    3 * 2**16: -np.inf, _MULTI_BLOCK_SIZE - 1: np.nan,
+}
+
+
+def multi_block_input() -> np.ndarray:
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(-1.5, 2.5, _MULTI_BLOCK_SIZE)
+    ints = rng.random(_MULTI_BLOCK_SIZE) < 0.3
+    x[ints] = rng.integers(-4, 6, int(ints.sum()))
+    for i, value in _SPECIALS.items():
+        x[i] = value
+    return x
+
+
+# First 16 hex digits of sha256(apply_activation(name, m, x).tobytes()) on
+# multi_block_input(), at m = 1 and m = 3. As for the forward digests, the
+# smooth maps' bits hold for a given numpy build and CPU family.
+MULTI_BLOCK_SHA256 = {
+    "sigma-star": ("a78fc4804547a010", "a78fc4804547a010"),
+    "crelu": ("06f9314e864e604b", "06f9314e864e604b"),
+    "relu": ("6dd9c704bbf6e0e0", "6dd9c704bbf6e0e0"),
+    "sigmoid": ("41f66bd8f4f0cd99", "8cfd56a4dd68ecc5"),
+    "tanh": ("8d6920d2c8a44809", "3e5c67df538b80e1"),
+    "step-arctan": ("fe9db3a02a1f1b70", "555aa6e630210286"),
+    "step-tanh": ("9c69d60b69b4f263", "695166e0225db4f3"),
+    "steplike-tanh-eta0": ("7964f29798f2d434", "3932e29f65736f8e"),
+    "steplike-sigmoid-eta0": ("ebee0f50074a2b31", "939afa94bd19f20c"),
+    "arctan-4pi": ("5e2f5fd8d3719d4c", "42a1db42eabc1f53"),
+}
+
+
+@pytest.mark.parametrize("name", ACTIVATION_NAMES)
+def test_multi_block_bits_pinned(name):
+    x = multi_block_input()
+    wide = np.zeros(2 * x.size)
+    wide[::2] = x
+    for m, digest in zip((1, 3), MULTI_BLOCK_SHA256[name]):
+        for label, values in (("contiguous", x), ("strided", wide[::2])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = apply_activation(name, m, values)
+            assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest, (m, label)
+
+
+def test_sigma_star_special_values():
+    x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -np.nan])
+    out = sigma_star(x)
+    assert out.tobytes() == np.array([0.5, 1.0, 0.0, 0.0, 0.0, 0.5, 0.5]).tobytes()
+    assert not np.signbit(out).any()
+    assert sigma_star(float("nan")) == 0.5
+    assert math.copysign(1.0, sigma_star(-0.0)) == 1.0
+    # in place, as the composition runs it
+    buf = x.copy()
+    sigma_star(buf, out=buf)
+    assert buf.tobytes() == out.tobytes()
+
+
+def test_composition_memory_stays_per_block():
+    # the output plus one block's temporaries, not full-size ones
+    x = np.linspace(-2.0, 3.0, 10**6)
+    tracemalloc.start()
+    try:
+        apply_activation("steplike-tanh-eta0", 3, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * x.nbytes, (peak, x.nbytes)
+
+
+@pytest.mark.parametrize("name", ["step-arctan", "sigma-star", "arctan-4pi"])
+def test_composition_keeps_memory_order(name):
+    # F-ordered and axis-permuted inputs are composed in their own layout,
+    # with the bits of the C-ordered input and the input left unchanged
+    x = multi_block_input()[: 6 * 2**15].reshape(4, 3, 2**14)
+    with np.errstate(invalid="ignore"):
+        want = apply_activation(name, 3, x)
+        cases = [(np.asfortranarray(x), want)]
+        cases += [(x.transpose(axes), want.transpose(axes)) for axes in ((1, 0, 2), (2, 1, 0))]
+        for values, expected in cases:
+            before = values.copy()
+            out = apply_activation(name, 3, values)
+            assert np.array_equal(values, before, equal_nan=True)
+            assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(expected).tobytes()

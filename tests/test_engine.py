@@ -397,3 +397,24 @@ def test_batched_oracle_matches_per_graph(q2):
     whole = eval_oracle_all(q2, union)
     for graph, lo, hi in zip(graphs, offsets[:-1], offsets[1:]):
         assert np.array_equal(whole[lo:hi], eval_oracle_all(q2, graph))
+
+
+def sparse_random_graph(n, edges, palette, seed):
+    """A seeded graph from ``edges`` uniform vertex pairs, self-loops dropped:
+    O(n + E) to draw, unlike ``random_graph``'s O(n^2) pair scan."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(edges, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return LabeledGraph(n, palette, rng.integers(1, palette + 1, n), pairs)
+
+
+# sha256 of forward_outputs for q2 under step-arctan m = 14 on a graph whose
+# (n, d) features span more than two 2**16-element composition blocks.
+MULTI_BLOCK_FORWARD_SHA256 = "4227b6eb9d188662db7049aee16f2bd3aef44fcd2410ed97b0886f86344cc520"
+
+
+def test_multi_block_forward_bits_pinned(q2_spec):
+    graph = sparse_random_graph(20_000, 50_000, 2, 17)
+    assert graph.n * q2_spec.d > 2 * 2**16
+    out = forward_outputs(q2_spec, graph, ActivationSpec("step-arctan", 14))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == MULTI_BLOCK_FORWARD_SHA256

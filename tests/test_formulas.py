@@ -232,3 +232,17 @@ def test_node_invariants():
         Color(0)
     with pytest.raises(ValueError):
         Diamond(0, TOP)
+
+
+def test_deep_formula_equality_and_hash():
+    # 900 nested connectives: deeper than recursive __eq__/__hash__ could go
+    text = "dia>=1 (C1 and not " * 300 + "top" + ")" * 300
+    a, b = parse(text, 2), parse(text, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    c = parse(text.replace("C1", "C2", 1), 2)
+    assert a != c and c != a
+    assert Not(a) != a and And(a, c) != And(c, a)
+    assert Diamond(1, TOP) != Diamond(2, TOP) and Color(1) != Color(2)
+    assert Color(1) != TOP and Color(1) != 1
+    assert {Color(1): 0}[Color(1)] == 0

@@ -14,6 +14,7 @@ carries written out exist only in the text format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,17 @@ class GnnLayer:
     @property
     def d(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def reads(self) -> np.ndarray:
+        """The ascending columns with a nonzero coefficient in ``A`` or ``B``."""
+        return np.flatnonzero(self.A.any(axis=0) | self.B.any(axis=0))
+
+    @cached_property
+    def agg_reads(self) -> np.ndarray:
+        """The ascending columns with a nonzero coefficient in ``B``: the
+        neighbour sums the layer needs."""
+        return np.flatnonzero(self.B.any(axis=0))
 
     @classmethod
     def from_dense(cls, A, B, c) -> "GnnLayer":

@@ -41,12 +41,18 @@ def forward(
     spec: GnnSpec,
     graph: LabeledGraph,
     activation: ActivationSpec | None = None,
+    *,
+    keep=None,
 ) -> np.ndarray:
     """Run the compiled network on ``graph`` and return the (n, d) features
-    after the last layer; activation defaults to the spec's own."""
+    after the last layer; activation defaults to the spec's own.
+
+    With ``keep``, a sequence of coordinates, only those columns hold their
+    final values; the others may be stale, and are not activated where no
+    kept value depends on them."""
     act = activation or spec.activation
     init = initial_features(spec, graph)
-    return backend_mod.run_forward(init, graph, spec.layers, act.name, act.m)
+    return backend_mod.run_forward(init, graph, spec.layers, act.name, act.m, keep)
 
 
 def forward_outputs(
@@ -56,7 +62,8 @@ def forward_outputs(
 ) -> np.ndarray:
     """Final value of the output coordinate at every vertex, as an array of
     its own (not a view that would keep the whole last layer alive)."""
-    return forward(spec, graph, activation)[:, spec.output_index].copy()
+    out = spec.output_index
+    return forward(spec, graph, activation, keep=(out,))[:, out].copy()
 
 
 def layer_errors(

@@ -211,13 +211,11 @@ def random_graph(n: int, avg_degree: float, palette: int, seed: int) -> LabeledG
 
 def write_graph(path, graph: LabeledGraph, root: int | None = None) -> None:
     """Write the line-oriented text format (header, colors, edges, optional root)."""
-    lines = [f"{graph.n} {graph.palette}"]
-    lines.append(" ".join(str(c) for c in graph.colors))
-    for u, v in graph.edges:
-        lines.append(f"{u} {v}")
+    if root is not None and not 0 <= root < graph.n:
+        raise ValueError(f"root {root} out of range")
+    lines = [f"{graph.n} {graph.palette}", " ".join(map(str, graph.colors.tolist()))]
+    lines.extend(f"{u} {v}" for u, v in graph.edges.tolist())
     if root is not None:
-        if not 0 <= root < graph.n:
-            raise ValueError(f"root {root} out of range")
         lines.append(f"root {root}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,9 +1,11 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import gc2gnn
+from gc2gnn import activations, backend, engine
 
 
 def test_public_names_resolve():
@@ -17,3 +19,11 @@ def test_public_names_resolve():
             module = importlib.import_module(f"gc2gnn.{node.module}")
             for alias in node.names:
                 assert alias.name in module.__all__, f"gc2gnn imports {alias.name} outside {node.module}.__all__"
+
+
+def test_traced_functions_keep_their_parameters():
+    # perfbench/tracing.py wraps these functions by module and name, and its
+    # counters read their arguments by position or by these names
+    assert list(inspect.signature(engine.forward).parameters)[:3] == ["spec", "graph", "activation"]
+    assert list(inspect.signature(activations.apply_activation).parameters)[:3] == ["name", "m", "values"]
+    assert callable(getattr(backend, "run_forward", None))

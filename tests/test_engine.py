@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gc2gnn import (
     ACTIVATION_NAMES,
@@ -18,12 +20,14 @@ from gc2gnn import (
     eval_oracle_all,
     forward,
     forward_outputs,
+    initial_features,
     layer_errors,
     make_tree,
     parse,
     random_formula,
     random_graph,
 )
+from gc2gnn.backend import run_forward
 from gc2gnn.experiments import tree_pair
 
 from conftest import forward_history
@@ -51,6 +55,42 @@ def test_zero_iteration_spec_returns_init(triangle):
     spec = compile_formula(TOP, 1)
     assert np.array_equal(forward(spec, triangle), np.ones((3, 1)))
     assert forward_history(spec, triangle).shape == (1, 3, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 40),
+    st.sampled_from(ACTIVATION_NAMES),
+    st.sampled_from((0, 1, 3)),
+)
+def test_live_columns_keep_every_output_bit(seed, n, name, m):
+    # forward_outputs activates only the columns the output depends on and
+    # forward only those some later layer or the result reads; the one-layer
+    # steps of forward_history activate every column at every layer
+    rng = np.random.default_rng(seed)
+    spec = compile_formula(random_formula(rng, 2, max_depth=8), 2)
+    graph = random_graph(n, float(rng.uniform(0.0, min(6.0, n - 1))), 2, seed)
+    act = ActivationSpec(name, m)
+    last = forward_history(spec, graph, act)[-1]
+    want = last[:, spec.output_index].tobytes()
+    assert forward_outputs(spec, graph, act).tobytes() == want
+    assert forward(spec, graph, act)[:, spec.output_index].tobytes() == want
+    kept = [0, spec.output_index]
+    assert forward(spec, graph, act, keep=tuple(kept))[:, kept].tobytes() == last[:, kept].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_run_forward_rejects_non_finite_init(q2_spec, bad):
+    # a column no layer reads still meets a zero coefficient in the
+    # full-width combine, and 0 * inf is NaN
+    graph = random_graph(20, 3.0, 2, 1)
+    read = set().union(*(layer.reads.tolist() for layer in q2_spec.layers))
+    unread = min(set(range(q2_spec.d)) - read)
+    init = initial_features(q2_spec, graph)
+    init[:, unread] = bad
+    with pytest.raises(ValueError, match="finite"):
+        run_forward(init, graph, q2_spec.layers, "sigma-star", 1, keep=(q2_spec.output_index,))
 
 
 def test_layer_errors_identical_runs(q1_spec, triangle):

@@ -249,6 +249,29 @@ def test_io_round_trip_colored(tmp_path):
     assert back == g
 
 
+# sha256 of the file write_graph writes for random_graph(40, 3.0, 3, 5),
+# without a root and with root 7.
+WRITE_GRAPH_SHA256 = {
+    None: "37df57dddfecc30a2bcd955480a5ae5600be21cab1334e19e0fb86cab59e8117",
+    7: "f350d48e1cbba6883c045f2b2c21bd777b2ebb861a4fc5f47132f18c212a3c77",
+}
+
+
+@pytest.mark.parametrize("root", [None, 7])
+def test_write_graph_bytes_pinned(tmp_path, root):
+    path = tmp_path / "g.graph"
+    write_graph(path, random_graph(40, 3.0, 3, 5), root=root)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITE_GRAPH_SHA256[root]
+
+
+@pytest.mark.parametrize("root", [-1, 3])
+def test_write_graph_rejects_bad_root_before_writing(tmp_path, triangle, root):
+    path = tmp_path / "tri.graph"
+    with pytest.raises(ValueError, match=f"root {root} out of range"):
+        write_graph(path, triangle, root=root)
+    assert not path.exists()
+
+
 def _bad_graph(content, label, message):
     return pytest.param(content, message, id=f"{content}-{label}")
 

@@ -181,12 +181,18 @@ def _step_arctan_d2(x):
 _TANH_HALF = math.tanh(0.5)
 
 
-def _step_tanh(x, out=None):
+def _tanh_step(x, out, tanh, t_half):
+    """``1/2 + tanh(x - 1/2) / (2 t_half)`` for a realization
+    ``tanh(z, out=...)`` of tanh and its value ``t_half`` at 1/2."""
     arr, buf = _buffer(x, out)
     np.subtract(arr, 0.5, out=buf)
-    np.tanh(buf, out=buf)
-    np.divide(buf, 2.0 * _TANH_HALF, out=buf)
-    return _maybe_scalar(np.add(0.5, buf, out=buf), x)
+    tanh(buf, out=buf)
+    np.divide(buf, 2.0 * t_half, out=buf)
+    return np.add(0.5, buf, out=buf)
+
+
+def _step_tanh(x, out=None):
+    return _maybe_scalar(_tanh_step(x, out, np.tanh, _TANH_HALF), x)
 
 
 def _step_tanh_d1(x):
@@ -250,20 +256,27 @@ def flat_tanh_constants() -> tuple[float, float]:
     return golden_section_min(_sharpness_objective, 0.3, 0.6, tol=1e-10)
 
 
-@lru_cache(maxsize=1)
-def _flat_coeffs() -> tuple[float, float, float]:
-    # half_alpha is the coefficient that zeroes the inner map's derivative at
-    # the fixed points; den normalizes the inner map to fix 0 and 1.
+@lru_cache(maxsize=2)
+def _flat_coeffs(tanh) -> tuple[float, float, float, float]:
+    """``(a, alpha/2, den, tanh(1/2))`` with tanh evaluated by ``tanh``, a
+    module-level realization (the cache is keyed on it).
+
+    alpha/2 is the coefficient that zeroes the inner map's derivative at the
+    fixed points; den normalizes the inner map to fix 0 and 1.  The tanh
+    variant's constants are ``math.tanh``'s, whose values can differ from
+    ``np.tanh``'s in the last bit.
+    """
     a, alpha = flat_tanh_constants()
     half_alpha = alpha / 2.0
-    den = 2.0 * (math.tanh(a) - half_alpha * math.tanh(2.0 * a) + math.tanh(3.0 * a))
-    return a, half_alpha, den
+    den = 2.0 * (float(tanh(a)) - half_alpha * float(tanh(2.0 * a)) + float(tanh(3.0 * a)))
+    return a, half_alpha, den, float(tanh(0.5))
 
 
-def _flat_shoulder(x, out, tanh, den):
+def _flat_shoulder(x, out, tanh, coeffs):
     """``(tanh(a u) - (alpha/2) tanh(2 a u) + tanh(3 a u)) / den + 1/2`` with
-    ``u = 2x - 1``, for a given realization ``tanh(z, out=...)`` of tanh."""
-    a, half_alpha, _ = _flat_coeffs()
+    ``u = 2x - 1``, for a realization ``tanh(z, out=...)`` of tanh and its
+    ``_flat_coeffs``."""
+    a, half_alpha, den, _ = coeffs
     arr, buf = _buffer(x, out)
     u = np.multiply(2.0, arr, out=buf)
     np.subtract(u, 1.0, out=u)
@@ -279,11 +292,11 @@ def _flat_shoulder(x, out, tanh, den):
 
 
 def _flat_inner(x, out=None):
-    return _flat_shoulder(x, out, np.tanh, _flat_coeffs()[2])
+    return _flat_shoulder(x, out, np.tanh, _flat_coeffs(math.tanh))
 
 
 def _flat_inner_d1(x):
-    a, half_alpha, den = _flat_coeffs()
+    a, half_alpha, den, _ = _flat_coeffs(math.tanh)
     u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
     s1 = 1.0 / np.cosh(a * u) ** 2
     s2 = 1.0 / np.cosh(2.0 * a * u) ** 2
@@ -292,7 +305,7 @@ def _flat_inner_d1(x):
 
 
 def _flat_inner_d2(x):
-    a, half_alpha, den = _flat_coeffs()
+    a, half_alpha, den, _ = _flat_coeffs(math.tanh)
     u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
 
     def st(w):
@@ -327,27 +340,12 @@ def _tanh_via_sigmoid(z, out=None):
     return np.subtract(buf, 1.0, out=buf)
 
 
-@lru_cache(maxsize=1)
-def _flat_sigmoid_constants() -> tuple[float, float]:
-    # den and tanh(1/2), both through the sigmoid realization of tanh
-    a, half_alpha, _ = _flat_coeffs()
-    den = 2.0 * (
-        float(_tanh_via_sigmoid(a))
-        - half_alpha * float(_tanh_via_sigmoid(2.0 * a))
-        + float(_tanh_via_sigmoid(3.0 * a))
-    )
-    return den, float(_tanh_via_sigmoid(0.5))
-
-
 def _flat_sigmoid(x, out=None):
     """Pointwise the same map as the flat tanh variant, realized with sigmoid
     evaluations only (tanh z == 2*sigmoid(2z) - 1)."""
-    den, t_half = _flat_sigmoid_constants()
-    buf = _flat_shoulder(x, out, _tanh_via_sigmoid, den)
-    np.subtract(buf, 0.5, out=buf)
-    _tanh_via_sigmoid(buf, out=buf)
-    np.divide(buf, 2.0 * t_half, out=buf)
-    return _maybe_scalar(np.add(0.5, buf, out=buf), x)
+    coeffs = _flat_coeffs(_tanh_via_sigmoid)
+    buf = _flat_shoulder(x, out, _tanh_via_sigmoid, coeffs)
+    return _maybe_scalar(_tanh_step(buf, buf, _tanh_via_sigmoid, coeffs[3]), x)
 
 
 # --------------------------------------------------------------------------
@@ -523,9 +521,10 @@ def size_closed_forms(params: StepLikeParams, max_degree: int) -> dict[str, floa
 
 
 # The samples verify_step_like checks: a wide grid for the one-step
-# contraction and the plateau collar.
+# contraction and the plateau collar; and the slack of its verdicts.
 _WIDE_LO, _WIDE_HI, _WIDE_POINTS = -50.0, 51.0, 100_000
 _COLLAR_POINTS = 20_001
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -547,7 +546,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class StepLikeReport:
     activation: str
-    params: StepLikeParams
     passed: bool
     checks: tuple[CheckResult, ...]
     grid_note: str
@@ -557,7 +555,7 @@ class StepLikeReport:
         return "\n".join([head] + ["  " + c.describe() for c in self.checks])
 
 
-def verify_step_like(activation: Activation, params: StepLikeParams, tol: float = 1e-9) -> StepLikeReport:
+def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLikeReport:
     """Check the step-like conditions against a certificate.
 
     (a) fixes 0 and 1; (b) derivative at 0 and 1 at most eta; (c) the burn-in
@@ -565,10 +563,11 @@ def verify_step_like(activation: Activation, params: StepLikeParams, tol: float 
     the collar; (d) the one-step contraction
     ``|sigma(y) - p| <= eta |y - p| + (curvature/2) |y - p|^2`` (p the nearby
     plateau) holds at every burn-in image point of the sampled domain outside
-    (eps, 1-eps).  Condition (d) is the inequality the fixed-point iteration
-    consumes; a raw second-derivative bound is stronger than the certified
-    constants support at the collar edge, so the report carries the curvature
-    sup over the once-contracted collar as information only.
+    (eps, 1-eps).  Each verdict allows a slack of ``_TOL``.  Condition (d) is
+    the inequality the fixed-point iteration consumes; a raw second-derivative
+    bound is stronger than the certified constants support at the collar
+    edge, so the report carries the curvature sup over the once-contracted
+    collar as information only.
 
     Needs the closed-form ``d1``/``d2``, which every certified map has.
     """
@@ -579,14 +578,14 @@ def verify_step_like(activation: Activation, params: StepLikeParams, tol: float 
 
     fixed_worst = max(abs(float(activation.fn(0.0))), abs(float(activation.fn(1.0)) - 1.0))
     fixed_loc = 0.0 if abs(float(activation.fn(0.0))) >= abs(float(activation.fn(1.0)) - 1.0) else 1.0
-    checks.append(CheckResult("fixes 0 and 1", fixed_worst <= tol, fixed_worst, tol, fixed_loc))
+    checks.append(CheckResult("fixes 0 and 1", fixed_worst <= _TOL, fixed_worst, _TOL, fixed_loc))
 
     s0, s1 = abs(float(d1(0.0))), abs(float(d1(1.0)))
     slope_worst = max(s0, s1)
     checks.append(
         CheckResult(
             "derivative at the fixed points",
-            slope_worst <= params.eta + tol,
+            slope_worst <= params.eta + _TOL,
             slope_worst,
             params.eta,
             0.0 if s0 >= s1 else 1.0,
@@ -602,7 +601,7 @@ def verify_step_like(activation: Activation, params: StepLikeParams, tol: float 
     checks.append(
         CheckResult(
             "burn-in lands on the plateaus (collar)",
-            float(dev[i]) <= radius + tol,
+            float(dev[i]) <= radius + _TOL,
             float(dev[i]),
             radius,
             float(collar[i]),
@@ -621,7 +620,7 @@ def verify_step_like(activation: Activation, params: StepLikeParams, tol: float 
     checks.append(
         CheckResult(
             "one-step contraction on the burn-in image",
-            float(excess[j]) <= tol,
+            float(excess[j]) <= _TOL,
             float(stepped[j]),
             float(allowed[j]),
             float(points[j]),
@@ -631,12 +630,11 @@ def verify_step_like(activation: Activation, params: StepLikeParams, tol: float 
     curv_info = float(np.abs(np.asarray(d2(activation.fn(collar)))).max())
     note = (
         f"wide grid [{_WIDE_LO}, {_WIDE_HI}] x{_WIDE_POINTS}, "
-        f"collar +-{params.eps} around 0 and 1 x{_COLLAR_POINTS}, tol={tol:g}; "
+        f"collar +-{params.eps} around 0 and 1 x{_COLLAR_POINTS}, tol={_TOL:g}; "
         f"curvature sup over the once-contracted collar: {curv_info:.6g}"
     )
     return StepLikeReport(
         activation=activation.name,
-        params=params,
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
         grid_note=note,

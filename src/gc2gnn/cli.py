@@ -14,7 +14,19 @@ import sys
 
 import numpy as np
 
-from .activations import ACTIVATION_NAMES, EXACT_NAMES, FLAT_NAMES, ActivationSpec, flat_tanh_constants
+from .activations import (
+    ACTIVATION_NAMES,
+    CERTIFIED_NAMES,
+    EXACT_NAMES,
+    FLAT_NAMES,
+    ActivationSpec,
+    certificate,
+    flat_tanh_constants,
+    get_activation,
+    required_composition_depth,
+    size_closed_forms,
+    verify_step_like,
+)
 from .compiler import compile_formula, read_spec, write_spec, spec_to_text
 from .engine import forward_outputs
 from .experiments import (
@@ -23,12 +35,10 @@ from .experiments import (
     check_convergence_rows,
     check_saturation_decay,
     load_query,
-    required_m_report,
     rows_to_csv,
     run_convergence,
     run_saturation,
     run_separation,
-    run_steplike_verify,
 )
 from .formulas import check_palette, eval_oracle_all
 from .graphs import batch_graphs, random_graph, read_graph
@@ -160,11 +170,13 @@ def _cmd_saturation(args) -> int:
 
 
 def _cmd_steplike_verify(args) -> int:
-    reports = run_steplike_verify(args.names, tol=args.tol)
+    names = args.names or CERTIFIED_NAMES
+    certs = [certificate(name) for name in names]  # a bad name fails before any output
     failed = False
-    for report in reports:
+    for name, params in zip(names, certs):
+        report = verify_step_like(get_activation(name), params)
         print(report.describe())
-        if report.activation in FLAT_NAMES:
+        if name in FLAT_NAMES:
             a, alpha = flat_tanh_constants()
             in_range = 0.45 < a < 0.46 and 3.14 < alpha < 3.15
             print(f"  recomputed constants a={a:.12f}, alpha={alpha:.12f} "
@@ -183,20 +195,20 @@ def _cmd_convergence(args) -> int:
         m_lo, m_hi = min(values), max(values)
     rows = run_convergence(args.activation, m_lo, m_hi)
     _write_out(args.out, rows_to_csv(rows))
-    check_convergence_rows(rows, tol=args.tol)
+    check_convergence_rows(rows)
     return 0
 
 
 def _cmd_required_m(args) -> int:
-    report = required_m_report(args.activation, args.delta)
-    params = report["params"]
+    params = certificate(args.activation)
+    m = required_composition_depth(params, args.delta)  # a bad --delta fails before any output
     print(f"activation {args.activation}: eta={params.eta} eps={params.eps} "
           f"burn_in={params.burn_in} curvature={params.curvature}")
-    print(f"max degree {args.delta}: scanned composition depth m = {report['scanned_m']}")
-    for label, value in report["closed_forms"].items():
+    print(f"max degree {args.delta}: scanned composition depth m = {m}")
+    for label, value in size_closed_forms(params, args.delta).items():
         print(f"  closed form ({label}): {value:.4f}")
-    if "flat_constants" in report:
-        a, alpha = report["flat_constants"]
+    if args.activation in FLAT_NAMES:
+        a, alpha = flat_tanh_constants()
         print(f"  flat-shoulder constants: a={a:.12f} alpha={alpha:.12f}")
     return 0
 
@@ -256,13 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steplike-verify", help="verify the shipped step-like certificates")
     p.add_argument("names", nargs="*", help="activation names (default: all certified)")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_steplike_verify)
 
     p = sub.add_parser("convergence", help="iterate error vs certified bound per m")
     p.add_argument("--activation", required=True, choices=ACTIVATION_NAMES)
     p.add_argument("--m-range", help="list or lo:hi (default: burn-in .. burn-in+20)")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_convergence)
 

@@ -222,7 +222,7 @@ def compile_formula(
                     c_t[r] = -1.0
             else:
                 b_t[r, kids[0]] = 1.0
-                c_t[r] = -(g.threshold - 1.0)
+                c_t[r] = 1.0 - g.threshold
         layers.append(GnnLayer(rows, a_t, b_t, c_t))
 
     coords = tuple(entries[i] for i in order)

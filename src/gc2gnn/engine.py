@@ -67,27 +67,21 @@ def forward_outputs(
 
 
 def layer_errors(
-    spec_approx: GnnSpec,
-    spec_exact: GnnSpec,
+    spec: GnnSpec,
     graph: LabeledGraph,
+    activation: ActivationSpec | None = None,
 ) -> np.ndarray:
-    """Per-iteration worst per-vertex deviation between two runs of the same
-    layers under different activations, as a (T+1,) array whose entry 0 is 0.
+    """Per-iteration worst per-vertex deviation of the run under
+    ``activation`` (default: the spec's own) from the exact run, the same
+    layers under ``sigma-star`` at m = 1, as a (T+1,) array whose entry 0 is 0.
 
     The two runs advance side by side one layer at a time, so only their
     current (n, d) features are held."""
-    if spec_approx.d != spec_exact.d or spec_approx.iterations != spec_exact.iterations:
-        raise ValueError("spec mismatch: dimensions or iteration counts differ")
-    if spec_approx.init_kinds != spec_exact.init_kinds:
-        raise ValueError("spec mismatch: initial features differ")
-    for la, le in zip(spec_approx.layers, spec_exact.layers):
-        if la != le:
-            raise ValueError("spec mismatch: layer matrices differ")
-    approx = exact = initial_features(spec_approx, graph)
-    eps = np.zeros(spec_approx.iterations + 1)
-    a, e = spec_approx.activation, spec_exact.activation
-    for t, layer in enumerate(spec_approx.layers, start=1):
-        approx = backend_mod.run_forward(approx, graph, (layer,), a.name, a.m)
-        exact = backend_mod.run_forward(exact, graph, (layer,), e.name, e.m)
+    act = activation or spec.activation
+    approx = exact = initial_features(spec, graph)
+    eps = np.zeros(spec.iterations + 1)
+    for t, layer in enumerate(spec.layers, start=1):
+        approx = backend_mod.run_forward(approx, graph, (layer,), act.name, act.m)
+        exact = backend_mod.run_forward(exact, graph, (layer,), "sigma-star", 1)
         eps[t] = np.abs(approx - exact).max()
     return eps

@@ -1,6 +1,6 @@
 """Experiment harnesses: separation and saturation sweeps over the tree
-family, certificate verification, convergence-rate sweeps, and the shared
-CSV schema (experiment,query,activation,m,k,n,delta,value,seconds)."""
+family, convergence-rate sweeps, and the shared CSV schema
+(experiment,query,activation,m,k,n,delta,value,seconds)."""
 
 from __future__ import annotations
 
@@ -9,21 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import (
-    CERTIFIED_NAMES,
     EXACT_NAMES,
-    FLAT_NAMES,
     ActivationSpec,
     certificate,
     convergence_bound,
     get_activation,
     iterate,
     plateau_grid,
-    required_composition_depth,
     sigma_star,
-    size_closed_forms,
-    verify_step_like,
-    flat_tanh_constants,
-    StepLikeReport,
 )
 from .compiler import compile_formula
 from .engine import forward_outputs
@@ -45,14 +38,18 @@ __all__ = [
     "check_saturation_decay",
     "run_convergence",
     "check_convergence_rows",
-    "run_steplike_verify",
-    "required_m_report",
 ]
 
 CSV_HEADER = "experiment,query,activation,m,k,n,delta,value,seconds"
 
 Q1_TEXT = "not (dia>=1 (not (dia>=2 top)))"
 Q2_TEXT = "(C1 and dia>=1 ((dia>=1 C2) and (dia>=1 C1)))"
+
+# Collar samples of a convergence sweep, and the slack an observed row may
+# take over its bound.
+_COLLAR_POINTS = 100_001
+_BOUND_TOL = 1e-12
+
 
 class BoundViolation(AssertionError):
     """A sweep row broke the bound that governs it."""
@@ -170,12 +167,7 @@ def check_saturation_decay(rows) -> tuple[float, float]:
     return first.value, last.value
 
 
-def run_convergence(
-    name: str,
-    m_lo: int | None = None,
-    m_hi: int | None = None,
-    collar_points: int = 100_001,
-) -> list[ResultRow]:
+def run_convergence(name: str, m_lo: int | None = None, m_hi: int | None = None) -> list[ResultRow]:
     """Worst observed |sigma^m - threshold| over the plateau collar next to
     the certified bound, one observed row and one bound row per m."""
     params = certificate(name)
@@ -184,7 +176,7 @@ def run_convergence(
     m_hi = params.burn_in + 20 if m_hi is None else m_hi
     if m_lo < params.burn_in:
         raise ValueError("m range starts below the burn-in count")
-    grid = plateau_grid(params.eps, collar_points)
+    grid = plateau_grid(params.eps, _COLLAR_POINTS)
     target = sigma_star(grid)
     rows: list[ResultRow] = []
     values = iterate(act, m_lo, grid)
@@ -197,7 +189,7 @@ def run_convergence(
     return rows
 
 
-def check_convergence_rows(rows, tol: float = 1e-12) -> None:
+def check_convergence_rows(rows) -> None:
     """Assert every observed row stays within its paired bound row."""
     bounds = {
         (r.activation, r.m): r.value for r in rows if r.experiment == "convergence-bound"
@@ -208,30 +200,7 @@ def check_convergence_rows(rows, tol: float = 1e-12) -> None:
         bound = bounds.get((r.activation, r.m))
         if bound is None:
             raise ValueError(f"no bound row for {r.activation} at m={r.m}")
-        if r.value > bound + tol:
+        if r.value > bound + _BOUND_TOL:
             raise BoundViolation(
                 f"{r.activation} at m={r.m}: observed {r.value} exceeds bound {bound}"
             )
-
-
-def run_steplike_verify(names=None, tol: float = 1e-9) -> list[StepLikeReport]:
-    reports = []
-    for name in names or CERTIFIED_NAMES:
-        params = certificate(name)
-        reports.append(verify_step_like(get_activation(name), params, tol=tol))
-    return reports
-
-
-def required_m_report(name: str, max_degree: int) -> dict:
-    params = certificate(name)
-    scanned = required_composition_depth(params, max_degree)
-    report = {
-        "activation": name,
-        "max_degree": max_degree,
-        "scanned_m": scanned,
-        "closed_forms": size_closed_forms(params, max_degree),
-        "params": params,
-    }
-    if name in FLAT_NAMES:
-        report["flat_constants"] = flat_tanh_constants()
-    return report

@@ -190,11 +190,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str, palette_size: int) -> Formula:
-    """Parse the concrete grammar against a palette of ``palette_size`` colors."""
+    """Parse the concrete grammar against a palette of ``palette_size`` colors.
+
+    Malformed text, including nesting deeper than the parser's recursion can
+    reach, raises ``FormulaSyntaxError``."""
     if palette_size < 1:
         raise ValueError("palette_size must be >= 1")
     tokens = _tokenize(text)
-    formula, nxt = _parse_formula(tokens, 0, palette_size, len(text))
+    try:
+        formula, nxt = _parse_formula(tokens, 0, palette_size, len(text))
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply", 0) from None
     if nxt != len(tokens):
         raise FormulaSyntaxError("unexpected trailing input", tokens[nxt][2])
     return formula

@@ -158,7 +158,7 @@ def test_no_overflow_on_large_inputs():
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_verify_step_like_passes(name):
-    report = verify_step_like(get_activation(name), certificate(name), tol=1e-9)
+    report = verify_step_like(get_activation(name), certificate(name))
     assert report.passed, report.describe()
 
 

@@ -23,12 +23,10 @@ from gc2gnn.experiments import (
     ResultRow,
     check_convergence_rows,
     check_saturation_decay,
-    required_m_report,
     rows_to_csv,
     run_convergence,
     run_separation,
     run_saturation,
-    run_steplike_verify,
 )
 
 
@@ -76,35 +74,17 @@ def test_saturation_decay_check_rejects_flat_rows():
 
 
 def test_convergence_rows_within_bounds():
-    rows = run_convergence("step-arctan", 0, 12, collar_points=20_001)
+    rows = run_convergence("step-arctan", 0, 12)
     check_convergence_rows(rows)
     observed = [r for r in rows if r.experiment == "convergence"]
     assert len(observed) == 13
 
 
 def test_convergence_check_rejects_injected_violation():
-    rows = run_convergence("steplike-tanh-eta0", 0, 3, collar_points=2_001)
-    bad = ResultRow("convergence", "-", "steplike-tanh-eta0", 3, 0, 2001, 0, 0.5)
+    rows = run_convergence("steplike-tanh-eta0", 0, 3)
+    bad = ResultRow("convergence", "-", "steplike-tanh-eta0", 3, 0, 100_001, 0, 0.5)
     with pytest.raises(BoundViolation, match="exceeds bound"):
         check_convergence_rows(rows + [bad])
-
-
-def test_steplike_verify_all_pass():
-    reports = run_steplike_verify()
-    assert len(reports) == 4
-    assert all(r.passed for r in reports)
-    with pytest.raises(ValueError, match="certificate"):
-        run_steplike_verify(["relu"])
-
-
-def test_required_m_report_contents():
-    report = required_m_report("step-arctan", 64)
-    assert report["scanned_m"] == 14
-    assert set(report["closed_forms"]) == {"log2(1-eta)", "log2(1+eta)"}
-    flat = required_m_report("steplike-tanh-eta0", 64)
-    assert flat["scanned_m"] == 3
-    a, alpha = flat["flat_constants"]
-    assert 0.45 < a < 0.46 and 3.14 < alpha < 3.15
 
 
 def test_config_validation():
@@ -193,6 +173,8 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
         pytest.param(("steplike-verify", "foo"), "unknown activation 'foo'", id="steplike-verify-foo"),
         pytest.param(("steplike-verify", "relu"), "'relu' carries no step-like certificate",
                      id="steplike-verify-relu"),
+        pytest.param(("compile", "--formula", "not " * 1200 + "top"),
+                     "formula nested too deeply (at position 0)", id="deep-formula"),
     ],
 )
 def test_cli_eval_vertex_out_of_range(tmp_path, args, message):
@@ -310,9 +292,16 @@ TEXT_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
     [
         ("steplike-verify", ("steplike-verify",)),
         ("required-m-steplike-tanh-eta0", ("required-m", "--activation", "steplike-tanh-eta0", "--delta", "64")),
+        ("required-m-step-arctan", ("required-m", "--activation", "step-arctan", "--delta", "64")),
+        ("required-m-step-tanh", ("required-m", "--activation", "step-tanh", "--delta", "64")),
+        ("required-m-steplike-sigmoid-eta0",
+         ("required-m", "--activation", "steplike-sigmoid-eta0", "--delta", "64")),
+        ("convergence-step-arctan", ("convergence", "--activation", "step-arctan")),
+        ("convergence-steplike-sigmoid-eta0", ("convergence", "--activation", "steplike-sigmoid-eta0")),
     ],
 )
 def test_cli_text_matches_golden(label, argv, capsys):
     assert cli.main(list(argv)) == 0
     out, _ = capsys.readouterr()
-    assert out.encode("ascii") == (TEXT_GOLDEN_DIR / f"{label}.txt").read_bytes()
+    (golden,) = TEXT_GOLDEN_DIR.glob(f"{label}.*")  # .txt, or .csv for a CSV
+    assert out.encode("ascii") == golden.read_bytes()

@@ -172,6 +172,19 @@ def test_entry_and_sparsity_invariants():
             assert ((layer.B != 0).sum(axis=1) <= 1).all()
 
 
+def test_compiled_biases_are_never_negative_zero():
+    # run_forward adds the bias first, so a -0.0 bias could reach a
+    # pre-activation's sign; dia>=1 rows have bias zero
+    rng = np.random.default_rng(8)
+    zeros = 0
+    for _ in range(300):
+        for layer in compile_formula(random_formula(rng, 2, max_depth=8), 2).layers:
+            at_zero = layer.c[layer.c == 0.0]
+            assert not np.signbit(at_zero).any()
+            zeros += at_zero.size
+    assert zeros > 0
+
+
 def test_compiled_size_at_most_twice_query_size():
     rng = np.random.default_rng(6)
     for _ in range(20):

@@ -257,8 +257,8 @@ def flat_tanh_constants() -> tuple[float, float]:
 
 
 @lru_cache(maxsize=2)
-def _flat_coeffs(tanh) -> tuple[float, float, float, float]:
-    """``(a, alpha/2, den, tanh(1/2))`` with tanh evaluated by ``tanh``, a
+def _flat_coeffs(tanh) -> tuple[float, float, float]:
+    """``(a, alpha/2, den)`` with tanh evaluated by ``tanh``, a
     module-level realization (the cache is keyed on it).
 
     alpha/2 is the coefficient that zeroes the inner map's derivative at the
@@ -269,14 +269,14 @@ def _flat_coeffs(tanh) -> tuple[float, float, float, float]:
     a, alpha = flat_tanh_constants()
     half_alpha = alpha / 2.0
     den = 2.0 * (float(tanh(a)) - half_alpha * float(tanh(2.0 * a)) + float(tanh(3.0 * a)))
-    return a, half_alpha, den, float(tanh(0.5))
+    return a, half_alpha, den
 
 
 def _flat_shoulder(x, out, tanh, coeffs):
     """``(tanh(a u) - (alpha/2) tanh(2 a u) + tanh(3 a u)) / den + 1/2`` with
     ``u = 2x - 1``, for a realization ``tanh(z, out=...)`` of tanh and its
     ``_flat_coeffs``."""
-    a, half_alpha, den, _ = coeffs
+    a, half_alpha, den = coeffs
     arr, buf = _buffer(x, out)
     u = np.multiply(2.0, arr, out=buf)
     np.subtract(u, 1.0, out=u)
@@ -296,7 +296,7 @@ def _flat_inner(x, out=None):
 
 
 def _flat_inner_d1(x):
-    a, half_alpha, den, _ = _flat_coeffs(math.tanh)
+    a, half_alpha, den = _flat_coeffs(math.tanh)
     u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
     s1 = 1.0 / np.cosh(a * u) ** 2
     s2 = 1.0 / np.cosh(2.0 * a * u) ** 2
@@ -305,7 +305,7 @@ def _flat_inner_d1(x):
 
 
 def _flat_inner_d2(x):
-    a, half_alpha, den, _ = _flat_coeffs(math.tanh)
+    a, half_alpha, den = _flat_coeffs(math.tanh)
     u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
 
     def st(w):
@@ -340,12 +340,14 @@ def _tanh_via_sigmoid(z, out=None):
     return np.subtract(buf, 1.0, out=buf)
 
 
+_SIGMOID_TANH_HALF = float(_tanh_via_sigmoid(0.5))
+
+
 def _flat_sigmoid(x, out=None):
     """Pointwise the same map as the flat tanh variant, realized with sigmoid
     evaluations only (tanh z == 2*sigmoid(2z) - 1)."""
-    coeffs = _flat_coeffs(_tanh_via_sigmoid)
-    buf = _flat_shoulder(x, out, _tanh_via_sigmoid, coeffs)
-    return _maybe_scalar(_tanh_step(buf, buf, _tanh_via_sigmoid, coeffs[3]), x)
+    buf = _flat_shoulder(x, out, _tanh_via_sigmoid, _flat_coeffs(_tanh_via_sigmoid))
+    return _maybe_scalar(_tanh_step(buf, buf, _tanh_via_sigmoid, _SIGMOID_TANH_HALF), x)
 
 
 # --------------------------------------------------------------------------

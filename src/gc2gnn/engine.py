@@ -66,18 +66,14 @@ def forward_outputs(
     return forward(spec, graph, activation, keep=(out,))[:, out].copy()
 
 
-def layer_errors(
-    spec: GnnSpec,
-    graph: LabeledGraph,
-    activation: ActivationSpec | None = None,
-) -> np.ndarray:
-    """Per-iteration worst per-vertex deviation of the run under
-    ``activation`` (default: the spec's own) from the exact run, the same
-    layers under ``sigma-star`` at m = 1, as a (T+1,) array whose entry 0 is 0.
+def layer_errors(spec: GnnSpec, graph: LabeledGraph) -> np.ndarray:
+    """Per-iteration worst per-vertex deviation of the run under the spec's
+    activation from the exact run, the same layers under ``sigma-star`` at
+    m = 1, as a (T+1,) array whose entry 0 is 0.
 
     The two runs advance side by side one layer at a time, so only their
     current (n, d) features are held."""
-    act = activation or spec.activation
+    act = spec.activation
     approx = exact = initial_features(spec, graph)
     eps = np.zeros(spec.iterations + 1)
     for t, layer in enumerate(spec.layers, start=1):

@@ -45,9 +45,10 @@ CSV_HEADER = "experiment,query,activation,m,k,n,delta,value,seconds"
 Q1_TEXT = "not (dia>=1 (not (dia>=2 top)))"
 Q2_TEXT = "(C1 and dia>=1 ((dia>=1 C2) and (dia>=1 C1)))"
 
-# Collar samples of a convergence sweep, and the slack an observed row may
-# take over its bound.
-_COLLAR_POINTS = 100_001
+# Collar samples of a convergence sweep (not the certificate check's collar,
+# ``activations._COLLAR_POINTS``), and the slack an observed row may take
+# over its bound.
+_CONVERGENCE_POINTS = 100_001
 _BOUND_TOL = 1e-12
 
 
@@ -176,7 +177,7 @@ def run_convergence(name: str, m_lo: int | None = None, m_hi: int | None = None)
     m_hi = params.burn_in + 20 if m_hi is None else m_hi
     if m_lo < params.burn_in:
         raise ValueError("m range starts below the burn-in count")
-    grid = plateau_grid(params.eps, _COLLAR_POINTS)
+    grid = plateau_grid(params.eps, _CONVERGENCE_POINTS)
     target = sigma_star(grid)
     rows: list[ResultRow] = []
     values = iterate(act, m_lo, grid)

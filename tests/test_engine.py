@@ -100,18 +100,18 @@ def test_layer_errors_identical_runs(q1_spec, triangle):
 def test_layer_errors_theorem_regime(q1_spec):
     # at the scanned composition depth for degree cap 64, the final deviation
     # stays below 1/(2*(64+2)) on every graph
-    approx = ActivationSpec("step-arctan", 14)
+    approx = q1_spec.with_activation("step-arctan", 14)
     for seed in range(10):
         graph = random_graph(150, 5.0, 1, seed)
         assert graph.max_degree <= 64
-        assert layer_errors(q1_spec, graph, approx)[-1] < 1 / 132
+        assert layer_errors(approx, graph)[-1] < 1 / 132
 
 
 def test_layer_errors_small_m_fails_visibly(q1_spec):
     # frozen from a direct run: a single composition leaves deviations around
     # 0.2, an order of magnitude past the usable threshold 1/(2*(41+2))
     tree, _ = make_tree(TreeParams(1, 40, 40))
-    eps = layer_errors(q1_spec, tree, ActivationSpec("step-arctan", 1))
+    eps = layer_errors(q1_spec.with_activation("step-arctan", 1), tree)
     assert 0.19 < eps[-1] < 0.21
     assert eps[-1] > 10 * (1 / (2 * (tree.max_degree + 2)))
     assert eps[0] == 0.0
@@ -163,12 +163,12 @@ LAYER_ERRORS_SHA256 = {
 def test_layer_errors_bits_pinned(q1_spec):
     chain = chain_spec(60)
     cases = {
-        "q1": (q1_spec, ActivationSpec("step-arctan", 3), random_graph(150, 5.0, 1, 4)),
-        "chain": (chain, ActivationSpec("step-arctan", 14), random_graph(500, 5.0, 2, 7)),
+        "q1": (q1_spec.with_activation("step-arctan", 3), random_graph(150, 5.0, 1, 4)),
+        "chain": (chain.with_activation("step-arctan", 14), random_graph(500, 5.0, 2, 7)),
     }
     got = {}
-    for key, (spec, approx, graph) in cases.items():
-        eps = layer_errors(spec, graph, approx)
+    for key, (spec, graph) in cases.items():
+        eps = layer_errors(spec, graph)
         assert eps.shape == (spec.iterations + 1,)
         got[key] = hashlib.sha256(eps.tobytes()).hexdigest()
     assert got == LAYER_ERRORS_SHA256
@@ -240,7 +240,7 @@ def test_error_decay_in_composition_depth(q1_spec, capsys):
     # measured, not asserted: the paper's bound decays in m, the observed
     # deviation usually does too, but no theorem forces monotonicity
     tree, _ = make_tree(TreeParams(1, 8, 8))
-    errors = [layer_errors(q1_spec, tree, ActivationSpec("step-arctan", m))[-1] for m in range(0, 17)]
+    errors = [layer_errors(q1_spec.with_activation("step-arctan", m), tree)[-1] for m in range(0, 17)]
     violations = sum(1 for a, b in zip(errors, errors[1:]) if b > a + 1e-12)
     print(f"composition-depth decay: final errors {errors[0]:.3g} -> {errors[-1]:.3g}, "
           f"{violations} non-monotone steps")

@@ -42,7 +42,6 @@ from .formulas import (
     Not,
     Top,
     depth,
-    eval_oracle,
     eval_oracle_all,
     parse,
     random_formula,

@@ -1,15 +1,14 @@
 """Scalar activation library: the hard threshold, classical maps, step-like
-constructions with their (eta, eps, burn-in, curvature) certificates, iterated
+constructions with their (eta, eps, curvature) certificates, iterated
 composition, certificate verification, and convergence-rate tooling.
 
 A step-like activation fixes 0 and 1, has derivative at most ``eta`` there,
-and after ``burn_in`` applications maps every point of the plateau collar
-(within ``eps`` of 0 or 1) to within ``min(eps, (1-eta)/curvature)`` of the
-plateau value.  Iterating it then converges to the hard threshold at a
-geometric rate ``(1+eta)/2`` per application, or doubly exponentially when
-``eta = 0``.  All certificate checks below quantify over the collar; the
-conditions are unsatisfiable on an unbounded domain (the identity burn-in
-case would have to move far-away points onto the plateaus).
+and keeps every point of the plateau collar (within ``eps`` of 0 or 1)
+within ``min(eps, (1-eta)/curvature)`` of the plateau value.  Iterating it
+then converges to the hard threshold at a geometric rate ``(1+eta)/2`` per
+application, or doubly exponentially when ``eta = 0``.  All certificate
+checks below quantify over the collar; the conditions are unsatisfiable on
+an unbounded domain.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "plateau_grid",
     "convergence_bound",
     "required_composition_depth",
-    "size_closed_forms",
     "CheckResult",
     "StepLikeReport",
     "verify_step_like",
@@ -52,7 +50,6 @@ class StepLikeParams:
 
     eta: float        # bound on |sigma'| at the fixed points 0 and 1
     eps: float        # collar half-width around the plateaus
-    burn_in: int      # applications before the contraction regime starts
     curvature: float  # bound on |sigma''| over the reachable region
 
     def __post_init__(self):
@@ -60,8 +57,6 @@ class StepLikeParams:
             raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
         if not 0.0 < self.eps < 0.5:
             raise ValueError(f"eps must lie in (0, 1/2), got {self.eps}")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
         if self.curvature <= 0.0:
             raise ValueError("curvature bound must be positive")
 
@@ -209,8 +204,13 @@ def _step_tanh_d2(x):
 # flat-shoulder construction (zero derivative at both fixed points)
 
 
-def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Minimize a unimodal scalar function on [lo, hi] to within ``tol``.
+# Bracket width at which golden_section_min stops.
+_GOLDEN_TOL = 1e-10
+
+
+def golden_section_min(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize a unimodal scalar function on [lo, hi] to a bracket of
+    width ``_GOLDEN_TOL``.
 
     Raises if the minimum sits at an endpoint (no interior bracket), which
     would signal a transcription bug in the objective.
@@ -222,7 +222,7 @@ def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[fl
     c = a + invphi2 * h
     d = a + invphi * h
     yc, yd = fn(c), fn(d)
-    while h > tol:
+    while h > _GOLDEN_TOL:
         if yc < yd:
             b, d, yd = d, c, yc
             h = b - a
@@ -253,7 +253,7 @@ def _sharpness_objective(v):
 def flat_tanh_constants() -> tuple[float, float]:
     """Inflection parameter ``a`` and objective minimum ``alpha`` of the
     flat-shoulder tanh construction, by golden-section search on [0.3, 0.6]."""
-    return golden_section_min(_sharpness_objective, 0.3, 0.6, tol=1e-10)
+    return golden_section_min(_sharpness_objective, 0.3, 0.6)
 
 
 @lru_cache(maxsize=2)
@@ -353,9 +353,9 @@ def _flat_sigmoid(x, out=None):
 # --------------------------------------------------------------------------
 # registry
 
-_STEP_ARCTAN_CERT = StepLikeParams(eta=0.64, eps=0.10, burn_in=0, curvature=1.52)
-_STEP_TANH_CERT = StepLikeParams(eta=0.86, eps=0.16, burn_in=0, curvature=0.84)
-_FLAT_CERT = StepLikeParams(eta=0.0, eps=0.20, burn_in=0, curvature=2.2)
+_STEP_ARCTAN_CERT = StepLikeParams(eta=0.64, eps=0.10, curvature=1.52)
+_STEP_TANH_CERT = StepLikeParams(eta=0.86, eps=0.16, curvature=0.84)
+_FLAT_CERT = StepLikeParams(eta=0.0, eps=0.20, curvature=2.2)
 
 # name -> map; the order is the order of ACTIVATION_NAMES
 _REGISTRY = {
@@ -468,7 +468,7 @@ def apply_activation(name: str, m: int, values):
 # grids, rates, and certificate verification
 
 
-def plateau_grid(eps: float, points: int = 20001) -> np.ndarray:
+def plateau_grid(eps: float, points: int) -> np.ndarray:
     """Sample the collar: every point within ``eps`` of 0 or of 1."""
     half = points // 2
     left = np.linspace(-eps, eps, half)
@@ -479,47 +479,27 @@ def plateau_grid(eps: float, points: int = 20001) -> np.ndarray:
 def convergence_bound(params: StepLikeParams, m: int) -> float:
     """Worst-case distance of the m-fold composite from the hard threshold,
     over the collar."""
-    if m < params.burn_in:
-        raise ValueError(f"m={m} below the burn-in count {params.burn_in}")
-    steps = m - params.burn_in
+    if m < 0:
+        raise ValueError(f"m={m} must be non-negative")
     if params.eta > 0.0:
-        return params.eps * ((1.0 + params.eta) / 2.0) ** steps
-    return params.eps * 2.0 ** -(2.0**steps - 1.0)
+        return params.eps * ((1.0 + params.eta) / 2.0) ** m
+    return params.eps * 2.0 ** -(2.0**m - 1.0)
 
 
 def required_composition_depth(params: StepLikeParams, max_degree: int) -> int:
-    """Smallest ``m >= burn_in`` with ``2 (max_degree + 2) * bound(m) < 1``.
+    """Smallest ``m >= 0`` with ``2 (max_degree + 2) * bound(m) < 1``.
 
     This is the condition that lets the per-layer error survive the inductive
     argument across all iterations of the compiled network.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    m = params.burn_in
+    m = 0
     while not 2.0 * (max_degree + 2) * convergence_bound(params, m) < 1.0:
         m += 1
-        if m > params.burn_in + 100_000:
+        if m > 100_000:
             raise RuntimeError("rate too slow; no feasible composition depth found")
     return m
-
-
-def size_closed_forms(params: StepLikeParams, max_degree: int) -> dict[str, float]:
-    """Closed-form size estimates reported next to the scanned depth.
-
-    Two variants because the sign under the log is ambiguous in circulation:
-    one divides by ``1 - log2(1 - eta)``, the other by ``1 - log2(1 + eta)``
-    (the latter matches the geometric rate ``(1 + eta)/2``).  The scan is
-    authoritative; these are informational.
-    """
-    num = 2.0 + math.log2(max_degree + 2)
-    out: dict[str, float] = {}
-    if params.eta > 0.0:
-        out["log2(1-eta)"] = params.burn_in + num / (1.0 - math.log2(1.0 - params.eta))
-        out["log2(1+eta)"] = params.burn_in + num / (1.0 - math.log2(1.0 + params.eta))
-    else:
-        out["log2(1-eta)"] = params.burn_in + math.log2(num)
-        out["log2(1+eta)"] = out["log2(1-eta)"]
-    return out
 
 
 # The samples verify_step_like checks: a wide grid for the one-step
@@ -560,16 +540,16 @@ class StepLikeReport:
 def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLikeReport:
     """Check the step-like conditions against a certificate.
 
-    (a) fixes 0 and 1; (b) derivative at 0 and 1 at most eta; (c) the burn-in
-    composite stays within min(eps, (1-eta)/curvature) of the threshold on
-    the collar; (d) the one-step contraction
+    (a) fixes 0 and 1; (b) derivative at 0 and 1 at most eta; (c) the collar
+    lies within min(eps, (1-eta)/curvature) of the threshold; (d) the
+    one-step contraction
     ``|sigma(y) - p| <= eta |y - p| + (curvature/2) |y - p|^2`` (p the nearby
-    plateau) holds at every burn-in image point of the sampled domain outside
-    (eps, 1-eps).  Each verdict allows a slack of ``_TOL``.  Condition (d) is
-    the inequality the fixed-point iteration consumes; a raw second-derivative
-    bound is stronger than the certified constants support at the collar
-    edge, so the report carries the curvature sup over the once-contracted
-    collar as information only.
+    plateau) holds at every sampled point outside (eps, 1-eps), on the wide
+    grid and on the collar.  Each verdict allows a slack of ``_TOL``.
+    Condition (d) is the inequality the fixed-point iteration consumes; a
+    raw second-derivative bound is stronger than the certified constants
+    support at the collar edge, so the report carries the curvature sup over
+    the once-contracted collar as information only.
 
     Needs the closed-form ``d1``/``d2``, which every certified map has.
     """
@@ -596,13 +576,12 @@ def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLike
 
     collar = plateau_grid(params.eps, _COLLAR_POINTS)
     target = sigma_star(collar)
-    reached = iterate(activation, params.burn_in, collar)
     radius = min(params.eps, (1.0 - params.eta) / params.curvature)
-    dev = np.abs(reached - target)
+    dev = np.abs(collar - target)
     i = int(np.argmax(dev))
     checks.append(
         CheckResult(
-            "burn-in lands on the plateaus (collar)",
+            "collar within the contraction radius",
             float(dev[i]) <= radius + _TOL,
             float(dev[i]),
             radius,
@@ -612,7 +591,7 @@ def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLike
 
     wide = np.linspace(_WIDE_LO, _WIDE_HI, _WIDE_POINTS)
     outside = wide[(wide <= params.eps) | (wide >= 1.0 - params.eps)]
-    points = np.concatenate([np.asarray(iterate(activation, params.burn_in, outside)), reached])
+    points = np.concatenate([outside, collar])
     plateau = np.concatenate([sigma_star(outside), target])
     dist = np.abs(points - plateau)
     allowed = params.eta * dist + 0.5 * params.curvature * dist * dist
@@ -621,7 +600,7 @@ def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLike
     j = int(np.argmax(excess))
     checks.append(
         CheckResult(
-            "one-step contraction on the burn-in image",
+            "one-step contraction outside (eps, 1-eps)",
             float(excess[j]) <= _TOL,
             float(stepped[j]),
             float(allowed[j]),

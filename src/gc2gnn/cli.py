@@ -24,7 +24,6 @@ from .activations import (
     flat_tanh_constants,
     get_activation,
     required_composition_depth,
-    size_closed_forms,
     verify_step_like,
 )
 from .compiler import compile_formula, read_spec, write_spec, spec_to_text
@@ -187,13 +186,10 @@ def _cmd_steplike_verify(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    m_lo, m_hi = None, None
-    if args.m_range:
-        values = _parse_int_list(args.m_range)
-        if not values:
-            raise ValueError(f"empty --m-range {args.m_range!r}")
-        m_lo, m_hi = min(values), max(values)
-    rows = run_convergence(args.activation, m_lo, m_hi)
+    values = _parse_int_list(args.m_range)
+    if not values:
+        raise ValueError(f"empty --m-range {args.m_range!r}")
+    rows = run_convergence(args.activation, min(values), max(values))
     _write_out(args.out, rows_to_csv(rows))
     check_convergence_rows(rows)
     return 0
@@ -203,10 +199,8 @@ def _cmd_required_m(args) -> int:
     params = certificate(args.activation)
     m = required_composition_depth(params, args.delta)  # a bad --delta fails before any output
     print(f"activation {args.activation}: eta={params.eta} eps={params.eps} "
-          f"burn_in={params.burn_in} curvature={params.curvature}")
+          f"curvature={params.curvature}")
     print(f"max degree {args.delta}: scanned composition depth m = {m}")
-    for label, value in size_closed_forms(params, args.delta).items():
-        print(f"  closed form ({label}): {value:.4f}")
     if args.activation in FLAT_NAMES:
         a, alpha = flat_tanh_constants()
         print(f"  flat-shoulder constants: a={a:.12f} alpha={alpha:.12f}")
@@ -272,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="iterate error vs certified bound per m")
     p.add_argument("--activation", required=True, choices=ACTIVATION_NAMES)
-    p.add_argument("--m-range", help="list or lo:hi (default: burn-in .. burn-in+20)")
+    p.add_argument("--m-range", default="0:20", help="list or lo:hi (default: %(default)s)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_convergence)
 
@@ -289,11 +283,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Bad values, malformed files and unreadable paths are usage errors
     # (exit code 2); the format errors of graphs, specs and formulas are
-    # ValueErrors too.  A sweep that breaks its bound is a failed verdict
+    # ValueErrors too, and an integer too large for a float is an
+    # OverflowError.  A sweep that breaks its bound is a failed verdict
     # (exit code 1), reported after its CSV.
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         parser.error(str(exc))
     except BoundViolation as exc:
         print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)

@@ -88,9 +88,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.m_values or not self.k_values:
             raise ValueError("sweeps must be non-empty")
-        params = get_activation(self.activation).certificate  # raises for an unknown name
-        if params is not None and min(self.m_values) < params.burn_in:
-            raise ValueError("composition depths below the activation's burn-in")
+        for m in self.m_values:  # raises for an unknown name or a negative m
+            ActivationSpec(self.activation, m)
 
 
 def rows_to_csv(rows) -> str:
@@ -168,15 +167,11 @@ def check_saturation_decay(rows) -> tuple[float, float]:
     return first.value, last.value
 
 
-def run_convergence(name: str, m_lo: int | None = None, m_hi: int | None = None) -> list[ResultRow]:
+def run_convergence(name: str, m_lo: int = 0, m_hi: int = 20) -> list[ResultRow]:
     """Worst observed |sigma^m - threshold| over the plateau collar next to
     the certified bound, one observed row and one bound row per m."""
     params = certificate(name)
     act = get_activation(name)
-    m_lo = params.burn_in if m_lo is None else m_lo
-    m_hi = params.burn_in + 20 if m_hi is None else m_hi
-    if m_lo < params.burn_in:
-        raise ValueError("m range starts below the burn-in count")
     grid = plateau_grid(params.eps, _CONVERGENCE_POINTS)
     target = sigma_star(grid)
     rows: list[ResultRow] = []

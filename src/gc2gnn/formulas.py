@@ -39,7 +39,6 @@ __all__ = [
     "subformulas",
     "depth",
     "check_palette",
-    "eval_oracle",
     "eval_oracle_all",
     "random_formula",
 ]
@@ -331,13 +330,6 @@ def eval_oracle_all(f: Formula, graph: LabeledGraph) -> np.ndarray:
         else:
             raise TypeError(f"not a formula node: {node!r}")
     return tables[-1]
-
-
-def eval_oracle(f: Formula, graph: LabeledGraph, v: int) -> bool:
-    """Exact truth value of ``f`` at vertex ``v``."""
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {v} out of range [0, {graph.n})")
-    return bool(eval_oracle_all(f, graph)[v])
 
 
 def random_formula(

@@ -239,11 +239,13 @@ def read_graph(path) -> tuple[LabeledGraph, int | None]:
     if len(color_toks) != n:
         raise GraphFormatError(f"expected {n} colors, found {len(color_toks)}")
     try:
-        colors = np.array([int(t) for t in color_toks], dtype=np.int64)
+        color_ints = [int(t) for t in color_toks]
     except ValueError as exc:
         raise GraphFormatError("non-integer color entry") from exc
-    if colors.size and (colors.min() < 1 or colors.max() > palette):
+    # checked on the Python ints, which may not fit in an int64
+    if color_ints and (min(color_ints) < 1 or max(color_ints) > palette):
         raise GraphFormatError("color out of range [1, palette]")
+    colors = np.array(color_ints, dtype=np.int64)
     edges = []
     root = None
     for ln in lines[2:]:

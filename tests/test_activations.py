@@ -22,7 +22,6 @@ from gc2gnn.activations import (
     plateau_grid,
     required_composition_depth,
     sigma_star,
-    size_closed_forms,
     verify_step_like,
 )
 
@@ -46,14 +45,14 @@ def test_step_arctan_values():
     assert act.fn(0.5) == pytest.approx(0.5, abs=1e-12)
     assert act.d1(0.0) == pytest.approx((4 / math.pi) / 2, abs=1e-12)
     assert abs(act.d1(0.0)) <= params.eta
-    assert params == StepLikeParams(0.64, 0.10, 0, 1.52)
+    assert params == StepLikeParams(0.64, 0.10, 1.52)
 
 
 def test_step_tanh_values():
     act, params = get_activation("step-tanh"), certificate("step-tanh")
     assert act.fn(0.0) == pytest.approx(0.0, abs=1e-12)
     assert act.fn(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert params == StepLikeParams(0.86, 0.16, 0, 0.84)
+    assert params == StepLikeParams(0.86, 0.16, 0.84)
 
 
 def test_fixed_points_exact_for_all_certified():
@@ -79,7 +78,7 @@ def test_golden_section_rejects_monotone_objective():
 
 def test_flat_construction_certificates():
     act, params = get_activation("steplike-tanh-eta0"), certificate("steplike-tanh-eta0")
-    assert params == StepLikeParams(0.0, 0.2, 0, 2.2)
+    assert params == StepLikeParams(0.0, 0.2, 2.2)
     assert act.d1(0.0) == pytest.approx(0.0, abs=1e-10)
     assert act.d1(1.0) == pytest.approx(0.0, abs=1e-10)
 
@@ -164,11 +163,11 @@ def test_verify_step_like_passes(name):
 
 def test_verify_needs_closed_form_derivatives():
     with pytest.raises(ValueError, match="no closed-form derivatives"):
-        verify_step_like(get_activation("sigmoid"), StepLikeParams(0.5, 0.1, 0, 1.0))
+        verify_step_like(get_activation("sigmoid"), StepLikeParams(0.5, 0.1, 1.0))
 
 
 def test_verify_rejects_tightened_eta():
-    report = verify_step_like(get_activation("step-arctan"), StepLikeParams(0.5, 0.10, 0, 1.52))
+    report = verify_step_like(get_activation("step-arctan"), StepLikeParams(0.5, 0.10, 1.52))
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert "derivative at the fixed points" in failing
@@ -177,21 +176,19 @@ def test_verify_rejects_tightened_eta():
 
 
 def test_verify_rejects_tightened_curvature():
-    report = verify_step_like(get_activation("step-arctan"), StepLikeParams(0.64, 0.10, 0, 0.5))
+    report = verify_step_like(get_activation("step-arctan"), StepLikeParams(0.64, 0.10, 0.5))
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
-    assert failing == {"one-step contraction on the burn-in image"}
+    assert failing == {"one-step contraction outside (eps, 1-eps)"}
 
 
 def test_steplike_params_validation():
     with pytest.raises(ValueError):
-        StepLikeParams(1.0, 0.1, 0, 1.0)
+        StepLikeParams(1.0, 0.1, 1.0)
     with pytest.raises(ValueError):
-        StepLikeParams(0.5, 0.6, 0, 1.0)
+        StepLikeParams(0.5, 0.6, 1.0)
     with pytest.raises(ValueError):
-        StepLikeParams(0.5, 0.1, -1, 1.0)
-    with pytest.raises(ValueError):
-        StepLikeParams(0.5, 0.1, 0, 0.0)
+        StepLikeParams(0.5, 0.1, 0.0)
 
 
 # -- convergence rates -----------------------------------------------------------
@@ -203,8 +200,8 @@ def test_convergence_bound_values():
     assert convergence_bound(arctan, 0) == 0.1
     assert convergence_bound(flat, 3) == pytest.approx(0.2 / 128)
     assert convergence_bound(arctan, 14) == pytest.approx(0.1 * 0.82**14)
-    with pytest.raises(ValueError, match="burn-in"):
-        convergence_bound(StepLikeParams(0.5, 0.1, 3, 1.0), 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        convergence_bound(StepLikeParams(0.5, 0.1, 1.0), -1)
 
 
 def test_required_depth_scan_values():
@@ -225,21 +222,14 @@ def test_required_depth_monotone_and_self_consistent():
         assert 2 * (delta + 2) * convergence_bound(params, m) < 1.0
 
 
-def test_size_closed_forms_bracket_the_scan():
-    params = certificate("step-arctan")
-    forms = size_closed_forms(params, 64)
-    # the sign-fixed closed form is an upper bound for the scanned depth
-    assert required_composition_depth(params, 64) <= math.ceil(forms["log2(1+eta)"])
-
-
 def test_iterate_error_within_bound_for_all_certified():
-    # the geometric/doubly-exponential rate over the collar, m up to burn-in + 20
+    # the geometric/doubly-exponential rate over the collar, m up to 20
     for name in CERTIFIED:
         act, params = get_activation(name), certificate(name)
         grid = plateau_grid(params.eps, 20_001)
         target = sigma_star(grid)
-        values = iterate(act, params.burn_in, grid)
-        for m in range(params.burn_in, params.burn_in + 21):
+        values = grid
+        for m in range(21):
             observed = float(np.abs(values - target).max())
             assert observed <= convergence_bound(params, m) + 1e-12, (name, m)
             values = act.fn(values)

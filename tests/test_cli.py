@@ -170,6 +170,14 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      "palette_size must be >= 1", id="palette-0"),
         pytest.param(("convergence", "--activation", "step-arctan", "--m-range", "5:2"),
                      "empty --m-range '5:2'", id="m-range-5:2"),
+        pytest.param(("separation", "--activation", "step-arctan", "--m=-1"), "composition depth",
+                     id="separation-step-arctan-m-1"),
+        pytest.param(("separation", "--activation", "sigmoid", "--m=-1"), "composition depth",
+                     id="separation-sigmoid-m-1"),
+        pytest.param(("convergence", "--activation", "step-arctan", "--m-range=-1:2"),
+                     "non-negative", id="m-range-1:2"),
+        pytest.param(("required-m", "--activation", "step-arctan", "--delta", "1" + "0" * 400),
+                     "int too large to convert to float", id="required-m-huge-delta"),
         pytest.param(("steplike-verify", "foo"), "unknown activation 'foo'", id="steplike-verify-foo"),
         pytest.param(("steplike-verify", "relu"), "'relu' carries no step-like certificate",
                      id="steplike-verify-relu"),
@@ -298,10 +306,19 @@ TEXT_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
          ("required-m", "--activation", "steplike-sigmoid-eta0", "--delta", "64")),
         ("convergence-step-arctan", ("convergence", "--activation", "step-arctan")),
         ("convergence-steplike-sigmoid-eta0", ("convergence", "--activation", "steplike-sigmoid-eta0")),
+        ("help-gc2gnn", ("--help",)),
+        *((f"help-{verb}", (verb, "--help")) for verb in (
+            "compile", "eval", "check-exact", "separation", "saturation", "steplike-verify",
+            "convergence", "required-m")),
     ],
 )
-def test_cli_text_matches_golden(label, argv, capsys):
-    assert cli.main(list(argv)) == 0
+def test_cli_text_matches_golden(label, argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # --help exits from inside the parser
+        code = exc.code
+    assert code == 0
     out, _ = capsys.readouterr()
     (golden,) = TEXT_GOLDEN_DIR.glob(f"{label}.*")  # .txt, or .csv for a CSV
     assert out.encode("ascii") == golden.read_bytes()

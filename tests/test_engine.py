@@ -16,7 +16,6 @@ from gc2gnn import (
     TreeParams,
     batch_graphs,
     compile_formula,
-    eval_oracle,
     eval_oracle_all,
     forward,
     forward_outputs,
@@ -123,7 +122,7 @@ def root_margin(q1, spec, roots):
     gaps = []
     for tree, root in roots:
         value = forward_outputs(spec, tree)[root]
-        gaps.append(value - 0.5 if eval_oracle(q1, tree, root) else 0.5 - value)
+        gaps.append(value - 0.5 if eval_oracle_all(q1, tree)[root] else 0.5 - value)
     return min(gaps)
 
 

@@ -12,7 +12,6 @@ from gc2gnn import (
     Not,
     Top,
     depth,
-    eval_oracle,
     eval_oracle_all,
     parse,
     random_formula,
@@ -160,21 +159,16 @@ def test_depth_values():
 
 
 def test_q1_isolated_vertex(q1, isolated_vertex):
-    assert eval_oracle(q1, isolated_vertex, 0) is True
+    assert bool(eval_oracle_all(q1, isolated_vertex)[0]) is True
 
 
 def test_q1_single_edge(q1, single_edge):
-    assert eval_oracle(q1, single_edge, 0) is False
-    assert eval_oracle(q1, single_edge, 1) is False
+    assert bool(eval_oracle_all(q1, single_edge)[0]) is False
+    assert bool(eval_oracle_all(q1, single_edge)[1]) is False
 
 
 def test_q1_triangle(q1, triangle):
     assert eval_oracle_all(q1, triangle).all()
-
-
-def test_eval_vertex_out_of_range(q1, triangle):
-    with pytest.raises(ValueError, match="out of range"):
-        eval_oracle(q1, triangle, 5)
 
 
 def test_eval_palette_mismatch(triangle):

@@ -286,6 +286,8 @@ def _bad_graph(content, label, message):
         _bad_graph("3 1\n1 1\n", "expected 3 colors", "expected 3 colors, found 2"),
         _bad_graph("3 2\n1 x 1\n", "non-integer color", "non-integer color entry"),
         _bad_graph("3 1\n1 1 2\n", "color out of range", "color out of range [1, palette]"),
+        _bad_graph("3 1\n1 99999999999999999999999 1\n", "color beyond int64",
+                   "color out of range [1, palette]"),
         _bad_graph("3 1\n1 1 1\nroot x\n", "root x", "malformed root line 'root x'"),
         _bad_graph("3 1\n1 1 1\nroot\n", "bare root", "malformed root line 'root'"),
         _bad_graph("3 1\n1 1 1\nroot 0\nroot 1\n", "two roots", "malformed root line 'root 1'"),

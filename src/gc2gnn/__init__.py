@@ -11,9 +11,7 @@ from .activations import (
     convergence_bound,
     flat_tanh_constants,
     get_activation,
-    iterate,
     required_composition_depth,
-    sigma_star,
     verify_step_like,
 )
 from .compiler import (

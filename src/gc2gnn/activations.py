@@ -31,10 +31,8 @@ __all__ = [
     "get_activation",
     "certificate",
     "apply_activation",
-    "sigma_star",
     "flat_tanh_constants",
     "golden_section_min",
-    "iterate",
     "plateau_grid",
     "convergence_bound",
     "required_composition_depth",
@@ -66,9 +64,10 @@ class Activation:
     """Named scalar map with optional closed-form derivatives and its
     step-like certificate, if it carries one.
 
-    ``fn``/``d1``/``d2`` accept scalars or numpy arrays.  The registered
-    maps' ``fn`` also takes ``out=``, an array (possibly the input itself)
-    that receives the result and every intermediate step.
+    ``fn`` is an in-place kernel: ``fn(x)`` overwrites ``x``, a float64
+    array (possibly 0-d or a strided view), with the map's values and
+    returns None.  ``apply_activation`` runs a map on any other values.
+    ``d1``/``d2`` are pure functions of scalars or arrays.
     """
 
     name: str
@@ -94,110 +93,89 @@ class ActivationSpec:
 
 
 # --------------------------------------------------------------------------
-# base maps
+# base maps: in-place kernels on float64 arrays
 
 
-def _maybe_scalar(out, template):
-    if np.isscalar(template) or (isinstance(template, np.ndarray) and template.ndim == 0):
-        return float(out)
-    return out
-
-
-def _buffer(x, out):
-    """``x`` as float64 and the buffer a base map writes into: ``out`` when
-    given (it may be ``x`` itself), else one new array shaped like ``x``."""
-    arr = np.asarray(x, dtype=np.float64)
-    return arr, (np.empty_like(arr) if out is None else out)
-
-
-def sigma_star(x, out=None):
+def _sigma_star(x):
     """Hard threshold at 1/2: 0 below, 1 above, 1/2 at the tie and at NaN.
 
     Computed as ``((x > 1/2) - (x < 1/2)) / 2 + 1/2`` with no masks: both
     comparisons are false at NaN, so it maps to 1/2, and the zero it returns
     is always +0.0 (``-0.5 + 0.5``).
     """
-    arr, buf = _buffer(x, out)
-    np.subtract(arr > 0.5, arr < 0.5, out=buf, dtype=np.float64)
-    np.multiply(buf, 0.5, out=buf)
-    return _maybe_scalar(np.add(buf, 0.5, out=buf), x)
+    np.subtract(x > 0.5, x < 0.5, out=x, dtype=np.float64)
+    np.multiply(x, 0.5, out=x)
+    np.add(x, 0.5, out=x)
 
 
-def _relu(x, out=None):
-    arr, buf = _buffer(x, out)
-    return _maybe_scalar(np.maximum(arr, 0.0, out=buf), x)
+def _relu(x):
+    np.maximum(x, 0.0, out=x)
 
 
-def _crelu(x, out=None):
-    arr, buf = _buffer(x, out)
-    np.maximum(arr, 0.0, out=buf)
-    return _maybe_scalar(np.minimum(buf, 1.0, out=buf), x)
+def _crelu(x):
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, 1.0, out=x)
 
 
-def _sigmoid(x, out=None):
-    arr, buf = _buffer(x, out)
-    np.negative(arr, out=buf)
+def _sigmoid(x):
+    np.negative(x, out=x)
     with np.errstate(over="ignore"):
-        np.exp(buf, out=buf)
-    np.add(1.0, buf, out=buf)
-    return _maybe_scalar(np.divide(1.0, buf, out=buf), x)
+        np.exp(x, out=x)
+    np.add(1.0, x, out=x)
+    np.divide(1.0, x, out=x)
 
 
-def _tanh(x, out=None):
-    arr, buf = _buffer(x, out)
-    return _maybe_scalar(np.tanh(arr, out=buf), x)
+def _tanh(x):
+    np.tanh(x, out=x)
 
 
-def _arctan_4pi(x, out=None):
-    arr, buf = _buffer(x, out)
-    np.arctan(arr, out=buf)
-    return _maybe_scalar(np.multiply(4.0 / np.pi, buf, out=buf), x)
+def _arctan_4pi(x):
+    np.arctan(x, out=x)
+    np.multiply(4.0 / np.pi, x, out=x)
 
 
-def _step_arctan(x, out=None):
-    arr, buf = _buffer(x, out)
-    np.multiply(2.0, arr, out=buf)
-    np.subtract(buf, 1.0, out=buf)
-    np.arctan(buf, out=buf)
-    np.multiply(2.0 / np.pi, buf, out=buf)
-    return _maybe_scalar(np.add(0.5, buf, out=buf), x)
+def _step_arctan(x):
+    np.multiply(2.0, x, out=x)
+    np.subtract(x, 1.0, out=x)
+    np.arctan(x, out=x)
+    np.multiply(2.0 / np.pi, x, out=x)
+    np.add(0.5, x, out=x)
 
 
 def _step_arctan_d1(x):
     u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-    return _maybe_scalar((4.0 / np.pi) / (1.0 + u * u), x)
+    return (4.0 / np.pi) / (1.0 + u * u)
 
 
 def _step_arctan_d2(x):
     u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-    return _maybe_scalar(-(16.0 / np.pi) * u / (1.0 + u * u) ** 2, x)
+    return -(16.0 / np.pi) * u / (1.0 + u * u) ** 2
 
 
 _TANH_HALF = math.tanh(0.5)
 
 
-def _tanh_step(x, out, tanh, t_half):
-    """``1/2 + tanh(x - 1/2) / (2 t_half)`` for a realization
-    ``tanh(z, out=...)`` of tanh and its value ``t_half`` at 1/2."""
-    arr, buf = _buffer(x, out)
-    np.subtract(arr, 0.5, out=buf)
-    tanh(buf, out=buf)
-    np.divide(buf, 2.0 * t_half, out=buf)
-    return np.add(0.5, buf, out=buf)
+def _tanh_step(x, tanh, t_half):
+    """``x <- 1/2 + tanh(x - 1/2) / (2 t_half)`` for an in-place kernel
+    ``tanh`` realizing tanh and its value ``t_half`` at 1/2."""
+    np.subtract(x, 0.5, out=x)
+    tanh(x)
+    np.divide(x, 2.0 * t_half, out=x)
+    np.add(0.5, x, out=x)
 
 
-def _step_tanh(x, out=None):
-    return _maybe_scalar(_tanh_step(x, out, np.tanh, _TANH_HALF), x)
+def _step_tanh(x):
+    _tanh_step(x, _tanh, _TANH_HALF)
 
 
 def _step_tanh_d1(x):
     y = np.asarray(x, dtype=np.float64) - 0.5
-    return _maybe_scalar(1.0 / (np.cosh(y) ** 2 * 2.0 * _TANH_HALF), x)
+    return 1.0 / (np.cosh(y) ** 2 * 2.0 * _TANH_HALF)
 
 
 def _step_tanh_d2(x):
     y = np.asarray(x, dtype=np.float64) - 0.5
-    return _maybe_scalar(-np.tanh(y) / (np.cosh(y) ** 2 * _TANH_HALF), x)
+    return -np.tanh(y) / (np.cosh(y) ** 2 * _TANH_HALF)
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +237,7 @@ def flat_tanh_constants() -> tuple[float, float]:
 @lru_cache(maxsize=2)
 def _flat_coeffs(tanh) -> tuple[float, float, float]:
     """``(a, alpha/2, den)`` with tanh evaluated by ``tanh``, a
-    module-level realization (the cache is keyed on it).
+    module-level scalar realization (the cache is keyed on it).
 
     alpha/2 is the coefficient that zeroes the inner map's derivative at the
     fixed points; den normalizes the inner map to fix 0 and 1.  The tanh
@@ -268,31 +246,32 @@ def _flat_coeffs(tanh) -> tuple[float, float, float]:
     """
     a, alpha = flat_tanh_constants()
     half_alpha = alpha / 2.0
-    den = 2.0 * (float(tanh(a)) - half_alpha * float(tanh(2.0 * a)) + float(tanh(3.0 * a)))
+    den = 2.0 * (tanh(a) - half_alpha * tanh(2.0 * a) + tanh(3.0 * a))
     return a, half_alpha, den
 
 
-def _flat_shoulder(x, out, tanh, coeffs):
-    """``(tanh(a u) - (alpha/2) tanh(2 a u) + tanh(3 a u)) / den + 1/2`` with
-    ``u = 2x - 1``, for a realization ``tanh(z, out=...)`` of tanh and its
-    ``_flat_coeffs``."""
+def _flat_shoulder(x, tanh, coeffs):
+    """``x <- (tanh(a u) - (alpha/2) tanh(2 a u) + tanh(3 a u)) / den + 1/2``
+    with ``u = 2x - 1``, for an in-place kernel ``tanh`` realizing tanh and
+    its ``_flat_coeffs``."""
     a, half_alpha, den = coeffs
-    arr, buf = _buffer(x, out)
-    u = np.multiply(2.0, arr, out=buf)
-    np.subtract(u, 1.0, out=u)
-    num, term = np.empty_like(u), np.empty_like(u)
-    tanh(np.multiply(a, u, out=num), out=num)
-    tanh(np.multiply(2.0 * a, u, out=term), out=term)
+    np.multiply(2.0, x, out=x)
+    np.subtract(x, 1.0, out=x)  # x holds u until the last term reads it
+    num, term = np.empty_like(x), np.empty_like(x)
+    np.multiply(a, x, out=num)
+    tanh(num)
+    np.multiply(2.0 * a, x, out=term)
+    tanh(term)
     np.subtract(num, np.multiply(half_alpha, term, out=term), out=num)
-    # the last term reads u for the last time, so it may overwrite it
-    tanh(np.multiply(3.0 * a, u, out=buf), out=buf)
-    np.add(num, buf, out=buf)
-    np.divide(buf, den, out=buf)
-    return np.add(buf, 0.5, out=buf)
+    np.multiply(3.0 * a, x, out=x)
+    tanh(x)
+    np.add(num, x, out=x)
+    np.divide(x, den, out=x)
+    np.add(x, 0.5, out=x)
 
 
-def _flat_inner(x, out=None):
-    return _flat_shoulder(x, out, np.tanh, _flat_coeffs(math.tanh))
+def _flat_inner(x):
+    _flat_shoulder(x, _tanh, _flat_coeffs(math.tanh))
 
 
 def _flat_inner_d1(x):
@@ -314,40 +293,48 @@ def _flat_inner_d2(x):
     return -8.0 * a * a * (st(a * u) - 4.0 * half_alpha * st(2.0 * a * u) + 9.0 * st(3.0 * a * u)) / den
 
 
-def _flat_tanh(x, out=None):
-    buf = _flat_inner(x, out)
-    return _maybe_scalar(_step_tanh(buf, out=buf), x)
+def _flat_tanh(x):
+    _flat_inner(x)
+    _step_tanh(x)
 
 
 def _flat_tanh_d1(x):
-    t = _flat_inner(np.asarray(x, dtype=np.float64))
-    return _maybe_scalar(_step_tanh_d1(t) * _flat_inner_d1(x), x)
+    t = np.array(x, dtype=np.float64)
+    _flat_inner(t)
+    return _step_tanh_d1(t) * _flat_inner_d1(x)
 
 
 def _flat_tanh_d2(x):
-    t = _flat_inner(np.asarray(x, dtype=np.float64))
+    t = np.array(x, dtype=np.float64)
+    _flat_inner(t)
     d1 = _flat_inner_d1(x)
-    return _maybe_scalar(_step_tanh_d2(t) * d1 * d1 + _step_tanh_d1(t) * _flat_inner_d2(x), x)
+    return _step_tanh_d2(t) * d1 * d1 + _step_tanh_d1(t) * _flat_inner_d2(x)
 
 
-def _tanh_via_sigmoid(z, out=None):
-    arr, buf = _buffer(z, out)
-    np.multiply(-2.0, arr, out=buf)
+def _tanh_via_sigmoid(z):
+    np.multiply(-2.0, z, out=z)
     with np.errstate(over="ignore"):
-        np.exp(buf, out=buf)
-    np.add(1.0, buf, out=buf)
-    np.divide(2.0, buf, out=buf)
-    return np.subtract(buf, 1.0, out=buf)
+        np.exp(z, out=z)
+    np.add(1.0, z, out=z)
+    np.divide(2.0, z, out=z)
+    np.subtract(z, 1.0, out=z)
 
 
-_SIGMOID_TANH_HALF = float(_tanh_via_sigmoid(0.5))
+def _sigmoid_tanh_at(z: float) -> float:
+    """``_tanh_via_sigmoid`` at the scalar ``z``, run on a 0-d array."""
+    buf = np.array(z, dtype=np.float64)
+    _tanh_via_sigmoid(buf)
+    return float(buf)
 
 
-def _flat_sigmoid(x, out=None):
+_SIGMOID_TANH_HALF = _sigmoid_tanh_at(0.5)
+
+
+def _flat_sigmoid(x):
     """Pointwise the same map as the flat tanh variant, realized with sigmoid
     evaluations only (tanh z == 2*sigmoid(2z) - 1)."""
-    buf = _flat_shoulder(x, out, _tanh_via_sigmoid, _flat_coeffs(_tanh_via_sigmoid))
-    return _maybe_scalar(_tanh_step(buf, buf, _tanh_via_sigmoid, _SIGMOID_TANH_HALF), x)
+    _flat_shoulder(x, _tanh_via_sigmoid, _flat_coeffs(_sigmoid_tanh_at))
+    _tanh_step(x, _tanh_via_sigmoid, _SIGMOID_TANH_HALF)
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +348,7 @@ _FLAT_CERT = StepLikeParams(eta=0.0, eps=0.20, curvature=2.2)
 _REGISTRY = {
     act.name: act
     for act in (
-        Activation("sigma-star", sigma_star),
+        Activation("sigma-star", _sigma_star),
         Activation("crelu", _crelu),
         Activation("relu", _relu),
         Activation("sigmoid", _sigmoid),
@@ -402,7 +389,7 @@ def certificate(name: str) -> StepLikeParams:
 
 
 # --------------------------------------------------------------------------
-# iteration and application
+# application
 
 
 # Elements of the flat buffer that _compose takes through all m steps before
@@ -411,8 +398,9 @@ _BLOCK = 1 << 16
 
 
 def _compose(fn, m: int, out: np.ndarray) -> None:
-    """Apply ``fn`` ``m`` times in place to ``out``, a dense array such as
-    ``np.array`` makes, one ``_BLOCK``-element block at a time in memory order.
+    """Apply the kernel ``fn`` ``m`` times in place to ``out``, a dense array
+    such as ``np.array`` makes, one ``_BLOCK``-element block at a time in
+    memory order.
 
     Each step is elementwise, so blocking changes no bits: the block size is
     a power of two, so every block but the last starts at the same alignment
@@ -426,42 +414,33 @@ def _compose(fn, m: int, out: np.ndarray) -> None:
     for start in range(0, flat.size, _BLOCK):
         block = flat[start:start + _BLOCK]
         for _ in range(m):
-            fn(block, out=block)
-
-
-def iterate(activation: Activation, m: int, x):
-    """Apply ``activation`` ``m`` times (``m = 0`` is the identity).
-
-    All steps run in place in one float64 copy of ``x``; ``x`` is left
-    unchanged.
-    """
-    if m < 0:
-        raise ValueError("iteration count must be non-negative")
-    out = np.array(x, dtype=np.float64, ndmin=1)
-    _compose(activation.fn, m, out)
-    return _maybe_scalar(out.reshape(np.shape(x)), x)
+            fn(block)
 
 
 def apply_activation(name: str, m: int, values):
-    """Elementwise activation used by the forward pass.
+    """``name`` composed ``m`` times (``m = 0`` is the identity) on a
+    float64 copy of ``values``, which is left unchanged: an array in the
+    layout of ``values``, or a float64 scalar for a scalar.  The one way to
+    run a map on values.
 
-    Every named map is iterated ``m`` times, except ``arctan-4pi`` which is
+    Every named map is composed directly, except ``arctan-4pi`` which is
     the sign-amplifying composite ``z -> 1/2 + f^m(z - 1/2)/2`` with
-    ``f = (4/pi) arctan``.  ``values`` is left unchanged.
+    ``f = (4/pi) arctan``, the map its kernel holds.
     """
     if m < 0:
         raise ValueError("composition depth must be non-negative")
-    activation = get_activation(name)
-    if name != "arctan-4pi":
-        return iterate(activation, m, values)
-    # The shift and its inverse run in the buffer the steps write into, so
-    # the composite allocates one array, as iterate does.
-    out = np.array(values, dtype=np.float64, ndmin=1)
-    np.subtract(out, 0.5, out=out)
-    _compose(activation.fn, m, out)
-    np.multiply(0.5, out, out=out)
-    np.add(0.5, out, out=out)
-    return _maybe_scalar(out.reshape(np.shape(values)), values)
+    fn = get_activation(name).fn
+    out = np.array(values, dtype=np.float64)
+    # the composite's shift and its inverse run in the buffer the steps
+    # write into, so every map allocates one array
+    shifted = name == "arctan-4pi"
+    if shifted:
+        np.subtract(out, 0.5, out=out)
+    _compose(fn, m, out)
+    if shifted:
+        np.multiply(0.5, out, out=out)
+        np.add(0.5, out, out=out)
+    return out[()]
 
 
 # --------------------------------------------------------------------------
@@ -537,8 +516,8 @@ class StepLikeReport:
         return "\n".join([head] + ["  " + c.describe() for c in self.checks])
 
 
-def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLikeReport:
-    """Check the step-like conditions against a certificate.
+def verify_step_like(name: str, params: StepLikeParams) -> StepLikeReport:
+    """Check the registered map ``name`` against a certificate.
 
     (a) fixes 0 and 1; (b) derivative at 0 and 1 at most eta; (c) the collar
     lies within min(eps, (1-eta)/curvature) of the threshold; (d) the
@@ -553,13 +532,15 @@ def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLike
 
     Needs the closed-form ``d1``/``d2``, which every certified map has.
     """
+    activation = get_activation(name)
     d1, d2 = activation.d1, activation.d2
     if d1 is None or d2 is None:
-        raise ValueError(f"{activation.name!r} has no closed-form derivatives")
+        raise ValueError(f"{name!r} has no closed-form derivatives")
     checks = []
 
-    fixed_worst = max(abs(float(activation.fn(0.0))), abs(float(activation.fn(1.0)) - 1.0))
-    fixed_loc = 0.0 if abs(float(activation.fn(0.0))) >= abs(float(activation.fn(1.0)) - 1.0) else 1.0
+    at0 = abs(float(apply_activation(name, 1, 0.0)))
+    at1 = abs(float(apply_activation(name, 1, 1.0)) - 1.0)
+    fixed_worst, fixed_loc = max(at0, at1), 0.0 if at0 >= at1 else 1.0
     checks.append(CheckResult("fixes 0 and 1", fixed_worst <= _TOL, fixed_worst, _TOL, fixed_loc))
 
     s0, s1 = abs(float(d1(0.0))), abs(float(d1(1.0)))
@@ -575,7 +556,7 @@ def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLike
     )
 
     collar = plateau_grid(params.eps, _COLLAR_POINTS)
-    target = sigma_star(collar)
+    target = apply_activation("sigma-star", 1, collar)
     radius = min(params.eps, (1.0 - params.eta) / params.curvature)
     dev = np.abs(collar - target)
     i = int(np.argmax(dev))
@@ -592,30 +573,30 @@ def verify_step_like(activation: Activation, params: StepLikeParams) -> StepLike
     wide = np.linspace(_WIDE_LO, _WIDE_HI, _WIDE_POINTS)
     outside = wide[(wide <= params.eps) | (wide >= 1.0 - params.eps)]
     points = np.concatenate([outside, collar])
-    plateau = np.concatenate([sigma_star(outside), target])
+    plateau = apply_activation("sigma-star", 1, points)
     dist = np.abs(points - plateau)
     allowed = params.eta * dist + 0.5 * params.curvature * dist * dist
-    stepped = np.abs(np.asarray(activation.fn(points)) - plateau)
-    excess = stepped - allowed
+    stepped = apply_activation(name, 1, points)
+    excess = np.abs(stepped - plateau) - allowed
     j = int(np.argmax(excess))
     checks.append(
         CheckResult(
             "one-step contraction outside (eps, 1-eps)",
             float(excess[j]) <= _TOL,
-            float(stepped[j]),
+            float(np.abs(stepped[j] - plateau[j])),
             float(allowed[j]),
             float(points[j]),
         )
     )
 
-    curv_info = float(np.abs(np.asarray(d2(activation.fn(collar)))).max())
+    curv_info = float(np.abs(d2(stepped[outside.size:])).max())
     note = (
         f"wide grid [{_WIDE_LO}, {_WIDE_HI}] x{_WIDE_POINTS}, "
         f"collar +-{params.eps} around 0 and 1 x{_COLLAR_POINTS}, tol={_TOL:g}; "
         f"curvature sup over the once-contracted collar: {curv_info:.6g}"
     )
     return StepLikeReport(
-        activation=activation.name,
+        activation=name,
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
         grid_note=note,

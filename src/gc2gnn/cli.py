@@ -22,7 +22,6 @@ from .activations import (
     ActivationSpec,
     certificate,
     flat_tanh_constants,
-    get_activation,
     required_composition_depth,
     verify_step_like,
 )
@@ -104,6 +103,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_exact(args) -> int:
+    if args.random_graphs < 0:
+        raise ValueError(f"--random-graphs {args.random_graphs} must be non-negative")
     _, formula, palette, _ = _resolve_query(args)
     graphs = []
     if args.graph:
@@ -161,6 +162,11 @@ def _cmd_saturation(args) -> int:
         k_values=_parse_int_list(args.k_range),
         palette=args.palette,
     )
+    # the decay check needs two swept rows, so it fails before any output
+    if len(cfg.k_values) < 2:
+        raise ValueError(f"--k-range {args.k_range!r} needs at least two k values")
+    if cfg.activation in EXACT_NAMES:
+        raise ValueError(f"--activation {cfg.activation} is exact, so its gap cannot decay")
     rows = run_saturation(cfg)
     _write_out(args.out, rows_to_csv(rows))
     first, last = check_saturation_decay(rows)
@@ -173,7 +179,7 @@ def _cmd_steplike_verify(args) -> int:
     certs = [certificate(name) for name in names]  # a bad name fails before any output
     failed = False
     for name, params in zip(names, certs):
-        report = verify_step_like(get_activation(name), params)
+        report = verify_step_like(name, params)
         print(report.describe())
         if name in FLAT_NAMES:
             a, alpha = flat_tanh_constants()
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activation", default="sigma-star", choices=ACTIVATION_NAMES)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_compile)
+    p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser("eval", help="run a compiled or freshly compiled query on a graph")
     add_query_args(p)
@@ -232,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="default: the spec's m for its own activation, else 1")
     p.add_argument("--vertex", type=int, help="report one vertex, in [0, n)")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("check-exact", help="compare threshold/clipped-relu runs to the evaluator")
     add_query_args(p)
@@ -241,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--avg-degree", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_check_exact)
+    p.set_defaults(handler=_cmd_check_exact)
 
     p = sub.add_parser("separation", help="gap sweep over the tree pairs per (m, k)")
     add_query_args(p)
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")
     p.add_argument("--delta", type=int, help="skip sweep points above this max degree")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_separation)
+    p.set_defaults(handler=_cmd_separation)
 
     p = sub.add_parser("saturation", help="gap decay of a bounded activation as trees grow")
     add_query_args(p)
@@ -258,22 +264,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_saturation)
+    p.set_defaults(handler=_cmd_saturation)
 
     p = sub.add_parser("steplike-verify", help="verify the shipped step-like certificates")
     p.add_argument("names", nargs="*", help="activation names (default: all certified)")
-    p.set_defaults(fn=_cmd_steplike_verify)
+    p.set_defaults(handler=_cmd_steplike_verify)
 
     p = sub.add_parser("convergence", help="iterate error vs certified bound per m")
     p.add_argument("--activation", required=True, choices=ACTIVATION_NAMES)
     p.add_argument("--m-range", default="0:20", help="list or lo:hi (default: %(default)s)")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_convergence)
+    p.set_defaults(handler=_cmd_convergence)
 
     p = sub.add_parser("required-m", help="composition depth needed for a degree bound")
     p.add_argument("--activation", required=True, choices=ACTIVATION_NAMES)
     p.add_argument("--delta", type=int, required=True)
-    p.set_defaults(fn=_cmd_required_m)
+    p.set_defaults(handler=_cmd_required_m)
 
     return parser
 
@@ -287,7 +293,7 @@ def main(argv=None) -> int:
     # OverflowError.  A sweep that breaks its bound is a failed verdict
     # (exit code 1), reported after its CSV.
     try:
-        return args.fn(args)
+        return args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
         parser.error(str(exc))
     except BoundViolation as exc:

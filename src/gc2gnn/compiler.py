@@ -118,7 +118,7 @@ class GnnSpec:
     """A compiled network: rule-row layers over one coordinate per subformula.
 
     ``init_kinds`` describes the iteration-0 features per coordinate:
-    ``"0"``, ``"1"``, or ``"C<i>"`` (indicator of color i).  The width ``d``
+    ``"0"``, ``"1"``, or ``"C<i>"`` (indicator of color i >= 1).  The width ``d``
     is its length and ``iterations`` the number of layers; the layers' rule
     rows say where each coordinate fires.  Compiled specs also name each
     coordinate's subformula in ``coordinate_formulas``.
@@ -134,7 +134,10 @@ class GnnSpec:
         if not 0 <= self.output_index < self.d:
             raise ValueError("output index out of range")
         for kind in self.init_kinds:
-            if kind not in ("0", "1") and not (kind.startswith("C") and kind[1:].isdigit()):
+            index = kind[1:]
+            if kind not in ("0", "1") and not (
+                kind.startswith("C") and index.isascii() and index.isdigit() and int(index) >= 1
+            ):
                 raise ValueError(f"bad init kind {kind!r}")
         if any(layer.d != self.d for layer in self.layers):
             raise ValueError("layer dimension disagrees with d")

@@ -11,12 +11,10 @@ import numpy as np
 from .activations import (
     EXACT_NAMES,
     ActivationSpec,
+    apply_activation,
     certificate,
     convergence_bound,
-    get_activation,
-    iterate,
     plateau_grid,
-    sigma_star,
 )
 from .compiler import compile_formula
 from .engine import forward_outputs
@@ -99,8 +97,11 @@ def rows_to_csv(rows) -> str:
 def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Formula, int, str]:
     """Resolve a query: the presets ``q1``/``q2`` or raw formula text.
 
-    Returns (label, formula, palette, tree coloring).
+    Returns (label, formula, palette, tree coloring).  A preset keeps its
+    own palette, but a ``palette`` below 1 is rejected for it too.
     """
+    if palette is not None and palette < 1:
+        raise ValueError("palette_size must be >= 1")
     if name_or_text.lower() == "q1":
         return "q1", parse(Q1_TEXT, 1), 1, "unicolor"
     if name_or_text.lower() == "q2":
@@ -171,17 +172,16 @@ def run_convergence(name: str, m_lo: int = 0, m_hi: int = 20) -> list[ResultRow]
     """Worst observed |sigma^m - threshold| over the plateau collar next to
     the certified bound, one observed row and one bound row per m."""
     params = certificate(name)
-    act = get_activation(name)
     grid = plateau_grid(params.eps, _CONVERGENCE_POINTS)
-    target = sigma_star(grid)
+    target = apply_activation("sigma-star", 1, grid)
     rows: list[ResultRow] = []
-    values = iterate(act, m_lo, grid)
+    values = apply_activation(name, m_lo, grid)
     for m in range(m_lo, m_hi + 1):
         observed = float(np.abs(values - target).max())
         bound = convergence_bound(params, m)
         rows.append(ResultRow("convergence", "-", name, m, 0, grid.size, 0, observed))
         rows.append(ResultRow("convergence-bound", "-", name, m, 0, grid.size, 0, bound))
-        values = act.fn(values)
+        values = apply_activation(name, 1, values)
     return rows
 
 

@@ -12,7 +12,8 @@ hashes or compares a whole subtree.
 Concrete grammar (whitespace-insensitive)::
 
     formula := "C" INT | "top" | "not" formula
-             | "(" formula "and" formula ")" | "dia>=" INT formula
+             | "(" formula ")" | "(" formula "and" formula ")"
+             | "dia>=" INT formula
 """
 
 from __future__ import annotations

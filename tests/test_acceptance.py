@@ -24,13 +24,12 @@ from gc2gnn import (
     random_graph,
 )
 from gc2gnn.activations import (
+    apply_activation,
     certificate,
     convergence_bound,
     flat_tanh_constants,
-    get_activation,
     plateau_grid,
     required_composition_depth,
-    sigma_star,
     verify_step_like,
 )
 from gc2gnn.experiments import ExperimentConfig, run_saturation, run_separation
@@ -93,9 +92,9 @@ def test_criterion_2_compact_weights_fixture(q1, q1_spec):
 def test_criterion_3_iterate_rates():
     worst_flat_m3 = None
     for name in CERTIFIED:
-        act, params = get_activation(name), certificate(name)
+        params = certificate(name)
         grid = plateau_grid(params.eps, 100_000)
-        target = sigma_star(grid)
+        target = apply_activation("sigma-star", 1, grid)
         values = grid
         for m in range(21):
             observed = float(np.abs(values - target).max())
@@ -103,7 +102,7 @@ def test_criterion_3_iterate_rates():
             assert observed <= bound + 1e-12, (name, m, observed, bound)
             if name == "steplike-tanh-eta0" and m == 3:
                 worst_flat_m3 = observed
-            values = act.fn(values)
+            values = apply_activation(name, 1, values)
     assert worst_flat_m3 is not None and worst_flat_m3 <= 0.2 / 128
     print(
         f"\nACCEPTANCE 3 (iterate rates): PASS - 4 activations, m up to 20, "
@@ -113,7 +112,7 @@ def test_criterion_3_iterate_rates():
 
 def test_criterion_4_certificates():
     for name in ("step-arctan", "step-tanh", "steplike-tanh-eta0"):
-        report = verify_step_like(get_activation(name), certificate(name))
+        report = verify_step_like(name, certificate(name))
         assert report.passed, report.describe()
     a, alpha = flat_tanh_constants()
     assert 0.45 < a < 0.46

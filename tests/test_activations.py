@@ -18,10 +18,8 @@ from gc2gnn.activations import (
     flat_tanh_constants,
     get_activation,
     golden_section_min,
-    iterate,
     plateau_grid,
     required_composition_depth,
-    sigma_star,
     verify_step_like,
 )
 
@@ -29,6 +27,10 @@ CERTIFIED = ("step-arctan", "step-tanh", "steplike-tanh-eta0", "steplike-sigmoid
 
 
 # -- basic maps ----------------------------------------------------------------
+
+
+def sigma_star(x):
+    return apply_activation("sigma-star", 1, x)
 
 
 def test_sigma_star_branches():
@@ -40,26 +42,25 @@ def test_sigma_star_branches():
 
 def test_step_arctan_values():
     act, params = get_activation("step-arctan"), certificate("step-arctan")
-    assert act.fn(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert act.fn(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert act.fn(0.5) == pytest.approx(0.5, abs=1e-12)
+    assert apply_activation("step-arctan", 1, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert apply_activation("step-arctan", 1, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert apply_activation("step-arctan", 1, 0.5) == pytest.approx(0.5, abs=1e-12)
     assert act.d1(0.0) == pytest.approx((4 / math.pi) / 2, abs=1e-12)
     assert abs(act.d1(0.0)) <= params.eta
     assert params == StepLikeParams(0.64, 0.10, 1.52)
 
 
 def test_step_tanh_values():
-    act, params = get_activation("step-tanh"), certificate("step-tanh")
-    assert act.fn(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert act.fn(1.0) == pytest.approx(1.0, abs=1e-12)
+    params = certificate("step-tanh")
+    assert apply_activation("step-tanh", 1, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert apply_activation("step-tanh", 1, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert params == StepLikeParams(0.86, 0.16, 0.84)
 
 
 def test_fixed_points_exact_for_all_certified():
     for name in CERTIFIED:
-        fn = get_activation(name).fn
-        assert abs(fn(0.0)) <= 1e-12, name
-        assert abs(fn(1.0) - 1.0) <= 1e-12, name
+        assert abs(apply_activation(name, 1, 0.0)) <= 1e-12, name
+        assert abs(apply_activation(name, 1, 1.0) - 1.0) <= 1e-12, name
 
 
 # -- the flat-shoulder construction --------------------------------------------
@@ -84,31 +85,28 @@ def test_flat_construction_certificates():
 
 
 def test_sigmoid_realization_agrees_pointwise():
-    tanh_fn = get_activation("steplike-tanh-eta0").fn
-    sig_fn = get_activation("steplike-sigmoid-eta0").fn
     xs = np.linspace(-5.0, 6.0, 10_000)
-    assert np.abs(tanh_fn(xs) - sig_fn(xs)).max() <= 1e-12
-    assert sig_fn(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert sig_fn(1.0) == pytest.approx(1.0, abs=1e-12)
+    tanh_out = apply_activation("steplike-tanh-eta0", 1, xs)
+    sig_out = apply_activation("steplike-sigmoid-eta0", 1, xs)
+    assert np.abs(tanh_out - sig_out).max() <= 1e-12
+    assert apply_activation("steplike-sigmoid-eta0", 1, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert apply_activation("steplike-sigmoid-eta0", 1, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- iteration -----------------------------------------------------------------
 
 
 def test_iterate_zero_is_identity():
-    act = get_activation("step-arctan")
-    assert iterate(act, 0, 0.37) == 0.37
+    assert apply_activation("step-arctan", 0, 0.37) == 0.37
 
 
 def test_iterate_arctan_from_middle():
-    act = get_activation("step-arctan")
-    value = iterate(act, 5, -0.5)
+    value = apply_activation("step-arctan", 5, -0.5)
     assert abs(value - 0.0) <= 0.1 * ((1 + 0.64) / 2) ** 5
 
 
 def test_iterate_flat_from_collar_edge():
-    act = get_activation("steplike-tanh-eta0")
-    value = iterate(act, 3, 1.2)
+    value = apply_activation("steplike-tanh-eta0", 3, 1.2)
     assert abs(value - 1.0) <= 0.2 / 128
 
 
@@ -116,7 +114,7 @@ def test_iterate_flat_from_collar_edge():
 def test_iterate_leaves_input_unchanged(m):
     x = np.linspace(-1.0, 2.0, 7)
     before = x.copy()
-    out = iterate(get_activation("steplike-tanh-eta0"), m, x)
+    out = apply_activation("steplike-tanh-eta0", m, x)
     assert np.array_equal(x, before)
     assert not np.shares_memory(out, x)
 
@@ -157,17 +155,17 @@ def test_no_overflow_on_large_inputs():
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_verify_step_like_passes(name):
-    report = verify_step_like(get_activation(name), certificate(name))
+    report = verify_step_like(name, certificate(name))
     assert report.passed, report.describe()
 
 
 def test_verify_needs_closed_form_derivatives():
     with pytest.raises(ValueError, match="no closed-form derivatives"):
-        verify_step_like(get_activation("sigmoid"), StepLikeParams(0.5, 0.1, 1.0))
+        verify_step_like("sigmoid", StepLikeParams(0.5, 0.1, 1.0))
 
 
 def test_verify_rejects_tightened_eta():
-    report = verify_step_like(get_activation("step-arctan"), StepLikeParams(0.5, 0.10, 1.52))
+    report = verify_step_like("step-arctan", StepLikeParams(0.5, 0.10, 1.52))
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert "derivative at the fixed points" in failing
@@ -176,7 +174,7 @@ def test_verify_rejects_tightened_eta():
 
 
 def test_verify_rejects_tightened_curvature():
-    report = verify_step_like(get_activation("step-arctan"), StepLikeParams(0.64, 0.10, 0.5))
+    report = verify_step_like("step-arctan", StepLikeParams(0.64, 0.10, 0.5))
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {"one-step contraction outside (eps, 1-eps)"}
@@ -225,14 +223,14 @@ def test_required_depth_monotone_and_self_consistent():
 def test_iterate_error_within_bound_for_all_certified():
     # the geometric/doubly-exponential rate over the collar, m up to 20
     for name in CERTIFIED:
-        act, params = get_activation(name), certificate(name)
+        params = certificate(name)
         grid = plateau_grid(params.eps, 20_001)
         target = sigma_star(grid)
         values = grid
         for m in range(21):
             observed = float(np.abs(values - target).max())
             assert observed <= convergence_bound(params, m) + 1e-12, (name, m)
-            values = act.fn(values)
+            values = apply_activation(name, 1, values)
 
 
 
@@ -288,6 +286,33 @@ def test_multi_block_bits_pinned(name):
             assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest, (m, label)
 
 
+@pytest.mark.parametrize("name", ACTIVATION_NAMES)
+def test_kernel_overwrites_in_place(name):
+    # fn overwrites a float64 array in place and returns None, on a 1-d
+    # array, a strided view and a 0-d array alike; apply_activation at m = 1
+    # writes the same bytes into its copy, except for arctan-4pi, whose
+    # kernel is f = (4/pi) arctan and whose composite shifts around it
+    def by_hand(x):
+        if name != "arctan-4pi":
+            return apply_activation(name, 1, x)
+        return (4.0 / np.pi) * np.arctan(x)
+
+    x = multi_block_input()[:4099]
+    wide = np.zeros(2 * x.size)
+    wide[::2] = x
+    bufs = [x.copy(), wide[::2]] + [np.array(v) for v in x[:8]]
+    fn = get_activation(name).fn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for buf in bufs:
+            before = buf.copy()
+            assert fn(buf) is None
+            assert buf.tobytes() == np.asarray(by_hand(before)).tobytes(), buf.ndim
+        if name == "arctan-4pi":
+            composite = 0.5 + 0.5 * by_hand(x - 0.5)
+            assert apply_activation(name, 1, x).tobytes() == composite.tobytes()
+    assert not wide[1::2].any()  # the view's kernel wrote only its own elements
+
+
 def test_sigma_star_special_values():
     x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -np.nan])
     out = sigma_star(x)
@@ -297,7 +322,7 @@ def test_sigma_star_special_values():
     assert math.copysign(1.0, sigma_star(-0.0)) == 1.0
     # in place, as the composition runs it
     buf = x.copy()
-    sigma_star(buf, out=buf)
+    assert get_activation("sigma-star").fn(buf) is None
     assert buf.tobytes() == out.tobytes()
 
 

@@ -1,3 +1,4 @@
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,16 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      id="steplike-verify-relu"),
         pytest.param(("compile", "--formula", "not " * 1200 + "top"),
                      "formula nested too deeply (at position 0)", id="deep-formula"),
+        pytest.param(("compile", "--query", "q1", "--palette", "0"), "palette_size must be >= 1",
+                     id="preset-palette-0"),
+        pytest.param(("compile", "--query", "q1", "--palette", "-3"), "palette_size must be >= 1",
+                     id="preset-palette-3"),
+        pytest.param(("check-exact", "--graph", "{graph}", "--query", "q1", "--random-graphs", "-2"),
+                     "--random-graphs -2 must be non-negative", id="random-graphs-2"),
+        pytest.param(("saturation", "--query", "q1", "--k-range", "5"),
+                     "--k-range '5' needs at least two k values", id="saturation-one-k"),
+        pytest.param(("saturation", "--query", "q1", "--activation", "crelu"),
+                     "--activation crelu is exact", id="saturation-crelu"),
     ],
 )
 def test_cli_eval_vertex_out_of_range(tmp_path, args, message):
@@ -194,6 +205,7 @@ def test_cli_eval_vertex_out_of_range(tmp_path, args, message):
     assert result.returncode == 2
     assert message in result.stderr
     assert "Traceback" not in result.stderr
+    assert result.stdout == ""  # the error comes before any output
 
 
 def test_cli_check_exact_passes(tmp_path):
@@ -293,6 +305,8 @@ def test_sweep_csv_matches_golden(label, argv, capsys):
 
 
 TEXT_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+VERBS = ("compile", "eval", "check-exact", "separation", "saturation", "steplike-verify",
+         "convergence", "required-m")
 
 
 @pytest.mark.parametrize(
@@ -307,9 +321,7 @@ TEXT_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
         ("convergence-step-arctan", ("convergence", "--activation", "step-arctan")),
         ("convergence-steplike-sigmoid-eta0", ("convergence", "--activation", "steplike-sigmoid-eta0")),
         ("help-gc2gnn", ("--help",)),
-        *((f"help-{verb}", (verb, "--help")) for verb in (
-            "compile", "eval", "check-exact", "separation", "saturation", "steplike-verify",
-            "convergence", "required-m")),
+        *((f"help-{verb}", (verb, "--help")) for verb in VERBS),
     ],
 )
 def test_cli_text_matches_golden(label, argv, capsys, monkeypatch):
@@ -322,3 +334,16 @@ def test_cli_text_matches_golden(label, argv, capsys, monkeypatch):
     out, _ = capsys.readouterr()
     (golden,) = TEXT_GOLDEN_DIR.glob(f"{label}.*")  # .txt, or .csv for a CSV
     assert out.encode("ascii") == golden.read_bytes()
+
+
+def test_readme_command_lines_parse():
+    # a renamed verb or flag breaks the README's "Command line" block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    parser = cli.build_parser()
+    verbs = set()
+    for line in block.splitlines():
+        if line.startswith("gc2gnn "):
+            argv = shlex.split(line, comments=True)[1:]
+            verbs.add(parser.parse_args(argv).command)  # exits on an unknown flag
+    assert verbs == set(VERBS)

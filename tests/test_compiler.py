@@ -317,6 +317,9 @@ def test_spec_serializer_rejects_fractions():
         (lambda lines: [lines[0].replace("sigma-star", "swish")] + lines[1:], "unknown activation"),
         (lambda lines: lines[:-1], "matrix rows"),
         (lambda lines: [lines[0] + " 9"] + lines[1:], "malformed header"),
+        # color indices start at 1 and are ASCII digits
+        (lambda lines: [lines[0], "init C0 0 0 0 0"] + lines[2:], "bad init kind 'C0'"),
+        (lambda lines: [lines[0], "init C\u0661 0 0 0 0"] + lines[2:], "bad init kind 'C\u0661'"),
     ],
 )
 def test_spec_parser_rejects_malformed(q1_spec, mutate, fragment):

@@ -22,7 +22,6 @@ from .compiler import (
     read_spec,
     spec_from_text,
     spec_to_text,
-    write_spec,
 )
 from .engine import (
     forward,

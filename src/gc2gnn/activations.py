@@ -468,8 +468,10 @@ def convergence_bound(params: StepLikeParams, m: int) -> float:
 def required_composition_depth(params: StepLikeParams, max_degree: int) -> int:
     """Smallest ``m >= 0`` with ``2 (max_degree + 2) * bound(m) < 1``.
 
-    This is the condition that lets the per-layer error survive the inductive
-    argument across all iterations of the compiled network.
+    This is the paper's collar estimate, not a guarantee: ``bound(m)`` holds
+    only for inputs on the collar (within ``eps`` of 0 or 1), and a compiled
+    network's pre-activations can leave it, so the scanned depth can be too
+    small (ROADMAP.md, item 1 "Sound composition depth").
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")

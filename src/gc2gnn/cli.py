@@ -25,11 +25,10 @@ from .activations import (
     required_composition_depth,
     verify_step_like,
 )
-from .compiler import compile_formula, read_spec, write_spec, spec_to_text
+from .compiler import compile_formula, read_spec, spec_to_text
 from .engine import forward_outputs
 from .experiments import (
     BoundViolation,
-    ExperimentConfig,
     check_convergence_rows,
     check_saturation_decay,
     load_query,
@@ -60,19 +59,20 @@ def _write_out(path: str | None, content: str) -> None:
             fh.write(content)
 
 
-def _resolve_query(args) -> tuple[str, object, int, str]:
-    if not (args.query or args.formula):
+def _query_text(args, default: str | None = None) -> str:
+    """The one query of ``--query`` or ``--formula``, else ``default``."""
+    if args.query is not None and args.formula is not None:
+        raise ValueError("give --query or --formula, not both")
+    text = args.query or args.formula or default
+    if not text:
         raise ValueError("need --query or --formula")
-    return load_query(args.query or args.formula, args.palette)
+    return text
 
 
 def _cmd_compile(args) -> int:
-    _, formula, palette, _ = _resolve_query(args)
+    _, formula, palette, _ = load_query(_query_text(args), args.palette)
     spec = compile_formula(formula, palette, ActivationSpec(args.activation, args.m))
-    if args.out:
-        write_spec(args.out, spec)
-    else:
-        sys.stdout.write(spec_to_text(spec))
+    _write_out(args.out, spec_to_text(spec))
     return 0
 
 
@@ -81,9 +81,7 @@ def _cmd_eval(args) -> int:
     if args.spec:
         spec = read_spec(args.spec)
     else:
-        _, formula, palette, _ = _resolve_query(args)
-        if palette < graph.palette:
-            palette = graph.palette
+        _, formula, palette, _ = load_query(_query_text(args), args.palette)
         spec = compile_formula(formula, palette)
     if args.vertex is not None and not 0 <= args.vertex < graph.n:
         raise ValueError(f"--vertex {args.vertex} out of range [0, {graph.n})")
@@ -105,7 +103,7 @@ def _cmd_eval(args) -> int:
 def _cmd_check_exact(args) -> int:
     if args.random_graphs < 0:
         raise ValueError(f"--random-graphs {args.random_graphs} must be non-negative")
-    _, formula, palette, _ = _resolve_query(args)
+    _, formula, palette, _ = load_query(_query_text(args), args.palette)
     graphs = []
     if args.graph:
         loaded, _ = read_graph(args.graph)
@@ -141,36 +139,24 @@ def _cmd_check_exact(args) -> int:
 
 
 def _cmd_separation(args) -> int:
-    cfg = ExperimentConfig(
-        query=args.query or args.formula or "q1",
-        activation=args.activation,
-        m_values=_parse_int_list(args.m_list),
-        k_values=_parse_int_list(args.k_range),
-        palette=args.palette,
-        delta_cap=args.delta,
-    )
-    rows = run_separation(cfg)
+    rows = run_separation(_query_text(args, "q1"), args.activation, _parse_int_list(args.m_list),
+                          _parse_int_list(args.k_range), args.palette)
     _write_out(args.out, rows_to_csv(rows))
     return 0
 
 
 def _cmd_saturation(args) -> int:
-    cfg = ExperimentConfig(
-        query=args.query or args.formula or "q1",
-        activation=args.activation,
-        m_values=(args.m,),
-        k_values=_parse_int_list(args.k_range),
-        palette=args.palette,
-    )
+    query = _query_text(args, "q1")
+    k_values = _parse_int_list(args.k_range)
     # the decay check needs two swept rows, so it fails before any output
-    if len(cfg.k_values) < 2:
+    if len(k_values) < 2:
         raise ValueError(f"--k-range {args.k_range!r} needs at least two k values")
-    if cfg.activation in EXACT_NAMES:
-        raise ValueError(f"--activation {cfg.activation} is exact, so its gap cannot decay")
-    rows = run_saturation(cfg)
+    if args.activation in EXACT_NAMES:
+        raise ValueError(f"--activation {args.activation} is exact, so its gap cannot decay")
+    rows = run_saturation(query, args.activation, args.m, k_values, args.palette)
     _write_out(args.out, rows_to_csv(rows))
     first, last = check_saturation_decay(rows)
-    print(f"saturation: gap {first!r} -> {last!r} over k={cfg.k_values[0]}..{cfg.k_values[-1]}", file=sys.stderr)
+    print(f"saturation: gap {first!r} -> {last!r} over k={k_values[0]}..{k_values[-1]}", file=sys.stderr)
     return 0
 
 
@@ -254,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activation", default="arctan-4pi", choices=ACTIVATION_NAMES)
     p.add_argument("--m", dest="m_list", default="4,8,12", help="list or lo:hi")
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")
-    p.add_argument("--delta", type=int, help="skip sweep points above this max degree")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_separation)
 

@@ -28,7 +28,6 @@ __all__ = [
     "carry_forward_check",
     "spec_to_text",
     "spec_from_text",
-    "write_spec",
     "read_spec",
     "SpecFormatError",
 ]
@@ -347,11 +346,6 @@ def spec_from_text(text: str) -> GnnSpec:
         )
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from exc
-
-
-def write_spec(path, spec: GnnSpec) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(spec_to_text(spec))
 
 
 def read_spec(path) -> GnnSpec:

@@ -24,7 +24,6 @@ from .graphs import TreeParams, batch_graphs, make_tree
 __all__ = [
     "CSV_HEADER",
     "ResultRow",
-    "ExperimentConfig",
     "BoundViolation",
     "rows_to_csv",
     "load_query",
@@ -74,22 +73,6 @@ class ResultRow:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    query: str = "q1"
-    activation: str = "arctan-4pi"
-    m_values: tuple[int, ...] = (4, 8, 12)
-    k_values: tuple[int, ...] = tuple(range(2, 65))
-    palette: int | None = None
-    delta_cap: int | None = None
-
-    def __post_init__(self):
-        if not self.m_values or not self.k_values:
-            raise ValueError("sweeps must be non-empty")
-        for m in self.m_values:  # raises for an unknown name or a negative m
-            ActivationSpec(self.activation, m)
-
-
 def rows_to_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
 
@@ -120,37 +103,43 @@ def tree_pair(k: int, coloring: str):
     return (t0, r0), (t1, r1)
 
 
-def _sweep(cfg: ExperimentConfig, experiment: str, runs) -> list[ResultRow]:
+def _sweep(experiment: str, query: str, palette: int | None, k_values, runs) -> list[ResultRow]:
     """For each k, one row per ``(name, m)`` of ``runs``: the gap between the
     two roots of k's tree pair, both run as one disjoint union."""
-    label, formula, palette, coloring = load_query(cfg.query, cfg.palette)
+    specs = [ActivationSpec(name, m) for name, m in runs]  # an unknown name or a negative m raises
+    if not specs or not k_values:
+        raise ValueError("sweeps must be non-empty")
+    if min(k_values) < 1:
+        raise ValueError(f"k must be >= 1, got k = {min(k_values)}")
+    label, formula, palette, coloring = load_query(query, palette)
     spec = compile_formula(formula, palette)
     rows: list[ResultRow] = []
-    for k in cfg.k_values:
+    for k in k_values:
         (t0, r0), (t1, r1) = tree_pair(k, coloring)
         union, offsets = batch_graphs([t0, t1])
         roots = [r0, int(offsets[1]) + r1]
         delta = union.max_degree
-        if cfg.delta_cap is not None and delta > cfg.delta_cap:
-            continue
-        for name, m in runs:
-            low, high = forward_outputs(spec, union, ActivationSpec(name, m))[roots]
+        for act in specs:
+            low, high = forward_outputs(spec, union, act)[roots]
             gap = abs(float(high) - float(low))
-            rows.append(ResultRow(experiment, label, name, m, k, t1.n, delta, gap))
+            rows.append(ResultRow(experiment, label, act.name, act.m, k, t1.n, delta, gap))
     return rows
 
 
-def run_separation(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Gap between the two tree roots per (m, k), for the configured
-    activation, with exact-threshold and clipped-relu baselines."""
-    runs = [(name, 1) for name in EXACT_NAMES] + [(cfg.activation, m) for m in cfg.m_values]
-    return _sweep(cfg, "separation", runs)
+def run_separation(query: str, activation: str, m_values, k_values,
+                   palette: int | None = None) -> list[ResultRow]:
+    """Gap between the two tree roots per (m, k), for ``activation``, with
+    exact-threshold and clipped-relu baselines; no m to sweep is an empty sweep."""
+    swept = [(activation, m) for m in m_values]
+    baselines = [(name, 1) for name in EXACT_NAMES] if swept else []
+    return _sweep("separation", query, palette, k_values, baselines + swept)
 
 
-def run_saturation(cfg: ExperimentConfig) -> list[ResultRow]:
+def run_saturation(query: str, activation: str, m: int, k_values,
+                   palette: int | None = None) -> list[ResultRow]:
     """Gap decay of a fixed bounded-activation network as the trees grow,
     with the clipped-relu control pinned at its exact value."""
-    return _sweep(cfg, "saturation", [(cfg.activation, cfg.m_values[0]), ("crelu", 1)])
+    return _sweep("saturation", query, palette, k_values, [(activation, m), ("crelu", 1)])
 
 
 def check_saturation_decay(rows) -> tuple[float, float]:

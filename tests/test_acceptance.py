@@ -32,7 +32,7 @@ from gc2gnn.activations import (
     required_composition_depth,
     verify_step_like,
 )
-from gc2gnn.experiments import ExperimentConfig, run_saturation, run_separation
+from gc2gnn.experiments import run_saturation, run_separation
 
 CERTIFIED = ("step-arctan", "step-tanh", "steplike-tanh-eta0", "steplike-sigmoid-eta0")
 
@@ -153,10 +153,7 @@ def test_criterion_5_end_to_end_depth(q1_spec):
 
 
 def test_criterion_6_saturation():
-    cfg = ExperimentConfig(
-        query="q1", activation="sigmoid", m_values=(1,), k_values=tuple(range(2, 65))
-    )
-    rows = run_saturation(cfg)
+    rows = run_saturation("q1", "sigmoid", 1, range(2, 65))
     swept = {r.k: r.value for r in rows if r.activation == "sigmoid"}
     controls = [r.value for r in rows if r.activation == "crelu"]
     assert all(v == 1.0 for v in controls)
@@ -169,10 +166,7 @@ def test_criterion_6_saturation():
 
 
 def test_criterion_7_separation_regimes():
-    cfg = ExperimentConfig(
-        query="q1", activation="arctan-4pi", m_values=(4, 8, 12), k_values=(39, 63)
-    )
-    rows = run_separation(cfg)
+    rows = run_separation("q1", "arctan-4pi", (4, 8, 12), (39, 63))
     gaps = {(r.m, r.k): r.value for r in rows if r.activation == "arctan-4pi"}
     sizes = {r.k: r.n for r in rows}
     baselines = [r.value for r in rows if r.activation in ("sigma-star", "crelu")]

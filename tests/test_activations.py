@@ -1,6 +1,8 @@
 import hashlib
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +210,19 @@ def test_required_depth_scan_values():
     assert required_composition_depth(arctan, 64) == 14
     assert required_composition_depth(flat, 64) == 3
     assert required_composition_depth(flat, 0) == 0
+
+
+def test_readme_activation_table_matches_registry():
+    # a certificate edit fails here until README's "Activations" section follows it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Activations", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([a-z0-9-]+)` +\| ([0-9., ]+?)(?: \(|  *\|)", section, re.M))
+    for name in CERTIFIED_NAMES:
+        params = certificate(name)
+        listed = tuple(float(tok) for tok in rows[name].split(","))
+        assert listed == (params.eta, params.eps, params.curvature), name
+    for name in ACTIVATION_NAMES:
+        assert f"`{name}`" in section, name
 
 
 def test_required_depth_monotone_and_self_consistent():

@@ -15,12 +15,12 @@ from gc2gnn import (
     make_tree,
     parse,
     read_spec,
+    spec_to_text,
     write_graph,
 )
 from gc2gnn import cli, experiments
 from gc2gnn.experiments import (
     BoundViolation,
-    ExperimentConfig,
     ResultRow,
     check_convergence_rows,
     check_saturation_decay,
@@ -41,8 +41,7 @@ def run_cli(*args):
 
 
 def test_separation_rows_and_baselines():
-    cfg = ExperimentConfig(query="q1", activation="arctan-4pi", m_values=(2, 4), k_values=(2, 3))
-    rows = run_separation(cfg)
+    rows = run_separation("q1", "arctan-4pi", (2, 4), (2, 3))
     baselines = [r for r in rows if r.activation in ("sigma-star", "crelu")]
     assert len(baselines) == 4
     assert all(r.value == 1.0 for r in baselines)
@@ -51,14 +50,12 @@ def test_separation_rows_and_baselines():
 
 
 def test_separation_q2_runs():
-    cfg = ExperimentConfig(query="q2", activation="arctan-4pi", m_values=(2,), k_values=(3,))
-    rows = run_separation(cfg)
+    rows = run_separation("q2", "arctan-4pi", (2,), (3,))
     assert any(r.activation == "arctan-4pi" for r in rows)
 
 
 def test_saturation_decay_check():
-    cfg = ExperimentConfig(query="q1", activation="sigmoid", m_values=(1,), k_values=(2, 4, 8, 16))
-    rows = run_saturation(cfg)
+    rows = run_saturation("q1", "sigmoid", 1, (2, 4, 8, 16))
     first, last = check_saturation_decay(rows)
     assert last < first
     controls = [r for r in rows if r.activation == "crelu"]
@@ -90,14 +87,13 @@ def test_convergence_check_rejects_injected_violation():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="non-empty"):
-        ExperimentConfig(m_values=())
+        run_separation("q1", "arctan-4pi", (), (2,))
     with pytest.raises(ValueError, match="unknown activation"):
-        ExperimentConfig(activation="swish")
+        run_separation("q1", "swish", (4,), (2,))
 
 
 def test_csv_header_and_shape():
-    cfg = ExperimentConfig(query="q1", activation="sigmoid", m_values=(1,), k_values=(2,))
-    text = rows_to_csv(run_saturation(cfg))
+    text = rows_to_csv(run_saturation("q1", "sigmoid", 1, (2,)))
     lines = text.strip().splitlines()
     assert lines[0] == "experiment,query,activation,m,k,n,delta,value,seconds"
     assert all(len(line.split(",")) == 9 for line in lines)
@@ -111,6 +107,13 @@ def test_cli_compile_round_trip(tmp_path, q2):
     result = run_cli("compile", "--query", "q2", "--out", str(out))
     assert result.returncode == 0, result.stderr
     assert read_spec(out) == compile_formula(q2, 2)
+
+
+def test_cli_compile_out_dash_is_stdout(tmp_path, q1, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["compile", "--query", "q1", "--out", "-"]) == 0
+    assert capsys.readouterr().out == spec_to_text(compile_formula(q1, 1))
+    assert not (tmp_path / "-").exists()
 
 
 def test_cli_compile_formula_text(tmp_path):
@@ -194,6 +197,15 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      "--k-range '5' needs at least two k values", id="saturation-one-k"),
         pytest.param(("saturation", "--query", "q1", "--activation", "crelu"),
                      "--activation crelu is exact", id="saturation-crelu"),
+        pytest.param(("separation", "--k-range", "0:2"), "k must be >= 1, got k = 0",
+                     id="separation-k0"),
+        pytest.param(("separation", "--k-range", "2:3", "--delta", "1"),
+                     "unrecognized arguments: --delta 1", id="separation-delta"),
+        *(pytest.param((verb, "--query", "q1", "--formula", "C1", *extra),
+                       "give --query or --formula, not both", id=f"{verb}-query-and-formula")
+          for verb, extra in (("compile", ()), ("eval", ("--graph", "{graph}")),
+                              ("check-exact", ("--graph", "{graph}")), ("separation", ()),
+                              ("saturation", ()))),
     ],
 )
 def test_cli_eval_vertex_out_of_range(tmp_path, args, message):

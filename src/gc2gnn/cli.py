@@ -44,11 +44,14 @@ __all__ = ["main"]
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Accept '2:64' (inclusive range) or '2,4,8'."""
+    """Accept '2:64' (inclusive range) or '2,4,8', each value once."""
     if ":" in text:
         lo, hi = text.split(":", 1)
         return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    values = tuple(int(tok) for tok in text.split(",") if tok)
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated value in {text!r}")
+    return values
 
 
 def _write_out(path: str | None, content: str) -> None:
@@ -79,6 +82,8 @@ def _cmd_compile(args) -> int:
 def _cmd_eval(args) -> int:
     graph, root = read_graph(args.graph)
     if args.spec:
+        if (args.query, args.formula, args.palette) != (None, None, None):
+            raise ValueError("--spec takes no --query, --formula or --palette")
         spec = read_spec(args.spec)
     else:
         _, formula, palette, _ = load_query(_query_text(args), args.palette)
@@ -181,7 +186,9 @@ def _cmd_convergence(args) -> int:
     values = _parse_int_list(args.m_range)
     if not values:
         raise ValueError(f"empty --m-range {args.m_range!r}")
-    rows = run_convergence(args.activation, min(values), max(values))
+    if values != tuple(range(values[0], values[-1] + 1)):
+        raise ValueError(f"--m-range {args.m_range!r} must list consecutive depths in ascending order")
+    rows = run_convergence(args.activation, values[0], values[-1])
     _write_out(args.out, rows_to_csv(rows))
     check_convergence_rows(rows)
     return 0

@@ -7,8 +7,8 @@ and every other coordinate carries forward unchanged.  Running the result
 under the hard threshold (or clipped relu: pre-activations are integers)
 reproduces the brute-force evaluator at every coordinate.
 
-A layer stores only its rule rows; the square matrices with the identity
-carries written out exist only in the text format.
+A layer stores only its rule rows, in memory and in the text format alike;
+the identity carries are never written out.
 """
 
 from __future__ import annotations
@@ -84,23 +84,6 @@ class GnnLayer:
         """The ascending columns with a nonzero coefficient in ``B``: the
         neighbour sums the layer needs."""
         return np.flatnonzero(self.B.any(axis=0))
-
-    @classmethod
-    def from_dense(cls, A, B, c) -> "GnnLayer":
-        """The layer of the square update ``c + A x + B agg``: its rule rows are
-        all rows except identity carries (``A[i] = e_i``, ``B[i] = 0``, ``c[i] = 0``)."""
-        a, b, c = (np.asarray(x, dtype=np.float64) for x in (A, B, c))
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape or c.shape != (a.shape[0],):
-            raise ValueError("dense layer needs square A and B and one bias per row")
-        carry = (a == np.eye(c.size)).all(axis=1) & ~b.any(axis=1) & (c == 0.0)
-        rows = np.flatnonzero(~carry)
-        return cls(rows, a[rows], b[rows], c[rows])
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The square ``(A, B, c)`` with identity carries written out."""
-        a, b, c = np.eye(self.d), np.zeros((self.d, self.d)), np.zeros(self.d)
-        a[self.rows], b[self.rows], c[self.rows] = self.A, self.B, self.c
-        return a, b, c
 
     def __eq__(self, other):
         return (
@@ -261,41 +244,39 @@ def carry_forward_check(spec: GnnSpec) -> bool:
 # --------------------------------------------------------------------------
 # text serialization
 #
-#   line 1: d iterations output_index activation_name m
+#   line 1: d iterations output_index activation_name m, 0 <= iterations <= d
 #   line 2: init <d tokens: 0 | 1 | C<i>>
-#   per layer: d rows of A, d rows of B, one row c (decimal integers), the
-#   dense form of ``GnnLayer.dense``
-
-
-def _format_row(row) -> str:
-    row = np.asarray(row, dtype=np.float64).ravel()
-    bad = ~np.isfinite(row) | (row != np.round(row))
-    if bad.any():
-        raise ValueError(f"non-integer entry {row[bad][0]!r} cannot be serialized")
-    return " ".join(str(int(value)) for value in row.tolist())
+#   per rule row: t j c A[r] B[r], decimal integers: layer t in
+#   [1, iterations] (never decreasing), coordinate j, then the row's 2d + 1
+#   coefficients; a layer without rule rows has no line
 
 
 def spec_to_text(spec: GnnSpec) -> str:
+    if spec.iterations > spec.d:
+        raise ValueError(f"{spec.iterations} layers exceed d = {spec.d}: the text format holds at most d")
     lines = [
         f"{spec.d} {spec.iterations} {spec.output_index} "
         f"{spec.activation.name} {spec.activation.m}"
     ]
     lines.append("init " + " ".join(spec.init_kinds))
-    for layer in spec.layers:
-        a_t, b_t, c_t = layer.dense()
-        lines.extend(_format_row(row) for row in a_t)
-        lines.extend(_format_row(row) for row in b_t)
-        lines.append(_format_row(c_t))
+    for t, layer in enumerate(spec.layers, start=1):
+        block = np.column_stack((np.full(layer.rows.size, t), layer.rows, layer.c, layer.A, layer.B))
+        bad = ~np.isfinite(block) | (block != np.round(block))
+        if bad.any():
+            raise ValueError(f"non-integer entry {block[bad][0]!r} cannot be serialized")
+        lines.extend(" ".join(str(int(value)) for value in row) for row in block.tolist())
     return "\n".join(lines) + "\n"
 
 
 def _parse_block(rows, width) -> np.ndarray:
-    """Rows of ``width`` decimal integers each, as one float array."""
+    """Rows of ``width`` decimal integers each, as one int64 array."""
+    if not rows:
+        return np.zeros((0, width), dtype=np.int64)
     try:
-        # one C-level conversion per block; it rejects 1.5, inf and nan
+        # one C-level conversion for the block; it rejects 1.5, inf and nan
         block = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
         if block.shape == (len(rows), width):
-            return block.astype(np.float64)
+            return block
     except ValueError:
         pass
     for row in rows:  # name the first bad row
@@ -305,7 +286,7 @@ def _parse_block(rows, width) -> np.ndarray:
             np.loadtxt([row], dtype=np.int64, comments=None)
         except ValueError as exc:
             raise SpecFormatError(f"non-integer entry in {row!r}") from exc
-    raise SpecFormatError("malformed matrix rows")
+    raise SpecFormatError("malformed rule rows")
 
 
 def spec_from_text(text: str) -> GnnSpec:
@@ -319,6 +300,8 @@ def spec_from_text(text: str) -> GnnSpec:
         d, iterations, output_index, m = int(head[0]), int(head[1]), int(head[2]), int(head[4])
     except ValueError as exc:
         raise SpecFormatError(f"malformed header {lines[0]!r}") from exc
+    if not 0 <= iterations <= d:  # compiled specs meet it; the file backs d, not a bigger depth
+        raise SpecFormatError(f"iterations outside 0..{d} in {lines[0]!r}")
     name = head[3]
     if name not in ACTIVATION_NAMES:
         raise SpecFormatError(f"unknown activation {name!r}")
@@ -327,20 +310,19 @@ def spec_from_text(text: str) -> GnnSpec:
         raise SpecFormatError("expected an init line with one token per coordinate")
     init_kinds = tuple(init_toks[1:])
     body = lines[2:]
-    per_layer = 2 * d + 1
-    if len(body) != iterations * per_layer:
-        raise SpecFormatError(
-            f"expected {iterations * per_layer} matrix rows, found {len(body)}"
-        )
-
-    layers = []
-    for t in range(iterations):
-        block = _parse_block(body[t * per_layer : (t + 1) * per_layer], d)
-        layers.append(GnnLayer.from_dense(block[:d], block[d : 2 * d], block[2 * d]))
+    block = _parse_block(body, 2 * d + 3)
+    t = block[:, 0]
+    bad = (t < 1) | (t > iterations) | np.r_[False, t[1:] < t[:-1]]
+    if bad.any():
+        raise SpecFormatError(f"layer out of order or outside 1..{iterations} in {body[np.argmax(bad)]!r}")
+    bounds = np.searchsorted(t, np.arange(1, iterations + 2)).tolist()
     try:
+        def layer(rule):
+            return GnnLayer(rule[:, 1], rule[:, 3 : d + 3], rule[:, d + 3 :], rule[:, 2])
+        layers = tuple(layer(block[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
         return GnnSpec(
             output_index=output_index,
-            layers=tuple(layers),
+            layers=layers,
             activation=ActivationSpec(name, m),
             init_kinds=init_kinds,
         )

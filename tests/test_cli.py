@@ -201,6 +201,26 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      id="separation-k0"),
         pytest.param(("separation", "--k-range", "2:3", "--delta", "1"),
                      "unrecognized arguments: --delta 1", id="separation-delta"),
+        # a spec file is already compiled, so a query beside it would be ignored
+        *(pytest.param(("eval", "--spec", "{spec}", "--graph", "{graph}", *extra),
+                       "--spec takes no --query, --formula or --palette", id=f"eval-spec-{flag}")
+          for flag, extra in (("query", ("--query", "q1")), ("formula", ("--formula", "C1")),
+                              ("palette", ("--palette", "7")))),
+        # a header may not declare more layers than its init line has coordinates
+        pytest.param(("eval", "--spec", "{deep}", "--graph", "{graph}"), "iterations outside 0..5",
+                     id="eval-spec-too-deep"),
+        # a repeated value would run its sweep rows twice
+        pytest.param(("separation", "--k-range", "2,2", "--m", "4,4"), "repeated value in '4,4'",
+                     id="separation-repeated-m"),
+        pytest.param(("separation", "--k-range", "2,3,2"), "repeated value in '2,3,2'",
+                     id="separation-repeated-k"),
+        pytest.param(("saturation", "--query", "q1", "--k-range", "4,2,4"),
+                     "repeated value in '4,2,4'", id="saturation-repeated-k"),
+        # convergence sweeps every depth from the first to the last
+        pytest.param(("convergence", "--activation", "step-arctan", "--m-range", "3,7"),
+                     "--m-range '3,7' must list consecutive depths in ascending order", id="m-range-3,7"),
+        pytest.param(("convergence", "--activation", "step-arctan", "--m-range", "4,3"),
+                     "--m-range '4,3' must list consecutive depths in ascending order", id="m-range-4,3"),
         *(pytest.param((verb, "--query", "q1", "--formula", "C1", *extra),
                        "give --query or --formula, not both", id=f"{verb}-query-and-formula")
           for verb, extra in (("compile", ()), ("eval", ("--graph", "{graph}")),
@@ -208,11 +228,15 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                               ("saturation", ()))),
     ],
 )
-def test_cli_eval_vertex_out_of_range(tmp_path, args, message):
+def test_cli_eval_vertex_out_of_range(tmp_path, q1_spec, args, message):
     path = LabeledGraph(5, 1, np.ones(5, dtype=np.int64), np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
-    graph_path = tmp_path / "path.graph"
+    graph_path, spec_path = tmp_path / "path.graph", tmp_path / "q1.spec"
     write_graph(graph_path, path)
-    paths = {"graph": str(graph_path), "missing": str(tmp_path / "missing.graph")}
+    spec_path.write_text(spec_to_text(q1_spec))
+    deep_path = tmp_path / "deep.spec"
+    deep_path.write_text("5 1000000000 4 sigma-star 1\ninit 1 0 0 0 0\n")
+    paths = {"graph": str(graph_path), "missing": str(tmp_path / "missing.graph"),
+             "spec": str(spec_path), "deep": str(deep_path)}
     result = run_cli(*(arg.format(**paths) for arg in args))
     assert result.returncode == 2
     assert message in result.stderr

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gc2gnn import (
     spec_to_text,
 )
 from gc2gnn.compiler import SpecFormatError
+from gc2gnn.experiments import Q1_TEXT
 
 from conftest import forward_history
 
@@ -39,7 +41,7 @@ def compact_q1_net():
     A = np.array([[0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0]], dtype=float)
     B = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
     c = np.array([-1, 1, 0, 1], dtype=float)
-    layer = GnnLayer.from_dense(A, B, c)
+    layer = GnnLayer(np.arange(4), A, B, c)
     return GnnSpec(
         output_index=3,
         layers=(layer,) * 4,
@@ -72,10 +74,10 @@ def test_compile_single_color():
     assert spec.d == 1
     assert spec.iterations == 1
     assert spec.output_index == 0
-    A, B, c = spec.layers[0].dense()
-    assert np.array_equal(A, [[1.0]])
-    assert not B.any()
-    assert not c.any()
+    # the atom is correct from the start, so its one layer only carries it
+    layer = spec.layers[0]
+    assert layer.rows.size == 0
+    assert layer.A.shape == layer.B.shape == (0, 1)
     assert spec.init_kinds == ("C1",)
 
 
@@ -86,25 +88,47 @@ def test_chain_stores_one_rule_row_per_connective():
     assert sum(layer.rows.size for layer in spec.layers) == spec.d - atoms
     for layer in spec.layers:
         assert layer.A.shape == layer.B.shape == (layer.rows.size, spec.d)
-        assert GnnLayer.from_dense(*layer.dense()) == layer
+        carries = (layer.A == np.eye(spec.d)[layer.rows]).all(axis=1) & ~layer.B.any(axis=1)
+        assert not (carries & (layer.c == 0.0)).any()  # no stored row is an identity carry
     assert carry_forward_check(spec)
 
 
-# sha256 of the concatenated spec texts of 400 seeded random formulas and a
-# 60- and a 140-level chain, recorded before subformulas were numbered by
-# position: any change to the coordinate order or the rule rows shows here.
-SPEC_TEXT_SHA256 = "e66f3e80870bf1f64c238ef1d936f2d6327294f5463f6a9b0a7195f8f82e55f1"
+def pinned_specs():
+    """400 seeded random formulas and a 60- and a 140-level chain, compiled."""
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        yield compile_formula(random_formula(rng, 3, max_depth=8, max_threshold=4), 3)
+    for levels in (60, 140):
+        yield compile_formula(chain_formula(levels), 2)
+
+
+# sha256 of the concatenated spec texts of ``pinned_specs``, recorded when the
+# text format became one line per rule row: any change to the coordinate
+# order, the rule rows or the file layout shows here.
+SPEC_TEXT_SHA256 = "caa9e2bda96c77fdcbe1251d65fa121180f8fda9d6b23533a5f7d60e3b6ceabf"
+
+# sha256 of every layer's rows, A, B and c bytes over ``pinned_specs``,
+# recorded while the text format still wrote dense d x d matrices: it pins the
+# rule rows whatever the file layout, for compiled specs and for specs read
+# back from their text alike.
+LAYER_SHA256 = "c7c3a93b080120a2616d364813a98b419b1f8fb85e5fd82438b1abad62ef7855"
 
 
 def test_spec_text_bits_pinned():
-    rng = np.random.default_rng(0)
     digest = hashlib.sha256()
-    for _ in range(400):
-        formula = random_formula(rng, 3, max_depth=8, max_threshold=4)
-        digest.update(spec_to_text(compile_formula(formula, 3)).encode())
-    for levels in (60, 140):
-        digest.update(spec_to_text(compile_formula(chain_formula(levels), 2)).encode())
+    for spec in pinned_specs():
+        digest.update(spec_to_text(spec).encode())
     assert digest.hexdigest() == SPEC_TEXT_SHA256
+
+
+@pytest.mark.parametrize("read_back", [False, True], ids=["compiled", "read-back"])
+def test_layer_bits_pinned(read_back):
+    digest = hashlib.sha256()
+    for spec in pinned_specs():
+        for layer in (spec_from_text(spec_to_text(spec)) if read_back else spec).layers:
+            for part in (layer.rows, layer.A, layer.B, layer.c):
+                digest.update(part.tobytes())
+    assert digest.hexdigest() == LAYER_SHA256
 
 
 def test_deep_nesting_compiles_and_matches_oracle():
@@ -234,8 +258,7 @@ def test_integer_preactivations_under_threshold(q2_spec):
         prev = history[t]
         agg = np.zeros_like(prev)
         np.add.at(agg, graph.edge_dst, prev[graph.edge_src])
-        A, B, c = layer.dense()
-        pre = c + prev @ A.T + agg @ B.T
+        pre = layer.c + prev @ layer.A.T + agg @ layer.B.T
         assert np.array_equal(pre, np.round(pre))
         assert not (pre == 0.5).any()  # the tie branch is never exercised
 
@@ -263,9 +286,12 @@ def test_carry_forward_check_accepts_compiled(q1_spec, q2_spec):
 
 def test_carry_forward_check_rejects_zeroed_row(q1_spec):
     layers = list(q1_spec.layers)
-    A, B, c = layers[2].dense()
-    A[0, 0] = 0.0  # kill the always-true coordinate's carry in layer 3
-    layers[2] = GnnLayer.from_dense(A, B, c)
+    # a zero rule row kills the always-true coordinate's carry in layer 3
+    old = layers[2]
+    assert old.rows[0] > 0
+    zero = np.zeros((1, old.d))
+    layers[2] = GnnLayer(np.r_[0, old.rows], np.vstack((zero, old.A)), np.vstack((zero, old.B)),
+                         np.r_[0.0, old.c])
     broken = GnnSpec(
         output_index=q1_spec.output_index,
         layers=tuple(layers),
@@ -293,6 +319,22 @@ def test_spec_round_trip(q1_spec, q2_spec):
         assert spec_from_text(spec_to_text(spec)) == spec
 
 
+def test_deep_chain_text_is_small_and_round_trips():
+    # one line per rule row: 400 rows of 2d + 3 integers, about 0.65 MB,
+    # where square d x d matrices for each of the 401 layers take some 258 MB
+    spec = compile_formula(parse("not " * 400 + "C1", 1), 1)
+    text = spec_to_text(spec)
+    assert len(text) < 1_000_000
+    assert spec_from_text(text) == spec
+
+
+def test_readme_spec_example_is_q1():
+    # README "File formats" shows q1's spec text; the format cannot drift from it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## File formats", 1)[1].split("```")[1]
+    assert example.lstrip("\n") == spec_to_text(compile_formula(parse(Q1_TEXT, 1), 1))
+
+
 def test_spec_text_is_integer_valued(q1_spec):
     text = spec_to_text(q1_spec)
     header, init, *rows = text.strip().splitlines()
@@ -303,9 +345,17 @@ def test_spec_text_is_integer_valued(q1_spec):
 
 
 def test_spec_serializer_rejects_fractions():
-    layer = GnnLayer.from_dense(np.array([[0.5]]), np.zeros((1, 1)), np.zeros(1))
+    layer = GnnLayer(np.array([0]), np.array([[0.5]]), np.zeros((1, 1)), np.zeros(1))
     spec = GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
     with pytest.raises(ValueError, match="non-integer"):
+        spec_to_text(spec)
+
+
+def test_spec_serializer_rejects_more_layers_than_d():
+    # the reader bounds the depth by d, so the writer writes nothing deeper
+    net = compact_q1_net()
+    spec = GnnSpec(net.output_index, net.layers * 2, net.activation, net.init_kinds)
+    with pytest.raises(ValueError, match="8 layers exceed d = 4"):
         spec_to_text(spec)
 
 
@@ -315,7 +365,16 @@ def test_spec_serializer_rejects_fractions():
         (lambda lines: [lines[0], "start 1 0 0 0 0"] + lines[2:], "init line"),
         (lambda lines: lines[:1], "too short"),
         (lambda lines: [lines[0].replace("sigma-star", "swish")] + lines[1:], "unknown activation"),
-        (lambda lines: lines[:-1], "matrix rows"),
+        # the init line backs d, and d bounds the depth a header may declare
+        (lambda lines: ["5 -1 4 sigma-star 1"] + lines[1:2], "iterations outside 0..5 in '5 -1 "),
+        (lambda lines: ["5 6 4 sigma-star 1"] + lines[1:], "iterations outside 0..5 in '5 6 "),
+        (lambda lines: ["5 1000000000 4 sigma-star 1"] + lines[1:2], "outside 0..5 in '5 1000000000 "),
+        # rule rows: t in [1, iterations] and never decreasing, j in [0, d)
+        (lambda lines: lines + ["5" + lines[-1][1:]], "layer out of order or outside 1..4"),
+        (lambda lines: lines[:2] + ["0" + lines[2][1:]] + lines[2:], "outside 1..4 in '0 1 "),
+        (lambda lines: lines[:2] + lines[:1:-1], "layer out of order"),
+        (lambda lines: lines[:-1] + ["4 5" + lines[-1][3:]], "must be ascending and distinct in"),
+        (lambda lines: lines + [lines[-1]], "rule rows must be ascending and distinct"),
         (lambda lines: [lines[0] + " 9"] + lines[1:], "malformed header"),
         # color indices start at 1 and are ASCII digits
         (lambda lines: [lines[0], "init C0 0 0 0 0"] + lines[2:], "bad init kind 'C0'"),
@@ -328,24 +387,31 @@ def test_spec_parser_rejects_malformed(q1_spec, mutate, fragment):
         spec_from_text("\n".join(mutate(lines)))
 
 
+# q1's rule rows are ``t j c A[0..4] B[0..4]``: columns 0 and 1 are the
+# layer and the coordinate, 2 the bias, 7 an entry of A and -1 one of B.
 @pytest.mark.parametrize("token", ["1.5", "x", "inf", "nan", "1e3"])
-@pytest.mark.parametrize("row", [2, 7, -1])  # a row of A, of B, and c
-def test_spec_parser_rejects_non_integer_entries(q1_spec, token, row):
+@pytest.mark.parametrize("column", [0, 1, 2, 7, -1])
+def test_spec_parser_rejects_non_integer_entries(q1_spec, token, column):
     lines = spec_to_text(q1_spec).strip().splitlines()
-    toks = lines[row].split()
-    toks[1] = token
-    lines[row] = " ".join(toks)
+    toks = lines[3].split()
+    toks[column] = token
+    lines[3] = " ".join(toks)
     with pytest.raises(SpecFormatError, match="non-integer entry in") as info:
         spec_from_text("\n".join(lines))
-    assert repr(lines[row]) in str(info.value)
+    assert repr(lines[3]) in str(info.value)
 
 
-@pytest.mark.parametrize("row", [2, 7, -1])
+@pytest.mark.parametrize("column", [2, 7, -1])
 @pytest.mark.parametrize("change", ["drop", "add"])
-def test_spec_parser_checks_row_width(q1_spec, row, change):
+def test_spec_parser_checks_row_width(q1_spec, column, change):
     lines = spec_to_text(q1_spec).strip().splitlines()
-    lines[row] = lines[row].rsplit(" ", 1)[0] if change == "drop" else lines[row] + " 0"
-    with pytest.raises(SpecFormatError, match=f"expected 5 entries, got {lines[row]!r}"):
+    toks = lines[3].split()
+    if change == "drop":
+        del toks[column]
+    else:
+        toks.insert(column, "0")
+    lines[3] = " ".join(toks)
+    with pytest.raises(SpecFormatError, match=f"expected 13 entries, got {lines[3]!r}"):
         spec_from_text("\n".join(lines))
 
 

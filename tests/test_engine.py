@@ -252,7 +252,7 @@ def dense_integer_spec():
     rng = np.random.default_rng(2024)
     d = 6
     layers = tuple(
-        GnnLayer.from_dense(rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, d))
+        GnnLayer(np.arange(d), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, d))
         for _ in range(3)
     )
     return GnnSpec(

@@ -3,12 +3,13 @@ constructions with their (eta, eps, curvature) certificates, iterated
 composition, certificate verification, and convergence-rate tooling.
 
 A step-like activation fixes 0 and 1, has derivative at most ``eta`` there,
-and keeps every point of the plateau collar (within ``eps`` of 0 or 1)
-within ``min(eps, (1-eta)/curvature)`` of the plateau value.  Iterating it
-then converges to the hard threshold at a geometric rate ``(1+eta)/2`` per
-application, or doubly exponentially when ``eta = 0``.  All certificate
-checks below quantify over the collar; the conditions are unsatisfiable on
-an unbounded domain.
+and steps every point ``y`` outside ``(eps, 1-eps)`` toward its plateau
+``p``: ``|sigma(y) - p| <= eta |y - p| + (curvature/2) |y - p|^2``.  A
+certificate has ``eps <= (1-eta)/curvature``, so on the collar (within
+``eps`` of 0 or 1) one step shrinks the distance by ``(1+eta)/2`` at least.
+Iterating the map then converges to the hard threshold at that geometric
+rate, or doubly exponentially when ``eta = 0``.  The rate holds on the
+collar only; the conditions are unsatisfiable on an unbounded domain.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class StepLikeParams:
 
     eta: float        # bound on |sigma'| at the fixed points 0 and 1
     eps: float        # collar half-width around the plateaus
-    curvature: float  # bound on |sigma''| over the reachable region
+    curvature: float  # quadratic coefficient of the one-step contraction
 
     def __post_init__(self):
         if not 0.0 <= self.eta < 1.0:
@@ -57,23 +58,26 @@ class StepLikeParams:
             raise ValueError(f"eps must lie in (0, 1/2), got {self.eps}")
         if self.curvature <= 0.0:
             raise ValueError("curvature bound must be positive")
+        # the collar must lie where one step contracts by (1+eta)/2
+        radius = (1.0 - self.eta) / self.curvature
+        if self.eps > radius:
+            raise ValueError(f"eps={self.eps} exceeds (1-eta)/curvature = {radius:.6g}")
 
 
 @dataclass(frozen=True)
 class Activation:
-    """Named scalar map with optional closed-form derivatives and its
+    """Named scalar map with its optional closed-form derivative and its
     step-like certificate, if it carries one.
 
     ``fn`` is an in-place kernel: ``fn(x)`` overwrites ``x``, a float64
     array (possibly 0-d or a strided view), with the map's values and
     returns None.  ``apply_activation`` runs a map on any other values.
-    ``d1``/``d2`` are pure functions of scalars or arrays.
+    ``d1`` is a pure function of scalars or arrays.
     """
 
     name: str
     fn: Callable
     d1: Callable | None = None
-    d2: Callable | None = None
     certificate: StepLikeParams | None = None
 
 
@@ -147,11 +151,6 @@ def _step_arctan_d1(x):
     return (4.0 / np.pi) / (1.0 + u * u)
 
 
-def _step_arctan_d2(x):
-    u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-    return -(16.0 / np.pi) * u / (1.0 + u * u) ** 2
-
-
 _TANH_HALF = math.tanh(0.5)
 
 
@@ -171,11 +170,6 @@ def _step_tanh(x):
 def _step_tanh_d1(x):
     y = np.asarray(x, dtype=np.float64) - 0.5
     return 1.0 / (np.cosh(y) ** 2 * 2.0 * _TANH_HALF)
-
-
-def _step_tanh_d2(x):
-    y = np.asarray(x, dtype=np.float64) - 0.5
-    return -np.tanh(y) / (np.cosh(y) ** 2 * _TANH_HALF)
 
 
 # --------------------------------------------------------------------------
@@ -283,16 +277,6 @@ def _flat_inner_d1(x):
     return 2.0 * a * (s1 - 2.0 * half_alpha * s2 + 3.0 * s3) / den
 
 
-def _flat_inner_d2(x):
-    a, half_alpha, den = _flat_coeffs(math.tanh)
-    u = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
-
-    def st(w):
-        return np.tanh(w) / np.cosh(w) ** 2
-
-    return -8.0 * a * a * (st(a * u) - 4.0 * half_alpha * st(2.0 * a * u) + 9.0 * st(3.0 * a * u)) / den
-
-
 def _flat_tanh(x):
     _flat_inner(x)
     _step_tanh(x)
@@ -304,19 +288,11 @@ def _flat_tanh_d1(x):
     return _step_tanh_d1(t) * _flat_inner_d1(x)
 
 
-def _flat_tanh_d2(x):
-    t = np.array(x, dtype=np.float64)
-    _flat_inner(t)
-    d1 = _flat_inner_d1(x)
-    return _step_tanh_d2(t) * d1 * d1 + _step_tanh_d1(t) * _flat_inner_d2(x)
-
-
 def _tanh_via_sigmoid(z):
-    np.multiply(-2.0, z, out=z)
-    with np.errstate(over="ignore"):
-        np.exp(z, out=z)
-    np.add(1.0, z, out=z)
-    np.divide(2.0, z, out=z)
+    """``z <- 2 sigmoid(2z) - 1``, which is tanh z, by the ``_sigmoid`` kernel."""
+    np.multiply(2.0, z, out=z)
+    _sigmoid(z)
+    np.multiply(2.0, z, out=z)
     np.subtract(z, 1.0, out=z)
 
 
@@ -353,11 +329,11 @@ _REGISTRY = {
         Activation("relu", _relu),
         Activation("sigmoid", _sigmoid),
         Activation("tanh", _tanh),
-        Activation("step-arctan", _step_arctan, _step_arctan_d1, _step_arctan_d2, _STEP_ARCTAN_CERT),
-        Activation("step-tanh", _step_tanh, _step_tanh_d1, _step_tanh_d2, _STEP_TANH_CERT),
-        Activation("steplike-tanh-eta0", _flat_tanh, _flat_tanh_d1, _flat_tanh_d2, _FLAT_CERT),
-        # pointwise identical to the tanh realization, so it shares derivatives
-        Activation("steplike-sigmoid-eta0", _flat_sigmoid, _flat_tanh_d1, _flat_tanh_d2, _FLAT_CERT),
+        Activation("step-arctan", _step_arctan, _step_arctan_d1, _STEP_ARCTAN_CERT),
+        Activation("step-tanh", _step_tanh, _step_tanh_d1, _STEP_TANH_CERT),
+        Activation("steplike-tanh-eta0", _flat_tanh, _flat_tanh_d1, _FLAT_CERT),
+        # pointwise identical to the tanh realization, so it shares its derivative
+        Activation("steplike-sigmoid-eta0", _flat_sigmoid, _flat_tanh_d1, _FLAT_CERT),
         Activation("arctan-4pi", _arctan_4pi),
     )
 }
@@ -521,22 +497,19 @@ class StepLikeReport:
 def verify_step_like(name: str, params: StepLikeParams) -> StepLikeReport:
     """Check the registered map ``name`` against a certificate.
 
-    (a) fixes 0 and 1; (b) derivative at 0 and 1 at most eta; (c) the collar
-    lies within min(eps, (1-eta)/curvature) of the threshold; (d) the
+    (a) fixes 0 and 1; (b) derivative at 0 and 1 at most eta; (c) the
     one-step contraction
     ``|sigma(y) - p| <= eta |y - p| + (curvature/2) |y - p|^2`` (p the nearby
     plateau) holds at every sampled point outside (eps, 1-eps), on the wide
     grid and on the collar.  Each verdict allows a slack of ``_TOL``.
-    Condition (d) is the inequality the fixed-point iteration consumes; a
-    raw second-derivative bound is stronger than the certified constants
-    support at the collar edge, so the report carries the curvature sup over
-    the once-contracted collar as information only.
+    Condition (c) is the inequality the fixed-point iteration consumes;
+    ``StepLikeParams`` itself holds ``eps <= (1-eta)/curvature``, which
+    makes it contract on the collar.
 
-    Needs the closed-form ``d1``/``d2``, which every certified map has.
+    Needs the closed-form ``d1``, which every certified map has.
     """
-    activation = get_activation(name)
-    d1, d2 = activation.d1, activation.d2
-    if d1 is None or d2 is None:
+    d1 = get_activation(name).d1
+    if d1 is None:
         raise ValueError(f"{name!r} has no closed-form derivatives")
     checks = []
 
@@ -557,24 +530,9 @@ def verify_step_like(name: str, params: StepLikeParams) -> StepLikeReport:
         )
     )
 
-    collar = plateau_grid(params.eps, _COLLAR_POINTS)
-    target = apply_activation("sigma-star", 1, collar)
-    radius = min(params.eps, (1.0 - params.eta) / params.curvature)
-    dev = np.abs(collar - target)
-    i = int(np.argmax(dev))
-    checks.append(
-        CheckResult(
-            "collar within the contraction radius",
-            float(dev[i]) <= radius + _TOL,
-            float(dev[i]),
-            radius,
-            float(collar[i]),
-        )
-    )
-
     wide = np.linspace(_WIDE_LO, _WIDE_HI, _WIDE_POINTS)
     outside = wide[(wide <= params.eps) | (wide >= 1.0 - params.eps)]
-    points = np.concatenate([outside, collar])
+    points = np.concatenate([outside, plateau_grid(params.eps, _COLLAR_POINTS)])
     plateau = apply_activation("sigma-star", 1, points)
     dist = np.abs(points - plateau)
     allowed = params.eta * dist + 0.5 * params.curvature * dist * dist
@@ -591,11 +549,9 @@ def verify_step_like(name: str, params: StepLikeParams) -> StepLikeReport:
         )
     )
 
-    curv_info = float(np.abs(d2(stepped[outside.size:])).max())
     note = (
         f"wide grid [{_WIDE_LO}, {_WIDE_HI}] x{_WIDE_POINTS}, "
-        f"collar +-{params.eps} around 0 and 1 x{_COLLAR_POINTS}, tol={_TOL:g}; "
-        f"curvature sup over the once-contracted collar: {curv_info:.6g}"
+        f"collar +-{params.eps} around 0 and 1 x{_COLLAR_POINTS}, tol={_TOL:g}"
     )
     return StepLikeReport(
         activation=name,

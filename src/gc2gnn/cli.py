@@ -82,11 +82,12 @@ def _cmd_compile(args) -> int:
 def _cmd_eval(args) -> int:
     graph, root = read_graph(args.graph)
     if args.spec:
-        if (args.query, args.formula, args.palette) != (None, None, None):
-            raise ValueError("--spec takes no --query, --formula or --palette")
+        if (args.query, args.formula) != (None, None):
+            raise ValueError("--spec takes no --query or --formula")
         spec = read_spec(args.spec)
     else:
-        _, formula, palette, _ = load_query(_query_text(args), args.palette)
+        # a compiled network does not depend on the palette, so the graph's serves
+        _, formula, palette, _ = load_query(_query_text(args), graph.palette)
         spec = compile_formula(formula, palette)
     if args.vertex is not None and not 0 <= args.vertex < graph.n:
         raise ValueError(f"--vertex {args.vertex} out of range [0, {graph.n})")
@@ -210,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gc2gnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_query_args(p, palette_default=None):
+    def add_query_args(p):
         p.add_argument("--query", help="preset query name: q1 or q2")
         p.add_argument("--formula", help="formula text in the concrete grammar")
-        p.add_argument("--palette", type=int, default=palette_default)
 
     p = sub.add_parser("compile", help="compile a query to the text weight format")
     add_query_args(p)
+    p.add_argument("--palette", type=int)
     p.add_argument("--activation", default="sigma-star", choices=ACTIVATION_NAMES)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--out")
@@ -235,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-exact", help="compare threshold/clipped-relu runs to the evaluator")
     add_query_args(p)
+    p.add_argument("--palette", type=int)
     p.add_argument("--graph", help="graph file to check")
     p.add_argument("--random-graphs", type=int, default=0)
     p.add_argument("--n", type=int, default=100)
@@ -244,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separation", help="gap sweep over the tree pairs per (m, k)")
     add_query_args(p)
+    p.add_argument("--palette", type=int)
     p.add_argument("--activation", default="arctan-4pi", choices=ACTIVATION_NAMES)
     p.add_argument("--m", dest="m_list", default="4,8,12", help="list or lo:hi")
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")
@@ -252,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("saturation", help="gap decay of a bounded activation as trees grow")
     add_query_args(p)
+    p.add_argument("--palette", type=int)
     p.add_argument("--activation", default="sigmoid", choices=ACTIVATION_NAMES)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--k-range", default="2:64", help="list or lo:hi")

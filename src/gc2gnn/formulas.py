@@ -159,33 +159,18 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"(\()|(\))|(C\d+)|(>=)|(\d+)|([a-z]+)")
+# One alternative per token kind; ``bad`` takes any other non-space
+# character, so finditer skips only whitespace.
+_TOKEN_RE = re.compile(r"(?P<sym>[()]|>=)|(?P<color>C\d+)|(?P<int>\d+)|(?P<word>[a-z]+)|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        lparen, rparen, color, ge, integer, word = m.groups()
-        if lparen:
-            tokens.append(("(", "(", pos))
-        elif rparen:
-            tokens.append((")", ")", pos))
-        elif color:
-            tokens.append(("color", color, pos))
-        elif ge:
-            tokens.append((">=", ">=", pos))
-        elif integer:
-            tokens.append(("int", integer, pos))
-        else:
-            tokens.append(("word", word, pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {value!r}", m.start())
+        tokens.append((value if kind == "sym" else kind, value, m.start()))
     return tokens
 
 

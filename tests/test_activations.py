@@ -189,6 +189,9 @@ def test_steplike_params_validation():
         StepLikeParams(0.5, 0.6, 1.0)
     with pytest.raises(ValueError):
         StepLikeParams(0.5, 0.1, 0.0)
+    # a collar wider than (1-eta)/curvature = 0.072 would not contract
+    with pytest.raises(ValueError, match="exceeds"):
+        StepLikeParams(0.64, 0.10, 5.0)
 
 
 # -- convergence rates -----------------------------------------------------------

@@ -11,9 +11,11 @@ from gc2gnn import (
     LabeledGraph,
     TreeParams,
     compile_formula,
+    eval_oracle_all,
     forward_outputs,
     make_tree,
     parse,
+    random_graph,
     read_spec,
     spec_to_text,
     write_graph,
@@ -132,6 +134,16 @@ def test_cli_eval_on_tree(tmp_path):
     assert result.stdout.strip() == "0 1.0"
 
 
+def test_cli_eval_parses_with_the_graph_palette(tmp_path):
+    graph = random_graph(30, 3.0, 2, 4)
+    graph_path = tmp_path / "two-color.graph"
+    write_graph(graph_path, graph)
+    result = run_cli("eval", "--formula", "dia>=1 C2", "--graph", str(graph_path))
+    assert result.returncode == 0, result.stderr
+    want = eval_oracle_all(parse("dia>=1 C2", 2), graph)
+    assert result.stdout == "".join(f"{v} {float(x)!r}\n" for v, x in enumerate(want))
+
+
 def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
     tree, _ = make_tree(TreeParams(1, 3, 4))
     graph_path, spec_path = tmp_path / "tree.graph", tmp_path / "q1.spec"
@@ -203,9 +215,11 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      "unrecognized arguments: --delta 1", id="separation-delta"),
         # a spec file is already compiled, so a query beside it would be ignored
         *(pytest.param(("eval", "--spec", "{spec}", "--graph", "{graph}", *extra),
-                       "--spec takes no --query, --formula or --palette", id=f"eval-spec-{flag}")
-          for flag, extra in (("query", ("--query", "q1")), ("formula", ("--formula", "C1")),
-                              ("palette", ("--palette", "7")))),
+                       "--spec takes no --query or --formula", id=f"eval-spec-{flag}")
+          for flag, extra in (("query", ("--query", "q1")), ("formula", ("--formula", "C1")))),
+        # eval takes its palette from the graph
+        pytest.param(("eval", "--spec", "{spec}", "--graph", "{graph}", "--palette", "7"),
+                     "unrecognized arguments: --palette 7", id="eval-spec-palette"),
         # a header may not declare more layers than its init line has coordinates
         pytest.param(("eval", "--spec", "{deep}", "--graph", "{graph}"), "iterations outside 0..5",
                      id="eval-spec-too-deep"),

@@ -26,6 +26,7 @@ from gc2gnn import (
     random_formula,
     random_graph,
 )
+from gc2gnn.activations import certificate, required_composition_depth
 from gc2gnn.backend import run_forward
 from gc2gnn.experiments import tree_pair
 
@@ -114,6 +115,23 @@ def test_layer_errors_small_m_fails_visibly(q1_spec):
     assert 0.19 < eps[-1] < 0.21
     assert eps[-1] > 10 * (1 / (2 * (tree.max_degree + 2)))
     assert eps[0] == 0.0
+
+
+def test_collar_estimate_counterexample():
+    # README "Activations": the scanned depth for step-arctan at max degree 4
+    # is m = 1, and at m = 1 this query lands on the wrong side of 1/2 at two
+    # vertices of a max-degree-4 graph, since its pre-activations leave the
+    # collar the estimate assumes
+    assert required_composition_depth(certificate("step-arctan"), 4) == 1
+    graph = random_graph(40, 2.0, 2, 1)
+    assert graph.max_degree == 4
+    formula = parse("dia>=2 dia>=2 dia>=2 C1", 2)
+    spec = compile_formula(formula, 2, ActivationSpec("step-arctan", 1))
+    out = forward_outputs(spec, graph)
+    want = eval_oracle_all(formula, graph)
+    assert np.flatnonzero((out > 0.5) != want).tolist() == [15, 27]
+    assert round(out[15], 3) == round(out[27], 3) == 0.723
+    assert np.round(layer_errors(spec, graph), 3).tolist() == [0.0, 0.295, 0.351, 0.683, 0.723]
 
 
 def root_margin(q1, spec, roots):

@@ -73,7 +73,7 @@ def _query_text(args, default: str | None = None) -> str:
 
 
 def _cmd_compile(args) -> int:
-    _, formula, palette, _ = load_query(_query_text(args), args.palette)
+    _, formula, palette = load_query(_query_text(args), args.palette)
     spec = compile_formula(formula, palette, ActivationSpec(args.activation, args.m))
     _write_out(args.out, spec_to_text(spec))
     return 0
@@ -87,7 +87,7 @@ def _cmd_eval(args) -> int:
         spec = read_spec(args.spec)
     else:
         # a compiled network does not depend on the palette, so the graph's serves
-        _, formula, palette, _ = load_query(_query_text(args), graph.palette)
+        _, formula, palette = load_query(_query_text(args), graph.palette)
         spec = compile_formula(formula, palette)
     if args.vertex is not None and not 0 <= args.vertex < graph.n:
         raise ValueError(f"--vertex {args.vertex} out of range [0, {graph.n})")
@@ -109,7 +109,7 @@ def _cmd_eval(args) -> int:
 def _cmd_check_exact(args) -> int:
     if args.random_graphs < 0:
         raise ValueError(f"--random-graphs {args.random_graphs} must be non-negative")
-    _, formula, palette, _ = load_query(_query_text(args), args.palette)
+    _, formula, palette = load_query(_query_text(args), args.palette)
     graphs = []
     if args.graph:
         loaded, _ = read_graph(args.graph)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .activations import ActivationSpec, ACTIVATION_NAMES
 from .formulas import And, Color, Diamond, Formula, Not, Top, subformulas
+from .graphs import _parse_block, _read_ascii
 
 __all__ = [
     "GnnLayer",
@@ -268,27 +269,6 @@ def spec_to_text(spec: GnnSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_block(rows, width) -> np.ndarray:
-    """Rows of ``width`` decimal integers each, as one int64 array."""
-    if not rows:
-        return np.zeros((0, width), dtype=np.int64)
-    try:
-        # one C-level conversion for the block; it rejects 1.5, inf and nan
-        block = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
-        if block.shape == (len(rows), width):
-            return block
-    except ValueError:
-        pass
-    for row in rows:  # name the first bad row
-        if len(row.split()) != width:
-            raise SpecFormatError(f"expected {width} entries, got {row!r}")
-        try:
-            np.loadtxt([row], dtype=np.int64, comments=None)
-        except ValueError as exc:
-            raise SpecFormatError(f"non-integer entry in {row!r}") from exc
-    raise SpecFormatError("malformed rule rows")
-
-
 def spec_from_text(text: str) -> GnnSpec:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
@@ -310,7 +290,7 @@ def spec_from_text(text: str) -> GnnSpec:
         raise SpecFormatError("expected an init line with one token per coordinate")
     init_kinds = tuple(init_toks[1:])
     body = lines[2:]
-    block = _parse_block(body, 2 * d + 3)
+    block = _parse_block(body, 2 * d + 3, SpecFormatError)
     t = block[:, 0]
     bad = (t < 1) | (t > iterations) | np.r_[False, t[1:] < t[:-1]]
     if bad.any():
@@ -331,5 +311,4 @@ def spec_from_text(text: str) -> GnnSpec:
 
 
 def read_spec(path) -> GnnSpec:
-    with open(path, "r", encoding="ascii") as fh:
-        return spec_from_text(fh.read())
+    return spec_from_text(_read_ascii(path, SpecFormatError))

@@ -77,27 +77,27 @@ def rows_to_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
 
 
-def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Formula, int, str]:
+def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Formula, int]:
     """Resolve a query: the presets ``q1``/``q2`` or raw formula text.
 
-    Returns (label, formula, palette, tree coloring).  A preset keeps its
-    own palette, but a ``palette`` below 1 is rejected for it too.
+    Returns (label, formula, palette).  A preset keeps its own palette, but
+    a ``palette`` below 1 is rejected for it too.
     """
     if palette is not None and palette < 1:
         raise ValueError("palette_size must be >= 1")
     if name_or_text.lower() == "q1":
-        return "q1", parse(Q1_TEXT, 1), 1, "unicolor"
+        return "q1", parse(Q1_TEXT, 1), 1
     if name_or_text.lower() == "q2":
-        return "q2", parse(Q2_TEXT, 2), 2, "leaves-blue"
+        return "q2", parse(Q2_TEXT, 2), 2
     palette = 1 if palette is None else palette
-    formula = parse(name_or_text, palette)
-    coloring = "unicolor" if palette == 1 else "leaves-blue"
-    return name_or_text, formula, palette, coloring
+    return name_or_text, parse(name_or_text, palette), palette
 
 
-def tree_pair(k: int, coloring: str):
+def tree_pair(k: int, palette: int):
     """The sweep's input pair: the k-ary tree with zero and with one leaf
-    under the first internal vertex (both with m = k internal vertices)."""
+    under the first internal vertex (both with m = k internal vertices),
+    one color for palette 1, else with blue leaves."""
+    coloring = "unicolor" if palette == 1 else "leaves-blue"
     t0, r0 = make_tree(TreeParams(0, k, k), coloring)
     t1, r1 = make_tree(TreeParams(1, k, k), coloring)
     return (t0, r0), (t1, r1)
@@ -111,11 +111,11 @@ def _sweep(experiment: str, query: str, palette: int | None, k_values, runs) -> 
         raise ValueError("sweeps must be non-empty")
     if min(k_values) < 1:
         raise ValueError(f"k must be >= 1, got k = {min(k_values)}")
-    label, formula, palette, coloring = load_query(query, palette)
+    label, formula, palette = load_query(query, palette)
     spec = compile_formula(formula, palette)
     rows: list[ResultRow] = []
     for k in k_values:
-        (t0, r0), (t1, r1) = tree_pair(k, coloring)
+        (t0, r0), (t1, r1) = tree_pair(k, palette)
         union, offsets = batch_graphs([t0, t1])
         roots = [r0, int(offsets[1]) + r1]
         delta = union.max_degree

@@ -55,10 +55,13 @@ class LabeledGraph:
         edges = np.ascontiguousarray(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
         if edges.size:
             u, v = edges[:, 0], edges[:, 1]
-            if (u == v).any():
-                raise ValueError("self-loops are not allowed")
-            if u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= self.n:
-                raise ValueError("edge endpoint out of range")
+            # each check names the first edge it rejects
+            loop = u == v
+            if loop.any():
+                raise ValueError("self-loop {} {}".format(*edges[np.argmax(loop)]))
+            out = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.n)
+            if out.any():
+                raise ValueError("edge {} {} out of range for n={}".format(*edges[np.argmax(out)], self.n))
             # Edges that are already canonical (u < v, strictly ascending
             # u*n + v) are kept as they are: an O(E) check instead of a sort.
             if not ((u < v).all() and (np.diff(u * self.n + v) > 0).all()):
@@ -221,11 +224,41 @@ def write_graph(path, graph: LabeledGraph, root: int | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_ascii(path, error) -> str:
+    """The text of the file at ``path``; a non-ASCII byte raises ``error``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise error(f"non-ASCII byte at offset {exc.start}") from exc
+
+
+def _parse_block(rows, width, error) -> np.ndarray:
+    """Rows of ``width`` decimal integers each, as one int64 array; the
+    first bad row raises ``error`` naming it."""
+    if not rows:
+        return np.zeros((0, width), dtype=np.int64)
+    try:
+        # one C-level conversion for the block; it rejects 1.5, 1_0, inf and nan
+        block = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+        if block.shape == (len(rows), width):
+            return block
+    except ValueError:
+        pass
+    for row in rows:  # name the first bad row
+        if len(row.split()) != width:
+            raise error(f"expected {width} entries, got {row!r}")
+        try:
+            np.loadtxt([row], dtype=np.int64, comments=None)
+        except ValueError as exc:
+            raise error(f"non-integer entry in {row!r}") from exc
+    raise error("malformed rows")
+
+
 def read_graph(path) -> tuple[LabeledGraph, int | None]:
     """Parse the text format; returns the graph and the optional root annotation."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln]
+    lines = [ln.strip() for ln in _read_ascii(path, GraphFormatError).splitlines() if ln.strip()]
     if len(lines) < 2:
         raise GraphFormatError("file too short: need a header line and a color line")
     head = lines[0].split()
@@ -246,38 +279,22 @@ def read_graph(path) -> tuple[LabeledGraph, int | None]:
     if color_ints and (min(color_ints) < 1 or max(color_ints) > palette):
         raise GraphFormatError("color out of range [1, palette]")
     colors = np.array(color_ints, dtype=np.int64)
-    edges = []
+    body = lines[2:]
     root = None
-    for ln in lines[2:]:
-        toks = ln.split()
-        if toks[0] == "root":
-            if len(toks) != 2 or root is not None:
-                raise GraphFormatError(f"malformed root line {ln!r}")
-            try:
-                root = int(toks[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"malformed root line {ln!r}") from exc
-            continue
-        if root is not None:
-            raise GraphFormatError("edge line after root line")
-        if len(toks) != 2:
-            raise GraphFormatError(f"malformed edge line {ln!r}")
+    if body and body[-1].split()[0] == "root":  # the root line comes last
+        line = body.pop()
         try:
-            u, v = int(toks[0]), int(toks[1])
+            (root,) = map(int, line.split()[1:])
         except ValueError as exc:
-            raise GraphFormatError(f"malformed edge line {ln!r}") from exc
-        if u == v:
-            raise GraphFormatError(f"self-loop {u} {v}")
-        if not u < v:
-            raise GraphFormatError(f"edge {u} {v} must satisfy u < v")
-        if v >= n or u < 0:
-            raise GraphFormatError(f"edge {u} {v} out of range for n={n}")
-        edges.append((u, v))
-    if root is not None and not 0 <= root < n:
-        raise GraphFormatError(f"root {root} out of range for n={n}")
-    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+            raise GraphFormatError(f"malformed root line {line!r}") from exc
+        if not 0 <= root < n:
+            raise GraphFormatError(f"root {root} out of range for n={n}")
+    edges = _parse_block(body, 2, GraphFormatError)
+    flipped = edges[:, 0] > edges[:, 1]
+    if flipped.any():
+        raise GraphFormatError("edge {} {} must satisfy u < v".format(*edges[np.argmax(flipped)]))
     try:
-        graph = LabeledGraph(n, palette, colors, edge_arr)
+        graph = LabeledGraph(n, palette, colors, edges)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
     return graph, root

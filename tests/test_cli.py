@@ -314,6 +314,22 @@ def test_cli_check_exact_keeps_file_palette_error(tmp_path):
         assert result.stdout == "" and "Traceback" not in result.stderr
 
 
+# A non-ASCII byte in either input file is a format error naming its offset.
+@pytest.mark.parametrize("char", ["\u00a0", "\u0661"], ids=["no-break-space", "arabic-indic-digit"])
+@pytest.mark.parametrize("bad", ["graph", "spec"])
+def test_cli_eval_rejects_non_ascii(tmp_path, q1_spec, bad, char):
+    paths = {"graph": tmp_path / "path.graph", "spec": tmp_path / "q1.spec"}
+    write_graph(paths["graph"], LabeledGraph(3, 1, np.ones(3, dtype=np.int64), np.array([[0, 1], [1, 2]])))
+    paths["spec"].write_text(spec_to_text(q1_spec))
+    text = paths[bad].read_text()
+    offset = text.index(" ", text.index("\n"))  # the first space of the second line
+    paths[bad].write_text(text[:offset] + char + text[offset + 1 :], encoding="utf-8")
+    result = run_cli("eval", "--spec", str(paths["spec"]), "--graph", str(paths["graph"]))
+    assert result.returncode == 2
+    assert f"non-ASCII byte at offset {offset}" in result.stderr
+    assert result.stdout == "" and "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize(
     "argv,fragment",
     [

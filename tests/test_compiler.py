@@ -26,6 +26,7 @@ from gc2gnn import (
     parse,
     random_formula,
     random_graph,
+    read_spec,
     spec_from_text,
     spec_to_text,
 )
@@ -331,7 +332,7 @@ def test_deep_chain_text_is_small_and_round_trips():
 def test_readme_spec_example_is_q1():
     # README "File formats" shows q1's spec text; the format cannot drift from it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    example = readme.split("## File formats", 1)[1].split("```")[1]
+    example = readme.split("## File formats", 1)[1].split("```")[3]  # after the graph example
     assert example.lstrip("\n") == spec_to_text(compile_formula(parse(Q1_TEXT, 1), 1))
 
 
@@ -385,6 +386,24 @@ def test_spec_parser_rejects_malformed(q1_spec, mutate, fragment):
     lines = spec_to_text(q1_spec).strip().splitlines()
     with pytest.raises(SpecFormatError, match=fragment):
         spec_from_text("\n".join(mutate(lines)))
+
+
+def non_ascii_spec(q1_spec, char):
+    """q1's spec text with ``char`` in its first rule row, in place of the
+    space after the bias (a no-break space) or of the digit after it."""
+    text = spec_to_text(q1_spec)
+    offset = text.index("\n1 1 -1 ") + 7 + (not char.isspace())
+    return text[:offset] + char + text[offset + 1 :], offset
+
+
+@pytest.mark.parametrize("char", ["\u00a0", "\u0661"], ids=["no-break-space", "arabic-indic-digit"])
+def test_read_spec_rejects_non_ascii(tmp_path, q1_spec, char):
+    text, offset = non_ascii_spec(q1_spec, char)
+    path = tmp_path / "bad.spec"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SpecFormatError) as info:
+        read_spec(path)
+    assert str(info.value) == f"non-ASCII byte at offset {offset}"
 
 
 # q1's rule rows are ``t j c A[0..4] B[0..4]``: columns 0 and 1 are the

@@ -150,7 +150,7 @@ def test_margin_exact_run_is_half(q1, q1_spec):
 
 
 def test_margin_small_m_fails_to_express(q1, q1_spec):
-    roots = tree_pair(40, "unicolor")
+    roots = tree_pair(40, 1)
     assert root_margin(q1, q1_spec.with_activation("step-arctan", 2), roots) <= 0.0
     assert root_margin(q1, q1_spec.with_activation("step-arctan", 14), roots) > 0.5 - 1 / 132
 

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,18 +187,24 @@ def test_graph_canonical_check(edges, want):
     assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
 
 
+# Each message names the first edge, in input order, that fails its check.
 @pytest.mark.parametrize(
-    "edges,fragment",
+    "edges,message",
     [
-        ([[0, 1], [1, 1]], "self-loop"),  # canonical apart from the loop
-        ([[0, 1], [1, 3]], "out of range"),
-        ([[-1, 2]], "out of range"),
-        ([[2, 5], [0, 1]], "out of range"),
+        # canonical apart from the loop
+        pytest.param([[0, 1], [1, 1]], "self-loop 1 1", id="edges0-self-loop"),
+        pytest.param([[0, 1], [1, 3]], "edge 1 3 out of range for n=3", id="edges1-out of range"),
+        pytest.param([[-1, 2]], "edge -1 2 out of range for n=3", id="edges2-out of range"),
+        pytest.param([[2, 5], [0, 1]], "edge 2 5 out of range for n=3", id="edges3-out of range"),
+        pytest.param([[0, 1], [2, 7], [1, 9]], "edge 2 7 out of range for n=3", id="first-of-two"),
+        # loops are checked before ranges
+        pytest.param([[0, 5], [2, 2]], "self-loop 2 2", id="loop-before-range"),
     ],
 )
-def test_graph_rejects_bad_edges(edges, fragment):
-    with pytest.raises(ValueError, match=fragment):
+def test_graph_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError) as info:
         LabeledGraph(3, 1, np.ones(3, int), np.array(edges))
+    assert str(info.value) == message
 
 
 def test_batch_graphs_layout(triangle, isolated_vertex):
@@ -290,19 +298,57 @@ def _bad_graph(content, label, message):
                    "color out of range [1, palette]"),
         _bad_graph("3 1\n1 1 1\nroot x\n", "root x", "malformed root line 'root x'"),
         _bad_graph("3 1\n1 1 1\nroot\n", "bare root", "malformed root line 'root'"),
-        _bad_graph("3 1\n1 1 1\nroot 0\nroot 1\n", "two roots", "malformed root line 'root 1'"),
-        _bad_graph("3 1\n1 1 1\nroot 0\n0 1\n", "edge after root", "edge line after root line"),
-        _bad_graph("3 1\n1 1 1\n0 1 2\n", "three tokens", "malformed edge line '0 1 2'"),
-        _bad_graph("3 1\n1 1 1\n0 x\n", "non-integer endpoint", "malformed edge line '0 x'"),
+        _bad_graph("3 1\n1 1 1\nroot 0\nroot 1\n", "two roots", "non-integer entry in 'root 0'"),
+        _bad_graph("3 1\n1 1 1\nroot 0\n0 1\n", "edge after root", "non-integer entry in 'root 0'"),
+        _bad_graph("3 1\n1 1 1\n0 1 2\n", "three tokens", "expected 2 entries, got '0 1 2'"),
+        _bad_graph("3 1\n1 1 1\n0 x\n", "non-integer endpoint", "non-integer entry in '0 x'"),
+        _bad_graph("3 1\n1 1 1\n0 1_0\n", "digit group", "non-integer entry in '0 1_0'"),
+        _bad_graph("3 1\n1 1 1\n0 1.0\n", "decimal point", "non-integer entry in '0 1.0'"),
+        _bad_graph("3 1\n1 1 1\n0 99999999999999999999\n", "endpoint beyond int64",
+                   "non-integer entry in '0 99999999999999999999'"),
         _bad_graph("3 1\n1 1 1\n0 0\n", "self-loop", "self-loop 0 0"),
         _bad_graph("3 1\n1 1 1\n1 0\n", "must satisfy u < v", "edge 1 0 must satisfy u < v"),
         _bad_graph("3 1\n1 1 1\n0 5\n", "out of range", "edge 0 5 out of range for n=3"),
         _bad_graph("3 1\n1 1 1\nroot 7\n", "root 7 out of range", "root 7 out of range for n=3"),
+        _bad_graph("3 1\n1\u00a01 1\n0 1\n", "no-break space", "non-ASCII byte at offset 5"),
+        _bad_graph("3 1\n1 1 1\n0 \u0661\n", "Arabic-Indic digit", "non-ASCII byte at offset 12"),
     ],
 )
 def test_io_rejects_malformed(tmp_path, content, message):
     path = tmp_path / "bad.graph"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(GraphFormatError) as info:
         read_graph(path)
     assert str(info.value) == message
+
+
+def test_readme_graph_example_is_a_tree(tmp_path):
+    # README "File formats" shows a graph file, the smallest sweep tree with blue leaves
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## File formats", 1)[1].split("```")[1].lstrip("\n")
+    path = tmp_path / "tree.graph"
+    path.write_text(example)
+    tree, root = make_tree(TreeParams(1, 1, 2), "leaves-blue")
+    assert read_graph(path) == (tree, root)
+    write_graph(path, tree, root=root)
+    assert path.read_text() == example
+
+
+def test_read_graph_memory_is_linear(tmp_path):
+    # 3 * 10^5 edges (i, i + 1), (i, i + 2), (i, i + 3) and a root line: the
+    # edges are parsed as one block, so the peak is a small multiple of the file
+    n = 100_000
+    u = np.repeat(np.arange(n, dtype=np.int64), 3)
+    v = u + np.tile([1, 2, 3], n)
+    keep = v < n
+    graph = LabeledGraph(n, 3, np.arange(n) % 3 + 1, np.stack([u[keep], v[keep]], axis=1))
+    path = tmp_path / "big.graph"
+    write_graph(path, graph, root=7)
+    tracemalloc.start()
+    try:
+        back, root = read_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == graph and root == 7
+    assert peak <= 12 * path.stat().st_size

@@ -494,6 +494,16 @@ class StepLikeReport:
         return "\n".join([head] + ["  " + c.describe() for c in self.checks])
 
 
+def _check(name: str, points, value, allowed) -> CheckResult:
+    """The verdict of ``value <= allowed`` (arrays over ``points``, or an
+    ``allowed`` scalar), reported where ``value - allowed`` is largest: it
+    passes when that excess is at most ``_TOL``."""
+    allowed = np.broadcast_to(allowed, value.shape)
+    excess = value - allowed
+    j = int(np.argmax(excess))
+    return CheckResult(name, bool(excess[j] <= _TOL), float(value[j]), float(allowed[j]), float(points[j]))
+
+
 def verify_step_like(name: str, params: StepLikeParams) -> StepLikeReport:
     """Check the registered map ``name`` against a certificate.
 
@@ -501,54 +511,35 @@ def verify_step_like(name: str, params: StepLikeParams) -> StepLikeReport:
     one-step contraction
     ``|sigma(y) - p| <= eta |y - p| + (curvature/2) |y - p|^2`` (p the nearby
     plateau) holds at every sampled point outside (eps, 1-eps), on the wide
-    grid and on the collar.  Each verdict allows a slack of ``_TOL``.
+    grid and on the collar; (d) the map is non-decreasing: ``d1 >= 0`` on
+    the wide grid.  Each verdict allows a slack of ``_TOL``.
     Condition (c) is the inequality the fixed-point iteration consumes;
     ``StepLikeParams`` itself holds ``eps <= (1-eta)/curvature``, which
-    makes it contract on the collar.
+    makes it contract on the collar.  Condition (d) makes every composite
+    monotone, so its worst error over an interval sits at the endpoints.
 
     Needs the closed-form ``d1``, which every certified map has.
     """
     d1 = get_activation(name).d1
     if d1 is None:
         raise ValueError(f"{name!r} has no closed-form derivatives")
-    checks = []
-
-    at0 = abs(float(apply_activation(name, 1, 0.0)))
-    at1 = abs(float(apply_activation(name, 1, 1.0)) - 1.0)
-    fixed_worst, fixed_loc = max(at0, at1), 0.0 if at0 >= at1 else 1.0
-    checks.append(CheckResult("fixes 0 and 1", fixed_worst <= _TOL, fixed_worst, _TOL, fixed_loc))
-
-    s0, s1 = abs(float(d1(0.0))), abs(float(d1(1.0)))
-    slope_worst = max(s0, s1)
-    checks.append(
-        CheckResult(
-            "derivative at the fixed points",
-            slope_worst <= params.eta + _TOL,
-            slope_worst,
-            params.eta,
-            0.0 if s0 >= s1 else 1.0,
-        )
-    )
-
+    fixed = np.array([0.0, 1.0])
     wide = np.linspace(_WIDE_LO, _WIDE_HI, _WIDE_POINTS)
     outside = wide[(wide <= params.eps) | (wide >= 1.0 - params.eps)]
     points = np.concatenate([outside, plateau_grid(params.eps, _COLLAR_POINTS)])
     plateau = apply_activation("sigma-star", 1, points)
     dist = np.abs(points - plateau)
-    allowed = params.eta * dist + 0.5 * params.curvature * dist * dist
-    stepped = apply_activation(name, 1, points)
-    excess = np.abs(stepped - plateau) - allowed
-    j = int(np.argmax(excess))
-    checks.append(
-        CheckResult(
+    checks = (
+        _check("fixes 0 and 1", fixed, np.abs(apply_activation(name, 1, fixed) - fixed), 0.0),
+        _check("derivative at the fixed points", fixed, np.abs(d1(fixed)), params.eta),
+        _check(
             "one-step contraction outside (eps, 1-eps)",
-            float(excess[j]) <= _TOL,
-            float(np.abs(stepped[j] - plateau[j])),
-            float(allowed[j]),
-            float(points[j]),
-        )
+            points,
+            np.abs(apply_activation(name, 1, points) - plateau),
+            params.eta * dist + 0.5 * params.curvature * dist * dist,
+        ),
+        _check("non-decreasing on the wide grid (-d1)", wide, -d1(wide), 0.0),
     )
-
     note = (
         f"wide grid [{_WIDE_LO}, {_WIDE_HI}] x{_WIDE_POINTS}, "
         f"collar +-{params.eps} around 0 and 1 x{_COLLAR_POINTS}, tol={_TOL:g}"
@@ -556,6 +547,6 @@ def verify_step_like(name: str, params: StepLikeParams) -> StepLikeReport:
     return StepLikeReport(
         activation=name,
         passed=all(c.passed for c in checks),
-        checks=tuple(checks),
+        checks=checks,
         grid_note=note,
     )

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .activations import ActivationSpec, ACTIVATION_NAMES
+from .activations import ActivationSpec
 from .formulas import And, Color, Diamond, Formula, Not, Top, subformulas
 from .graphs import _parse_block, _read_ascii
 
@@ -282,9 +282,10 @@ def spec_from_text(text: str) -> GnnSpec:
         raise SpecFormatError(f"malformed header {lines[0]!r}") from exc
     if not 0 <= iterations <= d:  # compiled specs meet it; the file backs d, not a bigger depth
         raise SpecFormatError(f"iterations outside 0..{d} in {lines[0]!r}")
-    name = head[3]
-    if name not in ACTIVATION_NAMES:
-        raise SpecFormatError(f"unknown activation {name!r}")
+    try:
+        activation = ActivationSpec(head[3], m)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from exc
     init_toks = lines[1].split()
     if len(init_toks) != d + 1 or init_toks[0] != "init":
         raise SpecFormatError("expected an init line with one token per coordinate")
@@ -303,7 +304,7 @@ def spec_from_text(text: str) -> GnnSpec:
         return GnnSpec(
             output_index=output_index,
             layers=layers,
-            activation=ActivationSpec(name, m),
+            activation=activation,
             init_kinds=init_kinds,
         )
     except ValueError as exc:

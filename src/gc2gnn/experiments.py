@@ -80,17 +80,16 @@ def rows_to_csv(rows) -> str:
 def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Formula, int]:
     """Resolve a query: the presets ``q1``/``q2`` or raw formula text.
 
-    Returns (label, formula, palette).  A preset keeps its own palette, but
-    a ``palette`` below 1 is rejected for it too.
+    Returns (label, formula, palette).  The text is parsed against
+    ``palette`` when one is given, else against the preset's own palette
+    (1 for raw text).
     """
-    if palette is not None and palette < 1:
-        raise ValueError("palette_size must be >= 1")
-    if name_or_text.lower() == "q1":
-        return "q1", parse(Q1_TEXT, 1), 1
-    if name_or_text.lower() == "q2":
-        return "q2", parse(Q2_TEXT, 2), 2
-    palette = 1 if palette is None else palette
-    return name_or_text, parse(name_or_text, palette), palette
+    label = name_or_text.lower()
+    text, own = {"q1": (Q1_TEXT, 1), "q2": (Q2_TEXT, 2)}.get(label, (None, 1))
+    if text is None:
+        label = text = name_or_text
+    palette = own if palette is None else palette
+    return label, parse(text, palette), palette
 
 
 def tree_pair(k: int, palette: int):

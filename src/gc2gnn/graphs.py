@@ -51,7 +51,8 @@ class LabeledGraph:
         if colors.shape != (self.n,):
             raise ValueError(f"expected {self.n} colors, got shape {colors.shape}")
         if colors.min() < 1 or colors.max() > self.palette:
-            raise ValueError("vertex color out of range [1, palette]")
+            v = int(np.argmax((colors < 1) | (colors > self.palette)))
+            raise ValueError(f"color out of range [1, {self.palette}]: vertex {v} has color {colors[v]}")
         edges = np.ascontiguousarray(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
         if edges.size:
             u, v = edges[:, 0], edges[:, 1]
@@ -237,23 +238,28 @@ def _read_ascii(path, error) -> str:
 def _parse_block(rows, width, error) -> np.ndarray:
     """Rows of ``width`` decimal integers each, as one int64 array; the
     first bad row raises ``error`` naming it."""
-    if not rows:
-        return np.zeros((0, width), dtype=np.int64)
-    try:
-        # one C-level conversion for the block; it rejects 1.5, 1_0, inf and nan
-        block = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
-        if block.shape == (len(rows), width):
-            return block
-    except ValueError:
-        pass
-    for row in rows:  # name the first bad row
-        if len(row.split()) != width:
-            raise error(f"expected {width} entries, got {row!r}")
+
+    def parse(part):  # the int64 block, or None if any row is bad
         try:
-            np.loadtxt([row], dtype=np.int64, comments=None)
-        except ValueError as exc:
-            raise error(f"non-integer entry in {row!r}") from exc
-    raise error("malformed rows")
+            # one C-level conversion for the block; it rejects 1.5, 1_0, inf and nan
+            block = np.loadtxt(part, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            return None
+        return block if block.shape == (len(part), width) else None
+
+    block = parse(rows) if rows else np.zeros((0, width), dtype=np.int64)
+    if block is not None:
+        return block
+    # rows[lo:hi] holds the first bad row and rows[:lo] are good: halving
+    # finds it for about one more block parse
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if parse(rows[lo:mid]) is None else (mid, hi)
+    row = rows[lo]
+    if len(row.split()) != width:
+        raise error(f"expected {width} entries, got {row!r}")
+    raise error(f"non-integer entry in {row!r}")
 
 
 def read_graph(path) -> tuple[LabeledGraph, int | None]:
@@ -271,14 +277,7 @@ def read_graph(path) -> tuple[LabeledGraph, int | None]:
     color_toks = lines[1].split()
     if len(color_toks) != n:
         raise GraphFormatError(f"expected {n} colors, found {len(color_toks)}")
-    try:
-        color_ints = [int(t) for t in color_toks]
-    except ValueError as exc:
-        raise GraphFormatError("non-integer color entry") from exc
-    # checked on the Python ints, which may not fit in an int64
-    if color_ints and (min(color_ints) < 1 or max(color_ints) > palette):
-        raise GraphFormatError("color out of range [1, palette]")
-    colors = np.array(color_ints, dtype=np.int64)
+    colors = _parse_block(color_toks, 1, GraphFormatError)[:, 0]
     body = lines[2:]
     root = None
     if body and body[-1].split()[0] == "root":  # the root line comes last

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gc2gnn import activations, cli
 from gc2gnn.activations import (
     ACTIVATION_NAMES,
     CERTIFIED_NAMES,
@@ -180,6 +182,18 @@ def test_verify_rejects_tightened_curvature():
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {"one-step contraction outside (eps, 1-eps)"}
+
+
+def test_verify_rejects_a_decreasing_map(monkeypatch, capsys):
+    # d1 shifted down by 1e-3 dips below 0 on the wide grid, where its
+    # smallest value is 1.25e-4, but stays below eta at the fixed points
+    act = get_activation("step-arctan")
+    shifted = dataclasses.replace(act, d1=lambda x: act.d1(x) - 1e-3)
+    monkeypatch.setitem(activations._REGISTRY, "step-arctan", shifted)
+    report = verify_step_like("step-arctan", certificate("step-arctan"))
+    assert {c.name for c in report.checks if not c.passed} == {"non-decreasing on the wide grid (-d1)"}
+    assert cli.main(["steplike-verify", "step-arctan"]) == 1
+    assert "non-decreasing on the wide grid (-d1): FAIL" in capsys.readouterr().out
 
 
 def test_steplike_params_validation():

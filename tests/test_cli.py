@@ -56,6 +56,12 @@ def test_separation_q2_runs():
     assert any(r.activation == "arctan-4pi" for r in rows)
 
 
+def test_load_query_parses_a_preset_against_the_given_palette():
+    label, formula, palette = experiments.load_query("q2", 3)
+    assert (label, palette) == ("q2", 3)
+    assert formula == experiments.load_query("q2")[1]
+
+
 def test_saturation_decay_check():
     rows = run_saturation("q1", "sigmoid", 1, (2, 4, 8, 16))
     first, last = check_saturation_decay(rows)
@@ -203,6 +209,9 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      id="preset-palette-0"),
         pytest.param(("compile", "--query", "q1", "--palette", "-3"), "palette_size must be >= 1",
                      id="preset-palette-3"),
+        # a preset is parsed against the palette it is given
+        pytest.param(("compile", "--query", "q2", "--palette", "1"), "color index 2 out of range [1, 1]",
+                     id="preset-q2-palette-1"),
         pytest.param(("check-exact", "--graph", "{graph}", "--query", "q1", "--random-graphs", "-2"),
                      "--random-graphs -2 must be non-negative", id="random-graphs-2"),
         pytest.param(("saturation", "--query", "q1", "--k-range", "5"),

@@ -377,6 +377,9 @@ def test_spec_serializer_rejects_more_layers_than_d():
         (lambda lines: lines[:-1] + ["4 5" + lines[-1][3:]], "must be ascending and distinct in"),
         (lambda lines: lines + [lines[-1]], "rule rows must be ascending and distinct"),
         (lambda lines: [lines[0] + " 9"] + lines[1:], "malformed header"),
+        # the header's activation is checked before the body is read
+        (lambda lines: [lines[0].replace("sigma-star 1", "sigma-star -1"), lines[1], "junk"],
+         "composition depth must be non-negative"),
         # color indices start at 1 and are ASCII digits
         (lambda lines: [lines[0], "init C0 0 0 0 0"] + lines[2:], "bad init kind 'C0'"),
         (lambda lines: [lines[0], "init C\u0661 0 0 0 0"] + lines[2:], "bad init kind 'C\u0661'"),
@@ -432,6 +435,22 @@ def test_spec_parser_checks_row_width(q1_spec, column, change):
     lines[3] = " ".join(toks)
     with pytest.raises(SpecFormatError, match=f"expected 13 entries, got {lines[3]!r}"):
         spec_from_text("\n".join(lines))
+
+
+def test_read_spec_finds_a_bad_row_by_halving(tmp_path, q1_spec, monkeypatch):
+    # 4096 rule rows, the last one bad: one np.loadtxt call for the whole
+    # block and 12 for halving it
+    lines = spec_to_text(q1_spec).strip().splitlines()
+    bad = lines[2].replace(" 0", " x", 1)
+    path = tmp_path / "bad.spec"
+    path.write_text("\n".join(lines[:2] + [lines[2]] * 4095 + [bad]) + "\n")
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+    with pytest.raises(SpecFormatError) as info:
+        read_spec(path)
+    assert str(info.value) == f"non-integer entry in {bad!r}"
+    assert len(calls) <= 14
 
 
 def test_initial_features_layout(q2_spec):

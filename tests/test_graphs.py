@@ -292,10 +292,10 @@ def _bad_graph(content, label, message):
         _bad_graph("3\n1 1 1\n", "one-token header", "malformed header '3': expected 'n palette'"),
         _bad_graph("a b\n1\n", "malformed header", "malformed header 'a b'"),
         _bad_graph("3 1\n1 1\n", "expected 3 colors", "expected 3 colors, found 2"),
-        _bad_graph("3 2\n1 x 1\n", "non-integer color", "non-integer color entry"),
-        _bad_graph("3 1\n1 1 2\n", "color out of range", "color out of range [1, palette]"),
+        _bad_graph("3 2\n1 x 1\n", "non-integer color", "non-integer entry in 'x'"),
+        _bad_graph("3 1\n1 1 2\n", "color out of range", "color out of range [1, 1]: vertex 2 has color 2"),
         _bad_graph("3 1\n1 99999999999999999999999 1\n", "color beyond int64",
-                   "color out of range [1, palette]"),
+                   "non-integer entry in '99999999999999999999999'"),
         _bad_graph("3 1\n1 1 1\nroot x\n", "root x", "malformed root line 'root x'"),
         _bad_graph("3 1\n1 1 1\nroot\n", "bare root", "malformed root line 'root'"),
         _bad_graph("3 1\n1 1 1\nroot 0\nroot 1\n", "two roots", "non-integer entry in 'root 0'"),
@@ -320,6 +320,20 @@ def test_io_rejects_malformed(tmp_path, content, message):
     with pytest.raises(GraphFormatError) as info:
         read_graph(path)
     assert str(info.value) == message
+
+
+def test_read_graph_finds_a_bad_row_by_halving(tmp_path, monkeypatch):
+    # 4096 edge rows, the last one bad: the colors and the whole block take
+    # one np.loadtxt call each, and halving 4096 rows takes 12 more
+    lines = ["4097 1", " ".join(["1"] * 4097)] + [f"{i} {i + 1}" for i in range(4095)] + ["0 x"]
+    path = tmp_path / "bad.graph"
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+    with pytest.raises(GraphFormatError, match="non-integer entry in '0 x'"):
+        read_graph(path)
+    assert len(calls) <= 14
 
 
 def test_readme_graph_example_is_a_tree(tmp_path):

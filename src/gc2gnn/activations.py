@@ -121,12 +121,19 @@ def _crelu(x):
     np.minimum(x, 1.0, out=x)
 
 
-def _sigmoid(x):
-    np.negative(x, out=x)
+def _logistic(x, num):
+    """``x <- num / (1 + exp(x))``, the one logistic formula: ``sigmoid(v)``
+    at ``x = -v`` with ``num = 1``, and ``2 sigmoid(2z)`` at ``x = -2z`` with
+    ``num = 2``, since scaling by a power of two is exact."""
     with np.errstate(over="ignore"):
         np.exp(x, out=x)
     np.add(1.0, x, out=x)
-    np.divide(1.0, x, out=x)
+    np.divide(num, x, out=x)
+
+
+def _sigmoid(x):
+    np.negative(x, out=x)
+    _logistic(x, 1.0)
 
 
 def _tanh(x):
@@ -289,10 +296,9 @@ def _flat_tanh_d1(x):
 
 
 def _tanh_via_sigmoid(z):
-    """``z <- 2 sigmoid(2z) - 1``, which is tanh z, by the ``_sigmoid`` kernel."""
-    np.multiply(2.0, z, out=z)
-    _sigmoid(z)
-    np.multiply(2.0, z, out=z)
+    """``z <- 2 sigmoid(2z) - 1``, which is tanh z, by the logistic formula."""
+    np.multiply(-2.0, z, out=z)
+    _logistic(z, 2.0)
     np.subtract(z, 1.0, out=z)
 
 

@@ -2,33 +2,47 @@
 
 A layer stores one rule row per coordinate it computes (a compiled rule row
 reads at most two coordinates); every other coordinate carries over
-unchanged.  The executor owns one (n, d) feature array, updated in place,
-and one (n, d) neighbour-sum array per run.  Per layer it sums neighbour
-values only for the columns that B reads, gathering each column's values
+unchanged.  The executor holds its state column-major: one (d, n) feature
+array, updated in place, and one (d, n) neighbour-sum array per run, each
+coordinate a contiguous row.  It transposes ``init`` once on entry and
+returns the (n, d) view of the last layer.  Per layer it sums neighbour
+values only for the coordinates that B reads, gathering each one's values
 with one ``take`` over the edge sources, and overwrites only the stored
 rows.  The activation then runs one cache-sized block at a time
 (``activations._compose``), taking each block through all m compositions
 before it moves on.
 
-Only live columns are activated.  Column j is live after layer t when the
-caller keeps it or a later layer reads it before it fires again.  One
-backward pass over the layers finds them, starting from the kept columns:
-``live_after(t-1) = (live_after(t) - rows(t)) | reads(t)``, where
-``reads(t)`` are the columns with a nonzero coefficient in layer t's A or B.
-A kept column therefore sees the same activations, layer by layer, as it
-would if every column were activated; a column that is not live keeps a
-stale value.
+A layer's rows combine from coordinate lists (``GnnLayer.a_terms`` and
+``b_terms``): per term position, one (k, n) gather of whole coordinate rows
+and one multiply by the rows' coefficients, so a row costs its nonzeros,
+not d.  Every row is computed before any is written, since a row may read a
+coordinate that another row of the same layer writes.  A layer with a row of
+more than two nonzeros in A or in B, which only a file-read network has,
+keeps the full-width ``einsum`` of the dense update instead.
+
+Only live coordinates are activated.  Coordinate j is live after layer t
+when the caller keeps it or a later layer reads it before it fires again.
+One backward pass over the layers finds them, starting from the kept
+coordinates: ``live_after(t-1) = (live_after(t) - rows(t)) | reads(t)``,
+where ``reads(t)`` are the coordinates with a nonzero coefficient in layer
+t's A or B.  A kept coordinate therefore sees the same activations, layer
+by layer, as it would if every coordinate were activated; one that is not
+live keeps a stale value.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
-order (``np.bincount`` over the (dst, src)-sorted edge list), and the rule
-rows use the full-width ``einsum`` reduction of the dense update, which uses
-no BLAS and a fixed order.  Stale values leave these bits unchanged: a stale
-column of the features or of the neighbour sums enters a rule row only
-through a zero coefficient, and a zero product changes a sum at most in the
-sign of a zero.  The bias is added first, and the integer biases of
-compiled and file-read networks are never -0.0, so that sign never reaches a
-pre-activation.  This holds while every value is finite (``0 * inf`` is
-NaN), so a non-finite ``init`` is rejected.
+order (``np.bincount`` over the (dst, src)-sorted edge list).  A row of at
+most two nonzero products and any number of exact zeros rounds once,
+whatever the order of the sum, so the coordinate-list combine
+``(c + (a1 x1 + a2 x2)) + (b1 y1 + b2 y2)`` gives the bits of the dense
+update; a padded term or a stale value enters only through a zero
+coefficient, and a zero product changes a sum at most in the sign of a
+zero.  The bias is added first, and the integer biases of compiled and
+file-read networks are never -0.0, so that sign never reaches a
+pre-activation.  A sum of three or more nonzero products rounds more than
+once, so its bits depend on the order of the ``einsum`` reduction, which is
+fixed (no BLAS) but follows the memory layout: the dense path runs it on
+C-ordered (n, d) copies of the state.  All of this holds while every value
+is finite (``0 * inf`` is NaN), so a non-finite ``init`` is rejected.
 """
 
 from __future__ import annotations
@@ -39,11 +53,11 @@ from . import activations
 
 
 def _live_columns(layers, d, keep):
-    """For each layer, an index of the columns whose activated value a later
-    layer or the result reads; ``keep=None`` keeps all ``d`` columns.
+    """For each layer, an index of the coordinates whose activated value a
+    later layer or the result reads; ``keep=None`` keeps all ``d``.
 
-    A contiguous run of columns is a slice: read and written back as a view,
-    it costs a fraction of a fancy index's gather and scatter."""
+    A contiguous run of coordinates is a slice: read and written back as a
+    view, it costs a fraction of a fancy index's gather and scatter."""
     live = np.zeros(d, dtype=bool)
     live[slice(None) if keep is None else np.asarray(keep, dtype=np.int64)] = True
     after = []
@@ -57,25 +71,53 @@ def _live_columns(layers, d, keep):
     return after[::-1]
 
 
+def _products(terms, values):
+    """The (k, n) sums ``sum_p coefficients_p * values[columns_p]`` over the
+    term positions ``terms``, in position order."""
+    (cols, coefs), *rest = terms
+    total = values[cols]
+    total *= coefs[:, None]
+    for cols, coefs in rest:
+        term = values[cols]
+        term *= coefs[:, None]
+        total += term
+    return total
+
+
+def _combine(layer, cur, agg):
+    """The (k, n) pre-activations of ``layer``'s rule rows from the (d, n)
+    features ``cur`` and neighbour sums ``agg``."""
+    if len(layer.a_terms) > 2 or len(layer.b_terms) > 2:
+        # einsum without optimize keeps the reduction order fixed (no BLAS)
+        zs = np.einsum("vj,ij->vi", np.ascontiguousarray(cur.T), layer.A, optimize=False)
+        za = np.einsum("vj,ij->vi", np.ascontiguousarray(agg.T), layer.B, optimize=False)
+        return (layer.c + zs + za).T
+    if layer.a_terms:
+        z = _products(layer.a_terms, cur)
+        z += layer.c[:, None]
+    else:
+        z = np.repeat(layer.c[:, None], cur.shape[1], axis=1)
+    if layer.b_terms:
+        z += _products(layer.b_terms, agg)
+    return z
+
+
 def run_forward(init, graph, layers, name, m, keep=None):
     """Evaluate the layered update rule from the (n, d) features ``init`` and
-    return the (n, d) features after the last layer.
+    return the (n, d) features after the last layer, a transposed view of
+    the executor's (d, n) state.
 
     Only the columns in ``keep`` (default: all) are guaranteed to hold their
     values; the others may be stale.  ``init`` is not modified."""
-    cur = np.array(init, dtype=np.float64)
+    cur = np.array(np.asarray(init, dtype=np.float64).T, order="C")
     if not np.isfinite(cur).all():
         raise ValueError("initial features must be finite")
-    n, d = cur.shape
-    agg = np.zeros((n, d))
+    d, n = cur.shape
+    agg = np.zeros((d, n))
     for layer, live in zip(layers, _live_columns(layers, d, keep)):
         if layer.rows.size:
             for j in layer.agg_reads:
-                # a take from one column beats a 2-d fancy index about twofold
-                agg[:, j] = np.bincount(graph.edge_dst, weights=cur[:, j].take(graph.edge_src), minlength=n)
-            # einsum without optimize keeps the reduction order fixed (no BLAS)
-            zs = np.einsum("vj,ij->vi", cur, layer.A, optimize=False)
-            za = np.einsum("vj,ij->vi", agg, layer.B, optimize=False)
-            cur[:, layer.rows] = layer.c + zs + za
-        cur[:, live] = activations.apply_activation(name, m, cur[:, live])
-    return cur
+                agg[j] = np.bincount(graph.edge_dst, weights=cur[j].take(graph.edge_src), minlength=n)
+            cur[layer.rows] = _combine(layer, cur, agg)
+        cur[live] = activations.apply_activation(name, m, cur[live])
+    return cur.T

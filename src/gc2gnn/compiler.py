@@ -38,6 +38,30 @@ class SpecFormatError(ValueError):
     """Raised when a serialized network cannot be parsed."""
 
 
+def _terms(matrix):
+    """The nonzeros of each row of the (k, d) ``matrix`` by term position:
+    one ``(columns, coefficients)`` pair of (k,) arrays per position, as many
+    positions as the densest row has nonzeros.  Position p holds each row's
+    p-th nonzero in ascending column order; a row with fewer nonzeros has a
+    zero coefficient on column 0 there."""
+    rows = [[] for _ in range(matrix.shape[0])]
+    r, j = matrix.nonzero()
+    for row, col, coef in zip(r.tolist(), j.tolist(), matrix[r, j].tolist()):
+        rows[row].append((col, coef))
+    width = max(map(len, rows), default=0)
+    padded = [terms + [(0, 0.0)] * (width - len(terms)) for terms in rows]
+    return tuple(
+        (np.array([terms[p][0] for terms in padded], dtype=np.int64), np.array([terms[p][1] for terms in padded]))
+        for p in range(width)
+    )
+
+
+def _columns(terms):
+    """The ascending distinct columns with a nonzero coefficient in ``terms``."""
+    read = {col for cols, coefs in terms for col, coef in zip(cols.tolist(), coefs.tolist()) if coef != 0.0}
+    return np.array(sorted(read), dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class GnnLayer:
     """One iteration's rule rows; every other coordinate carries over unchanged.
@@ -45,7 +69,9 @@ class GnnLayer:
     Row ``r`` computes coordinate ``rows[r]`` as ``c[r] + A[r] . x + B[r] . agg``
     from the previous layer's features ``x`` and their neighbour sum ``agg``.
     ``rows`` is ascending and distinct in ``[0, d)``; ``A`` and ``B`` are
-    ``(k, d)`` and ``c`` is ``(k,)`` for ``k`` rule rows.
+    ``(k, d)`` and ``c`` is ``(k,)`` for ``k`` rule rows.  ``a_terms`` and
+    ``b_terms`` list the rows' nonzeros by term position, built once from
+    ``A`` and ``B``; the forward pass combines the rows from them.
     """
 
     rows: np.ndarray
@@ -76,15 +102,25 @@ class GnnLayer:
         return self.A.shape[1]
 
     @cached_property
+    def a_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``A``'s nonzeros by term position: see ``_terms``."""
+        return _terms(self.A)
+
+    @cached_property
+    def b_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``B``'s nonzeros by term position: see ``_terms``."""
+        return _terms(self.B)
+
+    @cached_property
     def reads(self) -> np.ndarray:
         """The ascending columns with a nonzero coefficient in ``A`` or ``B``."""
-        return np.flatnonzero(self.A.any(axis=0) | self.B.any(axis=0))
+        return _columns(self.a_terms + self.b_terms)
 
     @cached_property
     def agg_reads(self) -> np.ndarray:
         """The ascending columns with a nonzero coefficient in ``B``: the
         neighbour sums the layer needs."""
-        return np.flatnonzero(self.B.any(axis=0))
+        return _columns(self.b_terms)
 
     def __eq__(self, other):
         return (

@@ -97,6 +97,21 @@ def test_sigmoid_realization_agrees_pointwise():
     assert apply_activation("steplike-sigmoid-eta0", 1, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tanh_via_sigmoid_bits_match_written_out_formula():
+    # the kernel folds both exact x2 scalings of 2 sigmoid(2z) - 1 into one
+    # multiply by -2 and a numerator of 2: five elementwise passes, not seven,
+    # with the same bits out to exp's overflow and beyond; only a NaN's sign
+    # bit, which no map reads, may differ
+    z = np.concatenate([np.linspace(-800.0, 800.0, 2**20 + 1), multi_block_input()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = 2.0 * (1.0 / (1.0 + np.exp(-(2.0 * z)))) - 1.0
+        got = z.copy()
+        activations._tanh_via_sigmoid(got)
+    nan = np.isnan(z)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 # -- iteration -----------------------------------------------------------------
 
 

@@ -26,7 +26,7 @@ from gc2gnn import (
     random_formula,
     random_graph,
 )
-from gc2gnn.activations import certificate, required_composition_depth
+from gc2gnn.activations import apply_activation, certificate, required_composition_depth
 from gc2gnn.backend import run_forward
 from gc2gnn.experiments import tree_pair
 
@@ -91,6 +91,98 @@ def test_run_forward_rejects_non_finite_init(q2_spec, bad):
     init[:, unread] = bad
     with pytest.raises(ValueError, match="finite"):
         run_forward(init, graph, q2_spec.layers, "sigma-star", 1, keep=(q2_spec.output_index,))
+
+
+def reference_run_forward(init, graph, layers, name, m, keep=None):
+    """The executor as it stood before the column-major state: an (n, d)
+    state, ``reads`` taken from the dense rows, and the full-width ``einsum``
+    combine for every layer."""
+    def reads(layer):
+        return np.flatnonzero(layer.A.any(axis=0) | layer.B.any(axis=0))
+
+    d = np.shape(init)[1]
+    live = np.zeros(d, dtype=bool)
+    live[slice(None) if keep is None else np.asarray(keep, dtype=np.int64)] = True
+    after = []
+    for layer in reversed(layers):
+        cols = np.flatnonzero(live)
+        if cols.size and cols[-1] - cols[0] + 1 == cols.size:
+            cols = slice(cols[0], cols[-1] + 1)
+        after.append(cols)
+        live[layer.rows] = False
+        live[reads(layer)] = True
+
+    cur = np.array(init, dtype=np.float64)
+    n = cur.shape[0]
+    agg = np.zeros((n, d))
+    for layer, live in zip(layers, after[::-1]):
+        if layer.rows.size:
+            for j in np.flatnonzero(layer.B.any(axis=0)):
+                agg[:, j] = np.bincount(graph.edge_dst, weights=cur[:, j].take(graph.edge_src), minlength=n)
+            zs = np.einsum("vj,ij->vi", cur, layer.A, optimize=False)
+            za = np.einsum("vj,ij->vi", agg, layer.B, optimize=False)
+            cur[:, layer.rows] = layer.c + zs + za
+        cur[:, live] = apply_activation(name, m, cur[:, live])
+    return cur
+
+
+def assert_matches_reference(init, graph, layers, name, m, keep):
+    got = run_forward(init, graph, layers, name, m, keep)
+    want = reference_run_forward(init, graph, layers, name, m, keep)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (name, m, keep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 40),
+    st.sampled_from(ACTIVATION_NAMES),
+    st.sampled_from((0, 1, 3)),
+    st.booleans(),
+)
+def test_run_forward_matches_reference_executor(seed, n, name, m, keep_output):
+    # every bit of every column, the stale ones included
+    rng = np.random.default_rng(seed)
+    spec = compile_formula(random_formula(rng, 2, max_depth=8), 2)
+    graph = random_graph(n, float(rng.uniform(0.0, min(6.0, n - 1))), 2, seed)
+    keep = (spec.output_index,) if keep_output else None
+    assert_matches_reference(initial_features(spec, graph), graph, spec.layers, name, m, keep)
+
+
+def hand_built_layers():
+    """Three layers over d = 5: the first mixes rows of at most two terms
+    with a row of four nonzeros in A and three in B, so it takes the dense
+    combine; in the
+    second, row 1 reads coordinate 3 and row 3 reads coordinate 1, each
+    written by the other; the third has a bias-only row and a row that reads
+    only neighbour sums."""
+    def layer(rows, a, b, c):
+        full_a, full_b = np.zeros((len(rows), 5)), np.zeros((len(rows), 5))
+        for r, terms in enumerate(a):
+            for j, coef in terms.items():
+                full_a[r, j] = coef
+        for r, terms in enumerate(b):
+            for j, coef in terms.items():
+                full_b[r, j] = coef
+        return GnnLayer(np.array(rows), full_a, full_b, np.array(c, dtype=np.float64))
+
+    return (
+        layer([0, 2, 4], [{1: 1}, {0: 1, 1: -2, 3: 1, 4: 3}, {}], [{}, {4: 1, 1: -1, 2: 2}, {0: 1, 2: -1}], [0, 1, -1]),
+        layer([1, 3], [{3: -1}, {1: 1, 0: 1}], [{}, {1: 1}], [1, -2]),
+        layer([0, 2], [{}, {}], [{}, {3: 2, 4: -1}], [1, 0]),
+    )
+
+
+@pytest.mark.parametrize("name", ACTIVATION_NAMES)
+def test_hand_built_layers_match_reference_executor(name):
+    layers = hand_built_layers()
+    assert [max(len(layer.a_terms), len(layer.b_terms)) for layer in layers] == [4, 2, 2]
+    graph = random_graph(50, 4.0, 2, 3)
+    init = np.random.default_rng(3).uniform(-1.0, 2.0, (graph.n, 5))
+    for m in (0, 1, 3):
+        for keep in (None, (3,)):
+            assert_matches_reference(init, graph, layers, name, m, keep)
 
 
 def test_layer_errors_identical_runs(q1_spec, triangle):
@@ -461,3 +553,15 @@ def test_multi_block_forward_bits_pinned(q2_spec):
     assert graph.n * q2_spec.d > 2 * 2**16
     out = forward_outputs(q2_spec, graph, ActivationSpec("step-arctan", 14))
     assert hashlib.sha256(out.tobytes()).hexdigest() == MULTI_BLOCK_FORWARD_SHA256
+
+
+def test_forward_memory_is_linear(q2_spec):
+    # the (d, n) state, its neighbour sums, the (n, d) initial features and
+    # one gather over the edges: at the commit before the column-major state
+    # the peak was 3.28 units of (n d + E) float64s, and it is 2.86 now, so
+    # one more (n, d) copy (0.74 units here) or any per-layer history fails
+    graph = sparse_random_graph(200_000, 500_000, 2, 3)
+    graph.edge_src  # the adjacency is the graph's, built before the trace
+    unit = 8 * (graph.n * q2_spec.d + len(graph.edges))
+    peak = traced_peak(lambda: forward_outputs(q2_spec, graph))
+    assert peak <= 3.5 * unit, peak / unit

@@ -1,24 +1,23 @@
 """Forward pass: a sparse rule-row executor over the spec's layers.
 
-A layer stores one rule row per coordinate it computes (a compiled rule row
-reads at most two coordinates); every other coordinate carries over
-unchanged.  The executor holds its state column-major: one (d, n) feature
+A layer stores one rule row per coordinate it computes, as the row's
+nonzeros (``GnnLayer.a_terms`` and ``b_terms``); every other coordinate
+carries over unchanged.  The state is column-major: one (d, n) feature
 array, updated in place, and one (d, n) neighbour-sum array per run, each
-coordinate a contiguous row.  It transposes ``init`` once on entry and
-returns the (n, d) view of the last layer.  Per layer it sums neighbour
-values only for the coordinates that B reads, gathering each one's values
-with one ``take`` over the edge sources, and overwrites only the stored
-rows.  The activation then runs one cache-sized block at a time
-(``activations._compose``), taking each block through all m compositions
-before it moves on.
+coordinate a contiguous row; ``init`` is transposed once on entry and the
+(n, d) view of the last layer returned.  Per layer the executor sums
+neighbour values only for the coordinates B reads, with one ``take`` over
+the edge sources each, and overwrites only the stored rows.  The activation
+then takes one cache-sized block at a time through all m compositions
+(``activations._compose``).
 
-A layer's rows combine from coordinate lists (``GnnLayer.a_terms`` and
-``b_terms``): per term position, one (k, n) gather of whole coordinate rows
-and one multiply by the rows' coefficients, so a row costs its nonzeros,
-not d.  Every row is computed before any is written, since a row may read a
-coordinate that another row of the same layer writes.  A layer with a row of
-more than two nonzeros in A or in B, which only a file-read network has,
-keeps the full-width ``einsum`` of the dense update instead.
+Per term position, a layer's rows take one (k, n) gather of whole
+coordinate rows and one multiply by their coefficients, so a row costs its
+nonzeros, not d.  Every row is computed before any is written, since a row
+may read a coordinate that another row of the same layer writes.  A layer
+with a row of more than two nonzeros in A or in B, which only a file-read
+network has, keeps the full-width ``einsum`` over its dense (k, d) ``A``
+and ``B`` instead.
 
 Only live coordinates are activated.  Coordinate j is live after layer t
 when the caller keeps it or a later layer reads it before it fires again.

@@ -8,7 +8,8 @@ under the hard threshold (or clipped relu: pre-activations are integers)
 reproduces the brute-force evaluator at every coordinate.
 
 A layer stores only its rule rows, in memory and in the text format alike;
-the identity carries are never written out.
+the identity carries are never written out.  In memory a row is its nonzeros
+alone, so a network holds O(1) numbers per connective.
 """
 
 from __future__ import annotations
@@ -38,22 +39,35 @@ class SpecFormatError(ValueError):
     """Raised when a serialized network cannot be parsed."""
 
 
-def _terms(matrix):
-    """The nonzeros of each row of the (k, d) ``matrix`` by term position:
+def _pad(rows):
+    """The k rows' lists of ``(column, coefficient)`` terms by term position:
     one ``(columns, coefficients)`` pair of (k,) arrays per position, as many
-    positions as the densest row has nonzeros.  Position p holds each row's
-    p-th nonzero in ascending column order; a row with fewer nonzeros has a
-    zero coefficient on column 0 there."""
+    as the longest list has terms.  A row with fewer terms has a zero
+    coefficient on column 0 at the positions it lacks."""
+    width = max(map(len, rows), default=0)
+    padded = [terms + [(0, 0.0)] * (width - len(terms)) for terms in rows]
+    return tuple(
+        (np.array([t[p][0] for t in padded], dtype=np.int64), np.array([t[p][1] for t in padded]))
+        for p in range(width)
+    )
+
+
+def _terms(matrix):
+    """The nonzeros of each row of the (k, d) ``matrix`` in ascending column
+    order, by term position: see ``_pad``."""
     rows = [[] for _ in range(matrix.shape[0])]
     r, j = matrix.nonzero()
     for row, col, coef in zip(r.tolist(), j.tolist(), matrix[r, j].tolist()):
         rows[row].append((col, coef))
-    width = max(map(len, rows), default=0)
-    padded = [terms + [(0, 0.0)] * (width - len(terms)) for terms in rows]
-    return tuple(
-        (np.array([terms[p][0] for terms in padded], dtype=np.int64), np.array([terms[p][1] for terms in padded]))
-        for p in range(width)
-    )
+    return _pad(rows)
+
+
+def _dense(terms, k, d):
+    """The (k, d) matrix whose rows hold the term lists ``terms``."""
+    matrix = np.zeros((k, d))
+    for cols, coefs in terms:
+        matrix[np.arange(k), cols] += coefs
+    return matrix
 
 
 def _columns(terms):
@@ -67,49 +81,48 @@ class GnnLayer:
     """One iteration's rule rows; every other coordinate carries over unchanged.
 
     Row ``r`` computes coordinate ``rows[r]`` as ``c[r] + A[r] . x + B[r] . agg``
-    from the previous layer's features ``x`` and their neighbour sum ``agg``.
-    ``rows`` is ascending and distinct in ``[0, d)``; ``A`` and ``B`` are
-    ``(k, d)`` and ``c`` is ``(k,)`` for ``k`` rule rows.  ``a_terms`` and
-    ``b_terms`` list the rows' nonzeros by term position, built once from
-    ``A`` and ``B``; the forward pass combines the rows from them.
+    from the previous layer's ``d`` features ``x`` and their neighbour sum
+    ``agg``; ``rows`` is ascending and distinct in ``[0, d)``.  The layer
+    stores only the rows' nonzeros, by term position in ``a_terms`` and
+    ``b_terms`` (see ``_pad``), and the forward pass combines the rows from
+    them; ``A`` and ``B`` build the (k, d) matrices on each access.
     """
 
     rows: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
     c: np.ndarray
+    a_terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    b_terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    d: int
 
     def __post_init__(self):
-        rows = np.asarray(self.rows)
-        if rows.size == 0:
-            rows = rows.astype(np.int64)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        rows, c = np.asarray(self.rows), np.ascontiguousarray(self.c, dtype=np.float64)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
             raise ValueError("rows must be a 1-D integer array")
-        a = np.ascontiguousarray(np.asarray(self.A, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.B, dtype=np.float64))
-        c = np.ascontiguousarray(np.asarray(self.c, dtype=np.float64))
-        if a.ndim != 2 or a.shape[0] != rows.size or b.shape != a.shape or c.shape != rows.shape:
-            raise ValueError("A, B, c shapes disagree with the rule rows")
-        if rows.size and (rows[0] < 0 or rows[-1] >= a.shape[1] or (np.diff(rows) <= 0).any()):
-            raise ValueError(f"rule rows must be ascending and distinct in [0, {a.shape[1]})")
+        a_terms, b_terms = (
+            tuple((np.asarray(j), np.ascontiguousarray(v, dtype=np.float64)) for j, v in terms)
+            for terms in (self.a_terms, self.b_terms)
+        )
+        terms = a_terms + b_terms
+        if any(part.shape != rows.shape for part in (c, *(x for term in terms for x in term))):
+            raise ValueError("c and term shapes disagree with the rule rows")
+        if rows.size and (rows[0] < 0 or rows[-1] >= self.d or (np.diff(rows) <= 0).any()):
+            raise ValueError(f"rule rows must be ascending and distinct in [0, {self.d})")
+        if any(j.dtype.kind not in "iu" or j.size and (j.min() < 0 or j.max() >= self.d) for j, _ in terms):
+            raise ValueError(f"term columns must be integers in [0, {self.d})")
         object.__setattr__(self, "rows", rows.astype(np.int64))
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a_terms", a_terms)
+        object.__setattr__(self, "b_terms", b_terms)
 
     @property
-    def d(self) -> int:
-        return self.A.shape[1]
+    def A(self) -> np.ndarray:
+        """The (k, d) self matrix, built from ``a_terms``."""
+        return _dense(self.a_terms, self.rows.size, self.d)
 
-    @cached_property
-    def a_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``A``'s nonzeros by term position: see ``_terms``."""
-        return _terms(self.A)
-
-    @cached_property
-    def b_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``B``'s nonzeros by term position: see ``_terms``."""
-        return _terms(self.B)
+    @property
+    def B(self) -> np.ndarray:
+        """The (k, d) aggregate matrix, built from ``b_terms``."""
+        return _dense(self.b_terms, self.rows.size, self.d)
 
     @cached_property
     def reads(self) -> np.ndarray:
@@ -123,16 +136,12 @@ class GnnLayer:
         return _columns(self.b_terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GnnLayer)
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.A, other.A)
-            and np.array_equal(self.B, other.B)
-            and np.array_equal(self.c, other.c)
-        )
+        if not isinstance(other, GnnLayer):
+            return False
+        return all(np.array_equal(getattr(self, p), getattr(other, p)) for p in ("rows", "A", "B", "c"))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GnnSpec:
     """A compiled network: rule-row layers over one coordinate per subformula.
 
@@ -169,15 +178,6 @@ class GnnSpec:
     def iterations(self) -> int:
         return len(self.layers)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GnnSpec)
-            and self.output_index == other.output_index
-            and self.activation == other.activation
-            and self.init_kinds == other.init_kinds
-            and self.layers == other.layers
-        )
-
     def with_activation(self, name: str, m: int = 1) -> "GnnSpec":
         return replace(self, activation=ActivationSpec(name, m))
 
@@ -189,10 +189,10 @@ def compile_formula(
 ) -> GnnSpec:
     """Compile ``formula`` over a palette of ``palette`` colors.
 
-    Rule rows per connective: negation reads its child with weight -1 and
-    bias +1; conjunction adds its two children with bias -1 (or collapses to
-    an identity read when both children coincide); the graded quantifier
-    reads the neighbor aggregate of its child with bias -(K-1).
+    Each rule row is written as its terms, columns ascending: negation reads
+    its child with weight -1 and bias +1; conjunction adds its two children
+    with bias -1 (one child and bias 0 when both coincide); the graded
+    quantifier reads its child's neighbor aggregate with bias -(K-1).
     """
     if palette < 1:
         raise ValueError("palette must be >= 1")
@@ -227,38 +227,26 @@ def compile_formula(
 
     layers = []
     for rows in firing[1:]:
-        a_t = np.zeros((len(rows), d))
-        b_t = np.zeros((len(rows), d))
-        c_t = np.zeros(len(rows))
-        for r, j in enumerate(rows):
+        a_rows, b_rows, c = [], [], []
+        for j in rows:
             i = order[j]
-            g, kids = entries[i], [coord[k] for k in children[i]]
+            g, kids = entries[i], sorted({coord[k] for k in children[i]})
             if isinstance(g, Not):
-                a_t[r, kids[0]] = -1.0
-                c_t[r] = 1.0
+                a, b, bias = [(kids[0], -1.0)], [], 1.0
             elif isinstance(g, And):
-                i1, i2 = kids
-                a_t[r, i1] = 1.0
-                if i1 != i2:
-                    a_t[r, i2] = 1.0
-                    c_t[r] = -1.0
+                a, b, bias = [(k, 1.0) for k in kids], [], 1.0 - len(kids)
             else:
-                b_t[r, kids[0]] = 1.0
-                c_t[r] = 1.0 - g.threshold
-        layers.append(GnnLayer(rows, a_t, b_t, c_t))
+                a, b, bias = [], [(kids[0], 1.0)], 1.0 - g.threshold
+            a_rows.append(a)
+            b_rows.append(b)
+            c.append(bias)
+        layers.append(GnnLayer(rows, c, _pad(a_rows), _pad(b_rows), d))
 
     coords = tuple(entries[i] for i in order)
     init_kinds = tuple(
-        f"C{g.index}" if isinstance(g, Color) else ("1" if isinstance(g, Top) else "0")
-        for g in coords
+        f"C{g.index}" if isinstance(g, Color) else ("1" if isinstance(g, Top) else "0") for g in coords
     )
-    return GnnSpec(
-        output_index=coord[-1],
-        layers=tuple(layers),
-        activation=activation,
-        init_kinds=init_kinds,
-        coordinate_formulas=coords,
-    )
+    return GnnSpec(coord[-1], tuple(layers), activation, init_kinds, coordinate_formulas=coords)
 
 
 def carry_forward_check(spec: GnnSpec) -> bool:
@@ -272,10 +260,13 @@ def carry_forward_check(spec: GnnSpec) -> bool:
         if fired[layer.rows].any():
             return False
         fired[layer.rows] = t
-    return all(
-        (np.where((layer.A != 0.0) | (layer.B != 0.0), fired, 0).max(axis=1) == t - 1).all()
-        for t, layer in enumerate(spec.layers, start=1)
-    )
+    for t, layer in enumerate(spec.layers, start=1):
+        latest = np.zeros(layer.rows.size, dtype=np.int64)
+        for cols, coefs in layer.a_terms + layer.b_terms:
+            np.maximum(latest, np.where(coefs != 0.0, fired[cols], 0), out=latest)
+        if (latest != t - 1).any():
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -291,11 +282,8 @@ def carry_forward_check(spec: GnnSpec) -> bool:
 def spec_to_text(spec: GnnSpec) -> str:
     if spec.iterations > spec.d:
         raise ValueError(f"{spec.iterations} layers exceed d = {spec.d}: the text format holds at most d")
-    lines = [
-        f"{spec.d} {spec.iterations} {spec.output_index} "
-        f"{spec.activation.name} {spec.activation.m}"
-    ]
-    lines.append("init " + " ".join(spec.init_kinds))
+    head = f"{spec.d} {spec.iterations} {spec.output_index} {spec.activation.name} {spec.activation.m}"
+    lines = [head, "init " + " ".join(spec.init_kinds)]
     for t, layer in enumerate(spec.layers, start=1):
         block = np.column_stack((np.full(layer.rows.size, t), layer.rows, layer.c, layer.A, layer.B))
         bad = ~np.isfinite(block) | (block != np.round(block))
@@ -335,14 +323,9 @@ def spec_from_text(text: str) -> GnnSpec:
     bounds = np.searchsorted(t, np.arange(1, iterations + 2)).tolist()
     try:
         def layer(rule):
-            return GnnLayer(rule[:, 1], rule[:, 3 : d + 3], rule[:, d + 3 :], rule[:, 2])
+            return GnnLayer(rule[:, 1], rule[:, 2], _terms(rule[:, 3 : d + 3]), _terms(rule[:, d + 3 :]), d)
         layers = tuple(layer(block[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-        return GnnSpec(
-            output_index=output_index,
-            layers=layers,
-            activation=activation,
-            init_kinds=init_kinds,
-        )
+        return GnnSpec(output_index, layers, activation, init_kinds)
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from exc
 

@@ -3,8 +3,8 @@
 The logic has color atoms ``C1 .. Cl``, the always-true atom ``top``,
 negation, conjunction, and the graded neighborhood quantifier
 ``dia>=K phi`` ("at least K neighbors satisfy phi").  Nodes are frozen
-dataclasses that compare and hash structurally without recursion, so ``==``
-and ``hash`` work at any depth ``parse`` accepts.  Deduplication happens
+dataclasses that compare, hash and print without recursion, so ``==``,
+``hash``, ``str`` and ``repr`` work at any depth.  Deduplication happens
 once, in ``subformulas``: it numbers the distinct subformulas by (kind,
 payload, child positions), so downstream code indexes by position and never
 hashes or compares a whole subtree.
@@ -19,7 +19,8 @@ Concrete grammar (whitespace-insensitive)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from string import Formatter
 
 import numpy as np
 
@@ -75,9 +76,16 @@ class Formula:
     def __str__(self) -> str:
         return to_text(self)
 
+    def __repr__(self) -> str:
+        """The dataclass layout, ``Name(field=value, ...)``."""
+        def template(f):
+            return f"{type(f).__name__}(" + ", ".join(f"{x.name}={{{x.name}!r}}" for x in fields(f)) + ")"
+        return _render(self, template)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Color(Formula):
+    _text = "C{index}"
     index: int
 
     def __post_init__(self):
@@ -86,26 +94,29 @@ class Color(Formula):
         super().__post_init__()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Top(Formula):
-    pass
+    _text = "top"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
+    _text = "not {child}"
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
+    _text = "({left} and {right})"
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Diamond(Formula):
     """At least ``threshold`` neighbors satisfy ``child``."""
 
+    _text = "dia>={threshold} {child}"
     threshold: int
     child: Formula
 
@@ -138,19 +149,26 @@ def _payload(f: Formula) -> int | None:
 TOP = Top()
 
 
+def _render(f: Formula, template) -> str:
+    """Fill ``template(node)``, a format string over a node's fields, depth first
+    from ``f`` with a stack in place of recursion; a child fills its own."""
+    out, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Formula):
+            out.append(node)
+            continue
+        pieces = []
+        for literal, name, _, conv in Formatter().parse(template(node)):
+            value = getattr(node, name) if name else ""
+            pieces += [literal, value if isinstance(value, Formula) else repr(value) if conv else str(value)]
+        stack.extend(reversed(pieces))
+    return "".join(out)
+
+
 def to_text(f: Formula) -> str:
     """Emit the concrete grammar; ``parse`` round-trips its output."""
-    if isinstance(f, Color):
-        return f"C{f.index}"
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, Not):
-        return f"not {to_text(f.child)}"
-    if isinstance(f, And):
-        return f"({to_text(f.left)} and {to_text(f.right)})"
-    if isinstance(f, Diamond):
-        return f"dia>={f.threshold} {to_text(f.child)}"
-    raise TypeError(f"not a formula node: {f!r}")
+    return _render(f, lambda node: node._text)
 
 
 class FormulaSyntaxError(ValueError):

@@ -5,7 +5,7 @@ import pkgutil
 from pathlib import Path
 
 import gc2gnn
-from gc2gnn import activations, backend, engine
+from gc2gnn import activations, backend, compile_formula, engine, parse
 
 
 def test_public_names_resolve():
@@ -27,3 +27,8 @@ def test_traced_functions_keep_their_parameters():
     assert list(inspect.signature(engine.forward).parameters)[:3] == ["spec", "graph", "activation"]
     assert list(inspect.signature(activations.apply_activation).parameters)[:3] == ["name", "m", "values"]
     assert callable(getattr(backend, "run_forward", None))
+    # its spec counters take np.count_nonzero of each layer's dense A, B and c
+    spec = compile_formula(parse("not dia>=2 (C1 and not C2)", 2), 2)
+    for layer in spec.layers:
+        k = layer.rows.size
+        assert layer.A.shape == layer.B.shape == (k, spec.d) and layer.c.shape == (k,)

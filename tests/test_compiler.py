@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,8 @@ from gc2gnn import (
     spec_from_text,
     spec_to_text,
 )
-from gc2gnn.compiler import SpecFormatError
+from gc2gnn import compiler
+from gc2gnn.compiler import SpecFormatError, _terms
 from gc2gnn.experiments import Q1_TEXT
 
 from conftest import forward_history
@@ -42,7 +44,7 @@ def compact_q1_net():
     A = np.array([[0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0]], dtype=float)
     B = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
     c = np.array([-1, 1, 0, 1], dtype=float)
-    layer = GnnLayer(np.arange(4), A, B, c)
+    layer = GnnLayer(np.arange(4), c, _terms(A), _terms(B), 4)
     return GnnSpec(
         output_index=3,
         layers=(layer,) * 4,
@@ -132,6 +134,25 @@ def test_layer_bits_pinned(read_back):
     assert digest.hexdigest() == LAYER_SHA256
 
 
+def test_compile_memory_is_linear_in_a_chain():
+    # a layer stores its rows' nonzeros only; (k, d) rows took about 17 L^2
+    # bytes, a 13.8 MB tracemalloc peak at L = 900
+    f = Color(1)
+    for _ in range(900):
+        f = Not(f)
+    tracemalloc.start()
+    try:
+        spec = compile_formula(f, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+    for layer in spec.layers:
+        assert set(vars(layer)) == {"rows", "c", "a_terms", "b_terms", "d"}
+        stored = [layer.rows, layer.c, *(part for pair in layer.a_terms + layer.b_terms for part in pair)]
+        assert all(part.shape == (layer.rows.size,) for part in stored)
+
+
 def test_deep_nesting_compiles_and_matches_oracle():
     # 750 nested connectives: deeper than a recursive walk over the formula
     # could go, but within what parse accepts
@@ -153,12 +174,23 @@ def test_deep_nesting_compiles_and_matches_oracle():
         ([2, 0], (2, 3), (2, 3), "ascending and distinct"),
         ([0.0, 1.0], (2, 3), (2, 3), "integer"),
         ([0, 1], (3, 3), (3, 3), "shapes disagree"),
-        ([0, 1], (2, 3), (2, 2), "shapes disagree"),
+        ([0, 1], (2, 3), (3, 3), "shapes disagree"),
+        ([0, 1], (2, 3), (2, 4), "term columns must be integers in"),
     ],
 )
 def test_gnn_layer_rejects_bad_rows(rows, a_shape, b_shape, fragment):
+    # the terms are the nonzeros of all-ones matrices of these shapes, d = 3
     with pytest.raises(ValueError, match=fragment):
-        GnnLayer(np.array(rows), np.zeros(a_shape), np.zeros(b_shape), np.zeros(len(rows)))
+        GnnLayer(np.array(rows), np.zeros(len(rows)), _terms(np.ones(a_shape)), _terms(np.ones(b_shape)), 3)
+
+
+def test_spec_from_text_reports_bad_term_columns(q1_spec, monkeypatch):
+    # a rule row of 2d + 3 entries names no column outside [0, d), so terms
+    # shifted past d stand in for one: the reader reports it as a format error
+    terms = compiler._terms
+    monkeypatch.setattr(compiler, "_terms", lambda m: tuple((cols + m.shape[1], coefs) for cols, coefs in terms(m)))
+    with pytest.raises(SpecFormatError, match="term columns must be integers in"):
+        spec_from_text(spec_to_text(q1_spec))
 
 
 def test_compile_top_is_iteration_free():
@@ -291,8 +323,8 @@ def test_carry_forward_check_rejects_zeroed_row(q1_spec):
     old = layers[2]
     assert old.rows[0] > 0
     zero = np.zeros((1, old.d))
-    layers[2] = GnnLayer(np.r_[0, old.rows], np.vstack((zero, old.A)), np.vstack((zero, old.B)),
-                         np.r_[0.0, old.c])
+    layers[2] = GnnLayer(np.r_[0, old.rows], np.r_[0.0, old.c], _terms(np.vstack((zero, old.A))),
+                         _terms(np.vstack((zero, old.B))), old.d)
     broken = GnnSpec(
         output_index=q1_spec.output_index,
         layers=tuple(layers),
@@ -315,9 +347,18 @@ def test_carry_forward_check_rejects_rows_firing_every_layer():
 # -- serialization ----------------------------------------------------------------
 
 
+def term_bytes(layer):
+    return tuple(tuple(part.tobytes() for pair in terms for part in pair) for terms in (layer.a_terms, layer.b_terms))
+
+
 def test_spec_round_trip(q1_spec, q2_spec):
     for spec in (q1_spec, q2_spec, compact_q1_net(), compile_formula(chain_formula(60), 2)):
         assert spec_from_text(spec_to_text(spec)) == spec
+    # the compiler writes each row's terms in the ascending column order the
+    # reader finds them in
+    for spec in pinned_specs():
+        back = spec_from_text(spec_to_text(spec))
+        assert [term_bytes(layer) for layer in back.layers] == [term_bytes(layer) for layer in spec.layers]
 
 
 def test_deep_chain_text_is_small_and_round_trips():
@@ -346,7 +387,7 @@ def test_spec_text_is_integer_valued(q1_spec):
 
 
 def test_spec_serializer_rejects_fractions():
-    layer = GnnLayer(np.array([0]), np.array([[0.5]]), np.zeros((1, 1)), np.zeros(1))
+    layer = GnnLayer(np.array([0]), np.zeros(1), _terms(np.array([[0.5]])), (), 1)
     spec = GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
     with pytest.raises(ValueError, match="non-integer"):
         spec_to_text(spec)

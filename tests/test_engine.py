@@ -28,6 +28,7 @@ from gc2gnn import (
 )
 from gc2gnn.activations import apply_activation, certificate, required_composition_depth
 from gc2gnn.backend import run_forward
+from gc2gnn.compiler import _pad, _terms
 from gc2gnn.experiments import tree_pair
 
 from conftest import forward_history
@@ -158,14 +159,8 @@ def hand_built_layers():
     written by the other; the third has a bias-only row and a row that reads
     only neighbour sums."""
     def layer(rows, a, b, c):
-        full_a, full_b = np.zeros((len(rows), 5)), np.zeros((len(rows), 5))
-        for r, terms in enumerate(a):
-            for j, coef in terms.items():
-                full_a[r, j] = coef
-        for r, terms in enumerate(b):
-            for j, coef in terms.items():
-                full_b[r, j] = coef
-        return GnnLayer(np.array(rows), full_a, full_b, np.array(c, dtype=np.float64))
+        a_terms, b_terms = (_pad([sorted(terms.items()) for terms in rows_terms]) for rows_terms in (a, b))
+        return GnnLayer(np.array(rows), np.array(c, dtype=np.float64), a_terms, b_terms, 5)
 
     return (
         layer([0, 2, 4], [{1: 1}, {0: 1, 1: -2, 3: 1, 4: 3}, {}], [{}, {4: 1, 1: -1, 2: 2}, {0: 1, 2: -1}], [0, 1, -1]),
@@ -361,9 +356,12 @@ def dense_integer_spec():
     integer weights in A and B."""
     rng = np.random.default_rng(2024)
     d = 6
+
+    def layer(a, b, c):
+        return GnnLayer(np.arange(d), c, _terms(a), _terms(b), d)
+
     layers = tuple(
-        GnnLayer(np.arange(d), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, d))
-        for _ in range(3)
+        layer(rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, d)) for _ in range(3)
     )
     return GnnSpec(
         output_index=d - 1,

@@ -240,3 +240,15 @@ def test_deep_formula_equality_and_hash():
     assert Diamond(1, TOP) != Diamond(2, TOP) and Color(1) != Color(2)
     assert Color(1) != TOP and Color(1) != 1
     assert {Color(1): 0}[Color(1)] == 0
+
+
+def test_deep_formula_printing():
+    # 5000 nested negations: str and repr walk the tree with a stack
+    f = Color(1)
+    for _ in range(5000):
+        f = Not(f)
+    assert str(f) == to_text(f) == "not " * 5000 + "C1"
+    assert repr(f) == "Not(child=" * 5000 + "Color(index=1)" + ")" * 5000
+    deep = parse("dia>=1 (C1 and not " * 300 + "top" + ")" * 300, 2)
+    assert parse(str(deep), 2) == deep
+    assert repr(And(Color(2), Diamond(3, TOP))) == "And(left=Color(index=2), right=Diamond(threshold=3, child=Top()))"

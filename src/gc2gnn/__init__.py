@@ -52,6 +52,7 @@ from .graphs import (
     batch_graphs,
     make_tree,
     random_graph,
+    random_graphs,
     read_graph,
     write_graph,
 )

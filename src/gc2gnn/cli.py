@@ -38,7 +38,7 @@ from .experiments import (
     run_separation,
 )
 from .formulas import check_palette, eval_oracle_all
-from .graphs import batch_graphs, random_graph, read_graph
+from .graphs import batch_graphs, random_graphs, read_graph
 
 __all__ = ["main"]
 
@@ -110,16 +110,18 @@ def _cmd_check_exact(args) -> int:
     if args.random_graphs < 0:
         raise ValueError(f"--random-graphs {args.random_graphs} must be non-negative")
     _, formula, palette = load_query(_query_text(args), args.palette)
-    graphs = []
+    labels, parts = [], []  # (label, n) per graph; the graphs to batch
     if args.graph:
         loaded, _ = read_graph(args.graph)
         if loaded.palette > palette:
             palette = loaded.palette
-        graphs.append(("file:" + args.graph, loaded))
-    for i in range(args.random_graphs):
-        g = random_graph(args.n, args.avg_degree, palette, args.seed + i)
-        graphs.append((f"random:{args.seed + i}", g))
-    if not graphs:
+        labels.append(("file:" + args.graph, loaded.n))
+        parts.append(loaded)
+    if args.random_graphs:
+        seeds = range(args.seed, args.seed + args.random_graphs)
+        parts.append(random_graphs(args.n, args.avg_degree, palette, seeds)[0])
+        labels.extend((f"random:{seed}", args.n) for seed in seeds)
+    if not parts:
         raise ValueError("need --graph and/or --random-graphs")
     spec = compile_formula(formula, palette)
     # The union takes the largest palette, so the file's own is checked here.
@@ -127,19 +129,20 @@ def _cmd_check_exact(args) -> int:
         check_palette(formula, loaded.palette)
     # One oracle call and one forward per activation over the disjoint union;
     # vertex offsets split the mismatches per graph.
-    union, offsets = batch_graphs(graph for _, graph in graphs)
+    union, _ = batch_graphs(parts)
+    offsets = np.cumsum([0] + [n for _, n in labels])
     want = eval_oracle_all(formula, union).astype(np.float64)
     bad = {}
     for name in EXACT_NAMES:
         got = forward_outputs(spec, union, ActivationSpec(name, 1))
         bad[name] = np.add.reduceat(got != want, offsets[:-1])
     mismatches = 0
-    for i, (label, graph) in enumerate(graphs):
+    for i, (label, n) in enumerate(labels):
         for name in EXACT_NAMES:
             count = int(bad[name][i])
             mismatches += count
             status = "ok" if count == 0 else f"{count} mismatches"
-            print(f"{label} n={graph.n} {name}: {status}")
+            print(f"{label} n={n} {name}: {status}")
     print("exactness:", "PASS" if mismatches == 0 else f"FAIL ({mismatches} mismatches)")
     return 0 if mismatches == 0 else 1
 
@@ -207,82 +210,95 @@ def _cmd_required_m(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_QUERY_ARGS = (
+    ("--query", dict(help="preset query name: q1 or q2")),
+    ("--formula", dict(help="formula text in the concrete grammar")),
+)
+
+# verb -> (handler, help, its arguments as (flag, add_argument keywords))
+_VERBS = {
+    "compile": (_cmd_compile, "compile a query to the text weight format", (
+        *_QUERY_ARGS,
+        ("--palette", dict(type=int)),
+        ("--activation", dict(default="sigma-star", choices=ACTIVATION_NAMES)),
+        ("--m", dict(type=int, default=1)),
+        ("--out", {}),
+    )),
+    "eval": (_cmd_eval, "run a compiled or freshly compiled query on a graph", (
+        *_QUERY_ARGS,
+        ("--spec", dict(help="path to a serialized network")),
+        ("--graph", dict(required=True)),
+        ("--activation", dict(choices=ACTIVATION_NAMES,
+                              help="default: the spec's own (sigma-star when compiling a query)")),
+        ("--m", dict(type=int, help="default: the spec's m for its own activation, else 1")),
+        ("--vertex", dict(type=int, help="report one vertex, in [0, n)")),
+        ("--out", {}),
+    )),
+    "check-exact": (_cmd_check_exact, "compare threshold/clipped-relu runs to the evaluator", (
+        *_QUERY_ARGS,
+        ("--palette", dict(type=int)),
+        ("--graph", dict(help="graph file to check")),
+        ("--random-graphs", dict(type=int, default=0)),
+        ("--n", dict(type=int, default=100)),
+        ("--avg-degree", dict(type=float, default=5.0)),
+        ("--seed", dict(type=int, default=0)),
+    )),
+    "separation": (_cmd_separation, "gap sweep over the tree pairs per (m, k)", (
+        *_QUERY_ARGS,
+        ("--palette", dict(type=int)),
+        ("--activation", dict(default="arctan-4pi", choices=ACTIVATION_NAMES)),
+        ("--m", dict(dest="m_list", default="4,8,12", help="list or lo:hi")),
+        ("--k-range", dict(default="2:64", help="list or lo:hi")),
+        ("--out", {}),
+    )),
+    "saturation": (_cmd_saturation, "gap decay of a bounded activation as trees grow", (
+        *_QUERY_ARGS,
+        ("--palette", dict(type=int)),
+        ("--activation", dict(default="sigmoid", choices=ACTIVATION_NAMES)),
+        ("--m", dict(type=int, default=1)),
+        ("--k-range", dict(default="2:64", help="list or lo:hi")),
+        ("--out", {}),
+    )),
+    "steplike-verify": (_cmd_steplike_verify, "verify the shipped step-like certificates", (
+        ("names", dict(nargs="*", help="activation names (default: all certified)")),
+    )),
+    "convergence": (_cmd_convergence, "iterate error vs certified bound per m", (
+        ("--activation", dict(required=True, choices=ACTIVATION_NAMES)),
+        ("--m-range", dict(default="0:20", help="list or lo:hi (default: %(default)s)")),
+        ("--out", {}),
+    )),
+    "required-m": (_cmd_required_m, "composition depth needed for a degree bound", (
+        ("--activation", dict(required=True, choices=ACTIVATION_NAMES)),
+        ("--delta", dict(type=int, required=True)),
+    )),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone: building one verb's
+    subparser costs a fraction of building all of them."""
     parser = argparse.ArgumentParser(prog="gc2gnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_query_args(p):
-        p.add_argument("--query", help="preset query name: q1 or q2")
-        p.add_argument("--formula", help="formula text in the concrete grammar")
-
-    p = sub.add_parser("compile", help="compile a query to the text weight format")
-    add_query_args(p)
-    p.add_argument("--palette", type=int)
-    p.add_argument("--activation", default="sigma-star", choices=ACTIVATION_NAMES)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_compile)
-
-    p = sub.add_parser("eval", help="run a compiled or freshly compiled query on a graph")
-    add_query_args(p)
-    p.add_argument("--spec", help="path to a serialized network")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--activation", choices=ACTIVATION_NAMES,
-                   help="default: the spec's own (sigma-star when compiling a query)")
-    p.add_argument("--m", type=int, help="default: the spec's m for its own activation, else 1")
-    p.add_argument("--vertex", type=int, help="report one vertex, in [0, n)")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("check-exact", help="compare threshold/clipped-relu runs to the evaluator")
-    add_query_args(p)
-    p.add_argument("--palette", type=int)
-    p.add_argument("--graph", help="graph file to check")
-    p.add_argument("--random-graphs", type=int, default=0)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--avg-degree", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_check_exact)
-
-    p = sub.add_parser("separation", help="gap sweep over the tree pairs per (m, k)")
-    add_query_args(p)
-    p.add_argument("--palette", type=int)
-    p.add_argument("--activation", default="arctan-4pi", choices=ACTIVATION_NAMES)
-    p.add_argument("--m", dest="m_list", default="4,8,12", help="list or lo:hi")
-    p.add_argument("--k-range", default="2:64", help="list or lo:hi")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_separation)
-
-    p = sub.add_parser("saturation", help="gap decay of a bounded activation as trees grow")
-    add_query_args(p)
-    p.add_argument("--palette", type=int)
-    p.add_argument("--activation", default="sigmoid", choices=ACTIVATION_NAMES)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--k-range", default="2:64", help="list or lo:hi")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_saturation)
-
-    p = sub.add_parser("steplike-verify", help="verify the shipped step-like certificates")
-    p.add_argument("names", nargs="*", help="activation names (default: all certified)")
-    p.set_defaults(handler=_cmd_steplike_verify)
-
-    p = sub.add_parser("convergence", help="iterate error vs certified bound per m")
-    p.add_argument("--activation", required=True, choices=ACTIVATION_NAMES)
-    p.add_argument("--m-range", default="0:20", help="list or lo:hi (default: %(default)s)")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_convergence)
-
-    p = sub.add_parser("required-m", help="composition depth needed for a degree bound")
-    p.add_argument("--activation", required=True, choices=ACTIVATION_NAMES)
-    p.add_argument("--delta", type=int, required=True)
-    p.set_defaults(handler=_cmd_required_m)
-
+    for name, (handler, help_text, arguments) in _VERBS.items():
+        if verb is None or name == verb:
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A named verb's arguments are parsed by its own parser; every message of
+    # the top-level parser (no verb, an unknown one, -h, arguments left over,
+    # a handler's usage error) comes from the full one, which lists all verbs.
+    if argv and argv[0] in _VERBS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if extras:
+            build_parser().parse_args(argv)  # exits with "unrecognized arguments"
+    else:
+        args = build_parser().parse_args(argv)
     # Bad values, malformed files and unreadable paths are usage errors
     # (exit code 2); the format errors of graphs, specs and formulas are
     # ValueErrors too, and an integer too large for a float is an
@@ -291,9 +307,9 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
-        parser.error(str(exc))
+        build_parser().error(str(exc))
     except BoundViolation as exc:
-        print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
+        print(f"gc2gnn {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

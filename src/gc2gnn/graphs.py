@@ -14,12 +14,13 @@ __all__ = [
     "batch_graphs",
     "make_tree",
     "random_graph",
+    "random_graphs",
     "read_graph",
     "write_graph",
 ]
 
 
-# Pairs drawn per call of the generator in ``random_graph``: bounds its memory.
+# Pairs drawn per call of the generator in ``random_graphs``: bounds its memory.
 _PAIR_CHUNK = 1 << 20
 
 
@@ -85,11 +86,15 @@ class LabeledGraph:
     def _adjacency(self):
         # Directed edge arrays sorted by (dst, src): per-vertex neighbor lists
         # come out in ascending order, which fixes the accumulation order of
-        # neighbor sums and keeps forward passes bit-reproducible.
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.lexsort((src, dst))
-        return src[order], dst[order]
+        # neighbor sums and keeps forward passes bit-reproducible.  The keys
+        # dst*n + src are unique, so sorting them alone, in place, gives that
+        # order with less memory than sorting indices on two keys.  Timsort
+        # ("stable") runs fastest on trees, whose keys come in long sorted runs.
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        key = np.concatenate([v * self.n + u, u * self.n + v])
+        key.sort(kind="stable")
+        dst, src = np.divmod(key, self.n)
+        return src, dst
 
     @property
     def edge_src(self) -> np.ndarray:
@@ -192,25 +197,45 @@ def random_graph(n: int, avg_degree: float, palette: int, seed: int) -> LabeledG
 
     Deterministic per seed: edges are drawn first, colors second.
     """
+    return random_graphs(n, avg_degree, palette, [seed])[0]
+
+
+def random_graphs(n: int, avg_degree: float, palette: int, seeds) -> tuple[LabeledGraph, np.ndarray]:
+    """``batch_graphs([random_graph(n, avg_degree, palette, s) for s in seeds])``,
+    sampled in one pass that builds and checks only the union.
+
+    Each seed draws from its own generator exactly as ``random_graph`` does,
+    so graph i of the union has the bits of ``random_graph(..., seeds[i])``.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one graph to batch")
     if n < 1:
         raise ValueError("n must be >= 1")
     p = 0.0 if n == 1 else avg_degree / (n - 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"invalid edge probability {p} (avg_degree={avg_degree}, n={n})")
-    rng = np.random.default_rng(seed)
     # Pairs (i, j), i < j, are numbered row by row, so row i ends before
     # row_end[i] and pair L of row i has j = L - row_end[i] + n.  The generator
     # yields the same stream in chunks as in one call, so seeded graphs do not
     # depend on the chunk size.
     row_end = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
     total = n * (n - 1) // 2
-    parts = [np.empty((0, 2), dtype=np.int64)]
-    for lo in range(0, total, _PAIR_CHUNK):
-        hit = np.flatnonzero(rng.random(min(_PAIR_CHUNK, total - lo)) < p) + lo
-        i = np.searchsorted(row_end, hit, side="right")
-        parts.append(np.stack([i, hit - row_end[i] + n], axis=1))
-    colors = rng.integers(1, palette + 1, size=n)
-    return LabeledGraph(n, palette, colors, np.concatenate(parts))
+    hits, owners, colors = [np.empty(0, dtype=np.int64)], [0], []
+    for g, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for lo in range(0, total, _PAIR_CHUNK):
+            hits.append(np.flatnonzero(rng.random(min(_PAIR_CHUNK, total - lo)) < p) + lo)
+            owners.append(g)
+        colors.append(rng.integers(1, palette + 1, size=n))
+    hit = np.concatenate(hits)
+    # the first vertex of each hit's graph
+    off = np.repeat(np.array(owners, dtype=np.int64) * n, [len(h) for h in hits])
+    i = np.searchsorted(row_end, hit, side="right")
+    # graph after graph, each canonical and ascending, so the union skips the sort
+    edges = np.stack([i + off, hit - row_end[i] + n + off], axis=1)
+    union = LabeledGraph(n * len(seeds), palette, np.concatenate(colors), edges)
+    return union, np.arange(len(seeds) + 1, dtype=np.int64) * n
 
 
 def write_graph(path, graph: LabeledGraph, root: int | None = None) -> None:

@@ -422,3 +422,37 @@ def test_readme_command_lines_parse():
             argv = shlex.split(line, comments=True)[1:]
             verbs.add(parser.parse_args(argv).command)  # exits on an unknown flag
     assert verbs == set(VERBS)
+
+
+# Every usage error prints the full usage line of the parser that rejects the
+# argument: the top-level one lists all verbs, a verb's own lists its flags.
+@pytest.mark.parametrize(
+    "label,argv",
+    [
+        ("usage-unknown-verb", ("chek",)),
+        ("usage-no-verb", ()),
+        ("usage-unrecognized-argument", ("check-exact", "--query", "q1", "--bogus", "1")),
+        ("usage-handler-value-error", ("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "0")),
+        ("usage-invalid-int", ("check-exact", "--query", "q1", "--n", "x")),
+    ],
+)
+def test_cli_usage_error_matches_golden(label, argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.encode("ascii") == (TEXT_GOLDEN_DIR / f"{label}.txt").read_bytes()
+
+
+def test_cli_check_exact_stdout_matches_golden(tmp_path, capsys, monkeypatch):
+    # the file graph is reported first, under the path as given, then the random ones
+    monkeypatch.chdir(tmp_path)
+    edges = np.array([[0, 1], [0, 2], [1, 2], [2, 3], [3, 4], [3, 5], [4, 5]])
+    write_graph("six.graph", LabeledGraph(6, 2, np.array([1, 2, 2, 1, 2, 1]), edges))
+    argv = ["check-exact", "--graph", "six.graph", "--query", "q2", "--random-graphs", "3",
+            "--n", "30", "--seed", "7"]
+    assert cli.main(argv) == 0
+    out, _ = capsys.readouterr()
+    assert out.encode("ascii") == (TEXT_GOLDEN_DIR / "check-exact-file-and-random.txt").read_bytes()

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gc2gnn import (
     GraphFormatError,
@@ -12,6 +14,7 @@ from gc2gnn import (
     batch_graphs,
     make_tree,
     random_graph,
+    random_graphs,
     read_graph,
     write_graph,
 )
@@ -147,6 +150,25 @@ def test_random_graph_colors_partition(palette):
     assert g.colors.min() >= 1 and g.colors.max() <= palette
 
 
+@pytest.mark.parametrize("n,avg_degree,seeds", [
+    (1, 0.0, [3, 4]),
+    (2, 1.0, [0]),
+    (12, 3.0, [5, 6, 7, 8]),
+    (40, 5.0, [11, 2, 11]),
+    (1500, 4.0, [7, 8]),  # each graph draws more than one chunk of pairs
+])
+def test_random_graphs_is_the_batch_of_random_graph(n, avg_degree, seeds):
+    union, offsets = random_graphs(n, avg_degree, 3, seeds)
+    want, want_offsets = batch_graphs([random_graph(n, avg_degree, 3, s) for s in seeds])
+    assert union == want
+    assert offsets.tolist() == want_offsets.tolist()
+
+
+def test_random_graphs_needs_a_seed():
+    with pytest.raises(ValueError, match="at least one graph"):
+        random_graphs(10, 2.0, 1, [])
+
+
 def test_random_graph_invalid_probability():
     with pytest.raises(ValueError, match="invalid edge probability"):
         random_graph(10, 20.0, 1, 0)
@@ -225,6 +247,26 @@ def test_batch_graphs_single_and_empty(path3):
     assert union is path3 and offsets.tolist() == [0, 3]
     with pytest.raises(ValueError, match="at least one graph"):
         batch_graphs([])
+
+
+@st.composite
+def canonical_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return n, np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_graphs())
+def test_adjacency_is_sorted_by_dst_then_src(graph):
+    n, edges = graph
+    g = LabeledGraph(n, 1, np.ones(n, dtype=np.int64), edges)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((src, dst))
+    assert g.edge_src.tolist() == src[order].tolist()
+    assert g.edge_dst.tolist() == dst[order].tolist()
 
 
 def test_max_degree(triangle):

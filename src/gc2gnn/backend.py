@@ -14,10 +14,7 @@ then takes one cache-sized block at a time through all m compositions
 Per term position, a layer's rows take one (k, n) gather of whole
 coordinate rows and one multiply by their coefficients, so a row costs its
 nonzeros, not d.  Every row is computed before any is written, since a row
-may read a coordinate that another row of the same layer writes.  A layer
-with a row of more than two nonzeros in A or in B, which only a file-read
-network has, keeps the full-width ``einsum`` over its dense (k, d) ``A``
-and ``B`` instead.
+may read a coordinate that another row of the same layer writes.
 
 Only live coordinates are activated.  Coordinate j is live after layer t
 when the caller keeps it or a later layer reads it before it fires again.
@@ -29,19 +26,14 @@ by layer, as it would if every coordinate were activated; one that is not
 live keeps a stale value.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
-order (``np.bincount`` over the (dst, src)-sorted edge list).  A row of at
-most two nonzero products and any number of exact zeros rounds once,
-whatever the order of the sum, so the coordinate-list combine
-``(c + (a1 x1 + a2 x2)) + (b1 y1 + b2 y2)`` gives the bits of the dense
-update; a padded term or a stale value enters only through a zero
-coefficient, and a zero product changes a sum at most in the sign of a
-zero.  The bias is added first, and the integer biases of compiled and
-file-read networks are never -0.0, so that sign never reaches a
-pre-activation.  A sum of three or more nonzero products rounds more than
-once, so its bits depend on the order of the ``einsum`` reduction, which is
-fixed (no BLAS) but follows the memory layout: the dense path runs it on
-C-ordered (n, d) copies of the state.  All of this holds while every value
-is finite (``0 * inf`` is NaN), so a non-finite ``init`` is rejected.
+order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
+the fold ``(c + S_A) + S_B`` (``c + S_B`` without A terms), where ``S_A =
+(a1 x1 + a2 x2) + a3 x3 ...`` sums its A terms left to right in term order,
+the ascending column order the spec fixes, and ``S_B`` its B terms likewise.
+A padded term or a stale value enters only through a zero coefficient, which
+changes a sum at most in the sign of a zero, and that sign never passes the
+bias, an integer and never -0.0.  All of this holds while every value is
+finite (``0 * inf`` is NaN), so a non-finite ``init`` is rejected.
 """
 
 from __future__ import annotations
@@ -86,11 +78,6 @@ def _products(terms, values):
 def _combine(layer, cur, agg):
     """The (k, n) pre-activations of ``layer``'s rule rows from the (d, n)
     features ``cur`` and neighbour sums ``agg``."""
-    if len(layer.a_terms) > 2 or len(layer.b_terms) > 2:
-        # einsum without optimize keeps the reduction order fixed (no BLAS)
-        zs = np.einsum("vj,ij->vi", np.ascontiguousarray(cur.T), layer.A, optimize=False)
-        za = np.einsum("vj,ij->vi", np.ascontiguousarray(agg.T), layer.B, optimize=False)
-        return (layer.c + zs + za).T
     if layer.a_terms:
         z = _products(layer.a_terms, cur)
         z += layer.c[:, None]

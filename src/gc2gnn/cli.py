@@ -107,8 +107,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_exact(args) -> int:
-    if args.random_graphs < 0:
-        raise ValueError(f"--random-graphs {args.random_graphs} must be non-negative")
     _, formula, palette = load_query(_query_text(args), args.palette)
     labels, parts = [], []  # (label, n) per graph; the graphs to batch
     if args.graph:
@@ -299,6 +297,11 @@ def main(argv=None) -> int:
             build_parser().parse_args(argv)  # exits with "unrecognized arguments"
     else:
         args = build_parser().parse_args(argv)
+    # A flag with a lower bound is checked here, where it enters, so its message names it.
+    for dest, low in (("palette", 1), ("random_graphs", 0), ("seed", 0)):
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            build_parser().error(f"--{dest.replace('_', '-')} {value} must be >= {low}")
     # Bad values, malformed files and unreadable paths are usage errors
     # (exit code 2); the format errors of graphs, specs and formulas are
     # ValueErrors too, and an integer too large for a float is an

@@ -8,14 +8,16 @@ under the hard threshold (or clipped relu: pre-activations are integers)
 reproduces the brute-force evaluator at every coordinate.
 
 A layer stores only its rule rows, in memory and in the text format alike;
-the identity carries are never written out.  In memory a row is its nonzeros
-alone, so a network holds O(1) numbers per connective.
+the identity carries are never written out.  A row is its nonzeros alone,
+so a network holds and writes O(1) numbers per connective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,16 +54,6 @@ def _pad(rows):
     )
 
 
-def _terms(matrix):
-    """The nonzeros of each row of the (k, d) ``matrix`` in ascending column
-    order, by term position: see ``_pad``."""
-    rows = [[] for _ in range(matrix.shape[0])]
-    r, j = matrix.nonzero()
-    for row, col, coef in zip(r.tolist(), j.tolist(), matrix[r, j].tolist()):
-        rows[row].append((col, coef))
-    return _pad(rows)
-
-
 def _dense(terms, k, d):
     """The (k, d) matrix whose rows hold the term lists ``terms``."""
     matrix = np.zeros((k, d))
@@ -84,8 +76,7 @@ class GnnLayer:
     from the previous layer's ``d`` features ``x`` and their neighbour sum
     ``agg``; ``rows`` is ascending and distinct in ``[0, d)``.  The layer
     stores only the rows' nonzeros, by term position in ``a_terms`` and
-    ``b_terms`` (see ``_pad``), and the forward pass combines the rows from
-    them; ``A`` and ``B`` build the (k, d) matrices on each access.
+    ``b_terms`` (see ``_pad``), which every package path reads.
     """
 
     rows: np.ndarray
@@ -116,13 +107,21 @@ class GnnLayer:
 
     @property
     def A(self) -> np.ndarray:
-        """The (k, d) self matrix, built from ``a_terms``."""
+        """The (k, d) self matrix, for ``perfbench/tracing.py``'s counters and for tests."""
         return _dense(self.a_terms, self.rows.size, self.d)
 
     @property
     def B(self) -> np.ndarray:
-        """The (k, d) aggregate matrix, built from ``b_terms``."""
+        """The (k, d) aggregate matrix, for the same readers."""
         return _dense(self.b_terms, self.rows.size, self.d)
+
+    def nonzeros(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Each rule row's nonzero ``(p, coefficient)`` terms in term order: A's
+        at ``p = column``, then B's at ``p = d + column``."""
+        parts = ((0, self.a_terms), (self.d, self.b_terms))
+        terms = [(offset, cols.tolist(), coefs.tolist()) for offset, part in parts for cols, coefs in part]
+        return tuple(tuple((offset + cols[r], coefs[r]) for offset, cols, coefs in terms if coefs[r])
+                     for r in range(self.rows.size))
 
     @cached_property
     def reads(self) -> np.ndarray:
@@ -136,9 +135,9 @@ class GnnLayer:
         return _columns(self.b_terms)
 
     def __eq__(self, other):
-        if not isinstance(other, GnnLayer):
-            return False
-        return all(np.array_equal(getattr(self, p), getattr(other, p)) for p in ("rows", "A", "B", "c"))
+        def key(layer):
+            return layer.d, layer.rows.tolist(), layer.c.tolist(), layer.nonzeros()
+        return isinstance(other, GnnLayer) and key(self) == key(other)
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,6 @@ def compile_formula(
     with bias -1 (one child and bias 0 when both coincide); the graded
     quantifier reads its child's neighbor aggregate with bias -(K-1).
     """
-    if palette < 1:
-        raise ValueError("palette must be >= 1")
     activation = activation or ActivationSpec("sigma-star", 1)
     subs = subformulas(formula)
     entries, children = subs.entries, subs.children
@@ -261,10 +258,7 @@ def carry_forward_check(spec: GnnSpec) -> bool:
             return False
         fired[layer.rows] = t
     for t, layer in enumerate(spec.layers, start=1):
-        latest = np.zeros(layer.rows.size, dtype=np.int64)
-        for cols, coefs in layer.a_terms + layer.b_terms:
-            np.maximum(latest, np.where(coefs != 0.0, fired[cols], 0), out=latest)
-        if (latest != t - 1).any():
+        if any(max((fired[p % spec.d] for p, _ in row), default=0) != t - 1 for row in layer.nonzeros()):
             return False
     return True
 
@@ -272,24 +266,27 @@ def carry_forward_check(spec: GnnSpec) -> bool:
 # --------------------------------------------------------------------------
 # text serialization
 #
-#   line 1: d iterations output_index activation_name m, 0 <= iterations <= d
+#   line 1: d iterations output_index activation_name m terms, 0 <= iterations <= d
 #   line 2: init <d tokens: 0 | 1 | C<i>>
-#   per rule row: t j c A[r] B[r], decimal integers: layer t in
-#   [1, iterations] (never decreasing), coordinate j, then the row's 2d + 1
-#   coefficients; a layer without rule rows has no line
+#   per nonzero weight, p ascending in its row: t j c p v, decimal integers: layer t
+#   (never decreasing), row j, bias c, weight v at p = A column or d + B column;
+#   a row without one is t j c 0 0
 
 
 def spec_to_text(spec: GnnSpec) -> str:
     if spec.iterations > spec.d:
         raise ValueError(f"{spec.iterations} layers exceed d = {spec.d}: the text format holds at most d")
-    head = f"{spec.d} {spec.iterations} {spec.output_index} {spec.activation.name} {spec.activation.m}"
+    head = f"{spec.d} {spec.iterations} {spec.output_index} {spec.activation.name} {spec.activation.m} terms"
     lines = [head, "init " + " ".join(spec.init_kinds)]
     for t, layer in enumerate(spec.layers, start=1):
-        block = np.column_stack((np.full(layer.rows.size, t), layer.rows, layer.c, layer.A, layer.B))
-        bad = ~np.isfinite(block) | (block != np.round(block))
-        if bad.any():
-            raise ValueError(f"non-integer entry {block[bad][0]!r} cannot be serialized")
-        lines.extend(" ".join(str(int(value)) for value in row) for row in block.tolist())
+        for j, c, terms in zip(layer.rows.tolist(), layer.c.tolist(), layer.nonzeros()):
+            terms = terms or ((0, 0.0),)
+            bad = [value for value in (c, *(v for _, v in terms)) if not value.is_integer()]
+            if bad:
+                raise ValueError(f"non-integer entry {bad[0]!r} cannot be serialized")
+            if any(p >= q for (p, _), (q, _) in zip(terms, terms[1:])):
+                raise ValueError(f"terms of rule row {j} in layer {t} are not in ascending column order")
+            lines.extend(f"{t} {j} {int(c)} {p} {int(v)}" for p, v in terms)
     return "\n".join(lines) + "\n"
 
 
@@ -298,7 +295,9 @@ def spec_from_text(text: str) -> GnnSpec:
     if len(lines) < 2:
         raise SpecFormatError("spec text too short")
     head = lines[0].split()
-    if len(head) != 5:
+    if len(head) == 5:  # one 't j c A[r] B[r]' line per rule row, in any width
+        raise SpecFormatError(f"header {lines[0]!r} is the old dense-row format: compile the network again")
+    if len(head) != 6 or head[5] != "terms":
         raise SpecFormatError(f"malformed header {lines[0]!r}")
     try:
         d, iterations, output_index, m = int(head[0]), int(head[1]), int(head[2]), int(head[4])
@@ -315,16 +314,27 @@ def spec_from_text(text: str) -> GnnSpec:
         raise SpecFormatError("expected an init line with one token per coordinate")
     init_kinds = tuple(init_toks[1:])
     body = lines[2:]
-    block = _parse_block(body, 2 * d + 3, SpecFormatError)
-    t = block[:, 0]
-    bad = (t < 1) | (t > iterations) | np.r_[False, t[1:] < t[:-1]]
-    if bad.any():
-        raise SpecFormatError(f"layer out of order or outside 1..{iterations} in {body[np.argmax(bad)]!r}")
+    block = _parse_block(body, 5, SpecFormatError)
+    t, j, c, p = block[:, :4].T
+    same = np.r_[False, (t[1:] == t[:-1]) & (j[1:] == j[:-1])]  # a rule row is a run of one (t, j)
+    for bad, what in (
+        ((t < 1) | (t > iterations) | np.r_[False, t[1:] < t[:-1]],
+         f"layer out of order or outside 1..{iterations}"),
+        (same & np.r_[False, c[1:] != c[:-1]], "a second bias within a rule row"),
+        (same & np.r_[False, p[1:] <= p[:-1]], "p not ascending within a rule row"),
+    ):
+        if bad.any():
+            raise SpecFormatError(f"{what} in {body[np.argmax(bad)]!r}")
     bounds = np.searchsorted(t, np.arange(1, iterations + 2)).tolist()
+
+    def layer(rule):  # one layer's lines, whose rule rows are runs of one (j, c)
+        rows = [(key, [(p, v) for *_, p, v in run if v]) for key, run in groupby(rule, itemgetter(1, 2))]
+        a_rows = [[(p, v) for p, v in terms if p < d] for _, terms in rows]
+        b_rows = [[(p - d, v) for p, v in terms if p >= d] for _, terms in rows]
+        return GnnLayer([j for (j, _), _ in rows], [c for (_, c), _ in rows], _pad(a_rows), _pad(b_rows), d)
+
     try:
-        def layer(rule):
-            return GnnLayer(rule[:, 1], rule[:, 2], _terms(rule[:, 3 : d + 3]), _terms(rule[:, d + 3 :]), d)
-        layers = tuple(layer(block[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        layers = tuple(layer(block[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:]))
         return GnnSpec(output_index, layers, activation, init_kinds)
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from exc

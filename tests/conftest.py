@@ -3,6 +3,7 @@ import pytest
 
 from gc2gnn import LabeledGraph, TreeParams, compile_formula, initial_features, make_tree, parse
 from gc2gnn.backend import run_forward
+from gc2gnn.compiler import _pad
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
 
 
@@ -14,6 +15,16 @@ def forward_history(spec, graph, activation=None):
     for layer in spec.layers:
         feats.append(run_forward(feats[-1], graph, (layer,), act.name, act.m))
     return np.stack(feats)
+
+
+def matrix_terms(matrix):
+    """The nonzeros of each row of the (k, d) ``matrix`` in ascending column
+    order, as ``GnnLayer`` term lists: hand-built layers written as matrices."""
+    rows = [[] for _ in range(matrix.shape[0])]
+    r, j = matrix.nonzero()
+    for row, col, coef in zip(r.tolist(), j.tolist(), matrix[r, j].tolist()):
+        rows[row].append((col, coef))
+    return _pad(rows)
 
 
 @pytest.fixture(scope="session")

@@ -189,7 +189,7 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
         pytest.param(("check-exact", "--query", "q1", "--random-graphs", "0"),
                      "need --graph and/or --random-graphs", id="check-exact-no-graphs"),
         pytest.param(("separation", "--formula", "dia>=1 C1", "--palette", "0"),
-                     "palette_size must be >= 1", id="palette-0"),
+                     "--palette 0 must be >= 1", id="palette-0"),
         pytest.param(("convergence", "--activation", "step-arctan", "--m-range", "5:2"),
                      "empty --m-range '5:2'", id="m-range-5:2"),
         pytest.param(("separation", "--activation", "step-arctan", "--m=-1"), "composition depth",
@@ -205,15 +205,21 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      id="steplike-verify-relu"),
         pytest.param(("compile", "--formula", "not " * 1200 + "top"),
                      "formula nested too deeply (at position 0)", id="deep-formula"),
-        pytest.param(("compile", "--query", "q1", "--palette", "0"), "palette_size must be >= 1",
+        pytest.param(("compile", "--query", "q1", "--palette", "0"), "--palette 0 must be >= 1",
                      id="preset-palette-0"),
-        pytest.param(("compile", "--query", "q1", "--palette", "-3"), "palette_size must be >= 1",
+        pytest.param(("compile", "--query", "q1", "--palette", "-3"), "--palette -3 must be >= 1",
                      id="preset-palette-3"),
+        # --palette is checked as it enters, by every verb that takes it
+        *(pytest.param((verb, "--query", "q1", "--palette", "0", *extra), "--palette 0 must be >= 1",
+                       id=f"{verb}-palette-0")
+          for verb, extra in (("check-exact", ("--random-graphs", "1")), ("saturation", ()))),
+        pytest.param(("check-exact", "--query", "q1", "--random-graphs", "1", "--seed", "-1"),
+                     "--seed -1 must be >= 0", id="check-exact-seed-1"),
         # a preset is parsed against the palette it is given
         pytest.param(("compile", "--query", "q2", "--palette", "1"), "color index 2 out of range [1, 1]",
                      id="preset-q2-palette-1"),
         pytest.param(("check-exact", "--graph", "{graph}", "--query", "q1", "--random-graphs", "-2"),
-                     "--random-graphs -2 must be non-negative", id="random-graphs-2"),
+                     "--random-graphs -2 must be >= 0", id="random-graphs-2"),
         pytest.param(("saturation", "--query", "q1", "--k-range", "5"),
                      "--k-range '5' needs at least two k values", id="saturation-one-k"),
         pytest.param(("saturation", "--query", "q1", "--activation", "crelu"),
@@ -232,6 +238,10 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
         # a header may not declare more layers than its init line has coordinates
         pytest.param(("eval", "--spec", "{deep}", "--graph", "{graph}"), "iterations outside 0..5",
                      id="eval-spec-too-deep"),
+        # a file of the old dense-row format is refused by its header, also
+        # at d = 1, where a dense row has the five entries of a weight line
+        *(pytest.param(("eval", "--spec", "{" + key + "}", "--graph", "{graph}"), "old dense-row format",
+                       id=f"eval-spec-{key.replace('_', '-')}") for key in ("dense_q1", "dense_d1")),
         # a repeated value would run its sweep rows twice
         pytest.param(("separation", "--k-range", "2,2", "--m", "4,4"), "repeated value in '4,4'",
                      id="separation-repeated-m"),
@@ -256,10 +266,17 @@ def test_cli_eval_vertex_out_of_range(tmp_path, q1_spec, args, message):
     graph_path, spec_path = tmp_path / "path.graph", tmp_path / "q1.spec"
     write_graph(graph_path, path)
     spec_path.write_text(spec_to_text(q1_spec))
-    deep_path = tmp_path / "deep.spec"
-    deep_path.write_text("5 1000000000 4 sigma-star 1\ninit 1 0 0 0 0\n")
-    paths = {"graph": str(graph_path), "missing": str(tmp_path / "missing.graph"),
-             "spec": str(spec_path), "deep": str(deep_path)}
+    spec_texts = {
+        "deep": "5 1000000000 4 sigma-star 1 terms\ninit 1 0 0 0 0\n",
+        # q1 and a d = 1 network in the old dense-row format
+        "dense_q1": "5 4 4 sigma-star 1\ninit 1 0 0 0 0\n1 1 -1 0 0 0 0 0 1 0 0 0 0\n2 2 1 0 -1 0 0 0 0 0 0 0 0\n"
+                    "3 3 0 0 0 0 0 0 0 0 1 0 0\n4 4 1 0 0 0 -1 0 0 0 0 0 0\n",
+        "dense_d1": "1 1 0 sigma-star 1\ninit C1\n1 0 1 0 1\n",
+    }
+    paths = {"graph": str(graph_path), "missing": str(tmp_path / "missing.graph"), "spec": str(spec_path)}
+    for key, text in spec_texts.items():
+        paths[key] = str(tmp_path / f"{key}.spec")
+        Path(paths[key]).write_text(text)
     result = run_cli(*(arg.format(**paths) for arg in args))
     assert result.returncode == 2
     assert message in result.stderr

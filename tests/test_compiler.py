@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gc2gnn import (
+    ACTIVATION_NAMES,
     ActivationSpec,
     And,
     Color,
@@ -32,10 +35,10 @@ from gc2gnn import (
     spec_to_text,
 )
 from gc2gnn import compiler
-from gc2gnn.compiler import SpecFormatError, _terms
+from gc2gnn.compiler import SpecFormatError, _pad
 from gc2gnn.experiments import Q1_TEXT
 
-from conftest import forward_history
+from conftest import forward_history, matrix_terms
 
 
 def compact_q1_net():
@@ -44,7 +47,7 @@ def compact_q1_net():
     A = np.array([[0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0]], dtype=float)
     B = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
     c = np.array([-1, 1, 0, 1], dtype=float)
-    layer = GnnLayer(np.arange(4), c, _terms(A), _terms(B), 4)
+    layer = GnnLayer(np.arange(4), c, matrix_terms(A), matrix_terms(B), 4)
     return GnnSpec(
         output_index=3,
         layers=(layer,) * 4,
@@ -106,9 +109,9 @@ def pinned_specs():
 
 
 # sha256 of the concatenated spec texts of ``pinned_specs``, recorded when the
-# text format became one line per rule row: any change to the coordinate
-# order, the rule rows or the file layout shows here.
-SPEC_TEXT_SHA256 = "caa9e2bda96c77fdcbe1251d65fa121180f8fda9d6b23533a5f7d60e3b6ceabf"
+# text format became one line per nonzero weight: any change to the
+# coordinate order, the rule rows or the file layout shows here.
+SPEC_TEXT_SHA256 = "74720b40846346336c112909589db32f6240a621a37de525b58ef75faae19c66"
 
 # sha256 of every layer's rows, A, B and c bytes over ``pinned_specs``,
 # recorded while the text format still wrote dense d x d matrices: it pins the
@@ -181,16 +184,18 @@ def test_deep_nesting_compiles_and_matches_oracle():
 def test_gnn_layer_rejects_bad_rows(rows, a_shape, b_shape, fragment):
     # the terms are the nonzeros of all-ones matrices of these shapes, d = 3
     with pytest.raises(ValueError, match=fragment):
-        GnnLayer(np.array(rows), np.zeros(len(rows)), _terms(np.ones(a_shape)), _terms(np.ones(b_shape)), 3)
+        GnnLayer(np.array(rows), np.zeros(len(rows)), matrix_terms(np.ones(a_shape)),
+                 matrix_terms(np.ones(b_shape)), 3)
 
 
-def test_spec_from_text_reports_bad_term_columns(q1_spec, monkeypatch):
-    # a rule row of 2d + 3 entries names no column outside [0, d), so terms
-    # shifted past d stand in for one: the reader reports it as a format error
-    terms = compiler._terms
-    monkeypatch.setattr(compiler, "_terms", lambda m: tuple((cols + m.shape[1], coefs) for cols, coefs in terms(m)))
-    with pytest.raises(SpecFormatError, match="term columns must be integers in"):
-        spec_from_text(spec_to_text(q1_spec))
+def test_spec_from_text_reports_bad_term_columns(q1_spec):
+    # a position p outside [0, 2d) names a column outside [0, d): q1's first
+    # term line, "1 1 -1 5 1", reads B column 0 at p = 5 = d
+    text = spec_to_text(q1_spec)
+    assert "\n1 1 -1 5 1\n" in text
+    for p in (-1, 10, 99):
+        with pytest.raises(SpecFormatError, match="term columns must be integers in"):
+            spec_from_text(text.replace("\n1 1 -1 5 1\n", f"\n1 1 -1 {p} 1\n"))
 
 
 def test_compile_top_is_iteration_free():
@@ -323,8 +328,8 @@ def test_carry_forward_check_rejects_zeroed_row(q1_spec):
     old = layers[2]
     assert old.rows[0] > 0
     zero = np.zeros((1, old.d))
-    layers[2] = GnnLayer(np.r_[0, old.rows], np.r_[0.0, old.c], _terms(np.vstack((zero, old.A))),
-                         _terms(np.vstack((zero, old.B))), old.d)
+    layers[2] = GnnLayer(np.r_[0, old.rows], np.r_[0.0, old.c], matrix_terms(np.vstack((zero, old.A))),
+                         matrix_terms(np.vstack((zero, old.B))), old.d)
     broken = GnnSpec(
         output_index=q1_spec.output_index,
         layers=tuple(layers),
@@ -361,13 +366,92 @@ def test_spec_round_trip(q1_spec, q2_spec):
         assert [term_bytes(layer) for layer in back.layers] == [term_bytes(layer) for layer in spec.layers]
 
 
+@st.composite
+def hand_built_specs(draw):
+    """Specs of up to d + 1 layers over d <= 5 coordinates: each layer has
+    any set of rule rows, and each row up to 2d nonzero integer weights at
+    ascending positions of its A then B entries, or none."""
+    d = draw(st.integers(1, 5))
+    weight = st.integers(-10**6, 10**6)
+
+    def layer():
+        rows = sorted(draw(st.sets(st.integers(0, d - 1))))
+        a_rows, b_rows = [], []
+        for _ in rows:
+            positions = sorted(draw(st.sets(st.integers(0, 2 * d - 1))))
+            terms = [(p, draw(weight.filter(bool))) for p in positions]
+            a_rows.append([(p, v) for p, v in terms if p < d])
+            b_rows.append([(p - d, v) for p, v in terms if p >= d])
+        c = np.array([draw(weight) for _ in rows], dtype=np.float64)
+        return GnnLayer(np.array(rows, dtype=np.int64), c, _pad(a_rows), _pad(b_rows), d)
+
+    layers = tuple(layer() for _ in range(draw(st.integers(0, d + 1))))
+    activation = ActivationSpec(draw(st.sampled_from(ACTIVATION_NAMES)), draw(st.integers(0, 3)))
+    init_kinds = tuple(draw(st.lists(st.sampled_from(("0", "1", "C1", "C3")), min_size=d, max_size=d)))
+    return GnnSpec(draw(st.integers(0, d - 1)), layers, activation, init_kinds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_specs())
+def test_spec_text_round_trips_hand_built_specs(spec):
+    if spec.iterations > spec.d:
+        with pytest.raises(ValueError, match="exceed d"):
+            spec_to_text(spec)
+        return
+    back = spec_from_text(spec_to_text(spec))
+    assert back == spec
+    for got, want in zip(back.layers, spec.layers):
+        assert (got.rows.tobytes(), got.c.tobytes()) == (want.rows.tobytes(), want.c.tobytes())
+        assert term_bytes(got) == term_bytes(want)
+
+
+def test_spec_writer_refuses_rows_out_of_column_order():
+    # the file fixes a row's order of summation as ascending p, so a row
+    # whose terms run otherwise has no text
+    layer = GnnLayer(np.array([0]), np.zeros(1), _pad([[(1, 1.0), (0, 1.0)]]), (), 2)
+    spec = GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0", "0"))
+    with pytest.raises(ValueError, match="terms of rule row 0 in layer 1 are not in ascending column order"):
+        spec_to_text(spec)
+
+
+def test_no_package_path_builds_the_dense_form(q1, q2, monkeypatch):
+    # GnnLayer.A and B exist for the benchmark's counters and for tests:
+    # compiling, writing, reading and running a network never builds them
+    from test_engine import dense_integer_spec
+
+    def refuse(*args):
+        raise AssertionError("a dense (k, d) form was built")
+
+    monkeypatch.setattr(compiler, "_dense", refuse)
+    graph = random_graph(30, 3.0, 2, 1)
+    for spec in (compile_formula(q1, 1), compile_formula(q2, 2), dense_integer_spec()):
+        back = spec_from_text(spec_to_text(spec))
+        assert back == spec
+        for net in (spec, back):
+            forward(net, graph, ActivationSpec("sigmoid", 3))
+    with pytest.raises(AssertionError, match="dense"):
+        spec.layers[0].A
+
+
 def test_deep_chain_text_is_small_and_round_trips():
-    # one line per rule row: 400 rows of 2d + 3 integers, about 0.65 MB,
-    # where square d x d matrices for each of the 401 layers take some 258 MB
-    spec = compile_formula(parse("not " * 400 + "C1", 1), 1)
+    # one line per nonzero weight: a 2000-level not chain, deeper than parse
+    # accepts, writes about 20 bytes a level, where rows of 2d + 3 integers
+    # took some 16 MB; writing and reading stay within about 2 KB a level
+    from test_engine import traced_peak
+
+    levels = 2000
+    f = Color(1)
+    for _ in range(levels):
+        f = Not(f)
+    spec = compile_formula(f, 1)
     text = spec_to_text(spec)
-    assert len(text) < 1_000_000
-    assert spec_from_text(text) == spec
+    write_peak = traced_peak(lambda: spec_to_text(spec))
+    read_peak = traced_peak(lambda: spec_from_text(text))
+    back = spec_from_text(text)
+    assert len(text) <= 50 * levels
+    assert write_peak <= 2_000 * levels and read_peak <= 2_000 * levels, (write_peak, read_peak)
+    assert back == spec
+    assert [term_bytes(layer) for layer in back.layers] == [term_bytes(layer) for layer in spec.layers]
 
 
 def test_readme_spec_example_is_q1():
@@ -380,14 +464,14 @@ def test_readme_spec_example_is_q1():
 def test_spec_text_is_integer_valued(q1_spec):
     text = spec_to_text(q1_spec)
     header, init, *rows = text.strip().splitlines()
-    assert header == "5 4 4 sigma-star 1"
+    assert header == "5 4 4 sigma-star 1 terms"
     assert init == "init 1 0 0 0 0"
     for row in rows:
         assert all(tok.lstrip("-").isdigit() for tok in row.split())
 
 
 def test_spec_serializer_rejects_fractions():
-    layer = GnnLayer(np.array([0]), np.zeros(1), _terms(np.array([[0.5]])), (), 1)
+    layer = GnnLayer(np.array([0]), np.zeros(1), matrix_terms(np.array([[0.5]])), (), 1)
     spec = GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
     with pytest.raises(ValueError, match="non-integer"):
         spec_to_text(spec)
@@ -408,16 +492,23 @@ def test_spec_serializer_rejects_more_layers_than_d():
         (lambda lines: lines[:1], "too short"),
         (lambda lines: [lines[0].replace("sigma-star", "swish")] + lines[1:], "unknown activation"),
         # the init line backs d, and d bounds the depth a header may declare
-        (lambda lines: ["5 -1 4 sigma-star 1"] + lines[1:2], "iterations outside 0..5 in '5 -1 "),
-        (lambda lines: ["5 6 4 sigma-star 1"] + lines[1:], "iterations outside 0..5 in '5 6 "),
-        (lambda lines: ["5 1000000000 4 sigma-star 1"] + lines[1:2], "outside 0..5 in '5 1000000000 "),
+        (lambda lines: ["5 -1 4 sigma-star 1 terms"] + lines[1:2], "iterations outside 0..5 in '5 -1 "),
+        (lambda lines: ["5 6 4 sigma-star 1 terms"] + lines[1:], "iterations outside 0..5 in '5 6 "),
+        (lambda lines: ["5 1000000000 4 sigma-star 1 terms"] + lines[1:2], "outside 0..5 in '5 1000000000 "),
         # rule rows: t in [1, iterations] and never decreasing, j in [0, d)
         (lambda lines: lines + ["5" + lines[-1][1:]], "layer out of order or outside 1..4"),
         (lambda lines: lines[:2] + ["0" + lines[2][1:]] + lines[2:], "outside 1..4 in '0 1 "),
         (lambda lines: lines[:2] + lines[:1:-1], "layer out of order"),
         (lambda lines: lines[:-1] + ["4 5" + lines[-1][3:]], "must be ascending and distinct in"),
-        (lambda lines: lines + [lines[-1]], "rule rows must be ascending and distinct"),
+        # coordinate 4 named twice in layer 4, around a row for coordinate 0
+        (lambda lines: lines + ["4 0 1 0 0", lines[-1]], "rule rows must be ascending and distinct"),
         (lambda lines: [lines[0] + " 9"] + lines[1:], "malformed header"),
+        (lambda lines: [lines[0].replace("terms", "dense")] + lines[1:],
+         "malformed header '5 4 4 sigma-star 1 dense'"),
+        # a rule row is a run of lines with one layer, coordinate and bias
+        (lambda lines: lines + ["4 4 0 4 1"], "a second bias within a rule row in '4 4 0 4 1'"),
+        (lambda lines: lines + ["4 4 1 3 1"], "p not ascending within a rule row in '4 4 1 3 1'"),
+        (lambda lines: lines + ["4 4 1 2 1"], "p not ascending within a rule row in '4 4 1 2 1'"),
         # the header's activation is checked before the body is read
         (lambda lines: [lines[0].replace("sigma-star 1", "sigma-star -1"), lines[1], "junk"],
          "composition depth must be non-negative"),
@@ -450,39 +541,44 @@ def test_read_spec_rejects_non_ascii(tmp_path, q1_spec, char):
     assert str(info.value) == f"non-ASCII byte at offset {offset}"
 
 
-# q1's rule rows are ``t j c A[0..4] B[0..4]``: columns 0 and 1 are the
-# layer and the coordinate, 2 the bias, 7 an entry of A and -1 one of B.
+def edit_body_token(spec, column, edit):
+    """``spec``'s text lines, with the body line that holds body token
+    ``column`` replaced by ``edit(tokens, i)``, and that line.  The body's
+    ``t j c p v`` lines count as one stream of tokens, five a line: for q1,
+    columns 0 and 1 are the first line's layer and coordinate, 2 its bias,
+    7 the second line's bias and -1 the last line's weight."""
+    header, init, *body = spec_to_text(spec).strip().splitlines()
+    row, i = divmod(column % (5 * len(body)), 5)
+    body[row] = " ".join(edit(body[row].split(), i))
+    return [header, init, *body], body[row]
+
+
 @pytest.mark.parametrize("token", ["1.5", "x", "inf", "nan", "1e3"])
 @pytest.mark.parametrize("column", [0, 1, 2, 7, -1])
 def test_spec_parser_rejects_non_integer_entries(q1_spec, token, column):
-    lines = spec_to_text(q1_spec).strip().splitlines()
-    toks = lines[3].split()
-    toks[column] = token
-    lines[3] = " ".join(toks)
+    lines, line = edit_body_token(q1_spec, column, lambda toks, i: toks[:i] + [token] + toks[i + 1 :])
     with pytest.raises(SpecFormatError, match="non-integer entry in") as info:
         spec_from_text("\n".join(lines))
-    assert repr(lines[3]) in str(info.value)
+    assert repr(line) in str(info.value)
 
 
 @pytest.mark.parametrize("column", [2, 7, -1])
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_spec_parser_checks_row_width(q1_spec, column, change):
-    lines = spec_to_text(q1_spec).strip().splitlines()
-    toks = lines[3].split()
     if change == "drop":
-        del toks[column]
+        lines, line = edit_body_token(q1_spec, column, lambda toks, i: toks[:i] + toks[i + 1 :])
     else:
-        toks.insert(column, "0")
-    lines[3] = " ".join(toks)
-    with pytest.raises(SpecFormatError, match=f"expected 13 entries, got {lines[3]!r}"):
+        lines, line = edit_body_token(q1_spec, column, lambda toks, i: toks[:i] + ["0"] + toks[i:])
+    with pytest.raises(SpecFormatError, match=f"expected 5 entries, got {line!r}"):
         spec_from_text("\n".join(lines))
 
 
 def test_read_spec_finds_a_bad_row_by_halving(tmp_path, q1_spec, monkeypatch):
-    # 4096 rule rows, the last one bad: one np.loadtxt call for the whole
+    # 4096 weight lines, the last one bad: one np.loadtxt call for the whole
     # block and 12 for halving it
     lines = spec_to_text(q1_spec).strip().splitlines()
-    bad = lines[2].replace(" 0", " x", 1)
+    bad = lines[2].replace(" 5", " x", 1)
+    assert bad != lines[2]
     path = tmp_path / "bad.spec"
     path.write_text("\n".join(lines[:2] + [lines[2]] * 4095 + [bad]) + "\n")
     calls = []

@@ -28,10 +28,10 @@ from gc2gnn import (
 )
 from gc2gnn.activations import apply_activation, certificate, required_composition_depth
 from gc2gnn.backend import run_forward
-from gc2gnn.compiler import _pad, _terms
+from gc2gnn.compiler import _pad
 from gc2gnn.experiments import tree_pair
 
-from conftest import forward_history
+from conftest import forward_history, matrix_terms
 
 
 def test_forward_triangle_all_true(q1_spec, triangle):
@@ -153,9 +153,8 @@ def test_run_forward_matches_reference_executor(seed, n, name, m, keep_output):
 
 def hand_built_layers():
     """Three layers over d = 5: the first mixes rows of at most two terms
-    with a row of four nonzeros in A and three in B, so it takes the dense
-    combine; in the
-    second, row 1 reads coordinate 3 and row 3 reads coordinate 1, each
+    with a row of four nonzeros in A and three in B, whose sums round more
+    than once; in the second, row 1 reads coordinate 3 and row 3 reads coordinate 1, each
     written by the other; the third has a bias-only row and a row that reads
     only neighbour sums."""
     def layer(rows, a, b, c):
@@ -178,6 +177,30 @@ def test_hand_built_layers_match_reference_executor(name):
     for m in (0, 1, 3):
         for keep in (None, (3,)):
             assert_matches_reference(init, graph, layers, name, m, keep)
+
+
+def test_rows_of_three_or_more_terms_fold_in_term_order():
+    # a row's pre-activation is (c + S_A) + S_B, each sum taken left to right
+    # in term order: at x = (1e16, 1, -1e16), 1e16 + 1 rounds back to 1e16,
+    # so S_A is 0, where cancelling the large terms first would leave 1
+    x = np.array([1e16, 1.0, -1e16, 0.0])
+    a, b, c = [(0, 1.0), (1, 1.0), (2, 1.0)], [(0, 2.0), (1, 3.0), (2, 2.0)], 0.5
+    layer = GnnLayer(np.array([3]), np.array([c]), _pad([a]), _pad([b]), 4)
+    graph = LabeledGraph(2, 1, np.ones(2, dtype=np.int64), np.array([[0, 1]]))  # y = x at both ends
+    got = run_forward(np.tile(x, (2, 1)), graph, (layer,), "relu", 1)[:, 3]
+
+    def fold(terms):
+        (col, coef), *rest = terms
+        total = coef * x[col]
+        for col, coef in rest:
+            total = total + coef * x[col]
+        return total
+
+    want = max(0.0, (c + fold(a)) + fold(b))
+    assert got.tobytes() == np.full(2, want).tobytes()
+    # the order shows in both sums
+    assert want != max(0.0, (c + fold([a[0], a[2], a[1]])) + fold(b))
+    assert want != max(0.0, (c + fold(a)) + fold([b[0], b[2], b[1]]))
 
 
 def test_layer_errors_identical_runs(q1_spec, triangle):
@@ -353,12 +376,12 @@ def test_error_decay_in_composition_depth(q1_spec, capsys):
 
 def dense_integer_spec():
     """A hand-built spec whose rows all fire, each with up to 2d nonzero
-    integer weights in A and B."""
+    integer weights in A and B, summed in term order."""
     rng = np.random.default_rng(2024)
     d = 6
 
     def layer(a, b, c):
-        return GnnLayer(np.arange(d), c, _terms(a), _terms(b), d)
+        return GnnLayer(np.arange(d), c, matrix_terms(a), matrix_terms(b), d)
 
     layers = tuple(
         layer(rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, d)) for _ in range(3)
@@ -375,7 +398,11 @@ def dense_integer_spec():
 # per activation at m = 1 and m = 3. Any change to the forward pass that
 # moves one bit of any layer's embeddings changes these. The smooth maps'
 # values come from numpy's float64 ufuncs, so the digests hold for a given
-# numpy build and CPU family.
+# numpy build and CPU family. The dense spec's rows hold up to six terms in A
+# and in B; its smooth-map digests were recorded when every row came to be
+# summed in the term order the backend docstring states (test
+# ``test_rows_of_three_or_more_terms_fold_in_term_order``), and its exact
+# maps' digests did not move.
 HISTORY_SHA256 = {
     ("q1", "random"): {
         "sigma-star": ("e73f1cd2f4a24eb2", "e73f1cd2f4a24eb2"),
@@ -453,25 +480,25 @@ HISTORY_SHA256 = {
         "sigma-star": ("b4dfff16b2bdcb41", "b4dfff16b2bdcb41"),
         "crelu": ("b4dfff16b2bdcb41", "b4dfff16b2bdcb41"),
         "relu": ("d3c0d09309b99f8e", "d3c0d09309b99f8e"),
-        "sigmoid": ("213ac8832509aa5e", "c919bd56f36c4665"),
-        "tanh": ("d3330dc034abfa88", "6a32eefd3de1b633"),
-        "step-arctan": ("3c03383a72499fde", "bec8e981e1f16ec4"),
-        "step-tanh": ("503888acb5525297", "be666863db5c0c1a"),
-        "steplike-tanh-eta0": ("058b72517ac14aab", "c70bd9b96d814568"),
-        "steplike-sigmoid-eta0": ("7c62cb3533cdfd5e", "0ff8db717a0d4a51"),
-        "arctan-4pi": ("ad813a4432fec7ab", "638ad83f3d21852e"),
+        "sigmoid": ("ca8414597aa693c3", "465e8997fc5a4d12"),
+        "tanh": ("7e1ffe5bcca88c2f", "95db97ec70383c87"),
+        "step-arctan": ("a63a07212fc24cfe", "a815f874165f30eb"),
+        "step-tanh": ("ae56bb1143ce14db", "b262389f1974ebd8"),
+        "steplike-tanh-eta0": ("e8cc29e68a77d120", "6ef22947fa6b1620"),
+        "steplike-sigmoid-eta0": ("65ede502833b8d22", "86b945d2f0da2d47"),
+        "arctan-4pi": ("eddd39e19a5f0b61", "2e4c799a2e992bf6"),
     },
     ("dense", "edgeless"): {
         "sigma-star": ("5e1302db03738781", "5e1302db03738781"),
         "crelu": ("5e1302db03738781", "5e1302db03738781"),
         "relu": ("ac1c9dcb4a7b2f16", "ac1c9dcb4a7b2f16"),
-        "sigmoid": ("4e15eaa169336802", "ed97a8e2fc66b453"),
-        "tanh": ("3c4cbb5e6988c07d", "d75424aa63c3d013"),
-        "step-arctan": ("2b1dbb520a6d0b40", "eabefc0b8d80d5f9"),
-        "step-tanh": ("bc50da7d4b3c14a7", "f76a2ad1cb974d8a"),
-        "steplike-tanh-eta0": ("e2dfd4c7142c6afb", "756ef08dc33a8eb1"),
-        "steplike-sigmoid-eta0": ("7e1a8b82b1da5d17", "e03f275cc15d4f39"),
-        "arctan-4pi": ("ced88407bc1ac16c", "df5f276a0573b859"),
+        "sigmoid": ("08b48c367afb4252", "ed97a8e2fc66b453"),
+        "tanh": ("0d4dd6674506a5a1", "434992777f82af00"),
+        "step-arctan": ("36296b9777b200aa", "3f61d0ef4fcea7b1"),
+        "step-tanh": ("9cb837c6bb1a3526", "d11ec9acd1d32e07"),
+        "steplike-tanh-eta0": ("6463ca72b9a264ed", "756ef08dc33a8eb1"),
+        "steplike-sigmoid-eta0": ("79c24f1ce3d0782c", "cd60b8f589f7d0f7"),
+        "arctan-4pi": ("ceb0d637f6d41d46", "f1dbeb637239f0d6"),
     },
 }
 

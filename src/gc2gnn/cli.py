@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     else:
         args = build_parser().parse_args(argv)
     # A flag with a lower bound is checked here, where it enters, so its message names it.
-    for dest, low in (("palette", 1), ("random_graphs", 0), ("seed", 0)):
+    for dest, low in (("palette", 1), ("random_graphs", 0), ("seed", 0), ("n", 1)):
         value = getattr(args, dest, None)
         if value is not None and value < low:
             build_parser().error(f"--{dest.replace('_', '-')} {value} must be >= {low}")

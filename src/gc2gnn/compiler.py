@@ -281,9 +281,11 @@ def spec_to_text(spec: GnnSpec) -> str:
     for t, layer in enumerate(spec.layers, start=1):
         for j, c, terms in zip(layer.rows.tolist(), layer.c.tolist(), layer.nonzeros()):
             terms = terms or ((0, 0.0),)
-            bad = [value for value in (c, *(v for _, v in terms)) if not value.is_integer()]
-            if bad:
-                raise ValueError(f"non-integer entry {bad[0]!r} cannot be serialized")
+            for value in (c, *(v for _, v in terms)):
+                if not value.is_integer():
+                    raise ValueError(f"non-integer entry {value!r} cannot be serialized")
+                if not -(2.0**63) <= value < 2.0**63:  # the reader parses int64
+                    raise ValueError(f"entry {value!r} outside the int64 range cannot be serialized")
             if any(p >= q for (p, _), (q, _) in zip(terms, terms[1:])):
                 raise ValueError(f"terms of rule row {j} in layer {t} are not in ascending column order")
             lines.extend(f"{t} {j} {int(c)} {p} {int(v)}" for p, v in terms)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,10 +19,6 @@ __all__ = [
     "read_graph",
     "write_graph",
 ]
-
-
-# Pairs drawn per call of the generator in ``random_graphs``: bounds its memory.
-_PAIR_CHUNK = 1 << 20
 
 
 class GraphFormatError(ValueError):
@@ -195,9 +192,25 @@ def batch_graphs(graphs) -> tuple[LabeledGraph, np.ndarray]:
 def random_graph(n: int, avg_degree: float, palette: int, seed: int) -> LabeledGraph:
     """Erdos-Renyi G(n, p) with p = avg_degree/(n-1) and uniform colors.
 
-    Deterministic per seed: edges are drawn first, colors second.
+    Deterministic per seed: edges are drawn first, by geometric skipping in
+    O(n + E) time and memory, colors second (see ``random_graphs``).
     """
     return random_graphs(n, avg_degree, palette, [seed])[0]
+
+
+def _batch(mean: float) -> int:
+    """Gaps to draw at once where ``mean`` pairs are expected to be kept:
+    three standard deviations more, so that a batch rarely falls short."""
+    return int(mean + 3.0 * mean**0.5) + 1
+
+
+def _skip(start, u: np.ndarray, p: float, total: int) -> np.ndarray:
+    """The pair indices after ``start`` that uniforms ``u`` keep, along the
+    last axis: the gaps between them are Geometric(p), drawn by inversion.
+    Each gap is clamped at ``total`` before the int64 cast, since at tiny p
+    the quotient exceeds any int64."""
+    gaps = np.minimum(np.floor(np.log1p(-u) / math.log1p(-p)), total).astype(np.int64) + 1
+    return start + np.cumsum(gaps, axis=-1)
 
 
 def random_graphs(n: int, avg_degree: float, palette: int, seeds) -> tuple[LabeledGraph, np.ndarray]:
@@ -206,6 +219,10 @@ def random_graphs(n: int, avg_degree: float, palette: int, seeds) -> tuple[Label
 
     Each seed draws from its own generator exactly as ``random_graph`` does,
     so graph i of the union has the bits of ``random_graph(..., seeds[i])``.
+    The edges come from geometric skipping (Batagelj & Brandes 2005): a seed
+    draws the Geometric(p) gaps between its kept vertex pairs, O(E) uniforms
+    in batches until the running pair index passes n(n-1)/2, and then its n
+    colors. Nothing is allocated per vertex pair.
     """
     seeds = list(seeds)
     if not seeds:
@@ -216,21 +233,31 @@ def random_graphs(n: int, avg_degree: float, palette: int, seeds) -> tuple[Label
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"invalid edge probability {p} (avg_degree={avg_degree}, n={n})")
     # Pairs (i, j), i < j, are numbered row by row, so row i ends before
-    # row_end[i] and pair L of row i has j = L - row_end[i] + n.  The generator
-    # yields the same stream in chunks as in one call, so seeded graphs do not
-    # depend on the chunk size.
+    # row_end[i] and pair L of row i has j = L - row_end[i] + n.
     row_end = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
     total = n * (n - 1) // 2
-    hits, owners, colors = [np.empty(0, dtype=np.int64)], [0], []
-    for g, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for lo in range(0, total, _PAIR_CHUNK):
-            hits.append(np.flatnonzero(rng.random(min(_PAIR_CHUNK, total - lo)) < p) + lo)
-            owners.append(g)
-        colors.append(rng.integers(1, palette + 1, size=n))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if 0.0 < p < 1.0:
+        # Every seed's first batch has the same size, so the first gaps of
+        # all seeds are skipped in one (seeds, batch) array: on a corpus of
+        # small graphs that beats skipping each seed's gaps on its own.
+        u = np.empty((len(seeds), _batch(p * total)))
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        hits = []
+        for rng, first in zip(rngs, _skip(-1, u, p, total)):
+            parts = [first]
+            while parts[-1][-1] < total:  # the batch fell short of the last pair
+                last = int(parts[-1][-1])
+                parts.append(_skip(last, rng.random(_batch(p * (total - 1 - last))), p, total))
+            hit = np.concatenate(parts)
+            hits.append(hit[hit < total])
+    else:  # no gap to draw: no pair is kept, or every one
+        hits = [np.arange(total if p else 0, dtype=np.int64)] * len(seeds)
+    colors = [rng.integers(1, palette + 1, size=n) for rng in rngs]
     hit = np.concatenate(hits)
     # the first vertex of each hit's graph
-    off = np.repeat(np.array(owners, dtype=np.int64) * n, [len(h) for h in hits])
+    off = np.repeat(np.arange(len(seeds), dtype=np.int64) * n, [len(h) for h in hits])
     i = np.searchsorted(row_end, hit, side="right")
     # graph after graph, each canonical and ascending, so the union skips the sort
     edges = np.stack([i + off, hit - row_end[i] + n + off], axis=1)

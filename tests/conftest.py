@@ -1,10 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gc2gnn import LabeledGraph, TreeParams, compile_formula, initial_features, make_tree, parse
+from gc2gnn import LabeledGraph, TreeParams, compile_formula, initial_features, make_tree, parse, read_graph
 from gc2gnn.backend import run_forward
 from gc2gnn.compiler import _pad
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def pinned_graph(n, avg_degree, palette, seed):
+    """The seeded G(n, p) graph that the pair-scan sampler, which drew one
+    uniform per vertex pair, gave for ``random_graph(n, avg_degree, palette,
+    seed)``, read back from the file it was written to.  Digests computed on
+    it pin the forward pass and the oracle, not the sampler."""
+    graph, _ = read_graph(GOLDEN_DIR / f"random-n{n}-d{avg_degree:g}-p{palette}-s{seed}.graph")
+    return graph
 
 
 def forward_history(spec, graph, activation=None):

@@ -184,7 +184,7 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
         pytest.param(("separation", "--k-range", "5:2"), "sweeps must be non-empty", id="k-range-5:2"),
         pytest.param(("compile", "--query", "q1", "--m", "-1"), "composition depth", id="compile-m-1"),
         pytest.param(("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "0"),
-                     "n must be >= 1", id="check-exact-n0"),
+                     "--n 0 must be >= 1", id="check-exact-n0"),
         pytest.param(("compile",), "need --query or --formula", id="compile-no-query"),
         pytest.param(("check-exact", "--query", "q1", "--random-graphs", "0"),
                      "need --graph and/or --random-graphs", id="check-exact-no-graphs"),
@@ -290,6 +290,14 @@ def test_cli_check_exact_passes(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "exactness: PASS" in result.stdout
+
+
+def test_cli_check_exact_samples_a_large_graph():
+    # the sampler skips from edge to edge, so the 5e9 vertex pairs of
+    # n = 1e5 are never enumerated and the whole run takes about a second
+    result = run_cli("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "100000")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("exactness: PASS\n")
 
 
 def test_cli_steplike_verify_exit_code():
@@ -449,8 +457,9 @@ def test_readme_command_lines_parse():
         ("usage-unknown-verb", ("chek",)),
         ("usage-no-verb", ()),
         ("usage-unrecognized-argument", ("check-exact", "--query", "q1", "--bogus", "1")),
-        ("usage-handler-value-error", ("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "0")),
+        ("usage-handler-value-error", ("check-exact", "--query", "q1")),
         ("usage-invalid-int", ("check-exact", "--query", "q1", "--n", "x")),
+        ("usage-n-below-bound", ("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "0")),
     ],
 )
 def test_cli_usage_error_matches_golden(label, argv, capsys, monkeypatch):

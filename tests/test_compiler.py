@@ -477,6 +477,26 @@ def test_spec_serializer_rejects_fractions():
         spec_to_text(spec)
 
 
+def one_entry_spec(bias, weight):
+    layer = GnnLayer(np.array([0]), np.array([bias]), matrix_terms(np.array([[weight]])), (), 1)
+    return GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
+
+
+@pytest.mark.parametrize("value", [1e20, 2.0**63, -1e20])
+def test_spec_serializer_rejects_entries_beyond_int64(value):
+    # the reader parses int64, so the writer writes no entry it would reject
+    for bias, weight in ((value, 1.0), (0.0, value)):
+        with pytest.raises(ValueError) as info:
+            spec_to_text(one_entry_spec(bias, weight))
+        assert str(info.value) == f"entry {value!r} outside the int64 range cannot be serialized"
+
+
+@pytest.mark.parametrize("value", [2.0**62, -(2.0**63)])
+def test_spec_text_round_trips_int64_extremes(value):
+    for spec in (one_entry_spec(value, 1.0), one_entry_spec(0.0, value)):
+        assert spec_from_text(spec_to_text(spec)) == spec
+
+
 def test_spec_serializer_rejects_more_layers_than_d():
     # the reader bounds the depth by d, so the writer writes nothing deeper
     net = compact_q1_net()

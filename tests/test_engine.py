@@ -31,7 +31,7 @@ from gc2gnn.backend import run_forward
 from gc2gnn.compiler import _pad
 from gc2gnn.experiments import tree_pair
 
-from conftest import forward_history, matrix_terms
+from conftest import forward_history, matrix_terms, pinned_graph
 
 
 def test_forward_triangle_all_true(q1_spec, triangle):
@@ -233,7 +233,7 @@ def test_collar_estimate_counterexample():
     # vertices of a max-degree-4 graph, since its pre-activations leave the
     # collar the estimate assumes
     assert required_composition_depth(certificate("step-arctan"), 4) == 1
-    graph = random_graph(40, 2.0, 2, 1)
+    graph = pinned_graph(40, 2.0, 2, 1)
     assert graph.max_degree == 4
     formula = parse("dia>=2 dia>=2 dia>=2 C1", 2)
     spec = compile_formula(formula, 2, ActivationSpec("step-arctan", 1))
@@ -290,8 +290,8 @@ LAYER_ERRORS_SHA256 = {
 def test_layer_errors_bits_pinned(q1_spec):
     chain = chain_spec(60)
     cases = {
-        "q1": (q1_spec.with_activation("step-arctan", 3), random_graph(150, 5.0, 1, 4)),
-        "chain": (chain.with_activation("step-arctan", 14), random_graph(500, 5.0, 2, 7)),
+        "q1": (q1_spec.with_activation("step-arctan", 3), pinned_graph(150, 5.0, 1, 4)),
+        "chain": (chain.with_activation("step-arctan", 14), pinned_graph(500, 5.0, 2, 7)),
     }
     got = {}
     for key, (spec, graph) in cases.items():
@@ -509,7 +509,7 @@ def test_history_bits_pinned(name, q1_spec, q2_spec):
 
     specs = {"q1": q1_spec, "q2": q2_spec, "compact": compact_q1_net(), "dense": dense_integer_spec()}
     graphs = {
-        "random": random_graph(60, 4.0, 2, 11),
+        "random": pinned_graph(60, 4.0, 2, 11),
         "edgeless": LabeledGraph(7, 2, np.array([1, 2, 1, 2, 2, 1, 1]), np.empty((0, 2), dtype=np.int64)),
     }
     got, want = {}, {}
@@ -560,8 +560,9 @@ def test_batched_oracle_matches_per_graph(q2):
 
 
 def sparse_random_graph(n, edges, palette, seed):
-    """A seeded graph from ``edges`` uniform vertex pairs, self-loops dropped:
-    O(n + E) to draw, unlike ``random_graph``'s O(n^2) pair scan."""
+    """A seeded graph from ``edges`` uniform vertex pairs, self-loops dropped.
+    The digests taken on it depend on this function alone, not on the
+    sampler behind ``random_graph``."""
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, n, size=(edges, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]

@@ -18,6 +18,9 @@ from gc2gnn import (
     read_graph,
     write_graph,
 )
+from gc2gnn.graphs import _batch
+
+from conftest import pinned_graph
 
 
 def bfs_reachable(graph, start=0):
@@ -118,15 +121,14 @@ def test_random_graph_deterministic():
 
 
 def test_random_graph_bits_pinned():
-    # 1500 vertices give 1124250 vertex pairs, more than one chunk of draws;
-    # the digests were recorded when all pairs were drawn in one call.
+    # any change to the gap draw, the batch sizes or the color draw moves these
     g = random_graph(1500, 4.0, 2, 7)
-    assert g.edges.shape == (2924, 2)
+    assert g.edges.shape == (2983, 2)
     assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
-        "44792eeb8022c45ed8cdd8d15b1d282c3f9906d250442f43efda124a4ae2b5b0"
+        "5c65d2e732844b9655de2decf9c06b8a13397fe52cf6604c19ef89390ae0ca70"
     )
     assert hashlib.sha256(g.colors.tobytes()).hexdigest() == (
-        "fed53d3da28f8eb7102e47a176a38e574afd90220dcee9f4ed5cea84bb082ab5"
+        "4c980ba718e9cc2aa047d2978cddea2d716753733b2319d3f152061a2baf09fc"
     )
 
 
@@ -150,18 +152,116 @@ def test_random_graph_colors_partition(palette):
     assert g.colors.min() >= 1 and g.colors.max() <= palette
 
 
+@pytest.mark.parametrize("n,avg_degree,edges", [
+    (1, 3.0, 0),  # one vertex has no pair, whatever the degree asked for
+    (30, 0.0, 0),
+    (30, 1e-300, 0),  # the skip quotient exceeds any int64 and is clamped
+    (30, 29.0, 435),  # p = 1: the complete graph
+])
+def test_random_graph_edge_cases(n, avg_degree, edges):
+    g = random_graph(n, avg_degree, 2, 5)
+    assert g.n == n and len(g.edges) == edges
+    if edges:
+        i, j = np.triu_indices(n, 1)
+        assert np.array_equal(g.edges, np.stack([i, j], axis=1))
+
+
+def test_random_graph_edge_count_is_binomial():
+    # Over 1000 seeds at n = 50, avg_degree 4 the edge count is
+    # Binomial(1225, 4/49): mean 100, variance 91.8.  The sample mean's
+    # standard error is 0.30 and the sample variance's about 4.1; the
+    # tolerances are five of each.
+    n, seeds = 50, 1000
+    union, _ = random_graphs(n, 4.0, 1, range(seeds))
+    counts = np.bincount(union.edges[:, 0] // n, minlength=seeds)
+    p = 4.0 / 49
+    assert abs(counts.mean() - 1225 * p) <= 1.5
+    assert abs(counts.var(ddof=1) - 1225 * p * (1 - p)) <= 20.0
+
+
+def test_random_graph_hits_spread_evenly_over_pairs():
+    # Row i of the pair index holds the n - 1 - i pairs (i, j > i); over 1000
+    # seeds at n = 50, p = 4/49 its count has mean 1000 p (n - 1 - i).  The
+    # chi-square of the 49 rows has mean about 49 and deviation about 10.
+    # The first and the last pair, which an off-by-one in the skip would
+    # never keep, are each kept Binomial(1000, p) times: mean 81.6, deviation
+    # 8.7.  Every bound is five deviations.
+    n, seeds = 50, 1000
+    union, _ = random_graphs(n, 4.0, 1, range(seeds))
+    u, v = union.edges[:, 0] % n, union.edges[:, 1] % n
+    p = 4.0 / 49
+    want = seeds * p * np.arange(n - 1, 0, -1)
+    rows = np.bincount(u, minlength=n - 1)  # u < v, so u < n - 1
+    assert ((rows - want) ** 2 / want).sum() <= 49 + 5 * 10
+    for pair in ((0, 1), (n - 2, n - 1)):
+        kept = int(((u == pair[0]) & (v == pair[1])).sum())
+        assert abs(kept - seeds * p) <= 5 * 8.7, (pair, kept)
+
+
+class ZeroUniforms:
+    """A seeded generator whose uniforms are all 0."""
+
+    default_rng = np.random.default_rng  # numpy's, before a test patches it
+
+    def __init__(self, seed):
+        self.rng = ZeroUniforms.default_rng(seed)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_random_graph_refill_continues_after_the_last_hit(monkeypatch):
+    # a uniform of 0 makes its gap 1, so every pair is kept: each batch of
+    # gaps falls short, and each refill must start right after the last pair
+    # the batch before it kept, or a pair is skipped or kept twice
+    monkeypatch.setattr(np.random, "default_rng", ZeroUniforms)
+    union, _ = random_graphs(60, 1.0, 2, [1, 2])
+    i, j = np.triu_indices(60, 1)
+    whole = np.stack([i, j], axis=1)
+    assert np.array_equal(union.edges, np.concatenate([whole, whole + 60]))
+
+
+def test_random_graph_refill_seed_falls_short():
+    # A seed's first batch holds _batch(p * total) gaps and falls short
+    # exactly when the graph keeps that many pairs or more: so seeds 745 and
+    # 1813 at n = 1500, avg_degree 4 draw a second batch, and seed 8 does not.
+    first = _batch(4.0 / 1499 * (1500 * 1499 // 2))
+    kept = {s: len(random_graph(1500, 4.0, 3, s).edges) for s in (745, 1813, 8)}
+    assert kept[745] >= first and kept[1813] >= first and kept[8] < first
+
+
 @pytest.mark.parametrize("n,avg_degree,seeds", [
     (1, 0.0, [3, 4]),
     (2, 1.0, [0]),
     (12, 3.0, [5, 6, 7, 8]),
     (40, 5.0, [11, 2, 11]),
-    (1500, 4.0, [7, 8]),  # each graph draws more than one chunk of pairs
+    (1500, 4.0, [745, 8, 1813]),  # seeds 745 and 1813 refill their batch of gaps
 ])
 def test_random_graphs_is_the_batch_of_random_graph(n, avg_degree, seeds):
     union, offsets = random_graphs(n, avg_degree, 3, seeds)
     want, want_offsets = batch_graphs([random_graph(n, avg_degree, 3, s) for s in seeds])
     assert union == want
     assert offsets.tolist() == want_offsets.tolist()
+
+
+def test_random_graph_memory_is_linear():
+    # 10^6 vertices and about 2.5 * 10^6 edges are sampled in O(n + E)
+    # memory, where one byte per vertex pair would be 5 * 10^11 bytes
+    n = 10**6
+    tracemalloc.start()
+    try:
+        g = random_graph(n, 5.0, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(2 * len(g.edges) / n - 5.0) <= 0.05
+    assert peak <= 128 * (n + len(g.edges)), peak / (n + len(g.edges))
 
 
 def test_random_graphs_needs_a_seed():
@@ -299,8 +399,8 @@ def test_io_round_trip_colored(tmp_path):
     assert back == g
 
 
-# sha256 of the file write_graph writes for random_graph(40, 3.0, 3, 5),
-# without a root and with root 7.
+# sha256 of the file write_graph writes for the pinned random_graph(40,
+# 3.0, 3, 5), without a root and with root 7.
 WRITE_GRAPH_SHA256 = {
     None: "37df57dddfecc30a2bcd955480a5ae5600be21cab1334e19e0fb86cab59e8117",
     7: "f350d48e1cbba6883c045f2b2c21bd777b2ebb861a4fc5f47132f18c212a3c77",
@@ -310,7 +410,7 @@ WRITE_GRAPH_SHA256 = {
 @pytest.mark.parametrize("root", [None, 7])
 def test_write_graph_bytes_pinned(tmp_path, root):
     path = tmp_path / "g.graph"
-    write_graph(path, random_graph(40, 3.0, 3, 5), root=root)
+    write_graph(path, pinned_graph(40, 3.0, 3, 5), root=root)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITE_GRAPH_SHA256[root]
 
 

@@ -4,12 +4,13 @@ A layer stores one rule row per coordinate it computes, as the row's
 nonzeros (``GnnLayer.a_terms`` and ``b_terms``); every other coordinate
 carries over unchanged.  The state is column-major: one (d, n) feature
 array, updated in place, and one (d, n) neighbour-sum array per run, each
-coordinate a contiguous row; ``init`` is transposed once on entry and the
-(n, d) view of the last layer returned.  Per layer the executor sums
-neighbour values only for the coordinates B reads, with one ``take`` over
-the edge sources each, and overwrites only the stored rows.  The activation
-then takes one cache-sized block at a time through all m compositions
-(``activations._compose``).
+coordinate a contiguous row.  ``layer_states``, the one loop over the
+layers, transposes ``init`` once and yields the state before and after each
+layer; ``run_forward`` returns the (n, d) view of the last.  Per layer the
+loop sums neighbour values only for the coordinates B reads, with one
+``take`` over the edge sources each, and overwrites only the stored rows.
+The activation then takes one cache-sized block at a time through all m
+compositions (``activations._compose``).
 
 Per term position, a layer's rows take one (k, n) gather of whole
 coordinate rows and one multiply by their coefficients, so a row costs its
@@ -88,22 +89,28 @@ def _combine(layer, cur, agg):
     return z
 
 
-def run_forward(init, graph, layers, name, m, keep=None):
-    """Evaluate the layered update rule from the (n, d) features ``init`` and
-    return the (n, d) features after the last layer, a transposed view of
-    the executor's (d, n) state.
-
-    Only the columns in ``keep`` (default: all) are guaranteed to hold their
-    values; the others may be stale.  ``init`` is not modified."""
+def layer_states(init, graph, layers, name, m, live):
+    """Yield the (d, n) state of a run from the (n, d) features ``init``:
+    once before the first layer, then after each layer t has activated the
+    columns ``live[t]``.  It is one array, updated in place by the next layer."""
     cur = np.array(np.asarray(init, dtype=np.float64).T, order="C")
     if not np.isfinite(cur).all():
         raise ValueError("initial features must be finite")
     d, n = cur.shape
     agg = np.zeros((d, n))
-    for layer, live in zip(layers, _live_columns(layers, d, keep)):
+    yield cur
+    for layer, cols in zip(layers, live):
         if layer.rows.size:
             for j in layer.agg_reads:
                 agg[j] = np.bincount(graph.edge_dst, weights=cur[j].take(graph.edge_src), minlength=n)
             cur[layer.rows] = _combine(layer, cur, agg)
-        cur[live] = activations.apply_activation(name, m, cur[live])
+        cur[cols] = activations.apply_activation(name, m, cur[cols])
+        yield cur
+
+
+def run_forward(init, graph, layers, name, m, keep=None):
+    """The (n, d) features after the last layer, a transposed view of the
+    final state of ``layer_states``.  Only the columns in ``keep`` (default:
+    all) are guaranteed to hold their values; the others may be stale."""
+    *_, cur = layer_states(init, graph, layers, name, m, _live_columns(layers, np.shape(init)[1], keep))
     return cur.T

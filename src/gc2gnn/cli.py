@@ -28,6 +28,7 @@ from .activations import (
 from .compiler import compile_formula, read_spec, spec_to_text
 from .engine import forward_outputs
 from .experiments import (
+    _PRESETS,
     BoundViolation,
     check_convergence_rows,
     check_saturation_decay,
@@ -107,14 +108,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_exact(args) -> int:
-    _, formula, palette = load_query(_query_text(args), args.palette)
+    text, palette = _query_text(args), args.palette
     labels, parts = [], []  # (label, n) per graph; the graphs to batch
     if args.graph:
         loaded, _ = read_graph(args.graph)
-        if loaded.palette > palette:
-            palette = loaded.palette
+        if palette is None:  # parse as eval does, or against the preset's own palette if larger
+            palette = max(loaded.palette, _PRESETS.get(text.lower(), (None, 1))[1])
         labels.append(("file:" + args.graph, loaded.n))
         parts.append(loaded)
+    _, formula, palette = load_query(text, palette)
+    palette = max(palette, loaded.palette) if args.graph else palette
     if args.random_graphs:
         seeds = range(args.seed, args.seed + args.random_graphs)
         parts.append(random_graphs(args.n, args.avg_degree, palette, seeds)[0])

@@ -1,4 +1,4 @@
-"""Translate GC2 formulas into explicit per-layer integer weight matrices.
+"""Translate GC2 formulas into layers of sparse integer rule rows.
 
 Each distinct subformula owns one embedding coordinate.  Color atoms start
 as their indicator and ``top`` starts at 1, so atoms are correct before the
@@ -7,9 +7,9 @@ and every other coordinate carries forward unchanged.  Running the result
 under the hard threshold (or clipped relu: pre-activations are integers)
 reproduces the brute-force evaluator at every coordinate.
 
-A layer stores only its rule rows, in memory and in the text format alike;
-the identity carries are never written out.  A row is its nonzeros alone,
-so a network holds and writes O(1) numbers per connective.
+A layer stores only its rule rows, in memory and in the text format alike,
+and a row only its nonzeros, as term lists (``GnnLayer.a_terms`` and
+``b_terms``), so a network holds and writes O(1) numbers per connective.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ against the exact threshold run."""
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from . import backend as backend_mod
@@ -72,12 +74,9 @@ def layer_errors(spec: GnnSpec, graph: LabeledGraph) -> np.ndarray:
     m = 1, as a (T+1,) array whose entry 0 is 0.
 
     The two runs advance side by side one layer at a time, so only their
-    current (n, d) features are held."""
+    current (d, n) states are held."""
     act = spec.activation
-    approx = exact = initial_features(spec, graph)
-    eps = np.zeros(spec.iterations + 1)
-    for t, layer in enumerate(spec.layers, start=1):
-        approx = backend_mod.run_forward(approx, graph, (layer,), act.name, act.m)
-        exact = backend_mod.run_forward(exact, graph, (layer,), "sigma-star", 1)
-        eps[t] = np.abs(approx - exact).max()
-    return eps
+    init, every = initial_features(spec, graph), repeat(slice(None))
+    approx = backend_mod.layer_states(init, graph, spec.layers, act.name, act.m, every)
+    exact = backend_mod.layer_states(init, graph, spec.layers, "sigma-star", 1, every)
+    return np.array([np.abs(a - e).max() for a, e in zip(approx, exact)])

@@ -41,6 +41,7 @@ CSV_HEADER = "experiment,query,activation,m,k,n,delta,value,seconds"
 
 Q1_TEXT = "not (dia>=1 (not (dia>=2 top)))"
 Q2_TEXT = "(C1 and dia>=1 ((dia>=1 C2) and (dia>=1 C1)))"
+_PRESETS = {"q1": (Q1_TEXT, 1), "q2": (Q2_TEXT, 2)}  # name: (text, own palette)
 
 # Collar samples of a convergence sweep (not the certificate check's collar,
 # ``activations._COLLAR_POINTS``), and the slack an observed row may take
@@ -85,7 +86,7 @@ def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Form
     (1 for raw text).
     """
     label = name_or_text.lower()
-    text, own = {"q1": (Q1_TEXT, 1), "q2": (Q2_TEXT, 2)}.get(label, (None, 1))
+    text, own = _PRESETS.get(label, (None, 1))
     if text is None:
         label = text = name_or_text
     palette = own if palette is None else palette

@@ -1,10 +1,11 @@
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gc2gnn import LabeledGraph, TreeParams, compile_formula, initial_features, make_tree, parse, read_graph
-from gc2gnn.backend import run_forward
+from gc2gnn.backend import layer_states
 from gc2gnn.compiler import _pad
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
 
@@ -23,12 +24,13 @@ def pinned_graph(n, avg_degree, palette, seed):
 
 def forward_history(spec, graph, activation=None):
     """The (T+1, n, d) stack of every layer's features, entry 0 the initial
-    ones, built from one-layer ``run_forward`` steps."""
+    ones: a copy of each state ``layer_states`` yields, with every column
+    live at every layer."""
     act = activation or spec.activation
-    feats = [initial_features(spec, graph)]
-    for layer in spec.layers:
-        feats.append(run_forward(feats[-1], graph, (layer,), act.name, act.m))
-    return np.stack(feats)
+    states = layer_states(
+        initial_features(spec, graph), graph, spec.layers, act.name, act.m, repeat(slice(None))
+    )
+    return np.stack([s.T.copy() for s in states])
 
 
 def matrix_terms(matrix):

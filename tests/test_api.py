@@ -4,8 +4,12 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import gc2gnn
 from gc2gnn import activations, backend, compile_formula, engine, parse
+
+from conftest import forward_history
 
 
 def test_public_names_resolve():
@@ -32,3 +36,30 @@ def test_traced_functions_keep_their_parameters():
     for layer in spec.layers:
         k = layer.rows.size
         assert layer.A.shape == layer.B.shape == (k, spec.d) and layer.c.shape == (k,)
+
+
+def test_forward_enters_the_executor_through_run_forward(monkeypatch, q1_spec, path3):
+    # perfbench/tracing.py times backend.self_s by wrapping run_forward, so
+    # each forward reaches the executor through it exactly once
+    calls = []
+    run_forward = backend.run_forward
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return run_forward(*args, **kw)
+
+    monkeypatch.setattr(backend, "run_forward", counted)
+    engine.forward(q1_spec, path3)
+    engine.forward_outputs(q1_spec, path3)
+    assert len(calls) == 2
+
+
+def test_per_layer_runs_bypass_run_forward(monkeypatch, q1_spec, triangle):
+    # layer_errors and the test history step through backend.layer_states,
+    # never re-entering run_forward with a one-layer tuple
+    def refuse(*args, **kw):
+        raise AssertionError("run_forward called")
+
+    monkeypatch.setattr(backend, "run_forward", refuse)
+    assert np.array_equal(engine.layer_errors(q1_spec, triangle), np.zeros(q1_spec.iterations + 1))
+    assert forward_history(q1_spec, triangle).shape == (q1_spec.iterations + 1, 3, q1_spec.d)

@@ -348,6 +348,23 @@ def test_cli_check_exact_keeps_file_palette_error(tmp_path):
         assert result.stdout == "" and "Traceback" not in result.stderr
 
 
+def test_cli_check_exact_parses_against_file_palette(tmp_path):
+    # Without --palette, check-exact parses the text against the file's
+    # palette, as eval does; a preset keeps its own palette if that is larger.
+    graph_path = tmp_path / "two.graph"
+    write_graph(graph_path, LabeledGraph(3, 2, np.array([1, 2, 1]), np.array([[0, 1], [1, 2]])))
+    answers = run_cli("eval", "--formula", "dia>=1 C2", "--graph", str(graph_path))
+    assert answers.returncode == 0 and answers.stdout == "0 1.0\n1 0.0\n2 1.0\n"
+    for extra in ((), ("--random-graphs", "2", "--n", "20")):
+        result = run_cli("check-exact", "--formula", "dia>=1 C2", "--graph", str(graph_path), *extra)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("exactness: PASS\n")
+    write_graph(graph_path, LabeledGraph(3, 1, np.ones(3, dtype=np.int64), np.array([[0, 1], [1, 2]])))
+    result = run_cli("check-exact", "--query", "q2", "--graph", str(graph_path))
+    assert result.returncode == 2
+    assert "color C2 outside the graph palette [1, 1]" in result.stderr
+
+
 # A non-ASCII byte in either input file is a format error naming its offset.
 @pytest.mark.parametrize("char", ["\u00a0", "\u0661"], ids=["no-break-space", "arabic-indic-digit"])
 @pytest.mark.parametrize("bad", ["graph", "spec"])

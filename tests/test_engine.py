@@ -67,8 +67,8 @@ def test_zero_iteration_spec_returns_init(triangle):
 )
 def test_live_columns_keep_every_output_bit(seed, n, name, m):
     # forward_outputs activates only the columns the output depends on and
-    # forward only those some later layer or the result reads; the one-layer
-    # steps of forward_history activate every column at every layer
+    # forward only those some later layer or the result reads; the
+    # layer_states run of forward_history activates every column at every layer
     rng = np.random.default_rng(seed)
     spec = compile_formula(random_formula(rng, 2, max_depth=8), 2)
     graph = random_graph(n, float(rng.uniform(0.0, min(6.0, n - 1))), 2, seed)

@@ -17,14 +17,14 @@ coordinate rows and one multiply by their coefficients, so a row costs its
 nonzeros, not d.  Every row is computed before any is written, since a row
 may read a coordinate that another row of the same layer writes.
 
-Only live coordinates are activated.  Coordinate j is live after layer t
-when the caller keeps it or a later layer reads it before it fires again.
-One backward pass over the layers finds them, starting from the kept
-coordinates: ``live_after(t-1) = (live_after(t) - rows(t)) | reads(t)``,
-where ``reads(t)`` are the coordinates with a nonzero coefficient in layer
-t's A or B.  A kept coordinate therefore sees the same activations, layer
-by layer, as it would if every coordinate were activated; one that is not
-live keeps a stale value.
+Given ``keep``, only live coordinates are activated: j is live after layer
+t when the caller keeps it or a later layer reads it before it fires
+again.  One backward pass over the layers finds them, starting from the
+kept coordinates: ``live_after(t-1) = (live_after(t) - rows(t)) |
+reads(t)``, where ``reads(t)`` are the coordinates with a nonzero
+coefficient in layer t's A or B.  A kept coordinate therefore sees the
+same activations, layer by layer, as it would if every coordinate were
+activated; one that is not live keeps a stale value.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
 order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
@@ -46,12 +46,12 @@ from . import activations
 
 def _live_columns(layers, d, keep):
     """For each layer, an index of the coordinates whose activated value a
-    later layer or the result reads; ``keep=None`` keeps all ``d``.
+    later layer or the result reads.
 
     A contiguous run of coordinates is a slice: read and written back as a
     view, it costs a fraction of a fancy index's gather and scatter."""
     live = np.zeros(d, dtype=bool)
-    live[slice(None) if keep is None else np.asarray(keep, dtype=np.int64)] = True
+    live[np.asarray(keep, dtype=np.int64)] = True
     after = []
     for layer in reversed(layers):
         cols = np.flatnonzero(live)
@@ -89,15 +89,16 @@ def _combine(layer, cur, agg):
     return z
 
 
-def layer_states(init, graph, layers, name, m, live):
-    """Yield the (d, n) state of a run from the (n, d) features ``init``:
-    once before the first layer, then after each layer t has activated the
-    columns ``live[t]``.  It is one array, updated in place by the next layer."""
+def layer_states(init, graph, layers, name, m, keep=None):
+    """Yield the (d, n) state of a run from the (n, d) features ``init``, one
+    array updated in place: once before the first layer, then after each
+    layer has activated every column, or only the live ones given ``keep``."""
     cur = np.array(np.asarray(init, dtype=np.float64).T, order="C")
     if not np.isfinite(cur).all():
         raise ValueError("initial features must be finite")
     d, n = cur.shape
     agg = np.zeros((d, n))
+    live = [slice(None)] * len(layers) if keep is None else _live_columns(layers, d, keep)
     yield cur
     for layer, cols in zip(layers, live):
         if layer.rows.size:
@@ -111,6 +112,7 @@ def layer_states(init, graph, layers, name, m, live):
 def run_forward(init, graph, layers, name, m, keep=None):
     """The (n, d) features after the last layer, a transposed view of the
     final state of ``layer_states``.  Only the columns in ``keep`` (default:
-    all) are guaranteed to hold their values; the others may be stale."""
-    *_, cur = layer_states(init, graph, layers, name, m, _live_columns(layers, np.shape(init)[1], keep))
+    all) are guaranteed to hold their values; the others may be stale.
+    Keeping all still skips a column that its next layer overwrites unread."""
+    *_, cur = layer_states(init, graph, layers, name, m, range(np.shape(init)[1]) if keep is None else keep)
     return cur.T

@@ -3,8 +3,6 @@ against the exact threshold run."""
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 from . import backend as backend_mod
@@ -76,7 +74,7 @@ def layer_errors(spec: GnnSpec, graph: LabeledGraph) -> np.ndarray:
     The two runs advance side by side one layer at a time, so only their
     current (d, n) states are held."""
     act = spec.activation
-    init, every = initial_features(spec, graph), repeat(slice(None))
-    approx = backend_mod.layer_states(init, graph, spec.layers, act.name, act.m, every)
-    exact = backend_mod.layer_states(init, graph, spec.layers, "sigma-star", 1, every)
+    init = initial_features(spec, graph)
+    approx = backend_mod.layer_states(init, graph, spec.layers, act.name, act.m)
+    exact = backend_mod.layer_states(init, graph, spec.layers, "sigma-star", 1)
     return np.array([np.abs(a - e).max() for a, e in zip(approx, exact)])

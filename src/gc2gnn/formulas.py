@@ -3,11 +3,12 @@
 The logic has color atoms ``C1 .. Cl``, the always-true atom ``top``,
 negation, conjunction, and the graded neighborhood quantifier
 ``dia>=K phi`` ("at least K neighbors satisfy phi").  Nodes are frozen
-dataclasses that compare, hash and print without recursion, so ``==``,
-``hash``, ``str`` and ``repr`` work at any depth.  Deduplication happens
-once, in ``subformulas``: it numbers the distinct subformulas by (kind,
-payload, child positions), so downstream code indexes by position and never
-hashes or compares a whole subtree.
+dataclasses that compare, hash and print without recursion, and ``parse``
+reads text with one loop, so ``parse``, ``==``, ``hash``, ``str`` and
+``repr`` work at any depth.  Deduplication happens once, in
+``subformulas``: it numbers the distinct subformulas by (kind, payload,
+child positions), so downstream code indexes by position and never hashes
+or compares a whole subtree.
 
 Concrete grammar (whitespace-insensitive)::
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from functools import partial
 from string import Formatter
 
 import numpy as np
@@ -194,60 +196,54 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 def parse(text: str, palette_size: int) -> Formula:
     """Parse the concrete grammar against a palette of ``palette_size`` colors.
-
-    Malformed text, including nesting deeper than the parser's recursion can
-    reach, raises ``FormulaSyntaxError``."""
+    Malformed text raises ``FormulaSyntaxError``; a formula of any depth parses."""
     if palette_size < 1:
         raise ValueError("palette_size must be >= 1")
-    tokens = _tokenize(text)
-    try:
-        formula, nxt = _parse_formula(tokens, 0, palette_size, len(text))
-    except RecursionError:
-        raise FormulaSyntaxError("formula nested too deeply", 0) from None
-    if nxt != len(tokens):
-        raise FormulaSyntaxError("unexpected trailing input", tokens[nxt][2])
-    return formula
-
-
-def _parse_formula(tokens, i, palette_size, end_pos) -> tuple[Formula, int]:
-    if i >= len(tokens):
-        raise FormulaSyntaxError("unexpected end of input", end_pos)
-    kind, value, pos = tokens[i]
-    if kind == "color":
-        index = int(value[1:])
-        if not 1 <= index <= palette_size:
-            raise FormulaSyntaxError(
-                f"color index {index} out of range [1, {palette_size}]", pos
-            )
-        return Color(index), i + 1
-    if kind == "word" and value == "top":
-        return TOP, i + 1
-    if kind == "word" and value == "not":
-        child, nxt = _parse_formula(tokens, i + 1, palette_size, end_pos)
-        return Not(child), nxt
-    if kind == "word" and value == "dia":
-        if i + 1 >= len(tokens) or tokens[i + 1][0] != ">=":
-            raise FormulaSyntaxError("expected '>=' after 'dia'", pos)
-        if i + 2 >= len(tokens) or tokens[i + 2][0] != "int":
-            raise FormulaSyntaxError("expected an integer threshold after 'dia>='", pos)
-        threshold = int(tokens[i + 2][1])
-        if threshold < 1:
-            raise FormulaSyntaxError("diamond threshold must be >= 1", tokens[i + 2][2])
-        child, nxt = _parse_formula(tokens, i + 3, palette_size, end_pos)
-        return Diamond(threshold, child), nxt
-    if kind == "(":
-        left, nxt = _parse_formula(tokens, i + 1, palette_size, end_pos)
-        if nxt < len(tokens) and tokens[nxt][0] == ")":
-            return left, nxt + 1  # grouping parentheses
-        if nxt >= len(tokens) or tokens[nxt][:2] != ("word", "and"):
-            raise FormulaSyntaxError(
-                "expected 'and' or ')'", tokens[nxt][2] if nxt < len(tokens) else end_pos
-            )
-        right, nxt = _parse_formula(tokens, nxt + 1, palette_size, end_pos)
-        if nxt >= len(tokens) or tokens[nxt][0] != ")":
-            raise FormulaSyntaxError("expected ')'", tokens[nxt][2] if nxt < len(tokens) else end_pos)
-        return And(left, right), nxt + 1
-    raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
+    tokens = _tokenize(text) + [("end", "", len(text))]
+    # Operators waiting for an operand: Not, a Diamond partial, "(" or the left
+    # operand of an And; the None at the bottom waits for the whole formula.
+    pending, i = [None], 0
+    while True:
+        (kind, value, pos), i = tokens[i], i + 1
+        if kind == "color":
+            index = int(value[1:])
+            if not 1 <= index <= palette_size:
+                raise FormulaSyntaxError(f"color index {index} out of range [1, {palette_size}]", pos)
+            formula = Color(index)
+        elif (kind, value) == ("word", "top"):
+            formula = TOP
+        elif (kind, value) == ("word", "not") or kind == "(":
+            pending.append(Not if kind == "word" else "(")
+            continue
+        elif (kind, value) == ("word", "dia"):
+            if tokens[i][0] != ">=":
+                raise FormulaSyntaxError("expected '>=' after 'dia'", pos)
+            if tokens[i + 1][0] != "int":
+                raise FormulaSyntaxError("expected an integer threshold after 'dia>='", pos)
+            threshold = int(tokens[i + 1][1])
+            if threshold < 1:
+                raise FormulaSyntaxError("diamond threshold must be >= 1", tokens[i + 1][2])
+            pending.append(partial(Diamond, threshold))
+            i += 2
+            continue
+        else:
+            raise FormulaSyntaxError("unexpected end of input" if kind == "end" else f"unexpected token {value!r}", pos)
+        while True:  # close every operator that ``formula`` completes
+            op, (kind, value, pos) = pending.pop(), tokens[i]
+            if callable(op):
+                formula = op(formula)
+            elif op is None:
+                if kind != "end":
+                    raise FormulaSyntaxError("unexpected trailing input", pos)
+                return formula
+            elif kind == ")":  # ends a group, or an And whose left operand is ``op``
+                formula, i = formula if op == "(" else And(op, formula), i + 1
+            elif op == "(" and (kind, value) == ("word", "and"):
+                pending.append(formula)
+                i += 1
+                break
+            else:
+                raise FormulaSyntaxError("expected 'and' or ')'" if op == "(" else "expected ')'", pos)
 
 
 @dataclass(frozen=True)

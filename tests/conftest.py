@@ -1,4 +1,3 @@
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +26,7 @@ def forward_history(spec, graph, activation=None):
     ones: a copy of each state ``layer_states`` yields, with every column
     live at every layer."""
     act = activation or spec.activation
-    states = layer_states(
-        initial_features(spec, graph), graph, spec.layers, act.name, act.m, repeat(slice(None))
-    )
+    states = layer_states(initial_features(spec, graph), graph, spec.layers, act.name, act.m)
     return np.stack([s.T.copy() for s in states])
 
 

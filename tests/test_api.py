@@ -1,13 +1,25 @@
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 from pathlib import Path
 
 import numpy as np
 
 import gc2gnn
-from gc2gnn import activations, backend, compile_formula, engine, parse
+from gc2gnn import (
+    TreeParams,
+    activations,
+    backend,
+    cli,
+    compile_formula,
+    engine,
+    graphs,
+    make_tree,
+    parse,
+    write_graph,
+)
 
 from conftest import forward_history
 
@@ -36,6 +48,33 @@ def test_traced_functions_keep_their_parameters():
     for layer in spec.layers:
         k = layer.rows.size
         assert layer.A.shape == layer.B.shape == (k, spec.d) and layer.c.shape == (k,)
+
+
+def test_benchmark_trace_reads_every_metric(monkeypatch, tmp_path, capsys):
+    # a per-layer metric is None when a traced function is gone or a counter
+    # hook raises, and a non-finite one prints as NaN, which is not JSON; the
+    # calls below reach every target perfbench/tracing.py wraps
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tree, root = make_tree(TreeParams(1, 3, 4))
+    write_graph(tmp_path / "tree.graph", tree, root=root)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        graphs.random_graph(30, 3.0, 2, 0)
+        for argv in (
+            ("check-exact", "--query", "q2", "--random-graphs", "1", "--n", "20"),
+            ("eval", "--query", "q1", "--graph", str(tmp_path / "tree.graph")),
+            ("separation", "--k-range", "2:3", "--m", "4"),
+            ("saturation", "--query", "q1", "--k-range", "2:3"),
+        ):
+            assert cli.main(list(argv)) == 0, argv
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert not tracer.missing and not tracer.broken
+    values = {name: metric["value"] for name, metric in tracer.metrics().items()}
+    assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values.values()), values
 
 
 def test_forward_enters_the_executor_through_run_forward(monkeypatch, q1_spec, path3):

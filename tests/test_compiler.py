@@ -158,7 +158,7 @@ def test_compile_memory_is_linear_in_a_chain():
 
 def test_deep_nesting_compiles_and_matches_oracle():
     # 750 nested connectives: deeper than a recursive walk over the formula
-    # could go, but within what parse accepts
+    # could go
     formula = parse("dia>=1 (C1 and not " * 250 + "top" + ")" * 250, 2)
     spec = compile_formula(formula, 2)
     assert carry_forward_check(spec)
@@ -166,6 +166,29 @@ def test_deep_nesting_compiles_and_matches_oracle():
         graph = random_graph(40, 3.0, 2, seed)
         want = eval_oracle_all(formula, graph)
         assert np.array_equal(forward_outputs(spec, graph), want.astype(np.float64)), seed
+
+
+@pytest.mark.parametrize("kind", ["not", "and", "dia"])
+def test_any_depth_parses_compiles_and_matches_oracle(kind):
+    # 2000 levels of one connective, twice Python's default recursion
+    # limit; the and-chain nests on the left and on the right in turn
+    f = Color(1)
+    for i in range(2000):
+        if kind == "not":
+            f = Not(f)
+        elif kind == "dia":
+            f = Diamond(1 + i % 2, f)
+        else:
+            f = And(f, TOP) if i % 2 else And(Not(Color(2)), f)
+    formula = parse(str(f), 2)
+    assert formula == f
+    spec = compile_formula(formula, 2)
+    assert spec_from_text(spec_to_text(spec)) == spec
+    for seed in range(2):
+        graph = random_graph(30, 3.0, 2, seed)
+        want = eval_oracle_all(formula, graph).astype(np.float64)
+        for act in (ActivationSpec("sigma-star", 1), ActivationSpec("crelu", 1)):
+            assert np.array_equal(forward_outputs(spec, graph, act), want), (seed, act)
 
 
 @pytest.mark.parametrize(

@@ -243,11 +243,13 @@ def test_deep_formula_equality_and_hash():
 
 
 def test_deep_formula_printing():
-    # 5000 nested negations: str and repr walk the tree with a stack
+    # 5000 nested negations: str and repr walk the tree with a stack, and
+    # parse reads the text back with one loop
     f = Color(1)
     for _ in range(5000):
         f = Not(f)
     assert str(f) == to_text(f) == "not " * 5000 + "C1"
+    assert parse(str(f), 1) == f
     assert repr(f) == "Not(child=" * 5000 + "Color(index=1)" + ")" * 5000
     deep = parse("dia>=1 (C1 and not " * 300 + "top" + ")" * 300, 2)
     assert parse(str(deep), 2) == deep

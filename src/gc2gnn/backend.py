@@ -1,10 +1,11 @@
 """Forward pass: a sparse rule-row executor over the spec's layers.
 
 A layer stores one rule row per coordinate it computes, as the row's
-nonzeros (``GnnLayer.a_terms`` and ``b_terms``); every other coordinate
-carries over unchanged.  The state is column-major: one (d, n) feature
-array, updated in place, and one (d, n) neighbour-sum array per run, each
-coordinate a contiguous row.  ``layer_states``, the one loop over the
+nonzero ``(p, v)`` terms (``GnnLayer.terms``); every other coordinate
+carries over unchanged.  The executor reads the terms by term position,
+padded (``GnnLayer.a_terms`` and ``b_terms``).  The state is column-major:
+one (d, n) feature array, updated in place, and one (d, n) neighbour-sum
+array per run, each coordinate a contiguous row.  ``layer_states``, the one loop over the
 layers, transposes ``init`` once and yields the state before and after each
 layer; ``run_forward`` returns the (n, d) view of the last.  Per layer the
 loop sums neighbour values only for the coordinates B reads, with one
@@ -30,11 +31,12 @@ Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
 order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
 the fold ``(c + S_A) + S_B`` (``c + S_B`` without A terms), where ``S_A =
 (a1 x1 + a2 x2) + a3 x3 ...`` sums its A terms left to right in term order,
-the ascending column order the spec fixes, and ``S_B`` its B terms likewise.
-A padded term or a stale value enters only through a zero coefficient, which
-changes a sum at most in the sign of a zero, and that sign never passes the
-bias, an integer and never -0.0.  All of this holds while every value is
-finite (``0 * inf`` is NaN), so a non-finite ``init`` is rejected.
+the ascending p order that ``GnnLayer`` enforces, and ``S_B`` its B terms
+likewise.  A padded term or a stale value enters only through a zero
+coefficient, which changes a sum at most in the sign of a zero, and that
+sign never passes the bias, an integer and never -0.0.  All of this holds
+while every value is finite (``0 * inf`` is NaN), so a non-finite ``init``
+is rejected, and so is a layer whose pre-activations overflow.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ def _combine(layer, cur, agg):
 def layer_states(init, graph, layers, name, m, keep=None):
     """Yield the (d, n) state of a run from the (n, d) features ``init``, one
     array updated in place: once before the first layer, then after each
-    layer has activated every column, or only the live ones given ``keep``."""
+    layer has activated every column, or only the live ones given ``keep``.
+    A layer whose pre-activations are not all finite raises ValueError."""
     cur = np.array(np.asarray(init, dtype=np.float64).T, order="C")
     if not np.isfinite(cur).all():
         raise ValueError("initial features must be finite")
@@ -100,11 +103,15 @@ def layer_states(init, graph, layers, name, m, keep=None):
     agg = np.zeros((d, n))
     live = [slice(None)] * len(layers) if keep is None else _live_columns(layers, d, keep)
     yield cur
-    for layer, cols in zip(layers, live):
+    for t, (layer, cols) in enumerate(zip(layers, live), start=1):
         if layer.rows.size:
             for j in layer.agg_reads:
                 agg[j] = np.bincount(graph.edge_dst, weights=cur[j].take(graph.edge_src), minlength=n)
-            cur[layer.rows] = _combine(layer, cur, agg)
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = _combine(layer, cur, agg)
+            if not np.isfinite(z).all():
+                raise ValueError(f"layer {t} has a pre-activation that is not finite")
+            cur[layer.rows] = z
         cur[cols] = activations.apply_activation(name, m, cur[cols])
         yield cur
 

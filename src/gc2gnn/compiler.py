@@ -8,8 +8,8 @@ under the hard threshold (or clipped relu: pre-activations are integers)
 reproduces the brute-force evaluator at every coordinate.
 
 A layer stores only its rule rows, in memory and in the text format alike,
-and a row only its nonzeros, as term lists (``GnnLayer.a_terms`` and
-``b_terms``), so a network holds and writes O(1) numbers per connective.
+and a row only its nonzero ``(p, v)`` terms (``GnnLayer.terms``), one text
+line each, so a network holds and writes O(1) numbers per connective.
 """
 
 from __future__ import annotations
@@ -41,31 +41,26 @@ class SpecFormatError(ValueError):
     """Raised when a serialized network cannot be parsed."""
 
 
-def _pad(rows):
-    """The k rows' lists of ``(column, coefficient)`` terms by term position:
-    one ``(columns, coefficients)`` pair of (k,) arrays per position, as many
-    as the longest list has terms.  A row with fewer terms has a zero
-    coefficient on column 0 at the positions it lacks."""
+def _pad(terms, d, low):
+    """The rows' terms at positions p in ``[low, low + d)``, as ``(p - low, v)``,
+    by term position: one ``(columns, coefficients)`` pair of (k,) arrays per
+    position, as many as the longest row has such terms.  A row with fewer
+    has a zero coefficient on column 0 at the positions it lacks."""
+    rows = [[(p - low, v) for p, v in row if low <= p < low + d] for row in terms]
     width = max(map(len, rows), default=0)
-    padded = [terms + [(0, 0.0)] * (width - len(terms)) for terms in rows]
+    padded = [row + [(0, 0.0)] * (width - len(row)) for row in rows]
     return tuple(
-        (np.array([t[p][0] for t in padded], dtype=np.int64), np.array([t[p][1] for t in padded]))
-        for p in range(width)
+        (np.array([t[i][0] for t in padded], dtype=np.int64), np.array([t[i][1] for t in padded]))
+        for i in range(width)
     )
 
 
-def _dense(terms, k, d):
-    """The (k, d) matrix whose rows hold the term lists ``terms``."""
-    matrix = np.zeros((k, d))
-    for cols, coefs in terms:
-        matrix[np.arange(k), cols] += coefs
+def _dense(terms, d, low):
+    """The (k, d) matrix of the rows' weights at positions p in ``[low, low + d)``."""
+    matrix = np.zeros((len(terms), d))
+    for cols, coefs in _pad(terms, d, low):
+        matrix[np.arange(len(terms)), cols] += coefs
     return matrix
-
-
-def _columns(terms):
-    """The ascending distinct columns with a nonzero coefficient in ``terms``."""
-    read = {col for cols, coefs in terms for col, coef in zip(cols.tolist(), coefs.tolist()) if coef != 0.0}
-    return np.array(sorted(read), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,69 +69,69 @@ class GnnLayer:
 
     Row ``r`` computes coordinate ``rows[r]`` as ``c[r] + A[r] . x + B[r] . agg``
     from the previous layer's ``d`` features ``x`` and their neighbour sum
-    ``agg``; ``rows`` is ascending and distinct in ``[0, d)``.  The layer
-    stores only the rows' nonzeros, by term position in ``a_terms`` and
-    ``b_terms`` (see ``_pad``), which every package path reads.
+    ``agg``; ``rows`` is ascending and distinct in ``[0, d)``.  ``terms[r]``
+    holds the row's nonzero weights as ``(p, v)`` pairs, p strictly ascending
+    in ``[0, 2d)``: A column p for p < d, else B column p - d, the positions
+    and order of the text format's lines.  Zero weights are dropped.
     """
 
     rows: np.ndarray
     c: np.ndarray
-    a_terms: tuple[tuple[np.ndarray, np.ndarray], ...]
-    b_terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    terms: tuple[tuple[tuple[int, float], ...], ...]
     d: int
 
     def __post_init__(self):
         rows, c = np.asarray(self.rows), np.ascontiguousarray(self.c, dtype=np.float64)
         if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
             raise ValueError("rows must be a 1-D integer array")
-        a_terms, b_terms = (
-            tuple((np.asarray(j), np.ascontiguousarray(v, dtype=np.float64)) for j, v in terms)
-            for terms in (self.a_terms, self.b_terms)
-        )
-        terms = a_terms + b_terms
-        if any(part.shape != rows.shape for part in (c, *(x for term in terms for x in term))):
+        if c.shape != rows.shape or len(self.terms) != rows.size:
             raise ValueError("c and term shapes disagree with the rule rows")
         if rows.size and (rows[0] < 0 or rows[-1] >= self.d or (np.diff(rows) <= 0).any()):
             raise ValueError(f"rule rows must be ascending and distinct in [0, {self.d})")
-        if any(j.dtype.kind not in "iu" or j.size and (j.min() < 0 or j.max() >= self.d) for j, _ in terms):
-            raise ValueError(f"term columns must be integers in [0, {self.d})")
+        for j, row in zip(rows.tolist(), self.terms):
+            ps = [p for p, _ in row]
+            if not all(isinstance(p, (int, np.integer)) and 0 <= p < 2 * self.d for p in ps):
+                raise ValueError(f"term columns must be integers in [0, {self.d}): rule row {j} has p = {ps}")
+            if any(p >= q for p, q in zip(ps, ps[1:])):
+                raise ValueError(f"terms of rule row {j} are not in ascending column order: p = {ps}")
         object.__setattr__(self, "rows", rows.astype(np.int64))
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a_terms", a_terms)
-        object.__setattr__(self, "b_terms", b_terms)
+        object.__setattr__(self, "terms", tuple(tuple((p, float(v)) for p, v in row if v) for row in self.terms))
 
     @property
     def A(self) -> np.ndarray:
         """The (k, d) self matrix, for ``perfbench/tracing.py``'s counters and for tests."""
-        return _dense(self.a_terms, self.rows.size, self.d)
+        return _dense(self.terms, self.d, 0)
 
     @property
     def B(self) -> np.ndarray:
         """The (k, d) aggregate matrix, for the same readers."""
-        return _dense(self.b_terms, self.rows.size, self.d)
+        return _dense(self.terms, self.d, self.d)
 
-    def nonzeros(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Each rule row's nonzero ``(p, coefficient)`` terms in term order: A's
-        at ``p = column``, then B's at ``p = d + column``."""
-        parts = ((0, self.a_terms), (self.d, self.b_terms))
-        terms = [(offset, cols.tolist(), coefs.tolist()) for offset, part in parts for cols, coefs in part]
-        return tuple(tuple((offset + cols[r], coefs[r]) for offset, cols, coefs in terms if coefs[r])
-                     for r in range(self.rows.size))
+    @cached_property
+    def a_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The executor's padded view of the rows' A terms (see ``_pad``)."""
+        return _pad(self.terms, self.d, 0)
+
+    @cached_property
+    def b_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The executor's padded view of the rows' B terms."""
+        return _pad(self.terms, self.d, self.d)
 
     @cached_property
     def reads(self) -> np.ndarray:
         """The ascending columns with a nonzero coefficient in ``A`` or ``B``."""
-        return _columns(self.a_terms + self.b_terms)
+        return np.array(sorted({p % self.d for row in self.terms for p, _ in row}), dtype=np.int64)
 
     @cached_property
     def agg_reads(self) -> np.ndarray:
         """The ascending columns with a nonzero coefficient in ``B``: the
         neighbour sums the layer needs."""
-        return _columns(self.b_terms)
+        return np.array(sorted({p - self.d for row in self.terms for p, _ in row if p >= self.d}), dtype=np.int64)
 
     def __eq__(self, other):
         def key(layer):
-            return layer.d, layer.rows.tolist(), layer.c.tolist(), layer.nonzeros()
+            return layer.d, layer.rows.tolist(), layer.c.tolist(), layer.terms
         return isinstance(other, GnnLayer) and key(self) == key(other)
 
 
@@ -188,10 +183,11 @@ def compile_formula(
 ) -> GnnSpec:
     """Compile ``formula`` over a palette of ``palette`` colors.
 
-    Each rule row is written as its terms, columns ascending: negation reads
-    its child with weight -1 and bias +1; conjunction adds its two children
-    with bias -1 (one child and bias 0 when both coincide); the graded
-    quantifier reads its child's neighbor aggregate with bias -(K-1).
+    Each rule row is written as its ``(p, v)`` terms, p ascending: negation
+    reads its child with weight -1 and bias +1; conjunction adds its two
+    children with bias -1 (one child and bias 0 when both coincide); the
+    graded quantifier reads its child's neighbor sum, p = d + child, with
+    bias -(K-1).
     """
     activation = activation or ActivationSpec("sigma-star", 1)
     subs = subformulas(formula)
@@ -224,20 +220,19 @@ def compile_formula(
 
     layers = []
     for rows in firing[1:]:
-        a_rows, b_rows, c = [], [], []
+        terms, c = [], []
         for j in rows:
             i = order[j]
             g, kids = entries[i], sorted({coord[k] for k in children[i]})
             if isinstance(g, Not):
-                a, b, bias = [(kids[0], -1.0)], [], 1.0
+                row, bias = [(kids[0], -1.0)], 1.0
             elif isinstance(g, And):
-                a, b, bias = [(k, 1.0) for k in kids], [], 1.0 - len(kids)
+                row, bias = [(k, 1.0) for k in kids], 1.0 - len(kids)
             else:
-                a, b, bias = [], [(kids[0], 1.0)], 1.0 - g.threshold
-            a_rows.append(a)
-            b_rows.append(b)
+                row, bias = [(d + kids[0], 1.0)], 1.0 - g.threshold
+            terms.append(row)
             c.append(bias)
-        layers.append(GnnLayer(rows, c, _pad(a_rows), _pad(b_rows), d))
+        layers.append(GnnLayer(rows, c, terms, d))
 
     coords = tuple(entries[i] for i in order)
     init_kinds = tuple(
@@ -258,7 +253,7 @@ def carry_forward_check(spec: GnnSpec) -> bool:
             return False
         fired[layer.rows] = t
     for t, layer in enumerate(spec.layers, start=1):
-        if any(max((fired[p % spec.d] for p, _ in row), default=0) != t - 1 for row in layer.nonzeros()):
+        if any(max((fired[p % spec.d] for p, _ in row), default=0) != t - 1 for row in layer.terms):
             return False
     return True
 
@@ -279,15 +274,13 @@ def spec_to_text(spec: GnnSpec) -> str:
     head = f"{spec.d} {spec.iterations} {spec.output_index} {spec.activation.name} {spec.activation.m} terms"
     lines = [head, "init " + " ".join(spec.init_kinds)]
     for t, layer in enumerate(spec.layers, start=1):
-        for j, c, terms in zip(layer.rows.tolist(), layer.c.tolist(), layer.nonzeros()):
+        for j, c, terms in zip(layer.rows.tolist(), layer.c.tolist(), layer.terms):
             terms = terms or ((0, 0.0),)
             for value in (c, *(v for _, v in terms)):
                 if not value.is_integer():
                     raise ValueError(f"non-integer entry {value!r} cannot be serialized")
                 if not -(2.0**63) <= value < 2.0**63:  # the reader parses int64
                     raise ValueError(f"entry {value!r} outside the int64 range cannot be serialized")
-            if any(p >= q for (p, _), (q, _) in zip(terms, terms[1:])):
-                raise ValueError(f"terms of rule row {j} in layer {t} are not in ascending column order")
             lines.extend(f"{t} {j} {int(c)} {p} {int(v)}" for p, v in terms)
     return "\n".join(lines) + "\n"
 
@@ -330,10 +323,8 @@ def spec_from_text(text: str) -> GnnSpec:
     bounds = np.searchsorted(t, np.arange(1, iterations + 2)).tolist()
 
     def layer(rule):  # one layer's lines, whose rule rows are runs of one (j, c)
-        rows = [(key, [(p, v) for *_, p, v in run if v]) for key, run in groupby(rule, itemgetter(1, 2))]
-        a_rows = [[(p, v) for p, v in terms if p < d] for _, terms in rows]
-        b_rows = [[(p - d, v) for p, v in terms if p >= d] for _, terms in rows]
-        return GnnLayer([j for (j, _), _ in rows], [c for (_, c), _ in rows], _pad(a_rows), _pad(b_rows), d)
+        rows = [(j, c, [(p, v) for *_, p, v in run]) for (j, c), run in groupby(rule, itemgetter(1, 2))]
+        return GnnLayer([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], d)
 
     try:
         layers = tuple(layer(block[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:]))

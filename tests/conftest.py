@@ -5,7 +5,6 @@ import pytest
 
 from gc2gnn import LabeledGraph, TreeParams, compile_formula, initial_features, make_tree, parse, read_graph
 from gc2gnn.backend import layer_states
-from gc2gnn.compiler import _pad
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
 
 
@@ -30,14 +29,11 @@ def forward_history(spec, graph, activation=None):
     return np.stack([s.T.copy() for s in states])
 
 
-def matrix_terms(matrix):
-    """The nonzeros of each row of the (k, d) ``matrix`` in ascending column
-    order, as ``GnnLayer`` term lists: hand-built layers written as matrices."""
-    rows = [[] for _ in range(matrix.shape[0])]
-    r, j = matrix.nonzero()
-    for row, col, coef in zip(r.tolist(), j.tolist(), matrix[r, j].tolist()):
-        rows[row].append((col, coef))
-    return _pad(rows)
+def matrix_rows(a, b):
+    """Each row's ``(p, v)`` terms from the (k, d) matrices ``a`` and ``b``:
+    A column j at p = j, B column j at p = d + j.  Hand-built layers written as
+    matrices; ``GnnLayer`` drops the zero weights."""
+    return [list(enumerate(row)) for row in np.hstack((a, b)).tolist()]
 
 
 @pytest.fixture(scope="session")

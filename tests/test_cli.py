@@ -245,6 +245,9 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
         # a header may not declare more layers than its init line has coordinates
         pytest.param(("eval", "--spec", "{deep}", "--graph", "{graph}"), "iterations outside 0..5",
                      id="eval-spec-too-deep"),
+        # coordinate 0 grows as 9e18 ** t and leaves float64 in layer 17
+        pytest.param(("eval", "--spec", "{overflow}", "--graph", "{graph}"),
+                     "layer 17 has a pre-activation that is not finite", id="eval-spec-overflow"),
         # a file of the old dense-row format is refused by its header, also
         # at d = 1, where a dense row has the five entries of a weight line
         *(pytest.param(("eval", "--spec", "{" + key + "}", "--graph", "{graph}"), "old dense-row format",
@@ -279,6 +282,9 @@ def test_cli_eval_vertex_out_of_range(tmp_path, q1_spec, args, message):
         "dense_q1": "5 4 4 sigma-star 1\ninit 1 0 0 0 0\n1 1 -1 0 0 0 0 0 1 0 0 0 0\n2 2 1 0 -1 0 0 0 0 0 0 0 0\n"
                     "3 3 0 0 0 0 0 0 0 0 1 0 0\n4 4 1 0 0 0 -1 0 0 0 0 0 0\n",
         "dense_d1": "1 1 0 sigma-star 1\ninit C1\n1 0 1 0 1\n",
+        "overflow": "20 19 2 relu 1 terms\ninit 1" + " 0" * 19 + "\n"
+                    + "".join(f"{t} 0 0 0 9000000000000000000\n" for t in range(1, 19))
+                    + "19 1 0 2 1\n19 1 0 3 1\n19 2 0 1 1\n",
     }
     paths = {"graph": str(graph_path), "missing": str(tmp_path / "missing.graph"), "spec": str(spec_path)}
     for key, text in spec_texts.items():

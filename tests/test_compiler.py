@@ -35,10 +35,10 @@ from gc2gnn import (
     spec_to_text,
 )
 from gc2gnn import compiler
-from gc2gnn.compiler import SpecFormatError, _pad
+from gc2gnn.compiler import SpecFormatError
 from gc2gnn.experiments import Q1_TEXT
 
-from conftest import forward_history, matrix_terms
+from conftest import forward_history, matrix_rows
 
 
 def compact_q1_net():
@@ -47,7 +47,7 @@ def compact_q1_net():
     A = np.array([[0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0]], dtype=float)
     B = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
     c = np.array([-1, 1, 0, 1], dtype=float)
-    layer = GnnLayer(np.arange(4), c, matrix_terms(A), matrix_terms(B), 4)
+    layer = GnnLayer(np.arange(4), c, matrix_rows(A, B), 4)
     return GnnSpec(
         output_index=3,
         layers=(layer,) * 4,
@@ -151,9 +151,9 @@ def test_compile_memory_is_linear_in_a_chain():
         tracemalloc.stop()
     assert peak <= 2_000_000
     for layer in spec.layers:
-        assert set(vars(layer)) == {"rows", "c", "a_terms", "b_terms", "d"}
-        stored = [layer.rows, layer.c, *(part for pair in layer.a_terms + layer.b_terms for part in pair)]
-        assert all(part.shape == (layer.rows.size,) for part in stored)
+        assert set(vars(layer)) == {"rows", "c", "terms", "d"}
+        assert layer.c.shape == layer.rows.shape == (len(layer.terms),)
+        assert all(len(row) <= 2 for row in layer.terms)
 
 
 def test_deep_nesting_compiles_and_matches_oracle():
@@ -205,10 +205,46 @@ def test_any_depth_parses_compiles_and_matches_oracle(kind):
     ],
 )
 def test_gnn_layer_rejects_bad_rows(rows, a_shape, b_shape, fragment):
-    # the terms are the nonzeros of all-ones matrices of these shapes, d = 3
+    # d = 3; one term list per row of the taller shape, each reading every
+    # column of an all-ones A row and B row of these widths with weight 1
+    (ka, wa), (kb, wb) = a_shape, b_shape
+    terms = [[(p, 1.0) for p in (*range(wa), *range(3, 3 + wb))]] * max(ka, kb)
     with pytest.raises(ValueError, match=fragment):
-        GnnLayer(np.array(rows), np.zeros(len(rows)), matrix_terms(np.ones(a_shape)),
-                 matrix_terms(np.ones(b_shape)), 3)
+        GnnLayer(np.array(rows), np.zeros(len(rows)), terms, 3)
+
+
+@pytest.mark.parametrize(
+    "terms,fragment",
+    [
+        ([(4, 1.0), (4, -1.0)], "terms of rule row 1 are not in ascending column order"),
+        ([(0, 1.0), (5, 1.0), (2, 1.0)], "not in ascending column order"),
+        # a zero weight is dropped, but its position is still checked
+        ([(3, 0.0), (3, 1.0)], "not in ascending column order"),
+        ([(0, 1.0), (6, 1.0)], r"term columns must be integers in \[0, 3\): rule row 1 has p = \[0, 6\]"),
+        ([(-1, 1.0)], r"term columns must be integers in \[0, 3\)"),
+        ([(1.0, 1.0)], "term columns must be integers in"),
+    ],
+)
+def test_gnn_layer_rejects_bad_terms(terms, fragment):
+    # a row's positions p ascend strictly in [0, 2d), here d = 3
+    with pytest.raises(ValueError, match=fragment):
+        GnnLayer(np.array([1]), np.zeros(1), [terms], 3)
+
+
+def test_gnn_layer_drops_zero_weights():
+    # an explicit zero weight is the row without it: the same layer, the
+    # same text and the same bits in every run
+    d = 3
+    bare = GnnLayer(np.array([0, 2]), np.array([1.0, -1.0]), [[(1, -1.0)], [(0, 1.0), (4, 2.0)]], d)
+    zeros = GnnLayer(np.array([0, 2]), np.array([1.0, -1.0]),
+                     [[(0, 0.0), (1, -1.0), (3, -0.0)], [(0, 1.0), (2, 0.0), (4, 2.0), (5, 0.0)]], d)
+    assert zeros.terms == bare.terms == (((1, -1.0),), ((0, 1.0), (4, 2.0)))
+    assert zeros == bare and term_bytes(zeros) == term_bytes(bare)
+    act = ActivationSpec("sigmoid", 2)
+    specs = [GnnSpec(2, (layer,) * 2, act, ("C1", "1", "0")) for layer in (bare, zeros)]
+    assert spec_to_text(specs[0]) == spec_to_text(specs[1])
+    graph = random_graph(20, 3.0, 1, 4)
+    assert forward_history(specs[0], graph).tobytes() == forward_history(specs[1], graph).tobytes()
 
 
 def test_spec_from_text_reports_bad_term_columns(q1_spec):
@@ -350,9 +386,7 @@ def test_carry_forward_check_rejects_zeroed_row(q1_spec):
     # a zero rule row kills the always-true coordinate's carry in layer 3
     old = layers[2]
     assert old.rows[0] > 0
-    zero = np.zeros((1, old.d))
-    layers[2] = GnnLayer(np.r_[0, old.rows], np.r_[0.0, old.c], matrix_terms(np.vstack((zero, old.A))),
-                         matrix_terms(np.vstack((zero, old.B))), old.d)
+    layers[2] = GnnLayer(np.r_[0, old.rows], np.r_[0.0, old.c], ((), *old.terms), old.d)
     broken = GnnSpec(
         output_index=q1_spec.output_index,
         layers=tuple(layers),
@@ -399,14 +433,10 @@ def hand_built_specs(draw):
 
     def layer():
         rows = sorted(draw(st.sets(st.integers(0, d - 1))))
-        a_rows, b_rows = [], []
-        for _ in rows:
-            positions = sorted(draw(st.sets(st.integers(0, 2 * d - 1))))
-            terms = [(p, draw(weight.filter(bool))) for p in positions]
-            a_rows.append([(p, v) for p, v in terms if p < d])
-            b_rows.append([(p - d, v) for p, v in terms if p >= d])
+        positions = [sorted(draw(st.sets(st.integers(0, 2 * d - 1)))) for _ in rows]
+        terms = [[(p, draw(weight.filter(bool))) for p in row] for row in positions]
         c = np.array([draw(weight) for _ in rows], dtype=np.float64)
-        return GnnLayer(np.array(rows, dtype=np.int64), c, _pad(a_rows), _pad(b_rows), d)
+        return GnnLayer(np.array(rows, dtype=np.int64), c, terms, d)
 
     layers = tuple(layer() for _ in range(draw(st.integers(0, d + 1))))
     activation = ActivationSpec(draw(st.sampled_from(ACTIVATION_NAMES)), draw(st.integers(0, 3)))
@@ -428,13 +458,46 @@ def test_spec_text_round_trips_hand_built_specs(spec):
         assert term_bytes(got) == term_bytes(want)
 
 
+def assert_dense_views_match_terms(spec):
+    """``perfbench/tracing.py`` counts a layer's weights as the nonzeros of
+    ``A`` and ``B``, and the executor reads ``reads`` and ``agg_reads``: all
+    must agree with the rows' terms."""
+    for layer in spec.layers:
+        a, b = layer.A, layer.B
+        assert np.count_nonzero(a) + np.count_nonzero(b) == sum(map(len, layer.terms))
+        assert layer.reads.dtype == layer.agg_reads.dtype == np.int64
+        assert layer.reads.tolist() == np.flatnonzero(a.any(axis=0) | b.any(axis=0)).tolist()
+        assert layer.agg_reads.tolist() == np.flatnonzero(b.any(axis=0)).tolist()
+
+
+def test_dense_views_match_compiled_terms():
+    for spec in pinned_specs():
+        assert_dense_views_match_terms(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hand_built_specs())
+def test_dense_views_match_hand_built_terms(spec):
+    assert_dense_views_match_terms(spec)
+
+
+def test_spec_reader_drops_zero_weight_lines(q2_spec):
+    # a 't j c p 0' line inside a rule row, at a free position, is no term:
+    # the row reads back as the one without it
+    text = spec_to_text(q2_spec)
+    padded = text.replace("\n2 4 -1 3 1\n", "\n2 4 -1 3 1\n2 4 -1 9 0\n")
+    padded = padded.replace("\n4 6 -1 5 1\n", "\n4 6 -1 4 0\n4 6 -1 5 1\n")
+    assert padded.count("\n") == text.count("\n") + 2
+    back = spec_from_text(padded)
+    assert back == q2_spec and spec_to_text(back) == text
+
+
 def test_spec_writer_refuses_rows_out_of_column_order():
     # the file fixes a row's order of summation as ascending p, so a row
-    # whose terms run otherwise has no text
-    layer = GnnLayer(np.array([0]), np.zeros(1), _pad([[(1, 1.0), (0, 1.0)]]), (), 2)
-    spec = GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0", "0"))
-    with pytest.raises(ValueError, match="terms of rule row 0 in layer 1 are not in ascending column order"):
-        spec_to_text(spec)
+    # whose terms run otherwise cannot be built, and has no text
+    fragment = r"terms of rule row 0 are not in ascending column order: p = \[1, 0\]"
+    with pytest.raises(ValueError, match=fragment):
+        GnnLayer(np.array([0]), np.zeros(1), [[(1, 1.0), (0, 1.0)]], 2)
 
 
 def test_no_package_path_builds_the_dense_form(q1, q2, monkeypatch):
@@ -494,14 +557,14 @@ def test_spec_text_is_integer_valued(q1_spec):
 
 
 def test_spec_serializer_rejects_fractions():
-    layer = GnnLayer(np.array([0]), np.zeros(1), matrix_terms(np.array([[0.5]])), (), 1)
+    layer = GnnLayer(np.array([0]), np.zeros(1), [[(0, 0.5)]], 1)
     spec = GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
     with pytest.raises(ValueError, match="non-integer"):
         spec_to_text(spec)
 
 
 def one_entry_spec(bias, weight):
-    layer = GnnLayer(np.array([0]), np.array([bias]), matrix_terms(np.array([[weight]])), (), 1)
+    layer = GnnLayer(np.array([0]), np.array([bias]), [[(0, weight)]], 1)
     return GnnSpec(0, (layer,), ActivationSpec("sigma-star", 1), ("0",))
 
 

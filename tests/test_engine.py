@@ -28,10 +28,9 @@ from gc2gnn import (
 )
 from gc2gnn.activations import apply_activation, certificate, required_composition_depth
 from gc2gnn.backend import run_forward
-from gc2gnn.compiler import _pad
 from gc2gnn.experiments import tree_pair
 
-from conftest import forward_history, matrix_terms, pinned_graph
+from conftest import forward_history, matrix_rows, pinned_graph
 
 
 def test_forward_triangle_all_true(q1_spec, triangle):
@@ -158,8 +157,8 @@ def hand_built_layers():
     written by the other; the third has a bias-only row and a row that reads
     only neighbour sums."""
     def layer(rows, a, b, c):
-        a_terms, b_terms = (_pad([sorted(terms.items()) for terms in rows_terms]) for rows_terms in (a, b))
-        return GnnLayer(np.array(rows), np.array(c, dtype=np.float64), a_terms, b_terms, 5)
+        terms = [sorted({**ra, **{5 + j: v for j, v in rb.items()}}.items()) for ra, rb in zip(a, b)]
+        return GnnLayer(np.array(rows), np.array(c, dtype=np.float64), terms, 5)
 
     return (
         layer([0, 2, 4], [{1: 1}, {0: 1, 1: -2, 3: 1, 4: 3}, {}], [{}, {4: 1, 1: -1, 2: 2}, {0: 1, 2: -1}], [0, 1, -1]),
@@ -179,13 +178,27 @@ def test_hand_built_layers_match_reference_executor(name):
             assert_matches_reference(init, graph, layers, name, m, keep)
 
 
+def test_overflowing_layer_raises_naming_it(isolated_vertex):
+    # coordinate 0 grows as 9e18 ** t and leaves float64 in layer 17; left
+    # to run, layer 19's row for coordinate 2, which reads only coordinate
+    # 1, would turn the overflow into NaN through its padded zero
+    # coefficient on column 0
+    d = 20
+    layers = [GnnLayer(np.array([0]), np.zeros(1), [[(0, 9e18)]], d)] * 18
+    layers.append(GnnLayer(np.array([1, 2]), np.zeros(2), [[(2, 1.0), (3, 1.0)], [(1, 1.0)]], d))
+    spec = GnnSpec(2, tuple(layers), ActivationSpec("relu", 1), ("1",) + ("0",) * (d - 1))
+    for run in (lambda: forward(spec, isolated_vertex), lambda: layer_errors(spec, isolated_vertex)):
+        with pytest.raises(ValueError, match="layer 17 has a pre-activation that is not finite"):
+            run()
+
+
 def test_rows_of_three_or_more_terms_fold_in_term_order():
     # a row's pre-activation is (c + S_A) + S_B, each sum taken left to right
     # in term order: at x = (1e16, 1, -1e16), 1e16 + 1 rounds back to 1e16,
     # so S_A is 0, where cancelling the large terms first would leave 1
     x = np.array([1e16, 1.0, -1e16, 0.0])
     a, b, c = [(0, 1.0), (1, 1.0), (2, 1.0)], [(0, 2.0), (1, 3.0), (2, 2.0)], 0.5
-    layer = GnnLayer(np.array([3]), np.array([c]), _pad([a]), _pad([b]), 4)
+    layer = GnnLayer(np.array([3]), np.array([c]), [a + [(4 + j, v) for j, v in b]], 4)
     graph = LabeledGraph(2, 1, np.ones(2, dtype=np.int64), np.array([[0, 1]]))  # y = x at both ends
     got = run_forward(np.tile(x, (2, 1)), graph, (layer,), "relu", 1)[:, 3]
 
@@ -381,7 +394,7 @@ def dense_integer_spec():
     d = 6
 
     def layer(a, b, c):
-        return GnnLayer(np.arange(d), c, matrix_terms(a), matrix_terms(b), d)
+        return GnnLayer(np.arange(d), c, matrix_rows(a, b), d)
 
     layers = tuple(
         layer(rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, (d, d)), rng.integers(-2, 3, d)) for _ in range(3)

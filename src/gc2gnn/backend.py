@@ -2,21 +2,20 @@
 
 A layer stores one rule row per coordinate it computes, as the row's
 nonzero ``(p, v)`` terms (``GnnLayer.terms``); every other coordinate
-carries over unchanged.  The executor reads the terms by term position,
-padded (``GnnLayer.a_terms`` and ``b_terms``).  The state is column-major:
-one (d, n) feature array, updated in place, and one (d, n) neighbour-sum
-array per run, each coordinate a contiguous row.  ``layer_states``, the one loop over the
-layers, transposes ``init`` once and yields the state before and after each
-layer; ``run_forward`` returns the (n, d) view of the last.  Per layer the
-loop sums neighbour values only for the coordinates B reads, with one
-``take`` over the edge sources each, and overwrites only the stored rows.
-The activation then takes one cache-sized block at a time through all m
-compositions (``activations._compose``).
+carries over unchanged.  The executor folds the terms as stored.  The
+state is column-major: one (d, n) feature array, updated in place, and one
+(d, n) neighbour-sum array per run, each coordinate a contiguous row.
+``layer_states``, the one loop over the layers, transposes ``init`` once
+and yields the state before and after each layer; ``run_forward`` returns
+the (n, d) view of the last.  Per layer the loop sums neighbour values only
+for the coordinates B reads, with one ``take`` over the edge sources each,
+and overwrites only the stored rows.  The activation then takes one
+cache-sized block at a time through all m compositions
+(``activations._compose``).
 
-Per term position, a layer's rows take one (k, n) gather of whole
-coordinate rows and one multiply by their coefficients, so a row costs its
-nonzeros, not d.  Every row is computed before any is written, since a row
-may read a coordinate that another row of the same layer writes.
+A row costs one product of a whole coordinate row per nonzero, not d.
+Every row is computed before any is written, since a row may read a
+coordinate that another row of the same layer writes.
 
 Given ``keep``, only live coordinates are activated: j is live after layer
 t when the caller keeps it or a later layer reads it before it fires
@@ -25,18 +24,15 @@ kept coordinates: ``live_after(t-1) = (live_after(t) - rows(t)) |
 reads(t)``, where ``reads(t)`` are the coordinates with a nonzero
 coefficient in layer t's A or B.  A kept coordinate therefore sees the
 same activations, layer by layer, as it would if every coordinate were
-activated; one that is not live keeps a stale value.
+activated; one that is not live keeps a stale value, which no row reads.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
 order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
 the fold ``(c + S_A) + S_B`` (``c + S_B`` without A terms), where ``S_A =
-(a1 x1 + a2 x2) + a3 x3 ...`` sums its A terms left to right in term order,
+(x1 a1 + x2 a2) + x3 a3 ...`` sums its A terms left to right in term order,
 the ascending p order that ``GnnLayer`` enforces, and ``S_B`` its B terms
-likewise.  A padded term or a stale value enters only through a zero
-coefficient, which changes a sum at most in the sign of a zero, and that
-sign never passes the bias, an integer and never -0.0.  All of this holds
-while every value is finite (``0 * inf`` is NaN), so a non-finite ``init``
-is rejected, and so is a layer whose pre-activations overflow.
+likewise.  A non-finite ``init`` and a layer whose pre-activations overflow
+are bad input, and raise.
 """
 
 from __future__ import annotations
@@ -65,29 +61,29 @@ def _live_columns(layers, d, keep):
     return after[::-1]
 
 
-def _products(terms, values):
-    """The (k, n) sums ``sum_p coefficients_p * values[columns_p]`` over the
-    term positions ``terms``, in position order."""
-    (cols, coefs), *rest = terms
-    total = values[cols]
-    total *= coefs[:, None]
-    for cols, coefs in rest:
-        term = values[cols]
-        term *= coefs[:, None]
-        total += term
+def _fold(terms, values, low, out=None):
+    """``values[p1 - low] * v1 + values[p2 - low] * v2 + ...``, left to right."""
+    (p, v), *rest = terms
+    total = np.multiply(values[p - low], v, out=out)
+    for p, v in rest:
+        total += values[p - low] * v
     return total
 
 
 def _combine(layer, cur, agg):
     """The (k, n) pre-activations of ``layer``'s rule rows from the (d, n)
     features ``cur`` and neighbour sums ``agg``."""
-    if layer.a_terms:
-        z = _products(layer.a_terms, cur)
-        z += layer.c[:, None]
-    else:
-        z = np.repeat(layer.c[:, None], cur.shape[1], axis=1)
-    if layer.b_terms:
-        z += _products(layer.b_terms, agg)
+    d = layer.d
+    z = np.empty((layer.rows.size, cur.shape[1]))
+    for zr, c, row in zip(z, layer.c.tolist(), layer.terms):
+        split = sum(p < d for p, _ in row)  # the terms ascend: A first, then B
+        if split:
+            _fold(row[:split], cur, 0, out=zr)
+            zr += c
+        else:
+            zr.fill(c)
+        if split < len(row):
+            zr += _fold(row[split:], agg, d)
     return z
 
 

@@ -41,25 +41,13 @@ class SpecFormatError(ValueError):
     """Raised when a serialized network cannot be parsed."""
 
 
-def _pad(terms, d, low):
-    """The rows' terms at positions p in ``[low, low + d)``, as ``(p - low, v)``,
-    by term position: one ``(columns, coefficients)`` pair of (k,) arrays per
-    position, as many as the longest row has such terms.  A row with fewer
-    has a zero coefficient on column 0 at the positions it lacks."""
-    rows = [[(p - low, v) for p, v in row if low <= p < low + d] for row in terms]
-    width = max(map(len, rows), default=0)
-    padded = [row + [(0, 0.0)] * (width - len(row)) for row in rows]
-    return tuple(
-        (np.array([t[i][0] for t in padded], dtype=np.int64), np.array([t[i][1] for t in padded]))
-        for i in range(width)
-    )
-
-
 def _dense(terms, d, low):
     """The (k, d) matrix of the rows' weights at positions p in ``[low, low + d)``."""
     matrix = np.zeros((len(terms), d))
-    for cols, coefs in _pad(terms, d, low):
-        matrix[np.arange(len(terms)), cols] += coefs
+    for r, row in enumerate(terms):
+        for p, v in row:
+            if low <= p < low + d:
+                matrix[r, p - low] = v
     return matrix
 
 
@@ -71,8 +59,8 @@ class GnnLayer:
     from the previous layer's ``d`` features ``x`` and their neighbour sum
     ``agg``; ``rows`` is ascending and distinct in ``[0, d)``.  ``terms[r]``
     holds the row's nonzero weights as ``(p, v)`` pairs, p strictly ascending
-    in ``[0, 2d)``: A column p for p < d, else B column p - d, the positions
-    and order of the text format's lines.  Zero weights are dropped.
+    in ``[0, 2d)``: A column p for p < d, else B column p - d, in the order
+    of the text format's lines and the executor's fold.  Zeros are dropped.
     """
 
     rows: np.ndarray
@@ -91,7 +79,7 @@ class GnnLayer:
         for j, row in zip(rows.tolist(), self.terms):
             ps = [p for p, _ in row]
             if not all(isinstance(p, (int, np.integer)) and 0 <= p < 2 * self.d for p in ps):
-                raise ValueError(f"term columns must be integers in [0, {self.d}): rule row {j} has p = {ps}")
+                raise ValueError(f"term positions must be integers in [0, {2 * self.d}): rule row {j} has p = {ps}")
             if any(p >= q for p, q in zip(ps, ps[1:])):
                 raise ValueError(f"terms of rule row {j} are not in ascending column order: p = {ps}")
         object.__setattr__(self, "rows", rows.astype(np.int64))
@@ -107,16 +95,6 @@ class GnnLayer:
     def B(self) -> np.ndarray:
         """The (k, d) aggregate matrix, for the same readers."""
         return _dense(self.terms, self.d, self.d)
-
-    @cached_property
-    def a_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The executor's padded view of the rows' A terms (see ``_pad``)."""
-        return _pad(self.terms, self.d, 0)
-
-    @cached_property
-    def b_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The executor's padded view of the rows' B terms."""
-        return _pad(self.terms, self.d, self.d)
 
     @cached_property
     def reads(self) -> np.ndarray:

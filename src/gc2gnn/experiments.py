@@ -18,7 +18,7 @@ from .activations import (
 )
 from .compiler import compile_formula
 from .engine import forward_outputs
-from .formulas import Formula, parse
+from .formulas import Formula, check_palette, parse
 from .graphs import TreeParams, batch_graphs, make_tree
 
 __all__ = [
@@ -112,6 +112,7 @@ def _sweep(experiment: str, query: str, palette: int | None, k_values, runs) -> 
     if min(k_values) < 1:
         raise ValueError(f"k must be >= 1, got k = {min(k_values)}")
     label, formula, palette = load_query(query, palette)
+    check_palette(formula, min(palette, 2))  # tree_pair colors with at most two
     spec = compile_formula(formula, palette)
     rows: list[ResultRow] = []
     for k in k_values:

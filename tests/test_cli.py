@@ -222,6 +222,9 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
           for verb, extra in (("check-exact", ("--random-graphs", "1")), ("saturation", ()))),
         pytest.param(("check-exact", "--query", "q1", "--random-graphs", "1", "--seed", "-1"),
                      "--seed -1 must be >= 0", id="check-exact-seed-1"),
+        # the sweep trees carry at most two colors, whatever --palette allows
+        pytest.param(("separation", "--formula", "dia>=1 C3", "--palette", "3", "--k-range", "2:3", "--m", "4"),
+                     "color C3 outside the graph palette [1, 2]", id="separation-color-beyond-trees"),
         # a preset is parsed against the palette it is given
         pytest.param(("compile", "--query", "q2", "--palette", "1"), "color index 2 out of range [1, 1]",
                      id="preset-q2-palette-1"),
@@ -346,6 +349,14 @@ def test_cli_convergence_and_saturation(tmp_path):
     result = run_cli("saturation", "--query", "q1", "--k-range", "2,4,8", "--out", str(out2))
     assert result.returncode == 0, result.stderr
     assert "saturation: gap" in result.stderr
+
+
+def test_cli_sweep_formula_within_tree_colors_ignores_wider_palette():
+    # the trees' palette is checked, not --palette: C2 runs the same at 2 and 3
+    outs = [run_cli("separation", "--formula", "dia>=1 C2", "--palette", palette, "--k-range", "2:3", "--m", "4")
+            for palette in ("2", "3")]
+    assert [out.returncode for out in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout and outs[0].stdout.count("\n") == 7
 
 
 def test_cli_check_exact_keeps_file_palette_error(tmp_path):

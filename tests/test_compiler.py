@@ -201,7 +201,7 @@ def test_any_depth_parses_compiles_and_matches_oracle(kind):
         ([0.0, 1.0], (2, 3), (2, 3), "integer"),
         ([0, 1], (3, 3), (3, 3), "shapes disagree"),
         ([0, 1], (2, 3), (3, 3), "shapes disagree"),
-        ([0, 1], (2, 3), (2, 4), "term columns must be integers in"),
+        ([0, 1], (2, 3), (2, 4), "term positions must be integers in"),
     ],
 )
 def test_gnn_layer_rejects_bad_rows(rows, a_shape, b_shape, fragment):
@@ -220,9 +220,9 @@ def test_gnn_layer_rejects_bad_rows(rows, a_shape, b_shape, fragment):
         ([(0, 1.0), (5, 1.0), (2, 1.0)], "not in ascending column order"),
         # a zero weight is dropped, but its position is still checked
         ([(3, 0.0), (3, 1.0)], "not in ascending column order"),
-        ([(0, 1.0), (6, 1.0)], r"term columns must be integers in \[0, 3\): rule row 1 has p = \[0, 6\]"),
-        ([(-1, 1.0)], r"term columns must be integers in \[0, 3\)"),
-        ([(1.0, 1.0)], "term columns must be integers in"),
+        ([(0, 1.0), (6, 1.0)], r"term positions must be integers in \[0, 6\): rule row 1 has p = \[0, 6\]"),
+        ([(-1, 1.0)], r"term positions must be integers in \[0, 6\)"),
+        ([(1.0, 1.0)], "term positions must be integers in"),
     ],
 )
 def test_gnn_layer_rejects_bad_terms(terms, fragment):
@@ -248,12 +248,12 @@ def test_gnn_layer_drops_zero_weights():
 
 
 def test_spec_from_text_reports_bad_term_columns(q1_spec):
-    # a position p outside [0, 2d) names a column outside [0, d): q1's first
-    # term line, "1 1 -1 5 1", reads B column 0 at p = 5 = d
+    # a position p outside [0, 2d) is refused: q1's first term line,
+    # "1 1 -1 5 1", reads B column 0 at p = 5 = d
     text = spec_to_text(q1_spec)
     assert "\n1 1 -1 5 1\n" in text
     for p in (-1, 10, 99):
-        with pytest.raises(SpecFormatError, match="term columns must be integers in"):
+        with pytest.raises(SpecFormatError, match=r"term positions must be integers in \[0, 10\)"):
             spec_from_text(text.replace("\n1 1 -1 5 1\n", f"\n1 1 -1 {p} 1\n"))
 
 
@@ -410,7 +410,8 @@ def test_carry_forward_check_rejects_rows_firing_every_layer():
 
 
 def term_bytes(layer):
-    return tuple(tuple(part.tobytes() for pair in terms for part in pair) for terms in (layer.a_terms, layer.b_terms))
+    """Each rule row's positions and the float64 bytes of its weights."""
+    return tuple((tuple(p for p, _ in row), np.array([v for _, v in row]).tobytes()) for row in layer.terms)
 
 
 def test_spec_round_trip(q1_spec, q2_spec):

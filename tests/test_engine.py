@@ -82,8 +82,7 @@ def test_live_columns_keep_every_output_bit(seed, n, name, m):
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_run_forward_rejects_non_finite_init(q2_spec, bad):
-    # a column no layer reads still meets a zero coefficient in the
-    # full-width combine, and 0 * inf is NaN
+    # a non-finite initial value is refused, even in a column no layer reads
     graph = random_graph(20, 3.0, 2, 1)
     read = set().union(*(layer.reads.tolist() for layer in q2_spec.layers))
     unread = min(set(range(q2_spec.d)) - read)
@@ -170,7 +169,9 @@ def hand_built_layers():
 @pytest.mark.parametrize("name", ACTIVATION_NAMES)
 def test_hand_built_layers_match_reference_executor(name):
     layers = hand_built_layers()
-    assert [max(len(layer.a_terms), len(layer.b_terms)) for layer in layers] == [4, 2, 2]
+    # the longest A or B part of any row, per layer
+    assert [max(sum((p < 5) == a for p, _ in row) for row in layer.terms for a in (True, False))
+            for layer in layers] == [4, 2, 2]
     graph = random_graph(50, 4.0, 2, 3)
     init = np.random.default_rng(3).uniform(-1.0, 2.0, (graph.n, 5))
     for m in (0, 1, 3):
@@ -178,11 +179,26 @@ def test_hand_built_layers_match_reference_executor(name):
             assert_matches_reference(init, graph, layers, name, m, keep)
 
 
+def test_runs_cache_no_second_row_form():
+    # the executor folds each row's terms as stored: running a network
+    # leaves on its layers only the fields and the read columns
+    from test_compiler import pinned_specs
+
+    graph = pinned_graph(40, 3, 3, 5)
+    hand_built = GnnSpec(3, hand_built_layers(), ActivationSpec("sigmoid", 2), ("C1", "1", "0", "C2", "0"))
+    specs = [*pinned_specs(), hand_built]
+    for spec in specs:
+        forward(spec, graph)
+        layer_errors(spec, graph)
+    assert {key for spec in specs for layer in spec.layers for key in vars(layer)} <= {
+        "rows", "c", "terms", "d", "reads", "agg_reads"}
+
+
 def test_overflowing_layer_raises_naming_it(isolated_vertex):
-    # coordinate 0 grows as 9e18 ** t and leaves float64 in layer 17; left
-    # to run, layer 19's row for coordinate 2, which reads only coordinate
-    # 1, would turn the overflow into NaN through its padded zero
-    # coefficient on column 0
+    # coordinate 0 grows as 9e18 ** t and leaves float64 in layer 17; the
+    # run stops there and names it, though layer 19 does not read
+    # coordinate 0 and the output, coordinate 2, would come out finite: an
+    # overflow is bad input wherever it lands
     d = 20
     layers = [GnnLayer(np.array([0]), np.zeros(1), [[(0, 9e18)]], d)] * 18
     layers.append(GnnLayer(np.array([1, 2]), np.zeros(2), [[(2, 1.0), (3, 1.0)], [(1, 1.0)]], d))

@@ -92,6 +92,8 @@ class ActivationSpec:
     def __post_init__(self):
         if self.name not in ACTIVATION_NAMES:
             raise ValueError(f"unknown activation {self.name!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
+            raise ValueError(f"composition depth must be an integer, got {self.m!r}")
         if self.m < 0:
             raise ValueError("composition depth must be non-negative")
 

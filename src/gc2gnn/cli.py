@@ -307,11 +307,14 @@ def main(argv=None) -> int:
             build_parser().error(f"--{dest.replace('_', '-')} {value} must be >= {low}")
     # Bad values, malformed files and unreadable paths are usage errors
     # (exit code 2); the format errors of graphs, specs and formulas are
-    # ValueErrors too, and an integer too large for a float is an
-    # OverflowError.  A sweep that breaks its bound is a failed verdict
-    # (exit code 1), reported after its CSV.
+    # ValueErrors too, an integer too large for a float is an OverflowError,
+    # and a range or graph too large to allocate is a MemoryError.  A sweep
+    # that breaks its bound is a failed verdict (exit code 1), reported after
+    # its CSV.
     try:
         return args.handler(args)
+    except MemoryError as exc:
+        build_parser().error(f"ran out of memory: {str(exc) or 'the request is too large'}")
     except (ValueError, OverflowError, OSError) as exc:
         build_parser().error(str(exc))
     except BoundViolation as exc:

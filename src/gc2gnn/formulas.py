@@ -3,12 +3,12 @@
 The logic has color atoms ``C1 .. Cl``, the always-true atom ``top``,
 negation, conjunction, and the graded neighborhood quantifier
 ``dia>=K phi`` ("at least K neighbors satisfy phi").  Nodes are frozen
-dataclasses that compare, hash and print without recursion, and ``parse``
-reads text with one loop, so ``parse``, ``==``, ``hash``, ``str`` and
-``repr`` work at any depth.  Deduplication happens once, in
-``subformulas``: it numbers the distinct subformulas by (kind, payload,
-child positions), so downstream code indexes by position and never hashes
-or compares a whole subtree.
+dataclasses, and a formula is its text: ``==`` and ``hash`` compare and
+hash ``to_text``, which renders with a stack, and ``parse`` reads text with
+one loop, so ``parse``, ``==``, ``hash``, ``str`` and ``repr`` work at any
+depth.  Deduplication happens once, in ``subformulas``: it numbers the
+distinct subformulas by (kind, payload, child positions), so downstream
+code indexes by position and never hashes or compares a whole subtree.
 
 Concrete grammar (whitespace-insensitive)::
 
@@ -49,31 +49,19 @@ __all__ = [
 
 
 class Formula:
-    """Base of the node classes.  Equality and hashing are structural but
-    never recurse: each node caches its hash at construction from its
-    children's cached hashes, and ``==`` walks both trees with a stack."""
+    """Base of the node classes.  A formula is its text: two formulas are
+    equal, and hash alike, when ``to_text`` writes them the same, which the
+    unambiguous grammar makes structural equality."""
 
     __slots__ = ()
 
-    def __post_init__(self):
-        key = (_KINDS.index(type(self)), _payload(self), *(c._hash for c in _children(self)))
-        object.__setattr__(self, "_hash", hash(key))
-
     def __hash__(self) -> int:
-        return self._hash
+        return hash(to_text(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b) or a._hash != b._hash or _payload(a) != _payload(b):
-                return False
-            stack.extend(zip(_children(a), _children(b)))
-        return True
+        return self is other or to_text(self) == to_text(other)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -91,9 +79,7 @@ class Color(Formula):
     index: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"color index must be >= 1, got {self.index}")
-        super().__post_init__()
+        _check_payload(self.index, "color index")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -123,13 +109,14 @@ class Diamond(Formula):
     child: Formula
 
     def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError(f"diamond threshold must be >= 1, got {self.threshold}")
-        super().__post_init__()
+        _check_payload(self.threshold, "diamond threshold")
 
 
-# The node kinds, in the order whose positions tag a node's hash.
-_KINDS = (Color, Top, Not, And, Diamond)
+def _check_payload(value, what: str) -> None:
+    """A node payload is a Python or numpy integer >= 1, not a bool, so
+    ``to_text`` writes digits that ``parse`` reads back."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:

@@ -163,6 +163,17 @@ def test_activation_spec_validation():
         ActivationSpec("relu", -1)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, True, "2"], ids=["2.5", "2.0", "True", "str"])
+def test_activation_spec_depth_must_be_an_integer(m):
+    # range(m) could not compose it, and a spec header could not carry it
+    with pytest.raises(ValueError, match="composition depth must be an integer"):
+        ActivationSpec("sigmoid", m)
+
+
+def test_activation_spec_accepts_numpy_integer_depth():
+    assert ActivationSpec("sigmoid", np.int64(2)).m == 2
+
+
 def test_no_overflow_on_large_inputs():
     for name in ACTIVATION_NAMES:
         out = apply_activation(name, 2, np.array([-1e6, 1e6]))

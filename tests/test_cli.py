@@ -209,6 +209,14 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      "non-negative", id="m-range-1:2"),
         pytest.param(("required-m", "--activation", "step-arctan", "--delta", "1" + "0" * 400),
                      "int too large to convert to float", id="required-m-huge-delta"),
+        # each request needs more than the 128 TiB user address space of
+        # x86-64, so its allocation is refused at once, never filled
+        pytest.param(("separation", "--k-range", "2:100000000000000000", "--m", "4"), "ran out of memory",
+                     id="separation-k-range-beyond-memory"),
+        pytest.param(("convergence", "--activation", "step-arctan", "--m-range", "0:100000000000000000"),
+                     "ran out of memory", id="convergence-m-range-beyond-memory"),
+        pytest.param(("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "1000000000000000"),
+                     "ran out of memory", id="check-exact-n-beyond-memory"),
         pytest.param(("steplike-verify", "foo"), "unknown activation 'foo'", id="steplike-verify-foo"),
         pytest.param(("steplike-verify", "relu"), "'relu' carries no step-like certificate",
                      id="steplike-verify-relu"),
@@ -488,6 +496,18 @@ def test_readme_command_lines_parse():
             argv = shlex.split(line, comments=True)[1:]
             verbs.add(parser.parse_args(argv).command)  # exits on an unknown flag
     assert verbs == set(VERBS)
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # every line of the README's "Command line" block runs as written
+    monkeypatch.chdir(tmp_path)
+    write_graph("tree.graph", make_tree(TreeParams(1, 3, 4))[0])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("gc2gnn ")]
+    assert len(lines) == 9
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
 
 
 # Every usage error prints the full usage line of the parser that rejects the

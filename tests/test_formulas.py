@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,37 @@ def test_node_invariants():
         Color(0)
     with pytest.raises(ValueError):
         Diamond(0, TOP)
+
+
+@pytest.mark.parametrize("payload", [1.5, 1.0, True, np.float64(2.0), np.bool_(True), "2", None],
+                         ids=["1.5", "1.0", "True", "np-float", "np-bool", "str", "None"])
+def test_node_payload_must_be_an_integer(payload):
+    # a float or bool payload would print as text that parse cannot read back
+    with pytest.raises(ValueError, match="color index must be an integer >= 1"):
+        Color(payload)
+    with pytest.raises(ValueError, match="diamond threshold must be an integer >= 1"):
+        Diamond(payload, TOP)
+
+
+def test_node_payload_accepts_numpy_integers():
+    assert Color(np.int64(2)) == Color(2) and hash(Color(np.int64(2))) == hash(Color(2))
+    assert to_text(Diamond(np.int32(3), Color(np.int64(2)))) == "dia>=3 C2"
+
+
+@pytest.mark.parametrize("node", [Color(1), TOP, Not(TOP), And(Color(1), TOP), Diamond(2, TOP)],
+                         ids=lambda node: type(node).__name__)
+def test_node_holds_only_its_fields(node):
+    # a formula is its text, so a node caches nothing beside its fields
+    assert set(vars(node)) == {f.name for f in fields(node)}
+
+
+@given(formula_strategy(palette=2, max_leaves=3), formula_strategy(palette=2, max_leaves=3))
+def test_equality_and_hash_follow_text(a, b):
+    assert (a == b) == (to_text(a) == to_text(b)) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
+    copy = parse(to_text(a), 2)
+    assert copy == a and hash(copy) == hash(a)
 
 
 def test_deep_formula_equality_and_hash():

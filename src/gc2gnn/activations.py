@@ -446,7 +446,7 @@ def convergence_bound(params: StepLikeParams, m: int) -> float:
         raise ValueError(f"m={m} must be non-negative")
     if params.eta > 0.0:
         return params.eps * ((1.0 + params.eta) / 2.0) ** m
-    return params.eps * 2.0 ** -(2.0**m - 1.0)
+    return math.ldexp(params.eps, 1 - 2**m)
 
 
 def required_composition_depth(params: StepLikeParams, max_degree: int) -> int:

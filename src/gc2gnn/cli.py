@@ -166,7 +166,7 @@ def _cmd_saturation(args) -> int:
     rows = run_saturation(query, args.activation, args.m, k_values, args.palette)
     _write_out(args.out, rows_to_csv(rows))
     first, last = check_saturation_decay(rows)
-    print(f"saturation: gap {first!r} -> {last!r} over k={k_values[0]}..{k_values[-1]}", file=sys.stderr)
+    print(f"saturation: gap {first!r} -> {last!r} over k={min(k_values)}..{max(k_values)}", file=sys.stderr)
     return 0
 
 

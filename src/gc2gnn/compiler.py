@@ -78,13 +78,14 @@ class GnnLayer:
             raise ValueError(f"rule rows must be ascending and distinct in [0, {self.d})")
         for j, row in zip(rows.tolist(), self.terms):
             ps = [p for p, _ in row]
-            if not all(isinstance(p, (int, np.integer)) and 0 <= p < 2 * self.d for p in ps):
+            if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < 2 * self.d
+                       for p in ps):
                 raise ValueError(f"term positions must be integers in [0, {2 * self.d}): rule row {j} has p = {ps}")
             if any(p >= q for p, q in zip(ps, ps[1:])):
                 raise ValueError(f"terms of rule row {j} are not in ascending column order: p = {ps}")
         object.__setattr__(self, "rows", rows.astype(np.int64))
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "terms", tuple(tuple((p, float(v)) for p, v in row if v) for row in self.terms))
+        object.__setattr__(self, "terms", tuple(tuple((int(p), float(v)) for p, v in row if v) for row in self.terms))
 
     @property
     def A(self) -> np.ndarray:

@@ -145,11 +145,12 @@ def run_saturation(query: str, activation: str, m: int, k_values,
 
 def check_saturation_decay(rows) -> tuple[float, float]:
     """Assert the configured activation's gap shrinks from the smallest to
-    the largest tree; returns (first gap, last gap)."""
+    the largest tree, in whatever order the rows list k; returns the gaps at
+    the smallest and the largest k."""
     swept = [r for r in rows if r.activation not in EXACT_NAMES]
     if len(swept) < 2:
         raise ValueError("need at least two sweep points")
-    first, last = swept[0], swept[-1]
+    first, last = min(swept, key=lambda r: r.k), max(swept, key=lambda r: r.k)
     if not last.value < first.value:
         raise BoundViolation(
             f"no saturation decay: gap(k={last.k}) = {last.value} "

@@ -7,8 +7,9 @@ dataclasses, and a formula is its text: ``==`` and ``hash`` compare and
 hash ``to_text``, which renders with a stack, and ``parse`` reads text with
 one loop, so ``parse``, ``==``, ``hash``, ``str`` and ``repr`` work at any
 depth.  Deduplication happens once, in ``subformulas``: it numbers the
-distinct subformulas by (kind, payload, child positions), so downstream
-code indexes by position and never hashes or compares a whole subtree.
+distinct subformulas by their dataclass fields, each child replaced by its
+position, so downstream code indexes by position and never hashes or
+compares a whole subtree.
 
 Concrete grammar (whitespace-insensitive)::
 
@@ -79,7 +80,7 @@ class Color(Formula):
     index: int
 
     def __post_init__(self):
-        _check_payload(self.index, "color index")
+        object.__setattr__(self, "index", _check_payload(self.index, "color index"))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -109,30 +110,15 @@ class Diamond(Formula):
     child: Formula
 
     def __post_init__(self):
-        _check_payload(self.threshold, "diamond threshold")
+        object.__setattr__(self, "threshold", _check_payload(self.threshold, "diamond threshold"))
 
 
-def _check_payload(value, what: str) -> None:
-    """A node payload is a Python or numpy integer >= 1, not a bool, so
-    ``to_text`` writes digits that ``parse`` reads back."""
+def _check_payload(value, what: str) -> int:
+    """A node payload is a Python or numpy integer >= 1, not a bool, stored as
+    the ``int`` whose digits ``to_text`` writes and ``parse`` reads back."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
-
-
-def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Not):
-        return (f.child,)
-    if isinstance(f, And):
-        return (f.left, f.right)
-    if isinstance(f, Diamond):
-        return (f.child,)
-    return ()
-
-
-def _payload(f: Formula) -> int | None:
-    if isinstance(f, Color):
-        return f.index
-    return f.threshold if isinstance(f, Diamond) else None
+    return int(value)
 
 
 TOP = Top()
@@ -248,28 +234,27 @@ class SubformulaList:
 
 def subformulas(f: Formula) -> SubformulaList:
     """Number the distinct subformulas of ``f`` by an iterative post-order
-    walk.  A node is keyed by its kind, payload and child positions, so equal
-    subtrees share a position without a whole subtree ever being hashed."""
+    walk.  A node is keyed by its type and its fields, each child replaced by
+    its position, so equal subtrees share a position and no subtree is hashed."""
     entries: list[Formula] = []
     children: list[tuple[int, ...]] = []
     position: dict[tuple, int] = {}
     done: dict[int, int] = {}  # id(node) -> position; revisited objects are skipped
-    stack = [f]
+    stack: list[tuple[Formula, list | None]] = [(f, None)]
     while stack:
-        kids = _children(stack[-1])
-        todo = [k for k in reversed(kids) if id(k) not in done]
-        if todo:
-            stack.extend(todo)
-            continue
-        node = stack.pop()
+        node, values = stack.pop()
         if id(node) in done:
             continue
-        kid_pos = tuple(done[id(k)] for k in kids)
-        key = (type(node), _payload(node), kid_pos)
+        if values is None:  # first visit: read the fields, come back after the children
+            values = [getattr(node, name) for name in node.__match_args__]
+            stack.append((node, values))
+            stack.extend([(v, None) for v in reversed(values) if isinstance(v, Formula)])
+            continue
+        key = (type(node), *[done[id(v)] if isinstance(v, Formula) else v for v in values])
         if key not in position:
             position[key] = len(entries)
             entries.append(node)
-            children.append(kid_pos)
+            children.append(tuple([done[id(v)] for v in values if isinstance(v, Formula)]))
         done[id(node)] = position[key]
     return SubformulaList(tuple(entries), tuple(children))
 

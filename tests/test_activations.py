@@ -247,6 +247,14 @@ def test_convergence_bound_values():
         convergence_bound(StepLikeParams(0.5, 0.1, 1.0), -1)
 
 
+def test_flat_convergence_bound_underflows_to_zero():
+    # eps * 2 ** (1 - 2 ** m) is far below the least float here, where a
+    # float power 2.0 ** m would overflow
+    flat = certificate("steplike-tanh-eta0")
+    for m in (1024, 10**4):
+        assert convergence_bound(flat, m) == 0.0
+
+
 def test_required_depth_scan_values():
     arctan = certificate("step-arctan")
     flat = certificate("steplike-tanh-eta0")

@@ -359,6 +359,16 @@ def test_cli_convergence_and_saturation(tmp_path):
     assert "saturation: gap" in result.stderr
 
 
+def test_cli_saturation_compares_smallest_and_largest_k(capsys):
+    # the gap falls with k, in whatever order --k-range lists it; the CSV
+    # keeps the listed order
+    assert cli.main(["saturation", "--query", "q1", "--k-range", "8,2,4"]) == 0
+    out, err = capsys.readouterr()
+    swept = [line.split(",") for line in out.splitlines()[1:] if ",sigmoid," in line]
+    assert [int(row[4]) for row in swept] == [8, 2, 4]
+    assert "over k=2..8" in err
+
+
 def test_cli_sweep_formula_within_tree_colors_ignores_wider_palette():
     # the trees' palette is checked, not --palette: C2 runs the same at 2 and 3
     outs = [run_cli("separation", "--formula", "dia>=1 C2", "--palette", palette, "--k-range", "2:3", "--m", "4")

@@ -223,12 +223,19 @@ def test_gnn_layer_rejects_bad_rows(rows, a_shape, b_shape, fragment):
         ([(0, 1.0), (6, 1.0)], r"term positions must be integers in \[0, 6\): rule row 1 has p = \[0, 6\]"),
         ([(-1, 1.0)], r"term positions must be integers in \[0, 6\)"),
         ([(1.0, 1.0)], "term positions must be integers in"),
+        # a bool would be written as "True", which spec_from_text refuses
+        ([(True, 1.0)], "term positions must be integers in"),
     ],
 )
 def test_gnn_layer_rejects_bad_terms(terms, fragment):
     # a row's positions p ascend strictly in [0, 2d), here d = 3
     with pytest.raises(ValueError, match=fragment):
         GnnLayer(np.array([1]), np.zeros(1), [terms], 3)
+
+
+def test_gnn_layer_stores_positions_as_ints():
+    layer = GnnLayer(np.array([1]), np.zeros(1), [[(np.int64(1), 1.0)]], 2)
+    assert type(layer.terms[0][0][0]) is int
 
 
 def test_gnn_layer_drops_zero_weights():

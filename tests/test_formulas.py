@@ -150,6 +150,20 @@ def test_subformulas_topologically_sorted(f):
             assert k < j and subs.entries[k] == child
 
 
+def subtrees(f):
+    """Every subtree of ``f``, repeats included, by plain structural recursion."""
+    kids = (f.child,) if isinstance(f, (Not, Diamond)) else (f.left, f.right) if isinstance(f, And) else ()
+    return [f, *(g for k in kids for g in subtrees(k))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(formula_strategy())
+def test_subformulas_lists_each_distinct_subtree_once(f):
+    texts = [to_text(g) for g in subformulas(f).entries]
+    assert len(set(texts)) == len(texts)
+    assert set(texts) == {to_text(g) for g in subtrees(f)}
+
+
 def test_depth_values():
     assert depth(Color(1)) == 1
     assert depth(TOP) == 0
@@ -243,6 +257,12 @@ def test_node_payload_must_be_an_integer(payload):
 def test_node_payload_accepts_numpy_integers():
     assert Color(np.int64(2)) == Color(2) and hash(Color(np.int64(2))) == hash(Color(2))
     assert to_text(Diamond(np.int32(3), Color(np.int64(2)))) == "dia>=3 C2"
+
+
+def test_node_payload_is_stored_as_a_python_int():
+    # a node holds the integers its text writes, so equal formulas print alike
+    assert repr(Color(np.int64(2))) == "Color(index=2)"
+    assert type(Diamond(np.int32(3), TOP).threshold) is int
 
 
 @pytest.mark.parametrize("node", [Color(1), TOP, Not(TOP), And(Color(1), TOP), Diamond(2, TOP)],

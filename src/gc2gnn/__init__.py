@@ -48,12 +48,14 @@ from .formulas import (
 from .graphs import (
     GraphFormatError,
     LabeledGraph,
+    OrderedQuotient,
     TreeParams,
     batch_graphs,
     make_tree,
     random_graph,
     random_graphs,
     read_graph,
+    tree_quotient,
     write_graph,
 )
 

@@ -8,7 +8,7 @@ import numpy as np
 from . import backend as backend_mod
 from .activations import ActivationSpec
 from .compiler import GnnSpec
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, OrderedQuotient
 
 __all__ = [
     "initial_features",
@@ -18,9 +18,10 @@ __all__ = [
 ]
 
 
-def initial_features(spec: GnnSpec, graph: LabeledGraph) -> np.ndarray:
+def initial_features(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np.ndarray:
     """Iteration-0 features: color indicators on color coordinates, ones on
-    always-true coordinates, zeros elsewhere."""
+    always-true coordinates, zeros elsewhere.  Reads ``graph.n``,
+    ``palette`` and ``colors`` only."""
     feats = np.zeros((graph.n, spec.d))
     for j, kind in enumerate(spec.init_kinds):
         if kind == "0":
@@ -39,13 +40,14 @@ def initial_features(spec: GnnSpec, graph: LabeledGraph) -> np.ndarray:
 
 def forward(
     spec: GnnSpec,
-    graph: LabeledGraph,
+    graph: LabeledGraph | OrderedQuotient,
     activation: ActivationSpec | None = None,
     *,
     keep=None,
 ) -> np.ndarray:
     """Run the compiled network on ``graph`` and return the (n, d) features
-    after the last layer; activation defaults to the spec's own.
+    after the last layer; activation defaults to the spec's own.  Reads
+    ``graph.n``, ``palette``, ``colors``, ``edge_src`` and ``edge_dst`` only.
 
     With ``keep``, a sequence of coordinates, only those columns hold their
     final values; the others may be stale, and are not activated where no
@@ -57,7 +59,7 @@ def forward(
 
 def forward_outputs(
     spec: GnnSpec,
-    graph: LabeledGraph,
+    graph: LabeledGraph | OrderedQuotient,
     activation: ActivationSpec | None = None,
 ) -> np.ndarray:
     """Final value of the output coordinate at every vertex, as an array of
@@ -66,7 +68,7 @@ def forward_outputs(
     return forward(spec, graph, activation, keep=(out,))[:, out].copy()
 
 
-def layer_errors(spec: GnnSpec, graph: LabeledGraph) -> np.ndarray:
+def layer_errors(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np.ndarray:
     """Per-iteration worst per-vertex deviation of the run under the spec's
     activation from the exact run, the same layers under ``sigma-star`` at
     m = 1, as a (T+1,) array whose entry 0 is 0.

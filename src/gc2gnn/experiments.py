@@ -1,6 +1,11 @@
 """Experiment harnesses: separation and saturation sweeps over the tree
 family, convergence-rate sweeps, and the shared CSV schema
-(experiment,query,activation,m,k,n,delta,value,seconds)."""
+(experiment,query,activation,m,k,n,delta,value,seconds).
+
+A sweep runs each k's tree pair on its ordered quotient
+(``graphs.tree_quotient``), ten vertices and O(k) edges in place of the
+pair's O(k^2) vertices; every vertex of a tree gets its class's value bit
+for bit, so the CSV bytes are those of the explicit pair (``tree_pair``)."""
 
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from .activations import (
 from .compiler import compile_formula
 from .engine import forward_outputs
 from .formulas import Formula, check_palette, parse
-from .graphs import TreeParams, batch_graphs, make_tree
+from .graphs import TreeParams, make_tree, tree_quotient
 
 __all__ = [
     "CSV_HEADER",
@@ -93,37 +98,44 @@ def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Form
     return label, parse(text, palette), palette
 
 
+def _pair_params(k: int, palette: int):
+    """The sweep's tree parameters for k and its coloring: one color for
+    palette 1, else blue leaves."""
+    coloring = "unicolor" if palette == 1 else "leaves-blue"
+    return (TreeParams(0, k, k), TreeParams(1, k, k)), coloring
+
+
 def tree_pair(k: int, palette: int):
     """The sweep's input pair: the k-ary tree with zero and with one leaf
     under the first internal vertex (both with m = k internal vertices),
     one color for palette 1, else with blue leaves."""
-    coloring = "unicolor" if palette == 1 else "leaves-blue"
-    t0, r0 = make_tree(TreeParams(0, k, k), coloring)
-    t1, r1 = make_tree(TreeParams(1, k, k), coloring)
-    return (t0, r0), (t1, r1)
+    params, coloring = _pair_params(k, palette)
+    return tuple(make_tree(p, coloring) for p in params)
 
 
 def _sweep(experiment: str, query: str, palette: int | None, k_values, runs) -> list[ResultRow]:
     """For each k, one row per ``(name, m)`` of ``runs``: the gap between the
-    two roots of k's tree pair, both run as one disjoint union."""
+    two roots of k's tree pair, run on the pair's ordered quotient.
+
+    Its ``n`` is the second tree's vertex count, 1 + k + 1 + (k-1)k, and its
+    ``delta`` the pair's largest degree, k + 1 (vertex 1 of the second tree
+    when k = 1, else an internal vertex's root and k leaves)."""
     specs = [ActivationSpec(name, m) for name, m in runs]  # an unknown name or a negative m raises
     if not specs or not k_values:
         raise ValueError("sweeps must be non-empty")
     if min(k_values) < 1:
         raise ValueError(f"k must be >= 1, got k = {min(k_values)}")
     label, formula, palette = load_query(query, palette)
-    check_palette(formula, min(palette, 2))  # tree_pair colors with at most two
+    check_palette(formula, min(palette, 2))  # the trees are colored with at most two
     spec = compile_formula(formula, palette)
     rows: list[ResultRow] = []
     for k in k_values:
-        (t0, r0), (t1, r1) = tree_pair(k, palette)
-        union, offsets = batch_graphs([t0, t1])
-        roots = [r0, int(offsets[1]) + r1]
-        delta = union.max_degree
+        quotient, roots = tree_quotient(*_pair_params(k, palette))
+        n, delta = 1 + k + 1 + (k - 1) * k, k + 1
         for act in specs:
-            low, high = forward_outputs(spec, union, act)[roots]
+            low, high = forward_outputs(spec, quotient, act)[roots]
             gap = abs(float(high) - float(low))
-            rows.append(ResultRow(experiment, label, act.name, act.m, k, t1.n, delta, gap))
+            rows.append(ResultRow(experiment, label, act.name, act.m, k, n, delta, gap))
     return rows
 
 

@@ -12,11 +12,13 @@ __all__ = [
     "LabeledGraph",
     "TreeParams",
     "GraphFormatError",
+    "OrderedQuotient",
     "batch_graphs",
     "make_tree",
     "random_graph",
     "random_graphs",
     "read_graph",
+    "tree_quotient",
     "write_graph",
 ]
 
@@ -160,6 +162,68 @@ def make_tree(params: TreeParams, coloring: str = "unicolor") -> tuple[LabeledGr
     else:
         raise ValueError(f"unknown coloring {coloring!r}")
     return graph, 0
+
+
+@dataclass(frozen=True, eq=False)
+class OrderedQuotient:
+    """A directed multigraph that a forward pass runs in place of a larger
+    simple graph: one vertex per class of vertices whose neighbours, in
+    ascending order, fall in the same sequence of classes.
+
+    A class's in-edges list the classes of one member's neighbours in that
+    member's ascending order, and the edges are grouped by ``edge_dst``,
+    ascending.  ``np.bincount`` over them adds a class's neighbour values in
+    the order it adds a member's in the graph itself, and every other step
+    of a forward pass is elementwise, so each member gets its class's value
+    bit for bit.
+    """
+
+    n: int
+    palette: int
+    colors: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The in-edges as ``(src, dst)`` rows, each directed edge once."""
+        return np.stack([self.edge_src, self.edge_dst], axis=1)
+
+
+# The in-edges of a tree's five classes, 0 the root, 1 vertex 1, 2 the
+# internal vertices 2..m, 3 the leaves under vertex 1 and 4 the other
+# leaves: (source, destination) runs, grouped by destination and each in
+# the ascending neighbour order of make_tree's layout.
+_TREE_RUNS = np.array([(1, 0), (2, 0), (0, 1), (3, 1), (0, 2), (4, 2), (1, 3), (2, 4)], dtype=np.int64)
+
+
+def tree_quotient(trees, coloring: str = "unicolor") -> tuple[OrderedQuotient, np.ndarray]:
+    """The ordered quotient of ``batch_graphs([make_tree(p, coloring)[0] for p
+    in trees])``, and the class of each tree's root.
+
+    Tree i takes classes 5i..5i+4: its root, vertex 1, the other internal
+    vertices, the leaves under vertex 1 and the other leaves.  A class with
+    no member (the other internal vertices when m = 1, the leaves under
+    vertex 1 when x = 0) keeps its vertex, which no class with members
+    reads.  A tree has m + x + k + 4 in-edges, so building and running the
+    quotient takes O(m + x + k), not the tree's O(m k).
+    """
+    trees = list(trees)
+    if not trees:
+        raise ValueError("need at least one tree")
+    if coloring not in ("unicolor", "leaves-blue"):
+        raise ValueError(f"unknown coloring {coloring!r}")
+    leaf = 1 if coloring == "unicolor" else 2
+    counts = np.array([(1, p.m - 1, 1, p.x, 1, p.k, 1, 1) for p in trees], dtype=np.int64).ravel()
+    runs = (_TREE_RUNS + 5 * np.arange(len(trees))[:, None, None]).reshape(-1, 2)
+    quotient = OrderedQuotient(
+        5 * len(trees),
+        leaf,
+        np.tile(np.array([1, 1, 1, leaf, leaf], dtype=np.int64), len(trees)),
+        np.repeat(runs[:, 0], counts),
+        np.repeat(runs[:, 1], counts),
+    )
+    return quotient, 5 * np.arange(len(trees), dtype=np.int64)
 
 
 def batch_graphs(graphs) -> tuple[LabeledGraph, np.ndarray]:

@@ -29,6 +29,14 @@ def forward_history(spec, graph, activation=None):
     return np.stack([s.T.copy() for s in states])
 
 
+def tree_classes(params):
+    """Each vertex's class in ``tree_quotient``'s numbering, read off
+    ``make_tree``'s layout: the root, vertex 1, the internal vertices
+    2..m, the x leaves under vertex 1, then the other leaves."""
+    x, k, m = params.x, params.k, params.m
+    return np.repeat(np.arange(5), [1, 1, m - 1, x, (m - 1) * k])
+
+
 def matrix_rows(a, b):
     """Each row's ``(p, v)`` terms from the (k, d) matrices ``a`` and ``b``:
     A column j at p = j, B column j at p = d + j.  Hand-built layers written as

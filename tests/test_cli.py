@@ -1,6 +1,7 @@
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,19 @@ def test_separation_rows_and_baselines():
 def test_separation_q2_runs():
     rows = run_separation("q2", "arctan-4pi", (2,), (3,))
     assert any(r.activation == "arctan-4pi" for r in rows)
+
+
+def test_separation_memory_is_linear_in_k():
+    # the sweep runs k's tree pair on its ten-class quotient, O(k) edges;
+    # the explicit pair at k = 1000, two trees of 10^6 vertices, peaked at
+    # 464 MB, and the quotient at 0.11 MB
+    tracemalloc.start()
+    try:
+        run_separation("q1", "arctan-4pi", (4,), (1000,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_load_query_parses_a_preset_against_the_given_palette():
@@ -357,6 +371,14 @@ def test_cli_convergence_and_saturation(tmp_path):
     result = run_cli("saturation", "--query", "q1", "--k-range", "2,4,8", "--out", str(out2))
     assert result.returncode == 0, result.stderr
     assert "saturation: gap" in result.stderr
+
+
+def test_cli_separation_at_k_100000(capsys):
+    # each explicit tree of this pair would have 10^10 vertices
+    assert cli.main(["separation", "--k-range", "100000:100000", "--m", "4"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4
+    assert {tuple(row.split(",")[4:7]) for row in rows[1:]} == {("100000", "10000000002", "100001")}
 
 
 def test_cli_saturation_compares_smallest_and_largest_k(capsys):

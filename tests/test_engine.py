@@ -25,12 +25,13 @@ from gc2gnn import (
     parse,
     random_formula,
     random_graph,
+    tree_quotient,
 )
 from gc2gnn.activations import apply_activation, certificate, required_composition_depth
 from gc2gnn.backend import run_forward
-from gc2gnn.experiments import tree_pair
+from gc2gnn.experiments import run_separation, tree_pair
 
-from conftest import forward_history, matrix_rows, pinned_graph
+from conftest import forward_history, matrix_rows, pinned_graph, tree_classes
 
 
 def test_forward_triangle_all_true(q1_spec, triangle):
@@ -578,6 +579,37 @@ def test_batched_forward_bits_match_per_graph(name, q1_spec, q2_spec):
             for graph, lo, hi in zip(graphs, offsets[:-1], offsets[1:]):
                 alone = forward_history(spec, graph, act)
                 assert batched[:, lo:hi].tobytes() == alone.tobytes(), (spec.d, m, graph.n)
+
+
+# The sweep's k values that the quotient is checked at, vertex by vertex.
+QUOTIENT_KS = (*range(1, 65), 128)
+
+
+@pytest.mark.parametrize("query, palette", [("q1", 1), ("q2", 2)])
+def test_tree_quotient_bits_match_the_explicit_pair(query, palette, q1_spec, q2_spec):
+    # Every vertex of every sweep tree ends with its class's (d,) state bit
+    # for bit, under every map: q2's root gap is 0 at every k, so its CSV
+    # rows cannot show a wrong class.
+    spec = {"q1": q1_spec, "q2": q2_spec}[query]
+    coloring = "unicolor" if palette == 1 else "leaves-blue"
+    params = [TreeParams(x, k, k) for k in QUOTIENT_KS for x in (0, 1)]
+    union, offsets = batch_graphs([make_tree(p, coloring)[0] for p in params])
+    quotient, roots = tree_quotient(params, coloring)
+    classes = np.concatenate([tree_classes(p) + 5 * i for i, p in enumerate(params)])
+    assert classes.size == union.n and np.array_equal(roots, classes[offsets[:-1]])  # make_tree's root is 0
+    for name in ACTIVATION_NAMES:
+        for m in (1, 3):
+            act = ActivationSpec(name, m)
+            explicit = forward(spec, union, act)
+            assert explicit.tobytes() == forward(spec, quotient, act)[classes].tobytes(), (name, m)
+
+
+def test_sweep_n_and_delta_are_the_explicit_pairs():
+    rows = run_separation("q1", "sigmoid", (1,), QUOTIENT_KS)
+    for k in QUOTIENT_KS:
+        (t0, _), (t1, _) = tree_pair(k, 1)
+        delta = batch_graphs([t0, t1])[0].max_degree
+        assert {(r.n, r.delta) for r in rows if r.k == k} == {(t1.n, delta)}, k
 
 
 def test_batched_oracle_matches_per_graph(q2):

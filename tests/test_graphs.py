@@ -16,11 +16,12 @@ from gc2gnn import (
     random_graph,
     random_graphs,
     read_graph,
+    tree_quotient,
     write_graph,
 )
 from gc2gnn.graphs import _batch
 
-from conftest import pinned_graph
+from conftest import pinned_graph, tree_classes
 
 
 def bfs_reachable(graph, start=0):
@@ -71,6 +72,32 @@ def test_tree_leaf_coloring():
     assert (tree.colors[5:] == 2).all()  # all leaves
     with pytest.raises(ValueError, match="coloring"):
         make_tree(TreeParams(1, 1, 1), coloring="rainbow")
+
+
+@pytest.mark.parametrize("x,k,m", [(0, 0, 1), (3, 0, 1), (0, 2, 2), (1, 5, 5), (4, 3, 7), (1, 64, 64)])
+@pytest.mark.parametrize("coloring", ["unicolor", "leaves-blue"])
+def test_tree_quotient_lists_each_members_neighbour_classes(x, k, m, coloring):
+    # a class's in-edges are every member's ascending neighbours, mapped to
+    # their classes, and its color is every member's: here for the second
+    # tree of a pair, so the offset of tree 1 counts too
+    params = TreeParams(x, k, m)
+    tree, _ = make_tree(params, coloring)
+    quotient, roots = tree_quotient([params, params], coloring)
+    classes = tree_classes(params) + 5
+    assert roots.tolist() == [0, 5] and quotient.n == 10
+    assert (np.diff(quotient.edge_dst) >= 0).all()
+    for v in range(tree.n):
+        listed = quotient.edge_src[quotient.edge_dst == classes[v]]
+        assert classes[tree.neighbors(v)].tolist() == listed.tolist(), v
+    assert quotient.palette == tree.palette
+    assert np.array_equal(quotient.colors[classes], tree.colors)
+
+
+def test_tree_quotient_rejects_bad_input():
+    with pytest.raises(ValueError, match="at least one tree"):
+        tree_quotient([])
+    with pytest.raises(ValueError, match="coloring"):
+        tree_quotient([TreeParams(1, 1, 1)], "rainbow")
 
 
 def loop_tree_edges(x, k, m):

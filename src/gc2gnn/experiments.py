@@ -2,10 +2,13 @@
 family, convergence-rate sweeps, and the shared CSV schema
 (experiment,query,activation,m,k,n,delta,value,seconds).
 
-A sweep runs each k's tree pair on its ordered quotient
-(``graphs.tree_quotient``), ten vertices and O(k) edges in place of the
-pair's O(k^2) vertices; every vertex of a tree gets its class's value bit
-for bit, so the CSV bytes are those of the explicit pair (``tree_pair``)."""
+A sweep packs consecutive k values into blocks of at most ``_BLOCK_EDGES``
+in-edges and runs each block's tree pairs on one ordered quotient
+(``graphs.tree_quotient``), ten vertices and 4k + 9 in-edges per k in place
+of the pair's O(k^2) vertices, with one forward pass per ``(name, m)`` per
+block (``tree_roots``).  Every vertex of a tree gets its class's value bit
+for bit, whatever trees share its quotient, so the CSV bytes are those of
+the explicit pair (``tree_pair``)."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from .activations import (
     convergence_bound,
     plateau_grid,
 )
-from .compiler import compile_formula
+from .compiler import GnnSpec, compile_formula
 from .engine import forward_outputs
 from .formulas import Formula, check_palette, parse
 from .graphs import TreeParams, make_tree, tree_quotient
@@ -35,6 +38,7 @@ __all__ = [
     "Q1_TEXT",
     "Q2_TEXT",
     "tree_pair",
+    "tree_roots",
     "run_separation",
     "run_saturation",
     "check_saturation_decay",
@@ -53,6 +57,10 @@ _PRESETS = {"q1": (Q1_TEXT, 1), "q2": (Q2_TEXT, 2)}  # name: (text, own palette)
 # over its bound.
 _CONVERGENCE_POINTS = 100_001
 _BOUND_TOL = 1e-12
+
+# The in-edge cap of one sweep block's quotient (a k's pair has 4k + 9), so
+# a sweep's memory is O(max k) whatever its number of k values.
+_BLOCK_EDGES = 2**16
 
 
 class BoundViolation(AssertionError):
@@ -98,24 +106,58 @@ def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Form
     return label, parse(text, palette), palette
 
 
-def _pair_params(k: int, palette: int):
-    """The sweep's tree parameters for k and its coloring: one color for
-    palette 1, else blue leaves."""
-    coloring = "unicolor" if palette == 1 else "leaves-blue"
-    return (TreeParams(0, k, k), TreeParams(1, k, k)), coloring
+def _coloring(palette: int) -> str:
+    """The sweep trees' coloring: one color for palette 1, else blue leaves."""
+    return "unicolor" if palette == 1 else "leaves-blue"
 
 
 def tree_pair(k: int, palette: int):
     """The sweep's input pair: the k-ary tree with zero and with one leaf
     under the first internal vertex (both with m = k internal vertices),
     one color for palette 1, else with blue leaves."""
-    params, coloring = _pair_params(k, palette)
-    return tuple(make_tree(p, coloring) for p in params)
+    coloring = _coloring(palette)
+    return tuple(make_tree(TreeParams(x, k, k), coloring) for x in (0, 1))
+
+
+def _blocks(k_values):
+    """Consecutive runs of ``k_values`` whose pairs hold at most
+    ``_BLOCK_EDGES`` in-edges together; a k over the cap alone is a block."""
+    block, edges = [], 0
+    for k in k_values:
+        pair = 4 * k + 9
+        if block and edges + pair > _BLOCK_EDGES:
+            yield block
+            block, edges = [], 0
+        block.append(k)
+        edges += pair
+    if block:
+        yield block
+
+
+def tree_roots(spec: GnnSpec, runs, k_values, palette: int) -> np.ndarray:
+    """The output of ``spec`` at both roots of each k's ``tree_pair``, under
+    each ``ActivationSpec`` of ``runs``, as a (len(k_values), len(runs), 2)
+    array: entry [i, j] holds the x = 0 root, then the x = 1 root.
+
+    Consecutive k values share a block (``_blocks``): one ordered quotient
+    of their pairs and one forward pass per run."""
+    k_values = list(k_values)
+    roots = np.empty((len(k_values), len(runs), 2))
+    coloring = _coloring(palette)
+    start = 0
+    for block in _blocks(k_values):
+        trees = [TreeParams(x, k, k) for k in block for x in (0, 1)]
+        quotient, classes = tree_quotient(trees, coloring)
+        stop = start + len(block)
+        for j, act in enumerate(runs):
+            roots[start:stop, j] = forward_outputs(spec, quotient, act)[classes].reshape(-1, 2)
+        start = stop
+    return roots
 
 
 def _sweep(experiment: str, query: str, palette: int | None, k_values, runs) -> list[ResultRow]:
     """For each k, one row per ``(name, m)`` of ``runs``: the gap between the
-    two roots of k's tree pair, run on the pair's ordered quotient.
+    two roots of k's tree pair, run in blocks of k by ``tree_roots``.
 
     Its ``n`` is the second tree's vertex count, 1 + k + 1 + (k-1)k, and its
     ``delta`` the pair's largest degree, k + 1 (vertex 1 of the second tree
@@ -127,15 +169,12 @@ def _sweep(experiment: str, query: str, palette: int | None, k_values, runs) -> 
         raise ValueError(f"k must be >= 1, got k = {min(k_values)}")
     label, formula, palette = load_query(query, palette)
     check_palette(formula, min(palette, 2))  # the trees are colored with at most two
-    spec = compile_formula(formula, palette)
+    roots = tree_roots(compile_formula(formula, palette), specs, k_values, palette)
     rows: list[ResultRow] = []
-    for k in k_values:
-        quotient, roots = tree_quotient(*_pair_params(k, palette))
+    for k, pair in zip(k_values, roots.tolist()):
         n, delta = 1 + k + 1 + (k - 1) * k, k + 1
-        for act in specs:
-            low, high = forward_outputs(spec, quotient, act)[roots]
-            gap = abs(float(high) - float(low))
-            rows.append(ResultRow(experiment, label, act.name, act.m, k, n, delta, gap))
+        for act, (low, high) in zip(specs, pair):
+            rows.append(ResultRow(experiment, label, act.name, act.m, k, n, delta, abs(high - low)))
     return rows
 
 

@@ -70,6 +70,36 @@ def test_separation_memory_is_linear_in_k():
     assert peak < 2**20, peak
 
 
+def test_separation_memory_stays_bounded_over_many_blocks():
+    # k = 2..2000 spans 128 blocks of at most 2**16 in-edges; one quotient
+    # of all of them would hold 8 * 10^6 edges, 128 MB of edge arrays alone
+    tracemalloc.start()
+    try:
+        run_separation("q1", "arctan-4pi", (4,), range(2, 2001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+# Under an in-edge cap of 51 (a pair holds 4k + 9), these k values make
+# blocks of three, two and one pairs, and k = 11 exceeds the cap alone.
+SMALL_BLOCK_EDGES = 51
+SMALL_BLOCK_KS = (1, 2, 3, 4, 5, 11, 6, 7, 1, 2)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda ks: run_separation("q2", "step-tanh", (3, 9), ks),
+    lambda ks: run_saturation("q1", "sigmoid", 2, ks),
+], ids=["separation-q2", "saturation-q1"])
+def test_sweep_csv_does_not_depend_on_the_blocks(sweep, monkeypatch):
+    default = rows_to_csv(sweep(SMALL_BLOCK_KS))
+    one_k = rows_to_csv([row for k in SMALL_BLOCK_KS for row in sweep((k,))])
+    monkeypatch.setattr(experiments, "_BLOCK_EDGES", SMALL_BLOCK_EDGES)
+    assert list(experiments._blocks(SMALL_BLOCK_KS)) == [[1, 2, 3], [4], [5], [11], [6], [7, 1], [2]]
+    assert rows_to_csv(sweep(SMALL_BLOCK_KS)) == default == one_k
+
+
 def test_load_query_parses_a_preset_against_the_given_palette():
     label, formula, palette = experiments.load_query("q2", 3)
     assert (label, palette) == ("q2", 3)

@@ -604,6 +604,29 @@ def test_tree_quotient_bits_match_the_explicit_pair(query, palette, q1_spec, q2_
             assert explicit.tobytes() == forward(spec, quotient, act)[classes].tobytes(), (name, m)
 
 
+@pytest.mark.parametrize("query, palette", [("q1", 1), ("q2", 2)])
+def test_block_quotient_bits_match_each_pairs_own_quotient(query, palette, q1_spec, q2_spec):
+    # A sweep block runs many pairs on one quotient.  Behind 0..7 leading
+    # trees, each pair tree's root class 5i falls at every offset mod 8 (a
+    # lane position of an 8-wide vector loop), and each tree's five class
+    # states must still be those of its own pair's quotient bit for bit.
+    spec = {"q1": q1_spec, "q2": q2_spec}[query]
+    coloring = "unicolor" if palette == 1 else "leaves-blue"
+    ks = (1, 2, 3, 7, 64, 1000)
+    pairs = [tree_quotient([TreeParams(x, k, k) for x in (0, 1)], coloring)[0] for k in ks]
+    trees = [TreeParams(x, k, k) for k in ks for x in (0, 1)]
+    blocks = [tree_quotient([TreeParams(1, 2, 2)] * lead + trees, coloring) for lead in range(8)]
+    offsets = np.array([roots[lead:] % 8 for lead, (_, roots) in enumerate(blocks)])
+    assert all(set(column) == set(range(8)) for column in offsets.T)
+    for name in ACTIVATION_NAMES:
+        for m in (1, 3):
+            act = ActivationSpec(name, m)
+            own = np.concatenate([forward(spec, pair, act) for pair in pairs])
+            for lead, (block, _) in enumerate(blocks):
+                got = forward(spec, block, act)[5 * lead:]
+                assert got.tobytes() == own.tobytes(), (name, m, lead)
+
+
 def test_sweep_n_and_delta_are_the_explicit_pairs():
     rows = run_separation("q1", "sigmoid", (1,), QUOTIENT_KS)
     for k in QUOTIENT_KS:

@@ -459,8 +459,11 @@ def required_composition_depth(params: StepLikeParams, max_degree: int) -> int:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
+    scale = 2.0 * (max_degree + 2)
+    if not math.isfinite(scale):  # inf * bound(m) never drops below 1
+        raise ValueError("max_degree too large: 2 (max_degree + 2) overflows float64")
     m = 0
-    while not 2.0 * (max_degree + 2) * convergence_bound(params, m) < 1.0:
+    while not scale * convergence_bound(params, m) < 1.0:
         m += 1
         if m > 100_000:
             raise RuntimeError("rate too slow; no feasible composition depth found")

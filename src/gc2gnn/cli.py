@@ -10,6 +10,7 @@ vertices.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -67,10 +68,10 @@ def _query_text(args, default: str | None = None) -> str:
     """The one query of ``--query`` or ``--formula``, else ``default``."""
     if args.query is not None and args.formula is not None:
         raise ValueError("give --query or --formula, not both")
-    text = args.query or args.formula or default
-    if not text:
+    text = args.formula if args.query is None else args.query
+    if text is None and default is None:
         raise ValueError("need --query or --formula")
-    return text
+    return default if text is None else text
 
 
 def _cmd_compile(args) -> int:
@@ -275,36 +276,27 @@ _VERBS = {
 }
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of ``verb`` alone: building one verb's
-    subparser costs a fraction of building all of them."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process; parsing only reads it."""
     parser = argparse.ArgumentParser(prog="gc2gnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, arguments) in _VERBS.items():
-        if verb is None or name == verb:
-            p = sub.add_parser(name, help=help_text)
-            for flag, kwargs in arguments:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(handler=handler)
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # A named verb's arguments are parsed by its own parser; every message of
-    # the top-level parser (no verb, an unknown one, -h, arguments left over,
-    # a handler's usage error) comes from the full one, which lists all verbs.
-    if argv and argv[0] in _VERBS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv)
-        if extras:
-            build_parser().parse_args(argv)  # exits with "unrecognized arguments"
-    else:
-        args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     # A flag with a lower bound is checked here, where it enters, so its message names it.
     for dest, low in (("palette", 1), ("random_graphs", 0), ("seed", 0), ("n", 1)):
         value = getattr(args, dest, None)
         if value is not None and value < low:
-            build_parser().error(f"--{dest.replace('_', '-')} {value} must be >= {low}")
+            parser.error(f"--{dest.replace('_', '-')} {value} must be >= {low}")
     # Bad values, malformed files and unreadable paths are usage errors
     # (exit code 2); the format errors of graphs, specs and formulas are
     # ValueErrors too, an integer too large for a float is an OverflowError,
@@ -314,9 +306,9 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except MemoryError as exc:
-        build_parser().error(f"ran out of memory: {str(exc) or 'the request is too large'}")
+        parser.error(f"ran out of memory: {str(exc) or 'the request is too large'}")
     except (ValueError, OverflowError, OSError) as exc:
-        build_parser().error(str(exc))
+        parser.error(str(exc))
     except BoundViolation as exc:
         print(f"gc2gnn {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -263,6 +263,17 @@ def test_required_depth_scan_values():
     assert required_composition_depth(flat, 0) == 0
 
 
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_required_depth_rejects_a_degree_past_float64(name):
+    # 2 (max_degree + 2) overflows to inf, and inf * bound(m) never drops below 1
+    params = certificate(name)
+    assert required_composition_depth(params, 10**307) > 0
+    with pytest.raises(ValueError, match="overflows float64"):
+        required_composition_depth(params, 10**308)
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        required_composition_depth(params, 10**400)
+
+
 def test_readme_activation_table_matches_registry():
     # a certificate edit fails here until README's "Activations" section follows it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

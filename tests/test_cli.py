@@ -1,3 +1,4 @@
+import argparse
 import shlex
 import subprocess
 import sys
@@ -239,6 +240,11 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
         pytest.param(("check-exact", "--query", "q1", "--random-graphs", "1", "--n", "0"),
                      "--n 0 must be >= 1", id="check-exact-n0"),
         pytest.param(("compile",), "need --query or --formula", id="compile-no-query"),
+        # a flag given empty is parsed, not replaced by the sweeps' default q1
+        pytest.param(("separation", "--formula", "", "--k-range", "2:3", "--m", "4"),
+                     "unexpected end of input", id="separation-empty-formula"),
+        pytest.param(("saturation", "--query", "", "--k-range", "2:3"),
+                     "unexpected end of input", id="saturation-empty-query"),
         pytest.param(("check-exact", "--query", "q1", "--random-graphs", "0"),
                      "need --graph and/or --random-graphs", id="check-exact-no-graphs"),
         pytest.param(("separation", "--formula", "dia>=1 C1", "--palette", "0"),
@@ -253,6 +259,10 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
                      "non-negative", id="m-range-1:2"),
         pytest.param(("required-m", "--activation", "step-arctan", "--delta", "1" + "0" * 400),
                      "int too large to convert to float", id="required-m-huge-delta"),
+        # 2 (delta + 2) overflows float64, so the depth scan could never close
+        *(pytest.param(("required-m", "--activation", name, "--delta", "1" + "0" * 308),
+                       "overflows float64", id=f"required-m-{name}-delta-past-float64")
+          for name in ("step-arctan", "steplike-tanh-eta0")),
         # each request needs more than the 128 TiB user address space of
         # x86-64, so its allocation is refused at once, never filled
         pytest.param(("separation", "--k-range", "2:100000000000000000", "--m", "4"), "ran out of memory",
@@ -570,6 +580,39 @@ def test_readme_command_lines_run(tmp_path, monkeypatch):
     assert len(lines) == 9
     for line in lines:
         assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+
+
+def test_cli_builds_one_parser_per_process(monkeypatch, capsys):
+    # the first call builds the top-level parser and one subparser per verb;
+    # a later call, of another verb, builds none
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert cli.main(["required-m", "--activation", "step-arctan", "--delta", "64"]) == 0
+    first = len(built)
+    assert cli.main(["compile", "--query", "q1", "--out", "-"]) == 0
+    assert built[0] == "gc2gnn" and first == 1 + len(VERBS)
+    assert len(built) == first
+
+
+def test_cli_calls_share_no_parsed_state(capsys):
+    # one process: a sweep with other values, a call that fails part-way
+    # through its arguments, then a sweep that must see every default again
+    assert cli.main(["separation", "--activation", "step-arctan", "--m", "2,3", "--k-range", "2:3",
+                     "--query", "q2"]) == 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(["separation", "--activation", "sigmoid", "--m", "5", "--formula", "C1", "--bogus"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["separation", "--k-range", "2:3"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == rows_to_csv(run_separation("q1", "arctan-4pi", (4, 8, 12), (2, 3)))
 
 
 # Every usage error prints the full usage line of the parser that rejects the

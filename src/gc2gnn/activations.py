@@ -84,7 +84,9 @@ class Activation:
 @dataclass(frozen=True)
 class ActivationSpec:
     """Activation selection for a compiled network: name plus composition
-    depth ``m`` (``m = 0`` means the identity, by explicit request)."""
+    depth ``m``.  ``m = 0`` is asked for explicitly and means the identity,
+    except for ``arctan-4pi``, where it is ``y -> 1/4 + y/2`` (see
+    ``apply_activation``)."""
 
     name: str
     m: int = 1
@@ -402,14 +404,15 @@ def _compose(fn, m: int, out: np.ndarray) -> None:
 
 
 def apply_activation(name: str, m: int, values):
-    """``name`` composed ``m`` times (``m = 0`` is the identity) on a
-    float64 copy of ``values``, which is left unchanged: an array in the
-    layout of ``values``, or a float64 scalar for a scalar.  The one way to
-    run a map on values.
+    """``name`` composed ``m`` times on a float64 copy of ``values``, which
+    is left unchanged: an array in the layout of ``values``, or a float64
+    scalar for a scalar.  The one way to run a map on values.
 
-    Every named map is composed directly, except ``arctan-4pi`` which is
-    the sign-amplifying composite ``z -> 1/2 + f^m(z - 1/2)/2`` with
-    ``f = (4/pi) arctan``, the map its kernel holds.
+    Every named map is composed directly, so ``m = 0`` is the identity,
+    except ``arctan-4pi`` which is the sign-amplifying composite
+    ``z -> 1/2 + f^m(z - 1/2)/2`` with ``f = (4/pi) arctan``, the map its
+    kernel holds.  At ``m = 0`` that composite is ``z -> 1/4 + z/2``:
+    ``apply_activation("arctan-4pi", 0, [0, 1])`` is ``[0.25, 0.75]``.
     """
     if m < 0:
         raise ValueError("composition depth must be non-negative")

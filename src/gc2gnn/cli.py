@@ -118,7 +118,11 @@ def _cmd_check_exact(args) -> int:
         labels.append(("file:" + args.graph, loaded.n))
         parts.append(loaded)
     _, formula, palette = load_query(text, palette)
-    palette = max(palette, loaded.palette) if args.graph else palette
+    # The union takes the largest palette, so the file's own is checked here,
+    # before any graph is sampled.
+    if args.graph:
+        check_palette(formula, loaded.palette)
+        palette = max(palette, loaded.palette)
     if args.random_graphs:
         seeds = range(args.seed, args.seed + args.random_graphs)
         parts.append(random_graphs(args.n, args.avg_degree, palette, seeds)[0])
@@ -126,9 +130,6 @@ def _cmd_check_exact(args) -> int:
     if not parts:
         raise ValueError("need --graph and/or --random-graphs")
     spec = compile_formula(formula, palette)
-    # The union takes the largest palette, so the file's own is checked here.
-    if args.graph:
-        check_palette(formula, loaded.palette)
     # One oracle call and one forward per activation over the disjoint union;
     # vertex offsets split the mismatches per graph.
     union, _ = batch_graphs(parts)

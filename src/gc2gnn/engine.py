@@ -31,9 +31,7 @@ def initial_features(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np
         else:
             index = int(kind[1:])
             if index > graph.palette:
-                raise ValueError(
-                    f"spec expects color C{index} but the graph palette is {graph.palette}"
-                )
+                raise ValueError(f"color C{index} outside the graph palette [1, {graph.palette}]")
             feats[:, j] = graph.colors == index
     return feats
 

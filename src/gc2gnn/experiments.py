@@ -8,7 +8,7 @@ in-edges and runs each block's tree pairs on one ordered quotient
 of the pair's O(k^2) vertices, with one forward pass per ``(name, m)`` per
 block (``tree_roots``).  Every vertex of a tree gets its class's value bit
 for bit, whatever trees share its quotient, so the CSV bytes are those of
-the explicit pair (``tree_pair``)."""
+the explicit pair of ``graphs.make_tree`` trees."""
 
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ from .activations import (
 )
 from .compiler import GnnSpec, compile_formula
 from .engine import forward_outputs
-from .formulas import Formula, check_palette, parse
-from .graphs import TreeParams, make_tree, tree_quotient
+from .formulas import Formula, parse
+from .graphs import TreeParams, tree_quotient
 
 __all__ = [
     "CSV_HEADER",
@@ -37,7 +37,6 @@ __all__ = [
     "load_query",
     "Q1_TEXT",
     "Q2_TEXT",
-    "tree_pair",
     "tree_roots",
     "run_separation",
     "run_saturation",
@@ -106,19 +105,6 @@ def load_query(name_or_text: str, palette: int | None = None) -> tuple[str, Form
     return label, parse(text, palette), palette
 
 
-def _coloring(palette: int) -> str:
-    """The sweep trees' coloring: one color for palette 1, else blue leaves."""
-    return "unicolor" if palette == 1 else "leaves-blue"
-
-
-def tree_pair(k: int, palette: int):
-    """The sweep's input pair: the k-ary tree with zero and with one leaf
-    under the first internal vertex (both with m = k internal vertices),
-    one color for palette 1, else with blue leaves."""
-    coloring = _coloring(palette)
-    return tuple(make_tree(TreeParams(x, k, k), coloring) for x in (0, 1))
-
-
 def _blocks(k_values):
     """Consecutive runs of ``k_values`` whose pairs hold at most
     ``_BLOCK_EDGES`` in-edges together; a k over the cap alone is a block."""
@@ -135,15 +121,19 @@ def _blocks(k_values):
 
 
 def tree_roots(spec: GnnSpec, runs, k_values, palette: int) -> np.ndarray:
-    """The output of ``spec`` at both roots of each k's ``tree_pair``, under
+    """The output of ``spec`` at both roots of each k's tree pair, under
     each ``ActivationSpec`` of ``runs``, as a (len(k_values), len(runs), 2)
     array: entry [i, j] holds the x = 0 root, then the x = 1 root.
 
-    Consecutive k values share a block (``_blocks``): one ordered quotient
-    of their pairs and one forward pass per run."""
+    k's pair is ``make_tree(TreeParams(x, k, k), coloring)`` for x = 0 and
+    1: the k-ary tree with zero and with one leaf under the first internal
+    vertex, one color for palette 1, else with blue leaves, so a spec color
+    beyond C2 raises from ``initial_features``.  Consecutive k values share
+    a block (``_blocks``): one ordered quotient of their pairs and one
+    forward pass per run."""
     k_values = list(k_values)
     roots = np.empty((len(k_values), len(runs), 2))
-    coloring = _coloring(palette)
+    coloring = "unicolor" if palette == 1 else "leaves-blue"
     start = 0
     for block in _blocks(k_values):
         trees = [TreeParams(x, k, k) for k in block for x in (0, 1)]
@@ -168,7 +158,6 @@ def _sweep(experiment: str, query: str, palette: int | None, k_values, runs) -> 
     if min(k_values) < 1:
         raise ValueError(f"k must be >= 1, got k = {min(k_values)}")
     label, formula, palette = load_query(query, palette)
-    check_palette(formula, min(palette, 2))  # the trees are colored with at most two
     roots = tree_roots(compile_formula(formula, palette), specs, k_values, palette)
     rows: list[ResultRow] = []
     for k, pair in zip(k_values, roots.tolist()):

@@ -27,6 +27,21 @@ class GraphFormatError(ValueError):
     """Raised when a graph file cannot be parsed into a valid graph."""
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool, as node payloads and
+    composition depths must be."""
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+
+
+def _int_array(values, what: str) -> np.ndarray:
+    """``values`` as a contiguous int64 array, not copied if it is one; a
+    non-empty ``values`` of another dtype than an integer one raises."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {array.dtype}")
+    return np.ascontiguousarray(array, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledGraph:
     """Finite simple undirected graph with exactly one color per vertex.
@@ -34,7 +49,10 @@ class LabeledGraph:
     ``edges`` stores each undirected edge once as ``(u, v)`` with ``u < v``,
     lexicographically sorted and deduplicated; ``colors`` takes values in
     ``[1, palette]``.  Contiguous int64 input that already has this form is
-    kept, not copied, so callers must not modify it afterwards.
+    kept, not copied, so callers must not modify it afterwards.  ``n`` and
+    ``palette`` must be Python or numpy integers and non-empty ``colors``
+    and ``edges`` integer arrays: a float or a bool raises instead of being
+    truncated.
     """
 
     n: int
@@ -43,17 +61,19 @@ class LabeledGraph:
     edges: np.ndarray
 
     def __post_init__(self):
+        if not (_is_integer(self.n) and _is_integer(self.palette)):
+            raise ValueError(f"n and palette must be integers, got n={self.n!r}, palette={self.palette!r}")
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
         if self.palette < 1:
             raise ValueError(f"palette size must be >= 1, got {self.palette}")
-        colors = np.ascontiguousarray(np.asarray(self.colors, dtype=np.int64))
+        colors = _int_array(self.colors, "colors")
         if colors.shape != (self.n,):
             raise ValueError(f"expected {self.n} colors, got shape {colors.shape}")
         if colors.min() < 1 or colors.max() > self.palette:
             v = int(np.argmax((colors < 1) | (colors > self.palette)))
             raise ValueError(f"color out of range [1, {self.palette}]: vertex {v} has color {colors[v]}")
-        edges = np.ascontiguousarray(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
+        edges = _int_array(self.edges, "edges").reshape(-1, 2)
         if edges.size:
             u, v = edges[:, 0], edges[:, 1]
             # each check names the first edge it rejects
@@ -122,17 +142,30 @@ class LabeledGraph:
 @dataclass(frozen=True)
 class TreeParams:
     """Knobs of the rooted tree family: ``x`` leaves under the first internal
-    vertex, ``k`` leaves under each of the remaining ``m - 1``."""
+    vertex, ``k`` leaves under each of the remaining ``m - 1``; each a
+    Python or numpy integer, not a bool."""
 
     x: int
     k: int
     m: int
 
     def __post_init__(self):
-        if self.x < 0 or self.k < 0:
+        x, k, m = self.x, self.k, self.m
+        # the plain-int test first: a sweep builds a hundred of these
+        if not type(x) is type(k) is type(m) is int and not all(map(_is_integer, (x, k, m))):
+            raise ValueError(f"tree sizes must be integers, got {self!r}")
+        if x < 0 or k < 0:
             raise ValueError("leaf counts must be non-negative")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("need at least one internal vertex (m >= 1)")
+
+
+def _leaf_color(coloring: str) -> int:
+    """The leaves' color, and the palette, of a tree under ``coloring``; the
+    root and the internal vertices have color 1."""
+    if coloring not in ("unicolor", "leaves-blue"):
+        raise ValueError(f"unknown coloring {coloring!r}")
+    return 1 if coloring == "unicolor" else 2
 
 
 def make_tree(params: TreeParams, coloring: str = "unicolor") -> tuple[LabeledGraph, int]:
@@ -144,6 +177,7 @@ def make_tree(params: TreeParams, coloring: str = "unicolor") -> tuple[LabeledGr
     internal vertices colored 1, every leaf colored 2).
     """
     x, k, m = params.x, params.k, params.m
+    leaf = _leaf_color(coloring)
     n = 1 + m + x + (m - 1) * k
     # Vertex i > 0 hangs under parents[i - 1]; parents never decrease, so
     # the edges come out canonical and sorted.
@@ -153,15 +187,9 @@ def make_tree(params: TreeParams, coloring: str = "unicolor") -> tuple[LabeledGr
         np.repeat(np.arange(2, m + 1, dtype=np.int64), k),
     ])
     edge_arr = np.stack([parents, np.arange(1, n, dtype=np.int64)], axis=1)
-    if coloring == "unicolor":
-        graph = LabeledGraph(n, 1, np.ones(n, dtype=np.int64), edge_arr)
-    elif coloring == "leaves-blue":
-        colors = np.ones(n, dtype=np.int64)
-        colors[m + 1 :] = 2
-        graph = LabeledGraph(n, 2, colors, edge_arr)
-    else:
-        raise ValueError(f"unknown coloring {coloring!r}")
-    return graph, 0
+    colors = np.ones(n, dtype=np.int64)
+    colors[m + 1 :] = leaf
+    return LabeledGraph(n, leaf, colors, edge_arr), 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +239,7 @@ def tree_quotient(trees, coloring: str = "unicolor") -> tuple[OrderedQuotient, n
     trees = list(trees)
     if not trees:
         raise ValueError("need at least one tree")
-    if coloring not in ("unicolor", "leaves-blue"):
-        raise ValueError(f"unknown coloring {coloring!r}")
-    leaf = 1 if coloring == "unicolor" else 2
+    leaf = _leaf_color(coloring)
     counts = np.array([(1, p.m - 1, 1, p.x, 1, p.k, 1, 1) for p in trees], dtype=np.int64).ravel()
     runs = (_TREE_RUNS + 5 * np.arange(len(trees))[:, None, None]).reshape(-1, 2)
     quotient = OrderedQuotient(

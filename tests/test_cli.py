@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import shlex
 import subprocess
 import sys
@@ -36,6 +38,19 @@ from gc2gnn.experiments import (
 
 
 def run_cli(*args):
+    """``cli.main(args)`` in this process, its exit code and output returned
+    as ``subprocess.run`` returns a process's."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # a usage error exits from inside the parser
+            code = exc.code
+    return subprocess.CompletedProcess(["gc2gnn", *args], code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args):
+    """``python -m gc2gnn.cli`` with ``args``, in a process of its own."""
     return subprocess.run(
         [sys.executable, "-m", "gc2gnn.cli", *args], capture_output=True, text=True
     )
@@ -334,6 +349,9 @@ def test_cli_eval_spec_uses_its_activation(tmp_path, q1):
           for verb, extra in (("compile", ()), ("eval", ("--graph", "{graph}")),
                               ("check-exact", ("--graph", "{graph}")), ("separation", ()),
                               ("saturation", ()))),
+        # a spec's color beyond the graph's palette, refused by its initial features
+        pytest.param(("eval", "--spec", "{color_c2}", "--graph", "{graph}"),
+                     "color C2 outside the graph palette [1, 1]", id="eval-spec-color-beyond-graph"),
     ],
 )
 def test_cli_eval_vertex_out_of_range(tmp_path, q1_spec, args, message):
@@ -350,6 +368,7 @@ def test_cli_eval_vertex_out_of_range(tmp_path, q1_spec, args, message):
         "overflow": "20 19 2 relu 1 terms\ninit 1" + " 0" * 19 + "\n"
                     + "".join(f"{t} 0 0 0 9000000000000000000\n" for t in range(1, 19))
                     + "19 1 0 2 1\n19 1 0 3 1\n19 2 0 1 1\n",
+        "color_c2": "1 0 0 sigma-star 1 terms\ninit C2\n",
     }
     paths = {"graph": str(graph_path), "missing": str(tmp_path / "missing.graph"), "spec": str(spec_path)}
     for key, text in spec_texts.items():
@@ -394,10 +413,22 @@ def test_cli_separation_deterministic(tmp_path):
     args = ("separation", "--query", "q1", "--activation", "arctan-4pi",
             "--m", "2,4", "--k-range", "2:4")
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    r1 = run_cli(*args, "--out", str(out1))
-    r2 = run_cli(*args, "--out", str(out2))
+    r1 = run_cli_process(*args, "--out", str(out1))
+    r2 = run_cli_process(*args, "--out", str(out2))
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_module_exit_codes():
+    # `python -m gc2gnn.cli` exits 0 on success, 1 for a sweep that breaks
+    # its bound and 2 for a usage error
+    ok = run_cli_process("required-m", "--activation", "step-arctan", "--delta", "64")
+    broken = run_cli_process("saturation", "--query", "q1", "--activation", "tanh", "--k-range", "2:40")
+    usage = run_cli_process("separation", "--k-range", "0:2")
+    assert [r.returncode for r in (ok, broken, usage)] == [0, 1, 2]
+    assert "m = 14" in ok.stdout
+    assert "no saturation decay" in broken.stderr
+    assert "k must be >= 1, got k = 0" in usage.stderr and usage.stdout == ""
 
 
 def test_cli_convergence_and_saturation(tmp_path):
@@ -450,6 +481,22 @@ def test_cli_check_exact_keeps_file_palette_error(tmp_path):
         assert result.returncode == 2, extra
         assert "color C3 outside the graph palette [1, 2]" in result.stderr
         assert result.stdout == "" and "Traceback" not in result.stderr
+
+
+def test_cli_check_exact_checks_file_palette_before_sampling(tmp_path, monkeypatch):
+    # a formula beyond the file's palette is refused before the corpus is drawn
+    graph_path = tmp_path / "two.graph"
+    write_graph(graph_path, LabeledGraph(3, 2, np.array([1, 2, 1]), np.array([[0, 1], [1, 2]])))
+
+    def no_sampling(*args):
+        raise AssertionError("random_graphs was called")
+
+    monkeypatch.setattr(cli, "random_graphs", no_sampling)
+    result = run_cli("check-exact", "--graph", str(graph_path), "--formula", "(C3 and top)",
+                     "--palette", "3", "--random-graphs", "200", "--n", "20000")
+    assert result.returncode == 2
+    assert "color C3 outside the graph palette [1, 2]" in result.stderr
+    assert result.stdout == ""
 
 
 def test_cli_check_exact_parses_against_file_palette(tmp_path):

@@ -29,7 +29,7 @@ from gc2gnn import (
 )
 from gc2gnn.activations import apply_activation, certificate, required_composition_depth
 from gc2gnn.backend import run_forward
-from gc2gnn.experiments import run_separation, tree_pair
+from gc2gnn.experiments import run_separation
 
 from conftest import forward_history, matrix_rows, pinned_graph, tree_classes
 
@@ -290,7 +290,7 @@ def test_margin_exact_run_is_half(q1, q1_spec):
 
 
 def test_margin_small_m_fails_to_express(q1, q1_spec):
-    roots = tree_pair(40, 1)
+    roots = [make_tree(TreeParams(x, 40, 40)) for x in (0, 1)]
     assert root_margin(q1, q1_spec.with_activation("step-arctan", 2), roots) <= 0.0
     assert root_margin(q1, q1_spec.with_activation("step-arctan", 14), roots) > 0.5 - 1 / 132
 
@@ -630,7 +630,7 @@ def test_block_quotient_bits_match_each_pairs_own_quotient(query, palette, q1_sp
 def test_sweep_n_and_delta_are_the_explicit_pairs():
     rows = run_separation("q1", "sigmoid", (1,), QUOTIENT_KS)
     for k in QUOTIENT_KS:
-        (t0, _), (t1, _) = tree_pair(k, 1)
+        (t0, _), (t1, _) = (make_tree(TreeParams(x, k, k)) for x in (0, 1))
         delta = batch_graphs([t0, t1])[0].max_degree
         assert {(r.n, r.delta) for r in rows if r.k == k} == {(t1.n, delta)}, k
 

@@ -136,6 +136,21 @@ def test_tree_params_validation():
         TreeParams(0, 0, 0)
 
 
+# tree_quotient used to truncate (1.5, 2.7, 2) to the quotient of (1, 2, 2)
+@pytest.mark.parametrize("sizes", [(1.5, 2.7, 2), (1, 2, 2.0), (True, 2, 2), (0, np.float64(3), 3), (0, 1, "2")],
+                         ids=["float-x-k", "float-m", "bool-x", "numpy-float-k", "str-m"])
+def test_tree_params_refuse_non_integer_sizes(sizes):
+    with pytest.raises(ValueError, match="tree sizes must be integers"):
+        TreeParams(*sizes)
+
+
+def test_tree_params_take_numpy_integers():
+    quotient, _ = tree_quotient([TreeParams(np.int64(1), np.int32(2), np.uint8(2))])
+    want, _ = tree_quotient([TreeParams(1, 2, 2)])
+    assert np.array_equal(quotient.edge_src, want.edge_src)
+    assert np.array_equal(quotient.edge_dst, want.edge_dst)
+
+
 # -- random graphs -------------------------------------------------------------
 
 
@@ -312,6 +327,30 @@ def test_graph_rejects_self_loop():
 def test_graph_rejects_bad_color():
     with pytest.raises(ValueError, match="color out of range"):
         LabeledGraph(2, 1, np.array([1, 2]), np.empty((0, 2), int))
+
+
+# these were truncated: colors 1.7, 2.2, 1.0 to 1, 2, 1 and the edge (0, 1.9) to (0, 1)
+@pytest.mark.parametrize(
+    "n,palette,colors,edges,message",
+    [
+        pytest.param(3, 2, [1.7, 2.2, 1.0], [[0, 1.9]], "colors must be integers, got dtype float64",
+                     id="float-colors"),
+        pytest.param(3, 2, [1, 2, 1], [[0, 1.9]], "edges must be integers, got dtype float64", id="float-edges"),
+        pytest.param(2, 1, [True, True], [[0, 1]], "colors must be integers, got dtype bool", id="bool-colors"),
+        pytest.param(2, 1.5, [1, 1], [[0, 1]], "n and palette must be integers", id="palette-1.5"),
+        pytest.param(2, True, [1, 1], [[0, 1]], "n and palette must be integers", id="palette-true"),
+        pytest.param(2.0, 1, [1, 1], [[0, 1]], "n and palette must be integers", id="n-2.0"),
+    ],
+)
+def test_graph_refuses_non_integer_input(n, palette, colors, edges, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledGraph(n, palette, np.array(colors), np.array(edges))
+
+
+def test_graph_takes_numpy_integers_and_empty_float_edges():
+    g = LabeledGraph(np.int64(2), np.int32(2), np.array([1, 2], dtype=np.uint8), np.empty((0, 2)))
+    assert g.colors.dtype == np.int64 and g.colors.tolist() == [1, 2]
+    assert g.edges.dtype == np.int64 and g.edges.shape == (0, 2)
 
 
 def test_graph_canonicalizes_edges():

@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .graphs import _is_integer
+
 __all__ = [
     "Activation",
     "StepLikeParams",
@@ -81,11 +83,21 @@ class Activation:
     certificate: StepLikeParams | None = None
 
 
+def _composition_depth(m) -> int:
+    """``m`` as an ``int`` if it is a non-negative integer, not a bool."""
+    if not _is_integer(m):
+        raise ValueError(f"composition depth must be an integer, got {m!r}")
+    if m < 0:
+        raise ValueError("composition depth must be non-negative")
+    return int(m)
+
+
 @dataclass(frozen=True)
 class ActivationSpec:
     """Activation selection for a compiled network: name plus composition
-    depth ``m``.  ``m = 0`` is asked for explicitly and means the identity,
-    except for ``arctan-4pi``, where it is ``y -> 1/4 + y/2`` (see
+    depth ``m``, a non-negative Python or numpy integer (a bool raises),
+    stored as an ``int``.  ``m = 0`` is asked for explicitly and means the
+    identity, except for ``arctan-4pi``, where it is ``y -> 1/4 + y/2`` (see
     ``apply_activation``)."""
 
     name: str
@@ -94,10 +106,7 @@ class ActivationSpec:
     def __post_init__(self):
         if self.name not in ACTIVATION_NAMES:
             raise ValueError(f"unknown activation {self.name!r}")
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
-            raise ValueError(f"composition depth must be an integer, got {self.m!r}")
-        if self.m < 0:
-            raise ValueError("composition depth must be non-negative")
+        object.__setattr__(self, "m", _composition_depth(self.m))
 
 
 # --------------------------------------------------------------------------
@@ -413,9 +422,9 @@ def apply_activation(name: str, m: int, values):
     ``z -> 1/2 + f^m(z - 1/2)/2`` with ``f = (4/pi) arctan``, the map its
     kernel holds.  At ``m = 0`` that composite is ``z -> 1/4 + z/2``:
     ``apply_activation("arctan-4pi", 0, [0, 1])`` is ``[0.25, 0.75]``.
+    ``m`` is a non-negative Python or numpy integer; a bool raises.
     """
-    if m < 0:
-        raise ValueError("composition depth must be non-negative")
+    m = _composition_depth(m)
     fn = get_activation(name).fn
     out = np.array(values, dtype=np.float64)
     # the composite's shift and its inverse run in the buffer the steps
@@ -444,9 +453,9 @@ def plateau_grid(eps: float, points: int) -> np.ndarray:
 
 def convergence_bound(params: StepLikeParams, m: int) -> float:
     """Worst-case distance of the m-fold composite from the hard threshold,
-    over the collar."""
-    if m < 0:
-        raise ValueError(f"m={m} must be non-negative")
+    over the collar; ``m`` is a non-negative Python or numpy integer, and a
+    bool raises."""
+    m = _composition_depth(m)
     if params.eta > 0.0:
         return params.eps * ((1.0 + params.eta) / 2.0) ** m
     return math.ldexp(params.eps, 1 - 2**m)
@@ -460,8 +469,8 @@ def required_composition_depth(params: StepLikeParams, max_degree: int) -> int:
     network's pre-activations can leave it, so the scanned depth can be too
     small (ROADMAP.md, item 1 "Sound composition depth").
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    if not _is_integer(max_degree) or max_degree < 0:
+        raise ValueError(f"max_degree must be a non-negative integer, got {max_degree!r}")
     scale = 2.0 * (max_degree + 2)
     if not math.isfinite(scale):  # inf * bound(m) never drops below 1
         raise ValueError("max_degree too large: 2 (max_degree + 2) overflows float64")

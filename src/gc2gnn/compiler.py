@@ -23,7 +23,7 @@ import numpy as np
 
 from .activations import ActivationSpec
 from .formulas import And, Color, Diamond, Formula, Not, Top, subformulas
-from .graphs import _parse_block, _read_ascii
+from .graphs import _is_integer, _parse_block, _read_ascii
 
 __all__ = [
     "GnnLayer",
@@ -78,8 +78,7 @@ class GnnLayer:
             raise ValueError(f"rule rows must be ascending and distinct in [0, {self.d})")
         for j, row in zip(rows.tolist(), self.terms):
             ps = [p for p, _ in row]
-            if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < 2 * self.d
-                       for p in ps):
+            if not all(_is_integer(p) and 0 <= p < 2 * self.d for p in ps):
                 raise ValueError(f"term positions must be integers in [0, {2 * self.d}): rule row {j} has p = {ps}")
             if any(p >= q for p, q in zip(ps, ps[1:])):
                 raise ValueError(f"terms of rule row {j} are not in ascending column order: p = {ps}")
@@ -132,8 +131,8 @@ class GnnSpec:
     coordinate_formulas: tuple[Formula, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.output_index < self.d:
-            raise ValueError("output index out of range")
+        if not (_is_integer(self.output_index) and 0 <= self.output_index < self.d):
+            raise ValueError(f"output index must be an integer in [0, {self.d}), got {self.output_index!r}")
         for kind in self.init_kinds:
             index = kind[1:]
             if kind not in ("0", "1") and not (

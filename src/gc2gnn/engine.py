@@ -8,6 +8,7 @@ import numpy as np
 from . import backend as backend_mod
 from .activations import ActivationSpec
 from .compiler import GnnSpec
+from .formulas import _check_color
 from .graphs import LabeledGraph, OrderedQuotient
 
 __all__ = [
@@ -30,8 +31,7 @@ def initial_features(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np
             feats[:, j] = 1.0
         else:
             index = int(kind[1:])
-            if index > graph.palette:
-                raise ValueError(f"color C{index} outside the graph palette [1, {graph.palette}]")
+            _check_color(index, graph.palette)
             feats[:, j] = graph.colors == index
     return feats
 

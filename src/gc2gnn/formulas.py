@@ -27,7 +27,7 @@ from string import Formatter
 
 import numpy as np
 
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, _is_integer
 
 __all__ = [
     "Formula",
@@ -116,7 +116,7 @@ class Diamond(Formula):
 def _check_payload(value, what: str) -> int:
     """A node payload is a Python or numpy integer >= 1, not a bool, stored as
     the ``int`` whose digits ``to_text`` writes and ``parse`` reads back."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
     return int(value)
 
@@ -170,8 +170,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def parse(text: str, palette_size: int) -> Formula:
     """Parse the concrete grammar against a palette of ``palette_size`` colors.
     Malformed text raises ``FormulaSyntaxError``; a formula of any depth parses."""
-    if palette_size < 1:
-        raise ValueError("palette_size must be >= 1")
+    if not _is_integer(palette_size) or palette_size < 1:
+        raise ValueError(f"palette_size must be an integer >= 1, got {palette_size!r}")
     tokens = _tokenize(text) + [("end", "", len(text))]
     # Operators waiting for an operand: Not, a Diamond partial, "(" or the left
     # operand of an And; the None at the bottom waits for the whole formula.
@@ -273,12 +273,12 @@ def check_palette(f: Formula, palette: int) -> None:
     outside a graph palette of ``palette`` colors."""
     for node in subformulas(f).entries:
         if isinstance(node, Color):
-            _check_color(node, palette)
+            _check_color(node.index, palette)
 
 
-def _check_color(node: Color, palette: int) -> None:
-    if node.index > palette:
-        raise ValueError(f"color C{node.index} outside the graph palette [1, {palette}]")
+def _check_color(index: int, palette: int) -> None:
+    if index > palette:
+        raise ValueError(f"color C{index} outside the graph palette [1, {palette}]")
 
 
 def eval_oracle_all(f: Formula, graph: LabeledGraph) -> np.ndarray:
@@ -287,7 +287,7 @@ def eval_oracle_all(f: Formula, graph: LabeledGraph) -> np.ndarray:
     tables: list[np.ndarray] = []
     for node, kids in zip(subs.entries, subs.children):
         if isinstance(node, Color):
-            _check_color(node, graph.palette)
+            _check_color(node.index, graph.palette)
             tables.append(graph.colors == node.index)
         elif isinstance(node, Top):
             tables.append(np.ones(graph.n, dtype=bool))

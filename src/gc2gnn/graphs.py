@@ -28,8 +28,8 @@ class GraphFormatError(ValueError):
 
 
 def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool, as node payloads and
-    composition depths must be."""
+    """A Python or numpy integer, not a bool: the one test of an integer
+    argument, such as a size, an index, a node payload or a composition depth."""
     return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
@@ -133,6 +133,8 @@ class LabeledGraph:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor ids of ``v``, ascending."""
+        if not _is_integer(v):
+            raise ValueError(f"vertex must be an integer, got {v!r}")
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
         lo, hi = np.searchsorted(self.edge_dst, [v, v + 1])
@@ -317,8 +319,10 @@ def random_graphs(n: int, avg_degree: float, palette: int, seeds) -> tuple[Label
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one graph to batch")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not _is_integer(palette) or palette < 1:
+        raise ValueError(f"palette must be an integer >= 1, got {palette!r}")
     p = 0.0 if n == 1 else avg_degree / (n - 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"invalid edge probability {p} (avg_degree={avg_degree}, n={n})")
@@ -357,6 +361,8 @@ def random_graphs(n: int, avg_degree: float, palette: int, seeds) -> tuple[Label
 
 def write_graph(path, graph: LabeledGraph, root: int | None = None) -> None:
     """Write the line-oriented text format (header, colors, edges, optional root)."""
+    if root is not None and not _is_integer(root):
+        raise ValueError(f"root must be an integer, got {root!r}")
     if root is not None and not 0 <= root < graph.n:
         raise ValueError(f"root {root} out of range")
     lines = [f"{graph.n} {graph.palette}", " ".join(map(str, graph.colors.tolist()))]

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
@@ -6,9 +7,15 @@ import pkgutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gc2gnn
 from gc2gnn import (
+    TOP,
+    Color,
+    Diamond,
+    GnnLayer,
+    LabeledGraph,
     TreeParams,
     activations,
     backend,
@@ -18,6 +25,8 @@ from gc2gnn import (
     graphs,
     make_tree,
     parse,
+    random_graph,
+    random_graphs,
     write_graph,
 )
 
@@ -102,3 +111,77 @@ def test_per_layer_runs_bypass_run_forward(monkeypatch, q1_spec, triangle):
     monkeypatch.setattr(backend, "run_forward", refuse)
     assert np.array_equal(engine.layer_errors(q1_spec, triangle), np.zeros(q1_spec.iterations + 1))
     assert forward_history(q1_spec, triangle).shape == (q1_spec.iterations + 1, 3, q1_spec.d)
+
+
+# the 4-vertex graph with edges 01, 02, 23
+FOUR = LabeledGraph(4, 2, np.array([1, 1, 2, 2]), np.array([[0, 1], [0, 2], [2, 3]]))
+FOUR_SPEC = compile_formula(parse("(C1 and dia>=1 C2)", 2), 2)
+STEP_ARCTAN = activations.certificate("step-arctan")
+
+
+def _written_with_root(root):
+    write_graph("four.graph", FOUR, root=root)
+    return Path("four.graph").read_bytes()
+
+
+# integer argument -> (a call that passes it, a valid value)
+INTEGER_ARGUMENTS = {
+    "ActivationSpec.m": (lambda m: activations.ActivationSpec("sigmoid", m), 2),
+    "apply_activation.m": (lambda m: activations.apply_activation("sigmoid", m, [0.3, 0.7]), 2),
+    "convergence_bound.m": (lambda m: activations.convergence_bound(STEP_ARCTAN, m), 2),
+    "required_composition_depth.max_degree": (
+        lambda delta: activations.required_composition_depth(STEP_ARCTAN, delta), 3),
+    "Color.index": (Color, 2),
+    "Diamond.threshold": (lambda k: Diamond(k, TOP), 2),
+    "parse.palette_size": (lambda palette: parse("C1", palette), 2),
+    "GnnLayer.terms.p": (lambda p: GnnLayer(np.array([0]), [0.0], [[(p, 1.0)]], 3), 2),
+    "GnnSpec.output_index": (
+        lambda i: engine.forward_outputs(dataclasses.replace(FOUR_SPEC, output_index=i), FOUR), 2),
+    "LabeledGraph.n": (lambda n: LabeledGraph(n, 1, np.ones(3, dtype=np.int64), np.empty((0, 2), int)), 3),
+    "LabeledGraph.palette": (lambda palette: LabeledGraph(2, palette, np.array([1, 2]), np.array([[0, 1]])), 2),
+    "LabeledGraph.neighbors.v": (FOUR.neighbors, 2),
+    "write_graph.root": (_written_with_root, 2),
+    "random_graph.n": (lambda n: random_graph(n, 2.0, 1, 0), 10),
+    "random_graphs.palette": (lambda palette: random_graphs(10, 2.0, palette, [0, 1]), 2),
+    "TreeParams.x": (lambda x: TreeParams(x, 2, 2), 2),
+    "TreeParams.k": (lambda k: TreeParams(1, k, 2), 2),
+    "TreeParams.m": (lambda m: TreeParams(1, 2, m), 2),
+}
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_arguments_follow_one_rule(argument, monkeypatch, tmp_path):
+    # a Python or numpy integer, not a bool: True, 1.5 and a float64 holding
+    # an integer each raise ValueError at the entry, and a numpy integer
+    # gives what the Python int gives
+    monkeypatch.chdir(tmp_path)
+    call, valid = INTEGER_ARGUMENTS[argument]
+    for bad in (True, 1.5, np.float64(2)):
+        with pytest.raises(ValueError, match="integer"):
+            call(bad)
+    np.testing.assert_equal(call(np.int64(valid)), call(valid))
+
+
+def test_composition_depth_is_stored_as_int():
+    assert type(activations.ActivationSpec("sigmoid", np.int64(2)).m) is int
+
+
+def test_one_integer_test_in_the_package():
+    # np.integer and isinstance(..., bool) appear only in graphs._is_integer,
+    # the one test of an integer argument, so no second copy can drift from it
+    outside, inside = [], []
+    for path in sorted(Path(gc2gnn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rule = {id(n) for f in tree.body if getattr(f, "name", None) == "_is_integer" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "integer":
+                what = "np.integer"
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and any(
+                getattr(k, "id", None) == "bool" for k in getattr(node.args[1], "elts", [node.args[1]])
+            ):
+                what = "isinstance bool"
+            else:
+                continue
+            (inside if id(node) in rule else outside).append((path.name, node.lineno, what))
+    assert outside == []
+    assert sorted(what for *_, what in inside) == ["isinstance bool", "np.integer"]

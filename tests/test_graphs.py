@@ -316,6 +316,24 @@ def test_random_graph_invalid_probability():
         random_graph(10, 20.0, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "n,palette,message",
+    [
+        (0, 1, "n must be an integer >= 1, got 0"),
+        (10, 0, "palette must be an integer >= 1, got 0"),
+        (10, -2, "palette must be an integer >= 1, got -2"),
+    ],
+)
+def test_random_graphs_check_sizes_before_drawing(monkeypatch, n, palette, message):
+    # a palette below 1 reached rng.integers, which raised numpy's "low >= high"
+    def refuse(seed):
+        raise AssertionError("drew before checking the sizes")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=message):
+        random_graphs(n, 2.0, palette, [0])
+
+
 # -- construction validation -----------------------------------------------
 
 

@@ -17,73 +17,104 @@ A row costs one product of a whole coordinate row per nonzero, not d.
 Every row is computed before any is written, since a row may read a
 coordinate that another row of the same layer writes.
 
-Given ``keep``, only live coordinates are activated: j is live after layer
-t when the caller keeps it or a later layer reads it before it fires
-again.  One backward pass over the layers finds them, starting from the
-kept coordinates: ``live_after(t-1) = (live_after(t) - rows(t)) |
-reads(t)``, where ``reads(t)`` are the coordinates with a nonzero
-coefficient in layer t's A or B.  A kept coordinate therefore sees the
-same activations, layer by layer, as it would if every coordinate were
-activated; one that is not live keeps a stale value, which no row reads.
+Before the loop, one backward pass over the layers (``_schedule``) turns
+each layer's ``rows``, ``reads`` and ``agg_reads`` into plain Python ints
+once per run and gives the loop, per layer, three things: the index of its
+rows, a slice when they are contiguous, as every one-row layer's are; the
+neighbour sums it reads, as a list of ints; and the columns to activate
+after it.  The loop itself iterates no numpy array.  With ``keep=None``
+every column is activated at every layer.  Given ``keep``, only live
+coordinates are: j is live after layer t when the caller keeps it or a
+later layer reads it before it fires again, so, from the kept coordinates,
+``live_after(t-1) = (live_after(t) - rows(t)) | reads(t)``, where
+``reads(t)`` are the coordinates with a nonzero coefficient in layer t's A
+or B.  The live index is a slice when the live set is contiguous, and one
+object for as long as the set does not change.  A kept coordinate
+therefore sees the same activations, layer by layer, as it would if every
+coordinate were activated; one that is not live keeps a stale value, which
+no row reads.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
 order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
-the fold ``(c + S_A) + S_B`` (``c + S_B`` without A terms), where ``S_A =
-(x1 a1 + x2 a2) + x3 a3 ...`` sums its A terms left to right in term order,
-the ascending p order that ``GnnLayer`` enforces, and ``S_B`` its B terms
-likewise.  A non-finite ``init`` and a layer whose pre-activations overflow
-are bad input, and raise.
+the fold ``(c + S_A) + S_B``, where ``S_A = (x1 a1 + x2 a2) + x3 a3 ...``
+sums its A terms left to right in term order, the ascending p order that
+``GnnLayer`` enforces, and ``S_B`` its B terms likewise.  A row without A
+terms folds ``S_B`` straight into its output row and then adds ``c``:
+addition commutes, so ``S_B + c`` has the bits of ``c + S_B``.  A
+non-finite ``init`` and a layer whose pre-activations overflow are bad
+input, and raise.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
 from . import activations
 
 
-def _live_columns(layers, d, keep):
-    """For each layer, an index of the coordinates whose activated value a
-    later layer or the result reads.
+def _index(cols):
+    """An index of the ascending, distinct columns ``cols``: a slice when they
+    are contiguous (read and written back as a view, it costs a fraction of
+    a fancy index's gather and scatter), else an index array."""
+    if not cols:
+        return slice(0, 0)
+    if cols[-1] - cols[0] + 1 == len(cols):
+        return slice(cols[0], cols[-1] + 1)
+    return np.array(cols)
 
-    A contiguous run of coordinates is a slice: read and written back as a
-    view, it costs a fraction of a fancy index's gather and scatter."""
-    live = np.zeros(d, dtype=bool)
-    live[np.asarray(keep, dtype=np.int64)] = True
-    after = []
+
+def _schedule(layers, keep):
+    """For each layer, in order: the index of its rule rows, the columns whose
+    neighbour sums it reads (a list of ``int``), and the index of the
+    columns to activate after it, all columns when ``keep`` is None.
+
+    One backward pass over plain ints, reading each layer's ``rows``,
+    ``reads`` and ``agg_reads`` once.  The live index is rebuilt only where
+    the live set changes, and is the same object until then."""
+    live = None if keep is None else {int(j) for j in keep}
+    cols = slice(None) if keep is None else _index(sorted(live))
+    steps = []
     for layer in reversed(layers):
-        cols = np.flatnonzero(live)
-        if cols.size and cols[-1] - cols[0] + 1 == cols.size:
-            cols = slice(cols[0], cols[-1] + 1)
-        after.append(cols)
-        live[layer.rows] = False
-        live[layer.reads] = True
-    return after[::-1]
+        rows = layer.rows.tolist()
+        steps.append((_index(rows), layer.agg_reads.tolist(), cols))
+        if live is not None:
+            before = live.difference(rows).union(layer.reads.tolist())
+            if before != live:
+                live, cols = before, _index(sorted(before))
+    steps.reverse()
+    return steps
 
 
-def _fold(terms, values, low, out=None):
-    """``values[p1 - low] * v1 + values[p2 - low] * v2 + ...``, left to right."""
+def _fold(terms, values, low, out):
+    """``out = values[p1 - low] * v1 + values[p2 - low] * v2 + ...``, left to
+    right; returns ``out``."""
     (p, v), *rest = terms
-    total = np.multiply(values[p - low], v, out=out)
+    np.multiply(values[p - low], v, out=out)
     for p, v in rest:
-        total += values[p - low] * v
-    return total
+        out += values[p - low] * v
+    return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks that the result is finite
 def _combine(layer, cur, agg):
     """The (k, n) pre-activations of ``layer``'s rule rows from the (d, n)
     features ``cur`` and neighbour sums ``agg``."""
     d = layer.d
-    z = np.empty((layer.rows.size, cur.shape[1]))
+    z = np.empty((len(layer.terms), cur.shape[1]))
     for zr, c, row in zip(z, layer.c.tolist(), layer.terms):
-        split = sum(p < d for p, _ in row)  # the terms ascend: A first, then B
+        split = bisect_left(row, (d,))  # the terms ascend: A first, then B
         if split:
-            _fold(row[:split], cur, 0, out=zr)
+            _fold(row[:split], cur, 0, zr)
+            zr += c
+            if split < len(row):
+                zr += _fold(row[split:], agg, d, np.empty_like(zr))
+        elif row:  # S_B + c has the bits of c + S_B
+            _fold(row, agg, d, zr)
             zr += c
         else:
             zr.fill(c)
-        if split < len(row):
-            zr += _fold(row[split:], agg, d)
     return z
 
 
@@ -97,18 +128,19 @@ def layer_states(init, graph, layers, name, m, keep=None):
         raise ValueError("initial features must be finite")
     d, n = cur.shape
     agg = np.zeros((d, n))
-    live = [slice(None)] * len(layers) if keep is None else _live_columns(layers, d, keep)
+    src, dst = graph.edge_src, graph.edge_dst
+    steps = _schedule(layers, keep)
     yield cur
-    for t, (layer, cols) in enumerate(zip(layers, live), start=1):
-        if layer.rows.size:
-            for j in layer.agg_reads:
-                agg[j] = np.bincount(graph.edge_dst, weights=cur[j].take(graph.edge_src), minlength=n)
-            with np.errstate(over="ignore", invalid="ignore"):
-                z = _combine(layer, cur, agg)
+    for t, (layer, (rows, agg_cols, cols)) in enumerate(zip(layers, steps), start=1):
+        if layer.terms:
+            for j in agg_cols:
+                agg[j] = np.bincount(dst, weights=cur[j].take(src), minlength=n)
+            z = _combine(layer, cur, agg)
             if not np.isfinite(z).all():
                 raise ValueError(f"layer {t} has a pre-activation that is not finite")
-            cur[layer.rows] = z
-        cur[cols] = activations.apply_activation(name, m, cur[cols])
+            cur[rows] = z
+        live = cur[cols] if isinstance(cols, slice) else cur.take(cols, axis=0)  # take: half a fancy gather
+        cur[cols] = activations.apply_activation(name, m, live)
         yield cur
 
 

@@ -22,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .activations import ActivationSpec
-from .formulas import And, Color, Diamond, Formula, Not, Top, subformulas
+from .formulas import And, Color, Diamond, Formula, Not, Top, _positive_int, subformulas
 from .graphs import _is_integer, _parse_block, _read_ascii
 
 __all__ = [
@@ -69,22 +69,24 @@ class GnnLayer:
     d: int
 
     def __post_init__(self):
-        rows, c = np.asarray(self.rows), np.ascontiguousarray(self.c, dtype=np.float64)
+        rows, c = np.array(self.rows), np.ascontiguousarray(self.c, dtype=np.float64)
         if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
             raise ValueError("rows must be a 1-D integer array")
         if c.shape != rows.shape or len(self.terms) != rows.size:
             raise ValueError("c and term shapes disagree with the rule rows")
-        if rows.size and (rows[0] < 0 or rows[-1] >= self.d or (np.diff(rows) <= 0).any()):
+        js, width, terms = rows.tolist(), 2 * self.d, []
+        if js and (js[0] < 0 or js[-1] >= self.d or any(i >= j for i, j in zip(js, js[1:]))):
             raise ValueError(f"rule rows must be ascending and distinct in [0, {self.d})")
-        for j, row in zip(rows.tolist(), self.terms):
+        for j, row in zip(js, self.terms):
             ps = [p for p, _ in row]
-            if not all(_is_integer(p) and 0 <= p < 2 * self.d for p in ps):
-                raise ValueError(f"term positions must be integers in [0, {2 * self.d}): rule row {j} has p = {ps}")
+            if not all(_is_integer(p) and 0 <= p < width for p in ps):
+                raise ValueError(f"term positions must be integers in [0, {width}): rule row {j} has p = {ps}")
             if any(p >= q for p, q in zip(ps, ps[1:])):
                 raise ValueError(f"terms of rule row {j} are not in ascending column order: p = {ps}")
-        object.__setattr__(self, "rows", rows.astype(np.int64))
+            terms.append(tuple([(int(p), float(v)) for p, v in row if v]))
+        object.__setattr__(self, "rows", rows.astype(np.int64, copy=False))
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "terms", tuple(tuple((int(p), float(v)) for p, v in row if v) for row in self.terms))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def A(self) -> np.ndarray:
@@ -159,7 +161,8 @@ def compile_formula(
     palette: int,
     activation: ActivationSpec | None = None,
 ) -> GnnSpec:
-    """Compile ``formula`` over a palette of ``palette`` colors.
+    """Compile ``formula`` over a palette of ``palette`` colors, an integer
+    >= 1 (not a bool).
 
     Each rule row is written as its ``(p, v)`` terms, p ascending: negation
     reads its child with weight -1 and bias +1; conjunction adds its two
@@ -167,6 +170,7 @@ def compile_formula(
     graded quantifier reads its child's neighbor sum, p = d + child, with
     bias -(K-1).
     """
+    palette = _positive_int(palette, "palette")
     activation = activation or ActivationSpec("sigma-star", 1)
     subs = subformulas(formula)
     entries, children = subs.entries, subs.children

@@ -80,7 +80,7 @@ class Color(Formula):
     index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "index", _check_payload(self.index, "color index"))
+        object.__setattr__(self, "index", _positive_int(self.index, "color index"))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -110,12 +110,13 @@ class Diamond(Formula):
     child: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "threshold", _check_payload(self.threshold, "diamond threshold"))
+        object.__setattr__(self, "threshold", _positive_int(self.threshold, "diamond threshold"))
 
 
-def _check_payload(value, what: str) -> int:
-    """A node payload is a Python or numpy integer >= 1, not a bool, stored as
-    the ``int`` whose digits ``to_text`` writes and ``parse`` reads back."""
+def _positive_int(value, what: str) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer >= 1, not a
+    bool: a node payload, stored as the ``int`` whose digits ``to_text``
+    writes and ``parse`` reads back, or a size such as a palette's."""
     if not _is_integer(value) or value < 1:
         raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
     return int(value)
@@ -170,8 +171,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def parse(text: str, palette_size: int) -> Formula:
     """Parse the concrete grammar against a palette of ``palette_size`` colors.
     Malformed text raises ``FormulaSyntaxError``; a formula of any depth parses."""
-    if not _is_integer(palette_size) or palette_size < 1:
-        raise ValueError(f"palette_size must be an integer >= 1, got {palette_size!r}")
+    _positive_int(palette_size, "palette_size")
     tokens = _tokenize(text) + [("end", "", len(text))]
     # Operators waiting for an operand: Not, a Diamond partial, "(" or the left
     # operand of an And; the None at the bottom waits for the whole formula.
@@ -310,7 +310,13 @@ def random_formula(
     max_depth: int = 6,
     max_threshold: int = 3,
 ) -> Formula:
-    """Sample a formula with ``depth(f) <= max_depth`` (seeded, deterministic)."""
+    """Sample a formula with ``depth(f) <= max_depth`` (seeded, deterministic).
+    The sizes are integers, not bools: ``palette_size`` and ``max_threshold``
+    at least 1, ``max_depth`` at least 0."""
+    _positive_int(palette_size, "palette_size")
+    _positive_int(max_threshold, "max_threshold")
+    if not _is_integer(max_depth) or max_depth < 0:
+        raise ValueError(f"max_depth must be an integer >= 0, got {max_depth!r}")
 
     def gen(budget: int) -> Formula:
         if budget <= 1 or rng.random() < 0.3:

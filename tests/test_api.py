@@ -25,6 +25,7 @@ from gc2gnn import (
     graphs,
     make_tree,
     parse,
+    random_formula,
     random_graph,
     random_graphs,
     write_graph,
@@ -134,6 +135,11 @@ INTEGER_ARGUMENTS = {
     "Color.index": (Color, 2),
     "Diamond.threshold": (lambda k: Diamond(k, TOP), 2),
     "parse.palette_size": (lambda palette: parse("C1", palette), 2),
+    "compile_formula.palette": (lambda palette: compile_formula(parse("C1", 1), palette), 2),
+    "random_formula.palette_size": (lambda palette: random_formula(np.random.default_rng(0), palette), 2),
+    "random_formula.max_depth": (lambda depth: random_formula(np.random.default_rng(0), 2, max_depth=depth), 4),
+    "random_formula.max_threshold": (
+        lambda k: random_formula(np.random.default_rng(0), 2, max_threshold=k), 3),
     "GnnLayer.terms.p": (lambda p: GnnLayer(np.array([0]), [0.0], [[(p, 1.0)]], 3), 2),
     "GnnSpec.output_index": (
         lambda i: engine.forward_outputs(dataclasses.replace(FOUR_SPEC, output_index=i), FOUR), 2),

@@ -27,6 +27,7 @@ from gc2gnn import (
     random_graph,
     tree_quotient,
 )
+from gc2gnn import activations, backend
 from gc2gnn.activations import apply_activation, certificate, required_composition_depth
 from gc2gnn.backend import run_forward
 from gc2gnn.experiments import run_separation
@@ -231,6 +232,111 @@ def test_rows_of_three_or_more_terms_fold_in_term_order():
     # the order shows in both sums
     assert want != max(0.0, (c + fold([a[0], a[2], a[1]])) + fold(b))
     assert want != max(0.0, (c + fold(a)) + fold([b[0], b[2], b[1]]))
+
+
+def test_rows_of_b_terms_only_fold_s_b_then_add_c():
+    # a row without A terms is c + S_B, S_B taken left to right in term
+    # order: at y = (1e16, 1, 1, -1e16), 1e16 + 3 and (1e16 + 4) + 3 each
+    # round, so S_B is 8 where the exact sum is 6, and adding c to the first
+    # term instead, or folding the terms in another order, gives other bits
+    x = np.array([1e16, 1.0, 1.0, -1e16, 0.0])
+    b, c = [(0, 1.0), (1, 3.0), (2, 3.0), (3, 1.0)], 0.5
+    layer = GnnLayer(np.array([4]), np.array([c]), [[(5 + j, v) for j, v in b]], 5)
+    graph = LabeledGraph(2, 1, np.ones(2, dtype=np.int64), np.array([[0, 1]]))  # y = x at both ends
+    got = run_forward(np.tile(x, (2, 1)), graph, (layer,), "relu", 1)[:, 4]
+
+    def fold(terms, total=0.0):
+        for col, coef in terms:
+            total = total + coef * x[col]
+        return total
+
+    want = c + fold(b)
+    assert got.tobytes() == np.full(2, want).tobytes()
+    assert fold(b) == 8.0  # the exact sum is 6
+    assert want != fold(b, c)
+    assert want != c + fold([b[0], b[3], b[1], b[2]])
+
+
+def _live_after(layers, d, keep):
+    """Each layer's live set by the recurrence, as Python sets: every column
+    with ``keep=None``, else ``live_after(t-1) = (live_after(t) - rows(t)) |
+    reads(t)`` from ``live_after(T) = keep``."""
+    live, after = set(range(d) if keep is None else keep), []
+    for layer in reversed(layers):
+        after.append(set(range(d)) if keep is None else live)
+        live = (live - set(layer.rows.tolist())) | set(layer.reads.tolist())
+    return after[::-1]
+
+
+def _schedule_cases():
+    rng = np.random.default_rng(11)
+    specs = [compile_formula(random_formula(rng, 2, max_depth=8), 2) for _ in range(6)]
+    cases = {f"random-{i}": (spec.layers, spec.d, spec.output_index) for i, spec in enumerate(specs)}
+    cases["hand-built"] = (hand_built_layers(), 5, 3)
+    return cases
+
+
+SCHEDULE_CASES = _schedule_cases()
+
+
+@pytest.mark.parametrize("keep", ["none", "output", "empty", "every"])
+@pytest.mark.parametrize("case", SCHEDULE_CASES)
+def test_schedule_matches_the_liveness_recurrence(case, keep):
+    # backend's one backward pass gives, per layer, the rows, the neighbour
+    # sums it reads as ints and the columns to activate, which are the
+    # recurrence's live set; the live index is one object while that set
+    # does not change, and a contiguous set is a slice
+    layers, d, out = SCHEDULE_CASES[case]
+    keep = {"none": None, "output": (out,), "empty": (), "every": range(d)}[keep]
+    steps = backend._schedule(layers, keep)
+    want = _live_after(layers, d, keep)
+    assert len(steps) == len(layers) == len(want)
+    columns = np.arange(d)
+    for layer, (rows, agg_cols, cols), live in zip(layers, steps, want):
+        assert columns[rows].tolist() == layer.rows.tolist()
+        assert isinstance(rows, slice) or layer.rows.size > 1
+        assert agg_cols == layer.agg_reads.tolist() and all(type(j) is int for j in agg_cols)
+        assert columns[cols].tolist() == sorted(live)
+        if keep is None:
+            assert cols == slice(None)
+        elif live and max(live) - min(live) + 1 == len(live):
+            assert isinstance(cols, slice)
+    for (*_, a), (*_, b), live_a, live_b in zip(steps, steps[1:], want, want[1:]):
+        assert (a is b) == (live_a == live_b)
+
+
+def _chain(levels):
+    """A compiled chain of ``levels`` nested connectives over C1, C2 and top,
+    a third each of `not`, `dia>=2` and `and`."""
+    text = "C1"
+    for i in range(levels):
+        text = ("not {}", "dia>=2 {}", "({} and C2)")[i % 3].format(text)
+    return compile_formula(parse(f"({text} and top)", 2), 2)
+
+
+def test_forward_work_per_layer(monkeypatch):
+    # per-layer work cannot creep back: a forward builds one schedule, calls
+    # apply_activation once per layer and np.bincount once per neighbour sum
+    # a layer reads
+    spec = _chain(60)
+    graph = random_graph(30, 3.0, 2, 0)
+    calls = {"schedule": 0, "apply_activation": 0, "bincount": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(backend, "_schedule", counted("schedule", backend._schedule))
+    monkeypatch.setattr(activations, "apply_activation", counted("apply_activation", activations.apply_activation))
+    monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
+    sums = sum(layer.agg_reads.size for layer in spec.layers)
+    assert spec.iterations >= 60 and sums >= 20
+    forward_outputs(spec, graph, ActivationSpec("crelu", 1))
+    assert calls == {"schedule": 1, "apply_activation": spec.iterations, "bincount": sums}
+    layer_errors(spec, graph)  # two runs, every column live
+    assert calls == {"schedule": 3, "apply_activation": 3 * spec.iterations, "bincount": 3 * sums}
 
 
 def test_layer_errors_identical_runs(q1_spec, triangle):

@@ -237,6 +237,17 @@ def test_random_formula_respects_depth_budget():
         assert depth(random_formula(rng, 3, max_depth=6)) <= 6
 
 
+def test_random_formula_refuses_a_budget_no_formula_meets():
+    # every formula has depth >= 0, so a negative budget would be drawn
+    # against forever; a zero budget leaves only top
+    with pytest.raises(ValueError, match="max_depth must be an integer >= 0"):
+        random_formula(np.random.default_rng(0), 2, max_depth=-1)
+    assert random_formula(np.random.default_rng(0), 2, max_depth=0) == TOP
+    for size in ("palette_size", "max_threshold"):
+        with pytest.raises(ValueError, match=f"{size} must be an integer >= 1"):
+            random_formula(np.random.default_rng(0), **{"palette_size": 2, size: 0})
+
+
 def test_node_invariants():
     with pytest.raises(ValueError):
         Color(0)

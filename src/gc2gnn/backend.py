@@ -5,8 +5,10 @@ nonzero ``(p, v)`` terms (``GnnLayer.terms``); every other coordinate
 carries over unchanged.  The executor folds the terms as stored.  The
 state is column-major: one (d, n) feature array, updated in place, and one
 (d, n) neighbour-sum array per run, each coordinate a contiguous row.
-``layer_states``, the one loop over the layers, transposes ``init`` once
-and yields the state before and after each layer; ``run_forward`` returns
+``layer_states``, the one loop over the layers, copies ``init`` once into
+that layout (``engine.initial_features`` builds it as the transpose of a
+(d, n) array, so the copy moves no element across rows) and yields the
+state before and after each layer; ``run_forward`` returns
 the (n, d) view of the last.  Per layer the loop sums neighbour values only
 for the coordinates B reads, with one ``take`` over the edge sources each,
 and overwrites only the stored rows.  The activation then takes one
@@ -17,19 +19,21 @@ A row costs one product of a whole coordinate row per nonzero, not d.
 Every row is computed before any is written, since a row may read a
 coordinate that another row of the same layer writes.
 
-Before the loop, one backward pass over the layers (``_schedule``) turns
-each layer's ``rows``, ``reads`` and ``agg_reads`` into plain Python ints
-once per run and gives the loop, per layer, three things: the index of its
-rows, a slice when they are contiguous, as every one-row layer's are; the
-neighbour sums it reads, as a list of ints; and the columns to activate
-after it.  The loop itself iterates no numpy array.  With ``keep=None``
-every column is activated at every layer.  Given ``keep``, only live
-coordinates are: j is live after layer t when the caller keeps it or a
-later layer reads it before it fires again, so, from the kept coordinates,
+Before the loop, one backward pass over the layers (``_schedule``) reads
+each layer's ``rows`` and the positions of its ``terms`` as plain Python
+ints once per run and gives the loop, per layer, three things: the index of
+its rows, a slice when they are contiguous, as every one-row layer's are;
+the neighbour sums it reads (``p - d`` for each B position p >= d), as a
+list of ints; and the columns to activate after it.  The loop itself
+iterates no numpy array.  With ``keep=None`` every column is activated at
+every layer.  Given ``keep``, only live coordinates are: j is live after
+layer t when the caller keeps it or a later layer reads it before it fires
+again, so, from the kept coordinates,
 ``live_after(t-1) = (live_after(t) - rows(t)) | reads(t)``, where
 ``reads(t)`` are the coordinates with a nonzero coefficient in layer t's A
-or B.  The live index is a slice when the live set is contiguous, and one
-object for as long as the set does not change.  A kept coordinate
+or B, ``p % d`` over its term positions p.  The live index is a slice when
+the live set is contiguous, and one object for as long as the set does not
+change.  A kept coordinate
 therefore sees the same activations, layer by layer, as it would if every
 coordinate were activated; one that is not live keeps a stale value, which
 no row reads.
@@ -70,17 +74,18 @@ def _schedule(layers, keep):
     neighbour sums it reads (a list of ``int``), and the index of the
     columns to activate after it, all columns when ``keep`` is None.
 
-    One backward pass over plain ints, reading each layer's ``rows``,
-    ``reads`` and ``agg_reads`` once.  The live index is rebuilt only where
-    the live set changes, and is the same object until then."""
+    One backward pass over plain ints, reading each layer's ``rows`` and
+    term positions once.  The live index is rebuilt only where the live set
+    changes, and is the same object until then."""
     live = None if keep is None else {int(j) for j in keep}
     cols = slice(None) if keep is None else _index(sorted(live))
     steps = []
     for layer in reversed(layers):
-        rows = layer.rows.tolist()
-        steps.append((_index(rows), layer.agg_reads.tolist(), cols))
+        rows, d = layer.rows.tolist(), layer.d
+        ps = {p for row in layer.terms for p, _ in row}
+        steps.append((_index(rows), sorted(p - d for p in ps if p >= d), cols))
         if live is not None:
-            before = live.difference(rows).union(layer.reads.tolist())
+            before = live.difference(rows).union(p % d for p in ps)
             if before != live:
                 live, cols = before, _index(sorted(before))
     steps.reverse()

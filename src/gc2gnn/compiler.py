@@ -3,9 +3,11 @@
 Each distinct subformula owns one embedding coordinate.  Color atoms start
 as their indicator and ``top`` starts at 1, so atoms are correct before the
 first layer; a connective's rule row fires exactly at its dependency level,
-and every other coordinate carries forward unchanged.  Running the result
-under the hard threshold (or clipped relu: pre-activations are integers)
-reproduces the brute-force evaluator at every coordinate.
+and every other coordinate carries forward unchanged.  There is one layer
+per level up to the root's, so the last layer fires the output and a query
+of atoms alone compiles to no layer.  Running the result under the hard
+threshold (or clipped relu: pre-activations are integers) reproduces the
+brute-force evaluator at every coordinate.
 
 A layer stores only its rule rows, in memory and in the text format alike,
 and a row only its nonzero ``(p, v)`` terms (``GnnLayer.terms``), one text
@@ -15,7 +17,6 @@ line each, so a network holds and writes O(1) numbers per connective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -98,17 +99,6 @@ class GnnLayer:
         """The (k, d) aggregate matrix, for the same readers."""
         return _dense(self.terms, self.d, self.d)
 
-    @cached_property
-    def reads(self) -> np.ndarray:
-        """The ascending columns with a nonzero coefficient in ``A`` or ``B``."""
-        return np.array(sorted({p % self.d for row in self.terms for p, _ in row}), dtype=np.int64)
-
-    @cached_property
-    def agg_reads(self) -> np.ndarray:
-        """The ascending columns with a nonzero coefficient in ``B``: the
-        neighbour sums the layer needs."""
-        return np.array(sorted({p - self.d for row in self.terms for p, _ in row if p >= self.d}), dtype=np.int64)
-
     def __eq__(self, other):
         def key(layer):
             return layer.d, layer.rows.tolist(), layer.c.tolist(), layer.terms
@@ -121,9 +111,10 @@ class GnnSpec:
 
     ``init_kinds`` describes the iteration-0 features per coordinate:
     ``"0"``, ``"1"``, or ``"C<i>"`` (indicator of color i >= 1).  The width ``d``
-    is its length and ``iterations`` the number of layers; the layers' rule
-    rows say where each coordinate fires.  Compiled specs also name each
-    coordinate's subformula in ``coordinate_formulas``.
+    is its length and ``iterations`` the number of layers, for a compiled
+    spec the output's dependency height; the layers' rule rows say where
+    each coordinate fires.  Compiled specs also name each coordinate's
+    subformula in ``coordinate_formulas``.
     """
 
     output_index: int
@@ -193,10 +184,9 @@ def compile_formula(
         level.append(1 + max(level[k] for k in kids) if kids else 0)
 
     d = len(order)
-    iterations = len(entries) - len(tops)  # the iteration budget of ``depth``
-    assert iterations >= level[-1], "iteration budget below dependency height"
+    # one layer per level up to the root's, which no subformula's exceeds;
     # coordinates in ascending order per level; atoms sit at level 0 and never fire
-    firing: list[list[int]] = [[] for _ in range(iterations + 1)]
+    firing: list[list[int]] = [[] for _ in range(level[-1] + 1)]
     for j, i in enumerate(order):
         firing[level[i]].append(j)
 

@@ -22,18 +22,21 @@ __all__ = [
 def initial_features(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np.ndarray:
     """Iteration-0 features: color indicators on color coordinates, ones on
     always-true coordinates, zeros elsewhere.  Reads ``graph.n``,
-    ``palette`` and ``colors`` only."""
-    feats = np.zeros((graph.n, spec.d))
+    ``palette`` and ``colors`` only.
+
+    The (n, d) array is the transpose of a C-ordered (d, n) one, the
+    executor's column-major state, so a run copies it without transposing."""
+    feats = np.zeros((spec.d, graph.n))
     for j, kind in enumerate(spec.init_kinds):
         if kind == "0":
             continue
         if kind == "1":
-            feats[:, j] = 1.0
+            feats[j] = 1.0
         else:
             index = int(kind[1:])
             _check_color(index, graph.palette)
-            feats[:, j] = graph.colors == index
-    return feats
+            feats[j] = graph.colors == index
+    return feats.T
 
 
 def forward(

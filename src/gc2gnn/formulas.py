@@ -260,10 +260,11 @@ def subformulas(f: Formula) -> SubformulaList:
 
 
 def depth(f: Formula) -> int:
-    """Iteration budget for the compiled network.
+    """The size budget of ``random_formula``: the distinct subformulas
+    excluding ``top``, so connectives, quantifiers and color atoms count.
 
-    Counts the distinct subformulas excluding ``top``: connectives and
-    quantifiers always count, color atoms count, ``top`` contributes zero.
+    It bounds a compiled network's layers but is not their number, which is
+    the root's dependency height (``compile_formula``).
     """
     return sum(1 for g in subformulas(f).entries if not isinstance(g, Top))
 

@@ -107,11 +107,11 @@ class LabeledGraph:
         # come out in ascending order, which fixes the accumulation order of
         # neighbor sums and keeps forward passes bit-reproducible.  The keys
         # dst*n + src are unique, so sorting them alone, in place, gives that
-        # order with less memory than sorting indices on two keys.  Timsort
-        # ("stable") runs fastest on trees, whose keys come in long sorted runs.
+        # order with less memory than sorting indices on two keys, and any
+        # sort kind gives the same array.
         u, v = self.edges[:, 0], self.edges[:, 1]
         key = np.concatenate([v * self.n + u, u * self.n + v])
-        key.sort(kind="stable")
+        key.sort()
         dst, src = np.divmod(key, self.n)
         return src, dst
 

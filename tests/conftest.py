@@ -44,6 +44,18 @@ def matrix_rows(a, b):
     return [list(enumerate(row)) for row in np.hstack((a, b)).tolist()]
 
 
+def read_columns(layer):
+    """The ascending columns with a nonzero coefficient in ``layer``'s A or
+    B, from its term positions: ``p % d``."""
+    return sorted({p % layer.d for row in layer.terms for p, _ in row})
+
+
+def agg_columns(layer):
+    """The ascending columns with a nonzero coefficient in ``layer``'s B,
+    the neighbour sums it reads: ``p - d`` for each position ``p >= d``."""
+    return sorted({p - layer.d for row in layer.terms for p, _ in row if p >= layer.d})
+
+
 @pytest.fixture(scope="session")
 def q1():
     return parse(Q1_TEXT, 1)

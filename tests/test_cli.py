@@ -590,6 +590,10 @@ VERBS = ("compile", "eval", "check-exact", "separation", "saturation", "steplike
         ("convergence-steplike-sigmoid-eta0", ("convergence", "--activation", "steplike-sigmoid-eta0")),
         ("help-gc2gnn", ("--help",)),
         *((f"help-{verb}", (verb, "--help")) for verb in VERBS),
+        # an atom-only query compiles to no layer: its output is the 0/1
+        # indicator, untouched by the map
+        ("eval-color-atom-sigmoid", ("eval", "--formula", "C1", "--activation", "sigmoid",
+                                     "--graph", str(TEXT_GOLDEN_DIR / "random-n40-d2-p2-s1.graph"))),
     ],
 )
 def test_cli_text_matches_golden(label, argv, capsys, monkeypatch):

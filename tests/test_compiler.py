@@ -34,7 +34,7 @@ from gc2gnn import (
     spec_from_text,
     spec_to_text,
 )
-from gc2gnn import compiler
+from gc2gnn import backend, compiler
 from gc2gnn.compiler import SpecFormatError
 from gc2gnn.experiments import Q1_TEXT
 
@@ -78,19 +78,16 @@ def chain_formula(levels, palette=2):
 def test_compile_single_color():
     spec = compile_formula(Color(1), 2)
     assert spec.d == 1
-    assert spec.iterations == 1
+    # the atom is correct from the start, so no layer runs
+    assert spec.iterations == 0 and spec.layers == ()
     assert spec.output_index == 0
-    # the atom is correct from the start, so its one layer only carries it
-    layer = spec.layers[0]
-    assert layer.rows.size == 0
-    assert layer.A.shape == layer.B.shape == (0, 1)
     assert spec.init_kinds == ("C1",)
 
 
 def test_chain_stores_one_rule_row_per_connective():
     spec = compile_formula(chain_formula(140), 2)
     atoms = sum(isinstance(g, (Color, Top)) for g in spec.coordinate_formulas)
-    assert (spec.d, spec.iterations, atoms) == (143, 142, 3)
+    assert (spec.d, spec.iterations, atoms) == (143, 140, 3)
     assert sum(layer.rows.size for layer in spec.layers) == spec.d - atoms
     for layer in spec.layers:
         assert layer.A.shape == layer.B.shape == (layer.rows.size, spec.d)
@@ -109,14 +106,16 @@ def pinned_specs():
 
 
 # sha256 of the concatenated spec texts of ``pinned_specs``, recorded when the
-# text format became one line per nonzero weight: any change to the
-# coordinate order, the rule rows or the file layout shows here.
-SPEC_TEXT_SHA256 = "74720b40846346336c112909589db32f6240a621a37de525b58ef75faae19c66"
+# compiler came to emit one layer per level of the dependency height (the
+# headers' layer counts changed, no weight line did): any change to the
+# coordinate order, the rule rows, the layer count or the file layout shows
+# here.
+SPEC_TEXT_SHA256 = "593dce3ef588c6babf95544414d77658bbad2d85f27fe73b7154b8195628758f"
 
 # sha256 of every layer's rows, A, B and c bytes over ``pinned_specs``,
 # recorded while the text format still wrote dense d x d matrices: it pins the
 # rule rows whatever the file layout, for compiled specs and for specs read
-# back from their text alike.
+# back from their text alike.  An empty layer adds no bytes to it.
 LAYER_SHA256 = "c7c3a93b080120a2616d364813a98b419b1f8fb85e5fd82438b1abad62ef7855"
 
 
@@ -264,6 +263,42 @@ def test_spec_from_text_reports_bad_term_columns(q1_spec):
             spec_from_text(text.replace("\n1 1 -1 5 1\n", f"\n1 1 -1 {p} 1\n"))
 
 
+def dependency_height(f):
+    """Nested connectives above the atoms, read off the formula itself: 0 for
+    an atom, else one more than the highest child."""
+    kids = [getattr(f, name) for name in ("child", "left", "right") if hasattr(f, name)]
+    return 1 + max(map(dependency_height, kids)) if kids else 0
+
+
+def test_compiled_layers_stop_at_the_dependency_height(q1_spec, q2_spec):
+    # one layer per level up to the output's, the highest of any coordinate:
+    # layer t computes exactly the coordinates at level t, so no layer, the
+    # last included, is empty
+    for spec in (*pinned_specs(), q1_spec, q2_spec):
+        heights = [dependency_height(g) for g in spec.coordinate_formulas]
+        assert spec.iterations == max(heights) == heights[spec.output_index]
+        for t, layer in enumerate(spec.layers, start=1):
+            assert layer.rows.tolist() == [j for j, h in enumerate(heights) if h == t]
+        assert not spec.layers or spec.layers[-1].rows.size
+        assert carry_forward_check(spec)
+
+
+@pytest.mark.parametrize("formula", [Color(1), Color(2), TOP], ids=str)
+def test_atom_only_specs_have_no_layer(formula):
+    # the atom's initial indicator is the output under every map, and the
+    # spec's text is its header and init line, read back as the same spec
+    spec = compile_formula(formula, 2)
+    assert spec.iterations == 0 and spec.layers == ()
+    text = spec_to_text(spec)
+    assert text.splitlines()[0] == "1 0 0 sigma-star 1 terms" and len(text.splitlines()) == 2
+    assert spec_from_text(text) == spec
+    graph = random_graph(30, 3.0, 2, 4)
+    want = initial_features(spec, graph)[:, 0]
+    assert set(want.tolist()) <= {0.0, 1.0}
+    for name in ACTIVATION_NAMES:
+        assert forward_outputs(spec, graph, ActivationSpec(name, 3)).tobytes() == want.tobytes(), name
+
+
 def test_compile_top_is_iteration_free():
     spec = compile_formula(TOP, 1)
     assert spec.iterations == 0 and spec.d == 1
@@ -278,7 +313,7 @@ def test_compile_q1_shape(q1_spec):
 
 def test_compile_q2_shape(q2_spec):
     assert q2_spec.d == 7
-    assert q2_spec.iterations == 7
+    assert q2_spec.iterations == 4
 
 
 def test_compile_rejects_color_beyond_palette():
@@ -468,14 +503,16 @@ def test_spec_text_round_trips_hand_built_specs(spec):
 
 def assert_dense_views_match_terms(spec):
     """``perfbench/tracing.py`` counts a layer's weights as the nonzeros of
-    ``A`` and ``B``, and the executor reads ``reads`` and ``agg_reads``: all
-    must agree with the rows' terms."""
+    ``A`` and ``B``, and the executor's schedule derives the columns a layer
+    reads from its terms: all must agree.  Before a second copy of the
+    layer, with nothing kept, the live columns are the ones that copy reads."""
+    columns = np.arange(spec.d)
     for layer in spec.layers:
         a, b = layer.A, layer.B
         assert np.count_nonzero(a) + np.count_nonzero(b) == sum(map(len, layer.terms))
-        assert layer.reads.dtype == layer.agg_reads.dtype == np.int64
-        assert layer.reads.tolist() == np.flatnonzero(a.any(axis=0) | b.any(axis=0)).tolist()
-        assert layer.agg_reads.tolist() == np.flatnonzero(b.any(axis=0)).tolist()
+        (_, agg_cols, cols), _ = backend._schedule((layer, layer), ())
+        assert columns[cols].tolist() == np.flatnonzero(a.any(axis=0) | b.any(axis=0)).tolist()
+        assert agg_cols == np.flatnonzero(b.any(axis=0)).tolist()
 
 
 def test_dense_views_match_compiled_terms():
@@ -707,6 +744,8 @@ def test_read_spec_finds_a_bad_row_by_halving(tmp_path, q1_spec, monkeypatch):
 def test_initial_features_layout(q2_spec):
     graph = LabeledGraph(3, 2, np.array([1, 2, 1]), np.array([[0, 1], [1, 2]]))
     feats = initial_features(q2_spec, graph)
+    # the transpose of a C-ordered (d, n) array: the executor's state layout
+    assert feats.T.flags.c_contiguous
     # first two coordinates are the color indicators, the rest start at zero
     assert np.array_equal(feats[:, 0], [1, 0, 1])
     assert np.array_equal(feats[:, 1], [0, 1, 0])

@@ -441,16 +441,32 @@ def canonical_graphs(draw):
     return n, np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
 
 
+def assert_adjacency_sorted(g):
+    """The directed edge arrays are both directions of every edge, ordered by
+    (dst, src) as ``np.lexsort`` orders them."""
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    order = np.lexsort((src, dst))
+    assert g.edge_src.tolist() == src[order].tolist()
+    assert g.edge_dst.tolist() == dst[order].tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(canonical_graphs())
 def test_adjacency_is_sorted_by_dst_then_src(graph):
     n, edges = graph
-    g = LabeledGraph(n, 1, np.ones(n, dtype=np.int64), edges)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((src, dst))
-    assert g.edge_src.tolist() == src[order].tolist()
-    assert g.edge_dst.tolist() == dst[order].tolist()
+    assert_adjacency_sorted(LabeledGraph(n, 1, np.ones(n, dtype=np.int64), edges))
+
+
+def test_adjacency_of_large_graphs_is_sorted_by_dst_then_src():
+    # the keys dst*n + src are unique, so the default sort kind gives the
+    # lexsort order on a 4000-vertex union of random graphs and on a tree,
+    # whose keys come in long sorted runs, alike
+    union, _ = random_graphs(200, 5.0, 3, range(20))
+    tree, _ = make_tree(TreeParams(64, 64, 64))
+    for g in (union, tree):
+        assert g.edges.shape[0] > 4000
+        assert_adjacency_sorted(g)
 
 
 def test_max_degree(triangle):

@@ -8,35 +8,35 @@ state is column-major: one (d, n) feature array, updated in place, and one
 ``layer_states``, the one loop over the layers, copies ``init`` once into
 that layout (``engine.initial_features`` builds it as the transpose of a
 (d, n) array, so the copy moves no element across rows) and yields the
-state before and after each layer; ``run_forward`` returns
-the (n, d) view of the last.  Per layer the loop sums neighbour values only
-for the coordinates B reads, with one ``take`` over the edge sources each,
-and overwrites only the stored rows.  The activation then takes one
-cache-sized block at a time through all m compositions
-(``activations._compose``).
+state before and after each layer; ``run_forward`` returns the (n, d) view
+of the last.  Per layer the loop sums neighbour values only for the
+coordinates B reads, with one ``take`` over the edge sources each, and
+overwrites only the stored rows.  The activation then takes one cache-sized
+block at a time through all m compositions (``activations._compose``).
 
 A row costs one product of a whole coordinate row per nonzero, not d.
 Every row is computed before any is written, since a row may read a
 coordinate that another row of the same layer writes.
 
 Before the loop, one backward pass over the layers (``_schedule``) reads
-each layer's ``rows`` and the positions of its ``terms`` as plain Python
-ints once per run and gives the loop, per layer, three things: the index of
-its rows, a slice when they are contiguous, as every one-row layer's are;
-the neighbour sums it reads (``p - d`` for each B position p >= d), as a
-list of ints; and the columns to activate after it.  The loop itself
-iterates no numpy array.  With ``keep=None`` every column is activated at
-every layer.  Given ``keep``, only live coordinates are: j is live after
-layer t when the caller keeps it or a later layer reads it before it fires
-again, so, from the kept coordinates,
+each layer's ``rows`` and term positions, plain Python ints as the layer
+stores them, once per run and gives the loop, per layer, three things: the
+index of its rows, a slice when they are contiguous, as every one-row
+layer's are; the neighbour sums it reads (``p - d`` for each B position
+p >= d), as a list of ints; and the columns to activate after it.  The loop
+itself iterates no numpy array.  ``keep`` means the same in ``run_forward``,
+which passes it through, and in ``layer_states``, which checks it once:
+integer columns in ``[0, d)``.  With ``keep=None`` every column is
+activated at every layer.  Given ``keep``, only live coordinates are: j is
+live after layer t when the caller keeps it or a later layer reads it
+before it fires again, so, from the kept coordinates,
 ``live_after(t-1) = (live_after(t) - rows(t)) | reads(t)``, where
 ``reads(t)`` are the coordinates with a nonzero coefficient in layer t's A
 or B, ``p % d`` over its term positions p.  The live index is a slice when
 the live set is contiguous, and one object for as long as the set does not
-change.  A kept coordinate
-therefore sees the same activations, layer by layer, as it would if every
-coordinate were activated; one that is not live keeps a stale value, which
-no row reads.
+change.  A kept coordinate therefore sees the same activations, layer by
+layer, as it would if every coordinate were activated; one that is not
+live keeps a stale value, which no row reads.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
 order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
@@ -56,6 +56,7 @@ from bisect import bisect_left
 import numpy as np
 
 from . import activations
+from .graphs import _is_integer
 
 
 def _index(cols):
@@ -74,14 +75,13 @@ def _schedule(layers, keep):
     neighbour sums it reads (a list of ``int``), and the index of the
     columns to activate after it, all columns when ``keep`` is None.
 
-    One backward pass over plain ints, reading each layer's ``rows`` and
-    term positions once.  The live index is rebuilt only where the live set
-    changes, and is the same object until then."""
+    One backward pass over plain ints; the live index is rebuilt only where
+    the live set changes, and is the same object until then."""
     live = None if keep is None else {int(j) for j in keep}
     cols = slice(None) if keep is None else _index(sorted(live))
     steps = []
     for layer in reversed(layers):
-        rows, d = layer.rows.tolist(), layer.d
+        rows, d = layer.rows, layer.d
         ps = {p for row in layer.terms for p, _ in row}
         steps.append((_index(rows), sorted(p - d for p in ps if p >= d), cols))
         if live is not None:
@@ -108,7 +108,7 @@ def _combine(layer, cur, agg):
     features ``cur`` and neighbour sums ``agg``."""
     d = layer.d
     z = np.empty((len(layer.terms), cur.shape[1]))
-    for zr, c, row in zip(z, layer.c.tolist(), layer.terms):
+    for zr, c, row in zip(z, layer.c, layer.terms):
         split = bisect_left(row, (d,))  # the terms ascend: A first, then B
         if split:
             _fold(row[:split], cur, 0, zr)
@@ -132,6 +132,8 @@ def layer_states(init, graph, layers, name, m, keep=None):
     if not np.isfinite(cur).all():
         raise ValueError("initial features must be finite")
     d, n = cur.shape
+    if keep is not None and not all(_is_integer(j) and 0 <= j < d for j in keep):
+        raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
     agg = np.zeros((d, n))
     src, dst = graph.edge_src, graph.edge_dst
     steps = _schedule(layers, keep)
@@ -151,8 +153,6 @@ def layer_states(init, graph, layers, name, m, keep=None):
 
 def run_forward(init, graph, layers, name, m, keep=None):
     """The (n, d) features after the last layer, a transposed view of the
-    final state of ``layer_states``.  Only the columns in ``keep`` (default:
-    all) are guaranteed to hold their values; the others may be stale.
-    Keeping all still skips a column that its next layer overwrites unread."""
-    *_, cur = layer_states(init, graph, layers, name, m, range(np.shape(init)[1]) if keep is None else keep)
+    final state of ``layer_states`` with the same ``keep``."""
+    *_, cur = layer_states(init, graph, layers, name, m, keep)
     return cur.T

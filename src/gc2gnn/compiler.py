@@ -11,7 +11,8 @@ brute-force evaluator at every coordinate.
 
 A layer stores only its rule rows, in memory and in the text format alike,
 and a row only its nonzero ``(p, v)`` terms (``GnnLayer.terms``), one text
-line each, so a network holds and writes O(1) numbers per connective.
+line each, so a network holds and writes O(1) numbers per connective.  The
+layer holds them as tuples of Python numbers, so a spec is a hashable value.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _dense(terms, d, low):
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GnnLayer:
     """One iteration's rule rows; every other coordinate carries over unchanged.
 
@@ -62,31 +63,33 @@ class GnnLayer:
     holds the row's nonzero weights as ``(p, v)`` pairs, p strictly ascending
     in ``[0, 2d)``: A column p for p < d, else B column p - d, in the order
     of the text format's lines and the executor's fold.  Zeros are dropped.
+    Like ``terms``, ``rows`` and ``c`` are tuples, of ``int`` and ``float``,
+    so equality and hash are the dataclass's own.
     """
 
-    rows: np.ndarray
-    c: np.ndarray
+    rows: tuple[int, ...]
+    c: tuple[float, ...]
     terms: tuple[tuple[tuple[int, float], ...], ...]
     d: int
 
     def __post_init__(self):
-        rows, c = np.array(self.rows), np.ascontiguousarray(self.c, dtype=np.float64)
-        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        if np.ndim(self.rows) != 1 or not all(map(_is_integer, self.rows)):
             raise ValueError("rows must be a 1-D integer array")
-        if c.shape != rows.shape or len(self.terms) != rows.size:
+        rows = tuple(map(int, self.rows))
+        if np.ndim(self.c) != 1 or not len(self.c) == len(self.terms) == len(rows):
             raise ValueError("c and term shapes disagree with the rule rows")
-        js, width, terms = rows.tolist(), 2 * self.d, []
-        if js and (js[0] < 0 or js[-1] >= self.d or any(i >= j for i, j in zip(js, js[1:]))):
+        width, terms = 2 * self.d, []
+        if rows and (rows[0] < 0 or rows[-1] >= self.d or any(i >= j for i, j in zip(rows, rows[1:]))):
             raise ValueError(f"rule rows must be ascending and distinct in [0, {self.d})")
-        for j, row in zip(js, self.terms):
+        for j, row in zip(rows, self.terms):
             ps = [p for p, _ in row]
             if not all(_is_integer(p) and 0 <= p < width for p in ps):
                 raise ValueError(f"term positions must be integers in [0, {width}): rule row {j} has p = {ps}")
             if any(p >= q for p, q in zip(ps, ps[1:])):
                 raise ValueError(f"terms of rule row {j} are not in ascending column order: p = {ps}")
             terms.append(tuple([(int(p), float(v)) for p, v in row if v]))
-        object.__setattr__(self, "rows", rows.astype(np.int64, copy=False))
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "c", tuple(map(float, self.c)))
         object.__setattr__(self, "terms", tuple(terms))
 
     @property
@@ -98,11 +101,6 @@ class GnnLayer:
     def B(self) -> np.ndarray:
         """The (k, d) aggregate matrix, for the same readers."""
         return _dense(self.terms, self.d, self.d)
-
-    def __eq__(self, other):
-        def key(layer):
-            return layer.d, layer.rows.tolist(), layer.c.tolist(), layer.terms
-        return isinstance(other, GnnLayer) and key(self) == key(other)
 
 
 @dataclass(frozen=True)
@@ -219,11 +217,12 @@ def carry_forward_check(spec: GnnSpec) -> bool:
     layer after the latest-firing coordinate its row reads, where a coordinate
     that never fires counts as layer 0.  Only the rule rows are read, so a
     spec read back from text is checked as a compiled one is."""
-    fired = np.zeros(spec.d, dtype=np.int64)
+    fired = [0] * spec.d
     for t, layer in enumerate(spec.layers, start=1):
-        if fired[layer.rows].any():
-            return False
-        fired[layer.rows] = t
+        for j in layer.rows:
+            if fired[j]:
+                return False
+            fired[j] = t
     for t, layer in enumerate(spec.layers, start=1):
         if any(max((fired[p % spec.d] for p, _ in row), default=0) != t - 1 for row in layer.terms):
             return False
@@ -246,7 +245,7 @@ def spec_to_text(spec: GnnSpec) -> str:
     head = f"{spec.d} {spec.iterations} {spec.output_index} {spec.activation.name} {spec.activation.m} terms"
     lines = [head, "init " + " ".join(spec.init_kinds)]
     for t, layer in enumerate(spec.layers, start=1):
-        for j, c, terms in zip(layer.rows.tolist(), layer.c.tolist(), layer.terms):
+        for j, c, terms in zip(layer.rows, layer.c, layer.terms):
             terms = terms or ((0, 0.0),)
             for value in (c, *(v for _, v in terms)):
                 if not value.is_integer():

@@ -20,6 +20,20 @@ def pinned_graph(n, avg_degree, palette, seed):
     return graph
 
 
+def simd_level():
+    """numpy's active SIMD level: the last of its build's dispatch targets
+    that this CPU, less any ``NPY_DISABLE_CPU_FEATURES``, enables, such as
+    ``AVX512_SPR`` or ``X86_V3``.  The smooth maps' bit pins hold for one
+    level, so their failure messages name it."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return enabled[-1] if enabled else "baseline"
+
+
 def forward_history(spec, graph, activation=None):
     """The (T+1, n, d) stack of every layer's features, entry 0 the initial
     ones: a copy of each state ``layer_states`` yields, with every column

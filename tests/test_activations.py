@@ -27,6 +27,8 @@ from gc2gnn.activations import (
     verify_step_like,
 )
 
+from conftest import simd_level
+
 CERTIFIED = ("step-arctan", "step-tanh", "steplike-tanh-eta0", "steplike-sigmoid-eta0")
 
 
@@ -360,7 +362,8 @@ def test_multi_block_bits_pinned(name):
         for label, values in (("contiguous", x), ("strided", wide[::2])):
             with np.errstate(over="ignore", invalid="ignore"):
                 out = apply_activation(name, m, values)
-            assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest, (m, label)
+            level = f"numpy SIMD level {simd_level()}"
+            assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest, (m, label, level)
 
 
 @pytest.mark.parametrize("name", ACTIVATION_NAMES)

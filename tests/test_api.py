@@ -56,8 +56,8 @@ def test_traced_functions_keep_their_parameters():
     # its spec counters take np.count_nonzero of each layer's dense A, B and c
     spec = compile_formula(parse("not dia>=2 (C1 and not C2)", 2), 2)
     for layer in spec.layers:
-        k = layer.rows.size
-        assert layer.A.shape == layer.B.shape == (k, spec.d) and layer.c.shape == (k,)
+        k = len(layer.rows)
+        assert layer.A.shape == layer.B.shape == (k, spec.d) and np.asarray(layer.c).shape == (k,)
 
 
 def test_benchmark_trace_reads_every_metric(monkeypatch, tmp_path, capsys):
@@ -140,9 +140,11 @@ INTEGER_ARGUMENTS = {
     "random_formula.max_depth": (lambda depth: random_formula(np.random.default_rng(0), 2, max_depth=depth), 4),
     "random_formula.max_threshold": (
         lambda k: random_formula(np.random.default_rng(0), 2, max_threshold=k), 3),
+    "GnnLayer.rows": (lambda j: GnnLayer([j], [0.0], [[(0, 1.0)]], 3), 2),
     "GnnLayer.terms.p": (lambda p: GnnLayer(np.array([0]), [0.0], [[(p, 1.0)]], 3), 2),
     "GnnSpec.output_index": (
         lambda i: engine.forward_outputs(dataclasses.replace(FOUR_SPEC, output_index=i), FOUR), 2),
+    "forward.keep": (lambda j: engine.forward(FOUR_SPEC, FOUR, keep=(j,)), 2),
     "LabeledGraph.n": (lambda n: LabeledGraph(n, 1, np.ones(3, dtype=np.int64), np.empty((0, 2), int)), 3),
     "LabeledGraph.palette": (lambda palette: LabeledGraph(2, palette, np.array([1, 2]), np.array([[0, 1]])), 2),
     "LabeledGraph.neighbors.v": (FOUR.neighbors, 2),

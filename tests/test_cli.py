@@ -36,6 +36,8 @@ from gc2gnn.experiments import (
     run_saturation,
 )
 
+from conftest import simd_level
+
 
 def run_cli(*args):
     """``cli.main(args)`` in this process, its exit code and output returned
@@ -569,7 +571,7 @@ GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 def test_sweep_csv_matches_golden(label, argv, capsys):
     assert cli.main(list(argv)) == 0
     out, _ = capsys.readouterr()
-    assert out.encode("ascii") == (GOLDEN_DIR / f"{label}.csv").read_bytes()
+    assert out.encode("ascii") == (GOLDEN_DIR / f"{label}.csv").read_bytes(), f"numpy SIMD level {simd_level()}"
 
 
 TEXT_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -605,7 +607,7 @@ def test_cli_text_matches_golden(label, argv, capsys, monkeypatch):
     assert code == 0
     out, _ = capsys.readouterr()
     (golden,) = TEXT_GOLDEN_DIR.glob(f"{label}.*")  # .txt, or .csv for a CSV
-    assert out.encode("ascii") == golden.read_bytes()
+    assert out.encode("ascii") == golden.read_bytes(), f"numpy SIMD level {simd_level()}"
 
 
 def test_readme_command_lines_parse():

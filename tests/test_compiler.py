@@ -88,11 +88,12 @@ def test_chain_stores_one_rule_row_per_connective():
     spec = compile_formula(chain_formula(140), 2)
     atoms = sum(isinstance(g, (Color, Top)) for g in spec.coordinate_formulas)
     assert (spec.d, spec.iterations, atoms) == (143, 140, 3)
-    assert sum(layer.rows.size for layer in spec.layers) == spec.d - atoms
+    assert sum(len(layer.rows) for layer in spec.layers) == spec.d - atoms
     for layer in spec.layers:
-        assert layer.A.shape == layer.B.shape == (layer.rows.size, spec.d)
-        carries = (layer.A == np.eye(spec.d)[layer.rows]).all(axis=1) & ~layer.B.any(axis=1)
-        assert not (carries & (layer.c == 0.0)).any()  # no stored row is an identity carry
+        rows, c = np.asarray(layer.rows, dtype=np.int64), np.asarray(layer.c)
+        assert layer.A.shape == layer.B.shape == (rows.size, spec.d)
+        carries = (layer.A == np.eye(spec.d)[rows]).all(axis=1) & ~layer.B.any(axis=1)
+        assert not (carries & (c == 0.0)).any()  # no stored row is an identity carry
     assert carry_forward_check(spec)
 
 
@@ -131,7 +132,7 @@ def test_layer_bits_pinned(read_back):
     digest = hashlib.sha256()
     for spec in pinned_specs():
         for layer in (spec_from_text(spec_to_text(spec)) if read_back else spec).layers:
-            for part in (layer.rows, layer.A, layer.B, layer.c):
+            for part in (np.asarray(layer.rows, dtype=np.int64), layer.A, layer.B, np.asarray(layer.c)):
                 digest.update(part.tobytes())
     assert digest.hexdigest() == LAYER_SHA256
 
@@ -151,7 +152,7 @@ def test_compile_memory_is_linear_in_a_chain():
     assert peak <= 2_000_000
     for layer in spec.layers:
         assert set(vars(layer)) == {"rows", "c", "terms", "d"}
-        assert layer.c.shape == layer.rows.shape == (len(layer.terms),)
+        assert len(layer.c) == len(layer.rows) == len(layer.terms)
         assert all(len(row) <= 2 for row in layer.terms)
 
 
@@ -232,6 +233,25 @@ def test_gnn_layer_rejects_bad_terms(terms, fragment):
         GnnLayer(np.array([1]), np.zeros(1), [terms], 3)
 
 
+@pytest.mark.parametrize(
+    "rows,c,n_terms,fragment",
+    [
+        (np.array(1), [0.0], 1, "rows must be a 1-D integer array"),
+        (np.array([[1]]), [0.0], 1, "rows must be a 1-D integer array"),
+        ([True], [0.0], 1, "rows must be a 1-D integer array"),
+        ([1], np.array(0.0), 1, "c and term shapes disagree with the rule rows"),
+        ([1], np.zeros((1, 1)), 1, "c and term shapes disagree with the rule rows"),
+        ([1], [0.0, 0.0], 1, "c and term shapes disagree with the rule rows"),
+        ([1], [0.0], 2, "c and term shapes disagree with the rule rows"),
+    ],
+)
+def test_gnn_layer_checks_its_field_shapes(rows, c, n_terms, fragment):
+    # a 0-d or 2-D array, a bool row and a length mismatch each raise
+    # ValueError, never a TypeError from iterating or from float()
+    with pytest.raises(ValueError, match=fragment):
+        GnnLayer(rows, c, [[(0, 1.0)]] * n_terms, 3)
+
+
 def test_gnn_layer_stores_positions_as_ints():
     layer = GnnLayer(np.array([1]), np.zeros(1), [[(np.int64(1), 1.0)]], 2)
     assert type(layer.terms[0][0][0]) is int
@@ -278,8 +298,8 @@ def test_compiled_layers_stop_at_the_dependency_height(q1_spec, q2_spec):
         heights = [dependency_height(g) for g in spec.coordinate_formulas]
         assert spec.iterations == max(heights) == heights[spec.output_index]
         for t, layer in enumerate(spec.layers, start=1):
-            assert layer.rows.tolist() == [j for j, h in enumerate(heights) if h == t]
-        assert not spec.layers or spec.layers[-1].rows.size
+            assert list(layer.rows) == [j for j, h in enumerate(heights) if h == t]
+        assert not spec.layers or spec.layers[-1].rows
         assert carry_forward_check(spec)
 
 
@@ -342,7 +362,8 @@ def test_compiled_biases_are_never_negative_zero():
     zeros = 0
     for _ in range(300):
         for layer in compile_formula(random_formula(rng, 2, max_depth=8), 2).layers:
-            at_zero = layer.c[layer.c == 0.0]
+            c = np.asarray(layer.c)
+            at_zero = c[c == 0.0]
             assert not np.signbit(at_zero).any()
             zeros += at_zero.size
     assert zeros > 0
@@ -497,8 +518,29 @@ def test_spec_text_round_trips_hand_built_specs(spec):
     back = spec_from_text(spec_to_text(spec))
     assert back == spec
     for got, want in zip(back.layers, spec.layers):
-        assert (got.rows.tobytes(), got.c.tobytes()) == (want.rows.tobytes(), want.c.tobytes())
+        assert got.rows == want.rows and np.asarray(got.c).tobytes() == np.asarray(want.c).tobytes()
         assert term_bytes(got) == term_bytes(want)
+
+
+def assert_spec_is_a_value(spec):
+    """A spec and its text round trip compare equal and hash alike, and
+    every layer of both holds ``rows`` and ``c`` as tuples of int and float."""
+    back = spec_from_text(spec_to_text(spec))
+    assert back == spec and hash(back) == hash(spec) and len({spec, back}) == 1
+    for layer in (*spec.layers, *back.layers):
+        assert type(layer.rows) is tuple and all(type(j) is int for j in layer.rows)
+        assert type(layer.c) is tuple and all(type(v) is float for v in layer.c)
+
+
+def test_compiled_specs_are_values(q1_spec, q2_spec):
+    for spec in (q1_spec, q2_spec):
+        assert_spec_is_a_value(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hand_built_specs().filter(lambda spec: spec.iterations <= spec.d))
+def test_hand_built_specs_are_values(spec):
+    assert_spec_is_a_value(spec)
 
 
 def assert_dense_views_match_terms(spec):

@@ -32,7 +32,7 @@ from gc2gnn.activations import apply_activation, certificate, required_compositi
 from gc2gnn.backend import run_forward
 from gc2gnn.experiments import run_separation
 
-from conftest import agg_columns, forward_history, matrix_rows, pinned_graph, read_columns, tree_classes
+from conftest import agg_columns, forward_history, matrix_rows, pinned_graph, read_columns, simd_level, tree_classes
 
 
 def test_forward_triangle_all_true(q1_spec, triangle):
@@ -68,8 +68,9 @@ def test_zero_iteration_spec_returns_init(triangle):
 )
 def test_live_columns_keep_every_output_bit(seed, n, name, m):
     # forward_outputs activates only the columns the output depends on and
-    # forward only those some later layer or the result reads; the
-    # layer_states run of forward_history activates every column at every layer
+    # forward with keep only those some later layer or a kept column reads;
+    # without keep, forward, like the layer_states run of forward_history,
+    # activates every column at every layer
     rng = np.random.default_rng(seed)
     spec = compile_formula(random_formula(rng, 2, max_depth=8), 2)
     graph = random_graph(n, float(rng.uniform(0.0, min(6.0, n - 1))), 2, seed)
@@ -77,7 +78,7 @@ def test_live_columns_keep_every_output_bit(seed, n, name, m):
     last = forward_history(spec, graph, act)[-1]
     want = last[:, spec.output_index].tobytes()
     assert forward_outputs(spec, graph, act).tobytes() == want
-    assert forward(spec, graph, act)[:, spec.output_index].tobytes() == want
+    assert forward(spec, graph, act).tobytes() == last.tobytes()
     kept = [0, spec.output_index]
     assert forward(spec, graph, act, keep=tuple(kept))[:, kept].tobytes() == last[:, kept].tobytes()
 
@@ -92,6 +93,19 @@ def test_run_forward_rejects_non_finite_init(q2_spec, bad):
     init[:, unread] = bad
     with pytest.raises(ValueError, match="finite"):
         run_forward(init, graph, q2_spec.layers, "sigma-star", 1, keep=(q2_spec.output_index,))
+
+
+@pytest.mark.parametrize("column", [-1, 5])
+def test_keep_refuses_a_column_outside_the_state(q1_spec, column):
+    # q1 has d = 5: -1 matches no rule row, so its activations were skipped,
+    # and 5 indexed past the state
+    graph = pinned_graph(150, 5.0, 1, 4)
+    act = ActivationSpec("step-arctan", 3)
+    init = initial_features(q1_spec, graph)
+    with pytest.raises(ValueError, match=r"keep must list integer columns in \[0, 5\)"):
+        forward(q1_spec, graph, act, keep=(column,))
+    with pytest.raises(ValueError, match="keep"):
+        next(backend.layer_states(init, graph, q1_spec.layers, act.name, act.m, keep=(0, column)))
 
 
 def reference_run_forward(init, graph, layers, name, m, keep=None):
@@ -110,19 +124,19 @@ def reference_run_forward(init, graph, layers, name, m, keep=None):
         if cols.size and cols[-1] - cols[0] + 1 == cols.size:
             cols = slice(cols[0], cols[-1] + 1)
         after.append(cols)
-        live[layer.rows] = False
+        live[np.asarray(layer.rows, dtype=np.int64)] = False
         live[reads(layer)] = True
 
     cur = np.array(init, dtype=np.float64)
     n = cur.shape[0]
     agg = np.zeros((n, d))
     for layer, live in zip(layers, after[::-1]):
-        if layer.rows.size:
+        if layer.rows:
             for j in np.flatnonzero(layer.B.any(axis=0)):
                 agg[:, j] = np.bincount(graph.edge_dst, weights=cur[:, j].take(graph.edge_src), minlength=n)
             zs = np.einsum("vj,ij->vi", cur, layer.A, optimize=False)
             za = np.einsum("vj,ij->vi", agg, layer.B, optimize=False)
-            cur[:, layer.rows] = layer.c + zs + za
+            cur[:, np.asarray(layer.rows)] = np.asarray(layer.c) + zs + za
         cur[:, live] = apply_activation(name, m, cur[:, live])
     return cur
 
@@ -264,7 +278,7 @@ def _live_after(layers, d, keep):
     live, after = set(range(d) if keep is None else keep), []
     for layer in reversed(layers):
         after.append(set(range(d)) if keep is None else live)
-        live = (live - set(layer.rows.tolist())) | set(read_columns(layer))
+        live = (live - set(layer.rows)) | set(read_columns(layer))
     return after[::-1]
 
 
@@ -293,8 +307,8 @@ def test_schedule_matches_the_liveness_recurrence(case, keep):
     assert len(steps) == len(layers) == len(want)
     columns = np.arange(d)
     for layer, (rows, agg_cols, cols), live in zip(layers, steps, want):
-        assert columns[rows].tolist() == layer.rows.tolist()
-        assert isinstance(rows, slice) or layer.rows.size > 1
+        assert columns[rows].tolist() == list(layer.rows)
+        assert isinstance(rows, slice) or len(layer.rows) > 1
         assert agg_cols == agg_columns(layer) and all(type(j) is int for j in agg_cols)
         assert columns[cols].tolist() == sorted(live)
         if keep is None:
@@ -438,7 +452,7 @@ def test_layer_errors_bits_pinned(q1_spec):
         eps = layer_errors(spec, graph)
         assert eps.shape == (spec.iterations + 1,)
         got[key] = hashlib.sha256(eps.tobytes()).hexdigest()
-    assert got == LAYER_ERRORS_SHA256
+    assert got == LAYER_ERRORS_SHA256, f"numpy SIMD level {simd_level()}"
 
 
 def traced_peak(fn):
@@ -667,7 +681,7 @@ def test_history_bits_pinned(name, q1_spec, q2_spec):
             assert forward(spec, graph, act).tobytes() == history[-1].tobytes(), key
             out = forward_outputs(spec, graph, act)
             assert out.tobytes() == history[-1][:, spec.output_index].tobytes(), key
-    assert got == want
+    assert got == want, f"numpy SIMD level {simd_level()}"
 
 
 @pytest.mark.parametrize("name", ACTIVATION_NAMES)
@@ -775,7 +789,7 @@ def test_multi_block_forward_bits_pinned(q2_spec):
     graph = sparse_random_graph(20_000, 50_000, 2, 17)
     assert graph.n * q2_spec.d > 2 * 2**16
     out = forward_outputs(q2_spec, graph, ActivationSpec("step-arctan", 14))
-    assert hashlib.sha256(out.tobytes()).hexdigest() == MULTI_BLOCK_FORWARD_SHA256
+    assert hashlib.sha256(out.tobytes()).hexdigest() == MULTI_BLOCK_FORWARD_SHA256, f"numpy SIMD level {simd_level()}"
 
 
 def test_forward_memory_is_linear(q2_spec):

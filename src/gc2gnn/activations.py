@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -394,14 +394,17 @@ _BLOCK = 1 << 16
 
 def _compose(fn, m: int, out: np.ndarray) -> None:
     """Apply the kernel ``fn`` ``m`` times in place to ``out``, a dense array
-    such as ``np.array`` makes, one ``_BLOCK``-element block at a time in
-    memory order.
+    such as ``np.array`` makes or consecutive rows of a C-ordered one, one
+    ``_BLOCK``-element block at a time in memory order.
 
     Each step is elementwise, so blocking changes no bits: the block size is
     a power of two, so every block but the last starts at the same alignment
     as ``out`` and is a whole number of SIMD vectors, and numpy's loops take
     the same vector and remainder paths for each element as on the whole
-    array.  A map's temporaries are one block in size.
+    array.  Where ``out`` itself starts moves no bit either: rows activated
+    where they lie in a forward's state read the same as a gathered copy of
+    them (``tests/test_engine.py`` checks both against one reference).  A
+    map's temporaries are one block in size.
     """
     # a view in memory order for C-, F- and axis-permuted dense layouts,
     # where reshape(-1) would copy all but the first
@@ -412,30 +415,43 @@ def _compose(fn, m: int, out: np.ndarray) -> None:
             fn(block)
 
 
-def apply_activation(name: str, m: int, values):
-    """``name`` composed ``m`` times on a float64 copy of ``values``, which
-    is left unchanged: an array in the layout of ``values``, or a float64
-    scalar for a scalar.  The one way to run a map on values.
+def _in_place(name: str, m: int) -> Callable:
+    """``name`` composed ``m`` times as an in-place map: a function that
+    overwrites a dense float64 array, such as ``np.array`` makes or a slice
+    of consecutive rows of a C-ordered array, and returns None.  The one way
+    to run a map; ``m`` is checked and the map looked up once, here, so a
+    forward resolves it once and calls it once per activated block.
 
     Every named map is composed directly, so ``m = 0`` is the identity,
     except ``arctan-4pi`` which is the sign-amplifying composite
     ``z -> 1/2 + f^m(z - 1/2)/2`` with ``f = (4/pi) arctan``, the map its
-    kernel holds.  At ``m = 0`` that composite is ``z -> 1/4 + z/2``:
-    ``apply_activation("arctan-4pi", 0, [0, 1])`` is ``[0.25, 0.75]``.
-    ``m`` is a non-negative Python or numpy integer; a bool raises.
+    kernel holds.  At ``m = 0`` that composite is ``z -> 1/4 + z/2``.
     """
     m = _composition_depth(m)
     fn = get_activation(name).fn
-    out = np.array(values, dtype=np.float64)
-    # the composite's shift and its inverse run in the buffer the steps
-    # write into, so every map allocates one array
-    shifted = name == "arctan-4pi"
-    if shifted:
+    if name != "arctan-4pi":
+        return partial(_compose, fn, m)
+
+    def shifted(out):
+        # the composite's shift and its inverse run in the array the steps write into
         np.subtract(out, 0.5, out=out)
-    _compose(fn, m, out)
-    if shifted:
+        _compose(fn, m, out)
         np.multiply(0.5, out, out=out)
         np.add(0.5, out, out=out)
+
+    return shifted
+
+
+def apply_activation(name: str, m: int, values):
+    """``name`` composed ``m`` times (see ``_in_place``) on a float64 copy of
+    ``values``, which is left unchanged: an array in the layout of
+    ``values``, or a float64 scalar for a scalar.
+    ``apply_activation("arctan-4pi", 0, [0, 1])`` is ``[0.25, 0.75]``.
+    ``m`` is a non-negative Python or numpy integer; a bool raises.
+    """
+    run = _in_place(name, m)
+    out = np.array(values, dtype=np.float64)
+    run(out)
     return out[()]
 
 

@@ -10,33 +10,49 @@ that layout (``engine.initial_features`` builds it as the transpose of a
 (d, n) array, so the copy moves no element across rows) and yields the
 state before and after each layer; ``run_forward`` returns the (n, d) view
 of the last.  Per layer the loop sums neighbour values only for the
-coordinates B reads, with one ``take`` over the edge sources each, and
-overwrites only the stored rows.  The activation then takes one cache-sized
-block at a time through all m compositions (``activations._compose``).
+coordinates B reads, with one ``take`` over the edge sources each into an
+(E,) buffer made once per run (a fresh 4 MB array per sum cost page faults
+that took longer than the gather on a 10^5-vertex graph), and overwrites
+only the stored rows.
 
-A row costs one product of a whole coordinate row per nonzero, not d.
-Every row is computed before any is written, since a row may read a
-coordinate that another row of the same layer writes.
+A row costs one pass over a whole coordinate row per nonzero, not d: a
+weight of 1 or -1, the only weights a compiled layer has, folds as a copy,
+a negation, an addition or a subtraction, and any other weight multiplies
+into a scratch row.  The layer's pre-activations go into a (k, n) buffer,
+and that scratch row and the one for ``S_B`` are (n,) buffers, all made
+once per run.  Every row is computed before any is written, since a row
+may read a coordinate that another row of the same layer writes.
+
+The activation runs where the state lies.  ``layer_states`` resolves the
+map once per run (``activations._in_place``, the entry that
+``apply_activation`` runs on a copy), and the kernel takes one cache-sized
+block at a time through all m compositions (``activations._compose``).
+A contiguous live set, every column included, is one view of (d, n) state
+rows, activated in place.  Of a live set with gaps, each run of
+consecutive columns that holds at least ``activations._BLOCK`` (2^16)
+elements is activated in place too, and the shorter runs are gathered
+into one buffer, activated there and scattered back, so the short runs
+of a set, as on a small graph, cost one kernel call and not one per run.
 
 Before the loop, one backward pass over the layers (``_schedule``) reads
 each layer's ``rows`` and term positions, plain Python ints as the layer
 stores them, once per run and gives the loop, per layer, three things: the
 index of its rows, a slice when they are contiguous, as every one-row
 layer's are; the neighbour sums it reads (``p - d`` for each B position
-p >= d), as a list of ints; and the columns to activate after it.  The loop
-itself iterates no numpy array.  ``keep`` means the same in ``run_forward``,
-which passes it through, and in ``layer_states``, which checks it once:
-integer columns in ``[0, d)``.  With ``keep=None`` every column is
-activated at every layer.  Given ``keep``, only live coordinates are: j is
-live after layer t when the caller keeps it or a later layer reads it
-before it fires again, so, from the kept coordinates,
+p >= d), as a list of ints; and the live index of the columns to activate
+after it: a tuple of slices activated in place and a gathered index array
+or None.  The loop itself iterates no numpy array.  ``keep`` means the
+same in ``run_forward``, which passes it through, and in ``layer_states``,
+which checks it once: integer columns in ``[0, d)``.  With ``keep=None``
+every column is activated at every layer.  Given ``keep``, only live
+coordinates are: j is live after layer t when the caller keeps it or a
+later layer reads it before it fires again, so, from the kept coordinates,
 ``live_after(t-1) = (live_after(t) - rows(t)) | reads(t)``, where
 ``reads(t)`` are the coordinates with a nonzero coefficient in layer t's A
-or B, ``p % d`` over its term positions p.  The live index is a slice when
-the live set is contiguous, and one object for as long as the set does not
-change.  A kept coordinate therefore sees the same activations, layer by
-layer, as it would if every coordinate were activated; one that is not
-live keeps a stale value, which no row reads.
+or B, ``p % d`` over its term positions p.  The live index is one object
+for as long as the set does not change.  A kept coordinate therefore sees
+the same activations, layer by layer, as it would if every coordinate were
+activated; one that is not live keeps a stale value, which no row reads.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
 order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
@@ -45,6 +61,10 @@ sums its A terms left to right in term order, the ascending p order that
 ``GnnLayer`` enforces, and ``S_B`` its B terms likewise.  A row without A
 terms folds ``S_B`` straight into its output row and then adds ``c``:
 addition commutes, so ``S_B + c`` has the bits of ``c + S_B``.  A
+weight of 1 or -1 folds with the bits of its product: in IEEE 754
+``x * 1.0`` is x and ``x * -1.0`` is -x, signed zeros included, and
+``a + (-x)`` is ``a - x``.  Each map runs elementwise, so an element
+activated in place gets the bits it would get in a gathered buffer.  A
 non-finite ``init`` and a layer whose pre-activations overflow are bad
 input, and raise.
 """
@@ -60,9 +80,9 @@ from .graphs import _is_integer
 
 
 def _index(cols):
-    """An index of the ascending, distinct columns ``cols``: a slice when they
-    are contiguous (read and written back as a view, it costs a fraction of
-    a fancy index's gather and scatter), else an index array."""
+    """An index of the ascending, distinct rule rows ``cols``: a slice when
+    they are contiguous (written as a view, it costs a fraction of a fancy
+    index's scatter), else an index array."""
     if not cols:
         return slice(0, 0)
     if cols[-1] - cols[0] + 1 == len(cols):
@@ -70,15 +90,38 @@ def _index(cols):
     return np.array(cols)
 
 
-def _schedule(layers, keep):
+def _live_index(cols, n):
+    """How to activate the ascending, distinct columns ``cols`` of a (d, n)
+    state: a tuple of slices activated where they lie, and the index array
+    of the columns gathered into one buffer, or None.  A contiguous set is
+    one slice.  Of a set with gaps, each run of consecutive columns that
+    holds at least ``activations._BLOCK`` elements is a slice, and the
+    shorter runs are gathered, so the kernel runs once for them all."""
+    if not cols:
+        return (), None
+    if cols[-1] - cols[0] + 1 == len(cols):
+        return (slice(cols[0], cols[-1] + 1),), None
+    if len(cols) * n < activations._BLOCK:  # every run is short
+        return (), np.array(cols)
+    runs, start = [], 0
+    for i, j in enumerate(cols):
+        if i + 1 == len(cols) or cols[i + 1] != j + 1:
+            runs.append(cols[start:i + 1])
+            start = i + 1
+    views = tuple(slice(run[0], run[-1] + 1) for run in runs if len(run) * n >= activations._BLOCK)
+    short = [j for run in runs if len(run) * n < activations._BLOCK for j in run]
+    return views, np.array(short) if short else None
+
+
+def _schedule(layers, keep, n):
     """For each layer, in order: the index of its rule rows, the columns whose
-    neighbour sums it reads (a list of ``int``), and the index of the
-    columns to activate after it, all columns when ``keep`` is None.
+    neighbour sums it reads (a list of ``int``), and the ``_live_index`` of
+    the columns to activate after it, all columns when ``keep`` is None.
 
     One backward pass over plain ints; the live index is rebuilt only where
     the live set changes, and is the same object until then."""
     live = None if keep is None else {int(j) for j in keep}
-    cols = slice(None) if keep is None else _index(sorted(live))
+    cols = ((slice(None),), None) if keep is None else _live_index(sorted(live), n)
     steps = []
     for layer in reversed(layers):
         rows, d = layer.rows, layer.d
@@ -87,36 +130,51 @@ def _schedule(layers, keep):
         if live is not None:
             before = live.difference(rows).union(p % d for p in ps)
             if before != live:
-                live, cols = before, _index(sorted(before))
+                live, cols = before, _live_index(sorted(before), n)
     steps.reverse()
     return steps
 
 
-def _fold(terms, values, low, out):
+def _fold(terms, values, low, out, prod):
     """``out = values[p1 - low] * v1 + values[p2 - low] * v2 + ...``, left to
-    right; returns ``out``."""
+    right; returns ``out``.  A weight of 1 or -1 folds as a copy, a negation,
+    an addition or a subtraction, with the product's bits (``x * 1.0`` is x
+    and ``x * -1.0`` is -x in IEEE 754, signed zeros included); any other
+    weight multiplies into ``prod`` first."""
     (p, v), *rest = terms
-    np.multiply(values[p - low], v, out=out)
+    if v == 1.0:
+        out[...] = values[p - low]
+    elif v == -1.0:
+        np.negative(values[p - low], out=out)
+    else:
+        np.multiply(values[p - low], v, out=out)
     for p, v in rest:
-        out += values[p - low] * v
+        if v == 1.0:
+            out += values[p - low]
+        elif v == -1.0:
+            out -= values[p - low]
+        else:
+            out += np.multiply(values[p - low], v, out=prod)
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks that the result is finite
-def _combine(layer, cur, agg):
-    """The (k, n) pre-activations of ``layer``'s rule rows from the (d, n)
-    features ``cur`` and neighbour sums ``agg``."""
+def _combine(layer, cur, agg, z, scratch):
+    """The (k, n) pre-activations of ``layer``'s k rule rows, written into the
+    first k rows of ``z``, from the (d, n) features ``cur`` and neighbour
+    sums ``agg``; ``scratch`` is two (n,) buffers, for ``S_B`` and a product."""
     d = layer.d
-    z = np.empty((len(layer.terms), cur.shape[1]))
+    s_b, prod = scratch
+    z = z[:len(layer.terms)]
     for zr, c, row in zip(z, layer.c, layer.terms):
         split = bisect_left(row, (d,))  # the terms ascend: A first, then B
         if split:
-            _fold(row[:split], cur, 0, zr)
+            _fold(row[:split], cur, 0, zr, prod)
             zr += c
             if split < len(row):
-                zr += _fold(row[split:], agg, d, np.empty_like(zr))
+                zr += _fold(row[split:], agg, d, s_b, prod)
         elif row:  # S_B + c has the bits of c + S_B
-            _fold(row, agg, d, zr)
+            _fold(row, agg, d, zr, prod)
             zr += c
         else:
             zr.fill(c)
@@ -134,20 +192,30 @@ def layer_states(init, graph, layers, name, m, keep=None):
     d, n = cur.shape
     if keep is not None and not all(_is_integer(j) and 0 <= j < d for j in keep):
         raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
+    activate = activations._in_place(name, m)
     agg = np.zeros((d, n))
+    z = np.empty((max((len(layer.c) for layer in layers), default=0), n))
+    scratch = (np.empty(n), np.empty(n))
     src, dst = graph.edge_src, graph.edge_dst
-    steps = _schedule(layers, keep)
+    # each edge's source value; take writes into out only when mode is not
+    # "raise", and every source index is in range, so "clip" clips nothing
+    sent = np.empty(len(src))
+    steps = _schedule(layers, keep, n)
     yield cur
-    for t, (layer, (rows, agg_cols, cols)) in enumerate(zip(layers, steps), start=1):
+    for t, (layer, (rows, agg_cols, (views, gather))) in enumerate(zip(layers, steps), start=1):
         if layer.terms:
             for j in agg_cols:
-                agg[j] = np.bincount(dst, weights=cur[j].take(src), minlength=n)
-            z = _combine(layer, cur, agg)
-            if not np.isfinite(z).all():
+                agg[j] = np.bincount(dst, weights=cur[j].take(src, out=sent, mode="clip"), minlength=n)
+            pre = _combine(layer, cur, agg, z, scratch)
+            if not np.isfinite(pre).all():
                 raise ValueError(f"layer {t} has a pre-activation that is not finite")
-            cur[rows] = z
-        live = cur[cols] if isinstance(cols, slice) else cur.take(cols, axis=0)  # take: half a fancy gather
-        cur[cols] = activations.apply_activation(name, m, live)
+            cur[rows] = pre
+        for view in views:
+            activate(cur[view])
+        if gather is not None:
+            live = cur.take(gather, axis=0)  # take: half a fancy gather
+            activate(live)
+            cur[gather] = live
         yield cur
 
 

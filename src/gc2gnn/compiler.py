@@ -64,7 +64,8 @@ class GnnLayer:
     in ``[0, 2d)``: A column p for p < d, else B column p - d, in the order
     of the text format's lines and the executor's fold.  Zeros are dropped.
     Like ``terms``, ``rows`` and ``c`` are tuples, of ``int`` and ``float``,
-    so equality and hash are the dataclass's own.
+    and the width ``d`` is an ``int`` >= 1, so equality and hash are the
+    dataclass's own.
     """
 
     rows: tuple[int, ...]
@@ -73,6 +74,9 @@ class GnnLayer:
     d: int
 
     def __post_init__(self):
+        if not (_is_integer(self.d) and self.d >= 1):
+            raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
         if np.ndim(self.rows) != 1 or not all(map(_is_integer, self.rows)):
             raise ValueError("rows must be a 1-D integer array")
         rows = tuple(map(int, self.rows))

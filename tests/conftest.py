@@ -70,6 +70,16 @@ def agg_columns(layer):
     return sorted({p - layer.d for row in layer.terms for p, _ in row if p >= layer.d})
 
 
+def activated_columns(live, d):
+    """The ascending columns of a (d, n) state that ``backend._schedule``'s
+    live index ``live``, a pair (slices activated in place, a gathered index
+    array or None), activates."""
+    views, gather = live
+    columns = np.arange(d)
+    gathered = [] if gather is None else gather.tolist()
+    return sorted([j for view in views for j in columns[view].tolist()] + gathered)
+
+
 @pytest.fixture(scope="session")
 def q1():
     return parse(Q1_TEXT, 1)

@@ -15,6 +15,7 @@ from gc2gnn import (
     Color,
     Diamond,
     GnnLayer,
+    GnnSpec,
     LabeledGraph,
     TreeParams,
     activations,
@@ -142,6 +143,11 @@ INTEGER_ARGUMENTS = {
         lambda k: random_formula(np.random.default_rng(0), 2, max_threshold=k), 3),
     "GnnLayer.rows": (lambda j: GnnLayer([j], [0.0], [[(0, 1.0)]], 3), 2),
     "GnnLayer.terms.p": (lambda p: GnnLayer(np.array([0]), [0.0], [[(p, 1.0)]], 3), 2),
+    "GnnLayer.d": (lambda d: GnnLayer([0], [0.0], [[(0, 1.0)]], d), 3),
+    # a float width equal to the spec's passed both checks, and a forward
+    # then failed with numpy's IndexError
+    "GnnSpec.layers.d": (
+        lambda d: GnnSpec(0, (GnnLayer([0], [0.0], [[(0, 1.0)]], d),), activations.ActivationSpec("crelu"), ("1", "0")), 2),
     "GnnSpec.output_index": (
         lambda i: engine.forward_outputs(dataclasses.replace(FOUR_SPEC, output_index=i), FOUR), 2),
     "forward.keep": (lambda j: engine.forward(FOUR_SPEC, FOUR, keep=(j,)), 2),

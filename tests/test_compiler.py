@@ -38,7 +38,7 @@ from gc2gnn import backend, compiler
 from gc2gnn.compiler import SpecFormatError
 from gc2gnn.experiments import Q1_TEXT
 
-from conftest import forward_history, matrix_rows
+from conftest import activated_columns, forward_history, matrix_rows
 
 
 def compact_q1_net():
@@ -250,6 +250,15 @@ def test_gnn_layer_checks_its_field_shapes(rows, c, n_terms, fragment):
     # ValueError, never a TypeError from iterating or from float()
     with pytest.raises(ValueError, match=fragment):
         GnnLayer(rows, c, [[(0, 1.0)]] * n_terms, 3)
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_gnn_layer_width_is_a_positive_int(d):
+    # the width is checked before any field that depends on it, and a numpy
+    # integer is stored as an int, like the other fields
+    with pytest.raises(ValueError, match=r"d must be an integer >= 1, got -?\d"):
+        GnnLayer([], [], [], d)
+    assert type(GnnLayer([0], [0.0], [[(0, 1.0)]], np.int64(3)).d) is int
 
 
 def test_gnn_layer_stores_positions_as_ints():
@@ -548,12 +557,11 @@ def assert_dense_views_match_terms(spec):
     ``A`` and ``B``, and the executor's schedule derives the columns a layer
     reads from its terms: all must agree.  Before a second copy of the
     layer, with nothing kept, the live columns are the ones that copy reads."""
-    columns = np.arange(spec.d)
     for layer in spec.layers:
         a, b = layer.A, layer.B
         assert np.count_nonzero(a) + np.count_nonzero(b) == sum(map(len, layer.terms))
-        (_, agg_cols, cols), _ = backend._schedule((layer, layer), ())
-        assert columns[cols].tolist() == np.flatnonzero(a.any(axis=0) | b.any(axis=0)).tolist()
+        (_, agg_cols, live), _ = backend._schedule((layer, layer), (), 10)
+        assert activated_columns(live, spec.d) == np.flatnonzero(a.any(axis=0) | b.any(axis=0)).tolist()
         assert agg_cols == np.flatnonzero(b.any(axis=0)).tolist()
 
 

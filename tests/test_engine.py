@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from gc2gnn.activations import apply_activation, certificate, required_compositi
 from gc2gnn.backend import run_forward
 from gc2gnn.experiments import run_separation
 
-from conftest import agg_columns, forward_history, matrix_rows, pinned_graph, read_columns, simd_level, tree_classes
+from conftest import activated_columns, agg_columns, forward_history, matrix_rows, pinned_graph, read_columns, simd_level, tree_classes
 
 
 def test_forward_triangle_all_true(q1_spec, triangle):
@@ -293,30 +294,49 @@ def _schedule_cases():
 SCHEDULE_CASES = _schedule_cases()
 
 
+def _runs_by_the_block_rule(live, n):
+    """The runs of consecutive columns of ``live`` that lie in place, and the
+    columns gathered: a contiguous set lies in place, and so does each run
+    of a set with gaps that holds ``activations._BLOCK`` elements of an
+    n-vertex state."""
+    cols = sorted(live)
+    runs = [[j for _, j in run] for _, run in groupby(enumerate(cols), lambda ij: ij[1] - ij[0])]
+    if len(runs) == 1:
+        return runs, []
+    short = [run for run in runs if len(run) * n < activations._BLOCK]
+    return [run for run in runs if run not in short], [j for run in short for j in run]
+
+
 @pytest.mark.parametrize("keep", ["none", "output", "empty", "every"])
 @pytest.mark.parametrize("case", SCHEDULE_CASES)
 def test_schedule_matches_the_liveness_recurrence(case, keep):
     # backend's one backward pass gives, per layer, the rows, the neighbour
-    # sums it reads as ints and the columns to activate, which are the
-    # recurrence's live set; the live index is one object while that set
-    # does not change, and a contiguous set is a slice
+    # sums it reads as ints and the live index, whose columns are the
+    # recurrence's live set: slices of the state activated where they lie,
+    # by the block rule, and the columns gathered into one buffer; the live
+    # index is one object while the live set does not change
     layers, d, out = SCHEDULE_CASES[case]
     keep = {"none": None, "output": (out,), "empty": (), "every": range(d)}[keep]
-    steps = backend._schedule(layers, keep)
     want = _live_after(layers, d, keep)
-    assert len(steps) == len(layers) == len(want)
     columns = np.arange(d)
-    for layer, (rows, agg_cols, cols), live in zip(layers, steps, want):
-        assert columns[rows].tolist() == list(layer.rows)
-        assert isinstance(rows, slice) or len(layer.rows) > 1
-        assert agg_cols == agg_columns(layer) and all(type(j) is int for j in agg_cols)
-        assert columns[cols].tolist() == sorted(live)
-        if keep is None:
-            assert cols == slice(None)
-        elif live and max(live) - min(live) + 1 == len(live):
-            assert isinstance(cols, slice)
-    for (*_, a), (*_, b), live_a, live_b in zip(steps, steps[1:], want, want[1:]):
-        assert (a is b) == (live_a == live_b)
+    for n in (1, 2**15, 2**16):  # every run gathered; runs of 2 or more in place; every run in place
+        steps = backend._schedule(layers, keep, n)
+        assert len(steps) == len(layers) == len(want)
+        for layer, (rows, agg_cols, index), live in zip(layers, steps, want):
+            assert columns[rows].tolist() == list(layer.rows)
+            assert isinstance(rows, slice) or len(layer.rows) > 1
+            assert agg_cols == agg_columns(layer) and all(type(j) is int for j in agg_cols)
+            assert activated_columns(index, d) == sorted(live)
+            views, gather = index
+            if keep is None:
+                assert views == (slice(None),) and gather is None
+                continue
+            in_place, gathered = _runs_by_the_block_rule(live, n)
+            assert all(isinstance(view, slice) and view.step is None for view in views)
+            assert [columns[view].tolist() for view in views] == in_place
+            assert ([] if gather is None else gather.tolist()) == gathered
+        for (*_, a), (*_, b), live_a, live_b in zip(steps, steps[1:], want, want[1:]):
+            assert (a is b) == (live_a == live_b)
 
 
 def _chain(levels):
@@ -329,12 +349,16 @@ def _chain(levels):
 
 
 def test_forward_work_per_layer(monkeypatch):
-    # per-layer work cannot creep back: a forward builds one schedule, calls
-    # apply_activation once per layer and np.bincount once per neighbour sum
-    # a layer reads
+    # per-layer work cannot creep back: a forward builds one schedule,
+    # resolves its map once, activates each in-place run and each gathered
+    # buffer with one call of that map, never through apply_activation's
+    # copy, and calls np.bincount once per neighbour sum a layer reads
     spec = _chain(60)
     graph = random_graph(30, 3.0, 2, 0)
-    calls = {"schedule": 0, "apply_activation": 0, "bincount": 0}
+    # on 30 vertices every run is short: one view or one gathered buffer a layer
+    steps = backend._schedule(spec.layers, (spec.output_index,), graph.n)
+    assert [len(views) + (gather is not None) for *_, (views, gather) in steps] == [1] * spec.iterations
+    calls = {"schedule": 0, "resolve": 0, "activate": 0, "apply_activation": 0, "bincount": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -342,15 +366,109 @@ def test_forward_work_per_layer(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    in_place = activations._in_place
+
+    def resolve(name, m):
+        calls["resolve"] += 1
+        return counted("activate", in_place(name, m))
+
     monkeypatch.setattr(backend, "_schedule", counted("schedule", backend._schedule))
+    monkeypatch.setattr(activations, "_in_place", resolve)
     monkeypatch.setattr(activations, "apply_activation", counted("apply_activation", activations.apply_activation))
     monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
     sums = sum(len(agg_columns(layer)) for layer in spec.layers)
     assert spec.iterations >= 60 and sums >= 20
     forward_outputs(spec, graph, ActivationSpec("crelu", 1))
-    assert calls == {"schedule": 1, "apply_activation": spec.iterations, "bincount": sums}
-    layer_errors(spec, graph)  # two runs, every column live
-    assert calls == {"schedule": 3, "apply_activation": 3 * spec.iterations, "bincount": 3 * sums}
+    want = {"schedule": 1, "resolve": 1, "activate": spec.iterations, "apply_activation": 0, "bincount": sums}
+    assert calls == want
+    layer_errors(spec, graph)  # two runs, every column live: one view of the whole state a layer
+    assert calls == {key: 3 * count for key, count in want.items()}
+
+
+def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
+    # kept at column 3, hand_built_layers() activates columns {0, 1, 3, 4}
+    # after layer 1: on 2**15 + 1 vertices the runs [0, 1] and [3, 4] each
+    # hold at least activations._BLOCK elements and are activated where they
+    # lie in the state; on 50 vertices they are gathered into one buffer.
+    # Under every map, the kept column, and with keep=None (one view of the
+    # whole state) every column, has the reference executor's bits; a kept
+    # column's are those of the run that keeps every column
+    layers, keep = hand_built_layers(), (3,)
+    seen, in_place = [], activations._in_place
+
+    def recording(name, m):
+        run = in_place(name, m)
+
+        def recorded(out):
+            seen.append(out)
+            run(out)
+        return recorded
+
+    monkeypatch.setattr(activations, "_in_place", recording)
+    for n, seed in ((2**15 + 1, 1), (50, 2)):
+        graph = random_graph(n, 2.0, 2, seed)
+        views, gather = backend._schedule(layers, keep, n)[0][2]
+        long_runs = n * 2 >= activations._BLOCK
+        if long_runs:
+            assert views == (slice(0, 2), slice(3, 5)) and gather is None
+        else:
+            assert views == () and gather.tolist() == [0, 1, 3, 4]
+        init = np.random.default_rng(seed).uniform(-1.0, 2.0, (n, 5))
+        for name in ACTIVATION_NAMES:
+            for m in (0, 1, 3):
+                want = reference_run_forward(init, graph, layers, name, m)
+                assert run_forward(init, graph, layers, name, m).tobytes() == want.tobytes(), (n, name, m)
+                seen.clear()
+                got = run_forward(init, graph, layers, name, m, keep)
+                assert got[:, 3].tobytes() == want[:, 3].tobytes(), (n, name, m)
+                first = seen[:2] if long_runs else seen[:1]
+                assert [np.shares_memory(out, got) for out in first] == [long_runs] * len(first)
+                assert all(out.size == 2 * n for out in first) if long_runs else first[0].shape == (4, n)
+
+
+def test_unit_weights_fold_with_the_products_bits():
+    # _combine folds a weight of 1 or -1 as a copy, a negation, an addition
+    # or a subtraction, and other weights as products: over +0.0, -0.0 and
+    # large values, each weight first and later in a row, in A and B parts,
+    # every row has the bytes, signed zeros included, of the fold
+    # (c + S_A) + S_B that multiplies every term
+    values = [0.0, -0.0, 1e300, -1e300, 1e16, 1.0]
+    grid = np.array(list(product(values, repeat=3))).T  # (3, 216)
+    cur = np.vstack([grid, grid[::-1, ::-1]])
+    agg = cur[::-1, ::-1].copy()
+    d, n = cur.shape
+    layer = GnnLayer(
+        (0, 1, 2, 3, 4, 5),
+        (-0.0, 0.0, -0.0, 1.0, -0.0, -0.0),
+        [
+            [(0, 1.0), (1, -1.0), (2, 2.5), (3, -1.0)],          # A only
+            [(6, -1.0), (7, 1.0), (8, -1.0)],                    # B only
+            [(0, -1.0), (1, 1.0), (7, 2.5), (9, -1.0)],
+            [(1, 2.5), (2, 1.0), (3, -1.0), (6, 1.0), (8, 2.5), (9, 1.0)],
+            [(4, -1.0)],  # -0.0 + -x: -(+0.0) must be -0.0, not the +0.0 of 0.0 - x
+            [(10, -1.0)],
+        ],
+        d,
+    )
+
+    def fold(terms, values, low):
+        (p, v), *rest = terms
+        total = values[p - low] * v
+        for p, v in rest:
+            total = total + values[p - low] * v
+        return total
+
+    want = []
+    for c, row in zip(layer.c, layer.terms):
+        a, b = [t for t in row if t[0] < d], [t for t in row if t[0] >= d]
+        z = c + fold(a, cur, 0) if a else c + fold(b, agg, d)
+        want.append(z + fold(b, agg, d) if a and b else z)
+    want = np.array(want)
+    got = backend._combine(layer, cur, agg, np.empty((d + 1, n)), (np.empty(n), np.empty(n)))
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    zeros = want == 0.0
+    assert np.signbit(want[zeros]).any() and not np.signbit(want[zeros]).all()
 
 
 def test_layer_errors_identical_runs(q1_spec, triangle):

@@ -405,6 +405,11 @@ def _compose(fn, m: int, out: np.ndarray) -> None:
     where they lie in a forward's state read the same as a gathered copy of
     them (``tests/test_engine.py`` checks both against one reference).  A
     map's temporaries are one block in size.
+
+    A forward's table lookup (``backend._look_up``) needs more: it runs the
+    kernel on a table of 1 to 2^12 entries and copies an entry's value to
+    every element that equals it, so it relies on each kernel giving a
+    value the same bits whatever its position and the length of its array.
     """
     # a view in memory order for C-, F- and axis-permuted dense layouts,
     # where reshape(-1) would copy all but the first

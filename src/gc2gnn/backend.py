@@ -34,6 +34,40 @@ elements is activated in place too, and the shorter runs are gathered
 into one buffer, activated there and scattered back, so the short runs
 of a set, as on a small graph, cost one kernel call and not one per run.
 
+An activated array of at least ``_BLOCK`` elements, under a map composed
+at least ``_TABLE_DEPTH`` (3) times that sends some integer of -2..2 to a
+non-integer (``_takes_table``, decided once per ``(name, m)`` when a run
+first meets such an array), goes one ``_BLOCK`` at a time through a table
+of its distinct integers (``_look_up``).  A compiled network reads 0/1
+indicators through integer weights, so a fresh pre-activation is an
+integer in [-(K-1), Δ], and a carried indicator stays 0/1 under a map that
+fixes 0 and 1; such a block holds a few distinct values, and the m
+compositions run on those few, not on every vertex.  A lookup costs about
+as much as two or three steps of the cheapest kernels, so below depth 3
+the kernel runs on every element as before.  A block whose first element
+is an integer and whose minimum lo and maximum hi are integers less than
+``_CHUNK`` (2^12) apart is read one ``_CHUNK`` at a time: each element x
+gets ``i = int(x - lo)``, and the chunk takes ``table[i]``, the kernel's
+value at ``lo + i``, only if ``lo + i`` has the bits of x at every
+element.  ``lo + i`` is +0.0 where it is zero, so a -0.0 never round-trips,
+and the kernel takes it.  At the first chunk that does not round-trip, the
+kernel takes the rest of the block; any other block goes to the kernel
+whole; and a table that equals its inputs bit for bit (0 and 1 under
+``step-arctan``) writes nothing.  The index and round-trip buffers, 2^12
+elements each, are made on a run's first lookup, and a run keeps its
+tables by range.  ``sigma-star``, ``crelu`` and ``relu`` keep integers
+integer with kernels cheaper than a lookup, and never take a table.
+
+The lookup is exact under a stronger condition than the blocking of
+``activations._compose``.  Blocking keeps each element on the vector and
+remainder path it takes in the whole array; a table puts the value of x at
+another position, in an array of 1 to 2^12 entries, and a table shorter
+than a SIMD vector runs only the remainder path.  So the lookup gives x
+the kernel's bits only because each kernel gives a value the same bits
+whatever its position and the length of its array.
+``tests/test_engine.py::test_integer_blocks_take_a_table_with_the_reference_bits``
+checks this against the reference executor at numpy's active SIMD level.
+
 Before the loop, one backward pass over the layers (``_schedule``) reads
 each layer's ``rows`` and term positions, plain Python ints as the layer
 stores them, once per run and gives the loop, per layer, three things: the
@@ -72,6 +106,7 @@ input, and raise.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,6 +216,94 @@ def _combine(layer, cur, agg, z, scratch):
     return z
 
 
+# Elements of the lookup's index and round-trip buffers (32 KB each), and the
+# bound on the number of distinct integers a table holds.
+_CHUNK = 1 << 12
+
+# The least composition depth at which a map takes a table.  A lookup of a
+# 2^16-element integer block costs about 300 us on a 2-core Xeon VM (numpy
+# 2.4, AVX-512 loops), and one step of the cheapest table-taking kernels
+# (tanh, sigmoid, step-arctan) 115-180 us on it: at m = 1 the lookup took
+# about twice the kernel's time, at m = 2 about as long, at m = 3 less.
+_TABLE_DEPTH = 3
+
+
+@lru_cache(maxsize=None)
+def _takes_table(name, m):
+    """Whether ``name`` composed ``m`` times takes a table: m is at least
+    ``_TABLE_DEPTH``, and the map sends some integer in -2..2 to a
+    non-integer.  ``sigma-star``, ``crelu`` and ``relu`` keep an integer
+    column integer with kernels cheaper than a lookup, and below
+    ``_TABLE_DEPTH`` a lookup costs as much as the kernel or more."""
+    if m < _TABLE_DEPTH:
+        return False
+    probe = activations.apply_activation(name, m, np.arange(-2.0, 3.0))
+    return not all(v.is_integer() for v in probe.tolist())
+
+
+def _look_up(block, activate, tables, index, trip):
+    """Activate the leading chunks of ``block`` that hold only integers of
+    its range ``[lo, hi]``, when its first element is an integer and lo and
+    hi are integers less than ``_CHUNK`` apart, through ``activate``'s
+    table of ``lo + i``; return how many leading elements are done.
+    ``tables`` keeps a run's tables by range, and ``index`` and ``trip``
+    are the run's two ``_CHUNK``-element buffers.
+
+    An element x takes ``table[i]`` with ``i = int(x - lo)`` only if
+    ``lo + i`` has x's bits, so the element gets the value the kernel gives
+    ``lo + i``, which is x: -0.0 comes back as +0.0 and is never looked up.
+    A table that equals its inputs bit for bit writes nothing.  A block of
+    activated, non-integer values is refused on its first element, before
+    the passes for its bounds."""
+    if not float(block[0]).is_integer():
+        return 0
+    lo, hi = float(block.min()), float(block.max())
+    if not (hi - lo < _CHUNK and lo.is_integer() and hi.is_integer()):
+        return 0
+    if (lo, hi) not in tables:
+        table = lo + np.arange(hi - lo + 1)
+        inputs = table.tobytes()
+        activate(table)
+        tables[lo, hi] = table, table.tobytes() == inputs
+    table, fixed = tables[lo, hi]
+    for start in range(0, block.size, _CHUNK):
+        part = block[start:start + _CHUNK]
+        i, t = index[:part.size], trip[:part.size]
+        np.subtract(part, lo, out=i, casting="unsafe")  # in [0, hi - lo]: part lies in [lo, hi]
+        np.add(i, lo, out=t)
+        if not (t.view(np.int64) == part.view(np.int64)).all():
+            return start
+        if not fixed:
+            table.take(i, out=part, mode="clip")
+    return block.size
+
+
+def _activator(name, m):
+    """``name`` composed ``m`` times as a run's in-place map of dense arrays,
+    resolved once (``activations._in_place``).  An array of fewer than
+    ``activations._BLOCK`` elements, or any array under a map that
+    ``_takes_table`` refuses, goes to the kernel whole.  Any other goes one
+    ``_BLOCK`` at a time: a block's leading integer chunks through
+    ``_look_up``, and the rest of it to the kernel."""
+    activate = activations._in_place(name, m)
+    tables, buffers = {}, []
+
+    def run(out):
+        if out.size < activations._BLOCK or not _takes_table(name, m):
+            activate(out)
+            return
+        if not buffers:
+            buffers.extend((np.empty(_CHUNK, dtype=np.int64), np.empty(_CHUNK)))
+        flat = out.ravel(order="K")
+        for start in range(0, flat.size, activations._BLOCK):
+            block = flat[start:start + activations._BLOCK]
+            done = _look_up(block, activate, tables, *buffers)
+            if done < block.size:
+                activate(block[done:])
+
+    return run
+
+
 def layer_states(init, graph, layers, name, m, keep=None):
     """Yield the (d, n) state of a run from the (n, d) features ``init``, one
     array updated in place: once before the first layer, then after each
@@ -192,7 +315,7 @@ def layer_states(init, graph, layers, name, m, keep=None):
     d, n = cur.shape
     if keep is not None and not all(_is_integer(j) and 0 <= j < d for j in keep):
         raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
-    activate = activations._in_place(name, m)
+    activate = _activator(name, m)
     agg = np.zeros((d, n))
     z = np.empty((max((len(layer.c) for layer in layers), default=0), n))
     scratch = (np.empty(n), np.empty(n))

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from itertools import groupby, product
 
 import numpy as np
@@ -358,7 +359,7 @@ def test_forward_work_per_layer(monkeypatch):
     # on 30 vertices every run is short: one view or one gathered buffer a layer
     steps = backend._schedule(spec.layers, (spec.output_index,), graph.n)
     assert [len(views) + (gather is not None) for *_, (views, gather) in steps] == [1] * spec.iterations
-    calls = {"schedule": 0, "resolve": 0, "activate": 0, "apply_activation": 0, "bincount": 0}
+    calls = {"schedule": 0, "resolve": 0, "activate": 0, "apply_activation": 0, "bincount": 0, "table": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -376,13 +377,18 @@ def test_forward_work_per_layer(monkeypatch):
     monkeypatch.setattr(activations, "_in_place", resolve)
     monkeypatch.setattr(activations, "apply_activation", counted("apply_activation", activations.apply_activation))
     monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
+    # below activations._BLOCK elements no array asks whether the map takes a table
+    monkeypatch.setattr(backend, "_takes_table", counted("table", backend._takes_table))
+    monkeypatch.setattr(backend, "_look_up", counted("table", backend._look_up))
     sums = sum(len(agg_columns(layer)) for layer in spec.layers)
     assert spec.iterations >= 60 and sums >= 20
     forward_outputs(spec, graph, ActivationSpec("crelu", 1))
-    want = {"schedule": 1, "resolve": 1, "activate": spec.iterations, "apply_activation": 0, "bincount": sums}
+    want = {"schedule": 1, "resolve": 1, "activate": spec.iterations, "apply_activation": 0, "bincount": sums, "table": 0}
     assert calls == want
     layer_errors(spec, graph)  # two runs, every column live: one view of the whole state a layer
     assert calls == {key: 3 * count for key, count in want.items()}
+    forward_outputs(spec, graph, ActivationSpec("step-arctan", 14))  # a map that would take one
+    assert calls == {key: 4 * count for key, count in want.items()}
 
 
 def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
@@ -394,6 +400,9 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
     # whole state) every column, has the reference executor's bits; a kept
     # column's are those of the run that keeps every column
     layers, keep = hand_built_layers(), (3,)
+    for name in ACTIVATION_NAMES:
+        for m in (0, 1, 3):
+            backend._takes_table(name, m)  # decided before the kernel is recorded
     seen, in_place = [], activations._in_place
 
     def recording(name, m):
@@ -421,9 +430,18 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
                 seen.clear()
                 got = run_forward(init, graph, layers, name, m, keep)
                 assert got[:, 3].tobytes() == want[:, 3].tobytes(), (n, name, m)
-                first = seen[:2] if long_runs else seen[:1]
-                assert [np.shares_memory(out, got) for out in first] == [long_runs] * len(first)
-                assert all(out.size == 2 * n for out in first) if long_runs else first[0].shape == (4, n)
+                if long_runs:
+                    # under a map that takes a table, the kernel gets each
+                    # run one activations._BLOCK at a time: these floats
+                    # are no integers, so each block falls back to it whole
+                    run = [2 * n]
+                    if backend._takes_table(name, m):
+                        run = [activations._BLOCK, 2 * n - activations._BLOCK]
+                    first = seen[:2 * len(run)]
+                    assert [out.size for out in first] == run * 2, (name, m)
+                    assert all(np.shares_memory(out, got) for out in first)
+                else:
+                    assert seen[0].shape == (4, n) and not np.shares_memory(seen[0], got)
 
 
 def test_unit_weights_fold_with_the_products_bits():
@@ -908,6 +926,107 @@ def test_multi_block_forward_bits_pinned(q2_spec):
     assert graph.n * q2_spec.d > 2 * 2**16
     out = forward_outputs(q2_spec, graph, ActivationSpec("step-arctan", 14))
     assert hashlib.sha256(out.tobytes()).hexdigest() == MULTI_BLOCK_FORWARD_SHA256, f"numpy SIMD level {simd_level()}"
+
+
+def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
+    # n = 1.25 activations._BLOCK, and the state rows are C1, C2, the
+    # `dia>=2 C1` row (pre-activations -1..Δ-1), the `dia>=K C2` row with
+    # K = Δ + 2 (every pre-activation negative) and the output.  The output
+    # column is written only by the last layer, so its initial values are
+    # hand-built and, with keep=None, activated once: a first block of 0, 1
+    # and 2 with a -0.0 in its fourth chunk (lo + i would give it +0.0's
+    # bits) and a 0.5 later, so the lookup takes three chunks and the kernel
+    # the rest, and a second block of 1e300 only, a one-entry table.  Under
+    # every map, every state has the reference's bits, and so does the
+    # output of a run that keeps only it
+    block, chunk = activations._BLOCK, backend._CHUNK
+    n = block + block // 4
+    graph = sparse_random_graph(n, block, 2, 3)
+    delta = graph.max_degree
+    spec = compile_formula(parse(f"(dia>=2 C1 and dia>={delta + 2} C2)", 2), 2)
+    assert spec.init_kinds == ("C1", "C2", "0", "0", "0") and spec.output_index == 4
+    init = initial_features(spec, graph)
+    column = np.resize([0.0, 1.0, 2.0], block)
+    column[3 * chunk + 7], column[9 * chunk] = -0.0, 0.5
+    init[:, 4] = np.concatenate([column, np.full(n - block, 1e300)])
+    outcomes, look_up = [], backend._look_up
+
+    def recorded(values, *args):
+        hi, done = values.max(), look_up(values, *args)
+        outcomes.append("table" if done == values.size else "part" if done else "kernel")
+        if done == values.size and hi < 0:
+            outcomes.append("negative")
+        return done
+
+    monkeypatch.setattr(backend, "_look_up", recorded)
+    for name in ACTIVATION_NAMES:
+        for m in (0, 1, 3):
+            outcomes.clear()
+            # layer by layer: the last layer overwrites the hand-built column
+            states = backend.layer_states(init, graph, spec.layers, name, m)
+            for t, state in enumerate(states):
+                want = reference_run_forward(init, graph, spec.layers[:t], name, m) if t else init
+                assert state.T.tobytes() == want.tobytes(), (name, m, t)
+            got = run_forward(init, graph, spec.layers, name, m, keep=(4,))
+            assert got[:, 4].tobytes() == want[:, 4].tobytes(), (name, m)
+            want_outcomes = {"table", "part", "kernel", "negative"} if backend._takes_table(name, m) else set()
+            assert set(outcomes) == want_outcomes, (name, m)
+
+
+@pytest.fixture(scope="module")
+def large_graph():
+    """2^17 vertices of average degree 5: each state row is two
+    activations._BLOCKs."""
+    graph = sparse_random_graph(2**17, 5 * 2**16, 2, 23)
+    graph.edge_src  # the adjacency is the graph's, built before any trace
+    return graph
+
+
+def test_maps_that_keep_integers_never_look_up(q2_spec, large_graph, monkeypatch):
+    # sigma-star, crelu and relu send -2..2 to integers, so they run the
+    # kernel on every array, on a graph where every activated array holds
+    # activations._BLOCK elements; so does every map below depth 3, where a
+    # lookup costs about as much as the kernel or more
+    def refuse(*args):
+        raise AssertionError("a map that keeps integers, or a shallow one, looked up a table")
+
+    assert backend._TABLE_DEPTH == 3
+    assert [name for name in ACTIVATION_NAMES if not backend._takes_table(name, 3)] == ["sigma-star", "crelu", "relu"]
+    assert not any(backend._takes_table(name, m) for name in ACTIVATION_NAMES for m in (0, 1, 2))
+    monkeypatch.setattr(backend, "_look_up", refuse)
+    for name, m in (("sigma-star", 3), ("crelu", 3), ("relu", 3), ("sigmoid", 1), ("step-arctan", 2)):
+        forward(q2_spec, large_graph, ActivationSpec(name, m))
+        forward_outputs(q2_spec, large_graph, ActivationSpec(name, m))
+
+
+def test_step_arctan_kernel_sees_tables_for_integer_columns(q2_spec, large_graph, monkeypatch):
+    # forward_outputs activates 8 (column, layer) pairs of q2: after layer 1
+    # C1 and the two `dia>=1` rows, then C1 and row 4, C1 and row 5, and
+    # row 6.  Five hold integers (C1 stays 0/1: step-arctan fixes 0 and 1
+    # bit for bit) and the kernel sees only their tables, each of at most
+    # Δ + 1 entries; it sees the other three n elements a step
+    kernel, sizes, m = activations._REGISTRY["step-arctan"], [], 3
+
+    def recorded(x):
+        sizes.append(x.size)
+        kernel.fn(x)
+
+    monkeypatch.setitem(activations._REGISTRY, "step-arctan", replace(kernel, fn=recorded))
+    forward_outputs(q2_spec, large_graph, ActivationSpec("step-arctan", m))
+    tables = [size for size in sizes if size < backend._CHUNK]
+    assert tables and max(tables) <= large_graph.max_degree + 1
+    assert sum(sizes) - sum(tables) == m * 3 * large_graph.n
+
+
+def test_lookup_buffers_stay_small(q2_spec, large_graph):
+    # the lookup's index and round-trip buffers hold 2^12 elements each, and
+    # its tables a few: the step-arctan peak stays within 100 KB of the
+    # sigma-star one, whose kernel takes no table
+    peaks = {
+        name: traced_peak(lambda: forward_outputs(q2_spec, large_graph, ActivationSpec(name, m)))
+        for name, m in (("sigma-star", 1), ("step-arctan", 14))
+    }
+    assert peaks["step-arctan"] <= peaks["sigma-star"] + 100 * 1024, peaks
 
 
 def test_forward_memory_is_linear(q2_spec):

@@ -15,6 +15,19 @@ coordinates B reads, with one ``take`` over the edge sources each into an
 that took longer than the gather on a 10^5-vertex graph), and overwrites
 only the stored rows.
 
+A graph keeps its layer-1 sums.  Layer 1 sums initial columns, and
+``engine.initial_features`` builds each from its kind alone: zeros for
+``"0"``, ones for ``"1"`` and the indicator of color c for ``"C<c>"``.  So
+their sums depend on the graph only, not on the weights, the map or m.
+Given ``init_kinds``, the caller's statement that ``init`` is built so
+(``engine.forward`` and ``layer_errors`` give the spec's), layer 1 reads
+the sum of each kind from the graph's ``_first_sums`` and, for a kind not
+there yet, keeps the ``bincount`` the loop computes, read-only.  A graph
+thus holds one more (n,) float64 row per kind that layer 1 has read (two
+rows, 1.6 MB, for q2 on 10^5 vertices), freed with it.  Every later
+forward on the graph skips those sums; a run given ``init`` alone computes
+them all.
+
 A row costs one pass over a whole coordinate row per nonzero, not d: a
 weight of 1 or -1, the only weights a compiled layer has, folds as a copy,
 a negation, an addition or a subtraction, and any other weight multiplies
@@ -99,6 +112,9 @@ weight of 1 or -1 folds with the bits of its product: in IEEE 754
 ``x * 1.0`` is x and ``x * -1.0`` is -x, signed zeros included, and
 ``a + (-x)`` is ``a - x``.  Each map runs elementwise, so an element
 activated in place gets the bits it would get in a gathered buffer.  A
+kept layer-1 sum has the bits the loop would compute: layer 1 sums the
+initial columns before any activation, and a sum of 0.0 and 1.0 weights in
+any order is an exact integer, +0.0 where it is zero, whatever the map.  A
 non-finite ``init`` and a layer whose pre-activations overflow are bad
 input, and raise.
 """
@@ -304,17 +320,24 @@ def _activator(name, m):
     return run
 
 
-def layer_states(init, graph, layers, name, m, keep=None):
+def layer_states(init, graph, layers, name, m, keep=None, init_kinds=None):
     """Yield the (d, n) state of a run from the (n, d) features ``init``, one
     array updated in place: once before the first layer, then after each
     layer has activated every column, or only the live ones given ``keep``.
-    A layer whose pre-activations are not all finite raises ValueError."""
+    A layer whose pre-activations are not all finite raises ValueError.
+
+    ``init_kinds`` states that ``init`` is ``engine.initial_features`` of a
+    spec with these ``init_kinds``; layer 1 then reads the neighbour sum of
+    each kind from the graph's ``_first_sums``, and fills it where a kind
+    is missing.  Without it, every sum is computed."""
     cur = np.array(np.asarray(init, dtype=np.float64).T, order="C")
     if not np.isfinite(cur).all():
         raise ValueError("initial features must be finite")
     d, n = cur.shape
     if keep is not None and not all(_is_integer(j) and 0 <= j < d for j in keep):
         raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
+    # the layer-1 sums of the initial kinds; a run without kinds keeps none
+    kept = {} if init_kinds is None else graph._first_sums
     activate = _activator(name, m)
     agg = np.zeros((d, n))
     z = np.empty((max((len(layer.c) for layer in layers), default=0), n))
@@ -328,7 +351,14 @@ def layer_states(init, graph, layers, name, m, keep=None):
     for t, (layer, (rows, agg_cols, (views, gather))) in enumerate(zip(layers, steps), start=1):
         if layer.terms:
             for j in agg_cols:
-                agg[j] = np.bincount(dst, weights=cur[j].take(src, out=sent, mode="clip"), minlength=n)
+                kind = init_kinds[j] if t == 1 and init_kinds is not None else None
+                row = kept.get(kind)
+                if row is None:
+                    row = np.bincount(dst, weights=cur[j].take(src, out=sent, mode="clip"), minlength=n)
+                    if kind is not None:
+                        row.flags.writeable = False
+                        kept[kind] = row
+                agg[j] = row
             pre = _combine(layer, cur, agg, z, scratch)
             if not np.isfinite(pre).all():
                 raise ValueError(f"layer {t} has a pre-activation that is not finite")
@@ -342,8 +372,8 @@ def layer_states(init, graph, layers, name, m, keep=None):
         yield cur
 
 
-def run_forward(init, graph, layers, name, m, keep=None):
+def run_forward(init, graph, layers, name, m, keep=None, init_kinds=None):
     """The (n, d) features after the last layer, a transposed view of the
-    final state of ``layer_states`` with the same ``keep``."""
-    *_, cur = layer_states(init, graph, layers, name, m, keep)
+    final state of ``layer_states`` with the same ``keep`` and ``init_kinds``."""
+    *_, cur = layer_states(init, graph, layers, name, m, keep, init_kinds)
     return cur.T

@@ -48,14 +48,19 @@ def forward(
 ) -> np.ndarray:
     """Run the compiled network on ``graph`` and return the (n, d) features
     after the last layer; activation defaults to the spec's own.  Reads
-    ``graph.n``, ``palette``, ``colors``, ``edge_src`` and ``edge_dst`` only.
+    ``graph.n``, ``palette``, ``colors``, ``edge_src`` and ``edge_dst``, and
+    the layer-1 neighbour sums the graph keeps (``_first_sums``): the sum
+    of each initial kind layer 1 reads is computed once per graph and kept
+    in it, a read-only (n,) float64 row per kind, freed with the graph.
+    These sums do not depend on the weights or the activation, and a kept
+    row has the bits a new sum would have (see ``backend``).
 
     With ``keep``, a sequence of coordinates, only those columns hold their
     final values; the others may be stale, and are not activated where no
     kept value depends on them."""
     act = activation or spec.activation
     init = initial_features(spec, graph)
-    return backend_mod.run_forward(init, graph, spec.layers, act.name, act.m, keep)
+    return backend_mod.run_forward(init, graph, spec.layers, act.name, act.m, keep, spec.init_kinds)
 
 
 def forward_outputs(
@@ -75,9 +80,10 @@ def layer_errors(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np.nda
     m = 1, as a (T+1,) array whose entry 0 is 0.
 
     The two runs advance side by side one layer at a time, so only their
-    current (d, n) states are held."""
+    current (d, n) states are held; the second reads the layer-1 sums the
+    first keeps in the graph."""
     act = spec.activation
     init = initial_features(spec, graph)
-    approx = backend_mod.layer_states(init, graph, spec.layers, act.name, act.m)
-    exact = backend_mod.layer_states(init, graph, spec.layers, "sigma-star", 1)
+    approx = backend_mod.layer_states(init, graph, spec.layers, act.name, act.m, init_kinds=spec.init_kinds)
+    exact = backend_mod.layer_states(init, graph, spec.layers, "sigma-star", 1, init_kinds=spec.init_kinds)
     return np.array([np.abs(a - e).max() for a, e in zip(approx, exact)])

@@ -42,6 +42,15 @@ def _int_array(values, what: str) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
+def _first_sums(graph) -> dict:
+    """The layer-1 neighbour sums that forward passes on ``graph`` have read,
+    by initial kind: ``"0"``, ``"1"`` (the degree) and ``"C<c>"`` (the
+    number of neighbours colored c), each a read-only (n,) float64 row.
+    ``backend.layer_states`` fills it on first use of a kind; it lives in
+    the graph's own ``__dict__``, so it goes when the graph does."""
+    return {}
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledGraph:
     """Finite simple undirected graph with exactly one color per vertex.
@@ -114,6 +123,8 @@ class LabeledGraph:
         key.sort()
         dst, src = np.divmod(key, self.n)
         return src, dst
+
+    _first_sums = cached_property(_first_sums)
 
     @property
     def edge_src(self) -> np.ndarray:
@@ -213,6 +224,8 @@ class OrderedQuotient:
     colors: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
+
+    _first_sums = cached_property(_first_sums)
 
     @property
     def edges(self) -> np.ndarray:

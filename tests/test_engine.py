@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import groupby, product
 
@@ -29,7 +31,7 @@ from gc2gnn import (
     random_graph,
     tree_quotient,
 )
-from gc2gnn import activations, backend
+from gc2gnn import activations, backend, cli
 from gc2gnn.activations import apply_activation, certificate, required_composition_depth
 from gc2gnn.backend import run_forward
 from gc2gnn.experiments import run_separation
@@ -342,18 +344,20 @@ def test_schedule_matches_the_liveness_recurrence(case, keep):
 
 def _chain(levels):
     """A compiled chain of ``levels`` nested connectives over C1, C2 and top,
-    a third each of `not`, `dia>=2` and `and`."""
+    a third each of `dia>=2`, `not` and `and`; layer 1 sums C1."""
     text = "C1"
     for i in range(levels):
-        text = ("not {}", "dia>=2 {}", "({} and C2)")[i % 3].format(text)
+        text = ("dia>=2 {}", "not {}", "({} and C2)")[i % 3].format(text)
     return compile_formula(parse(f"({text} and top)", 2), 2)
 
 
-def test_forward_work_per_layer(monkeypatch):
+def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
     # per-layer work cannot creep back: a forward builds one schedule,
     # resolves its map once, activates each in-place run and each gathered
     # buffer with one call of that map, never through apply_activation's
-    # copy, and calls np.bincount once per neighbour sum a layer reads
+    # copy, and calls np.bincount once per neighbour sum a layer reads; the
+    # graph keeps its layer-1 sums, so every later forward on it calls
+    # np.bincount once per sum at layers >= 2 only
     spec = _chain(60)
     graph = random_graph(30, 3.0, 2, 0)
     # on 30 vertices every run is short: one view or one gathered buffer a layer
@@ -381,14 +385,34 @@ def test_forward_work_per_layer(monkeypatch):
     monkeypatch.setattr(backend, "_takes_table", counted("table", backend._takes_table))
     monkeypatch.setattr(backend, "_look_up", counted("table", backend._look_up))
     sums = sum(len(agg_columns(layer)) for layer in spec.layers)
-    assert spec.iterations >= 60 and sums >= 20
+    first = agg_columns(spec.layers[0])
+    assert spec.iterations >= 60 and sums >= 20 and first == [0]
     forward_outputs(spec, graph, ActivationSpec("crelu", 1))
     want = {"schedule": 1, "resolve": 1, "activate": spec.iterations, "apply_activation": 0, "bincount": sums, "table": 0}
     assert calls == want
+    assert sorted(graph._first_sums) == ["C1"]
+    later = dict(want, bincount=sums - len(first))  # layer 1 reads the graph's sums
     layer_errors(spec, graph)  # two runs, every column live: one view of the whole state a layer
-    assert calls == {key: 3 * count for key, count in want.items()}
+    assert calls == {key: want[key] + 2 * count for key, count in later.items()}
     forward_outputs(spec, graph, ActivationSpec("step-arctan", 14))  # a map that would take one
-    assert calls == {key: 4 * count for key, count in want.items()}
+    assert calls == {key: want[key] + 3 * count for key, count in later.items()}
+
+    # check-exact runs sigma-star, then crelu, on one union: the crelu
+    # forward makes no layer-1 sum
+    sums_by_run, run = [], backend.run_forward
+
+    def counted_run(init, graph, layers, name, *args):
+        before = calls["bincount"]
+        out = run(init, graph, layers, name, *args)
+        sums_by_run.append((name, calls["bincount"] - before))
+        return out
+
+    monkeypatch.setattr(backend, "run_forward", counted_run)
+    assert cli.main(["check-exact", "--query", "q2", "--random-graphs", "4", "--n", "30", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.endswith("exactness: PASS\n")
+    q2_sums = sum(len(agg_columns(layer)) for layer in q2_spec.layers)
+    assert len(agg_columns(q2_spec.layers[0])) == 2
+    assert sums_by_run == [("sigma-star", q2_sums), ("crelu", q2_sums - 2)]
 
 
 def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
@@ -1039,3 +1063,111 @@ def test_forward_memory_is_linear(q2_spec):
     unit = 8 * (graph.n * q2_spec.d + len(graph.edges))
     peak = traced_peak(lambda: forward_outputs(q2_spec, graph))
     assert peak <= 3.5 * unit, peak / unit
+
+
+# Every map at m = 0, 1 and 3, and step-arctan at its certified depth.
+CACHED_SUM_RUNS = [(name, m) for name in ACTIVATION_NAMES for m in (0, 1, 3)] + [("step-arctan", 14)]
+
+
+@pytest.fixture(scope="module")
+def cached_sum_graphs():
+    """2^16 vertices, so each state row is an activations._BLOCK and the
+    table path runs, and the quotient of six leaves-blue tree pairs."""
+    quotient, _ = tree_quotient([TreeParams(x, k, k) for k in (1, 2, 64) for x in (0, 1)], "leaves-blue")
+    return {"large": sparse_random_graph(2**16, 2**16, 2, 29), "quotient": quotient}
+
+
+@pytest.mark.parametrize(
+    "graph_key, query",
+    [("large", "q1"), ("large", "q2"), ("large", "chain"), ("quotient", "q1"), ("quotient", "q2"), ("quotient", "chain"), ("quotient", "dense")],
+)
+def test_kept_first_sums_give_every_bit_cold_and_warm(graph_key, query, q1_spec, q2_spec, cached_sum_graphs):
+    # Each call of each map runs on a new graph object equal to the
+    # fixture's, with none of its layer-1 sums kept, which it fills, and on
+    # one shared graph object, which every earlier call and map has run on
+    # and which reads them.  Both have the bits of a run given the same
+    # initial features without their kinds, which computes every sum.  The
+    # dense spec sums every column at every layer, two columns of a kind
+    # among them, so a sum after layer 1 served by kind shows on the quotient.
+    spec = {"q1": q1_spec, "q2": q2_spec, "chain": _chain(60), "dense": dense_integer_spec()}[query]
+    graph = cached_sum_graphs[graph_key]
+    kinds = {spec.init_kinds[j] for j in agg_columns(spec.layers[0])}
+    assert kinds
+    calls = {
+        "outputs": lambda g, act: forward_outputs(spec, g, act),
+        "forward": lambda g, act: forward(spec, g, act),
+        "errors": lambda g, act: layer_errors(spec.with_activation(act.name, act.m), g),
+    }
+    runs = CACHED_SUM_RUNS
+    if graph_key == "large":  # the maps that take a table, the path the graph is there for
+        runs = [(name, m) for name, m in runs if backend._takes_table(name, m)]
+    if query == "chain" and graph_key == "large":
+        # 60 layers of 2^16 vertices: a chain forward of every column takes
+        # seconds, so the kept output under the certified step-arctan only
+        del calls["forward"], calls["errors"]
+        runs = [("step-arctan", 14)]
+    keep = None if "forward" in calls else (spec.output_index,)
+    shared = replace(graph)
+    for name, m in runs:
+        act = ActivationSpec(name, m)
+        every_sum = run_forward(initial_features(spec, graph), graph, spec.layers, name, m, keep)
+        assert not graph._first_sums
+        for key, call in calls.items():
+            fresh = replace(graph)
+            cold = call(fresh, act)
+            assert set(fresh._first_sums) == kinds
+            assert call(shared, act).tobytes() == cold.tobytes(), (key, name, m)
+            if key == "forward":
+                assert cold.tobytes() == every_sum.tobytes(), (name, m)
+            if key == "outputs":
+                assert cold.tobytes() == every_sum[:, spec.output_index].tobytes(), (name, m)
+    assert set(shared._first_sums) == kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from(ACTIVATION_NAMES), st.sampled_from((0, 1, 3)))
+def test_explicit_init_never_reads_the_kept_sums(seed, n, name, m):
+    # On a graph that keeps layer-1 sums, a run given an explicit init that
+    # is not the indicators (uniform in [-1, 2)) computes every sum: each
+    # kept row is swapped for NaNs, which would make layer 1 raise
+    rng = np.random.default_rng(seed)
+    text = str(random_formula(rng, 2, max_depth=8))
+    spec = compile_formula(parse(f"({text} and (dia>=1 C2 and dia>=2 top))", 2), 2)
+    graph = random_graph(n, float(rng.uniform(0.0, min(6.0, n - 1))), 2, seed)
+    forward(spec, graph, ActivationSpec(name, m))
+    kept = graph._first_sums
+    assert {"C2", "1"} <= set(kept)
+    for kind in kept:
+        kept[kind] = np.full(n, np.nan)
+    init = rng.uniform(-1.0, 2.0, (n, spec.d))
+    for keep in (None, (spec.output_index,)):
+        assert_matches_reference(init, graph, spec.layers, name, m, keep)
+    assert all(np.isnan(row).all() for row in kept.values())
+
+
+def test_kept_first_sums_are_small_read_only_and_go_with_the_graph(q2_spec):
+    # A graph keeps one read-only (n,) row per initial kind that layer 1
+    # reads, whatever the maps run on it, and frees them with itself
+    forward_outputs(q2_spec, sparse_random_graph(100, 200, 2, 1))  # fill the process's own caches
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        graph = sparse_random_graph(2**17, 2**17, 2, 31)
+        for name, m in (("sigma-star", 1), ("crelu", 1), ("step-arctan", 14)):
+            forward_outputs(q2_spec, graph, ActivationSpec(name, m))
+        layer_errors(q2_spec, graph)
+        kept = graph._first_sums
+        assert sorted(kept) == ["C1", "C2"] == sorted({q2_spec.init_kinds[j] for j in agg_columns(q2_spec.layers[0])})
+        for row in kept.values():
+            assert row.shape == (graph.n,) and row.dtype == np.float64 and not row.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+        held = tracemalloc.get_traced_memory()[0]
+        assert held - baseline > 2 * 8 * graph.n  # the two rows, the colors, the edges and the adjacency
+        alive = weakref.ref(graph)
+        del graph, kept, row
+        gc.collect()
+        assert alive() is None
+        assert tracemalloc.get_traced_memory()[0] <= baseline + 16 * 1024
+    finally:
+        tracemalloc.stop()

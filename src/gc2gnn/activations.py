@@ -10,13 +10,52 @@ certificate has ``eps <= (1-eta)/curvature``, so on the collar (within
 Iterating the map then converges to the hard threshold at that geometric
 rate, or doubly exponentially when ``eta = 0``.  The rate holds on the
 collar only; the conditions are unsatisfiable on an unbounded domain.
+
+One entry runs a map: ``_in_place(name, m)`` composes the map's in-place
+kernel ``m`` times on a dense float64 array, one ``_BLOCK`` (2^16 elements,
+512 KB, which stays in L2 across the steps) at a time in memory order.
+Each step is elementwise, so blocking changes no bits: the block size is a
+power of two, so every block but the last starts at the same alignment as
+the array and is a whole number of SIMD vectors, and numpy's loops take
+the same vector and remainder paths for each element as on the whole
+array.  Where the array itself starts moves no bit either: rows activated
+where they lie in a forward's state read the same as a gathered copy.
+
+Integer-valued blocks go through a table of their distinct values.  A
+compiled network reads 0/1 indicators through integer weights, so a fresh
+pre-activation is an integer in [-(K-1), Delta], and a carried indicator
+stays 0/1 under a map that fixes 0 and 1: such a block holds a few
+distinct values.  An array of at least ``_BLOCK`` elements, under a map
+composed at least ``_TABLE_DEPTH`` (3) times that sends some integer of
+-2..2 to a non-integer (``_takes_table``, decided once per ``(name, m)``),
+goes to ``_look_up`` one block at a time.  A block whose first element is
+an integer and whose minimum lo and maximum hi are integers less than
+``_CHUNK`` (2^12) apart is read one chunk of ``_CHUNK`` elements at a
+time: the composite runs once on the table ``lo, lo + 1, ..., hi``, and an
+element x takes entry ``i = int(x - lo)`` only if ``lo + i`` has the bits
+of x at every element of its chunk.  ``lo + i`` is +0.0 where it is zero,
+so a -0.0 never round-trips.  At the first chunk that does not, the steps
+take the rest of the block; any other block goes to them whole; and a
+table equal to its inputs bit for bit (0 and 1 under ``step-arctan``)
+writes nothing.  ``sigma-star``, ``crelu`` and ``relu`` keep integers
+integer with kernels cheaper than a lookup and never take a table, and
+below depth 3 a lookup costs as much as the steps or more.
+
+The table rests on more than blocking does.  It puts the value of x at
+another position, in an array of 1 to 2^12 entries, and a table shorter
+than a SIMD vector runs only the remainder path.  So it gives x the
+kernel's bits only because each kernel gives a value the same bits
+whatever its position and the length of its array, a property of numpy's
+loops at each SIMD level.  ``tests/test_activations.py`` checks it for
+every map at the active level and, in child processes, under numpy's AVX2
+and baseline loops.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -387,64 +426,118 @@ def certificate(name: str) -> StepLikeParams:
 # application
 
 
-# Elements of the flat buffer that _compose takes through all m steps before
+# Elements of the flat buffer that _in_place takes through all m steps before
 # it moves on: 512 KB of float64, which stays in L2 across the steps.
 _BLOCK = 1 << 16
 
+# Elements of the lookup's index and round-trip buffers (32 KB each), and the
+# bound on the number of distinct integers a table holds.
+_CHUNK = 1 << 12
 
-def _compose(fn, m: int, out: np.ndarray) -> None:
-    """Apply the kernel ``fn`` ``m`` times in place to ``out``, a dense array
-    such as ``np.array`` makes or consecutive rows of a C-ordered one, one
-    ``_BLOCK``-element block at a time in memory order.
+# The least composition depth at which a map takes a table.  A lookup of a
+# 2^16-element integer block costs about 300 us on a 2-core Xeon VM (numpy
+# 2.4, AVX-512 loops), and one step of the cheapest table-taking kernels
+# (tanh, sigmoid, step-arctan) 115-180 us on it: at m = 1 the lookup took
+# about twice the kernel's time, at m = 2 about as long, at m = 3 less.
+_TABLE_DEPTH = 3
 
-    Each step is elementwise, so blocking changes no bits: the block size is
-    a power of two, so every block but the last starts at the same alignment
-    as ``out`` and is a whole number of SIMD vectors, and numpy's loops take
-    the same vector and remainder paths for each element as on the whole
-    array.  Where ``out`` itself starts moves no bit either: rows activated
-    where they lie in a forward's state read the same as a gathered copy of
-    them (``tests/test_engine.py`` checks both against one reference).  A
-    map's temporaries are one block in size.
 
-    A forward's table lookup (``backend._look_up``) needs more: it runs the
-    kernel on a table of 1 to 2^12 entries and copies an entry's value to
-    every element that equals it, so it relies on each kernel giving a
-    value the same bits whatever its position and the length of its array.
-    """
-    # a view in memory order for C-, F- and axis-permuted dense layouts,
-    # where reshape(-1) would copy all but the first
-    flat = out.ravel(order="K")
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
-        for _ in range(m):
-            fn(block)
+@lru_cache(maxsize=None)
+def _takes_table(name, m):
+    """Whether ``name`` composed ``m`` times takes a table: m is at least
+    ``_TABLE_DEPTH``, and the map sends some integer in -2..2 to a
+    non-integer.  ``sigma-star``, ``crelu`` and ``relu`` keep an integer
+    column integer with kernels cheaper than a lookup, and below
+    ``_TABLE_DEPTH`` a lookup costs as much as the kernel or more.  The
+    probe holds fewer than ``_BLOCK`` elements, so it asks nothing here."""
+    if m < _TABLE_DEPTH:
+        return False
+    probe = apply_activation(name, m, np.arange(-2.0, 3.0))
+    return not all(v.is_integer() for v in probe.tolist())
+
+
+def _look_up(block, activate, tables, index, trip):
+    """Activate the leading chunks of ``block`` that hold only integers of
+    its range ``[lo, hi]``, when its first element is an integer and lo and
+    hi are integers less than ``_CHUNK`` apart, through ``activate``'s
+    table of ``lo + i``; return how many leading elements are done.
+    ``tables`` keeps a run's tables by range, and ``index`` and ``trip``
+    are the run's two ``_CHUNK``-element buffers.
+
+    An element x takes ``table[i]`` with ``i = int(x - lo)`` only if
+    ``lo + i`` has x's bits, so the element gets the value the kernel gives
+    ``lo + i``, which is x: -0.0 comes back as +0.0 and is never looked up.
+    A table that equals its inputs bit for bit writes nothing.  A block of
+    activated, non-integer values is refused on its first element, before
+    the passes for its bounds."""
+    if not float(block[0]).is_integer():
+        return 0
+    lo, hi = float(block.min()), float(block.max())
+    if not (hi - lo < _CHUNK and lo.is_integer() and hi.is_integer()):
+        return 0
+    if (lo, hi) not in tables:
+        table = lo + np.arange(hi - lo + 1)
+        inputs = table.tobytes()
+        activate(table)
+        tables[lo, hi] = table, table.tobytes() == inputs
+    table, fixed = tables[lo, hi]
+    for start in range(0, block.size, _CHUNK):
+        part = block[start:start + _CHUNK]
+        i, t = index[:part.size], trip[:part.size]
+        np.subtract(part, lo, out=i, casting="unsafe")  # in [0, hi - lo]: part lies in [lo, hi]
+        np.add(i, lo, out=t)
+        if not (t.view(np.int64) == part.view(np.int64)).all():
+            return start
+        if not fixed:
+            table.take(i, out=part, mode="clip")
+    return block.size
 
 
 def _in_place(name: str, m: int) -> Callable:
     """``name`` composed ``m`` times as an in-place map: a function that
     overwrites a dense float64 array, such as ``np.array`` makes or a slice
-    of consecutive rows of a C-ordered array, and returns None.  The one way
-    to run a map; ``m`` is checked and the map looked up once, here, so a
-    forward resolves it once and calls it once per activated block.
+    of consecutive rows of a C-ordered array, and returns None.  The one
+    code that runs a map (see the module docstring); ``m`` is checked and
+    the map looked up once, here, so a forward resolves it once and calls
+    it once per activated array.  The run keeps its tables by range, and
+    makes its two ``_CHUNK``-element lookup buffers on the first array
+    that may take a table.
 
     Every named map is composed directly, so ``m = 0`` is the identity,
     except ``arctan-4pi`` which is the sign-amplifying composite
     ``z -> 1/2 + f^m(z - 1/2)/2`` with ``f = (4/pi) arctan``, the map its
-    kernel holds.  At ``m = 0`` that composite is ``z -> 1/4 + z/2``.
+    kernel holds.  At ``m = 0`` that composite is ``z -> 1/4 + z/2``.  Its
+    shift and unshift run on each block with the steps, so a table holds
+    the composite's values.
     """
     m = _composition_depth(m)
     fn = get_activation(name).fn
-    if name != "arctan-4pi":
-        return partial(_compose, fn, m)
+    shift = name == "arctan-4pi"
+    tables, buffers = {}, []
 
-    def shifted(out):
-        # the composite's shift and its inverse run in the array the steps write into
-        np.subtract(out, 0.5, out=out)
-        _compose(fn, m, out)
-        np.multiply(0.5, out, out=out)
-        np.add(0.5, out, out=out)
+    def activate(block):
+        if shift:
+            np.subtract(block, 0.5, out=block)
+        for _ in range(m):
+            fn(block)
+        if shift:
+            np.multiply(0.5, block, out=block)
+            np.add(0.5, block, out=block)
 
-    return shifted
+    def run(out):
+        # a view in memory order for C-, F- and axis-permuted dense layouts,
+        # where reshape(-1) would copy all but the first
+        flat = out.ravel(order="K")
+        table = flat.size >= _BLOCK and _takes_table(name, m)
+        if table and not buffers:
+            buffers.extend((np.empty(_CHUNK, dtype=np.int64), np.empty(_CHUNK)))
+        for start in range(0, flat.size, _BLOCK):
+            block = flat[start:start + _BLOCK]
+            done = _look_up(block, activate, tables, *buffers) if table else 0
+            if done < block.size:
+                activate(block[done:])
+
+    return run
 
 
 def apply_activation(name: str, m: int, values):

@@ -3,17 +3,19 @@
 A layer stores one rule row per coordinate it computes, as the row's
 nonzero ``(p, v)`` terms (``GnnLayer.terms``); every other coordinate
 carries over unchanged.  The executor folds the terms as stored.  The
-state is column-major: one (d, n) feature array, updated in place, and one
-(d, n) neighbour-sum array per run, each coordinate a contiguous row.
-``layer_states``, the one loop over the layers, copies ``init`` once into
-that layout (``engine.initial_features`` builds it as the transpose of a
-(d, n) array, so the copy moves no element across rows) and yields the
-state before and after each layer; ``run_forward`` returns the (n, d) view
-of the last.  Per layer the loop sums neighbour values only for the
-coordinates B reads, with one ``take`` over the edge sources each into an
-(E,) buffer made once per run (a fresh 4 MB array per sum cost page faults
-that took longer than the gather on a 10^5-vertex graph), and overwrites
-only the stored rows.
+state is column-major: one (d, n) feature array, updated in place, each
+coordinate a contiguous row.  ``layer_states``, the one loop over the
+layers, copies ``init`` once into that layout (``engine.initial_features``
+builds it as the transpose of a (d, n) array, so the copy moves no element
+across rows) and yields the state before and after each layer;
+``run_forward`` returns the (n, d) view of the last.  Per layer the loop
+sums neighbour values only for the coordinates B reads, with one ``take``
+over the edge sources each into an (E,) buffer made once per run (a fresh
+4 MB array per sum cost page faults that took longer than the gather on a
+10^5-vertex graph), and overwrites only the stored rows.  A sum is held as
+computed: the loop keeps a list of d row references, each the (n,) array
+``np.bincount`` returned or a row the graph keeps, and ``_combine`` only
+reads them, so no (d, n) array of sums is filled or copied into.
 
 A graph keeps its layer-1 sums.  Layer 1 sums initial columns, and
 ``engine.initial_features`` builds each from its kind alone: zeros for
@@ -37,49 +39,15 @@ once per run.  Every row is computed before any is written, since a row
 may read a coordinate that another row of the same layer writes.
 
 The activation runs where the state lies.  ``layer_states`` resolves the
-map once per run (``activations._in_place``, the entry that
-``apply_activation`` runs on a copy), and the kernel takes one cache-sized
-block at a time through all m compositions (``activations._compose``).
-A contiguous live set, every column included, is one view of (d, n) state
-rows, activated in place.  Of a live set with gaps, each run of
-consecutive columns that holds at least ``activations._BLOCK`` (2^16)
-elements is activated in place too, and the shorter runs are gathered
-into one buffer, activated there and scattered back, so the short runs
-of a set, as on a small graph, cost one kernel call and not one per run.
-
-An activated array of at least ``_BLOCK`` elements, under a map composed
-at least ``_TABLE_DEPTH`` (3) times that sends some integer of -2..2 to a
-non-integer (``_takes_table``, decided once per ``(name, m)`` when a run
-first meets such an array), goes one ``_BLOCK`` at a time through a table
-of its distinct integers (``_look_up``).  A compiled network reads 0/1
-indicators through integer weights, so a fresh pre-activation is an
-integer in [-(K-1), Δ], and a carried indicator stays 0/1 under a map that
-fixes 0 and 1; such a block holds a few distinct values, and the m
-compositions run on those few, not on every vertex.  A lookup costs about
-as much as two or three steps of the cheapest kernels, so below depth 3
-the kernel runs on every element as before.  A block whose first element
-is an integer and whose minimum lo and maximum hi are integers less than
-``_CHUNK`` (2^12) apart is read one ``_CHUNK`` at a time: each element x
-gets ``i = int(x - lo)``, and the chunk takes ``table[i]``, the kernel's
-value at ``lo + i``, only if ``lo + i`` has the bits of x at every
-element.  ``lo + i`` is +0.0 where it is zero, so a -0.0 never round-trips,
-and the kernel takes it.  At the first chunk that does not round-trip, the
-kernel takes the rest of the block; any other block goes to the kernel
-whole; and a table that equals its inputs bit for bit (0 and 1 under
-``step-arctan``) writes nothing.  The index and round-trip buffers, 2^12
-elements each, are made on a run's first lookup, and a run keeps its
-tables by range.  ``sigma-star``, ``crelu`` and ``relu`` keep integers
-integer with kernels cheaper than a lookup, and never take a table.
-
-The lookup is exact under a stronger condition than the blocking of
-``activations._compose``.  Blocking keeps each element on the vector and
-remainder path it takes in the whole array; a table puts the value of x at
-another position, in an array of 1 to 2^12 entries, and a table shorter
-than a SIMD vector runs only the remainder path.  So the lookup gives x
-the kernel's bits only because each kernel gives a value the same bits
-whatever its position and the length of its array.
-``tests/test_engine.py::test_integer_blocks_take_a_table_with_the_reference_bits``
-checks this against the reference executor at numpy's active SIMD level.
+map once per run through ``activations._in_place``, the one code that runs
+a map, table lookup of integer-valued blocks included (see ``activations``),
+and ``apply_activation`` is that entry run on a copy.  A contiguous live
+set, every column included, is one view of consecutive state rows,
+activated in place.  Of a live set with gaps, each run of consecutive
+columns that holds at least ``activations._BLOCK`` (2^16) elements is
+activated in place too, and the shorter runs are gathered into one buffer,
+activated there and scattered back, so the short runs of a set, as on a
+small graph, cost one call of the map and not one per run.
 
 Before the loop, one backward pass over the layers (``_schedule``) reads
 each layer's ``rows`` and term positions, plain Python ints as the layer
@@ -122,7 +90,6 @@ input, and raise.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 
 import numpy as np
 
@@ -212,8 +179,9 @@ def _fold(terms, values, low, out, prod):
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks that the result is finite
 def _combine(layer, cur, agg, z, scratch):
     """The (k, n) pre-activations of ``layer``'s k rule rows, written into the
-    first k rows of ``z``, from the (d, n) features ``cur`` and neighbour
-    sums ``agg``; ``scratch`` is two (n,) buffers, for ``S_B`` and a product."""
+    first k rows of ``z``, from the (d, n) features ``cur`` and the (n,)
+    neighbour-sum rows ``agg[j]`` of the columns j that B reads, which it
+    only reads; ``scratch`` is two (n,) buffers, for ``S_B`` and a product."""
     d = layer.d
     s_b, prod = scratch
     z = z[:len(layer.terms)]
@@ -230,94 +198,6 @@ def _combine(layer, cur, agg, z, scratch):
         else:
             zr.fill(c)
     return z
-
-
-# Elements of the lookup's index and round-trip buffers (32 KB each), and the
-# bound on the number of distinct integers a table holds.
-_CHUNK = 1 << 12
-
-# The least composition depth at which a map takes a table.  A lookup of a
-# 2^16-element integer block costs about 300 us on a 2-core Xeon VM (numpy
-# 2.4, AVX-512 loops), and one step of the cheapest table-taking kernels
-# (tanh, sigmoid, step-arctan) 115-180 us on it: at m = 1 the lookup took
-# about twice the kernel's time, at m = 2 about as long, at m = 3 less.
-_TABLE_DEPTH = 3
-
-
-@lru_cache(maxsize=None)
-def _takes_table(name, m):
-    """Whether ``name`` composed ``m`` times takes a table: m is at least
-    ``_TABLE_DEPTH``, and the map sends some integer in -2..2 to a
-    non-integer.  ``sigma-star``, ``crelu`` and ``relu`` keep an integer
-    column integer with kernels cheaper than a lookup, and below
-    ``_TABLE_DEPTH`` a lookup costs as much as the kernel or more."""
-    if m < _TABLE_DEPTH:
-        return False
-    probe = activations.apply_activation(name, m, np.arange(-2.0, 3.0))
-    return not all(v.is_integer() for v in probe.tolist())
-
-
-def _look_up(block, activate, tables, index, trip):
-    """Activate the leading chunks of ``block`` that hold only integers of
-    its range ``[lo, hi]``, when its first element is an integer and lo and
-    hi are integers less than ``_CHUNK`` apart, through ``activate``'s
-    table of ``lo + i``; return how many leading elements are done.
-    ``tables`` keeps a run's tables by range, and ``index`` and ``trip``
-    are the run's two ``_CHUNK``-element buffers.
-
-    An element x takes ``table[i]`` with ``i = int(x - lo)`` only if
-    ``lo + i`` has x's bits, so the element gets the value the kernel gives
-    ``lo + i``, which is x: -0.0 comes back as +0.0 and is never looked up.
-    A table that equals its inputs bit for bit writes nothing.  A block of
-    activated, non-integer values is refused on its first element, before
-    the passes for its bounds."""
-    if not float(block[0]).is_integer():
-        return 0
-    lo, hi = float(block.min()), float(block.max())
-    if not (hi - lo < _CHUNK and lo.is_integer() and hi.is_integer()):
-        return 0
-    if (lo, hi) not in tables:
-        table = lo + np.arange(hi - lo + 1)
-        inputs = table.tobytes()
-        activate(table)
-        tables[lo, hi] = table, table.tobytes() == inputs
-    table, fixed = tables[lo, hi]
-    for start in range(0, block.size, _CHUNK):
-        part = block[start:start + _CHUNK]
-        i, t = index[:part.size], trip[:part.size]
-        np.subtract(part, lo, out=i, casting="unsafe")  # in [0, hi - lo]: part lies in [lo, hi]
-        np.add(i, lo, out=t)
-        if not (t.view(np.int64) == part.view(np.int64)).all():
-            return start
-        if not fixed:
-            table.take(i, out=part, mode="clip")
-    return block.size
-
-
-def _activator(name, m):
-    """``name`` composed ``m`` times as a run's in-place map of dense arrays,
-    resolved once (``activations._in_place``).  An array of fewer than
-    ``activations._BLOCK`` elements, or any array under a map that
-    ``_takes_table`` refuses, goes to the kernel whole.  Any other goes one
-    ``_BLOCK`` at a time: a block's leading integer chunks through
-    ``_look_up``, and the rest of it to the kernel."""
-    activate = activations._in_place(name, m)
-    tables, buffers = {}, []
-
-    def run(out):
-        if out.size < activations._BLOCK or not _takes_table(name, m):
-            activate(out)
-            return
-        if not buffers:
-            buffers.extend((np.empty(_CHUNK, dtype=np.int64), np.empty(_CHUNK)))
-        flat = out.ravel(order="K")
-        for start in range(0, flat.size, activations._BLOCK):
-            block = flat[start:start + activations._BLOCK]
-            done = _look_up(block, activate, tables, *buffers)
-            if done < block.size:
-                activate(block[done:])
-
-    return run
 
 
 def layer_states(init, graph, layers, name, m, keep=None, init_kinds=None):
@@ -338,8 +218,8 @@ def layer_states(init, graph, layers, name, m, keep=None, init_kinds=None):
         raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
     # the layer-1 sums of the initial kinds; a run without kinds keeps none
     kept = {} if init_kinds is None else graph._first_sums
-    activate = _activator(name, m)
-    agg = np.zeros((d, n))
+    activate = activations._in_place(name, m)
+    agg = [None] * d  # the sums a layer reads, held as computed
     z = np.empty((max((len(layer.c) for layer in layers), default=0), n))
     scratch = (np.empty(n), np.empty(n))
     src, dst = graph.edge_src, graph.edge_dst
@@ -354,7 +234,9 @@ def layer_states(init, graph, layers, name, m, keep=None, init_kinds=None):
                 kind = init_kinds[j] if t == 1 and init_kinds is not None else None
                 row = kept.get(kind)
                 if row is None:
+                    # bincount gives int64 zeros on a graph with no edges
                     row = np.bincount(dst, weights=cur[j].take(src, out=sent, mode="clip"), minlength=n)
+                    row = row.astype(np.float64, copy=False)
                     if kind is not None:
                         row.flags.writeable = False
                         kept[kind] = row

@@ -80,10 +80,12 @@ def layer_errors(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np.nda
     m = 1, as a (T+1,) array whose entry 0 is 0.
 
     The two runs advance side by side one layer at a time, so only their
-    current (d, n) states are held; the second reads the layer-1 sums the
-    first keeps in the graph."""
+    current (d, n) states are held, with one (d, n) buffer for their
+    difference; the second reads the layer-1 sums the first keeps in the
+    graph."""
     act = spec.activation
     init = initial_features(spec, graph)
     approx = backend_mod.layer_states(init, graph, spec.layers, act.name, act.m, init_kinds=spec.init_kinds)
     exact = backend_mod.layer_states(init, graph, spec.layers, "sigma-star", 1, init_kinds=spec.init_kinds)
-    return np.array([np.abs(a - e).max() for a, e in zip(approx, exact)])
+    diff = np.empty((spec.d, graph.n))
+    return np.array([np.abs(np.subtract(a, e, out=diff), out=diff).max() for a, e in zip(approx, exact)])

@@ -20,18 +20,27 @@ def pinned_graph(n, avg_degree, palette, seed):
     return graph
 
 
-def simd_level():
-    """numpy's active SIMD level: the last of its build's dispatch targets
-    that this CPU, less any ``NPY_DISABLE_CPU_FEATURES``, enables, such as
-    ``AVX512_SPR`` or ``X86_V3``.  The smooth maps' bit pins hold for one
-    level, so their failure messages name it."""
+def simd_targets():
+    """numpy's build dispatch targets that this CPU, less any
+    ``NPY_DISABLE_CPU_FEATURES``, enables, lowest first."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
 
-    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def simd_level():
+    """numpy's active SIMD level: the last of ``simd_targets()``, such as
+    ``AVX512_SPR`` or ``X86_V3``, or ``"baseline"``.  The smooth maps' bit
+    pins hold for one level, so their failure messages name it."""
+    enabled = simd_targets()
     return enabled[-1] if enabled else "baseline"
+
+
+def pytest_report_header():
+    return f"numpy SIMD level: {simd_level()}"
 
 
 def forward_history(spec, graph, activation=None):

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from gc2gnn.activations import (
     verify_step_like,
 )
 
-from conftest import simd_level
+from conftest import simd_level, simd_targets
 
 CERTIFIED = ("step-arctan", "step-tanh", "steplike-tanh-eta0", "steplike-sigmoid-eta0")
 
@@ -404,6 +407,75 @@ def test_sigma_star_special_values():
     buf = x.copy()
     assert get_activation("sigma-star").fn(buf) is None
     assert buf.tobytes() == out.tobytes()
+
+
+# -- the table of integer-valued blocks ------------------------------------------
+
+
+def integer_blocks() -> np.ndarray:
+    """Integers of -3..8 in three whole 2**16-element blocks and a 5-element
+    tail, with a -0.0 in the fourth 2**12-element chunk of the second block."""
+    x = np.random.default_rng(7).integers(-3, 9, 3 * 2**16 + 5).astype(np.float64)
+    x[2**16 + 3 * 2**12 + 7] = -0.0
+    return x
+
+
+def test_table_gives_the_kernels_bits(monkeypatch):
+    # apply_activation reaches the table: under every map at m = 3 and 14 it
+    # gives the bits of a run whose blocks all go to the kernel.  Under a
+    # map that takes a table each block is looked up whole, but the second
+    # only up to the chunk of its -0.0, which lo + i would give +0.0's bits;
+    # arctan-4pi's table holds its shifted composite, so it is looked up
+    # too.  Which maps take one can depend on numpy's SIMD level: at m = 14
+    # a flat-shoulder map can send -2..2 to 0 and 1 exactly
+    x = integer_blocks()
+    done, look_up = [], activations._look_up
+
+    def recorded(block, *args):
+        done.append(look_up(block, *args))
+        return done[-1]
+
+    monkeypatch.setattr(activations, "_look_up", recorded)
+    for name in ACTIVATION_NAMES:
+        for m in (3, 14):
+            done.clear()
+            table = apply_activation(name, m, x)
+            takes = activations._takes_table(name, m)
+            assert takes or name != "arctan-4pi"
+            assert done == ([2**16, 3 * 2**12, 2**16, 5] if takes else []), (name, m)
+            with monkeypatch.context() as kernel_only:
+                kernel_only.setattr(activations, "_takes_table", lambda name, m: False)
+                kernel = apply_activation(name, m, x)
+            assert table.tobytes() == kernel.tobytes(), (name, m, f"numpy SIMD level {simd_level()}")
+
+
+# numpy's dispatch targets switched off, by NPY_DISABLE_CPU_FEATURES, for
+# its AVX2 loops and for its baseline ones
+LOWER_SIMD_LEVELS = {
+    "X86_V3": ("AVX512_SPR", "AVX512_ICL", "X86_V4"),
+    "baseline": ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3"),
+}
+
+
+@pytest.mark.parametrize("level", LOWER_SIMD_LEVELS)
+def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
+    # the table's bits rest on a property of numpy's loops at each SIMD
+    # level: the test above runs again in a child process, the only one
+    # whose environment switches numpy's higher loops off.  Only targets
+    # this CPU enables are named, since numpy refuses to switch off others
+    targets = simd_targets()
+    if level != "baseline" and level not in targets:
+        pytest.skip(f"this CPU does not run numpy's {level} loops")
+    off = " ".join(t for t in LOWER_SIMD_LEVELS[level] if t in targets)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", f"{__file__}::test_table_gives_the_kernels_bits"],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": off},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert f"numpy SIMD level: {level}\n" in result.stdout
+    assert "1 passed" in result.stdout
 
 
 def test_composition_memory_stays_per_block():

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import gc2gnn
 from gc2gnn import (
     TOP,
+    ActivationSpec,
     Color,
     Diamond,
     GnnLayer,
@@ -32,7 +34,7 @@ from gc2gnn import (
     write_graph,
 )
 
-from conftest import forward_history
+from conftest import agg_columns, forward_history
 
 
 def test_public_names_resolve():
@@ -199,3 +201,39 @@ def test_one_integer_test_in_the_package():
             (inside if id(node) in rule else outside).append((path.name, node.lineno, what))
     assert outside == []
     assert sorted(what for *_, what in inside) == ["isinstance bool", "np.integer"]
+
+
+def test_one_entry_runs_a_map(q2_spec):
+    # activations._in_place is the one code that runs a map, its table
+    # included: no other module reads an Activation's fn, and backend keeps
+    # none of the table's names.  backend.layer_states is the layer loop
+    # alone, and holds a layer's neighbour sums as computed: a warm q2
+    # forward on 2**16 vertices peaks within its two (d, n) arrays (the
+    # initial features and the state), the (k, n) pre-activations, two
+    # scratch rows, one row per sum after layer 1, the output and the (E,)
+    # edge buffer, where a (d, n) array of sums took d rows more
+    readers = {
+        path.name
+        for path in Path(gc2gnn.__file__).parent.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "fn" for node in ast.walk(ast.parse(path.read_text())))
+    }
+    assert readers == {"activations.py"}
+    table = ("_activator", "_look_up", "_takes_table", "_CHUNK", "_TABLE_DEPTH")
+    assert [name for name in table if hasattr(backend, name)] == []
+    assert all(hasattr(activations, name) for name in table[1:])
+
+    n, rng = 2**16, np.random.default_rng(3)
+    pairs = rng.integers(0, n, size=(n, 2))
+    graph = LabeledGraph(n, 2, rng.integers(1, 3, n), pairs[pairs[:, 0] != pairs[:, 1]])
+    later = sum(len(agg_columns(layer)) for layer in q2_spec.layers[1:])
+    rows = 2 * q2_spec.d + max(len(layer.c) for layer in q2_spec.layers) + 2 + later + 1
+    allowed = 8 * (rows * n + len(graph.edge_src)) + 64 * 1024
+    for act in (None, ActivationSpec("step-arctan", 14)):
+        engine.forward_outputs(q2_spec, graph, act)  # warm: the graph keeps its adjacency and layer-1 sums
+        tracemalloc.start()
+        try:
+            engine.forward_outputs(q2_spec, graph, act)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= allowed, (act, peak / (8 * n), allowed / (8 * n))

@@ -351,19 +351,32 @@ def _chain(levels):
     return compile_formula(parse(f"({text} and top)", 2), 2)
 
 
+def record_kernels(monkeypatch, fn):
+    """Replace every registered map's kernel by one that calls ``fn`` with
+    the array it gets, then runs the map's own kernel on it."""
+    def recording(kernel):
+        def recorded(x):
+            fn(x)
+            kernel(x)
+        return recorded
+
+    for name, act in activations._REGISTRY.items():
+        monkeypatch.setitem(activations._REGISTRY, name, replace(act, fn=recording(act.fn)))
+
+
 def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
     # per-layer work cannot creep back: a forward builds one schedule,
     # resolves its map once, activates each in-place run and each gathered
-    # buffer with one call of that map, never through apply_activation's
-    # copy, and calls np.bincount once per neighbour sum a layer reads; the
-    # graph keeps its layer-1 sums, so every later forward on it calls
-    # np.bincount once per sum at layers >= 2 only
+    # buffer as one block, m kernel steps on it, never through
+    # apply_activation's copy, and calls np.bincount once per neighbour sum
+    # a layer reads; the graph keeps its layer-1 sums, so every later
+    # forward on it calls np.bincount once per sum at layers >= 2 only
     spec = _chain(60)
     graph = random_graph(30, 3.0, 2, 0)
     # on 30 vertices every run is short: one view or one gathered buffer a layer
     steps = backend._schedule(spec.layers, (spec.output_index,), graph.n)
     assert [len(views) + (gather is not None) for *_, (views, gather) in steps] == [1] * spec.iterations
-    calls = {"schedule": 0, "resolve": 0, "activate": 0, "apply_activation": 0, "bincount": 0, "table": 0}
+    calls = {"schedule": 0, "resolve": 0, "kernel": 0, "apply_activation": 0, "bincount": 0, "table": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -371,31 +384,33 @@ def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    in_place = activations._in_place
-
-    def resolve(name, m):
-        calls["resolve"] += 1
-        return counted("activate", in_place(name, m))
-
     monkeypatch.setattr(backend, "_schedule", counted("schedule", backend._schedule))
-    monkeypatch.setattr(activations, "_in_place", resolve)
+    monkeypatch.setattr(activations, "_in_place", counted("resolve", activations._in_place))
+    record_kernels(monkeypatch, counted("kernel", lambda x: None))
     monkeypatch.setattr(activations, "apply_activation", counted("apply_activation", activations.apply_activation))
     monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
     # below activations._BLOCK elements no array asks whether the map takes a table
-    monkeypatch.setattr(backend, "_takes_table", counted("table", backend._takes_table))
-    monkeypatch.setattr(backend, "_look_up", counted("table", backend._look_up))
+    monkeypatch.setattr(activations, "_takes_table", counted("table", activations._takes_table))
+    monkeypatch.setattr(activations, "_look_up", counted("table", activations._look_up))
     sums = sum(len(agg_columns(layer)) for layer in spec.layers)
     first = agg_columns(spec.layers[0])
     assert spec.iterations >= 60 and sums >= 20 and first == [0]
+
+    def run(m, kept):
+        # one forward at depth m; layer 1 reads the graph's sums once it keeps them
+        work = {"schedule": 1, "resolve": 1, "kernel": m * spec.iterations, "apply_activation": 0, "table": 0}
+        return dict(work, bincount=sums - len(first) * kept)
+
     forward_outputs(spec, graph, ActivationSpec("crelu", 1))
-    want = {"schedule": 1, "resolve": 1, "activate": spec.iterations, "apply_activation": 0, "bincount": sums, "table": 0}
+    want = run(1, False)
     assert calls == want
     assert sorted(graph._first_sums) == ["C1"]
-    later = dict(want, bincount=sums - len(first))  # layer 1 reads the graph's sums
+    assert spec.activation == ActivationSpec("sigma-star", 1)
     layer_errors(spec, graph)  # two runs, every column live: one view of the whole state a layer
-    assert calls == {key: want[key] + 2 * count for key, count in later.items()}
+    want = {key: want[key] + 2 * count for key, count in run(1, True).items()}
+    assert calls == want
     forward_outputs(spec, graph, ActivationSpec("step-arctan", 14))  # a map that would take one
-    assert calls == {key: want[key] + 3 * count for key, count in later.items()}
+    assert calls == {key: want[key] + count for key, count in run(14, True).items()}
 
     # check-exact runs sigma-star, then crelu, on one union: the crelu
     # forward makes no layer-1 sum
@@ -426,18 +441,9 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
     layers, keep = hand_built_layers(), (3,)
     for name in ACTIVATION_NAMES:
         for m in (0, 1, 3):
-            backend._takes_table(name, m)  # decided before the kernel is recorded
-    seen, in_place = [], activations._in_place
-
-    def recording(name, m):
-        run = in_place(name, m)
-
-        def recorded(out):
-            seen.append(out)
-            run(out)
-        return recorded
-
-    monkeypatch.setattr(activations, "_in_place", recording)
+            activations._takes_table(name, m)  # decided before the kernel is recorded
+    seen = []
+    record_kernels(monkeypatch, seen.append)
     for n, seed in ((2**15 + 1, 1), (50, 2)):
         graph = random_graph(n, 2.0, 2, seed)
         views, gather = backend._schedule(layers, keep, n)[0][2]
@@ -454,18 +460,19 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
                 seen.clear()
                 got = run_forward(init, graph, layers, name, m, keep)
                 assert got[:, 3].tobytes() == want[:, 3].tobytes(), (n, name, m)
+                # layer 1's kernel steps, none at m = 0: the kernel gets
+                # each activated array one activations._BLOCK at a time, m
+                # steps a block; these floats are no integers, so under a
+                # map that takes a table each block falls back to it whole
                 if long_runs:
-                    # under a map that takes a table, the kernel gets each
-                    # run one activations._BLOCK at a time: these floats
-                    # are no integers, so each block falls back to it whole
-                    run = [2 * n]
-                    if backend._takes_table(name, m):
-                        run = [activations._BLOCK, 2 * n - activations._BLOCK]
-                    first = seen[:2 * len(run)]
-                    assert [out.size for out in first] == run * 2, (name, m)
-                    assert all(np.shares_memory(out, got) for out in first)
+                    blocks = [activations._BLOCK] * m + [2 * n - activations._BLOCK] * m
+                    first = seen[:2 * len(blocks)]
+                    assert [x.size for x in first] == blocks * 2, (name, m)
+                    assert all(np.shares_memory(x, got) for x in first)
                 else:
-                    assert seen[0].shape == (4, n) and not np.shares_memory(seen[0], got)
+                    first = seen[:m]
+                    assert [x.size for x in first] == [4 * n] * m, (name, m)
+                    assert not any(np.shares_memory(x, got) for x in first)
 
 
 def test_unit_weights_fold_with_the_products_bits():
@@ -511,6 +518,19 @@ def test_unit_weights_fold_with_the_products_bits():
     assert np.array_equal(np.signbit(got), np.signbit(want))
     zeros = want == 0.0
     assert np.signbit(want[zeros]).any() and not np.signbit(want[zeros]).all()
+
+
+def test_a_vertex_without_neighbours_sums_a_float_zero():
+    # on a graph with no edges np.bincount returns int64 zeros; a neighbour
+    # sum is a float64 +0.0 all the same, computed or kept, so a weight of
+    # -1 folds it to -0.0, the bits of +0.0 * -1.0, and c = -0.0 keeps it
+    graph = LabeledGraph(3, 1, np.ones(3, dtype=np.int64), np.empty((0, 2), dtype=np.int64))
+    layer = GnnLayer((1,), (-0.0,), [[(2, -1.0)]], 2)
+    spec = GnnSpec(1, (layer,), ActivationSpec("relu", 0), ("1", "0"))
+    for run in (lambda: run_forward(initial_features(spec, graph), graph, spec.layers, "relu", 0), lambda: forward(spec, graph)):
+        out = run()
+        assert out.tobytes() == np.array([[1.0, -0.0]] * 3).tobytes()
+    assert graph._first_sums["1"].dtype == np.float64
 
 
 def test_layer_errors_identical_runs(q1_spec, triangle):
@@ -632,6 +652,30 @@ def test_layer_errors_memory_stays_per_layer():
     one_run = traced_peak(lambda: forward_outputs(approx, graph))
     both = traced_peak(lambda: layer_errors(approx, graph))
     assert both <= 3 * one_run, (both, one_run)
+
+
+def test_layer_errors_takes_one_difference_buffer():
+    # each layer's |approx - exact| goes into one (d, n) buffer made once per
+    # call: layer_errors peaks at its two runs stepped side by side plus that
+    # buffer, where a fresh difference and its absolute value per layer
+    # took 1.87 (d, n) arrays more
+    chain = chain_spec(60).with_activation("step-arctan", 3)
+    graph = random_graph(2**12, 2.0, 2, 7)
+
+    def two_runs():
+        init = initial_features(chain, graph)
+        runs = [
+            backend.layer_states(init, graph, chain.layers, name, m, init_kinds=chain.init_kinds)
+            for name, m in (("step-arctan", 3), ("sigma-star", 1))
+        ]
+        for _ in zip(*runs):
+            pass
+
+    layer_errors(chain, graph)  # the graph keeps its layer-1 sums
+    unit = 8 * chain.d * graph.n
+    runs = traced_peak(two_runs)
+    errors = traced_peak(lambda: layer_errors(chain, graph))
+    assert errors <= runs + 1.25 * unit, (errors - runs) / unit
 
 
 def permute_graph(graph, perm):
@@ -963,7 +1007,7 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     # the rest, and a second block of 1e300 only, a one-entry table.  Under
     # every map, every state has the reference's bits, and so does the
     # output of a run that keeps only it
-    block, chunk = activations._BLOCK, backend._CHUNK
+    block, chunk = activations._BLOCK, activations._CHUNK
     n = block + block // 4
     graph = sparse_random_graph(n, block, 2, 3)
     delta = graph.max_degree
@@ -973,7 +1017,7 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     column = np.resize([0.0, 1.0, 2.0], block)
     column[3 * chunk + 7], column[9 * chunk] = -0.0, 0.5
     init[:, 4] = np.concatenate([column, np.full(n - block, 1e300)])
-    outcomes, look_up = [], backend._look_up
+    outcomes, look_up = [], activations._look_up
 
     def recorded(values, *args):
         hi, done = values.max(), look_up(values, *args)
@@ -982,7 +1026,7 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
             outcomes.append("negative")
         return done
 
-    monkeypatch.setattr(backend, "_look_up", recorded)
+    monkeypatch.setattr(activations, "_look_up", recorded)
     for name in ACTIVATION_NAMES:
         for m in (0, 1, 3):
             outcomes.clear()
@@ -993,7 +1037,7 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
                 assert state.T.tobytes() == want.tobytes(), (name, m, t)
             got = run_forward(init, graph, spec.layers, name, m, keep=(4,))
             assert got[:, 4].tobytes() == want[:, 4].tobytes(), (name, m)
-            want_outcomes = {"table", "part", "kernel", "negative"} if backend._takes_table(name, m) else set()
+            want_outcomes = {"table", "part", "kernel", "negative"} if activations._takes_table(name, m) else set()
             assert set(outcomes) == want_outcomes, (name, m)
 
 
@@ -1014,10 +1058,10 @@ def test_maps_that_keep_integers_never_look_up(q2_spec, large_graph, monkeypatch
     def refuse(*args):
         raise AssertionError("a map that keeps integers, or a shallow one, looked up a table")
 
-    assert backend._TABLE_DEPTH == 3
-    assert [name for name in ACTIVATION_NAMES if not backend._takes_table(name, 3)] == ["sigma-star", "crelu", "relu"]
-    assert not any(backend._takes_table(name, m) for name in ACTIVATION_NAMES for m in (0, 1, 2))
-    monkeypatch.setattr(backend, "_look_up", refuse)
+    assert activations._TABLE_DEPTH == 3
+    assert [name for name in ACTIVATION_NAMES if not activations._takes_table(name, 3)] == ["sigma-star", "crelu", "relu"]
+    assert not any(activations._takes_table(name, m) for name in ACTIVATION_NAMES for m in (0, 1, 2))
+    monkeypatch.setattr(activations, "_look_up", refuse)
     for name, m in (("sigma-star", 3), ("crelu", 3), ("relu", 3), ("sigmoid", 1), ("step-arctan", 2)):
         forward(q2_spec, large_graph, ActivationSpec(name, m))
         forward_outputs(q2_spec, large_graph, ActivationSpec(name, m))
@@ -1037,7 +1081,7 @@ def test_step_arctan_kernel_sees_tables_for_integer_columns(q2_spec, large_graph
 
     monkeypatch.setitem(activations._REGISTRY, "step-arctan", replace(kernel, fn=recorded))
     forward_outputs(q2_spec, large_graph, ActivationSpec("step-arctan", m))
-    tables = [size for size in sizes if size < backend._CHUNK]
+    tables = [size for size in sizes if size < activations._CHUNK]
     assert tables and max(tables) <= large_graph.max_degree + 1
     assert sum(sizes) - sum(tables) == m * 3 * large_graph.n
 
@@ -1054,10 +1098,12 @@ def test_lookup_buffers_stay_small(q2_spec, large_graph):
 
 
 def test_forward_memory_is_linear(q2_spec):
-    # the (d, n) state, its neighbour sums, the (n, d) initial features and
-    # one gather over the edges: at the commit before the column-major state
-    # the peak was 3.28 units of (n d + E) float64s, and it is 2.86 now, so
-    # one more (n, d) copy (0.74 units here) or any per-layer history fails
+    # the (d, n) state, the neighbour-sum rows, the (n, d) initial features
+    # and one gather over the edges: at the commit before the column-major
+    # state the peak was 3.28 units of (n d + E) float64s; it is 2.75 now,
+    # the graph's two kept layer-1 rows included, and was 3.49 with a (d, n)
+    # array of sums, so one more (n, d) copy (0.74 units here) or any
+    # per-layer history fails
     graph = sparse_random_graph(200_000, 500_000, 2, 3)
     graph.edge_src  # the adjacency is the graph's, built before the trace
     unit = 8 * (graph.n * q2_spec.d + len(graph.edges))
@@ -1100,7 +1146,7 @@ def test_kept_first_sums_give_every_bit_cold_and_warm(graph_key, query, q1_spec,
     }
     runs = CACHED_SUM_RUNS
     if graph_key == "large":  # the maps that take a table, the path the graph is there for
-        runs = [(name, m) for name, m in runs if backend._takes_table(name, m)]
+        runs = [(name, m) for name, m in runs if activations._takes_table(name, m)]
     if query == "chain" and graph_key == "large":
         # 60 layers of 2^16 vertices: a chain forward of every column takes
         # seconds, so the kept output under the certified step-arctan only

@@ -5,30 +5,28 @@ nonzero ``(p, v)`` terms (``GnnLayer.terms``); every other coordinate
 carries over unchanged.  The executor folds the terms as stored.  The
 state is column-major: one (d, n) feature array, updated in place, each
 coordinate a contiguous row.  ``layer_states``, the one loop over the
-layers, copies ``init`` once into that layout (``engine.initial_features``
-builds it as the transpose of a (d, n) array, so the copy moves no element
-across rows) and yields the state before and after each layer;
-``run_forward`` returns the (n, d) view of the last.  Per layer the loop
-sums neighbour values only for the coordinates B reads, with one ``take``
-over the edge sources each into an (E,) buffer made once per run (a fresh
-4 MB array per sum cost page faults that took longer than the gather on a
-10^5-vertex graph), and overwrites only the stored rows.  A sum is held as
-computed: the loop keeps a list of d row references, each the (n,) array
-``np.bincount`` returned or a row the graph keeps, and ``_combine`` only
-reads them, so no (d, n) array of sums is filled or copied into.
+layers, builds that array from the spec's ``init_kinds``
+(``_initial_state``): a zero row for ``"0"``, a one row for ``"1"`` and
+the indicator of color c for ``"C<c>"``, which ``engine.initial_features``
+returns as its (n, d) transpose.  It yields the state before and after
+each layer; ``run_forward`` returns the (n, d) view of the last.  Per
+layer the loop sums neighbour values only for the coordinates B reads,
+with one ``take`` over the edge sources each into an (E,) buffer made
+once per run (a fresh 4 MB array per sum cost page faults that took
+longer than the gather on a 10^5-vertex graph), and overwrites only the
+stored rows.  A sum is held as computed: the loop keeps a list of d row
+references, each the (n,) array ``np.bincount`` returned or a row the
+graph keeps, and ``_combine`` only reads them, so no (d, n) array of sums
+is filled or copied into.
 
-A graph keeps its layer-1 sums.  Layer 1 sums initial columns, and
-``engine.initial_features`` builds each from its kind alone: zeros for
-``"0"``, ones for ``"1"`` and the indicator of color c for ``"C<c>"``.  So
-their sums depend on the graph only, not on the weights, the map or m.
-Given ``init_kinds``, the caller's statement that ``init`` is built so
-(``engine.forward`` and ``layer_errors`` give the spec's), layer 1 reads
-the sum of each kind from the graph's ``_first_sums`` and, for a kind not
-there yet, keeps the ``bincount`` the loop computes, read-only.  A graph
-thus holds one more (n,) float64 row per kind that layer 1 has read (two
-rows, 1.6 MB, for q2 on 10^5 vertices), freed with it.  Every later
-forward on the graph skips those sums; a run given ``init`` alone computes
-them all.
+A graph keeps its layer-1 sums.  Layer 1 sums initial columns, each
+built from its kind alone, so their sums depend on the graph only, not on
+the weights, the map or m.  Layer 1 reads the sum of each kind from the
+graph's ``_first_sums`` and, for a kind not there yet, keeps the
+``bincount`` the loop computes, read-only.  A graph thus holds one more
+(n,) float64 row per kind that layer 1 has read (two rows, 1.6 MB, for q2
+on 10^5 vertices), freed with it.  Every later forward on the graph skips
+those sums.
 
 A row costs one pass over a whole coordinate row per nonzero, not d: a
 weight of 1 or -1, the only weights a compiled layer has, folds as a copy,
@@ -82,9 +80,9 @@ weight of 1 or -1 folds with the bits of its product: in IEEE 754
 activated in place gets the bits it would get in a gathered buffer.  A
 kept layer-1 sum has the bits the loop would compute: layer 1 sums the
 initial columns before any activation, and a sum of 0.0 and 1.0 weights in
-any order is an exact integer, +0.0 where it is zero, whatever the map.  A
-non-finite ``init`` and a layer whose pre-activations overflow are bad
-input, and raise.
+any order is an exact integer, +0.0 where it is zero, whatever the map.
+The initial state holds only 0.0 and 1.0, so it is finite; a layer whose
+pre-activations overflow is bad input, and raises.
 """
 
 from __future__ import annotations
@@ -94,6 +92,7 @@ from bisect import bisect_left
 import numpy as np
 
 from . import activations
+from .formulas import _check_color
 from .graphs import _is_integer
 
 
@@ -200,24 +199,34 @@ def _combine(layer, cur, agg, z, scratch):
     return z
 
 
-def layer_states(init, graph, layers, name, m, keep=None, init_kinds=None):
-    """Yield the (d, n) state of a run from the (n, d) features ``init``, one
-    array updated in place: once before the first layer, then after each
-    layer has activated every column, or only the live ones given ``keep``.
-    A layer whose pre-activations are not all finite raises ValueError.
+def _initial_state(spec, graph):
+    """The C-ordered (d, n) iteration-0 state of ``spec`` on ``graph``: a
+    zero row for kind ``"0"``, a one row for ``"1"`` and the indicator of
+    color c for ``"C<c>"``, which must lie in the graph's palette."""
+    state = np.zeros((spec.d, graph.n))
+    for j, kind in enumerate(spec.init_kinds):
+        if kind == "1":
+            state[j] = 1.0
+        elif kind != "0":
+            index = int(kind[1:])
+            _check_color(index, graph.palette)
+            state[j] = graph.colors == index
+    return state
 
-    ``init_kinds`` states that ``init`` is ``engine.initial_features`` of a
-    spec with these ``init_kinds``; layer 1 then reads the neighbour sum of
-    each kind from the graph's ``_first_sums``, and fills it where a kind
-    is missing.  Without it, every sum is computed."""
-    cur = np.array(np.asarray(init, dtype=np.float64).T, order="C")
-    if not np.isfinite(cur).all():
-        raise ValueError("initial features must be finite")
+
+def layer_states(spec, graph, name, m, keep=None):
+    """Yield the (d, n) state of ``spec``'s layers run on ``graph`` under
+    ``name`` composed ``m`` times, one array updated in place: once before
+    the first layer, the initial state built from ``spec.init_kinds``, then
+    after each layer has activated every column, or only the live ones
+    given ``keep``.  Layer 1 reads the neighbour sum of each kind from the
+    graph's ``_first_sums``, and fills it where a kind is missing.  A layer
+    whose pre-activations are not all finite raises ValueError."""
+    cur = _initial_state(spec, graph)
     d, n = cur.shape
     if keep is not None and not all(_is_integer(j) and 0 <= j < d for j in keep):
         raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
-    # the layer-1 sums of the initial kinds; a run without kinds keeps none
-    kept = {} if init_kinds is None else graph._first_sums
+    layers, kinds, kept = spec.layers, spec.init_kinds, graph._first_sums
     activate = activations._in_place(name, m)
     agg = [None] * d  # the sums a layer reads, held as computed
     z = np.empty((max((len(layer.c) for layer in layers), default=0), n))
@@ -231,15 +240,14 @@ def layer_states(init, graph, layers, name, m, keep=None, init_kinds=None):
     for t, (layer, (rows, agg_cols, (views, gather))) in enumerate(zip(layers, steps), start=1):
         if layer.terms:
             for j in agg_cols:
-                kind = init_kinds[j] if t == 1 and init_kinds is not None else None
-                row = kept.get(kind)
+                row = kept.get(kinds[j]) if t == 1 else None
                 if row is None:
                     # bincount gives int64 zeros on a graph with no edges
                     row = np.bincount(dst, weights=cur[j].take(src, out=sent, mode="clip"), minlength=n)
                     row = row.astype(np.float64, copy=False)
-                    if kind is not None:
+                    if t == 1:
                         row.flags.writeable = False
-                        kept[kind] = row
+                        kept[kinds[j]] = row
                 agg[j] = row
             pre = _combine(layer, cur, agg, z, scratch)
             if not np.isfinite(pre).all():
@@ -254,8 +262,8 @@ def layer_states(init, graph, layers, name, m, keep=None, init_kinds=None):
         yield cur
 
 
-def run_forward(init, graph, layers, name, m, keep=None, init_kinds=None):
+def run_forward(spec, graph, name, m, keep=None):
     """The (n, d) features after the last layer, a transposed view of the
-    final state of ``layer_states`` with the same ``keep`` and ``init_kinds``."""
-    *_, cur = layer_states(init, graph, layers, name, m, keep, init_kinds)
+    final state of ``layer_states`` with the same ``keep``."""
+    *_, cur = layer_states(spec, graph, name, m, keep)
     return cur.T

@@ -8,7 +8,6 @@ import numpy as np
 from . import backend as backend_mod
 from .activations import ActivationSpec
 from .compiler import GnnSpec
-from .formulas import _check_color
 from .graphs import LabeledGraph, OrderedQuotient
 
 __all__ = [
@@ -22,21 +21,11 @@ __all__ = [
 def initial_features(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np.ndarray:
     """Iteration-0 features: color indicators on color coordinates, ones on
     always-true coordinates, zeros elsewhere.  Reads ``graph.n``,
-    ``palette`` and ``colors`` only.
+    ``palette`` and ``colors`` only; a color beyond the palette raises.
 
-    The (n, d) array is the transpose of a C-ordered (d, n) one, the
-    executor's column-major state, so a run copies it without transposing."""
-    feats = np.zeros((spec.d, graph.n))
-    for j, kind in enumerate(spec.init_kinds):
-        if kind == "0":
-            continue
-        if kind == "1":
-            feats[j] = 1.0
-        else:
-            index = int(kind[1:])
-            _check_color(index, graph.palette)
-            feats[j] = graph.colors == index
-    return feats.T
+    The (n, d) array is the transpose of the C-ordered (d, n) state that
+    every run starts from (``backend.layer_states`` builds its own)."""
+    return backend_mod._initial_state(spec, graph).T
 
 
 def forward(
@@ -49,9 +38,11 @@ def forward(
     """Run the compiled network on ``graph`` and return the (n, d) features
     after the last layer; activation defaults to the spec's own.  Reads
     ``graph.n``, ``palette``, ``colors``, ``edge_src`` and ``edge_dst``, and
-    the layer-1 neighbour sums the graph keeps (``_first_sums``): the sum
-    of each initial kind layer 1 reads is computed once per graph and kept
-    in it, a read-only (n,) float64 row per kind, freed with the graph.
+    the layer-1 neighbour sums the graph keeps (``_first_sums``).  The run
+    starts from the spec's ``initial_features``, which the executor builds
+    in its own (d, n) layout.  The sum of each initial kind layer 1 reads is
+    computed once per graph and kept in it, a read-only (n,) float64 row per
+    kind, freed with the graph.
     These sums do not depend on the weights or the activation, and a kept
     row has the bits a new sum would have (see ``backend``).
 
@@ -59,8 +50,7 @@ def forward(
     final values; the others may be stale, and are not activated where no
     kept value depends on them."""
     act = activation or spec.activation
-    init = initial_features(spec, graph)
-    return backend_mod.run_forward(init, graph, spec.layers, act.name, act.m, keep, spec.init_kinds)
+    return backend_mod.run_forward(spec, graph, act.name, act.m, keep)
 
 
 def forward_outputs(
@@ -84,8 +74,7 @@ def layer_errors(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np.nda
     difference; the second reads the layer-1 sums the first keeps in the
     graph."""
     act = spec.activation
-    init = initial_features(spec, graph)
-    approx = backend_mod.layer_states(init, graph, spec.layers, act.name, act.m, init_kinds=spec.init_kinds)
-    exact = backend_mod.layer_states(init, graph, spec.layers, "sigma-star", 1, init_kinds=spec.init_kinds)
+    approx = backend_mod.layer_states(spec, graph, act.name, act.m)
+    exact = backend_mod.layer_states(spec, graph, "sigma-star", 1)
     diff = np.empty((spec.d, graph.n))
     return np.array([np.abs(np.subtract(a, e, out=diff), out=diff).max() for a, e in zip(approx, exact)])

@@ -128,9 +128,9 @@ def tree_roots(spec: GnnSpec, runs, k_values, palette: int) -> np.ndarray:
     k's pair is ``make_tree(TreeParams(x, k, k), coloring)`` for x = 0 and
     1: the k-ary tree with zero and with one leaf under the first internal
     vertex, one color for palette 1, else with blue leaves, so a spec color
-    beyond C2 raises from ``initial_features``.  Consecutive k values share
-    a block (``_blocks``): one ordered quotient of their pairs and one
-    forward pass per run."""
+    beyond C2 raises as the forward builds its initial state.  Consecutive
+    k values share a block (``_blocks``): one ordered quotient of their
+    pairs and one forward pass per run."""
     k_values = list(k_values)
     roots = np.empty((len(k_values), len(runs), 2))
     coloring = "unicolor" if palette == 1 else "leaves-blue"

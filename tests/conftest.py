@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gc2gnn import LabeledGraph, TreeParams, compile_formula, initial_features, make_tree, parse, read_graph
+from gc2gnn import LabeledGraph, TreeParams, compile_formula, make_tree, parse, read_graph
 from gc2gnn.backend import layer_states
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
 
@@ -48,7 +48,7 @@ def forward_history(spec, graph, activation=None):
     ones: a copy of each state ``layer_states`` yields, with every column
     live at every layer."""
     act = activation or spec.activation
-    states = layer_states(initial_features(spec, graph), graph, spec.layers, act.name, act.m)
+    states = layer_states(spec, graph, act.name, act.m)
     return np.stack([s.T.copy() for s in states])
 
 

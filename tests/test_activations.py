@@ -461,12 +461,18 @@ LOWER_SIMD_LEVELS = {
 def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
     # the table's bits rest on a property of numpy's loops at each SIMD
     # level: the test above runs again in a child process, the only one
-    # whose environment switches numpy's higher loops off.  Only targets
-    # this CPU enables are named, since numpy refuses to switch off others
+    # whose environment switches numpy's higher loops off.  The child
+    # switches off what this process does and the level's higher targets
+    # that this process runs, since numpy refuses to switch off others, so
+    # a level this process already runs at or below is the test above
     targets = simd_targets()
+    higher = [t for t in LOWER_SIMD_LEVELS[level] if t in targets]
+    if not higher:
+        pytest.skip(f"numpy runs at {simd_level()} here, at or below {level}: the test above covers it")
     if level != "baseline" and level not in targets:
         pytest.skip(f"this CPU does not run numpy's {level} loops")
-    off = " ".join(t for t in LOWER_SIMD_LEVELS[level] if t in targets)
+    parent = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    off = " ".join(dict.fromkeys(parent + higher))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", f"{__file__}::test_table_gives_the_kernels_bits"],
         env={**os.environ, "NPY_DISABLE_CPU_FEATURES": off},

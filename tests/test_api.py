@@ -207,11 +207,13 @@ def test_one_entry_runs_a_map(q2_spec):
     # activations._in_place is the one code that runs a map, its table
     # included: no other module reads an Activation's fn, and backend keeps
     # none of the table's names.  backend.layer_states is the layer loop
-    # alone, and holds a layer's neighbour sums as computed: a warm q2
-    # forward on 2**16 vertices peaks within its two (d, n) arrays (the
-    # initial features and the state), the (k, n) pre-activations, two
-    # scratch rows, one row per sum after layer 1, the output and the (E,)
-    # edge buffer, where a (d, n) array of sums took d rows more
+    # alone, builds its state from the spec's initial kinds and holds a
+    # layer's neighbour sums as computed: a warm q2 forward on 2**16
+    # vertices peaks within its one (d, n) array, the state, the (k, n)
+    # pre-activations, two scratch rows, one row per sum after layer 1, the
+    # output and the (E,) edge buffer, where a (d, n) array of sums took d
+    # rows more, and an (n, d) array of initial features copied into the
+    # state d rows more again
     readers = {
         path.name
         for path in Path(gc2gnn.__file__).parent.glob("*.py")
@@ -226,7 +228,7 @@ def test_one_entry_runs_a_map(q2_spec):
     pairs = rng.integers(0, n, size=(n, 2))
     graph = LabeledGraph(n, 2, rng.integers(1, 3, n), pairs[pairs[:, 0] != pairs[:, 1]])
     later = sum(len(agg_columns(layer)) for layer in q2_spec.layers[1:])
-    rows = 2 * q2_spec.d + max(len(layer.c) for layer in q2_spec.layers) + 2 + later + 1
+    rows = q2_spec.d + max(len(layer.c) for layer in q2_spec.layers) + 2 + later + 1
     allowed = 8 * (rows * n + len(graph.edge_src)) + 64 * 1024
     for act in (None, ActivationSpec("step-arctan", 14)):
         engine.forward_outputs(q2_spec, graph, act)  # warm: the graph keeps its adjacency and layer-1 sums

@@ -26,6 +26,7 @@ from gc2gnn import (
     forward,
     forward_outputs,
     initial_features,
+    layer_errors,
     make_tree,
     parse,
     random_formula,
@@ -806,3 +807,11 @@ def test_initial_features_palette_guard(q2_spec):
     graph = LabeledGraph(2, 1, np.ones(2, int), np.array([[0, 1]]))
     with pytest.raises(ValueError, match="palette"):
         initial_features(q2_spec, graph)
+    # a forward and both runs of layer_errors build their initial state
+    # with the same check, before any layer runs
+    spec = compile_formula(parse("dia>=1 C3", 3), 3)
+    graph = LabeledGraph(3, 2, np.array([1, 2, 1]), np.array([[0, 1], [1, 2]]))
+    for run in (initial_features, forward_outputs, layer_errors):
+        with pytest.raises(ValueError, match=r"^color C3 outside the graph palette \[1, 2\]$"):
+            run(spec, graph)
+    assert not graph._first_sums

@@ -87,29 +87,16 @@ def test_live_columns_keep_every_output_bit(seed, n, name, m):
     assert forward(spec, graph, act, keep=tuple(kept))[:, kept].tobytes() == last[:, kept].tobytes()
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_run_forward_rejects_non_finite_init(q2_spec, bad):
-    # a non-finite initial value is refused, even in a column no layer reads
-    graph = random_graph(20, 3.0, 2, 1)
-    read = set().union(*(read_columns(layer) for layer in q2_spec.layers))
-    unread = min(set(range(q2_spec.d)) - read)
-    init = initial_features(q2_spec, graph)
-    init[:, unread] = bad
-    with pytest.raises(ValueError, match="finite"):
-        run_forward(init, graph, q2_spec.layers, "sigma-star", 1, keep=(q2_spec.output_index,))
-
-
 @pytest.mark.parametrize("column", [-1, 5])
 def test_keep_refuses_a_column_outside_the_state(q1_spec, column):
     # q1 has d = 5: -1 matches no rule row, so its activations were skipped,
     # and 5 indexed past the state
     graph = pinned_graph(150, 5.0, 1, 4)
     act = ActivationSpec("step-arctan", 3)
-    init = initial_features(q1_spec, graph)
     with pytest.raises(ValueError, match=r"keep must list integer columns in \[0, 5\)"):
         forward(q1_spec, graph, act, keep=(column,))
     with pytest.raises(ValueError, match="keep"):
-        next(backend.layer_states(init, graph, q1_spec.layers, act.name, act.m, keep=(0, column)))
+        next(backend.layer_states(q1_spec, graph, act.name, act.m, keep=(0, column)))
 
 
 def reference_run_forward(init, graph, layers, name, m, keep=None):
@@ -145,9 +132,9 @@ def reference_run_forward(init, graph, layers, name, m, keep=None):
     return cur
 
 
-def assert_matches_reference(init, graph, layers, name, m, keep):
-    got = run_forward(init, graph, layers, name, m, keep)
-    want = reference_run_forward(init, graph, layers, name, m, keep)
+def assert_matches_reference(spec, graph, name, m, keep):
+    got = run_forward(spec, graph, name, m, keep)
+    want = reference_run_forward(initial_features(spec, graph), graph, spec.layers, name, m, keep)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes(), (name, m, keep)
 
@@ -166,7 +153,7 @@ def test_run_forward_matches_reference_executor(seed, n, name, m, keep_output):
     spec = compile_formula(random_formula(rng, 2, max_depth=8), 2)
     graph = random_graph(n, float(rng.uniform(0.0, min(6.0, n - 1))), 2, seed)
     keep = (spec.output_index,) if keep_output else None
-    assert_matches_reference(initial_features(spec, graph), graph, spec.layers, name, m, keep)
+    assert_matches_reference(spec, graph, name, m, keep)
 
 
 def hand_built_layers():
@@ -186,17 +173,23 @@ def hand_built_layers():
     )
 
 
+def hand_built_spec():
+    """``hand_built_layers()`` twice over, from the initial kinds C1, 1, 0,
+    C2 and 0, kept at coordinate 3.  The initial state holds only 0 and 1,
+    so layer 1's sums are exact; layer 4 folds the long row again over the
+    values of layer 3, non-integers under a smooth map, where it rounds."""
+    return GnnSpec(3, hand_built_layers() * 2, ActivationSpec("sigmoid", 2), ("C1", "1", "0", "C2", "0"))
+
+
 @pytest.mark.parametrize("name", ACTIVATION_NAMES)
 def test_hand_built_layers_match_reference_executor(name):
-    layers = hand_built_layers()
     # the longest A or B part of any row, per layer
     assert [max(sum((p < 5) == a for p, _ in row) for row in layer.terms for a in (True, False))
-            for layer in layers] == [4, 2, 2]
-    graph = random_graph(50, 4.0, 2, 3)
-    init = np.random.default_rng(3).uniform(-1.0, 2.0, (graph.n, 5))
+            for layer in hand_built_layers()] == [4, 2, 2]
+    spec, graph = hand_built_spec(), random_graph(50, 4.0, 2, 3)
     for m in (0, 1, 3):
         for keep in (None, (3,)):
-            assert_matches_reference(init, graph, layers, name, m, keep)
+            assert_matches_reference(spec, graph, name, m, keep)
 
 
 def test_runs_cache_no_second_row_form():
@@ -206,8 +199,7 @@ def test_runs_cache_no_second_row_form():
     from test_compiler import pinned_specs
 
     graph = pinned_graph(40, 3, 3, 5)
-    hand_built = GnnSpec(3, hand_built_layers(), ActivationSpec("sigmoid", 2), ("C1", "1", "0", "C2", "0"))
-    specs = [*pinned_specs(), hand_built]
+    specs = [*pinned_specs(), hand_built_spec()]
     for spec in specs:
         forward(spec, graph)
         layer_errors(spec, graph)
@@ -228,6 +220,17 @@ def test_overflowing_layer_raises_naming_it(isolated_vertex):
             run()
 
 
+def run_on_values(x, layer):
+    """The (2, d) features after ``layer`` runs at both ends of one edge on
+    the state ``x``, so every neighbour sum is x too: from zero initial
+    kinds a bias-only first layer writes x, and at m = 0 relu activates
+    nothing."""
+    d = len(x)
+    first = GnnLayer(tuple(range(d)), tuple(x), [[]] * d, d)
+    spec = GnnSpec(layer.rows[0], (first, layer), ActivationSpec("relu", 0), ("0",) * d)
+    return run_forward(spec, LabeledGraph(2, 1, np.ones(2, dtype=np.int64), np.array([[0, 1]])), "relu", 0)
+
+
 def test_rows_of_three_or_more_terms_fold_in_term_order():
     # a row's pre-activation is (c + S_A) + S_B, each sum taken left to right
     # in term order: at x = (1e16, 1, -1e16), 1e16 + 1 rounds back to 1e16,
@@ -235,8 +238,7 @@ def test_rows_of_three_or_more_terms_fold_in_term_order():
     x = np.array([1e16, 1.0, -1e16, 0.0])
     a, b, c = [(0, 1.0), (1, 1.0), (2, 1.0)], [(0, 2.0), (1, 3.0), (2, 2.0)], 0.5
     layer = GnnLayer(np.array([3]), np.array([c]), [a + [(4 + j, v) for j, v in b]], 4)
-    graph = LabeledGraph(2, 1, np.ones(2, dtype=np.int64), np.array([[0, 1]]))  # y = x at both ends
-    got = run_forward(np.tile(x, (2, 1)), graph, (layer,), "relu", 1)[:, 3]
+    got = run_on_values(x, layer)[:, 3]
 
     def fold(terms):
         (col, coef), *rest = terms
@@ -245,11 +247,11 @@ def test_rows_of_three_or_more_terms_fold_in_term_order():
             total = total + coef * x[col]
         return total
 
-    want = max(0.0, (c + fold(a)) + fold(b))
+    want = (c + fold(a)) + fold(b)
     assert got.tobytes() == np.full(2, want).tobytes()
     # the order shows in both sums
-    assert want != max(0.0, (c + fold([a[0], a[2], a[1]])) + fold(b))
-    assert want != max(0.0, (c + fold(a)) + fold([b[0], b[2], b[1]]))
+    assert want != (c + fold([a[0], a[2], a[1]])) + fold(b)
+    assert want != (c + fold(a)) + fold([b[0], b[2], b[1]])
 
 
 def test_rows_of_b_terms_only_fold_s_b_then_add_c():
@@ -260,8 +262,7 @@ def test_rows_of_b_terms_only_fold_s_b_then_add_c():
     x = np.array([1e16, 1.0, 1.0, -1e16, 0.0])
     b, c = [(0, 1.0), (1, 3.0), (2, 3.0), (3, 1.0)], 0.5
     layer = GnnLayer(np.array([4]), np.array([c]), [[(5 + j, v) for j, v in b]], 5)
-    graph = LabeledGraph(2, 1, np.ones(2, dtype=np.int64), np.array([[0, 1]]))  # y = x at both ends
-    got = run_forward(np.tile(x, (2, 1)), graph, (layer,), "relu", 1)[:, 4]
+    got = run_on_values(x, layer)[:, 4]
 
     def fold(terms, total=0.0):
         for col, coef in terms:
@@ -416,9 +417,9 @@ def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
     # forward makes no layer-1 sum
     sums_by_run, run = [], backend.run_forward
 
-    def counted_run(init, graph, layers, name, *args):
+    def counted_run(spec, graph, name, *args):
         before = calls["bincount"]
-        out = run(init, graph, layers, name, *args)
+        out = run(spec, graph, name, *args)
         sums_by_run.append((name, calls["bincount"] - before))
         return out
 
@@ -431,14 +432,15 @@ def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
 
 
 def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
-    # kept at column 3, hand_built_layers() activates columns {0, 1, 3, 4}
+    # kept at column 3, hand_built_spec() activates columns {0, 1, 3, 4}
     # after layer 1: on 2**15 + 1 vertices the runs [0, 1] and [3, 4] each
     # hold at least activations._BLOCK elements and are activated where they
     # lie in the state; on 50 vertices they are gathered into one buffer.
     # Under every map, the kept column, and with keep=None (one view of the
     # whole state) every column, has the reference executor's bits; a kept
     # column's are those of the run that keeps every column
-    layers, keep = hand_built_layers(), (3,)
+    spec = hand_built_spec()
+    keep = (spec.output_index,)
     for name in ACTIVATION_NAMES:
         for m in (0, 1, 3):
             activations._takes_table(name, m)  # decided before the kernel is recorded
@@ -446,25 +448,27 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
     record_kernels(monkeypatch, seen.append)
     for n, seed in ((2**15 + 1, 1), (50, 2)):
         graph = random_graph(n, 2.0, 2, seed)
-        views, gather = backend._schedule(layers, keep, n)[0][2]
+        views, gather = backend._schedule(spec.layers, keep, n)[0][2]
         long_runs = n * 2 >= activations._BLOCK
         if long_runs:
             assert views == (slice(0, 2), slice(3, 5)) and gather is None
         else:
             assert views == () and gather.tolist() == [0, 1, 3, 4]
-        init = np.random.default_rng(seed).uniform(-1.0, 2.0, (n, 5))
+        init = initial_features(spec, graph)
         for name in ACTIVATION_NAMES:
             for m in (0, 1, 3):
-                want = reference_run_forward(init, graph, layers, name, m)
-                assert run_forward(init, graph, layers, name, m).tobytes() == want.tobytes(), (n, name, m)
+                want = reference_run_forward(init, graph, spec.layers, name, m)
+                assert run_forward(spec, graph, name, m).tobytes() == want.tobytes(), (n, name, m)
                 seen.clear()
-                got = run_forward(init, graph, layers, name, m, keep)
+                got = run_forward(spec, graph, name, m, keep)
                 assert got[:, 3].tobytes() == want[:, 3].tobytes(), (n, name, m)
                 # layer 1's kernel steps, none at m = 0: the kernel gets
                 # each activated array one activations._BLOCK at a time, m
-                # steps a block; these floats are no integers, so under a
-                # map that takes a table each block falls back to it whole
-                if long_runs:
+                # steps a block.  Layer 1's values are integers, so under a
+                # map that takes a table the kernel sees a table first
+                if long_runs and activations._takes_table(name, m):
+                    assert seen[0].size < activations._CHUNK and not np.shares_memory(seen[0], got), (name, m)
+                elif long_runs:
                     blocks = [activations._BLOCK] * m + [2 * n - activations._BLOCK] * m
                     first = seen[:2 * len(blocks)]
                     assert [x.size for x in first] == blocks * 2, (name, m)
@@ -527,7 +531,8 @@ def test_a_vertex_without_neighbours_sums_a_float_zero():
     graph = LabeledGraph(3, 1, np.ones(3, dtype=np.int64), np.empty((0, 2), dtype=np.int64))
     layer = GnnLayer((1,), (-0.0,), [[(2, -1.0)]], 2)
     spec = GnnSpec(1, (layer,), ActivationSpec("relu", 0), ("1", "0"))
-    for run in (lambda: run_forward(initial_features(spec, graph), graph, spec.layers, "relu", 0), lambda: forward(spec, graph)):
+    # the first run computes the layer-1 sum and keeps it, the second reads it
+    for run in (lambda: run_forward(spec, graph, "relu", 0), lambda: forward(spec, graph)):
         out = run()
         assert out.tobytes() == np.array([[1.0, -0.0]] * 3).tobytes()
     assert graph._first_sums["1"].dtype == np.float64
@@ -663,11 +668,7 @@ def test_layer_errors_takes_one_difference_buffer():
     graph = random_graph(2**12, 2.0, 2, 7)
 
     def two_runs():
-        init = initial_features(chain, graph)
-        runs = [
-            backend.layer_states(init, graph, chain.layers, name, m, init_kinds=chain.init_kinds)
-            for name, m in (("step-arctan", 3), ("sigma-star", 1))
-        ]
+        runs = [backend.layer_states(chain, graph, name, m) for name, m in (("step-arctan", 3), ("sigma-star", 1))]
         for _ in zip(*runs):
             pass
 
@@ -999,14 +1000,14 @@ def test_multi_block_forward_bits_pinned(q2_spec):
 def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     # n = 1.25 activations._BLOCK, and the state rows are C1, C2, the
     # `dia>=2 C1` row (pre-activations -1..Δ-1), the `dia>=K C2` row with
-    # K = Δ + 2 (every pre-activation negative) and the output.  The output
-    # column is written only by the last layer, so its initial values are
-    # hand-built and, with keep=None, activated once: a first block of 0, 1
-    # and 2 with a -0.0 in its fourth chunk (lo + i would give it +0.0's
-    # bits) and a 0.5 later, so the lookup takes three chunks and the kernel
-    # the rest, and a second block of 1e300 only, a one-entry table.  Under
-    # every map, every state has the reference's bits, and so does the
-    # output of a run that keeps only it
+    # K = Δ + 2 (every pre-activation negative) and the output.  Under every
+    # map, every state has the reference's bits, and so does the output of a
+    # run that keeps only it.  A hand-built row of n values, activated
+    # through activations._in_place as the loop activates a state row, has
+    # the bits of a run whose blocks all go to the kernel: a first block of
+    # 0, 1 and 2 with a -0.0 in its fourth chunk (lo + i would give it
+    # +0.0's bits) and a 0.5 later, so the lookup takes three chunks and the
+    # kernel the rest, and a second block of 1e300 only, a one-entry table
     block, chunk = activations._BLOCK, activations._CHUNK
     n = block + block // 4
     graph = sparse_random_graph(n, block, 2, 3)
@@ -1016,7 +1017,7 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     init = initial_features(spec, graph)
     column = np.resize([0.0, 1.0, 2.0], block)
     column[3 * chunk + 7], column[9 * chunk] = -0.0, 0.5
-    init[:, 4] = np.concatenate([column, np.full(n - block, 1e300)])
+    row = np.concatenate([column, np.full(n - block, 1e300)])
     outcomes, look_up = [], activations._look_up
 
     def recorded(values, *args):
@@ -1029,16 +1030,25 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     monkeypatch.setattr(activations, "_look_up", recorded)
     for name in ACTIVATION_NAMES:
         for m in (0, 1, 3):
+            takes = activations._takes_table(name, m)
             outcomes.clear()
-            # layer by layer: the last layer overwrites the hand-built column
-            states = backend.layer_states(init, graph, spec.layers, name, m)
+            states = backend.layer_states(spec, graph, name, m)
             for t, state in enumerate(states):
                 want = reference_run_forward(init, graph, spec.layers[:t], name, m) if t else init
                 assert state.T.tobytes() == want.tobytes(), (name, m, t)
-            got = run_forward(init, graph, spec.layers, name, m, keep=(4,))
+            got = run_forward(spec, graph, name, m, keep=(4,))
             assert got[:, 4].tobytes() == want[:, 4].tobytes(), (name, m)
-            want_outcomes = {"table", "part", "kernel", "negative"} if activations._takes_table(name, m) else set()
-            assert set(outcomes) == want_outcomes, (name, m)
+            assert set(outcomes) == ({"table", "kernel", "negative"} if takes else set()), (name, m)
+
+            outcomes.clear()
+            table = row.copy()
+            activations._in_place(name, m)(table)
+            assert outcomes == (["part", "table"] if takes else []), (name, m)
+            with monkeypatch.context() as kernel_only:
+                kernel_only.setattr(activations, "_takes_table", lambda name, m: False)
+                kernel = row.copy()
+                activations._in_place(name, m)(kernel)
+            assert table.tobytes() == kernel.tobytes(), (name, m, f"numpy SIMD level {simd_level()}")
 
 
 @pytest.fixture(scope="module")
@@ -1098,17 +1108,35 @@ def test_lookup_buffers_stay_small(q2_spec, large_graph):
 
 
 def test_forward_memory_is_linear(q2_spec):
-    # the (d, n) state, the neighbour-sum rows, the (n, d) initial features
-    # and one gather over the edges: at the commit before the column-major
-    # state the peak was 3.28 units of (n d + E) float64s; it is 2.75 now,
-    # the graph's two kept layer-1 rows included, and was 3.49 with a (d, n)
-    # array of sums, so one more (n, d) copy (0.74 units here) or any
-    # per-layer history fails
+    # the (d, n) state, built in place from the initial kinds, the
+    # neighbour-sum rows and one gather over the edges: the peak is 2.02
+    # units of (n d + E) float64s, the graph's two kept layer-1 rows
+    # included.  It was 3.28 at the commit before the column-major state,
+    # 3.49 with a (d, n) array of sums and 2.75 with an (n, d) array of
+    # initial features copied into the state, so one more (d, n) array
+    # (0.74 units here) or any per-layer history fails
     graph = sparse_random_graph(200_000, 500_000, 2, 3)
     graph.edge_src  # the adjacency is the graph's, built before the trace
     unit = 8 * (graph.n * q2_spec.d + len(graph.edges))
     peak = traced_peak(lambda: forward_outputs(q2_spec, graph))
-    assert peak <= 3.5 * unit, peak / unit
+    assert peak <= 2.25 * unit, peak / unit
+
+
+class _KeepsNothing(dict):
+    """A graph's ``_first_sums`` that stores no row: layer 1 finds no kind
+    and computes each sum it reads."""
+
+    def __setitem__(self, kind, row):
+        pass
+
+
+def keeping_nothing(graph):
+    """A copy of ``graph`` on which every run computes every neighbour sum.
+    (The reference executor cannot stand in: its einsum folds a row of more
+    than two terms in another order.)"""
+    graph = replace(graph)
+    graph.__dict__["_first_sums"] = _KeepsNothing()
+    return graph
 
 
 # Every map at m = 0, 1 and 3, and step-arctan at its certified depth.
@@ -1131,8 +1159,8 @@ def test_kept_first_sums_give_every_bit_cold_and_warm(graph_key, query, q1_spec,
     # Each call of each map runs on a new graph object equal to the
     # fixture's, with none of its layer-1 sums kept, which it fills, and on
     # one shared graph object, which every earlier call and map has run on
-    # and which reads them.  Both have the bits of a run given the same
-    # initial features without their kinds, which computes every sum.  The
+    # and which reads them.  Both have the bits of a run on a graph that
+    # keeps no sum, so it computes every sum, two of one kind included.  The
     # dense spec sums every column at every layer, two columns of a kind
     # among them, so a sum after layer 1 served by kind shows on the quotient.
     spec = {"q1": q1_spec, "q2": q2_spec, "chain": _chain(60), "dense": dense_integer_spec()}[query]
@@ -1156,7 +1184,7 @@ def test_kept_first_sums_give_every_bit_cold_and_warm(graph_key, query, q1_spec,
     shared = replace(graph)
     for name, m in runs:
         act = ActivationSpec(name, m)
-        every_sum = run_forward(initial_features(spec, graph), graph, spec.layers, name, m, keep)
+        every_sum = run_forward(spec, keeping_nothing(graph), name, m, keep)
         assert not graph._first_sums
         for key, call in calls.items():
             fresh = replace(graph)
@@ -1168,27 +1196,6 @@ def test_kept_first_sums_give_every_bit_cold_and_warm(graph_key, query, q1_spec,
             if key == "outputs":
                 assert cold.tobytes() == every_sum[:, spec.output_index].tobytes(), (name, m)
     assert set(shared._first_sums) == kinds
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from(ACTIVATION_NAMES), st.sampled_from((0, 1, 3)))
-def test_explicit_init_never_reads_the_kept_sums(seed, n, name, m):
-    # On a graph that keeps layer-1 sums, a run given an explicit init that
-    # is not the indicators (uniform in [-1, 2)) computes every sum: each
-    # kept row is swapped for NaNs, which would make layer 1 raise
-    rng = np.random.default_rng(seed)
-    text = str(random_formula(rng, 2, max_depth=8))
-    spec = compile_formula(parse(f"({text} and (dia>=1 C2 and dia>=2 top))", 2), 2)
-    graph = random_graph(n, float(rng.uniform(0.0, min(6.0, n - 1))), 2, seed)
-    forward(spec, graph, ActivationSpec(name, m))
-    kept = graph._first_sums
-    assert {"C2", "1"} <= set(kept)
-    for kind in kept:
-        kept[kind] = np.full(n, np.nan)
-    init = rng.uniform(-1.0, 2.0, (n, spec.d))
-    for keep in (None, (spec.output_index,)):
-        assert_matches_reference(init, graph, spec.layers, name, m, keep)
-    assert all(np.isnan(row).all() for row in kept.values())
 
 
 def test_kept_first_sums_are_small_read_only_and_go_with_the_graph(q2_spec):

@@ -13,7 +13,8 @@ collar only; the conditions are unsatisfiable on an unbounded domain.
 
 One entry runs a map: ``_in_place(name, m)`` composes the map's in-place
 kernel ``m`` times on a dense float64 array, one ``_BLOCK`` (2^16 elements,
-512 KB, which stays in L2 across the steps) at a time in memory order.
+512 KB, which stays in L2 across the steps) at a time in memory order; an
+array of fewer elements is one block, composed where it lies as it is.
 Each step is elementwise, so blocking changes no bits: the block size is a
 power of two, so every block but the last starts at the same alignment as
 the array and is a whole number of SIMD vectors, and numpy's loops take
@@ -525,6 +526,9 @@ def _in_place(name: str, m: int) -> Callable:
             np.add(0.5, block, out=block)
 
     def run(out):
+        if out.size < _BLOCK:  # one block, the whole array
+            activate(out)
+            return
         # a view in memory order for C-, F- and axis-permuted dense layouts,
         # where reshape(-1) would copy all but the first
         flat = out.ravel(order="K")

@@ -43,6 +43,14 @@ class SpecFormatError(ValueError):
     """Raised when a serialized network cannot be parsed."""
 
 
+def _is_vector(values) -> bool:
+    """``np.ndim(values) == 1``, read off a list or tuple of Python ints and
+    floats without numpy's conversion of it to an array."""
+    if type(values) in (list, tuple) and {*map(type, values)} <= {int, float}:
+        return True
+    return np.ndim(values) == 1
+
+
 def _dense(terms, d, low):
     """The (k, d) matrix of the rows' weights at positions p in ``[low, low + d)``."""
     matrix = np.zeros((len(terms), d))
@@ -77,10 +85,10 @@ class GnnLayer:
         if not (_is_integer(self.d) and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
-        if np.ndim(self.rows) != 1 or not all(map(_is_integer, self.rows)):
+        if not _is_vector(self.rows) or not all(map(_is_integer, self.rows)):
             raise ValueError("rows must be a 1-D integer array")
         rows = tuple(map(int, self.rows))
-        if np.ndim(self.c) != 1 or not len(self.c) == len(self.terms) == len(rows):
+        if not _is_vector(self.c) or not len(self.c) == len(self.terms) == len(rows):
             raise ValueError("c and term shapes disagree with the rule rows")
         width, terms = 2 * self.d, []
         if rows and (rows[0] < 0 or rows[-1] >= self.d or any(i >= j for i, j in zip(rows, rows[1:]))):

@@ -152,6 +152,18 @@ class LabeledGraph:
         return self.edge_src[lo:hi]
 
 
+def _check_tree_sizes(x, k, m) -> None:
+    """The checks of ``TreeParams(x, k, m)``, with its messages, made
+    without building one."""
+    # the plain-int test first: a sweep checks a hundred of these
+    if not type(x) is type(k) is type(m) is int and not all(map(_is_integer, (x, k, m))):
+        raise ValueError(f"tree sizes must be integers, got TreeParams(x={x!r}, k={k!r}, m={m!r})")
+    if x < 0 or k < 0:
+        raise ValueError("leaf counts must be non-negative")
+    if m < 1:
+        raise ValueError("need at least one internal vertex (m >= 1)")
+
+
 @dataclass(frozen=True)
 class TreeParams:
     """Knobs of the rooted tree family: ``x`` leaves under the first internal
@@ -163,14 +175,7 @@ class TreeParams:
     m: int
 
     def __post_init__(self):
-        x, k, m = self.x, self.k, self.m
-        # the plain-int test first: a sweep builds a hundred of these
-        if not type(x) is type(k) is type(m) is int and not all(map(_is_integer, (x, k, m))):
-            raise ValueError(f"tree sizes must be integers, got {self!r}")
-        if x < 0 or k < 0:
-            raise ValueError("leaf counts must be non-negative")
-        if m < 1:
-            raise ValueError("need at least one internal vertex (m >= 1)")
+        _check_tree_sizes(self.x, self.k, self.m)
 
 
 def _leaf_color(coloring: str) -> int:
@@ -249,22 +254,38 @@ def tree_quotient(trees, coloring: str = "unicolor") -> tuple[OrderedQuotient, n
     no member (the other internal vertices when m = 1, the leaves under
     vertex 1 when x = 0) keeps its vertex, which no class with members
     reads.  A tree has m + x + k + 4 in-edges, so building and running the
-    quotient takes O(m + x + k), not the tree's O(m k).
+    quotient takes O(m + x + k), not the tree's O(m k).  The sizes come from
+    the ``TreeParams``, which checked them, and ``_trees_quotient`` builds
+    the quotient.
     """
     trees = list(trees)
     if not trees:
         raise ValueError("need at least one tree")
+    x, k, m = np.array([(p.x, p.k, p.m) for p in trees], dtype=np.int64).T
+    return _trees_quotient(x, k, m, coloring)
+
+
+def _trees_quotient(x, k, m, coloring: str) -> tuple[OrderedQuotient, np.ndarray]:
+    """``tree_quotient`` of the trees ``TreeParams(x[i], k[i], m[i])``, from
+    three int64 arrays of one length whose sizes meet ``TreeParams``'s
+    checks: the one builder of a tree quotient, which makes no ``TreeParams``."""
     leaf = _leaf_color(coloring)
-    counts = np.array([(1, p.m - 1, 1, p.x, 1, p.k, 1, 1) for p in trees], dtype=np.int64).ravel()
-    runs = (_TREE_RUNS + 5 * np.arange(len(trees))[:, None, None]).reshape(-1, 2)
+    count = len(x)
+    # each tree's runs hold one edge, or m - 1, x or k
+    counts = np.ones((count, 8), dtype=np.int64)
+    counts[:, 1] = m - 1
+    counts[:, 3] = x
+    counts[:, 5] = k
+    roots = 5 * np.arange(count, dtype=np.int64)
+    runs = (_TREE_RUNS + roots[:, None, None]).reshape(-1, 2)
     quotient = OrderedQuotient(
-        5 * len(trees),
+        5 * count,
         leaf,
-        np.tile(np.array([1, 1, 1, leaf, leaf], dtype=np.int64), len(trees)),
-        np.repeat(runs[:, 0], counts),
-        np.repeat(runs[:, 1], counts),
+        np.tile(np.array([1, 1, 1, leaf, leaf], dtype=np.int64), count),
+        np.repeat(runs[:, 0], counts.ravel()),
+        np.repeat(runs[:, 1], counts.ravel()),
     )
-    return quotient, 5 * np.arange(len(trees), dtype=np.int64)
+    return quotient, roots
 
 
 def batch_graphs(graphs) -> tuple[LabeledGraph, np.ndarray]:

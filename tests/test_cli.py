@@ -162,6 +162,40 @@ def test_config_validation():
         run_separation("q1", "swish", (4,), (2,))
 
 
+def test_result_row_csv_reads_numpy_numbers_as_python_ones():
+    # a row is a tuple of whatever numbers it was given; its text is the same
+    # for numpy scalars as for the Python numbers they hold
+    plain = ResultRow("separation", "q1", "sigmoid", 4, 7, 51, 8, 0.1 + 0.2)
+    assert plain.to_csv() == "separation,q1,sigmoid,4,7,51,8,0.30000000000000004,0.000000"
+    assert ResultRow(*plain[:7], np.float64(0.1 + 0.2)).to_csv() == plain.to_csv()
+    assert ResultRow(*plain[:3], np.int64(4), np.int64(7), np.int64(51), np.int64(8), 0.1 + 0.2).to_csv() == plain.to_csv()
+    assert rows_to_csv([plain]) == f"{experiments.CSV_HEADER}\n{plain.to_csv()}\n"
+
+
+def test_separation_gaps_are_pythons_abs_of_the_root_difference():
+    # one numpy subtraction and abs over all roots gives each row the float64
+    # bits of abs(high - low) in Python
+    ks = (1, 2, 3, 17, 64)
+    specs = [ActivationSpec(name, m) for name, m in (("sigma-star", 1), ("crelu", 1), ("sigmoid", 1), ("sigmoid", 5))]
+    roots = experiments.tree_roots(compile_formula(parse(experiments.Q1_TEXT, 1), 1), specs, ks, 1)
+    want = [abs(high - low) for pair in roots.tolist() for low, high in pair]
+    rows = run_separation("q1", "sigmoid", (1, 5), ks)
+    assert [(r.activation, r.m, r.k) for r in rows] == [(a.name, a.m, k) for k in ks for a in specs]
+    assert np.array([r.value for r in rows]).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, r"need at least one internal vertex \(m >= 1\)"),
+    (1.5, r"tree sizes must be integers, got TreeParams\(x=0, k=1.5, m=1.5\)"),
+    (True, r"tree sizes must be integers, got TreeParams\(x=0, k=True, m=True\)"),
+])
+def test_tree_roots_refuses_a_k_that_is_not_an_integer_of_at_least_one(k, message):
+    # tree_roots builds no TreeParams, but keeps their checks and messages
+    spec = compile_formula(parse(experiments.Q1_TEXT, 1), 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        experiments.tree_roots(spec, [ActivationSpec("crelu", 1)], (2, k), 1)
+
+
 def test_csv_header_and_shape():
     text = rows_to_csv(run_saturation("q1", "sigmoid", 1, (2,)))
     lines = text.strip().splitlines()

@@ -244,11 +244,17 @@ def test_gnn_layer_rejects_bad_terms(terms, fragment):
         ([1], np.zeros((1, 1)), 1, "c and term shapes disagree with the rule rows"),
         ([1], [0.0, 0.0], 1, "c and term shapes disagree with the rule rows"),
         ([1], [0.0], 2, "c and term shapes disagree with the rule rows"),
+        (1, [0.0], 1, "rows must be a 1-D integer array"),
+        ([[1]], [0.0], 1, "rows must be a 1-D integer array"),
+        (np.array([[0], [1]]), [0.0, 0.0], 2, "rows must be a 1-D integer array"),
+        ([1], [[0.0]], 1, "c and term shapes disagree with the rule rows"),
+        ([1], ((0.0,),), 1, "c and term shapes disagree with the rule rows"),
     ],
 )
 def test_gnn_layer_checks_its_field_shapes(rows, c, n_terms, fragment):
-    # a 0-d or 2-D array, a bool row and a length mismatch each raise
-    # ValueError, never a TypeError from iterating or from float()
+    # a scalar, a 0-d or 2-D array, a nested list, a bool row and a length
+    # mismatch each raise ValueError, never a TypeError from iterating or
+    # from float()
     with pytest.raises(ValueError, match=fragment):
         GnnLayer(rows, c, [[(0, 1.0)]] * n_terms, 3)
 

@@ -101,10 +101,22 @@ def test_keep_refuses_a_column_outside_the_state(q1_spec, column):
 
 def reference_run_forward(init, graph, layers, name, m, keep=None):
     """The executor as it stood before the column-major state: an (n, d)
-    state, ``reads`` taken from the dense rows, and the full-width ``einsum``
-    combine for every layer."""
+    state, ``reads`` taken from the dense rows, and each row folded term by
+    term as the backend docstring defines it, ``(c + S_A) + S_B``, with the
+    A terms and then the B terms summed left to right in ascending p."""
     def reads(layer):
         return np.flatnonzero(layer.A.any(axis=0) | layer.B.any(axis=0))
+
+    def fold(row, cur, agg, d):  # one rule row's (n,) pre-activations
+        s_a = s_b = None
+        for p, v in row:
+            if p < d:
+                term = cur[:, p] * v
+                s_a = term if s_a is None else s_a + term
+            else:
+                term = agg[:, p - d] * v
+                s_b = term if s_b is None else s_b + term
+        return [s for s in (s_a, s_b) if s is not None]
 
     d = np.shape(init)[1]
     live = np.zeros(d, dtype=bool)
@@ -125,9 +137,13 @@ def reference_run_forward(init, graph, layers, name, m, keep=None):
         if layer.rows:
             for j in np.flatnonzero(layer.B.any(axis=0)):
                 agg[:, j] = np.bincount(graph.edge_dst, weights=cur[:, j].take(graph.edge_src), minlength=n)
-            zs = np.einsum("vj,ij->vi", cur, layer.A, optimize=False)
-            za = np.einsum("vj,ij->vi", agg, layer.B, optimize=False)
-            cur[:, np.asarray(layer.rows)] = np.asarray(layer.c) + zs + za
+            pre = []
+            for c, row in zip(layer.c, layer.terms):
+                value = np.full(n, c)
+                for s in fold(row, cur, agg, d):
+                    value = value + s
+                pre.append(value)
+            cur[:, np.asarray(layer.rows)] = np.stack(pre, axis=1)
         cur[:, live] = apply_activation(name, m, cur[:, live])
     return cur
 
@@ -751,6 +767,20 @@ def dense_integer_spec():
         activation=ActivationSpec("sigma-star", 1),
         init_kinds=("C1", "C2", "1", "0", "C1", "0"),
     )
+
+
+def test_reference_executor_folds_long_rows_in_term_order():
+    # dense_integer_spec's rows hold 9-12 terms, and under sigmoid every
+    # layer after the first sums non-integers, which round differently in
+    # any other order: a full-width einsum missed 29 entries of layer 2 and
+    # 39 of layer 3 here
+    spec = dense_integer_spec()
+    quotient, _ = tree_quotient([TreeParams(x, k, k) for k in (1, 2, 64) for x in (0, 1)], "leaves-blue")
+    init = initial_features(spec, quotient)
+    history = forward_history(spec, quotient, ActivationSpec("sigmoid", 1))
+    for t in range(spec.iterations + 1):
+        want = reference_run_forward(init, quotient, spec.layers[:t], "sigmoid", 1)
+        assert history[t].tobytes() == want.tobytes(), t
 
 
 # First 16 hex digits of sha256(forward_history(spec, graph, act).tobytes()),

@@ -19,6 +19,7 @@ from gc2gnn import (
     tree_quotient,
     write_graph,
 )
+from gc2gnn import graphs
 from gc2gnn.graphs import _batch
 
 from conftest import pinned_graph, tree_classes
@@ -149,6 +150,28 @@ def test_tree_params_take_numpy_integers():
     want, _ = tree_quotient([TreeParams(1, 2, 2)])
     assert np.array_equal(quotient.edge_src, want.edge_src)
     assert np.array_equal(quotient.edge_dst, want.edge_dst)
+
+
+INTEGER_TYPES = (int, np.int64, np.int32, np.uint8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(1, 40), st.sampled_from(INTEGER_TYPES)),
+    min_size=1, max_size=6,
+), st.sampled_from(["unicolor", "leaves-blue"]))
+def test_tree_quotient_is_the_array_builder_on_its_sizes(trees, coloring):
+    # tree_quotient reads its TreeParams, of any integer type, into the one
+    # builder that tree_roots calls with arrays of k values
+    params = [TreeParams(kind(x), kind(k), kind(m)) for x, k, m, kind in trees]
+    x, k, m = (np.array(column, dtype=np.int64) for column in zip(*[t[:3] for t in trees]))
+    got, got_roots = tree_quotient(params, coloring)
+    want, want_roots = graphs._trees_quotient(x, k, m, coloring)
+    assert (got.n, got.palette) == (want.n, want.palette) == (5 * len(trees), 1 if coloring == "unicolor" else 2)
+    for field in ("colors", "edge_src", "edge_dst"):
+        assert getattr(got, field).dtype == np.int64
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert np.array_equal(got_roots, want_roots)
 
 
 # -- random graphs -------------------------------------------------------------

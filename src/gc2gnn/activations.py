@@ -22,6 +22,16 @@ the same vector and remainder paths for each element as on the whole
 array.  Where the array itself starts moves no bit either: rows activated
 where they lie in a forward's state read the same as a gathered copy.
 
+Some maps settle in one step.  A record declares ``idempotent`` when its
+kernel run twice gives the bits of one run at every float64
+(``sigma-star``, ``crelu`` and ``relu``), and ``_in_place`` composes such
+a map once for every ``m >= 1``, since sigma^m = sigma.  ``_settles(name,
+m)`` holds when the m-fold map is idempotent and sends +0.0 and 1.0 to
+themselves bit for bit: these three at every m, and every map but
+``arctan-4pi`` at m = 0, the identity.  Run again on a value it gave, or on
+a forward's initial 0 or 1, such a map changes no bit, so a forward under
+it activates only the columns each layer writes (see ``backend``).
+
 Integer-valued blocks go through a table of their distinct values.  A
 compiled network reads 0/1 indicators through integer weights, so a fresh
 pre-activation is an integer in [-(K-1), Delta], and a carried indicator
@@ -115,12 +125,17 @@ class Activation:
     array (possibly 0-d or a strided view), with the map's values and
     returns None.  ``apply_activation`` runs a map on any other values.
     ``d1`` is a pure function of scalars or arrays.
+
+    ``idempotent`` declares that the map settles in one step: ``fn`` applied
+    twice gives the bits of ``fn`` applied once, at every float64, so
+    ``_in_place`` composes it once for every ``m >= 1``.
     """
 
     name: str
     fn: Callable
     d1: Callable | None = None
     certificate: StepLikeParams | None = None
+    idempotent: bool = False
 
 
 def _composition_depth(m) -> int:
@@ -383,9 +398,9 @@ _FLAT_CERT = StepLikeParams(eta=0.0, eps=0.20, curvature=2.2)
 _REGISTRY = {
     act.name: act
     for act in (
-        Activation("sigma-star", _sigma_star),
-        Activation("crelu", _crelu),
-        Activation("relu", _relu),
+        Activation("sigma-star", _sigma_star, idempotent=True),
+        Activation("crelu", _crelu, idempotent=True),
+        Activation("relu", _relu, idempotent=True),
         Activation("sigmoid", _sigmoid),
         Activation("tanh", _tanh),
         Activation("step-arctan", _step_arctan, _step_arctan_d1, _STEP_ARCTAN_CERT),
@@ -509,11 +524,14 @@ def _in_place(name: str, m: int) -> Callable:
     ``z -> 1/2 + f^m(z - 1/2)/2`` with ``f = (4/pi) arctan``, the map its
     kernel holds.  At ``m = 0`` that composite is ``z -> 1/4 + z/2``.  Its
     shift and unshift run on each block with the steps, so a table holds
-    the composite's values.
+    the composite's values.  An idempotent map is composed once for every
+    ``m >= 1``: its further steps would change no bit.
     """
     m = _composition_depth(m)
-    fn = get_activation(name).fn
-    shift = name == "arctan-4pi"
+    act = get_activation(name)
+    fn, shift = act.fn, name == "arctan-4pi"
+    if act.idempotent:
+        m = min(m, 1)  # sigma^m = sigma
     tables, buffers = {}, []
 
     def activate(block):
@@ -542,6 +560,20 @@ def _in_place(name: str, m: int) -> Callable:
                 activate(block[done:])
 
     return run
+
+
+@lru_cache(maxsize=None)
+def _settles(name, m):
+    """Whether ``name`` composed ``m`` times is idempotent and sends +0.0 and
+    1.0 to themselves bit for bit, so that running it again on a value it
+    gave, or on a forward's initial 0 or 1, changes no bit.  At ``m >= 1``
+    the composite is idempotent when the map is.  At ``m = 0`` it is the
+    identity, or ``arctan-4pi``'s affine ``z -> 1/4 + z/2``, and an affine
+    map that fixes 0 and 1 is the identity.  ``m`` has been checked."""
+    if m and not get_activation(name).idempotent:
+        return False
+    fixed = np.array([0.0, 1.0])
+    return apply_activation(name, m, fixed).tobytes() == fixed.tobytes()
 
 
 def apply_activation(name: str, m: int, values):

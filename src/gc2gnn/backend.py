@@ -36,36 +36,36 @@ and that scratch row and the one for ``S_B`` are (n,) buffers, all made
 once per run.  Every row is computed before any is written, since a row
 may read a coordinate that another row of the same layer writes.
 
-The activation runs where the state lies.  ``layer_states`` resolves the
-map once per run through ``activations._in_place``, the one code that runs
-a map, table lookup of integer-valued blocks included (see ``activations``),
-and ``apply_activation`` is that entry run on a copy.  A contiguous live
-set, every column included, is one view of consecutive state rows,
-activated in place.  Of a live set with gaps, each run of consecutive
-columns that holds at least ``activations._BLOCK`` (2^16) elements is
-activated in place too, and the shorter runs are gathered into one buffer,
-activated there and scattered back, so the short runs of a set, as on a
-small graph, cost one call of the map and not one per run.
+The activation runs where the state lies, through the map resolved once
+per run by ``activations._in_place``, the one code that runs a map, table
+lookup of integer-valued blocks included.  A contiguous set of columns to
+activate is one view of consecutive state rows, activated in place; of a
+set with gaps, so is each run of consecutive columns that holds at least
+``activations._BLOCK`` (2^16) elements, and the shorter runs are gathered
+into one buffer, activated there and scattered back, one call for them all.
 
-Before the loop, one backward pass over the layers (``_schedule``) reads
-each layer's ``rows`` and term positions, plain Python ints as the layer
-stores them, once per run and gives the loop, per layer, three things: the
-index of its rows, a slice when they are contiguous, as every one-row
-layer's are; the neighbour sums it reads (``p - d`` for each B position
-p >= d), as a list of ints; and the live index of the columns to activate
-after it: a tuple of slices activated in place and a gathered index array
-or None.  The loop itself iterates no numpy array.  ``keep`` means the
-same in ``run_forward``, which passes it through, and in ``layer_states``,
-which checks it once: integer columns in ``[0, d)``.  With ``keep=None``
-every column is activated at every layer.  Given ``keep``, only live
-coordinates are: j is live after layer t when the caller keeps it or a
-later layer reads it before it fires again, so, from the kept coordinates,
-``live_after(t-1) = (live_after(t) - rows(t)) | reads(t)``, where
-``reads(t)`` are the coordinates with a nonzero coefficient in layer t's A
-or B, ``p % d`` over its term positions p.  The live index is one object
-for as long as the set does not change.  A kept coordinate therefore sees
-the same activations, layer by layer, as it would if every coordinate were
-activated; one that is not live keeps a stale value, which no row reads.
+Before the loop, one pass over the layers (``_schedule``) reads each
+layer's ``rows`` and term positions, plain Python ints, once per run and
+gives the loop, per layer, the index of its rows (a slice when they are
+contiguous, as every one-row layer's are), the neighbour sums it reads
+(``p - d`` for each B position p >= d) as a list of ints, and the live
+index of the columns to activate after it; the loop iterates no numpy
+array.  ``keep`` means the same in ``run_forward`` and ``layer_states``,
+which checks it once: integer columns in ``[0, d)``.  Under a map that
+settles (``activations._settles``: its m-fold composite is idempotent and
+fixes 0.0 and 1.0 bit for bit, as ``sigma-star``, ``crelu`` and ``relu``
+do, and every map but ``arctan-4pi`` at m = 0), a layer activates its rule
+rows alone, with or without ``keep``, and no liveness pass runs: every
+other column holds an initial 0 or 1 or a value the map gave, which it
+leaves bit for bit, so every column holds what it would if all were
+activated at every layer.  Under a map that moves its outputs,
+``keep=None`` activates every column at every layer; given ``keep``, only
+the live ones: j is live after layer t when the caller keeps it or a later
+layer reads it before it fires again, so, backward, ``live_after(t-1) =
+(live_after(t) - rows(t)) | reads(t)`` from the kept coordinates, with
+``reads(t) = {p % d}`` over layer t's term positions p.  A kept column sees
+the activations of the run that activates every column; only here can a
+column be stale: one not live, which no row reads.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
 order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
@@ -130,19 +130,18 @@ def _live_index(cols, n):
     return views, np.array(short) if short else None
 
 
-def _schedule(layers, keep, n):
+def _schedule(layers, keep, n, settles=False):
     """For each layer, in order: the index of its rule rows, the columns whose
     neighbour sums it reads (a list of ``int``), and the ``_live_index`` of
-    the columns to activate after it, all columns when ``keep`` is None.
-
-    One backward pass over plain ints; the live index is rebuilt only where
-    the live set changes, and is the same object until then."""
-    live = None if keep is None else {int(j) for j in keep}
-    cols = ((slice(None),), None) if keep is None else _live_index(sorted(live), n)
+    the columns to activate after it: its rule rows if the map ``settles``,
+    else all if ``keep`` is None, else the live ones, one object until they change."""
+    live = None if keep is None or settles else {int(j) for j in keep}
+    cols = ((slice(None),), None) if live is None else _live_index(sorted(live), n)
     steps = []
     for layer in reversed(layers):
         rows, d = layer.rows, layer.d
         ps = {p for row in layer.terms for p, _ in row}
+        cols = _live_index(rows, n) if settles else cols
         steps.append((_index(rows), sorted(p - d for p in ps if p >= d), cols))
         if live is not None:
             before = live.difference(rows).union(p % d for p in ps)
@@ -218,10 +217,10 @@ def layer_states(spec, graph, name, m, keep=None):
     """Yield the (d, n) state of ``spec``'s layers run on ``graph`` under
     ``name`` composed ``m`` times, one array updated in place: once before
     the first layer, the initial state built from ``spec.init_kinds``, then
-    after each layer has activated every column, or only the live ones
-    given ``keep``.  Layer 1 reads the neighbour sum of each kind from the
-    graph's ``_first_sums``, and fills it where a kind is missing.  A layer
-    whose pre-activations are not all finite raises ValueError."""
+    after each layer has activated the columns ``_schedule`` gives it.
+    Layer 1 reads the neighbour sum of each kind from the graph's
+    ``_first_sums``, and fills it where a kind is missing.  A layer whose
+    pre-activations are not all finite raises ValueError."""
     cur = _initial_state(spec, graph)
     d, n = cur.shape
     if keep is not None and not all(_is_integer(j) and 0 <= j < d for j in keep):
@@ -235,7 +234,7 @@ def layer_states(spec, graph, name, m, keep=None):
     # each edge's source value; take writes into out only when mode is not
     # "raise", and every source index is in range, so "clip" clips nothing
     sent = np.empty(len(src))
-    steps = _schedule(layers, keep, n)
+    steps = _schedule(layers, keep, n, activations._settles(name, m))
     yield cur
     for t, (layer, (rows, agg_cols, (views, gather))) in enumerate(zip(layers, steps), start=1):
         if layer.terms:

@@ -94,12 +94,22 @@ class GnnLayer:
         if rows and (rows[0] < 0 or rows[-1] >= self.d or any(i >= j for i, j in zip(rows, rows[1:]))):
             raise ValueError(f"rule rows must be ascending and distinct in [0, {self.d})")
         for j, row in zip(rows, self.terms):
-            ps = [p for p, _ in row]
-            if not all(_is_integer(p) and 0 <= p < width for p in ps):
-                raise ValueError(f"term positions must be integers in [0, {width}): rule row {j} has p = {ps}")
-            if any(p >= q for p, q in zip(ps, ps[1:])):
+            # one pass, a plain int tested without a call; a position out of
+            # range is reported before any disorder
+            kept, last, ordered = [], -1, True
+            for p, v in row:
+                if not ((type(p) is int or _is_integer(p)) and 0 <= p < width):
+                    ps = [p for p, _ in row]
+                    raise ValueError(f"term positions must be integers in [0, {width}): rule row {j} has p = {ps}")
+                if p <= last:
+                    ordered = False
+                last = p
+                if v:
+                    kept.append((int(p), float(v)))
+            if not ordered:
+                ps = [p for p, _ in row]
                 raise ValueError(f"terms of rule row {j} are not in ascending column order: p = {ps}")
-            terms.append(tuple([(int(p), float(v)) for p, v in row if v]))
+            terms.append(tuple(kept))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "c", tuple(map(float, self.c)))
         object.__setattr__(self, "terms", tuple(terms))

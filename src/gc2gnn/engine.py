@@ -46,9 +46,12 @@ def forward(
     These sums do not depend on the weights or the activation, and a kept
     row has the bits a new sum would have (see ``backend``).
 
-    With ``keep``, a sequence of coordinates, only those columns hold their
-    final values; the others may be stale, and are not activated where no
-    kept value depends on them."""
+    With ``keep``, a sequence of coordinates, those columns hold their final
+    values.  Under a map that settles, idempotent and fixing 0 and 1 (the
+    exact runs' ``sigma-star`` and ``crelu``, ``relu``, and every map but
+    ``arctan-4pi`` at m = 0), so does every other column, for each layer
+    activates the columns it writes; under another map the others may be
+    stale, and are not activated where no kept value depends on them."""
     act = activation or spec.activation
     return backend_mod.run_forward(spec, graph, act.name, act.m, keep)
 

@@ -457,14 +457,12 @@ LOWER_SIMD_LEVELS = {
 }
 
 
-@pytest.mark.parametrize("level", LOWER_SIMD_LEVELS)
-def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
-    # the table's bits rest on a property of numpy's loops at each SIMD
-    # level: the test above runs again in a child process, the only one
-    # whose environment switches numpy's higher loops off.  The child
-    # switches off what this process does and the level's higher targets
-    # that this process runs, since numpy refuses to switch off others, so
-    # a level this process already runs at or below is the test above
+def run_at_lower_simd_level(level, test):
+    """Run this file's ``test`` again in a child process, the only one whose
+    environment switches numpy's higher loops off.  The child switches off
+    what this process does and the level's higher targets that this
+    process runs, since numpy refuses to switch off others, so a level this
+    process already runs at or below is skipped: the test itself covers it."""
     targets = simd_targets()
     higher = [t for t in LOWER_SIMD_LEVELS[level] if t in targets]
     if not higher:
@@ -474,7 +472,7 @@ def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
     parent = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
     off = " ".join(dict.fromkeys(parent + higher))
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", f"{__file__}::test_table_gives_the_kernels_bits"],
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", f"{__file__}::{test}"],
         env={**os.environ, "NPY_DISABLE_CPU_FEATURES": off},
         capture_output=True,
         text=True,
@@ -482,6 +480,86 @@ def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
     assert result.returncode == 0, result.stdout + result.stderr
     assert f"numpy SIMD level: {level}\n" in result.stdout
     assert "1 passed" in result.stdout
+
+
+@pytest.mark.parametrize("level", LOWER_SIMD_LEVELS)
+def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
+    # the table's bits rest on a property of numpy's loops at each SIMD
+    # level: test_table_gives_the_kernels_bits runs again under the level's loops
+    run_at_lower_simd_level(level, "test_table_gives_the_kernels_bits")
+
+
+# -- idempotent maps -------------------------------------------------------------
+
+
+def settling_sample() -> np.ndarray:
+    """Signed zeros, then +-5e-324 (the least subnormal), +-2.2e-308 (next to
+    the least normal), +-1e308 and +-inf, a NaN with a payload, 0.5 and its
+    two neighbours, the integers -3..3 and 10^4 draws of N(0.5, 3)."""
+    tiny = [5e-324, 2.2e-308, 1e308, np.inf]
+    payload = np.array([0x7FF8_0000_0000_0123], dtype=np.uint64).view(np.float64)
+    half = [np.nextafter(0.5, -1.0), 0.5, np.nextafter(0.5, 2.0)]
+    draws = np.random.default_rng(48).normal(0.5, 3.0, 10**4)
+    return np.concatenate([[0.0, -0.0], tiny, np.negative(tiny), payload, half, np.arange(-3.0, 4.0), draws])
+
+
+def test_idempotent_is_the_maps_own_fact():
+    # a map declares idempotent exactly when, on the sample, its kernel run
+    # twice gives the bytes of one run, and it sends +0.0 and 1.0 to
+    # themselves bit for bit; the NaN payload included, only the three
+    # exact maps do
+    x = settling_sample()
+    assert np.isnan(x).sum() == 1 and np.signbit(x[:2]).tolist() == [False, True]
+
+    def kernel(fn, values):
+        out = values.copy()
+        fn(out)
+        return out
+
+    settled = []
+    with np.errstate(all="ignore"):
+        for name in ACTIVATION_NAMES:
+            fn = get_activation(name).fn
+            once = kernel(fn, x)
+            fixed = kernel(fn, np.array([0.0, 1.0])).tobytes() == np.array([0.0, 1.0]).tobytes()
+            if kernel(fn, once).tobytes() == once.tobytes() and fixed:
+                settled.append(name)
+    assert settled == [name for name in ACTIVATION_NAMES if get_activation(name).idempotent]
+    assert settled == ["sigma-star", "crelu", "relu"], f"numpy SIMD level {simd_level()}"
+
+
+@pytest.mark.parametrize("level", LOWER_SIMD_LEVELS)
+def test_idempotent_is_the_maps_own_fact_at_lower_simd_levels(level):
+    run_at_lower_simd_level(level, "test_idempotent_is_the_maps_own_fact")
+
+
+@pytest.mark.parametrize("name", ["sigma-star", "crelu", "relu"])
+def test_idempotent_maps_compose_once(name, monkeypatch):
+    # sigma^m = sigma: at m = 2..5 apply_activation gives the m = 1 bytes
+    # with one kernel call per block, on the sample (one block) and on a
+    # multi-block array (whose blocks a map that keeps integers integer
+    # never looks up)
+    values = (settling_sample(), multi_block_input())
+    for m in range(1, 6):
+        activations._takes_table(name, m)  # decided before the kernel is recorded
+    act = get_activation(name)
+    seen = []
+
+    def recorded(x):
+        seen.append(x.size)
+        act.fn(x)
+
+    monkeypatch.setitem(activations._REGISTRY, name, dataclasses.replace(act, fn=recorded))
+    with np.errstate(invalid="ignore"):
+        for x in values:
+            blocks = [min(activations._BLOCK, x.size - start) for start in range(0, x.size, activations._BLOCK)]
+            seen.clear()
+            once = apply_activation(name, 1, x).tobytes()
+            assert seen == blocks
+            for m in range(2, 6):
+                seen.clear()
+                assert apply_activation(name, m, x).tobytes() == once, m
+                assert seen == blocks, m
 
 
 def test_composition_memory_stays_per_block():

@@ -226,6 +226,12 @@ def test_gnn_layer_rejects_bad_rows(rows, a_shape, b_shape, fragment):
         ([(1.0, 1.0)], "term positions must be integers in"),
         # a bool would be written as "True", which spec_from_text refuses
         ([(True, 1.0)], "term positions must be integers in"),
+        # a position out of range is reported before a descending pair
+        # ahead of it, and a bad position after good ones as in first place
+        ([(2, 1.0), (1, 1.0), (6, 1.0)], r"term positions must be integers in \[0, 6\): rule row 1 has p = \[2, 1, 6\]"),
+        ([(0, 1.0), (True, 1.0)], r"term positions must be integers in \[0, 6\): rule row 1 has p = \[0, True\]"),
+        ([(0, 1.0), (1.0, 1.0)], r"term positions must be integers in \[0, 6\): rule row 1 has p = \[0, 1\.0\]"),
+        ([(0, 1.0), (np.int64(6), 1.0)], r"term positions must be integers in \[0, 6\): rule row 1 has p = \[0, "),
     ],
 )
 def test_gnn_layer_rejects_bad_terms(terms, fragment):

@@ -205,7 +205,17 @@ def test_hand_built_layers_match_reference_executor(name):
     spec, graph = hand_built_spec(), random_graph(50, 4.0, 2, 3)
     for m in (0, 1, 3):
         for keep in (None, (3,)):
-            assert_matches_reference(spec, graph, name, m, keep)
+            if keep and activations._settles(name, m):
+                # a settling run activates every column it writes, kept or
+                # not: the whole output is the keep=None reference's, and the
+                # kept column is also the keep reference's
+                init, got = initial_features(spec, graph), run_forward(spec, graph, name, m, keep)
+                want = reference_run_forward(init, graph, spec.layers, name, m, keep)
+                assert got[:, 3].tobytes() == want[:, 3].tobytes(), (name, m)
+                want = reference_run_forward(init, graph, spec.layers, name, m)
+                assert got.tobytes() == want.tobytes(), (name, m)
+            else:
+                assert_matches_reference(spec, graph, name, m, keep)
 
 
 def test_runs_cache_no_second_row_form():
@@ -470,6 +480,8 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
             assert views == (slice(0, 2), slice(3, 5)) and gather is None
         else:
             assert views == () and gather.tolist() == [0, 1, 3, 4]
+        views, gather = backend._schedule(spec.layers, keep, n, settles=True)[0][2]
+        assert views == () and gather.tolist() == [0, 2, 4]
         init = initial_features(spec, graph)
         for name in ACTIVATION_NAMES:
             for m in (0, 1, 3):
@@ -481,8 +493,17 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
                 # layer 1's kernel steps, none at m = 0: the kernel gets
                 # each activated array one activations._BLOCK at a time, m
                 # steps a block.  Layer 1's values are integers, so under a
-                # map that takes a table the kernel sees a table first
-                if long_runs and activations._takes_table(name, m):
+                # map that takes a table the kernel sees a table first.  A
+                # settling run activates layer 1's rule rows 0, 2 and 4
+                # alone, each a run of fewer than activations._BLOCK
+                # elements, gathered and composed once
+                if activations._settles(name, m):
+                    size, block = 3 * n, activations._BLOCK
+                    blocks = [min(block, size - i) for i in range(0, size, block)] if m else []
+                    first = seen[:len(blocks)]
+                    assert [x.size for x in first] == blocks, (n, name, m)
+                    assert not any(np.shares_memory(x, got) for x in first)
+                elif long_runs and activations._takes_table(name, m):
                     assert seen[0].size < activations._CHUNK and not np.shares_memory(seen[0], got), (name, m)
                 elif long_runs:
                     blocks = [activations._BLOCK] * m + [2 * n - activations._BLOCK] * m
@@ -493,6 +514,45 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
                     first = seen[:m]
                     assert [x.size for x in first] == [4 * n] * m, (name, m)
                     assert not any(np.shares_memory(x, got) for x in first)
+
+
+SETTLING = [(name, m) for name in ("sigma-star", "crelu", "relu") for m in (1, 3)]
+SETTLING += [(name, 0) for name in ACTIVATION_NAMES if name != "arctan-4pi"]
+
+
+def test_settling_maps_are_the_idempotent_ones_and_the_identity():
+    settling = {(name, m) for name in ACTIVATION_NAMES for m in (0, 1, 3) if activations._settles(name, m)}
+    assert settling == set(SETTLING)
+
+
+@pytest.mark.parametrize("name,m", SETTLING)
+def test_settling_runs_activate_each_layers_rule_rows(name, m, q2_spec, monkeypatch):
+    # under a map that settles, a layer activates the rows it writes and no
+    # other column: every state layer_states yields has the bits of the
+    # reference run that activates every column at every layer, keep gives
+    # every column those bits too, the kernel sees k n elements a layer (one
+    # gathered or in-place array of a layer's k rule rows on a small graph,
+    # composed once), and the schedule makes a live index of rule rows alone
+    graph = random_graph(40, 3.0, 2, 6)
+    for spec in (hand_built_spec(), q2_spec, _chain(60)):
+        init = initial_features(spec, graph)
+        states = [s.T.copy() for s in backend.layer_states(spec, graph, name, m)]
+        for t, state in enumerate(states):
+            want = reference_run_forward(init, graph, spec.layers[:t], name, m)
+            assert state.tobytes() == want.tobytes(), (name, m, t)
+        out = spec.output_index
+        assert run_forward(spec, graph, name, m, (out,)).tobytes() == states[-1].tobytes()
+
+        seen, indexed, live_index = [], [], backend._live_index
+        with monkeypatch.context() as patch:
+            record_kernels(patch, lambda x: seen.append(x.size))
+            patch.setattr(backend, "_live_index", lambda cols, n: indexed.append(tuple(cols)) or live_index(cols, n))
+            for keep in (None, (out,)):
+                seen.clear()
+                indexed.clear()
+                run_forward(spec, graph, name, m, keep)
+                assert seen == ([len(layer.rows) * graph.n for layer in spec.layers] if m else [])
+                assert sorted(indexed) == sorted(layer.rows for layer in spec.layers)
 
 
 def test_unit_weights_fold_with_the_products_bits():

@@ -23,23 +23,26 @@ array.  Where the array itself starts moves no bit either: rows activated
 where they lie in a forward's state read the same as a gathered copy.
 
 Some maps settle in one step.  A record declares ``idempotent`` when its
-kernel run twice gives the bits of one run at every float64
-(``sigma-star``, ``crelu`` and ``relu``), and ``_in_place`` composes such
-a map once for every ``m >= 1``, since sigma^m = sigma.  ``_settles(name,
-m)`` holds when the m-fold map is idempotent and sends +0.0 and 1.0 to
-themselves bit for bit: these three at every m, and every map but
-``arctan-4pi`` at m = 0, the identity.  Run again on a value it gave, or on
-a forward's initial 0 or 1, such a map changes no bit, so a forward under
-it activates only the columns each layer writes (see ``backend``).
+kernel run twice gives the bits of one run at every float64 and sends +0.0
+and 1.0 to themselves bit for bit (``sigma-star``, ``crelu`` and
+``relu``), and ``_in_place`` composes such a map once for every ``m >=
+1``, since sigma^m = sigma.  ``_settles(name, m)`` holds when the m-fold
+map is idempotent and fixes +0.0 and 1.0: for ``m >= 1`` it is the
+record's ``idempotent``, and at m = 0 it holds for the identity, every map
+but ``arctan-4pi``.  Run again on a value it gave, or on a forward's
+initial 0 or 1, such a map changes no bit, so a forward under it activates
+only the columns each layer writes (see ``backend``).
 
 Integer-valued blocks go through a table of their distinct values.  A
 compiled network reads 0/1 indicators through integer weights, so a fresh
 pre-activation is an integer in [-(K-1), Delta], and a carried indicator
 stays 0/1 under a map that fixes 0 and 1: such a block holds a few
-distinct values.  An array of at least ``_BLOCK`` elements, under a map
-composed at least ``_TABLE_DEPTH`` (3) times that sends some integer of
--2..2 to a non-integer (``_takes_table``, decided once per ``(name, m)``),
-goes to ``_look_up`` one block at a time.  A block whose first element is
+distinct values.  Whether a run takes tables follows the depth it
+composes, decided once when ``_in_place`` resolves: m, or 1 for an
+idempotent map.  At depth ``_TABLE_DEPTH`` (3) or more, an array of at
+least ``_BLOCK`` elements goes to ``_look_up`` one block at a time; below
+it a lookup costs as much as the steps or more, so ``sigma-star``,
+``crelu`` and ``relu`` never take a table.  A block whose first element is
 an integer and whose minimum lo and maximum hi are integers less than
 ``_CHUNK`` (2^12) apart is read one chunk of ``_CHUNK`` elements at a
 time: the composite runs once on the table ``lo, lo + 1, ..., hi``, and an
@@ -48,9 +51,7 @@ of x at every element of its chunk.  ``lo + i`` is +0.0 where it is zero,
 so a -0.0 never round-trips.  At the first chunk that does not, the steps
 take the rest of the block; any other block goes to them whole; and a
 table equal to its inputs bit for bit (0 and 1 under ``step-arctan``)
-writes nothing.  ``sigma-star``, ``crelu`` and ``relu`` keep integers
-integer with kernels cheaper than a lookup and never take a table, and
-below depth 3 a lookup costs as much as the steps or more.
+writes nothing.
 
 The table rests on more than blocking does.  It puts the value of x at
 another position, in an array of 1 to 2^12 entries, and a table shorter
@@ -127,8 +128,9 @@ class Activation:
     ``d1`` is a pure function of scalars or arrays.
 
     ``idempotent`` declares that the map settles in one step: ``fn`` applied
-    twice gives the bits of ``fn`` applied once, at every float64, so
-    ``_in_place`` composes it once for every ``m >= 1``.
+    twice gives the bits of ``fn`` applied once, at every float64, and
+    sends +0.0 and 1.0 to themselves bit for bit.  So ``_in_place``
+    composes it once for every ``m >= 1``, and ``_settles`` reads it there.
     """
 
     name: str
@@ -450,26 +452,13 @@ _BLOCK = 1 << 16
 # bound on the number of distinct integers a table holds.
 _CHUNK = 1 << 12
 
-# The least composition depth at which a map takes a table.  A lookup of a
-# 2^16-element integer block costs about 300 us on a 2-core Xeon VM (numpy
-# 2.4, AVX-512 loops), and one step of the cheapest table-taking kernels
-# (tanh, sigmoid, step-arctan) 115-180 us on it: at m = 1 the lookup took
-# about twice the kernel's time, at m = 2 about as long, at m = 3 less.
+# The least composed depth at which a run takes tables (the depth rule of
+# the module docstring).  A lookup of a 2^16-element integer block costs
+# about 300 us on a 2-core Xeon VM (numpy 2.4, AVX-512 loops), and one step
+# of the cheapest table-taking kernels (tanh, sigmoid, step-arctan) 115-180
+# us on it: at m = 1 the lookup took about twice the kernel's time, at m = 2
+# about as long, at m = 3 less.
 _TABLE_DEPTH = 3
-
-
-@lru_cache(maxsize=None)
-def _takes_table(name, m):
-    """Whether ``name`` composed ``m`` times takes a table: m is at least
-    ``_TABLE_DEPTH``, and the map sends some integer in -2..2 to a
-    non-integer.  ``sigma-star``, ``crelu`` and ``relu`` keep an integer
-    column integer with kernels cheaper than a lookup, and below
-    ``_TABLE_DEPTH`` a lookup costs as much as the kernel or more.  The
-    probe holds fewer than ``_BLOCK`` elements, so it asks nothing here."""
-    if m < _TABLE_DEPTH:
-        return False
-    probe = apply_activation(name, m, np.arange(-2.0, 3.0))
-    return not all(v.is_integer() for v in probe.tolist())
 
 
 def _look_up(block, activate, tables, index, trip):
@@ -515,9 +504,8 @@ def _in_place(name: str, m: int) -> Callable:
     of consecutive rows of a C-ordered array, and returns None.  The one
     code that runs a map (see the module docstring); ``m`` is checked and
     the map looked up once, here, so a forward resolves it once and calls
-    it once per activated array.  The run keeps its tables by range, and
-    makes its two ``_CHUNK``-element lookup buffers on the first array
-    that may take a table.
+    it once per activated array.  A run that takes tables keeps them by
+    range, and makes its two ``_CHUNK``-element lookup buffers here.
 
     Every named map is composed directly, so ``m = 0`` is the identity,
     except ``arctan-4pi`` which is the sign-amplifying composite
@@ -532,7 +520,9 @@ def _in_place(name: str, m: int) -> Callable:
     fn, shift = act.fn, name == "arctan-4pi"
     if act.idempotent:
         m = min(m, 1)  # sigma^m = sigma
-    tables, buffers = {}, []
+    tables, buffers = {}, None
+    if m >= _TABLE_DEPTH:  # the depth rule
+        buffers = np.empty(_CHUNK, dtype=np.int64), np.empty(_CHUNK)
 
     def activate(block):
         if shift:
@@ -550,12 +540,9 @@ def _in_place(name: str, m: int) -> Callable:
         # a view in memory order for C-, F- and axis-permuted dense layouts,
         # where reshape(-1) would copy all but the first
         flat = out.ravel(order="K")
-        table = flat.size >= _BLOCK and _takes_table(name, m)
-        if table and not buffers:
-            buffers.extend((np.empty(_CHUNK, dtype=np.int64), np.empty(_CHUNK)))
         for start in range(0, flat.size, _BLOCK):
             block = flat[start:start + _BLOCK]
-            done = _look_up(block, activate, tables, *buffers) if table else 0
+            done = _look_up(block, activate, tables, *buffers) if buffers else 0
             if done < block.size:
                 activate(block[done:])
 
@@ -567,13 +554,14 @@ def _settles(name, m):
     """Whether ``name`` composed ``m`` times is idempotent and sends +0.0 and
     1.0 to themselves bit for bit, so that running it again on a value it
     gave, or on a forward's initial 0 or 1, changes no bit.  At ``m >= 1``
-    the composite is idempotent when the map is.  At ``m = 0`` it is the
+    it is the record's ``idempotent``: an idempotent map composes to itself,
+    and no other map's composite is taken to settle.  At ``m = 0`` it is the
     identity, or ``arctan-4pi``'s affine ``z -> 1/4 + z/2``, and an affine
     map that fixes 0 and 1 is the identity.  ``m`` has been checked."""
-    if m and not get_activation(name).idempotent:
-        return False
+    if m:
+        return get_activation(name).idempotent
     fixed = np.array([0.0, 1.0])
-    return apply_activation(name, m, fixed).tobytes() == fixed.tobytes()
+    return apply_activation(name, 0, fixed).tobytes() == fixed.tobytes()
 
 
 def apply_activation(name: str, m: int, values):

@@ -36,22 +36,11 @@ def forward(
     keep=None,
 ) -> np.ndarray:
     """Run the compiled network on ``graph`` and return the (n, d) features
-    after the last layer; activation defaults to the spec's own.  Reads
-    ``graph.n``, ``palette``, ``colors``, ``edge_src`` and ``edge_dst``, and
-    the layer-1 neighbour sums the graph keeps (``_first_sums``).  The run
-    starts from the spec's ``initial_features``, which the executor builds
-    in its own (d, n) layout.  The sum of each initial kind layer 1 reads is
-    computed once per graph and kept in it, a read-only (n,) float64 row per
-    kind, freed with the graph.
-    These sums do not depend on the weights or the activation, and a kept
-    row has the bits a new sum would have (see ``backend``).
-
-    With ``keep``, a sequence of coordinates, those columns hold their final
-    values.  Under a map that settles, idempotent and fixing 0 and 1 (the
-    exact runs' ``sigma-star`` and ``crelu``, ``relu``, and every map but
-    ``arctan-4pi`` at m = 0), so does every other column, for each layer
-    activates the columns it writes; under another map the others may be
-    stale, and are not activated where no kept value depends on them."""
+    after the last layer; activation defaults to the spec's own.  Without
+    ``keep`` every column holds its final value.  With ``keep``, a sequence
+    of coordinates, those columns do; under a map that settles
+    (``activations._settles``) so does every other column, and under
+    another map the others may be stale (see ``backend``)."""
     act = activation or spec.activation
     return backend_mod.run_forward(spec, graph, act.name, act.m, keep)
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gc2gnn import LabeledGraph, TreeParams, compile_formula, make_tree, parse, read_graph
+from gc2gnn import LabeledGraph, TreeParams, activations, compile_formula, make_tree, parse, read_graph
 from gc2gnn.backend import layer_states
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
 
@@ -58,6 +58,14 @@ def tree_classes(params):
     2..m, the x leaves under vertex 1, then the other leaves."""
     x, k, m = params.x, params.k, params.m
     return np.repeat(np.arange(5), [1, 1, m - 1, x, (m - 1) * k])
+
+
+def uses_tables(name, m):
+    """Whether a run of ``name`` composed ``m`` times takes tables, by the
+    depth rule of the ``activations`` docstring: the depth it composes, m
+    or 1 for an idempotent map, is at least ``activations._TABLE_DEPTH``."""
+    depth = min(m, 1) if activations.get_activation(name).idempotent else m
+    return depth >= activations._TABLE_DEPTH
 
 
 def matrix_rows(a, b):

@@ -30,7 +30,7 @@ from gc2gnn.activations import (
     verify_step_like,
 )
 
-from conftest import simd_level, simd_targets
+from conftest import simd_level, simd_targets, uses_tables
 
 CERTIFIED = ("step-arctan", "step-tanh", "steplike-tanh-eta0", "steplike-sigmoid-eta0")
 
@@ -426,8 +426,9 @@ def test_table_gives_the_kernels_bits(monkeypatch):
     # map that takes a table each block is looked up whole, but the second
     # only up to the chunk of its -0.0, which lo + i would give +0.0's bits;
     # arctan-4pi's table holds its shifted composite, so it is looked up
-    # too.  Which maps take one can depend on numpy's SIMD level: at m = 14
-    # a flat-shoulder map can send -2..2 to 0 and 1 exactly
+    # too.  Which maps take one follows the composed depth alone, at every
+    # SIMD level: under numpy's baseline loops steplike-tanh-eta0 at m = 14
+    # sends -2..2 to 0 and 1 exactly, and still takes a table
     x = integer_blocks()
     done, look_up = [], activations._look_up
 
@@ -440,11 +441,11 @@ def test_table_gives_the_kernels_bits(monkeypatch):
         for m in (3, 14):
             done.clear()
             table = apply_activation(name, m, x)
-            takes = activations._takes_table(name, m)
+            takes = uses_tables(name, m)
             assert takes or name != "arctan-4pi"
             assert done == ([2**16, 3 * 2**12, 2**16, 5] if takes else []), (name, m)
             with monkeypatch.context() as kernel_only:
-                kernel_only.setattr(activations, "_takes_table", lambda name, m: False)
+                kernel_only.setattr(activations, "_TABLE_DEPTH", m + 1)
                 kernel = apply_activation(name, m, x)
             assert table.tobytes() == kernel.tobytes(), (name, m, f"numpy SIMD level {simd_level()}")
 
@@ -487,6 +488,23 @@ def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
     # the table's bits rest on a property of numpy's loops at each SIMD
     # level: test_table_gives_the_kernels_bits runs again under the level's loops
     run_at_lower_simd_level(level, "test_table_gives_the_kernels_bits")
+
+
+@pytest.mark.parametrize("m", [1, 3, 14])
+def test_no_probe_runs_a_map(m, monkeypatch):
+    # whether a run takes tables follows the depth it composes, and whether
+    # the m-fold map settles follows its record's idempotent: resolving a
+    # map, activating a multi-block integer array with it and asking
+    # whether it settles run no map through apply_activation
+    calls = []
+    apply = activations.apply_activation
+    monkeypatch.setattr(activations, "apply_activation", lambda *args: calls.append(args) or apply(*args))
+    x = integer_blocks()[:3 * 2**16]
+    for name in ACTIVATION_NAMES:
+        activations._settles.cache_clear()
+        activations._in_place(name, m)(x.copy())
+        activations._settles(name, m)
+    assert calls == []
 
 
 # -- idempotent maps -------------------------------------------------------------
@@ -540,8 +558,6 @@ def test_idempotent_maps_compose_once(name, monkeypatch):
     # multi-block array (whose blocks a map that keeps integers integer
     # never looks up)
     values = (settling_sample(), multi_block_input())
-    for m in range(1, 6):
-        activations._takes_table(name, m)  # decided before the kernel is recorded
     act = get_activation(name)
     seen = []
 

@@ -91,19 +91,23 @@ def test_benchmark_trace_reads_every_metric(monkeypatch, tmp_path, capsys):
 
 
 def test_forward_enters_the_executor_through_run_forward(monkeypatch, q1_spec, path3):
-    # perfbench/tracing.py times backend.self_s by wrapping run_forward, so
-    # each forward reaches the executor through it exactly once
+    # perfbench/tracing.py counts forwards by wrapping engine.forward and
+    # times backend.self_s by wrapping run_forward, so forward_outputs goes
+    # through engine.forward once, and each forward reaches the executor
+    # through run_forward exactly once
     calls = []
-    run_forward = backend.run_forward
 
-    def counted(*args, **kw):
-        calls.append(args)
-        return run_forward(*args, **kw)
+    def counted(key, fn):
+        def wrapper(*args, **kw):
+            calls.append(key)
+            return fn(*args, **kw)
+        return wrapper
 
-    monkeypatch.setattr(backend, "run_forward", counted)
+    monkeypatch.setattr(engine, "forward", counted("forward", engine.forward))
+    monkeypatch.setattr(backend, "run_forward", counted("run_forward", backend.run_forward))
     engine.forward(q1_spec, path3)
     engine.forward_outputs(q1_spec, path3)
-    assert len(calls) == 2
+    assert calls == ["forward", "run_forward"] * 2
 
 
 def test_per_layer_runs_bypass_run_forward(monkeypatch, q1_spec, triangle):
@@ -203,6 +207,16 @@ def test_one_integer_test_in_the_package():
     assert sorted(what for *_, what in inside) == ["isinstance bool", "np.integer"]
 
 
+def test_no_probe_decides_how_a_map_runs():
+    # whether a run takes tables follows the depth it composes (the
+    # activations docstring), so the probe that once ran the map to decide
+    # it is named nowhere in the package or the tests
+    probe = "_takes" + "_table"
+    paths = [*Path(gc2gnn.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    assert [path.name for path in paths if probe in path.read_text()] == []
+    assert not hasattr(activations, probe)
+
+
 def test_one_entry_runs_a_map(q2_spec):
     # activations._in_place is the one code that runs a map, its table
     # included: no other module reads an Activation's fn, and backend keeps
@@ -220,7 +234,7 @@ def test_one_entry_runs_a_map(q2_spec):
         if any(isinstance(node, ast.Attribute) and node.attr == "fn" for node in ast.walk(ast.parse(path.read_text())))
     }
     assert readers == {"activations.py"}
-    table = ("_activator", "_look_up", "_takes_table", "_CHUNK", "_TABLE_DEPTH")
+    table = ("_activator", "_look_up", "_CHUNK", "_TABLE_DEPTH")
     assert [name for name in table if hasattr(backend, name)] == []
     assert all(hasattr(activations, name) for name in table[1:])
 

@@ -36,7 +36,17 @@ from gc2gnn.activations import apply_activation, certificate, required_compositi
 from gc2gnn.backend import run_forward
 from gc2gnn.experiments import run_separation
 
-from conftest import activated_columns, agg_columns, forward_history, matrix_rows, pinned_graph, read_columns, simd_level, tree_classes
+from conftest import (
+    activated_columns,
+    agg_columns,
+    forward_history,
+    matrix_rows,
+    pinned_graph,
+    read_columns,
+    simd_level,
+    tree_classes,
+    uses_tables,
+)
 
 
 def test_forward_triangle_all_true(q1_spec, triangle):
@@ -416,8 +426,7 @@ def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
     record_kernels(monkeypatch, counted("kernel", lambda x: None))
     monkeypatch.setattr(activations, "apply_activation", counted("apply_activation", activations.apply_activation))
     monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
-    # below activations._BLOCK elements no array asks whether the map takes a table
-    monkeypatch.setattr(activations, "_takes_table", counted("table", activations._takes_table))
+    # below activations._BLOCK elements no array is looked up
     monkeypatch.setattr(activations, "_look_up", counted("table", activations._look_up))
     sums = sum(len(agg_columns(layer)) for layer in spec.layers)
     first = agg_columns(spec.layers[0])
@@ -467,9 +476,6 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
     # column's are those of the run that keeps every column
     spec = hand_built_spec()
     keep = (spec.output_index,)
-    for name in ACTIVATION_NAMES:
-        for m in (0, 1, 3):
-            activations._takes_table(name, m)  # decided before the kernel is recorded
     seen = []
     record_kernels(monkeypatch, seen.append)
     for n, seed in ((2**15 + 1, 1), (50, 2)):
@@ -503,7 +509,7 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
                     first = seen[:len(blocks)]
                     assert [x.size for x in first] == blocks, (n, name, m)
                     assert not any(np.shares_memory(x, got) for x in first)
-                elif long_runs and activations._takes_table(name, m):
+                elif long_runs and uses_tables(name, m):
                     assert seen[0].size < activations._CHUNK and not np.shares_memory(seen[0], got), (name, m)
                 elif long_runs:
                     blocks = [activations._BLOCK] * m + [2 * n - activations._BLOCK] * m
@@ -1120,7 +1126,7 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     monkeypatch.setattr(activations, "_look_up", recorded)
     for name in ACTIVATION_NAMES:
         for m in (0, 1, 3):
-            takes = activations._takes_table(name, m)
+            takes = uses_tables(name, m)
             outcomes.clear()
             states = backend.layer_states(spec, graph, name, m)
             for t, state in enumerate(states):
@@ -1135,7 +1141,7 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
             activations._in_place(name, m)(table)
             assert outcomes == (["part", "table"] if takes else []), (name, m)
             with monkeypatch.context() as kernel_only:
-                kernel_only.setattr(activations, "_takes_table", lambda name, m: False)
+                kernel_only.setattr(activations, "_TABLE_DEPTH", m + 1)
                 kernel = row.copy()
                 activations._in_place(name, m)(kernel)
             assert table.tobytes() == kernel.tobytes(), (name, m, f"numpy SIMD level {simd_level()}")
@@ -1151,7 +1157,7 @@ def large_graph():
 
 
 def test_maps_that_keep_integers_never_look_up(q2_spec, large_graph, monkeypatch):
-    # sigma-star, crelu and relu send -2..2 to integers, so they run the
+    # sigma-star, crelu and relu compose once at every m, so they run the
     # kernel on every array, on a graph where every activated array holds
     # activations._BLOCK elements; so does every map below depth 3, where a
     # lookup costs about as much as the kernel or more
@@ -1159,8 +1165,8 @@ def test_maps_that_keep_integers_never_look_up(q2_spec, large_graph, monkeypatch
         raise AssertionError("a map that keeps integers, or a shallow one, looked up a table")
 
     assert activations._TABLE_DEPTH == 3
-    assert [name for name in ACTIVATION_NAMES if not activations._takes_table(name, 3)] == ["sigma-star", "crelu", "relu"]
-    assert not any(activations._takes_table(name, m) for name in ACTIVATION_NAMES for m in (0, 1, 2))
+    assert [name for name in ACTIVATION_NAMES if not uses_tables(name, 3)] == ["sigma-star", "crelu", "relu"]
+    assert not any(uses_tables(name, m) for name in ACTIVATION_NAMES for m in (0, 1, 2))
     monkeypatch.setattr(activations, "_look_up", refuse)
     for name, m in (("sigma-star", 3), ("crelu", 3), ("relu", 3), ("sigmoid", 1), ("step-arctan", 2)):
         forward(q2_spec, large_graph, ActivationSpec(name, m))
@@ -1264,7 +1270,7 @@ def test_kept_first_sums_give_every_bit_cold_and_warm(graph_key, query, q1_spec,
     }
     runs = CACHED_SUM_RUNS
     if graph_key == "large":  # the maps that take a table, the path the graph is there for
-        runs = [(name, m) for name, m in runs if activations._takes_table(name, m)]
+        runs = [(name, m) for name, m in runs if uses_tables(name, m)]
     if query == "chain" and graph_key == "large":
         # 60 layers of 2^16 vertices: a chain forward of every column takes
         # seconds, so the kept output under the certified step-arctan only

@@ -26,12 +26,12 @@ Some maps settle in one step.  A record declares ``idempotent`` when its
 kernel run twice gives the bits of one run at every float64 and sends +0.0
 and 1.0 to themselves bit for bit (``sigma-star``, ``crelu`` and
 ``relu``), and ``_in_place`` composes such a map once for every ``m >=
-1``, since sigma^m = sigma.  ``_settles(name, m)`` holds when the m-fold
-map is idempotent and fixes +0.0 and 1.0: for ``m >= 1`` it is the
-record's ``idempotent``, and at m = 0 it holds for the identity, every map
-but ``arctan-4pi``.  Run again on a value it gave, or on a forward's
-initial 0 or 1, such a map changes no bit, so a forward under it activates
-only the columns each layer writes (see ``backend``).
+1``, since sigma^m = sigma.  The settling rule: an idempotent map settles
+at every m; run again on a value it gave, or on a forward's initial 0 or
+1, it changes no bit, so a forward under it activates only the columns
+each layer writes (see ``backend``).  At m = 0 every other map except
+``arctan-4pi`` (``z -> 1/4 + z/2``) is the identity, with the same bits
+on the forward's liveness path.
 
 Integer-valued blocks go through a table of their distinct values.  A
 compiled network reads 0/1 indicators through integer weights, so a fresh
@@ -130,7 +130,8 @@ class Activation:
     ``idempotent`` declares that the map settles in one step: ``fn`` applied
     twice gives the bits of ``fn`` applied once, at every float64, and
     sends +0.0 and 1.0 to themselves bit for bit.  So ``_in_place``
-    composes it once for every ``m >= 1``, and ``_settles`` reads it there.
+    composes it once for every ``m >= 1``, and the map settles at every m;
+    at m = 0 every other map except ``arctan-4pi`` is the identity.
     """
 
     name: str
@@ -547,21 +548,6 @@ def _in_place(name: str, m: int) -> Callable:
                 activate(block[done:])
 
     return run
-
-
-@lru_cache(maxsize=None)
-def _settles(name, m):
-    """Whether ``name`` composed ``m`` times is idempotent and sends +0.0 and
-    1.0 to themselves bit for bit, so that running it again on a value it
-    gave, or on a forward's initial 0 or 1, changes no bit.  At ``m >= 1``
-    it is the record's ``idempotent``: an idempotent map composes to itself,
-    and no other map's composite is taken to settle.  At ``m = 0`` it is the
-    identity, or ``arctan-4pi``'s affine ``z -> 1/4 + z/2``, and an affine
-    map that fixes 0 and 1 is the identity.  ``m`` has been checked."""
-    if m:
-        return get_activation(name).idempotent
-    fixed = np.array([0.0, 1.0])
-    return apply_activation(name, 0, fixed).tobytes() == fixed.tobytes()
 
 
 def apply_activation(name: str, m: int, values):

@@ -14,10 +14,11 @@ layer the loop sums neighbour values only for the coordinates B reads,
 with one ``take`` over the edge sources each into an (E,) buffer made
 once per run (a fresh 4 MB array per sum cost page faults that took
 longer than the gather on a 10^5-vertex graph), and overwrites only the
-stored rows.  A sum is held as computed: the loop keeps a list of d row
-references, each the (n,) array ``np.bincount`` returned or a row the
-graph keeps, and ``_combine`` only reads them, so no (d, n) array of sums
-is filled or copied into.
+stored rows.  A sum is held as computed, by its layer alone: each layer
+maps each B position p it reads to its (n,) row, the array ``np.bincount``
+returned or a row the graph keeps, and ``_combine`` only reads them, so no
+(d, n) array of sums is filled or copied into, and a layer's sums are
+freed when the next layer starts.
 
 A graph keeps its layer-1 sums.  Layer 1 sums initial columns, each
 built from its kind alone, so their sums depend on the graph only, not on
@@ -47,18 +48,16 @@ into one buffer, activated there and scattered back, one call for them all.
 Before the loop, one pass over the layers (``_schedule``) reads each
 layer's ``rows`` and term positions, plain Python ints, once per run and
 gives the loop, per layer, the index of its rows (a slice when they are
-contiguous, as every one-row layer's are), the neighbour sums it reads
-(``p - d`` for each B position p >= d) as a list of ints, and the live
-index of the columns to activate after it; the loop iterates no numpy
-array.  ``keep`` means the same in ``run_forward`` and ``layer_states``,
-which checks it once: integer columns in ``[0, d)``.  Under a map that
-settles (``activations._settles``: its m-fold composite is idempotent and
-fixes 0.0 and 1.0 bit for bit, as ``sigma-star``, ``crelu`` and ``relu``
-do, and every map but ``arctan-4pi`` at m = 0), a layer activates its rule
-rows alone, with or without ``keep``, and no liveness pass runs: every
-other column holds an initial 0 or 1 or a value the map gave, which it
-leaves bit for bit, so every column holds what it would if all were
-activated at every layer.  Under a map that moves its outputs,
+contiguous, as every one-row layer's are), the B positions p >= d whose
+neighbour sums it reads as a list of ints, and the live index of the
+columns to activate after it; the loop iterates no numpy array.  ``keep``
+means the same in ``run_forward`` and ``layer_states``, which checks it
+once: integer columns in ``[0, d)``.  Under a map that settles (its
+record's ``idempotent``; the rule is stated in ``activations``), a layer
+activates its rule rows alone, with or without ``keep``, and no liveness
+pass runs: every other column holds an initial 0 or 1 or a value the map
+gave, which it leaves bit for bit, so every column holds what it would if
+all were activated at every layer.  Under any other map,
 ``keep=None`` activates every column at every layer; given ``keep``, only
 the live ones: j is live after layer t when the caller keeps it or a later
 layer reads it before it fires again, so, backward, ``live_after(t-1) =
@@ -131,10 +130,11 @@ def _live_index(cols, n):
 
 
 def _schedule(layers, keep, n, settles=False):
-    """For each layer, in order: the index of its rule rows, the columns whose
-    neighbour sums it reads (a list of ``int``), and the ``_live_index`` of
-    the columns to activate after it: its rule rows if the map ``settles``,
-    else all if ``keep`` is None, else the live ones, one object until they change."""
+    """For each layer, in order: the index of its rule rows, the B positions
+    whose neighbour sums it reads (a list of ``int``), and the
+    ``_live_index`` of the columns to activate after it: its rule rows if
+    the map ``settles``, else all if ``keep`` is None, else the live ones,
+    one object until they change."""
     live = None if keep is None or settles else {int(j) for j in keep}
     cols = ((slice(None),), None) if live is None else _live_index(sorted(live), n)
     steps = []
@@ -142,7 +142,7 @@ def _schedule(layers, keep, n, settles=False):
         rows, d = layer.rows, layer.d
         ps = {p for row in layer.terms for p, _ in row}
         cols = _live_index(rows, n) if settles else cols
-        steps.append((_index(rows), sorted(p - d for p in ps if p >= d), cols))
+        steps.append((_index(rows), sorted(p for p in ps if p >= d), cols))
         if live is not None:
             before = live.difference(rows).union(p % d for p in ps)
             if before != live:
@@ -151,47 +151,47 @@ def _schedule(layers, keep, n, settles=False):
     return steps
 
 
-def _fold(terms, values, low, out, prod):
-    """``out = values[p1 - low] * v1 + values[p2 - low] * v2 + ...``, left to
-    right; returns ``out``.  A weight of 1 or -1 folds as a copy, a negation,
+def _fold(terms, values, out, prod):
+    """``out = values[p1] * v1 + values[p2] * v2 + ...``, left to right;
+    returns ``out``.  A weight of 1 or -1 folds as a copy, a negation,
     an addition or a subtraction, with the product's bits (``x * 1.0`` is x
     and ``x * -1.0`` is -x in IEEE 754, signed zeros included); any other
     weight multiplies into ``prod`` first."""
     (p, v), *rest = terms
     if v == 1.0:
-        out[...] = values[p - low]
+        out[...] = values[p]
     elif v == -1.0:
-        np.negative(values[p - low], out=out)
+        np.negative(values[p], out=out)
     else:
-        np.multiply(values[p - low], v, out=out)
+        np.multiply(values[p], v, out=out)
     for p, v in rest:
         if v == 1.0:
-            out += values[p - low]
+            out += values[p]
         elif v == -1.0:
-            out -= values[p - low]
+            out -= values[p]
         else:
-            out += np.multiply(values[p - low], v, out=prod)
+            out += np.multiply(values[p], v, out=prod)
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks that the result is finite
-def _combine(layer, cur, agg, z, scratch):
+def _combine(layer, cur, sums, z, scratch):
     """The (k, n) pre-activations of ``layer``'s k rule rows, written into the
     first k rows of ``z``, from the (d, n) features ``cur`` and the (n,)
-    neighbour-sum rows ``agg[j]`` of the columns j that B reads, which it
-    only reads; ``scratch`` is two (n,) buffers, for ``S_B`` and a product."""
+    neighbour-sum rows ``sums[p]`` of the B positions p, which it only
+    reads; ``scratch`` is two (n,) buffers, for ``S_B`` and a product."""
     d = layer.d
     s_b, prod = scratch
     z = z[:len(layer.terms)]
     for zr, c, row in zip(z, layer.c, layer.terms):
         split = bisect_left(row, (d,))  # the terms ascend: A first, then B
         if split:
-            _fold(row[:split], cur, 0, zr, prod)
+            _fold(row[:split], cur, zr, prod)
             zr += c
             if split < len(row):
-                zr += _fold(row[split:], agg, d, s_b, prod)
+                zr += _fold(row[split:], sums, s_b, prod)
         elif row:  # S_B + c has the bits of c + S_B
-            _fold(row, agg, d, zr, prod)
+            _fold(row, sums, zr, prod)
             zr += c
         else:
             zr.fill(c)
@@ -227,31 +227,30 @@ def layer_states(spec, graph, name, m, keep=None):
         raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
     layers, kinds, kept = spec.layers, spec.init_kinds, graph._first_sums
     activate = activations._in_place(name, m)
-    agg = [None] * d  # the sums a layer reads, held as computed
     z = np.empty((max((len(layer.c) for layer in layers), default=0), n))
     scratch = (np.empty(n), np.empty(n))
     src, dst = graph.edge_src, graph.edge_dst
     # each edge's source value; take writes into out only when mode is not
     # "raise", and every source index is in range, so "clip" clips nothing
     sent = np.empty(len(src))
-    steps = _schedule(layers, keep, n, activations._settles(name, m))
+    steps = _schedule(layers, keep, n, activations.get_activation(name).idempotent)
     yield cur
-    for t, (layer, (rows, agg_cols, (views, gather))) in enumerate(zip(layers, steps), start=1):
-        if layer.terms:
-            for j in agg_cols:
-                row = kept.get(kinds[j]) if t == 1 else None
-                if row is None:
-                    # bincount gives int64 zeros on a graph with no edges
-                    row = np.bincount(dst, weights=cur[j].take(src, out=sent, mode="clip"), minlength=n)
-                    row = row.astype(np.float64, copy=False)
-                    if t == 1:
-                        row.flags.writeable = False
-                        kept[kinds[j]] = row
-                agg[j] = row
-            pre = _combine(layer, cur, agg, z, scratch)
-            if not np.isfinite(pre).all():
-                raise ValueError(f"layer {t} has a pre-activation that is not finite")
-            cur[rows] = pre
+    for t, (layer, (rows, positions, (views, gather))) in enumerate(zip(layers, steps), start=1):
+        sums = {}  # this layer's alone: the last layer's go here
+        for p in positions:
+            row = kept.get(kinds[p - d]) if t == 1 else None
+            if row is None:
+                # bincount gives int64 zeros on a graph with no edges
+                row = np.bincount(dst, weights=cur[p - d].take(src, out=sent, mode="clip"), minlength=n)
+                row = row.astype(np.float64, copy=False)
+                if t == 1:
+                    row.flags.writeable = False
+                    kept[kinds[p - d]] = row
+            sums[p] = row
+        pre = _combine(layer, cur, sums, z, scratch)
+        if not np.isfinite(pre).all():
+            raise ValueError(f"layer {t} has a pre-activation that is not finite")
+        cur[rows] = pre
         for view in views:
             activate(cur[view])
         if gather is not None:

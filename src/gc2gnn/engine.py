@@ -38,9 +38,9 @@ def forward(
     """Run the compiled network on ``graph`` and return the (n, d) features
     after the last layer; activation defaults to the spec's own.  Without
     ``keep`` every column holds its final value.  With ``keep``, a sequence
-    of coordinates, those columns do; under a map that settles
-    (``activations._settles``) so does every other column, and under
-    another map the others may be stale (see ``backend``)."""
+    of coordinates, those columns do; under a map that settles (the rule
+    is in ``activations``) so does every other column, and under another
+    map the others may be stale (see ``backend``)."""
     act = activation or spec.activation
     return backend_mod.run_forward(spec, graph, act.name, act.m, keep)
 

@@ -81,10 +81,10 @@ def read_columns(layer):
     return sorted({p % layer.d for row in layer.terms for p, _ in row})
 
 
-def agg_columns(layer):
-    """The ascending columns with a nonzero coefficient in ``layer``'s B,
-    the neighbour sums it reads: ``p - d`` for each position ``p >= d``."""
-    return sorted({p - layer.d for row in layer.terms for p, _ in row if p >= layer.d})
+def sum_positions(layer):
+    """The ascending B positions ``p >= d`` of ``layer``'s terms, one per
+    neighbour sum it reads, the sum of column ``p - d``."""
+    return sorted({p for row in layer.terms for p, _ in row if p >= layer.d})
 
 
 def activated_columns(live, d):

@@ -492,18 +492,15 @@ def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
 
 @pytest.mark.parametrize("m", [1, 3, 14])
 def test_no_probe_runs_a_map(m, monkeypatch):
-    # whether a run takes tables follows the depth it composes, and whether
-    # the m-fold map settles follows its record's idempotent: resolving a
-    # map, activating a multi-block integer array with it and asking
-    # whether it settles run no map through apply_activation
+    # whether a run takes tables follows the depth it composes: resolving a
+    # map and activating a multi-block integer array with it run no map
+    # through apply_activation
     calls = []
     apply = activations.apply_activation
     monkeypatch.setattr(activations, "apply_activation", lambda *args: calls.append(args) or apply(*args))
     x = integer_blocks()[:3 * 2**16]
     for name in ACTIVATION_NAMES:
-        activations._settles.cache_clear()
         activations._in_place(name, m)(x.copy())
-        activations._settles(name, m)
     assert calls == []
 
 

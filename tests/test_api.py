@@ -34,7 +34,7 @@ from gc2gnn import (
     write_graph,
 )
 
-from conftest import agg_columns, forward_history
+from conftest import forward_history, sum_positions
 
 
 def test_public_names_resolve():
@@ -241,7 +241,7 @@ def test_one_entry_runs_a_map(q2_spec):
     n, rng = 2**16, np.random.default_rng(3)
     pairs = rng.integers(0, n, size=(n, 2))
     graph = LabeledGraph(n, 2, rng.integers(1, 3, n), pairs[pairs[:, 0] != pairs[:, 1]])
-    later = sum(len(agg_columns(layer)) for layer in q2_spec.layers[1:])
+    later = sum(len(sum_positions(layer)) for layer in q2_spec.layers[1:])
     rows = q2_spec.d + max(len(layer.c) for layer in q2_spec.layers) + 2 + later + 1
     allowed = 8 * (rows * n + len(graph.edge_src)) + 64 * 1024
     for act in (None, ActivationSpec("step-arctan", 14)):

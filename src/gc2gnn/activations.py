@@ -33,34 +33,9 @@ each layer writes (see ``backend``).  At m = 0 every other map except
 ``arctan-4pi`` (``z -> 1/4 + z/2``) is the identity, with the same bits
 on the forward's liveness path.
 
-Integer-valued blocks go through a table of their distinct values.  A
-compiled network reads 0/1 indicators through integer weights, so a fresh
-pre-activation is an integer in [-(K-1), Delta], and a carried indicator
-stays 0/1 under a map that fixes 0 and 1: such a block holds a few
-distinct values.  Whether a run takes tables follows the depth it
-composes, decided once when ``_in_place`` resolves: m, or 1 for an
-idempotent map.  At depth ``_TABLE_DEPTH`` (3) or more, an array of at
-least ``_BLOCK`` elements goes to ``_look_up`` one block at a time; below
-it a lookup costs as much as the steps or more, so ``sigma-star``,
-``crelu`` and ``relu`` never take a table.  A block whose first element is
-an integer and whose minimum lo and maximum hi are integers less than
-``_CHUNK`` (2^12) apart is read one chunk of ``_CHUNK`` elements at a
-time: the composite runs once on the table ``lo, lo + 1, ..., hi``, and an
-element x takes entry ``i = int(x - lo)`` only if ``lo + i`` has the bits
-of x at every element of its chunk.  ``lo + i`` is +0.0 where it is zero,
-so a -0.0 never round-trips.  At the first chunk that does not, the steps
-take the rest of the block; any other block goes to them whole; and a
-table equal to its inputs bit for bit (0 and 1 under ``step-arctan``)
-writes nothing.
-
-The table rests on more than blocking does.  It puts the value of x at
-another position, in an array of 1 to 2^12 entries, and a table shorter
-than a SIMD vector runs only the remainder path.  So it gives x the
-kernel's bits only because each kernel gives a value the same bits
-whatever its position and the length of its array, a property of numpy's
-loops at each SIMD level.  ``tests/test_activations.py`` checks it for
-every map at the active level and, in child processes, under numpy's AVX2
-and baseline loops.
+The kernel runs on every element it is given: a table of the distinct
+values of a column is the forward's, which codes rows where it pays (the
+table rule of ``backend``).
 """
 
 from __future__ import annotations
@@ -449,64 +424,14 @@ def certificate(name: str) -> StepLikeParams:
 # it moves on: 512 KB of float64, which stays in L2 across the steps.
 _BLOCK = 1 << 16
 
-# Elements of the lookup's index and round-trip buffers (32 KB each), and the
-# bound on the number of distinct integers a table holds.
-_CHUNK = 1 << 12
-
-# The least composed depth at which a run takes tables (the depth rule of
-# the module docstring).  A lookup of a 2^16-element integer block costs
-# about 300 us on a 2-core Xeon VM (numpy 2.4, AVX-512 loops), and one step
-# of the cheapest table-taking kernels (tanh, sigmoid, step-arctan) 115-180
-# us on it: at m = 1 the lookup took about twice the kernel's time, at m = 2
-# about as long, at m = 3 less.
-_TABLE_DEPTH = 3
-
-
-def _look_up(block, activate, tables, index, trip):
-    """Activate the leading chunks of ``block`` that hold only integers of
-    its range ``[lo, hi]``, when its first element is an integer and lo and
-    hi are integers less than ``_CHUNK`` apart, through ``activate``'s
-    table of ``lo + i``; return how many leading elements are done.
-    ``tables`` keeps a run's tables by range, and ``index`` and ``trip``
-    are the run's two ``_CHUNK``-element buffers.
-
-    An element x takes ``table[i]`` with ``i = int(x - lo)`` only if
-    ``lo + i`` has x's bits, so the element gets the value the kernel gives
-    ``lo + i``, which is x: -0.0 comes back as +0.0 and is never looked up.
-    A table that equals its inputs bit for bit writes nothing.  A block of
-    activated, non-integer values is refused on its first element, before
-    the passes for its bounds."""
-    if not float(block[0]).is_integer():
-        return 0
-    lo, hi = float(block.min()), float(block.max())
-    if not (hi - lo < _CHUNK and lo.is_integer() and hi.is_integer()):
-        return 0
-    if (lo, hi) not in tables:
-        table = lo + np.arange(hi - lo + 1)
-        inputs = table.tobytes()
-        activate(table)
-        tables[lo, hi] = table, table.tobytes() == inputs
-    table, fixed = tables[lo, hi]
-    for start in range(0, block.size, _CHUNK):
-        part = block[start:start + _CHUNK]
-        i, t = index[:part.size], trip[:part.size]
-        np.subtract(part, lo, out=i, casting="unsafe")  # in [0, hi - lo]: part lies in [lo, hi]
-        np.add(i, lo, out=t)
-        if not (t.view(np.int64) == part.view(np.int64)).all():
-            return start
-        if not fixed:
-            table.take(i, out=part, mode="clip")
-    return block.size
-
-
 def _in_place(name: str, m: int) -> Callable:
     """``name`` composed ``m`` times as an in-place map: a function that
     overwrites a dense float64 array, such as ``np.array`` makes or a slice
     of consecutive rows of a C-ordered array, and returns None.  The one
-    code that runs a map (see the module docstring); ``m`` is checked and
-    the map looked up once, here, so a forward resolves it once and calls
-    it once per activated array.  A run that takes tables keeps them by
-    range, and makes its two ``_CHUNK``-element lookup buffers here.
+    code that runs a map (see the module docstring): it composes the kernel
+    on every element, and ``backend`` decides where a table stands in for
+    the elements.  ``m`` is checked and the map looked up once, here, so a
+    forward resolves it once and calls it once per activated array.
 
     Every named map is composed directly, so ``m = 0`` is the identity,
     except ``arctan-4pi`` which is the sign-amplifying composite
@@ -521,9 +446,6 @@ def _in_place(name: str, m: int) -> Callable:
     fn, shift = act.fn, name == "arctan-4pi"
     if act.idempotent:
         m = min(m, 1)  # sigma^m = sigma
-    tables, buffers = {}, None
-    if m >= _TABLE_DEPTH:  # the depth rule
-        buffers = np.empty(_CHUNK, dtype=np.int64), np.empty(_CHUNK)
 
     def activate(block):
         if shift:
@@ -542,18 +464,15 @@ def _in_place(name: str, m: int) -> Callable:
         # where reshape(-1) would copy all but the first
         flat = out.ravel(order="K")
         for start in range(0, flat.size, _BLOCK):
-            block = flat[start:start + _BLOCK]
-            done = _look_up(block, activate, tables, *buffers) if buffers else 0
-            if done < block.size:
-                activate(block[done:])
+            activate(flat[start:start + _BLOCK])
 
     return run
 
 
 def apply_activation(name: str, m: int, values):
-    """``name`` composed ``m`` times (see ``_in_place``) on a float64 copy of
-    ``values``, which is left unchanged: an array in the layout of
-    ``values``, or a float64 scalar for a scalar.
+    """``name`` composed ``m`` times (see ``_in_place``), the kernel on every
+    element, on a float64 copy of ``values``, which is left unchanged: an
+    array in the layout of ``values``, or a float64 scalar for a scalar.
     ``apply_activation("arctan-4pi", 0, [0, 1])`` is ``[0.25, 0.75]``.
     ``m`` is a non-negative Python or numpy integer; a bool raises.
     """

@@ -38,12 +38,67 @@ once per run.  Every row is computed before any is written, since a row
 may read a coordinate that another row of the same layer writes.
 
 The activation runs where the state lies, through the map resolved once
-per run by ``activations._in_place``, the one code that runs a map, table
-lookup of integer-valued blocks included.  A contiguous set of columns to
-activate is one view of consecutive state rows, activated in place; of a
-set with gaps, so is each run of consecutive columns that holds at least
-``activations._BLOCK`` (2^16) elements, and the shorter runs are gathered
-into one buffer, activated there and scattered back, one call for them all.
+per run by ``activations._in_place``, the one code that runs a map, which
+composes its kernel on every element it is given.  A contiguous set of
+columns to activate is one view of consecutive state rows, activated in
+place; of a set with gaps, so is each run of consecutive columns that holds
+at least ``activations._BLOCK`` (2^16) elements, and the shorter runs are
+gathered into one buffer, activated there and scattered back, one call for
+them all.
+
+A deep run on a large graph codes rows: it activates a column through a
+table of the values it holds, and keeps each vertex's key into that table
+across layers.  A compiled network reads 0/1 indicators through integer
+weights, so a fresh pre-activation of layer 1 is an integer in
+[-(K-1), Delta], and a row that reads only such columns through A terms
+takes at most a few hundred distinct values.  The table rule
+(``_coding``):
+
+- When.  A run codes rows when the depth it composes, m or 1 for an
+  idempotent map, is at least ``_TABLE_DEPTH`` (3) and n is at least
+  ``_CHUNK`` (2^12).  A table has at most ``_CHUNK`` entries, so it is
+  never longer than the row it serves.  Below that depth a table costs
+  about as much as the steps it saves, so exact maps (depth 1) never code,
+  and neither do small graphs such as the sweeps' tree quotients.  The
+  columns that no table serves go to the kernel together, as above.
+- Integer rows.  An activated column that is not coded, whose first
+  element is an integer and whose minimum lo and maximum hi are integers
+  less than ``_CHUNK`` apart, activates the table ``lo, lo + 1, ..., hi``
+  (once per range in a run) and takes its entry ``x - lo``, its key, if
+  ``lo + (x - lo)`` has the bits of x at every element, checked one
+  ``_CHUNK`` piece at a time: ``lo + i`` is +0.0 where it is zero, so a
+  -0.0 never passes.  Any other column goes to the kernel whole.
+- Coded rows.  A rule row that is activated after its layer, whose terms
+  are all A terms over coded columns, and whose product of table lengths
+  is at most ``_CHUNK``, is computed on the tables instead of the
+  vertices: ``_fold`` runs over the tables, each broadcast along its own
+  axis in term order, then ``+= c``, and the map activates that product
+  table.  Each vertex takes its entry by the mixed-radix key of its
+  columns' keys, the first most significant, which is the row's key.  A
+  product table with an entry that is not finite, which no vertex may
+  reach, leaves its row to the ordinary path, as every other row goes.
+- Carried columns.  An activated coded column that the layer does not
+  write activates its table and takes from it by its key.  A table equal
+  to its inputs bit for bit writes nothing; a column whose integer table
+  writes nothing holds ``lo + key`` and stays coded, with no key and no
+  further activation, until a layer writes it.
+- Memory.  A key is held only while a later row of A terms alone reads its
+  column, before a layer writes it again, as the smallest unsigned dtype
+  that holds its table's length.  A column that holds ``lo + key`` holds
+  no key: a coded row reads its digit off its values, unless its layer
+  writes the column.  Casts, round trips and takes go ``_CHUNK`` elements
+  at a time through the run's two buffers, an int64 index and a float64
+  round trip (32 KB each); larger buffers cost ``peak_rss_mb`` on
+  ``large-forward``.
+- Bits.  Every element gets the kernel's value of the float64 it holds, or
+  of the one its coded row would hold, computed by the same operations in
+  the same order.  That the kernel gives a value the same bits at another
+  position, in an array of 1 to 2^12 entries, where a table shorter than a
+  SIMD vector runs only the remainder path, is a property of numpy's loops
+  at each SIMD level; ``tests/test_activations.py`` checks it for every map
+  at the active level and, in child processes, under numpy's AVX2 and
+  baseline loops.  No value is sorted or deduplicated: a table holds a
+  range of integers or the product of such tables.
 
 Before the loop, one pass over the layers (``_schedule``) reads each
 layer's ``rows`` and term positions, plain Python ints, once per run and
@@ -87,12 +142,25 @@ pre-activations overflow is bad input, and raises.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import prod
 
 import numpy as np
 
 from . import activations
 from .formulas import _check_color
 from .graphs import _is_integer
+
+# Elements of a coding run's index and round-trip buffers (32 KB each), and
+# the bound on a table's entries.
+_CHUNK = 1 << 12
+
+# The least composed depth at which a run codes rows (the table rule of the
+# module docstring).  A lookup of 2^16 integers costs about 300 us on a
+# 2-core Xeon VM (numpy 2.4, AVX-512 loops), and one step of the cheapest
+# table-taking kernels (tanh, sigmoid, step-arctan) 115-180 us on it: at
+# m = 1 the lookup took about twice the kernel's time, at m = 2 about as
+# long, at m = 3 less.
+_TABLE_DEPTH = 3
 
 
 def _index(cols):
@@ -175,15 +243,15 @@ def _fold(terms, values, out, prod):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks that the result is finite
-def _combine(layer, cur, sums, z, scratch):
-    """The (k, n) pre-activations of ``layer``'s k rule rows, written into the
-    first k rows of ``z``, from the (d, n) features ``cur`` and the (n,)
-    neighbour-sum rows ``sums[p]`` of the B positions p, which it only
-    reads; ``scratch`` is two (n,) buffers, for ``S_B`` and a product."""
-    d = layer.d
+def _combine(d, cs, terms, cur, sums, z, scratch):
+    """The (k, n) pre-activations of k rule rows, biases ``cs`` and terms
+    ``terms`` over d columns, written into the first k rows of ``z``, from
+    the (d, n) features ``cur`` and the (n,) neighbour-sum rows ``sums[p]``
+    of the B positions p, which it only reads; ``scratch`` is two (n,)
+    buffers, for ``S_B`` and a product."""
     s_b, prod = scratch
-    z = z[:len(layer.terms)]
-    for zr, c, row in zip(z, layer.c, layer.terms):
+    z = z[:len(terms)]
+    for zr, c, row in zip(z, cs, terms):
         split = bisect_left(row, (d,))  # the terms ascend: A first, then B
         if split:
             _fold(row[:split], cur, zr, prod)
@@ -196,6 +264,172 @@ def _combine(layer, cur, sums, z, scratch):
         else:
             zr.fill(c)
     return z
+
+
+def _key_holds(layers):
+    """For each layer, the columns whose keys a coding run holds after it:
+    those that a later row of A terms alone reads before a layer writes them
+    again."""
+    held, holds = set(), []
+    for layer in reversed(layers):
+        holds.append(held)
+        d = layer.d
+        reads = {p for row in layer.terms if row and row[-1][0] < d for p, _ in row}
+        held = held.difference(layer.rows).union(reads)
+    holds.reverse()
+    return holds
+
+
+def _take(table, keys, row, buffers, key=None):
+    """``row[v] = table[k]`` at every vertex v, where k is the mixed-radix
+    key of ``keys``, ``(source, lo, length)`` triples with the first most
+    significant, each digit ``source[v] - lo``, one ``_CHUNK`` piece at a
+    time through ``buffers``, the run's int64 index and float64 round-trip
+    buffers; ``key``, if given, receives k.  Each digit is an integer below
+    ``_CHUNK`` and k is below ``_CHUNK`` too, so every step is exact."""
+    index, trip = buffers
+    (first, first_lo, _), *rest = keys
+    for start in range(0, row.size, _CHUNK):
+        stop = min(start + _CHUNK, row.size)
+        i, t = index[:stop - start], trip[:stop - start]
+        np.subtract(first[start:stop], first_lo, out=i, casting="unsafe")
+        for source, lo, length in rest:
+            i *= length
+            np.add(i, np.subtract(source[start:stop], lo, out=t), out=i, casting="unsafe")
+        table.take(i, out=row[start:stop], mode="clip")  # every k is in range
+        if key is not None:
+            key[start:stop] = i
+
+
+def _integer_table(row, buffers):
+    """The table ``lo, lo + 1, ..., hi`` of the (n,) ``row``, when its first
+    element is an integer, lo and hi are integers less than ``_CHUNK``
+    apart, and ``lo + (x - lo)`` has the bits of x at every element x,
+    checked one ``_CHUNK`` piece at a time through ``buffers``, the run's
+    int64 index and float64 round-trip buffers; else None.  A -0.0 never passes: ``lo + i`` is +0.0 where
+    it is zero."""
+    if not float(row[0]).is_integer():  # refuses activated values at once
+        return None
+    lo, hi = float(row.min()), float(row.max())
+    if not (hi - lo < _CHUNK and lo.is_integer() and hi.is_integer()):
+        return None
+    index, trip = buffers
+    for start in range(0, row.size, _CHUNK):
+        part = row[start:start + _CHUNK]
+        i, t = index[:part.size], trip[:part.size]
+        np.subtract(part, lo, out=i, casting="unsafe")  # in [0, hi - lo]: part lies in [lo, hi]
+        np.add(i, lo, out=t)
+        if not (t.view(np.int64) == part.view(np.int64)).all():
+            return None
+    return lo + np.arange(hi - lo + 1)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks that the result is finite
+def _product(row, c, codes):
+    """The flat pre-activation table of the rule row of A terms ``row`` and
+    bias ``c`` over columns that hold codes, ``codes[p]`` a (table, key)
+    pair: ``_fold`` over the tables, each broadcast along its own axis in
+    term order, then ``+= c``; None if it would have more than ``_CHUNK``
+    entries."""
+    shape = [len(codes[p][0]) for p, _ in row]
+    if prod(shape) > _CHUNK:
+        return None
+    values = {
+        p: codes[p][0].reshape([size if axis == i else 1 for axis in range(len(shape))])
+        for i, ((p, _), size) in enumerate(zip(row, shape))
+    }
+    table = _fold(row, values, np.empty(shape), np.empty(shape))
+    table += c
+    return table.reshape(-1)
+
+
+def _digits(cur, p, code):
+    """Column p's digit of a mixed-radix key, from its (table, key) ``code``:
+    its key, or, for a column that holds ``lo + key``, its values less lo."""
+    table, key = code
+    return (cur[p], table[0], len(table)) if key is None else (key, 0, len(table))
+
+
+def _coding(layers, activate):
+    """The two steps of a run of ``layers`` under ``activate`` that codes
+    rows, by the table rule of the module docstring.  Before a layer writes,
+    ``rows(layer, cur, cols)`` gives its rule rows computed on tables: each
+    row j activated after the layer (in ``cols``), of A terms alone over
+    coded columns, none of them one that holds its values as its key and
+    that the layer writes, whose product table has at most ``_CHUNK``
+    entries, all finite, maps to that table, activated, and the
+    ``_digits`` of its columns in term order.  After it writes,
+    ``columns(t, layer, cur, cols, coded)`` writes layer t's ``coded`` rows
+    from their tables, activates the other columns of ``cols`` that it can
+    through theirs, and returns the rest, for the kernel.
+
+    The run's ``codes`` map each coded column to its (table, key) pair, the
+    activated table and each vertex's key into it, held only while
+    ``_key_holds`` says; an integer column's key is its values less lo, so
+    it is built as the column takes from its table.  A column whose integer
+    table writes nothing holds ``lo + key``, and keeps its code with no key
+    until a layer writes it: a further activation would write nothing
+    again.  ``tables`` keeps the run's activated integer tables by range,
+    and ``buffers`` are its two ``_CHUNK``-element buffers."""
+    codes, tables, holds = {}, {}, _key_holds(layers)
+    buffers = np.empty(_CHUNK, dtype=np.int64), np.empty(_CHUNK)
+
+    def rows(layer, cur, cols):
+        coded, d = {}, layer.d
+        for j, c, row in zip(layer.rows, layer.c, layer.terms):
+            if j not in cols or not row or row[-1][0] >= d:
+                continue
+            if all(p in codes and (codes[p][1] is not None or p not in layer.rows) for p, _ in row):
+                table = _product(row, c, codes)
+                if table is not None and np.isfinite(table).all():
+                    activate(table)
+                    coded[j] = table, [_digits(cur, p, codes[p]) for p, _ in row]
+        return coded
+
+    def columns(t, layer, cur, cols, coded):
+        held, kernel = holds[t - 1], []
+
+        def take(j, table, digits):  # the key is held only while _key_holds says
+            key = np.empty(cur.shape[1], np.min_scalar_type(len(table))) if j in held else None
+            _take(table, digits, cur[j], buffers, key)
+            if key is not None:
+                codes[j] = table, key
+
+        for j in layer.rows:
+            codes.pop(j, None)
+        for j, (table, digits) in coded.items():
+            take(j, table, digits)
+        for j in cols:
+            if j in coded:
+                continue
+            if j in codes:
+                inputs, key = codes[j]
+                if key is None:  # it holds lo + key, and its table writes nothing
+                    continue
+                table = inputs.copy()
+                activate(table)
+                if table.tobytes() != inputs.tobytes():
+                    _take(table, [(key, 0, len(table))], cur[j], buffers)
+                codes[j] = table, key
+                continue
+            inputs = _integer_table(cur[j], buffers)
+            if inputs is None:
+                kernel.append(j)
+                continue
+            bounds = inputs[0], len(inputs)
+            if bounds not in tables:
+                tables[bounds] = inputs.copy()
+                activate(tables[bounds])
+            table = tables[bounds]
+            if table.tobytes() == inputs.tobytes():  # it writes nothing: the column holds lo + key
+                codes[j] = table, None
+            else:
+                take(j, table, [(cur[j], inputs[0], len(table))])
+        for j in [j for j, (_, key) in codes.items() if key is not None and j not in held]:
+            del codes[j]
+        return kernel
+
+    return rows, columns
 
 
 def _initial_state(spec, graph):
@@ -217,7 +451,8 @@ def layer_states(spec, graph, name, m, keep=None):
     """Yield the (d, n) state of ``spec``'s layers run on ``graph`` under
     ``name`` composed ``m`` times, one array updated in place: once before
     the first layer, the initial state built from ``spec.init_kinds``, then
-    after each layer has activated the columns ``_schedule`` gives it.
+    after each layer has activated the columns ``_schedule`` gives it,
+    through tables where the table rule of the module docstring says.
     Layer 1 reads the neighbour sum of each kind from the graph's
     ``_first_sums``, and fills it where a kind is missing.  A layer whose
     pre-activations are not all finite raises ValueError."""
@@ -227,13 +462,17 @@ def layer_states(spec, graph, name, m, keep=None):
         raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
     layers, kinds, kept = spec.layers, spec.init_kinds, graph._first_sums
     activate = activations._in_place(name, m)
+    settles = activations.get_activation(name).idempotent
     z = np.empty((max((len(layer.c) for layer in layers), default=0), n))
     scratch = (np.empty(n), np.empty(n))
     src, dst = graph.edge_src, graph.edge_dst
     # each edge's source value; take writes into out only when mode is not
     # "raise", and every source index is in range, so "clip" clips nothing
     sent = np.empty(len(src))
-    steps = _schedule(layers, keep, n, activations.get_activation(name).idempotent)
+    steps = _schedule(layers, keep, n, settles)
+    coding = (min(m, 1) if settles else m) >= _TABLE_DEPTH and n >= _CHUNK  # the table rule
+    if coding:
+        coded_rows, coded_columns = _coding(layers, activate)
     yield cur
     for t, (layer, (rows, positions, (views, gather))) in enumerate(zip(layers, steps), start=1):
         sums = {}  # this layer's alone: the last layer's go here
@@ -247,10 +486,20 @@ def layer_states(spec, graph, name, m, keep=None):
                     row.flags.writeable = False
                     kept[kinds[p - d]] = row
             sums[p] = row
-        pre = _combine(layer, cur, sums, z, scratch)
+        cs, terms = layer.c, layer.terms
+        if coding:
+            cols = [j for view in views for j in range(d)[view]] + ([] if gather is None else gather.tolist())
+            coded = coded_rows(layer, cur, cols)
+            if coded:  # the other rows take the ordinary path
+                plain = [i for i, j in enumerate(layer.rows) if j not in coded]
+                rows = _index([layer.rows[i] for i in plain])
+                cs, terms = [cs[i] for i in plain], [terms[i] for i in plain]
+        pre = _combine(d, cs, terms, cur, sums, z, scratch)
         if not np.isfinite(pre).all():
             raise ValueError(f"layer {t} has a pre-activation that is not finite")
         cur[rows] = pre
+        if coding:
+            views, gather = _live_index(coded_columns(t, layer, cur, cols, coded), n)
         for view in views:
             activate(cur[view])
         if gather is not None:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gc2gnn import LabeledGraph, TreeParams, activations, compile_formula, make_tree, parse, read_graph
+from gc2gnn import LabeledGraph, TreeParams, activations, backend, compile_formula, make_tree, parse, read_graph
 from gc2gnn.backend import layer_states
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
 
@@ -60,12 +60,13 @@ def tree_classes(params):
     return np.repeat(np.arange(5), [1, 1, m - 1, x, (m - 1) * k])
 
 
-def uses_tables(name, m):
-    """Whether a run of ``name`` composed ``m`` times takes tables, by the
-    depth rule of the ``activations`` docstring: the depth it composes, m
-    or 1 for an idempotent map, is at least ``activations._TABLE_DEPTH``."""
+def uses_tables(name, m, n):
+    """Whether a run of ``name`` composed ``m`` times on ``n`` vertices codes
+    rows, by the table rule of the ``backend`` docstring: the depth it
+    composes, m or 1 for an idempotent map, is at least
+    ``backend._TABLE_DEPTH``, and n is at least ``backend._CHUNK``."""
     depth = min(m, 1) if activations.get_activation(name).idempotent else m
-    return depth >= activations._TABLE_DEPTH
+    return depth >= backend._TABLE_DEPTH and n >= backend._CHUNK
 
 
 def matrix_rows(a, b):

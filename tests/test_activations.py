@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gc2gnn import activations, cli
+from gc2gnn import LabeledGraph, activations, backend, cli
 from gc2gnn.activations import (
     ACTIVATION_NAMES,
     CERTIFIED_NAMES,
@@ -30,7 +30,7 @@ from gc2gnn.activations import (
     verify_step_like,
 )
 
-from conftest import simd_level, simd_targets, uses_tables
+from conftest import simd_level, simd_targets
 
 CERTIFIED = ("step-arctan", "step-tanh", "steplike-tanh-eta0", "steplike-sigmoid-eta0")
 
@@ -409,7 +409,7 @@ def test_sigma_star_special_values():
     assert buf.tobytes() == out.tobytes()
 
 
-# -- the table of integer-valued blocks ------------------------------------------
+# -- the forward's table of an integer-valued row -----------------------------------
 
 
 def integer_blocks() -> np.ndarray:
@@ -420,34 +420,28 @@ def integer_blocks() -> np.ndarray:
     return x
 
 
-def test_table_gives_the_kernels_bits(monkeypatch):
-    # apply_activation reaches the table: under every map at m = 3 and 14 it
-    # gives the bits of a run whose blocks all go to the kernel.  Under a
-    # map that takes a table each block is looked up whole, but the second
-    # only up to the chunk of its -0.0, which lo + i would give +0.0's bits;
-    # arctan-4pi's table holds its shifted composite, so it is looked up
-    # too.  Which maps take one follows the composed depth alone, at every
-    # SIMD level: under numpy's baseline loops steplike-tanh-eta0 at m = 14
-    # sends -2..2 to 0 and 1 exactly, and still takes a table
+def test_table_gives_the_kernels_bits():
+    # a row of integers taken from its activated table (backend's row
+    # table) has the bits of apply_activation, which runs the kernel on
+    # every element: under every map at m = 3 and 14, arctan-4pi's shifted
+    # composite included.  The table puts the value of each of -3..8 at
+    # another position, in an array of 12 entries, shorter than a SIMD
+    # vector's remainder path at every level, so the bits rest on the
+    # kernel giving a value the same bits at any position.  The row with
+    # its -0.0 is refused whole, since lo + i would give it +0.0's bits
     x = integer_blocks()
-    done, look_up = [], activations._look_up
-
-    def recorded(block, *args):
-        done.append(look_up(block, *args))
-        return done[-1]
-
-    monkeypatch.setattr(activations, "_look_up", recorded)
+    buffers = np.empty(backend._CHUNK, dtype=np.int64), np.empty(backend._CHUNK)
+    assert backend._integer_table(x, buffers) is None
+    x[x == 0] = 0.0
+    inputs = backend._integer_table(x, buffers)
+    assert inputs.tolist() == list(range(-3, 9))
     for name in ACTIVATION_NAMES:
         for m in (3, 14):
-            done.clear()
-            table = apply_activation(name, m, x)
-            takes = uses_tables(name, m)
-            assert takes or name != "arctan-4pi"
-            assert done == ([2**16, 3 * 2**12, 2**16, 5] if takes else []), (name, m)
-            with monkeypatch.context() as kernel_only:
-                kernel_only.setattr(activations, "_TABLE_DEPTH", m + 1)
-                kernel = apply_activation(name, m, x)
-            assert table.tobytes() == kernel.tobytes(), (name, m, f"numpy SIMD level {simd_level()}")
+            table, got = inputs.copy(), x.copy()
+            activations._in_place(name, m)(table)
+            backend._take(table, [(got, -3.0, len(table))], got, buffers)
+            kernel = apply_activation(name, m, x)
+            assert got.tobytes() == kernel.tobytes(), (name, m, f"numpy SIMD level {simd_level()}")
 
 
 # numpy's dispatch targets switched off, by NPY_DISABLE_CPU_FEATURES, for
@@ -491,16 +485,21 @@ def test_table_gives_the_kernels_bits_at_lower_simd_levels(level):
 
 
 @pytest.mark.parametrize("m", [1, 3, 14])
-def test_no_probe_runs_a_map(m, monkeypatch):
-    # whether a run takes tables follows the depth it composes: resolving a
-    # map and activating a multi-block integer array with it run no map
+def test_no_probe_runs_a_map(m, q2_spec, monkeypatch):
+    # whether a run codes rows follows the depth it composes and n:
+    # resolving a map, activating a multi-block integer array with it, and
+    # a forward on 2**12 vertices, which codes rows at m >= 3, run no map
     # through apply_activation
     calls = []
     apply = activations.apply_activation
     monkeypatch.setattr(activations, "apply_activation", lambda *args: calls.append(args) or apply(*args))
     x = integer_blocks()[:3 * 2**16]
+    rng = np.random.default_rng(5)
+    pairs = rng.integers(0, backend._CHUNK, size=(3 * backend._CHUNK, 2))
+    graph = LabeledGraph(backend._CHUNK, 2, rng.integers(1, 3, backend._CHUNK), pairs[pairs[:, 0] != pairs[:, 1]])
     for name in ACTIVATION_NAMES:
         activations._in_place(name, m)(x.copy())
+        backend.run_forward(q2_spec, graph, name, m)
     assert calls == []
 
 

@@ -208,9 +208,9 @@ def test_one_integer_test_in_the_package():
 
 
 def test_no_probe_decides_how_a_map_runs():
-    # whether a run takes tables follows the depth it composes (the
-    # activations docstring), so the probe that once ran the map to decide
-    # it is named nowhere in the package or the tests
+    # whether a run takes tables follows the depth it composes and n (the
+    # table rule of the backend docstring), so the probe that once ran the
+    # map to decide it is named nowhere in the package or the tests
     probe = "_takes" + "_table"
     paths = [*Path(gc2gnn.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
     assert [path.name for path in paths if probe in path.read_text()] == []
@@ -218,9 +218,9 @@ def test_no_probe_decides_how_a_map_runs():
 
 
 def test_one_entry_runs_a_map(q2_spec):
-    # activations._in_place is the one code that runs a map, its table
-    # included: no other module reads an Activation's fn, and backend keeps
-    # none of the table's names.  backend.layer_states is the layer loop
+    # activations._in_place is the one code that runs a map: no other module
+    # reads an Activation's fn.  The table of a coded row is backend's, which
+    # holds its names, and activations none.  backend.layer_states is the layer loop
     # alone, builds its state from the spec's initial kinds and holds a
     # layer's neighbour sums as computed: a warm q2 forward on 2**16
     # vertices peaks within its one (d, n) array, the state, the (k, n)
@@ -234,9 +234,9 @@ def test_one_entry_runs_a_map(q2_spec):
         if any(isinstance(node, ast.Attribute) and node.attr == "fn" for node in ast.walk(ast.parse(path.read_text())))
     }
     assert readers == {"activations.py"}
-    table = ("_activator", "_look_up", "_CHUNK", "_TABLE_DEPTH")
-    assert [name for name in table if hasattr(backend, name)] == []
-    assert all(hasattr(activations, name) for name in table[1:])
+    table = ("_CHUNK", "_TABLE_DEPTH")
+    assert [name for name in ("_activator", "_look_up", *table) if hasattr(activations, name)] == []
+    assert all(hasattr(backend, name) for name in table) and not hasattr(backend, "_activator")
 
     n, rng = 2**16, np.random.default_rng(3)
     pairs = rng.integers(0, n, size=(n, 2))

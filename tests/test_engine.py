@@ -429,8 +429,8 @@ def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
     record_kernels(monkeypatch, counted("kernel", lambda x: None))
     monkeypatch.setattr(activations, "apply_activation", counted("apply_activation", activations.apply_activation))
     monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
-    # below activations._BLOCK elements no array is looked up
-    monkeypatch.setattr(activations, "_look_up", counted("table", activations._look_up))
+    # below backend._CHUNK vertices no row is coded
+    monkeypatch.setattr(backend, "_integer_table", counted("table", backend._integer_table))
     sums = sum(len(sum_positions(layer)) for layer in spec.layers)
     first = sum_positions(spec.layers[0])
     assert spec.iterations >= 60 and sums >= 20 and first == [spec.d]
@@ -512,8 +512,8 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
                     first = seen[:len(blocks)]
                     assert [x.size for x in first] == blocks, (n, name, m)
                     assert not any(np.shares_memory(x, got) for x in first)
-                elif long_runs and uses_tables(name, m):
-                    assert seen[0].size < activations._CHUNK and not np.shares_memory(seen[0], got), (name, m)
+                elif uses_tables(name, m, n):
+                    assert seen[0].size < backend._CHUNK and not np.shares_memory(seen[0], got), (name, m)
                 elif long_runs:
                     blocks = [activations._BLOCK] * m + [2 * n - activations._BLOCK] * m
                     first = seen[:2 * len(blocks)]
@@ -610,7 +610,7 @@ def test_unit_weights_fold_with_the_products_bits():
         z = c + fold(a) if a else c + fold(b)
         want.append(z + fold(b) if a and b else z)
     want = np.array(want)
-    got = backend._combine(layer, cur, values, np.empty((d + 1, n)), (np.empty(n), np.empty(n)))
+    got = backend._combine(d, layer.c, layer.terms, cur, values, np.empty((d + 1, n)), (np.empty(n), np.empty(n)))
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(got), np.signbit(want))
     zeros = want == 0.0
@@ -1107,55 +1107,147 @@ def test_multi_block_forward_bits_pinned(q2_spec):
 def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     # n = 1.25 activations._BLOCK, and the state rows are C1, C2, the
     # `dia>=2 C1` row (pre-activations -1..Δ-1), the `dia>=K C2` row with
-    # K = Δ + 2 (every pre-activation negative) and the output.  Under every
-    # map, every state has the reference's bits, and so does the output of a
-    # run that keeps only it.  A hand-built row of n values, activated
-    # through activations._in_place as the loop activates a state row, has
-    # the bits of a run whose blocks all go to the kernel: a first block of
-    # 0, 1 and 2 with a -0.0 in its fourth chunk (lo + i would give it
-    # +0.0's bits) and a 0.5 later, so the lookup takes three chunks and the
-    # kernel the rest, and a second block of 1e300 only, a one-entry table
-    block, chunk = activations._BLOCK, activations._CHUNK
+    # K = Δ + 2 (every pre-activation negative) and the output, which reads
+    # the two through A terms alone.  Under every map, every state has the
+    # reference's bits, and so does the output of a run that keeps only it.
+    # Under a map that codes rows, every column after layer 1 holds
+    # integers and goes through backend's row table, the negative row
+    # included, and the output row through the product table of rows 2 and
+    # 3, so the kernel sees tables alone but for C1 and C2 at layer 2 under
+    # a map that moves 0 or 1 (their values after layer 1 are no longer
+    # integers).  A hand-built row of n values,
+    # keyed as the loop keys a state row, has the bits of the kernel: 0, 1
+    # and 2, a three-entry table, and 1e300 alone, a one-entry table; with
+    # a -0.0 in its fourth chunk (lo + i would give it +0.0's bits) it is
+    # refused
+    block, chunk = activations._BLOCK, backend._CHUNK
     n = block + block // 4
     graph = sparse_random_graph(n, block, 2, 3)
     delta = graph.max_degree
     spec = compile_formula(parse(f"(dia>=2 C1 and dia>={delta + 2} C2)", 2), 2)
     assert spec.init_kinds == ("C1", "C2", "0", "0", "0") and spec.output_index == 4
     init = initial_features(spec, graph)
-    column = np.resize([0.0, 1.0, 2.0], block)
-    column[3 * chunk + 7], column[9 * chunk] = -0.0, 0.5
-    row = np.concatenate([column, np.full(n - block, 1e300)])
-    outcomes, look_up = [], activations._look_up
+    outcomes, integer_table, sizes = [], backend._integer_table, []
 
     def recorded(values, *args):
-        hi, done = values.max(), look_up(values, *args)
-        outcomes.append("table" if done == values.size else "part" if done else "kernel")
-        if done == values.size and hi < 0:
-            outcomes.append("negative")
-        return done
+        table = integer_table(values, *args)
+        outcomes.append("kernel" if table is None else "negative" if table[-1] < 0 else "table")
+        return table
 
-    monkeypatch.setattr(activations, "_look_up", recorded)
+    monkeypatch.setattr(backend, "_integer_table", recorded)
+    record_kernels(monkeypatch, lambda x: sizes.append(x.size))
     for name in ACTIVATION_NAMES:
         for m in (0, 1, 3):
-            takes = uses_tables(name, m)
+            takes = uses_tables(name, m, n)
             outcomes.clear()
-            states = backend.layer_states(spec, graph, name, m)
+            sizes.clear()
+            states = [state.copy() for state in backend.layer_states(spec, graph, name, m)]
+            assert outcomes[:5] == (["table", "table", "table", "negative", "table"] if takes else []), (name, m)
+            assert set(outcomes[5:]) <= {"table", "kernel"}
+            whole = sum(size for size in sizes if size >= chunk)
+            assert whole <= 2 * m * n if takes else min(sizes, default=chunk) >= chunk, (name, m)
             for t, state in enumerate(states):
                 want = reference_run_forward(init, graph, spec.layers[:t], name, m) if t else init
                 assert state.T.tobytes() == want.tobytes(), (name, m, t)
             got = run_forward(spec, graph, name, m, keep=(4,))
             assert got[:, 4].tobytes() == want[:, 4].tobytes(), (name, m)
-            assert set(outcomes) == ({"table", "kernel", "negative"} if takes else set()), (name, m)
 
-            outcomes.clear()
-            table = row.copy()
-            activations._in_place(name, m)(table)
-            assert outcomes == (["part", "table"] if takes else []), (name, m)
-            with monkeypatch.context() as kernel_only:
-                kernel_only.setattr(activations, "_TABLE_DEPTH", m + 1)
-                kernel = row.copy()
-                activations._in_place(name, m)(kernel)
-            assert table.tobytes() == kernel.tobytes(), (name, m, f"numpy SIMD level {simd_level()}")
+    buffers = np.empty(chunk, dtype=np.int64), np.empty(chunk)
+    rows = np.resize([0.0, 1.0, 2.0], n), np.full(n, 1e300)
+    for row, lo in zip(rows, (0.0, 1e300)):
+        inputs = backend._integer_table(row, buffers)
+        assert inputs.tolist() == sorted(set(row.tolist())) and inputs[0] == lo
+        for name in ACTIVATION_NAMES:
+            for m in (3, 14):
+                table, got = inputs.copy(), row.copy()
+                with np.errstate(over="ignore"):
+                    activations._in_place(name, m)(table)
+                    kernel = apply_activation(name, m, row)
+                backend._take(table, [(got, inputs[0], len(table))], got, buffers)
+                assert got.tobytes() == kernel.tobytes(), (name, m, f"numpy SIMD level {simd_level()}")
+    signed = rows[0].copy()
+    signed[3 * chunk + 7] = -0.0
+    assert backend._integer_table(signed, buffers) is None
+
+
+def coded_and_kernel_only(spec, graph, name, m, monkeypatch):
+    """Every ``keep=None`` state and the kept output of ``spec`` on
+    ``graph``, or the ValueError's words, from a run that codes rows as the
+    table rule says and from one with ``backend._TABLE_DEPTH`` above m,
+    whose kernel sees every element."""
+    def run():
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                states = [state.tobytes() for state in backend.layer_states(spec, graph, name, m)]
+                kept = run_forward(spec, graph, name, m, (spec.output_index,))[:, spec.output_index]
+            return states + [kept.tobytes()]
+        except ValueError as error:
+            return str(error)
+
+    coded = run()
+    with monkeypatch.context() as kernel_only:
+        kernel_only.setattr(backend, "_TABLE_DEPTH", m + 1)
+        return coded, run()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_coded_runs_keep_every_bit(seed):
+    # on 4096-9000 vertices at m >= 3 every map but the three that settle
+    # codes rows; under each map at an m of 3-15, every state and the kept
+    # output of a formula of depth 2-7 (palette 1-3, thresholds 1-4) have
+    # the bits of the run whose kernel sees every element
+    rng = np.random.default_rng(seed)
+    palette, depth = int(rng.integers(1, 4)), int(rng.integers(2, 8))
+    while (spec := compile_formula(random_formula(rng, palette, depth, int(rng.integers(1, 5))), palette)).iterations < depth - 1:
+        pass  # a draw stops early at each level: redraw the shallow ones
+    graph = random_graph(int(rng.integers(4096, 9001)), float(rng.uniform(2.0, 6.0)), palette, seed)
+    for name, m in zip(ACTIVATION_NAMES, rng.integers(3, 16, len(ACTIVATION_NAMES)).tolist()):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            coded, kernel_only = coded_and_kernel_only(spec, graph, name, m, monkeypatch)
+        assert coded == kernel_only, (seed, name, m)
+
+
+def test_rows_the_table_refuses_take_the_ordinary_path(monkeypatch):
+    # hand-built rows over C1, C2 and a ones column on 4096 vertices, each
+    # refused by the table rule: layer 1 writes -x0 + -0.0, which holds
+    # -0.0 (lo + i would give it +0.0's bits), and 5000 times C1's
+    # neighbour sum, whose range is 5000 Δ; layer 2 copies the colors, and
+    # layer 3 adds 1e308 times each of them, whose product table holds
+    # 2e308 where a vertex would hold both colors, an infinity no vertex
+    # reaches, or adds 1e308 times C1 and the ones column, which a vertex of
+    # color 1 reaches, and raises.  Each row takes the ordinary path, with
+    # the kernel-only run's bits or its ValueError
+    graph = random_graph(backend._CHUNK, 5.0, 2, 41)
+    d = 7
+    refused, integer_table, product = [], backend._integer_table, backend._product
+
+    def recorded_table(*args):
+        table = integer_table(*args)
+        if table is None:
+            refused.append("key")
+        return table
+
+    def recorded_product(*args):
+        table = product(*args)
+        if table is not None and not np.isfinite(table).all():
+            refused.append("inf")
+        return table
+
+    monkeypatch.setattr(backend, "_integer_table", recorded_table)
+    monkeypatch.setattr(backend, "_product", recorded_product)
+    first = GnnLayer((3, 4), (-0.0, 0.0), [[(0, -1.0)], [(d + 0, 5000.0)]], d)
+    copy = GnnLayer((5, 6), (0.0, 0.0), [[(0, 1.0)], [(1, 1.0)]], d)
+    for pair, error in (((5, 6), None), ((2, 5), "layer 3 has a pre-activation that is not finite")):
+        last = GnnLayer((3,), (0.0,), [[(pair[0], 1e308), (pair[1], 1e308)]], d)
+        spec = GnnSpec(3, (first, copy, last), ActivationSpec("step-arctan", 3), ("C1", "C2", "1", "0", "0", "0", "0"))
+        for name in ("step-arctan", "tanh", "arctan-4pi"):
+            refused.clear()
+            coded, kernel_only = coded_and_kernel_only(spec, graph, name, 3, monkeypatch)
+            assert coded == kernel_only, (name, pair)
+            if name == "step-arctan":  # it fixes 0 and 1, so the copies are 0/1 columns
+                assert coded == error or error is None and isinstance(coded, list), pair
+                assert refused[:2] == ["key", "key"] and "inf" in refused, pair
 
 
 @pytest.fixture(scope="module")
@@ -1169,27 +1261,33 @@ def large_graph():
 
 def test_maps_that_keep_integers_never_look_up(q2_spec, large_graph, monkeypatch):
     # sigma-star, crelu and relu compose once at every m, so they run the
-    # kernel on every array, on a graph where every activated array holds
-    # activations._BLOCK elements; so does every map below depth 3, where a
-    # lookup costs about as much as the kernel or more
+    # kernel on every array and code no row, on a graph where every state
+    # row holds two activations._BLOCKs; so does every map below depth 3,
+    # where a lookup costs about as much as the kernel or more
     def refuse(*args):
-        raise AssertionError("a map that keeps integers, or a shallow one, looked up a table")
+        raise AssertionError("a map that keeps integers, or a shallow one, coded a row")
 
-    assert activations._TABLE_DEPTH == 3
-    assert [name for name in ACTIVATION_NAMES if not uses_tables(name, 3)] == ["sigma-star", "crelu", "relu"]
-    assert not any(uses_tables(name, m) for name in ACTIVATION_NAMES for m in (0, 1, 2))
-    monkeypatch.setattr(activations, "_look_up", refuse)
+    n = large_graph.n
+    assert backend._TABLE_DEPTH == 3 and n >= backend._CHUNK
+    assert [name for name in ACTIVATION_NAMES if not uses_tables(name, 3, n)] == ["sigma-star", "crelu", "relu"]
+    assert not any(uses_tables(name, m, n) for name in ACTIVATION_NAMES for m in (0, 1, 2))
+    monkeypatch.setattr(backend, "_coding", refuse)
     for name, m in (("sigma-star", 3), ("crelu", 3), ("relu", 3), ("sigmoid", 1), ("step-arctan", 2)):
         forward(q2_spec, large_graph, ActivationSpec(name, m))
         forward_outputs(q2_spec, large_graph, ActivationSpec(name, m))
 
 
-def test_step_arctan_kernel_sees_tables_for_integer_columns(q2_spec, large_graph, monkeypatch):
+def test_step_arctan_kernel_sees_tables_for_integer_columns(q1_spec, q2_spec, large_graph, monkeypatch):
     # forward_outputs activates 8 (column, layer) pairs of q2: after layer 1
     # C1 and the two `dia>=1` rows, then C1 and row 4, C1 and row 5, and
-    # row 6.  Five hold integers (C1 stays 0/1: step-arctan fixes 0 and 1
-    # bit for bit) and the kernel sees only their tables, each of at most
-    # Δ + 1 entries; it sees the other three n elements a step
+    # row 6.  C1 and the two `dia>=1` rows hold integers (C1 stays 0/1:
+    # step-arctan fixes 0 and 1 bit for bit) and go through their tables,
+    # and row 4, which reads rows 2 and 3 through A terms alone, through
+    # the product of their tables; the kernel sees only tables for them,
+    # each of fewer than backend._CHUNK entries, and rows 5 and 6 n elements
+    # a step.  q1 activates its rows 1-4 one a layer: row 1 (deg - 1)
+    # through its table, row 2 (1 - x1) through the product table of row 1,
+    # and rows 3 and 4 n elements a step
     kernel, sizes, m = activations._REGISTRY["step-arctan"], [], 3
 
     def recorded(x):
@@ -1197,16 +1295,20 @@ def test_step_arctan_kernel_sees_tables_for_integer_columns(q2_spec, large_graph
         kernel.fn(x)
 
     monkeypatch.setitem(activations._REGISTRY, "step-arctan", replace(kernel, fn=recorded))
-    forward_outputs(q2_spec, large_graph, ActivationSpec("step-arctan", m))
-    tables = [size for size in sizes if size < activations._CHUNK]
-    assert tables and max(tables) <= large_graph.max_degree + 1
-    assert sum(sizes) - sum(tables) == m * 3 * large_graph.n
+    for spec in (q1_spec, q2_spec):
+        sizes.clear()
+        forward_outputs(spec, large_graph, ActivationSpec("step-arctan", m))
+        tables = [size for size in sizes if size < backend._CHUNK]
+        assert tables and max(tables) <= (large_graph.max_degree + 1) ** 2
+        assert sum(sizes) - sum(tables) == m * 2 * large_graph.n
 
 
 def test_lookup_buffers_stay_small(q2_spec, large_graph):
-    # the lookup's index and round-trip buffers hold 2^12 elements each, and
-    # its tables a few: the step-arctan peak stays within 100 KB of the
-    # sigma-star one, whose kernel takes no table
+    # a coding run's index and round-trip buffers hold 2^12 elements each,
+    # its tables a few, and its keys one byte a vertex, while a later row of
+    # A terms alone reads the column, and none for C1, which holds lo + key:
+    # the step-arctan peak stays within 100 KB of the sigma-star one, which
+    # codes no row
     peaks = {
         name: traced_peak(lambda: forward_outputs(q2_spec, large_graph, ActivationSpec(name, m)))
         for name, m in (("sigma-star", 1), ("step-arctan", 14))
@@ -1295,7 +1397,7 @@ def test_kept_first_sums_give_every_bit_cold_and_warm(graph_key, query, q1_spec,
     }
     runs = CACHED_SUM_RUNS
     if graph_key == "large":  # the maps that take a table, the path the graph is there for
-        runs = [(name, m) for name, m in runs if uses_tables(name, m)]
+        runs = [(name, m) for name, m in runs if uses_tables(name, m, graph.n)]
     if query == "chain" and graph_key == "large":
         # 60 layers of 2^16 vertices: a chain forward of every column takes
         # seconds, so the kept output under the certified step-arctan only

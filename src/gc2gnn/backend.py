@@ -488,7 +488,7 @@ def layer_states(spec, graph, name, m, keep=None):
             sums[p] = row
         cs, terms = layer.c, layer.terms
         if coding:
-            cols = [j for view in views for j in range(d)[view]] + ([] if gather is None else gather.tolist())
+            cols = sorted([j for view in views for j in range(d)[view]] + ([] if gather is None else gather.tolist()))
             coded = coded_rows(layer, cur, cols)
             if coded:  # the other rows take the ordinary path
                 plain = [i for i, j in enumerate(layer.rows) if j not in coded]

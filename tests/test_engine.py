@@ -1250,6 +1250,25 @@ def test_rows_the_table_refuses_take_the_ordinary_path(monkeypatch):
                 assert refused[:2] == ["key", "key"] and "inf" in refused, pair
 
 
+def test_a_coded_runs_kernel_columns_keep_their_order():
+    # kept at columns 0, 2, 3 and 5 of six on 2**15 vertices, the live set
+    # after the last layer is the in-place run [2, 3] and the gathered
+    # columns 0 and 5; their values, neighbour sums of activated tables,
+    # are not integers, so each goes to the kernel, and every kept column
+    # has the bits of the run that keeps every column (handed over in
+    # schedule order, [2, 3, 0, 5] read as the contiguous run 2..5)
+    d = 6
+    first = GnnLayer(tuple(range(d)), (0.0,) * d, [[(d, 1.0)]] * d, d)
+    second = GnnLayer(tuple(range(d)), (0.0,) * d, [[(d + j, 1.0)] for j in range(d)], d)
+    spec = GnnSpec(5, (first, second), ActivationSpec("step-arctan", 3), ("C1", "C2", "1", "0", "0", "0"))
+    graph, keep = random_graph(2**15, 3.0, 2, 5), (0, 2, 3, 5)
+    assert uses_tables("step-arctan", 3, graph.n)
+    views, gather = backend._schedule(spec.layers, keep, graph.n)[1][2]
+    assert views == (slice(2, 4),) and gather.tolist() == [0, 5]
+    got, every = run_forward(spec, graph, "step-arctan", 3, keep), run_forward(spec, graph, "step-arctan", 3)
+    assert [got[:, j].tobytes() == every[:, j].tobytes() for j in keep] == [True] * 4
+
+
 @pytest.fixture(scope="module")
 def large_graph():
     """2^17 vertices of average degree 5: each state row is two

@@ -1115,11 +1115,10 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     # included, and the output row through the product table of rows 2 and
     # 3, so the kernel sees tables alone but for C1 and C2 at layer 2 under
     # a map that moves 0 or 1 (their values after layer 1 are no longer
-    # integers).  A hand-built row of n values,
-    # keyed as the loop keys a state row, has the bits of the kernel: 0, 1
-    # and 2, a three-entry table, and 1e300 alone, a one-entry table; with
-    # a -0.0 in its fourth chunk (lo + i would give it +0.0's bits) it is
-    # refused
+    # integers).  A hand-built row of n values, keyed as the loop keys a
+    # state row, has the bits of the kernel: 0, 1 and 2, a three-entry
+    # table, and 1e300 alone, a one-entry table; with a -0.0 in its fourth
+    # chunk (lo + i would give it +0.0's bits) it is refused
     block, chunk = activations._BLOCK, backend._CHUNK
     n = block + block // 4
     graph = sparse_random_graph(n, block, 2, 3)

@@ -48,11 +48,11 @@ them all.
 
 A deep run on a large graph codes rows: it activates a column through a
 table of the values it holds, and keeps each vertex's key into that table
-across layers.  A compiled network reads 0/1 indicators through integer
+for the next layer.  A compiled network reads 0/1 indicators through integer
 weights, so a fresh pre-activation of layer 1 is an integer in
 [-(K-1), Delta], and a row that reads only such columns through A terms
-takes at most a few hundred distinct values.  The table rule
-(``_coding``):
+takes at most a few hundred distinct values.  The table rule (``_coding``,
+one step run after each layer writes its rows):
 
 - When.  A run codes rows when the depth it composes, m or 1 for an
   idempotent map, is at least ``_TABLE_DEPTH`` (3) and n is at least
@@ -68,58 +68,64 @@ takes at most a few hundred distinct values.  The table rule
   ``lo + (x - lo)`` has the bits of x at every element, checked one
   ``_CHUNK`` piece at a time: ``lo + i`` is +0.0 where it is zero, so a
   -0.0 never passes.  Any other column goes to the kernel whole.
-- Coded rows.  A rule row that is activated after its layer, whose terms
-  are all A terms over coded columns, and whose product of table lengths
-  is at most ``_CHUNK``, is computed on the tables instead of the
-  vertices: ``_fold`` runs over the tables, each broadcast along its own
-  axis in term order, then ``+= c``, and the map activates that product
-  table.  Each vertex takes its entry by the mixed-radix key of its
-  columns' keys, the first most significant, which is the row's key.  A
-  product table with an entry that is not finite, which no vertex may
-  reach, leaves its row to the ordinary path, as every other row goes.
-- Carried columns.  An activated coded column that the layer does not
-  write activates its table and takes from it by its key.  A table equal
-  to its inputs bit for bit writes nothing; a column whose integer table
-  writes nothing holds ``lo + key`` and stays coded, with no key and no
-  further activation, until a layer writes it.
-- Memory.  A key is held only while a later row of A terms alone reads its
-  column, before a layer writes it again, as the smallest unsigned dtype
-  that holds its table's length.  A column that holds ``lo + key`` holds
-  no key: a coded row reads its digit off its values, unless its layer
-  writes the column.  Casts, round trips and takes go ``_CHUNK`` elements
-  at a time through the run's two buffers, an int64 index and a float64
-  round trip (32 KB each); larger buffers cost ``peak_rss_mb`` on
+- Coded rows.  Every rule row is computed on the vertices and written.
+  Then a rule row that is activated after its layer, whose terms are all A
+  terms over columns that hold a key from the layer before or are settled,
+  and whose product of table lengths is at most ``_CHUNK``, is overwritten
+  from a table: ``_fold`` runs over the columns' tables, each broadcast
+  along its own axis in term order, then ``+= c``, and the map activates
+  that product table.  Each vertex takes its entry by the mixed-radix key
+  of its columns' keys, the first most significant, which is the row's
+  key.  A product table with an entry that is not finite, which no vertex
+  may reach, leaves its row to the integer rows' path, as every other row
+  goes.
+- Settled columns.  A column whose integer table writes nothing, a table
+  equal to its inputs bit for bit, holds ``lo + key``: it is settled until
+  a layer writes it, and is neither checked nor activated again.  A coded
+  row reads its digit off its values, unless its layer writes the column.
+- Carried columns.  An activated column that the layer does not write and
+  that holds a key from the layer before activates its table again and
+  takes from it by that key, which it keeps.
+- Memory.  A key lasts one layer: layer t keys a column only when layer
+  t + 1 carries it (activates it without writing it) or reads it through a
+  row of A terms alone, and the run's keys are rebuilt every layer, each
+  as the smallest unsigned dtype that holds its table's length.  A settled
+  column holds no key.  Casts, round trips and takes go ``_CHUNK``
+  elements at a time through the run's two buffers, an int64 index and a
+  float64 round trip (32 KB each); larger buffers cost ``peak_rss_mb`` on
   ``large-forward``.
-- Bits.  Every element gets the kernel's value of the float64 it holds, or
-  of the one its coded row would hold, computed by the same operations in
-  the same order.  That the kernel gives a value the same bits at another
-  position, in an array of 1 to 2^12 entries, where a table shorter than a
-  SIMD vector runs only the remainder path, is a property of numpy's loops
-  at each SIMD level; ``tests/test_activations.py`` checks it for every map
-  at the active level and, in child processes, under numpy's AVX2 and
-  baseline loops.  No value is sorted or deduplicated: a table holds a
-  range of integers or the product of such tables.
+- Bits.  Every element gets the kernel's value of the float64 it holds
+  once its layer has written, which a product table's entry computes by
+  the same operations in the same order.  That the kernel gives a value
+  the same bits at another position, in an array of 1 to 2^12 entries,
+  where a table shorter than a SIMD vector runs only the remainder path,
+  is a property of numpy's loops at each SIMD level;
+  ``tests/test_activations.py`` checks it for every map at the active
+  level and, in child processes, under numpy's AVX2 and baseline loops.
+  No value is sorted or deduplicated: a table holds a range of integers or
+  the product of such tables.
 
 Before the loop, one pass over the layers (``_schedule``) reads each
 layer's ``rows`` and term positions, plain Python ints, once per run and
 gives the loop, per layer, the index of its rows (a slice when they are
 contiguous, as every one-row layer's are), the B positions p >= d whose
-neighbour sums it reads as a list of ints, and the live index of the
-columns to activate after it; the loop iterates no numpy array.  ``keep``
-means the same in ``run_forward`` and ``layer_states``, which checks it
-once: integer columns in ``[0, d)``.  Under a map that settles (its
-record's ``idempotent``; the rule is stated in ``activations``), a layer
-activates its rule rows alone, with or without ``keep``, and no liveness
-pass runs: every other column holds an initial 0 or 1 or a value the map
-gave, which it leaves bit for bit, so every column holds what it would if
-all were activated at every layer.  Under any other map,
-``keep=None`` activates every column at every layer; given ``keep``, only
-the live ones: j is live after layer t when the caller keeps it or a later
-layer reads it before it fires again, so, backward, ``live_after(t-1) =
-(live_after(t) - rows(t)) | reads(t)`` from the kept coordinates, with
-``reads(t) = {p % d}`` over layer t's term positions p.  A kept column sees
-the activations of the run that activates every column; only here can a
-column be stale: one not live, which no row reads.
+neighbour sums it reads as a list of ints, the live index of the columns
+to activate after it and those columns as a list, which a coding run
+reads; the loop iterates no numpy array.  ``keep`` means the same in
+``run_forward`` and ``layer_states``, which checks it once: integer
+columns in ``[0, d)``.  Under a map that settles (its record's
+``idempotent``; the rule is stated in ``activations``), a layer activates
+its rule rows alone, with or without ``keep``, and no liveness pass runs:
+every other column holds an initial 0 or 1 or a value the map gave, which
+it leaves bit for bit, so every column holds what it would if all were
+activated at every layer.  Under any other map, ``keep=None`` activates
+every column at every layer; given ``keep``, only the live ones: j is live
+after layer t when the caller keeps it or a later layer reads it before it
+fires again, so, backward, ``live_after(t-1) = (live_after(t) - rows(t)) |
+reads(t)`` from the kept coordinates, with ``reads(t) = {p % d}`` over
+layer t's term positions p.  A kept column sees the activations of the run
+that activates every column; only here can a column be stale: one not
+live, which no row reads.
 
 Runs are bit-reproducible: neighbour sums accumulate in ascending neighbour
 order (``np.bincount`` over the (dst, src)-sorted edge list), and a row is
@@ -199,22 +205,25 @@ def _live_index(cols, n):
 
 def _schedule(layers, keep, n, settles=False):
     """For each layer, in order: the index of its rule rows, the B positions
-    whose neighbour sums it reads (a list of ``int``), and the
-    ``_live_index`` of the columns to activate after it: its rule rows if
-    the map ``settles``, else all if ``keep`` is None, else the live ones,
-    one object until they change."""
+    whose neighbour sums it reads (a list of ``int``), the ``_live_index``
+    of the columns to activate after it and those columns, ascending: its
+    rule rows if the map ``settles``, else all if ``keep`` is None, else the
+    live ones, one index and one list until they change."""
     live = None if keep is None or settles else {int(j) for j in keep}
-    cols = ((slice(None),), None) if live is None else _live_index(sorted(live), n)
+    cols = list(range(layers[0].d if layers else 0)) if live is None else sorted(live)
+    index = ((slice(None),), None) if live is None else _live_index(cols, n)
     steps = []
     for layer in reversed(layers):
         rows, d = layer.rows, layer.d
         ps = {p for row in layer.terms for p, _ in row}
-        cols = _live_index(rows, n) if settles else cols
-        steps.append((_index(rows), sorted(p for p in ps if p >= d), cols))
+        if settles:
+            cols, index = rows, _live_index(rows, n)
+        steps.append((_index(rows), sorted(p for p in ps if p >= d), index, cols))
         if live is not None:
             before = live.difference(rows).union(p % d for p in ps)
             if before != live:
-                live, cols = before, _live_index(sorted(before), n)
+                live, cols = before, sorted(before)
+                index = _live_index(cols, n)
     steps.reverse()
     return steps
 
@@ -266,20 +275,6 @@ def _combine(d, cs, terms, cur, sums, z, scratch):
     return z
 
 
-def _key_holds(layers):
-    """For each layer, the columns whose keys a coding run holds after it:
-    those that a later row of A terms alone reads before a layer writes them
-    again."""
-    held, holds = set(), []
-    for layer in reversed(layers):
-        holds.append(held)
-        d = layer.d
-        reads = {p for row in layer.terms if row and row[-1][0] < d for p, _ in row}
-        held = held.difference(layer.rows).union(reads)
-    holds.reverse()
-    return holds
-
-
 def _take(table, keys, row, buffers, key=None):
     """``row[v] = table[k]`` at every vertex v, where k is the mixed-radix
     key of ``keys``, ``(source, lo, length)`` triples with the first most
@@ -325,17 +320,16 @@ def _integer_table(row, buffers):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks that the result is finite
-def _product(row, c, codes):
+def _product(row, c, tables):
     """The flat pre-activation table of the rule row of A terms ``row`` and
-    bias ``c`` over columns that hold codes, ``codes[p]`` a (table, key)
-    pair: ``_fold`` over the tables, each broadcast along its own axis in
-    term order, then ``+= c``; None if it would have more than ``_CHUNK``
-    entries."""
-    shape = [len(codes[p][0]) for p, _ in row]
+    bias ``c`` over columns whose values ``tables[p]`` lists: ``_fold`` over
+    the tables, each broadcast along its own axis in term order, then
+    ``+= c``; None if it would have more than ``_CHUNK`` entries."""
+    shape = [len(tables[p]) for p, _ in row]
     if prod(shape) > _CHUNK:
         return None
     values = {
-        p: codes[p][0].reshape([size if axis == i else 1 for axis in range(len(shape))])
+        p: tables[p].reshape([size if axis == i else 1 for axis in range(len(shape))])
         for i, ((p, _), size) in enumerate(zip(row, shape))
     }
     table = _fold(row, values, np.empty(shape), np.empty(shape))
@@ -343,74 +337,63 @@ def _product(row, c, codes):
     return table.reshape(-1)
 
 
-def _digits(cur, p, code):
-    """Column p's digit of a mixed-radix key, from its (table, key) ``code``:
-    its key, or, for a column that holds ``lo + key``, its values less lo."""
-    table, key = code
-    return (cur[p], table[0], len(table)) if key is None else (key, 0, len(table))
+def _coding(layers, steps, activate):
+    """The step of a run of ``layers`` under ``activate`` that codes rows, by
+    the table rule of the module docstring; ``steps`` is the run's
+    ``_schedule``.  After layer t writes its rows, ``code(t, layer, cur)``
+    overwrites its coded rows from their product tables, activates the
+    other columns that ``steps`` activates after it through their tables
+    where it can, and returns the rest, ascending, for the kernel.
 
-
-def _coding(layers, activate):
-    """The two steps of a run of ``layers`` under ``activate`` that codes
-    rows, by the table rule of the module docstring.  Before a layer writes,
-    ``rows(layer, cur, cols)`` gives its rule rows computed on tables: each
-    row j activated after the layer (in ``cols``), of A terms alone over
-    coded columns, none of them one that holds its values as its key and
-    that the layer writes, whose product table has at most ``_CHUNK``
-    entries, all finite, maps to that table, activated, and the
-    ``_digits`` of its columns in term order.  After it writes,
-    ``columns(t, layer, cur, cols, coded)`` writes layer t's ``coded`` rows
-    from their tables, activates the other columns of ``cols`` that it can
-    through theirs, and returns the rest, for the kernel.
-
-    The run's ``codes`` map each coded column to its (table, key) pair, the
-    activated table and each vertex's key into it, held only while
-    ``_key_holds`` says; an integer column's key is its values less lo, so
-    it is built as the column takes from its table.  A column whose integer
-    table writes nothing holds ``lo + key``, and keeps its code with no key
-    until a layer writes it: a further activation would write nothing
-    again.  ``tables`` keeps the run's activated integer tables by range,
-    and ``buffers`` are its two ``_CHUNK``-element buffers."""
-    codes, tables, holds = {}, {}, _key_holds(layers)
+    ``codes`` maps each column that layer t keys to its digit of a key,
+    ``(key, 0, length)``, and its activated table; a new map is built every
+    layer.  ``settled`` maps each settled column to its digit, ``(values,
+    lo, length)``, and its table, until a layer writes it.  ``tables`` keeps
+    the run's activated integer tables by range, and ``buffers`` are its
+    two ``_CHUNK``-element buffers."""
+    codes, settled, tables = {}, {}, {}
     buffers = np.empty(_CHUNK, dtype=np.int64), np.empty(_CHUNK)
 
-    def rows(layer, cur, cols):
-        coded, d = {}, layer.d
-        for j, c, row in zip(layer.rows, layer.c, layer.terms):
-            if j not in cols or not row or row[-1][0] >= d:
-                continue
-            if all(p in codes and (codes[p][1] is not None or p not in layer.rows) for p, _ in row):
-                table = _product(row, c, codes)
-                if table is not None and np.isfinite(table).all():
-                    activate(table)
-                    coded[j] = table, [_digits(cur, p, codes[p]) for p, _ in row]
-        return coded
+    def code(t, layer, cur):
+        nonlocal codes
+        d, written, cols = layer.d, set(layer.rows), steps[t - 1][3]
+        keyed = set()  # the columns the next layer carries, or reads through A terms alone
+        if t < len(layers):
+            after = layers[t]
+            keyed = set(steps[t][3]).difference(after.rows)
+            keyed.update(p for row in after.terms if row and row[-1][0] < d for p, _ in row)
+        held, codes, active, coded, kernel = codes, {}, set(cols), set(), []
+        for j in written:
+            settled.pop(j, None)
 
-    def columns(t, layer, cur, cols, coded):
-        held, kernel = holds[t - 1], []
-
-        def take(j, table, digits):  # the key is held only while _key_holds says
-            key = np.empty(cur.shape[1], np.min_scalar_type(len(table))) if j in held else None
+        def take(j, table, digits):
+            key = np.empty(cur.shape[1], np.min_scalar_type(len(table))) if j in keyed else None
             _take(table, digits, cur[j], buffers, key)
             if key is not None:
-                codes[j] = table, key
+                codes[j] = (key, 0, len(table)), table
 
-        for j in layer.rows:
-            codes.pop(j, None)
-        for j, (table, digits) in coded.items():
-            take(j, table, digits)
-        for j in cols:
-            if j in coded:
+        for j, c, row in zip(layer.rows, layer.c, layer.terms):
+            if j not in active or not row or row[-1][0] >= d:
                 continue
-            if j in codes:
-                inputs, key = codes[j]
-                if key is None:  # it holds lo + key, and its table writes nothing
-                    continue
+            inputs = [held.get(p) or settled.get(p) for p, _ in row]
+            if not all(inputs):
+                continue
+            table = _product(row, c, {p: values for (p, _), (_, values) in zip(row, inputs)})
+            if table is not None and np.isfinite(table).all():
+                activate(table)
+                take(j, table, [digit for digit, _ in inputs])
+                coded.add(j)
+        for j in cols:
+            if j in coded or j in settled:  # a settled column's table writes nothing
+                continue
+            if j in held and j not in written:  # carried: its table again, by the same key
+                digit, inputs = held[j]
                 table = inputs.copy()
                 activate(table)
                 if table.tobytes() != inputs.tobytes():
-                    _take(table, [(key, 0, len(table))], cur[j], buffers)
-                codes[j] = table, key
+                    _take(table, [digit], cur[j], buffers)
+                if j in keyed:
+                    codes[j] = digit, table
                 continue
             inputs = _integer_table(cur[j], buffers)
             if inputs is None:
@@ -420,16 +403,14 @@ def _coding(layers, activate):
             if bounds not in tables:
                 tables[bounds] = inputs.copy()
                 activate(tables[bounds])
-            table = tables[bounds]
-            if table.tobytes() == inputs.tobytes():  # it writes nothing: the column holds lo + key
-                codes[j] = table, None
+            table, digit = tables[bounds], (cur[j], inputs[0], len(inputs))
+            if table.tobytes() == inputs.tobytes():
+                settled[j] = digit, table
             else:
-                take(j, table, [(cur[j], inputs[0], len(table))])
-        for j in [j for j, (_, key) in codes.items() if key is not None and j not in held]:
-            del codes[j]
+                take(j, table, [digit])
         return kernel
 
-    return rows, columns
+    return code
 
 
 def _initial_state(spec, graph):
@@ -472,9 +453,9 @@ def layer_states(spec, graph, name, m, keep=None):
     steps = _schedule(layers, keep, n, settles)
     coding = (min(m, 1) if settles else m) >= _TABLE_DEPTH and n >= _CHUNK  # the table rule
     if coding:
-        coded_rows, coded_columns = _coding(layers, activate)
+        code = _coding(layers, steps, activate)
     yield cur
-    for t, (layer, (rows, positions, (views, gather))) in enumerate(zip(layers, steps), start=1):
+    for t, (layer, (rows, positions, (views, gather), _)) in enumerate(zip(layers, steps), start=1):
         sums = {}  # this layer's alone: the last layer's go here
         for p in positions:
             row = kept.get(kinds[p - d]) if t == 1 else None
@@ -486,20 +467,12 @@ def layer_states(spec, graph, name, m, keep=None):
                     row.flags.writeable = False
                     kept[kinds[p - d]] = row
             sums[p] = row
-        cs, terms = layer.c, layer.terms
-        if coding:
-            cols = sorted([j for view in views for j in range(d)[view]] + ([] if gather is None else gather.tolist()))
-            coded = coded_rows(layer, cur, cols)
-            if coded:  # the other rows take the ordinary path
-                plain = [i for i, j in enumerate(layer.rows) if j not in coded]
-                rows = _index([layer.rows[i] for i in plain])
-                cs, terms = [cs[i] for i in plain], [terms[i] for i in plain]
-        pre = _combine(d, cs, terms, cur, sums, z, scratch)
+        pre = _combine(d, layer.c, layer.terms, cur, sums, z, scratch)
         if not np.isfinite(pre).all():
             raise ValueError(f"layer {t} has a pre-activation that is not finite")
         cur[rows] = pre
         if coding:
-            views, gather = _live_index(coded_columns(t, layer, cur, cols, coded), n)
+            views, gather = _live_index(code(t, layer, cur), n)
         for view in views:
             activate(cur[view])
         if gather is not None:

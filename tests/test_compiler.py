@@ -573,7 +573,7 @@ def assert_dense_views_match_terms(spec):
     for layer in spec.layers:
         a, b = layer.A, layer.B
         assert np.count_nonzero(a) + np.count_nonzero(b) == sum(map(len, layer.terms))
-        (_, positions, live), _ = backend._schedule((layer, layer), (), 10)
+        (_, positions, live, _), _ = backend._schedule((layer, layer), (), 10)
         assert activated_columns(live, spec.d) == np.flatnonzero(a.any(axis=0) | b.any(axis=0)).tolist()
         assert positions == (np.flatnonzero(b.any(axis=0)) + spec.d).tolist()
 

@@ -354,10 +354,11 @@ def _runs_by_the_block_rule(live, n):
 @pytest.mark.parametrize("case", SCHEDULE_CASES)
 def test_schedule_matches_the_liveness_recurrence(case, keep):
     # backend's one backward pass gives, per layer, the rows, the B
-    # positions whose neighbour sums it reads as ints and the live index, whose columns are the
-    # recurrence's live set: slices of the state activated where they lie,
-    # by the block rule, and the columns gathered into one buffer; the live
-    # index is one object while the live set does not change
+    # positions whose neighbour sums it reads as ints, the live index and
+    # its columns as an ascending list, the recurrence's live set: the
+    # index holds slices of the state activated where they lie, by the
+    # block rule, and the columns gathered into one buffer; the index and
+    # the list are each one object while the live set does not change
     layers, d, out = SCHEDULE_CASES[case]
     keep = {"none": None, "output": (out,), "empty": (), "every": range(d)}[keep]
     want = _live_after(layers, d, keep)
@@ -365,11 +366,11 @@ def test_schedule_matches_the_liveness_recurrence(case, keep):
     for n in (1, 2**15, 2**16):  # every run gathered; runs of 2 or more in place; every run in place
         steps = backend._schedule(layers, keep, n)
         assert len(steps) == len(layers) == len(want)
-        for layer, (rows, positions, index), live in zip(layers, steps, want):
+        for layer, (rows, positions, index, cols), live in zip(layers, steps, want):
             assert columns[rows].tolist() == list(layer.rows)
             assert isinstance(rows, slice) or len(layer.rows) > 1
             assert positions == sum_positions(layer) and all(type(p) is int for p in positions)
-            assert activated_columns(index, d) == sorted(live)
+            assert activated_columns(index, d) == list(cols) == sorted(live)
             views, gather = index
             if keep is None:
                 assert views == (slice(None),) and gather is None
@@ -378,8 +379,8 @@ def test_schedule_matches_the_liveness_recurrence(case, keep):
             assert all(isinstance(view, slice) and view.step is None for view in views)
             assert [columns[view].tolist() for view in views] == in_place
             assert ([] if gather is None else gather.tolist()) == gathered
-        for (*_, a), (*_, b), live_a, live_b in zip(steps, steps[1:], want, want[1:]):
-            assert (a is b) == (live_a == live_b)
+        for (*_, a, cols_a), (*_, b, cols_b), live_a, live_b in zip(steps, steps[1:], want, want[1:]):
+            assert (a is b) == (cols_a is cols_b) == (live_a == live_b)
 
 
 def _chain(levels):
@@ -415,7 +416,7 @@ def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
     graph = random_graph(30, 3.0, 2, 0)
     # on 30 vertices every run is short: one view or one gathered buffer a layer
     steps = backend._schedule(spec.layers, (spec.output_index,), graph.n)
-    assert [len(views) + (gather is not None) for *_, (views, gather) in steps] == [1] * spec.iterations
+    assert [len(views) + (gather is not None) for *_, (views, gather), _ in steps] == [1] * spec.iterations
     calls = {"schedule": 0, "resolve": 0, "kernel": 0, "apply_activation": 0, "bincount": 0, "table": 0}
 
     def counted(key, fn):
@@ -1113,9 +1114,9 @@ def test_integer_blocks_take_a_table_with_the_reference_bits(monkeypatch):
     # Under a map that codes rows, every column after layer 1 holds
     # integers and goes through backend's row table, the negative row
     # included, and the output row through the product table of rows 2 and
-    # 3, so the kernel sees tables alone but for C1 and C2 at layer 2 under
-    # a map that moves 0 or 1 (their values after layer 1 are no longer
-    # integers).  A hand-built row of n values, keyed as the loop keys a
+    # 3.  Layer 1 keys C1 and C2 for layer 2, which carries them, so under
+    # a map that moves 0 or 1 they take from their tables again there: the
+    # kernel sees tables alone.  A hand-built row of n values, keyed as the loop keys a
     # state row, has the bits of the kernel: 0, 1 and 2, a three-entry
     # table, and 1e300 alone, a one-entry table; with a -0.0 in its fourth
     # chunk (lo + i would give it +0.0's bits) it is refused
@@ -1215,8 +1216,9 @@ def test_rows_the_table_refuses_take_the_ordinary_path(monkeypatch):
     # layer 3 adds 1e308 times each of them, whose product table holds
     # 2e308 where a vertex would hold both colors, an infinity no vertex
     # reaches, or adds 1e308 times C1 and the ones column, which a vertex of
-    # color 1 reaches, and raises.  Each row takes the ordinary path, with
-    # the kernel-only run's bits or its ValueError
+    # color 1 reaches, and raises in the layer's combine, before any product
+    # table is built.  Each row takes the ordinary path, with the
+    # kernel-only run's bits or its ValueError
     graph = random_graph(backend._CHUNK, 5.0, 2, 41)
     d = 7
     refused, integer_table, product = [], backend._integer_table, backend._product
@@ -1246,7 +1248,7 @@ def test_rows_the_table_refuses_take_the_ordinary_path(monkeypatch):
             assert coded == kernel_only, (name, pair)
             if name == "step-arctan":  # it fixes 0 and 1, so the copies are 0/1 columns
                 assert coded == error or error is None and isinstance(coded, list), pair
-                assert refused[:2] == ["key", "key"] and "inf" in refused, pair
+                assert refused[:2] == ["key", "key"] and ("inf" in refused) == (error is None), pair
 
 
 def test_a_coded_runs_kernel_columns_keep_their_order():
@@ -1321,10 +1323,56 @@ def test_step_arctan_kernel_sees_tables_for_integer_columns(q1_spec, q2_spec, la
         assert sum(sizes) - sum(tables) == m * 2 * large_graph.n
 
 
+def test_step_arctan_kernel_work_per_layer_with_every_column_activated(q1_spec, q2_spec, large_graph, monkeypatch):
+    # with keep=None every column is activated at every layer.  A column
+    # that the next layer carries keeps its key, so it activates through its
+    # table again: the kernel sees whole rows only for the row that sums
+    # activated values at layer 3, q1's row 3 and q2's row 5, and at layer
+    # 4 for that row, carried, and the output, which reads it: m n elements
+    # at layer 3 and 2 m n at layer 4 for either query
+    kernel, sizes, m, n = activations._REGISTRY["step-arctan"], [], 3, large_graph.n
+
+    def recorded(x):
+        sizes.append(x.size)
+        kernel.fn(x)
+
+    monkeypatch.setitem(activations._REGISTRY, "step-arctan", replace(kernel, fn=recorded))
+    for spec in (q1_spec, q2_spec):
+        per_layer = []
+        for _ in backend.layer_states(spec, large_graph, "step-arctan", m):
+            per_layer.append(sum(size for size in sizes if size >= backend._CHUNK))
+            sizes.clear()
+        assert per_layer[1:] == [0, 0, m * n, 2 * m * n], [size / (m * n) for size in per_layer]
+
+
+def test_a_carried_column_takes_from_its_table(large_graph, monkeypatch):
+    # kept at its output, ((dia>=1 C2) and dia>=1 dia>=1 C1) writes rows 2
+    # and 3 at layer 1, row 4 (the sum of row 3) at layer 2 and the output,
+    # x2 + x4 - 1, at layer 3.  Layer 2 carries row 2, an integer column,
+    # for layer 3 to read: it activates through its table by the key layer
+    # 1 made, so the kernel sees whole rows only for row 4 at layer 2 and
+    # row 5 at layer 3, 2 m n elements, and the output has the bits of the
+    # run whose kernel sees every element
+    spec = compile_formula(parse("((dia>=1 C2) and dia>=1 dia>=1 C1)", 2), 2)
+    assert [layer.rows for layer in spec.layers] == [(2, 3), (4,), (5,)] and spec.output_index == 5
+    kernel, sizes, m, n = activations._REGISTRY["step-arctan"], [], 3, large_graph.n
+
+    def recorded(x):
+        sizes.append(x.size)
+        kernel.fn(x)
+
+    monkeypatch.setitem(activations._REGISTRY, "step-arctan", replace(kernel, fn=recorded))
+    got = forward_outputs(spec, large_graph, ActivationSpec("step-arctan", m))
+    assert sum(size for size in sizes if size >= backend._CHUNK) == 2 * m * n
+    monkeypatch.setattr(backend, "_TABLE_DEPTH", m + 1)
+    assert got.tobytes() == forward_outputs(spec, large_graph, ActivationSpec("step-arctan", m)).tobytes()
+
+
 def test_lookup_buffers_stay_small(q2_spec, large_graph):
     # a coding run's index and round-trip buffers hold 2^12 elements each,
-    # its tables a few, and its keys one byte a vertex, while a later row of
-    # A terms alone reads the column, and none for C1, which holds lo + key:
+    # its tables a few, and its keys one byte a vertex, each for one layer
+    # and only for a column that the next layer carries or reads through a
+    # row of A terms alone, and none for C1, which is settled at lo + key:
     # the step-arctan peak stays within 100 KB of the sigma-star one, which
     # codes no row
     peaks = {

@@ -456,6 +456,9 @@ def _in_place(name: str, m: int) -> Callable:
             np.multiply(0.5, block, out=block)
             np.add(0.5, block, out=block)
 
+    if m == 1 and not shift:  # one step: the kernel itself
+        activate = fn
+
     def run(out):
         if out.size < _BLOCK:  # one block, the whole array
             activate(out)

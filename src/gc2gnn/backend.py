@@ -39,12 +39,16 @@ may read a coordinate that another row of the same layer writes.
 
 The activation runs where the state lies, through the map resolved once
 per run by ``activations._in_place``, the one code that runs a map, which
-composes its kernel on every element it is given.  A contiguous set of
-columns to activate is one view of consecutive state rows, activated in
-place; of a set with gaps, so is each run of consecutive columns that holds
-at least ``activations._BLOCK`` (2^16) elements, and the shorter runs are
-gathered into one buffer, activated there and scattered back, one call for
-them all.
+composes its kernel on every element it is given.  Under a map that
+settles the rule rows are the columns to activate: contiguous rows, as
+every one-row layer's are, are one view, activated in place, and rows
+with gaps are gathered into one buffer, activated there and scattered
+back.  Under any other map a contiguous set of columns to activate is one
+view of consecutive state rows, activated in place; of a set with gaps, so
+is each run of consecutive columns that holds at least
+``activations._BLOCK`` (2^16) elements, and the shorter runs are gathered
+into one buffer, activated there and scattered back, one call for them
+all.
 
 A deep run on a large graph codes rows: it activates a column through a
 table of the values it holds, and keeps each vertex's key into that table
@@ -105,13 +109,46 @@ one step run after each layer writes its rows):
   No value is sorted or deduplicated: a table holds a range of integers or
   the product of such tables.
 
+Runs under maps that settle share one layer loop while their activated
+rows agree bit for bit.  The sharing rule (``layer_states``' ``others``,
+which ``engine.forward`` passes on and ``engine.forward_outputs_each``
+fills):
+
+- When.  Runs share when every map of the call settles (its record's
+  ``idempotent``: ``sigma-star``, ``crelu`` and ``relu``), as the run reads
+  off the records when it starts, with no flag and no list of map names.
+  Each layer's neighbour sums, ``_combine`` and finiteness check then run
+  once for them all.
+- How.  The loop writes the layer's pre-activations into the state, as a
+  run of its own does.  The first map activates the rule rows in the
+  state, the second in the pre-activation buffer, and each further map in
+  a copy, a (k, n) buffer of its own made once per run.
+- Tables.  A shared run composes depth 1, below ``_TABLE_DEPTH``, so it
+  never codes rows.
+- Bits.  While the maps agree through layer t, the rows they activated hold
+  the same bytes, and a map that settles changes no other column, so their
+  states are identical, and layer t + 1's sums and pre-activations are one
+  computation.  Each map runs elementwise, so a row activated in a buffer
+  has the bits it gets in the state.
+- Parting.  After each layer the run compares each other map's rows with
+  the first map's, byte for byte.  A map whose rows differ by even one
+  byte parts: the run raises ``_Parted`` at the first such map, and
+  ``forward_outputs_each`` runs the others shared again and the map that
+  parted alone, from the start.  A
+  compiled formula never parts ``sigma-star`` from ``crelu``: its
+  pre-activations are integers, and both send z <= 0 to +0.0 and z >= 1 to
+  1.0.  ``relu`` parts from them once a row reaches 2, and a hand-built
+  bias off the integers can part any two (0.3 gives 0 under ``sigma-star``
+  and 0.3 under ``crelu``).
+
 Before the loop, one pass over the layers (``_schedule``) reads each
 layer's ``rows`` and term positions, plain Python ints, once per run and
 gives the loop, per layer, the index of its rows (a slice when they are
 contiguous, as every one-row layer's are), the B positions p >= d whose
 neighbour sums it reads as a list of ints, the live index of the columns
 to activate after it and those columns as a list, which a coding run
-reads; the loop iterates no numpy array.  ``keep`` means the same in
+reads (None for both under a map that settles); the loop iterates no
+numpy array.  ``keep`` means the same in
 ``run_forward`` and ``layer_states``, which checks it once: integer
 columns in ``[0, d)``.  Under a map that settles (its record's
 ``idempotent``; the rule is stated in ``activations``), a layer activates
@@ -206,18 +243,19 @@ def _live_index(cols, n):
 def _schedule(layers, keep, n, settles=False):
     """For each layer, in order: the index of its rule rows, the B positions
     whose neighbour sums it reads (a list of ``int``), the ``_live_index``
-    of the columns to activate after it and those columns, ascending: its
-    rule rows if the map ``settles``, else all if ``keep`` is None, else the
-    live ones, one index and one list until they change."""
+    of the columns to activate after it and those columns, ascending: all
+    if ``keep`` is None, else the live ones, one index and one list until
+    they change.  Under a map that ``settles`` a layer activates its rule
+    rows through their index, so its step holds None for both."""
     live = None if keep is None or settles else {int(j) for j in keep}
     cols = list(range(layers[0].d if layers else 0)) if live is None else sorted(live)
     index = ((slice(None),), None) if live is None else _live_index(cols, n)
+    if settles:
+        cols = index = None
     steps = []
     for layer in reversed(layers):
         rows, d = layer.rows, layer.d
         ps = {p for row in layer.terms for p, _ in row}
-        if settles:
-            cols, index = rows, _live_index(rows, n)
         steps.append((_index(rows), sorted(p for p in ps if p >= d), index, cols))
         if live is not None:
             before = live.difference(rows).union(p % d for p in ps)
@@ -428,34 +466,56 @@ def _initial_state(spec, graph):
     return state
 
 
-def layer_states(spec, graph, name, m, keep=None):
+class _Parted(Exception):
+    """Raised by a shared run at the first layer whose rule rows one of its
+    ``others`` activates to other bits than its first map; ``position`` is
+    that map's position in ``others``."""
+
+    def __init__(self, position):
+        super().__init__(position)
+        self.position = position
+
+
+def layer_states(spec, graph, name, m, keep=None, *, others=()):
     """Yield the (d, n) state of ``spec``'s layers run on ``graph`` under
     ``name`` composed ``m`` times, one array updated in place: once before
     the first layer, the initial state built from ``spec.init_kinds``, then
-    after each layer has activated the columns ``_schedule`` gives it,
-    through tables where the table rule of the module docstring says.
+    after each layer has activated its rule rows under a map that settles,
+    else the columns ``_schedule`` gives it, through tables where the table
+    rule of the module docstring says.
     Layer 1 reads the neighbour sum of each kind from the graph's
     ``_first_sums``, and fills it where a kind is missing.  A layer whose
-    pre-activations are not all finite raises ValueError."""
+    pre-activations are not all finite raises ValueError.
+
+    ``others`` lists further ``(name, m)`` maps that share the run (the
+    sharing rule of the module docstring): the run and each of them must
+    settle, and a layer whose rule rows one of them activates to other bits
+    than ``name`` does raises ``_Parted`` with the position in ``others``
+    of the first such map."""
     cur = _initial_state(spec, graph)
     d, n = cur.shape
     if keep is not None and not all(_is_integer(j) and 0 <= j < d for j in keep):
         raise ValueError(f"keep must list integer columns in [0, {d}), got {keep!r}")
     layers, kinds, kept = spec.layers, spec.init_kinds, graph._first_sums
-    activate = activations._in_place(name, m)
-    settles = activations.get_activation(name).idempotent
-    z = np.empty((max((len(layer.c) for layer in layers), default=0), n))
+    maps = [(name, m), *others]
+    settles = all(activations.get_activation(each).idempotent for each, _ in maps)
+    if others and not settles:
+        raise ValueError(f"maps that share a run must settle, got {maps!r}")
+    activate, *shared = [activations._in_place(*each) for each in maps]
+    k = max((len(layer.c) for layer in layers), default=0)
+    z = np.empty((k, n))
+    copies = [np.empty((k, n)) for _ in shared[1:]]  # the third and later maps' pre-activations
     scratch = (np.empty(n), np.empty(n))
     src, dst = graph.edge_src, graph.edge_dst
     # each edge's source value; take writes into out only when mode is not
     # "raise", and every source index is in range, so "clip" clips nothing
     sent = np.empty(len(src))
     steps = _schedule(layers, keep, n, settles)
-    coding = (min(m, 1) if settles else m) >= _TABLE_DEPTH and n >= _CHUNK  # the table rule
+    coding = not settles and m >= _TABLE_DEPTH and n >= _CHUNK  # the table rule
     if coding:
         code = _coding(layers, steps, activate)
     yield cur
-    for t, (layer, (rows, positions, (views, gather), _)) in enumerate(zip(layers, steps), start=1):
+    for t, (layer, (rows, positions, live, _)) in enumerate(zip(layers, steps), start=1):
         sums = {}  # this layer's alone: the last layer's go here
         for p in positions:
             row = kept.get(kinds[p - d]) if t == 1 else None
@@ -471,19 +531,32 @@ def layer_states(spec, graph, name, m, keep=None):
         if not np.isfinite(pre).all():
             raise ValueError(f"layer {t} has a pre-activation that is not finite")
         cur[rows] = pre
-        if coding:
-            views, gather = _live_index(code(t, layer, cur), n)
-        for view in views:
-            activate(cur[view])
-        if gather is not None:
-            live = cur.take(gather, axis=0)  # take: half a fancy gather
-            activate(live)
-            cur[gather] = live
+        if settles:  # the sharing rule of the module docstring
+            state = cur[rows]  # a view when the rows are contiguous, else a gathered copy
+            outs = [pre]
+            for copy in copies:
+                outs.append(copy[:len(pre)])
+                np.copyto(outs[-1], pre)
+            activate(state)
+            if type(rows) is not slice:
+                cur[rows] = state
+            for i, (run, out) in enumerate(zip(shared, outs)):
+                run(out)
+                if out.tobytes() != state.tobytes():
+                    raise _Parted(i)
+        else:
+            views, gather = _live_index(code(t, layer, cur), n) if coding else live
+            for view in views:
+                activate(cur[view])
+            if gather is not None:
+                block = cur.take(gather, axis=0)  # take: half a fancy gather
+                activate(block)
+                cur[gather] = block
         yield cur
 
 
-def run_forward(spec, graph, name, m, keep=None):
+def run_forward(spec, graph, name, m, keep=None, *, others=()):
     """The (n, d) features after the last layer, a transposed view of the
-    final state of ``layer_states`` with the same ``keep``."""
-    *_, cur = layer_states(spec, graph, name, m, keep)
+    final state of ``layer_states`` with the same ``keep`` and ``others``."""
+    *_, cur = layer_states(spec, graph, name, m, keep, others=others)
     return cur.T

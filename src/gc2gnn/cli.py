@@ -27,7 +27,7 @@ from .activations import (
     verify_step_like,
 )
 from .compiler import compile_formula, read_spec, spec_to_text
-from .engine import forward_outputs
+from .engine import forward_outputs, forward_outputs_each
 from .experiments import (
     _PRESETS,
     BoundViolation,
@@ -39,7 +39,7 @@ from .experiments import (
     run_saturation,
     run_separation,
 )
-from .formulas import check_palette, eval_oracle_all
+from .formulas import check_palette, eval_oracle_all, subformulas
 from .graphs import batch_graphs, random_graphs, read_graph
 
 __all__ = ["main"]
@@ -118,10 +118,11 @@ def _cmd_check_exact(args) -> int:
         labels.append(("file:" + args.graph, loaded.n))
         parts.append(loaded)
     _, formula, palette = load_query(text, palette)
+    subs = subformulas(formula)  # the one walk, which the palette check, the compiler and the oracle read
     # The union takes the largest palette, so the file's own is checked here,
     # before any graph is sampled.
     if args.graph:
-        check_palette(formula, loaded.palette)
+        check_palette(subs, loaded.palette)
         palette = max(palette, loaded.palette)
     if args.random_graphs:
         seeds = range(args.seed, args.seed + args.random_graphs)
@@ -129,20 +130,18 @@ def _cmd_check_exact(args) -> int:
         labels.extend((f"random:{seed}", args.n) for seed in seeds)
     if not parts:
         raise ValueError("need --graph and/or --random-graphs")
-    spec = compile_formula(formula, palette)
-    # One oracle call and one forward per activation over the disjoint union;
-    # vertex offsets split the mismatches per graph.
+    spec = compile_formula(subs, palette)
+    # One oracle call and one shared forward of the exact maps over the
+    # disjoint union; vertex offsets split the mismatches per graph.
     union, _ = batch_graphs(parts)
     offsets = np.cumsum([0] + [n for _, n in labels])
-    want = eval_oracle_all(formula, union).astype(np.float64)
-    bad = {}
-    for name in EXACT_NAMES:
-        got = forward_outputs(spec, union, ActivationSpec(name, 1))
-        bad[name] = np.add.reduceat(got != want, offsets[:-1])
+    want = eval_oracle_all(subs, union).astype(np.float64)
+    got = forward_outputs_each(spec, union, [ActivationSpec(name, 1) for name in EXACT_NAMES])
+    bad = np.add.reduceat(got != want, offsets[:-1], axis=1)
     mismatches = 0
     for i, (label, n) in enumerate(labels):
-        for name in EXACT_NAMES:
-            count = int(bad[name][i])
+        for j, name in enumerate(EXACT_NAMES):
+            count = int(bad[j, i])
             mismatches += count
             status = "ok" if count == 0 else f"{count} mismatches"
             print(f"{label} n={n} {name}: {status}")

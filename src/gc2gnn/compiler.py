@@ -24,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .activations import ActivationSpec
-from .formulas import And, Color, Diamond, Formula, Not, Top, _positive_int, subformulas
+from .formulas import And, Color, Diamond, Formula, Not, SubformulaList, Top, _positive_int, _walked
 from .graphs import _is_integer, _parse_block, _read_ascii
 
 __all__ = [
@@ -49,6 +49,30 @@ def _is_vector(values) -> bool:
     if type(values) in (list, tuple) and {*map(type, values)} <= {int, float}:
         return True
     return np.ndim(values) == 1
+
+
+def _is_stored(rows, c, terms, d) -> bool:
+    """Whether ``GnnLayer`` would store its fields as given: an ``int`` d
+    >= 1, and tuples of as many rows, biases and rule rows, the rows
+    ``int``s ascending in ``[0, d)``, the biases ``float``s, each rule row
+    a tuple of ``(p, v)`` tuples of an ``int`` p strictly ascending in
+    ``[0, 2d)`` and a nonzero ``float`` v."""
+    if not (type(d) is int and d >= 1 and type(rows) is type(c) is type(terms) is tuple
+            and len(rows) == len(c) == len(terms)):
+        return False
+    width, last = 2 * d, -1
+    for j, bias, row in zip(rows, c, terms):
+        if type(j) is not int or type(bias) is not float or type(row) is not tuple or not last < j < d:
+            return False
+        last, before = j, -1
+        for term in row:
+            if type(term) is not tuple or len(term) != 2:
+                return False
+            p, v = term
+            if type(p) is not int or type(v) is not float or not v or not before < p < width:
+                return False
+            before = p
+    return True
 
 
 def _dense(terms, d, low):
@@ -82,6 +106,8 @@ class GnnLayer:
     d: int
 
     def __post_init__(self):
+        if _is_stored(self.rows, self.c, self.terms, self.d):  # nothing to convert, every check passes
+            return
         if not (_is_integer(self.d) and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
@@ -168,12 +194,12 @@ class GnnSpec:
 
 
 def compile_formula(
-    formula: Formula,
+    formula: Formula | SubformulaList,
     palette: int,
     activation: ActivationSpec | None = None,
 ) -> GnnSpec:
-    """Compile ``formula`` over a palette of ``palette`` colors, an integer
-    >= 1 (not a bool).
+    """Compile ``formula``, a formula or its ``subformulas``, over a palette
+    of ``palette`` colors, an integer >= 1 (not a bool).
 
     Each rule row is written as its ``(p, v)`` terms, p ascending: negation
     reads its child with weight -1 and bias +1; conjunction adds its two
@@ -183,7 +209,7 @@ def compile_formula(
     """
     palette = _positive_int(palette, "palette")
     activation = activation or ActivationSpec("sigma-star", 1)
-    subs = subformulas(formula)
+    subs = _walked(formula)
     entries, children = subs.entries, subs.children
 
     # coordinates: color atoms by index, then top, then the rest in entry order
@@ -217,14 +243,14 @@ def compile_formula(
             i = order[j]
             g, kids = entries[i], sorted({coord[k] for k in children[i]})
             if isinstance(g, Not):
-                row, bias = [(kids[0], -1.0)], 1.0
+                row, bias = ((kids[0], -1.0),), 1.0
             elif isinstance(g, And):
-                row, bias = [(k, 1.0) for k in kids], 1.0 - len(kids)
+                row, bias = tuple((k, 1.0) for k in kids), 1.0 - len(kids)
             else:
-                row, bias = [(d + kids[0], 1.0)], 1.0 - g.threshold
+                row, bias = ((d + kids[0], 1.0),), 1.0 - g.threshold
             terms.append(row)
             c.append(bias)
-        layers.append(GnnLayer(rows, c, terms, d))
+        layers.append(GnnLayer(tuple(rows), tuple(c), tuple(terms), d))
 
     coords = tuple(entries[i] for i in order)
     init_kinds = tuple(

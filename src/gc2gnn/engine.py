@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import backend as backend_mod
-from .activations import ActivationSpec
+from .activations import ActivationSpec, get_activation
 from .compiler import GnnSpec
 from .graphs import LabeledGraph, OrderedQuotient
 
@@ -14,6 +14,7 @@ __all__ = [
     "initial_features",
     "forward",
     "forward_outputs",
+    "forward_outputs_each",
     "layer_errors",
 ]
 
@@ -34,15 +35,20 @@ def forward(
     activation: ActivationSpec | None = None,
     *,
     keep=None,
+    others=(),
 ) -> np.ndarray:
     """Run the compiled network on ``graph`` and return the (n, d) features
     after the last layer; activation defaults to the spec's own.  Without
     ``keep`` every column holds its final value.  With ``keep``, a sequence
     of coordinates, those columns do; under a map that settles (the rule
     is in ``activations``) so does every other column, and under another
-    map the others may be stale (see ``backend``)."""
+    map the others may be stale (see ``backend``).  ``others``, further
+    ``ActivationSpec``s of maps that settle, share the run by the sharing
+    rule of ``backend``: the features are then every map's, and a map that
+    parts raises ``backend._Parted``, which ``forward_outputs_each``
+    catches."""
     act = activation or spec.activation
-    return backend_mod.run_forward(spec, graph, act.name, act.m, keep)
+    return backend_mod.run_forward(spec, graph, act.name, act.m, keep, others=[(o.name, o.m) for o in others])
 
 
 def forward_outputs(
@@ -54,6 +60,30 @@ def forward_outputs(
     its own (not a view that would keep the whole last layer alive)."""
     out = spec.output_index
     return forward(spec, graph, activation, keep=(out,))[:, out].copy()
+
+
+def forward_outputs_each(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient, runs) -> np.ndarray:
+    """The outputs of ``forward_outputs`` under each ``ActivationSpec`` of
+    ``runs``, as a (len(runs), n) array with their bits.  The runs of maps
+    that settle share one ``forward`` by the sharing rule of ``backend``; a
+    run that parts from the first of them, and every run of a map that does
+    not settle, goes through ``forward_outputs`` alone."""
+    out = spec.output_index
+    outputs = np.empty((len(runs), graph.n))
+    shared = [i for i, act in enumerate(runs) if get_activation(act.name).idempotent]
+    while len(shared) > 1:
+        head, *tail = (runs[i] for i in shared)
+        try:
+            outputs[shared] = forward(spec, graph, head, keep=(out,), others=tail)[:, out]
+            break
+        except backend_mod._Parted as parted:  # run again without the map that parted
+            del shared[1 + parted.position]
+    else:
+        shared = []
+    for i, act in enumerate(runs):
+        if i not in shared:
+            outputs[i] = forward_outputs(spec, graph, act)
+    return outputs
 
 
 def layer_errors(spec: GnnSpec, graph: LabeledGraph | OrderedQuotient) -> np.ndarray:

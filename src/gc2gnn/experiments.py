@@ -5,8 +5,9 @@ family, convergence-rate sweeps, and the shared CSV schema
 A sweep packs consecutive k values into blocks of at most ``_BLOCK_EDGES``
 in-edges and runs each block's tree pairs on one ordered quotient, ten
 vertices and 4k + 9 in-edges per k in place of the pair's O(k^2) vertices,
-with one forward pass per ``(name, m)`` per block (``tree_roots``).  The
-quotient comes from the one tree-quotient builder,
+with one forward pass per ``(name, m)`` per block, the runs of maps that
+settle shared (``tree_roots``).  The quotient comes from the one
+tree-quotient builder,
 ``graphs._trees_quotient``, which ``tree_roots`` calls with a block's k
 values as arrays, so a sweep builds no ``TreeParams``.  Every vertex of a
 tree gets its class's value bit for bit, whatever trees share its
@@ -35,7 +36,7 @@ from .activations import (
     plateau_grid,
 )
 from .compiler import GnnSpec, compile_formula
-from .engine import forward_outputs
+from .engine import forward_outputs_each
 from .formulas import Formula, parse
 from .graphs import _check_tree_sizes, _trees_quotient
 
@@ -139,7 +140,9 @@ def tree_roots(spec: GnnSpec, runs, k_values, palette: int) -> np.ndarray:
     not an integer >= 1 raises ``TreeParams``'s ``ValueError``.  Consecutive
     k values share a block (``_blocks``): one ordered quotient of their
     pairs, built from their k values alone (``graphs._trees_quotient``), and
-    one forward pass per run."""
+    one ``forward_outputs_each`` call for all runs, where the runs of maps
+    that settle share one forward pass (``separation``'s two baselines) and
+    every other run has its own."""
     k_values = list(k_values)
     for k in k_values:
         _check_tree_sizes(0, k, k)
@@ -150,8 +153,8 @@ def tree_roots(spec: GnnSpec, runs, k_values, palette: int) -> np.ndarray:
         k = np.repeat(np.array(block, dtype=np.int64), 2)  # each k twice, for x = 0 and 1
         quotient, classes = _trees_quotient(np.tile(np.array([0, 1]), len(block)), k, k, coloring)
         stop = start + len(block)
-        for j, act in enumerate(runs):
-            roots[start:stop, j] = forward_outputs(spec, quotient, act)[classes].reshape(-1, 2)
+        outputs = forward_outputs_each(spec, quotient, runs)[:, classes]
+        roots[start:stop] = outputs.reshape(len(runs), -1, 2).transpose(1, 0, 2)
         start = stop
     return roots
 

@@ -259,6 +259,12 @@ def subformulas(f: Formula) -> SubformulaList:
     return SubformulaList(tuple(entries), tuple(children))
 
 
+def _walked(f: Formula | SubformulaList) -> SubformulaList:
+    """``f`` itself if it is a ``SubformulaList``, else ``subformulas(f)``:
+    a caller that walks a formula once hands every reader the result."""
+    return f if isinstance(f, SubformulaList) else subformulas(f)
+
+
 def depth(f: Formula) -> int:
     """The size budget of ``random_formula``: the distinct subformulas
     excluding ``top``, so connectives, quantifiers and color atoms count.
@@ -269,10 +275,11 @@ def depth(f: Formula) -> int:
     return sum(1 for g in subformulas(f).entries if not isinstance(g, Top))
 
 
-def check_palette(f: Formula, palette: int) -> None:
-    """Raise ValueError, as ``eval_oracle_all`` does, if ``f`` names a color
-    outside a graph palette of ``palette`` colors."""
-    for node in subformulas(f).entries:
+def check_palette(f: Formula | SubformulaList, palette: int) -> None:
+    """Raise ValueError, as ``eval_oracle_all`` does, if ``f``, a formula or
+    its ``subformulas``, names a color outside a graph palette of
+    ``palette`` colors."""
+    for node in _walked(f).entries:
         if isinstance(node, Color):
             _check_color(node.index, palette)
 
@@ -282,9 +289,10 @@ def _check_color(index: int, palette: int) -> None:
         raise ValueError(f"color C{index} outside the graph palette [1, {palette}]")
 
 
-def eval_oracle_all(f: Formula, graph: LabeledGraph) -> np.ndarray:
-    """Truth table of ``f`` at every vertex, by bottom-up evaluation."""
-    subs = subformulas(f)
+def eval_oracle_all(f: Formula | SubformulaList, graph: LabeledGraph) -> np.ndarray:
+    """Truth table of ``f``, a formula or its ``subformulas``, at every
+    vertex, by bottom-up evaluation."""
+    subs = _walked(f)
     tables: list[np.ndarray] = []
     for node, kids in zip(subs.entries, subs.children):
         if isinstance(node, Color):

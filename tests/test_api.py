@@ -90,6 +90,24 @@ def test_benchmark_trace_reads_every_metric(monkeypatch, tmp_path, capsys):
     assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values.values()), values
 
 
+def test_traced_check_exact_counts_its_shared_forward(monkeypatch, capsys):
+    # perfbench/tracing.py counts forwards by wrapping engine.forward: the
+    # one forward that check-exact's sigma-star and crelu runs share enters
+    # through it once, and its one formula walk is one subformulas span
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["check-exact", "--query", "q2", "--random-graphs", "3", "--n", "20"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.endswith("exactness: PASS\n")
+    assert not tracer.missing and not tracer.broken
+    assert tracer.counts["engine.forward_calls"] == 1
+    assert [span[0] for span in tracer.spans].count("formulas.subformulas") == 1
+
+
 def test_forward_enters_the_executor_through_run_forward(monkeypatch, q1_spec, path3):
     # perfbench/tracing.py counts forwards by wrapping engine.forward and
     # times backend.self_s by wrapping run_forward, so forward_outputs goes

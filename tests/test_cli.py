@@ -24,7 +24,7 @@ from gc2gnn import (
     spec_to_text,
     write_graph,
 )
-from gc2gnn import cli, experiments
+from gc2gnn import cli, compiler, experiments, formulas
 from gc2gnn.experiments import (
     BoundViolation,
     ResultRow,
@@ -533,6 +533,31 @@ def test_cli_check_exact_checks_file_palette_before_sampling(tmp_path, monkeypat
     assert result.returncode == 2
     assert "color C3 outside the graph palette [1, 2]" in result.stderr
     assert result.stdout == ""
+
+
+def test_cli_check_exact_walks_its_formula_once(tmp_path, monkeypatch, capsys):
+    # one subformulas call per check-exact run, whose list the file's palette
+    # check, the compiler and the oracle all read
+    graph_path = tmp_path / "g.graph"
+    write_graph(graph_path, random_graph(8, 2.0, 2, 1))
+    walks, readers, walk = [], [], formulas.subformulas
+
+    def counted(f):
+        walks.append(walk(f))
+        return walks[-1]
+
+    for module in (formulas, compiler, cli):
+        monkeypatch.setattr(module, "subformulas", counted, raising=False)
+    for name in ("check_palette", "compile_formula", "eval_oracle_all"):
+        def recorded(subs, *args, reader=getattr(cli, name), name=name):
+            readers.append((name, subs))
+            return reader(subs, *args)
+        monkeypatch.setattr(cli, name, recorded)
+    assert cli.main(["check-exact", "--query", "q2", "--graph", str(graph_path), "--random-graphs", "2"]) == 0
+    assert capsys.readouterr().out.endswith("exactness: PASS\n")
+    assert len(walks) == 1
+    assert [(name, subs is walks[0]) for name, subs in readers] == [
+        ("check_palette", True), ("compile_formula", True), ("eval_oracle_all", True)]
 
 
 def test_cli_check_exact_parses_against_file_palette(tmp_path):

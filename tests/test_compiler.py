@@ -36,7 +36,8 @@ from gc2gnn import (
     spec_to_text,
 )
 from gc2gnn import backend, compiler
-from gc2gnn.compiler import SpecFormatError
+from gc2gnn.compiler import SpecFormatError, _is_vector
+from gc2gnn.graphs import _is_integer
 from gc2gnn.experiments import Q1_TEXT
 
 from conftest import activated_columns, forward_history, matrix_rows
@@ -277,6 +278,156 @@ def test_gnn_layer_width_is_a_positive_int(d):
 def test_gnn_layer_stores_positions_as_ints():
     layer = GnnLayer(np.array([1]), np.zeros(1), [[(np.int64(1), 1.0)]], 2)
     assert type(layer.terms[0][0][0]) is int
+
+
+def reference_layer(rows, c, terms, d):
+    """``GnnLayer.__post_init__`` as it stood before it took input already
+    in stored form as it is: the fields it stores, ``(rows, c, terms, d)``,
+    or the ValueError it raises."""
+    if not (_is_integer(d) and d >= 1):
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    d = int(d)
+    if not _is_vector(rows) or not all(map(_is_integer, rows)):
+        raise ValueError("rows must be a 1-D integer array")
+    rows = tuple(map(int, rows))
+    if not _is_vector(c) or not len(c) == len(terms) == len(rows):
+        raise ValueError("c and term shapes disagree with the rule rows")
+    width, stored = 2 * d, []
+    if rows and (rows[0] < 0 or rows[-1] >= d or any(i >= j for i, j in zip(rows, rows[1:]))):
+        raise ValueError(f"rule rows must be ascending and distinct in [0, {d})")
+    for j, row in zip(rows, terms):
+        kept, last, ordered = [], -1, True
+        for p, v in row:
+            if not ((type(p) is int or _is_integer(p)) and 0 <= p < width):
+                ps = [p for p, _ in row]
+                raise ValueError(f"term positions must be integers in [0, {width}): rule row {j} has p = {ps}")
+            if p <= last:
+                ordered = False
+            last = p
+            if v:
+                kept.append((int(p), float(v)))
+        if not ordered:
+            ps = [p for p, _ in row]
+            raise ValueError(f"terms of rule row {j} are not in ascending column order: p = {ps}")
+        stored.append(tuple(kept))
+    return rows, tuple(map(float, c)), tuple(stored), d
+
+
+def _flaws(size):
+    """Edits of one field of a ``GnnLayer`` argument list ``[rows, c,
+    terms, d]`` held in stored form (tuples of ``int`` and ``float``, rule
+    rows as tuples of ``(p, v)`` tuples), each of which a layer either
+    converts, dropping zero weights, or refuses, keyed by name; each returns
+    None where it does not apply."""
+    width = 2 * size
+
+    def at_term(edit):  # edit the first term of the first row that has one
+        def flaw(args):
+            rows, c, terms, d = args
+            for r, row in enumerate(terms):
+                if row:
+                    row = (edit(row[0]), *row[1:])
+                    return [rows, c, (*terms[:r], row, *terms[r + 1:]), d]
+            return None
+        return flaw
+
+    def at_row(edit):  # edit the first rule row with two terms or more
+        def flaw(args):
+            rows, c, terms, d = args
+            for r, row in enumerate(terms):
+                if len(row) > 1:
+                    return [rows, c, (*terms[:r], edit(row), *terms[r + 1:]), d]
+            return None
+        return flaw
+
+    def first(edit, field):  # edit entry 0 of rows (field 0) or of c (field 1)
+        def flaw(args):
+            if not len(args[field]):
+                return None
+            args = list(args)
+            args[field] = (edit(args[field][0]), *args[field][1:])
+            return args
+        return flaw
+
+    return {
+        "d numpy": lambda a: [*a[:3], np.int64(a[3])],
+        "d float": lambda a: [*a[:3], float(a[3])],
+        "d bool": lambda a: [*a[:3], True],
+        "d zero": lambda a: [*a[:3], 0],
+        "rows list": lambda a: [list(a[0]), *a[1:]],
+        "rows array": lambda a: [np.array(a[0], dtype=np.int64), *a[1:]],
+        "row numpy": first(np.int64, 0),
+        "row float": first(float, 0),
+        "row bool": first(bool, 0),
+        "row out of range": first(lambda j: size, 0),
+        "row negative": first(lambda j: -1, 0),
+        "rows unordered": lambda a: [a[0][::-1], *a[1:]] if len(a[0]) > 1 else None,
+        "rows repeated": lambda a: [(*a[0], a[0][-1]), (*a[1], 0.0), (*a[2], ()), a[3]] if len(a[0]) else None,
+        "c list": lambda a: [a[0], list(a[1]), *a[2:]],
+        "c array": lambda a: [a[0], np.array(a[1], dtype=np.float64), *a[2:]],
+        "c int": first(int, 1),
+        "c numpy": first(np.float64, 1),
+        "c too long": lambda a: [a[0], (*a[1], 1.0), *a[2:]],
+        "c too short": lambda a: [a[0], a[1][:-1], *a[2:]] if len(a[1]) else None,
+        "terms list": lambda a: [*a[:2], list(a[2]), a[3]],
+        "terms too long": lambda a: [*a[:2], (*a[2], ()), a[3]],
+        "rule row list": at_row(list),
+        "term list": at_term(list),
+        "p numpy": at_term(lambda t: (np.int64(t[0]), t[1])),
+        "p float": at_term(lambda t: (float(t[0]), t[1])),
+        "p bool": at_term(lambda t: (bool(t[0]), t[1])),
+        "p out of range": at_term(lambda t: (width, t[1])),
+        "p negative": at_term(lambda t: (-1, t[1])),
+        "p unordered": at_row(lambda row: row[::-1]),
+        "p repeated": at_row(lambda row: (row[0], *row)),
+        "v zero": at_term(lambda t: (t[0], 0.0)),
+        "v negative zero": at_term(lambda t: (t[0], -0.0)),
+        "v int": at_term(lambda t: (t[0], int(t[1]) or 1)),
+        "v numpy": at_term(lambda t: (t[0], np.float64(t[1]))),
+        "v bool": at_term(lambda t: (t[0], True)),
+        "v nan": at_term(lambda t: (t[0], float("nan"))),
+    }
+
+
+@st.composite
+def layer_fields(draw):
+    """``GnnLayer`` arguments: a layer in stored form over d <= 4 coordinates
+    (ascending rows, float biases, rule rows of nonzero float weights at
+    ascending positions), and, three times in four, one or two flaws of
+    ``_flaws`` applied to it."""
+    size = draw(st.integers(1, 4))
+    weight = st.sampled_from((1.0, -1.0, 2.0, -0.5, 1e300))
+    rows = tuple(sorted(draw(st.sets(st.integers(0, size - 1)))))
+    c = tuple(draw(st.sampled_from((0.0, -0.0, 1.0, -2.0, 0.3))) for _ in rows)
+    terms = tuple(tuple((p, draw(weight)) for p in sorted(draw(st.sets(st.integers(0, 2 * size - 1), max_size=4))))
+                  for _ in rows)
+    args = [rows, c, terms, size]
+    flaws = _flaws(size)
+    for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+        flawed = flaws[draw(st.sampled_from(sorted(flaws)))](args)
+        args = args if flawed is None else flawed
+    return tuple(args)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(layer_fields())
+def test_gnn_layer_checks_keep_their_behaviour(fields):
+    # GnnLayer builds the layer reference_layer builds, each field with the
+    # same types and bits, or raises the same message: input already in
+    # stored form takes a shortcut, every other input the full checks
+    try:
+        want = reference_layer(*fields)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            GnnLayer(*fields)
+        assert str(raised.value) == str(error)
+        return
+    layer = GnnLayer(*fields)
+    got = (layer.rows, layer.c, layer.terms, layer.d)
+    assert repr(got) == repr(want)
+    assert [type(x) for x in (*got[0], *got[1], got[3])] == [type(x) for x in (*want[0], *want[1], want[3])]
+    assert [type(x) for row in got[2] for term in row for x in term] == [
+        type(x) for row in want[2] for term in row for x in term]
 
 
 def test_gnn_layer_drops_zero_weights():

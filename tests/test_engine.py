@@ -34,7 +34,8 @@ from gc2gnn import (
 from gc2gnn import activations, backend, cli
 from gc2gnn.activations import apply_activation, certificate, get_activation, required_composition_depth
 from gc2gnn.backend import run_forward
-from gc2gnn.experiments import run_separation
+from gc2gnn.engine import forward_outputs_each
+from gc2gnn.experiments import run_separation, tree_roots
 
 from conftest import (
     activated_columns,
@@ -452,22 +453,170 @@ def test_forward_work_per_layer(q2_spec, monkeypatch, capsys):
     forward_outputs(spec, graph, ActivationSpec("step-arctan", 14))  # a map that would take one
     assert calls == {key: want[key] + count for key, count in run(14, True).items()}
 
-    # check-exact runs sigma-star, then crelu, on one union: the crelu
-    # forward makes no layer-1 sum
-    sums_by_run, run = [], backend.run_forward
+    # check-exact runs sigma-star and crelu as one shared run on one union:
+    # one schedule, each map resolved once and its kernel once a layer, one
+    # np.bincount per neighbour sum and one _combine per layer, for both
+    work_by_run, states = [], backend.layer_states
+    calls["combine"] = 0
+    monkeypatch.setattr(backend, "_combine", counted("combine", backend._combine))
 
-    def counted_run(spec, graph, name, *args):
-        before = calls["bincount"]
-        out = run(spec, graph, name, *args)
-        sums_by_run.append((name, calls["bincount"] - before))
-        return out
+    def counted_states(spec, graph, name, m, keep=None, *, others=()):
+        before = dict(calls)
+        yield from states(spec, graph, name, m, keep, others=others)
+        work_by_run.append((name, others, {key: calls[key] - before[key] for key in calls}))
 
-    monkeypatch.setattr(backend, "run_forward", counted_run)
+    monkeypatch.setattr(backend, "layer_states", counted_states)
     assert cli.main(["check-exact", "--query", "q2", "--random-graphs", "4", "--n", "30", "--seed", "3"]) == 0
     assert capsys.readouterr().out.endswith("exactness: PASS\n")
     q2_sums = sum(len(sum_positions(layer)) for layer in q2_spec.layers)
     assert len(sum_positions(q2_spec.layers[0])) == 2
-    assert sums_by_run == [("sigma-star", q2_sums), ("crelu", q2_sums - 2)]
+    layers = q2_spec.iterations
+    shared = {"schedule": 1, "resolve": 2, "kernel": 2 * layers, "apply_activation": 0, "bincount": q2_sums,
+              "table": 0, "combine": layers}
+    assert work_by_run == [("sigma-star", [("crelu", 1)], shared)]
+
+
+def record_layer_runs(monkeypatch):
+    """The ``(name, m, others)`` of every ``backend.layer_states`` call, in
+    call order, as a list the calls fill."""
+    calls, states = [], backend.layer_states
+
+    def recorded(spec, graph, name, m, keep=None, *, others=()):
+        calls.append((name, m, list(others)))
+        return states(spec, graph, name, m, keep, others=others)
+
+    monkeypatch.setattr(backend, "layer_states", recorded)
+    return calls
+
+
+@st.composite
+def sharing_cases(draw):
+    """A spec and a graph to share runs on: the disjoint union of up to three
+    random graphs, and a compiled random formula over two colors or a
+    hand-built spec of up to four layers over d <= 4 coordinates, whose
+    weights and biases include 2, -0.5 and 0.3, off the integers."""
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))
+    graph = batch_graphs([random_graph(n, float(rng.uniform(0.0, min(5.0, n - 1))), 2, seed + i)
+                          for i, n in enumerate(sizes)])[0]
+    if draw(st.booleans()):
+        return compile_formula(random_formula(rng, 2, max_depth=8), 2), graph
+    d = draw(st.integers(1, 4))
+    weight = st.sampled_from((1.0, -1.0, 2.0, -0.5))
+    bias = st.sampled_from((0.0, 1.0, -1.0, 0.3, 0.5, -2.0))
+
+    def layer():
+        rows = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+        positions = [sorted(draw(st.sets(st.integers(0, 2 * d - 1), max_size=3))) for _ in rows]
+        return GnnLayer(tuple(rows), tuple(draw(bias) for _ in rows),
+                        tuple(tuple((p, draw(weight)) for p in row) for row in positions), d)
+
+    layers = tuple(layer() for _ in range(draw(st.integers(1, 4))))
+    kinds = tuple(draw(st.lists(st.sampled_from(("0", "1", "C1", "C2")), min_size=d, max_size=d)))
+    return GnnSpec(draw(st.integers(0, d - 1)), layers, ActivationSpec("sigma-star", 1), kinds), graph
+
+
+@settings(max_examples=80, deadline=None)
+@given(sharing_cases(), st.permutations(("sigma-star", "crelu", "relu")),
+       st.lists(st.sampled_from((0, 1, 3)), min_size=3, max_size=3))
+def test_shared_runs_give_each_runs_bits(case, names, depths):
+    # the runs of maps that settle share one layer loop while their activated
+    # rows agree: every output has the bits of its own forward_outputs call.
+    # A map parts exactly when its history differs from the first map's, so
+    # the last shared run holds the first map and those that agree with it,
+    # and the others run alone; a compiled formula never parts sigma-star
+    # from crelu at m >= 1
+    spec, graph = case
+    runs = [ActivationSpec(name, m) for name, m in zip(names, depths)]
+    histories = {act: forward_history(spec, graph, act).tobytes() for act in runs}
+    exact = [act for act in runs if act.name != "relu" and act.m]
+    if spec.coordinate_formulas is not None and len(exact) == 2:
+        assert histories[exact[0]] == histories[exact[1]]
+    want = np.stack([forward_outputs(spec, graph, act) for act in runs])
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_layer_runs(patch)
+        got = forward_outputs_each(spec, graph, runs)
+    assert got.tobytes() == want.tobytes()
+    head, *tail = runs
+    assert calls[0] == (head.name, head.m, [(act.name, act.m) for act in tail])
+    agree = [act for act in tail if histories[act] == histories[head]]
+    shared = [call for call in calls if call[2]]
+    if agree:
+        assert shared[-1] == (head.name, head.m, [(act.name, act.m) for act in agree])
+    alone = [act for act in runs if not agree or (act is not head and act not in agree)]
+    assert [(name, m) for name, m, others in calls if not others] == [(act.name, act.m) for act in alone]
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 3])
+def test_relu_parts_from_crelu_where_a_diamond_sees_two_true_neighbours(leaves, monkeypatch):
+    # dia>=1 C1's pre-activation at a vertex is its number of C1 neighbours:
+    # relu passes a 2 or more through where crelu clips it to 1, so on a
+    # star of ``leaves`` leaves the two part at layer 1 when leaves >= 2 and
+    # then each runs alone
+    spec = compile_formula(parse("dia>=1 C1", 1), 1)
+    star = LabeledGraph(leaves + 1, 1, np.ones(leaves + 1, dtype=np.int64),
+                        np.array([[0, leaf] for leaf in range(1, leaves + 1)]))
+    runs = [ActivationSpec("crelu", 1), ActivationSpec("relu", 1)]
+    calls = record_layer_runs(monkeypatch)
+    got = forward_outputs_each(spec, star, runs)
+    assert got.tolist() == [[1.0] * (leaves + 1), [float(leaves)] + [1.0] * leaves]
+    shared = [("crelu", 1, [("relu", 1)])]
+    assert calls == (shared if leaves < 2 else shared + [("crelu", 1, []), ("relu", 1, [])])
+
+
+def test_a_bias_off_the_integers_parts_sigma_star_from_crelu(monkeypatch):
+    # a hand-built row x_C1 + 0.3 is 0.3 off C1: sigma-star sends it to 0,
+    # crelu keeps 0.3, so the shared run parts at layer 1 and each map runs
+    # alone with its own bits; a map that does not settle cannot share
+    layer = GnnLayer((1,), (0.3,), (((0, 1.0),),), 2)
+    spec = GnnSpec(1, (layer, layer), ActivationSpec("sigma-star", 1), ("C1", "0"))
+    graph = random_graph(20, 2.0, 2, 1)
+    runs = [ActivationSpec("sigma-star", 1), ActivationSpec("crelu", 1)]
+    want = np.stack([forward_outputs(spec, graph, act) for act in runs])
+    calls = record_layer_runs(monkeypatch)
+    got = forward_outputs_each(spec, graph, runs)
+    assert got.tobytes() == want.tobytes()
+    assert set(got[0]) <= {0.0, 1.0} and 0.3 in got[1]
+    assert calls == [("sigma-star", 1, [("crelu", 1)]), ("sigma-star", 1, []), ("crelu", 1, [])]
+    with pytest.raises(ValueError, match="must settle"):
+        next(backend.layer_states(spec, graph, "crelu", 1, others=[("sigmoid", 1)]))
+
+
+def test_a_shared_run_on_a_large_graph_codes_no_rows(q2_spec, monkeypatch):
+    # a shared run composes depth 1, so on 2^12 vertices and more it neither
+    # codes rows nor checks a column for a table, and gives each map's bits
+    graph = random_graph(backend._CHUNK + 5, 4.0, 2, 3)
+    runs = [ActivationSpec("sigma-star", 1), ActivationSpec("crelu", 1), ActivationSpec("relu", 3)]
+    want = np.stack([forward_outputs(q2_spec, graph, act) for act in runs])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shared run coded a row")
+
+    monkeypatch.setattr(backend, "_coding", refuse)
+    monkeypatch.setattr(backend, "_integer_table", refuse)
+    calls = record_layer_runs(monkeypatch)
+    assert forward_outputs_each(q2_spec, graph, runs).tobytes() == want.tobytes()
+    assert calls[0] == ("sigma-star", 1, [("crelu", 1), ("relu", 3)])
+
+
+def test_tree_roots_share_the_settling_runs_and_run_the_rest_alone(q2_spec, monkeypatch):
+    # a sweep block passes all its runs: sigma-star, crelu and relu share,
+    # relu parts at the first internal vertex's k >= 2 blue leaves, and the
+    # smooth maps run alone, every root with the bits of its own run
+    runs = [ActivationSpec(name, m) for name, m in
+            (("sigmoid", 2), ("sigma-star", 1), ("arctan-4pi", 3), ("crelu", 1), ("relu", 1))]
+    ks = (1, 2, 5, 9)
+    want = np.concatenate([tree_roots(q2_spec, [act], ks, 2) for act in runs], axis=1)
+    calls = record_layer_runs(monkeypatch)
+    assert tree_roots(q2_spec, runs, ks, 2).tobytes() == want.tobytes()
+    assert calls == [
+        ("sigma-star", 1, [("crelu", 1), ("relu", 1)]),
+        ("sigma-star", 1, [("crelu", 1)]),
+        ("sigmoid", 2, []),
+        ("arctan-4pi", 3, []),
+        ("relu", 1, []),
+    ]
 
 
 def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
@@ -490,8 +639,8 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
             assert views == (slice(0, 2), slice(3, 5)) and gather is None
         else:
             assert views == () and gather.tolist() == [0, 1, 3, 4]
-        views, gather = backend._schedule(spec.layers, keep, n, settles=True)[0][2]
-        assert views == () and gather.tolist() == [0, 2, 4]
+        # a settling run activates its rule rows through their index alone
+        assert backend._schedule(spec.layers, keep, n, settles=True)[0][2] is None
         init = initial_features(spec, graph)
         for name in ACTIVATION_NAMES:
             for m in (0, 1, 3):
@@ -505,8 +654,7 @@ def test_live_runs_in_place_and_gathered_give_the_reference_bits(monkeypatch):
                 # steps a block.  Layer 1's values are integers, so under a
                 # map that takes a table the kernel sees a table first.  A
                 # settling run activates layer 1's rule rows 0, 2 and 4
-                # alone, each a run of fewer than activations._BLOCK
-                # elements, gathered and composed once
+                # alone, gathered into one (3, n) buffer, composed once
                 if get_activation(name).idempotent:
                     size, block = 3 * n, activations._BLOCK
                     blocks = [min(block, size - i) for i in range(0, size, block)] if m else []
@@ -545,10 +693,10 @@ def test_settling_runs_activate_each_layers_rule_rows(name, m, q2_spec, monkeypa
     # under a map that settles, a layer activates the rows it writes and no
     # other column: every state layer_states yields has the bits of the
     # reference run that activates every column at every layer, keep gives
-    # every column those bits too, the kernel sees k n elements a layer (one
-    # gathered or in-place array of a layer's k rule rows on a small graph,
-    # composed once), and the schedule makes a live index of rule rows
-    # alone.  Under the identity the bits are the same on the liveness path
+    # every column those bits too, and the kernel sees k n elements a layer
+    # (one gathered or in-place array of a layer's k rule rows on a small
+    # graph, composed once), with no live index made.  Under the identity
+    # the bits are the same on the liveness path
     graph = random_graph(40, 3.0, 2, 6)
     for spec in (hand_built_spec(), q2_spec, _chain(60)):
         init = initial_features(spec, graph)
@@ -570,7 +718,7 @@ def test_settling_runs_activate_each_layers_rule_rows(name, m, q2_spec, monkeypa
                 indexed.clear()
                 run_forward(spec, graph, name, m, keep)
                 assert seen == ([len(layer.rows) * graph.n for layer in spec.layers] if m else [])
-                assert sorted(indexed) == sorted(layer.rows for layer in spec.layers)
+                assert indexed == []
 
 
 def test_unit_weights_fold_with_the_products_bits():

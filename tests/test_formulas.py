@@ -10,6 +10,7 @@ from gc2gnn import (
     And,
     Color,
     Diamond,
+    compile_formula,
     FormulaSyntaxError,
     Not,
     Top,
@@ -22,6 +23,7 @@ from gc2gnn import (
     to_text,
 )
 from gc2gnn.experiments import Q1_TEXT, Q2_TEXT
+from gc2gnn.formulas import check_palette
 
 
 def formula_strategy(palette=3, max_leaves=10):
@@ -162,6 +164,30 @@ def test_subformulas_lists_each_distinct_subtree_once(f):
     texts = [to_text(g) for g in subformulas(f).entries]
     assert len(set(texts)) == len(texts)
     assert set(texts) == {to_text(g) for g in subtrees(f)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(formula_strategy(max_leaves=6), st.integers(1, 3), st.integers(0, 10_000))
+def test_readers_take_a_formula_or_its_subformulas(f, palette, seed):
+    # compile_formula, eval_oracle_all and check_palette read a formula's
+    # SubformulaList as they read the formula: the same spec, coordinate
+    # formulas included, the same truth table bit for bit, the same error
+    subs = subformulas(f)
+    graph = random_graph(12, 3.0, palette, seed)
+    for reader in (lambda g: compile_formula(g, palette), lambda g: eval_oracle_all(g, graph),
+                   lambda g: check_palette(g, palette)):
+        results = []
+        for g in (f, subs):
+            try:
+                results.append(reader(g))
+            except ValueError as error:
+                results.append(str(error))
+        if hasattr(results[0], "coordinate_formulas"):
+            assert results[0].coordinate_formulas == results[1].coordinate_formulas
+        if isinstance(results[0], np.ndarray):
+            assert results[0].tobytes() == results[1].tobytes()
+        else:
+            assert results[0] == results[1]
 
 
 def test_depth_values():
